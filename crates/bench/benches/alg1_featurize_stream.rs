@@ -48,7 +48,7 @@ fn bench_featurize_stream(c: &mut Criterion) {
 
         // Whole-batch sketch: one pass over the same matrix, directly
         // comparable to the exact path above.
-        c.bench_function(&format!("featurize_sketch_{rows}_rows"), |b| {
+        c.bench_function(&format!("featurize_streamed_{rows}_rows"), |b| {
             b.iter(|| {
                 BatchSketch::from_outputs(&proba)
                     .prediction_statistics()
@@ -60,7 +60,7 @@ fn bench_featurize_stream(c: &mut Criterion) {
         // chunks into a fresh sketch (each chunk is materialized, as it
         // would arrive off the wire), then featurize the bins.
         let all: Vec<usize> = (0..rows).collect();
-        c.bench_function(&format!("featurize_sketch_chunked_{rows}_rows"), |b| {
+        c.bench_function(&format!("featurize_streamed_chunked_{rows}_rows"), |b| {
             b.iter(|| {
                 let mut s = BatchSketch::new(2);
                 for chunk in all.chunks(8_192) {

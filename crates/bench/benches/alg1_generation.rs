@@ -8,9 +8,7 @@
 //! EXPERIMENTS.md.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use lvp_core::{
-    generate_training_examples_instrumented, generate_training_examples_seeded, Metric,
-};
+use lvp_core::{generate_batches_resilient, Metric, TrainingExample};
 use lvp_corruptions::standard_tabular_suite;
 use lvp_models::{train_model_quick, BlackBoxModel, ModelKind};
 use lvp_telemetry::Registry;
@@ -27,7 +25,7 @@ fn bench_alg1_generation(c: &mut Criterion) {
     let gens = standard_tabular_suite(test.schema());
 
     let run = |parallel: bool| {
-        generate_training_examples_seeded(
+        generate_batches_resilient(
             model.as_ref(),
             &test,
             &gens,
@@ -36,12 +34,16 @@ fn bench_alg1_generation(c: &mut Criterion) {
             Metric::Accuracy,
             42,
             parallel,
+            1.0,
+            None,
+            TrainingExample::from_batch,
         )
         .expect("accuracy metric fits any class count")
+        .results
     };
     let registry = Registry::new();
     let run_instrumented = |parallel: bool| {
-        generate_training_examples_instrumented(
+        generate_batches_resilient(
             model.as_ref(),
             &test,
             &gens,
@@ -50,9 +52,12 @@ fn bench_alg1_generation(c: &mut Criterion) {
             Metric::Accuracy,
             42,
             parallel,
+            1.0,
             Some(&registry),
+            TrainingExample::from_batch,
         )
         .expect("accuracy metric fits any class count")
+        .results
     };
 
     // Sanity: all paths must agree before we time them.
@@ -81,7 +86,7 @@ fn bench_alg1_generation(c: &mut Criterion) {
         train_model_quick(ModelKind::Xgb, &train, &mut StdRng::seed_from_u64(7)).unwrap(),
     );
     let run_xgb = |parallel: bool| {
-        generate_training_examples_seeded(
+        generate_batches_resilient(
             xgb.as_ref(),
             &test,
             &gens,
@@ -90,8 +95,12 @@ fn bench_alg1_generation(c: &mut Criterion) {
             Metric::Accuracy,
             42,
             parallel,
+            1.0,
+            None,
+            TrainingExample::from_batch,
         )
         .expect("accuracy metric fits any class count")
+        .results
     };
     assert_eq!(run_xgb(false), run_xgb(true));
     c.bench_function("alg1_generation_sequential_xgb_4gens_x25", |b| {

@@ -3,7 +3,7 @@
 //! batch in an online deployment (§6.1.3's motivation).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use lvp_core::{PerformancePredictor, PredictorConfig};
+use lvp_core::{FeatureSource, PerformancePredictor, PredictorConfig};
 use lvp_corruptions::standard_tabular_suite;
 use lvp_models::tree::SplitMethod;
 use lvp_models::{train_model_quick, BlackBoxModel, ModelKind};
@@ -51,8 +51,12 @@ fn bench_predictor(c: &mut Criterion) {
         b.iter(|| predictor.predict(&test).unwrap())
     });
     let proba = model.predict_proba(&test);
-    c.bench_function("predictor_predict_from_outputs", |b| {
-        b.iter(|| predictor.predict_from_outputs(&proba).unwrap())
+    c.bench_function("predictor_predict_source_outputs", |b| {
+        b.iter(|| {
+            predictor
+                .predict_source(&FeatureSource::Exact(&proba))
+                .unwrap()
+        })
     });
 }
 

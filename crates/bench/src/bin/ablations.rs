@@ -13,8 +13,8 @@
 
 use lvp_bench::{prepare_split, train_for, write_results, ExperimentEnv, ResultRow, Summary};
 use lvp_core::{
-    generate_training_examples, prediction_statistics, Metric, PerformancePredictor,
-    PerformanceValidator, PredictorConfig, ValidatorConfig,
+    generate_batches_resilient, prediction_statistics, Metric, PerformancePredictor,
+    PerformanceValidator, PredictorConfig, TrainingExample, ValidatorConfig,
 };
 use lvp_corruptions::{standard_tabular_suite, ErrorGen, Mixture};
 use lvp_dataframe::DataFrame;
@@ -74,16 +74,21 @@ fn featurization_mae(
     rng: &mut StdRng,
 ) -> f64 {
     let gens = standard_tabular_suite(data.test.schema());
-    let examples = generate_training_examples(
+    let examples = generate_batches_resilient(
         data.model.as_ref(),
         &data.test,
         &gens,
         env.scale.runs_per_generator(),
         5,
         Metric::Accuracy,
-        rng,
+        rng.gen(),
+        true,
+        1.0,
+        None,
+        TrainingExample::from_batch,
     )
-    .expect("accuracy metric fits any class count");
+    .expect("accuracy metric fits any class count")
+    .results;
     // Refit the forest on the alternative featurization by recomputing
     // features from scratch per corrupted copy is not possible post hoc, so
     // instead we regenerate matched (proba → features, score) pairs here.
@@ -150,16 +155,21 @@ fn main() {
     println!("\n## ablation 2: meta-model");
     let mut rng = env.rng("ablations/meta");
     let gens = standard_tabular_suite(data.test.schema());
-    let examples = generate_training_examples(
+    let examples = generate_batches_resilient(
         data.model.as_ref(),
         &data.test,
         &gens,
         env.scale.runs_per_generator(),
         5,
         Metric::Accuracy,
-        &mut rng,
+        rng.gen(),
+        true,
+        1.0,
+        None,
+        TrainingExample::from_batch,
     )
-    .expect("accuracy metric fits any class count");
+    .expect("accuracy metric fits any class count")
+    .results;
     let x = DenseMatrix::from_rows(
         &examples
             .iter()

@@ -14,8 +14,6 @@
 //! The clean-copy stream (`p_err = 0`) is addressed as a virtual generator
 //! at index `generators.len()`.
 
-use crate::features::prediction_statistics;
-use crate::predictor::TrainingExample;
 use crate::{CoreError, Metric};
 use lvp_corruptions::ErrorGen;
 use lvp_dataframe::DataFrame;
@@ -111,53 +109,6 @@ impl<T> GenerationOutcome<T> {
     }
 }
 
-/// Runs the data-generation loop of Algorithm 1 (lines 3–12) and maps each
-/// generated batch through `featurize`.
-///
-/// Results are ordered generator-major (all runs of generator 0, then all
-/// runs of generator 1, …, then the clean copies), identically for the
-/// sequential and parallel paths: each task seeds its own [`StdRng`] from
-/// [`derive_run_seed`] and the parallel collect preserves task order.
-///
-/// Fails fast with a [`CoreError`] when `metric` cannot score the model's
-/// output shape (e.g. [`Metric::Auc`] with a non-binary model), before any
-/// batch is generated.
-///
-/// Models that cache featurization internally (e.g. `PipelineModel`'s
-/// identity-keyed encoding cache) stay deterministic here: cached column
-/// blocks are bit-identical to freshly encoded ones, so `predict_proba` —
-/// and therefore every generated batch — is the same on any thread
-/// schedule, cache state notwithstanding.
-#[allow(clippy::too_many_arguments)]
-pub fn generate_batches_seeded<T, F>(
-    model: &dyn BlackBoxModel,
-    test: &DataFrame,
-    generators: &[Box<dyn ErrorGen>],
-    runs_per_generator: usize,
-    clean_copies: usize,
-    metric: Metric,
-    master_seed: u64,
-    parallel: bool,
-    featurize: F,
-) -> Result<Vec<T>, CoreError>
-where
-    T: Send,
-    F: Fn(GeneratedBatch<'_>) -> T + Sync,
-{
-    generate_batches_instrumented(
-        model,
-        test,
-        generators,
-        runs_per_generator,
-        clean_copies,
-        metric,
-        master_seed,
-        parallel,
-        None,
-        featurize,
-    )
-}
-
 /// Pre-resolved registry handles for the generation loop. Resolved once
 /// before the fan-out; each task touches only atomics.
 struct EngineMetrics {
@@ -168,7 +119,7 @@ struct EngineMetrics {
     /// `engine.seeds_used` — per-run RNG seeds derived (== tasks run).
     seeds: Counter,
     /// `engine.batches_skipped` — tasks dropped because scoring failed
-    /// terminally (resilient path only).
+    /// terminally.
     skipped: Counter,
     /// `engine.generate_phase` — subsample + corrupt wall time per batch.
     generate: Histogram,
@@ -192,7 +143,35 @@ impl EngineMetrics {
     }
 }
 
-/// [`generate_batches_seeded`] with optional telemetry.
+/// Runs the data-generation loop of Algorithm 1 (lines 3–12) and maps each
+/// generated batch through `featurize`.
+///
+/// Results are ordered generator-major (all runs of generator 0, then all
+/// runs of generator 1, …, then the clean copies), identically for the
+/// sequential and parallel paths: each task seeds its own [`StdRng`] from
+/// [`derive_run_seed`] and the parallel collect preserves task order.
+///
+/// Fails fast with a [`CoreError`] when `metric` cannot score the model's
+/// output shape (e.g. [`Metric::Auc`] with a non-binary model), before any
+/// batch is generated.
+///
+/// Models that cache featurization internally (e.g. `PipelineModel`'s
+/// identity-keyed encoding cache) stay deterministic here: cached column
+/// blocks are bit-identical to freshly encoded ones, so `predict_proba` —
+/// and therefore every generated batch — is the same on any thread
+/// schedule, cache state notwithstanding.
+///
+/// A task whose scoring fails terminally (the serving model's
+/// [`BlackBoxModel::try_predict_proba`] returns an error even after its own
+/// retries) is *skipped and recorded* instead of panicking, and the loop
+/// succeeds as long as at least `min_survival` of its tasks produce a
+/// usable batch. `min_survival` is a fraction in `[0, 1]`; `1.0` demands
+/// every task succeed (the first failure aborts with a [`CoreError`] whose
+/// source chain carries the typed [`lvp_models::ModelError`]). Skip
+/// decisions inherit the engine's determinism: with a content-keyed fault
+/// schedule (see `lvp-models`' `FaultPlan`) the same seed skips the same
+/// tasks at any thread count, and both `results` and `skipped` are
+/// collected in task order.
 ///
 /// When `telemetry` is `Some`, the engine records per-phase wall-clock
 /// histograms (`engine.generate_phase`, `engine.score_phase`,
@@ -203,53 +182,6 @@ impl EngineMetrics {
 /// *buckets* hold wall-clock data and are excluded from deterministic
 /// snapshot views. Telemetry never touches an RNG, so the generated batches
 /// are bit-identical with and without it.
-#[allow(clippy::too_many_arguments)]
-pub fn generate_batches_instrumented<T, F>(
-    model: &dyn BlackBoxModel,
-    test: &DataFrame,
-    generators: &[Box<dyn ErrorGen>],
-    runs_per_generator: usize,
-    clean_copies: usize,
-    metric: Metric,
-    master_seed: u64,
-    parallel: bool,
-    telemetry: Option<&Registry>,
-    featurize: F,
-) -> Result<Vec<T>, CoreError>
-where
-    T: Send,
-    F: Fn(GeneratedBatch<'_>) -> T + Sync,
-{
-    let outcome = generate_batches_resilient(
-        model,
-        test,
-        generators,
-        runs_per_generator,
-        clean_copies,
-        metric,
-        master_seed,
-        parallel,
-        1.0,
-        telemetry,
-        featurize,
-    )?;
-    Ok(outcome.results)
-}
-
-/// Fault-tolerant variant of [`generate_batches_instrumented`]: a task
-/// whose scoring fails terminally (the serving model's
-/// [`BlackBoxModel::try_predict_proba`] returns an error even after its own
-/// retries) is *skipped and recorded* instead of panicking, and the loop
-/// succeeds as long as at least `min_survival` of its tasks produce a
-/// usable batch.
-///
-/// `min_survival` is a fraction in `[0, 1]`; `1.0` demands every task
-/// succeed (the first failure aborts with a [`CoreError`] whose source
-/// chain carries the typed [`lvp_models::ModelError`]). Skip decisions
-/// inherit the engine's determinism: with a content-keyed fault schedule
-/// (see `lvp-models`' `FaultPlan`) the same seed skips the same tasks at
-/// any thread count, and both `results` and `skipped` are collected in
-/// task order.
 #[allow(clippy::too_many_arguments)]
 pub fn generate_batches_resilient<T, F>(
     model: &dyn BlackBoxModel,
@@ -386,107 +318,38 @@ where
     Ok(GenerationOutcome { results, skipped })
 }
 
-/// Seeded variant of
-/// [`generate_training_examples`](crate::generate_training_examples):
-/// applies each generator `runs_per_generator` times and records
-/// `(ζ_corrupt, ℓ_corrupt)` pairs, optionally fanning the runs out across
-/// threads.
-#[allow(clippy::too_many_arguments)]
-pub fn generate_training_examples_seeded(
-    model: &dyn BlackBoxModel,
-    test: &DataFrame,
-    generators: &[Box<dyn ErrorGen>],
-    runs_per_generator: usize,
-    clean_copies: usize,
-    metric: Metric,
-    master_seed: u64,
-    parallel: bool,
-) -> Result<Vec<TrainingExample>, CoreError> {
-    generate_training_examples_instrumented(
-        model,
-        test,
-        generators,
-        runs_per_generator,
-        clean_copies,
-        metric,
-        master_seed,
-        parallel,
-        None,
-    )
-}
-
-/// [`generate_training_examples_seeded`] with optional telemetry (see
-/// [`generate_batches_instrumented`] for the metrics recorded).
-#[allow(clippy::too_many_arguments)]
-pub fn generate_training_examples_instrumented(
-    model: &dyn BlackBoxModel,
-    test: &DataFrame,
-    generators: &[Box<dyn ErrorGen>],
-    runs_per_generator: usize,
-    clean_copies: usize,
-    metric: Metric,
-    master_seed: u64,
-    parallel: bool,
-    telemetry: Option<&Registry>,
-) -> Result<Vec<TrainingExample>, CoreError> {
-    generate_batches_instrumented(
-        model,
-        test,
-        generators,
-        runs_per_generator,
-        clean_copies,
-        metric,
-        master_seed,
-        parallel,
-        telemetry,
-        |batch| TrainingExample {
-            features: prediction_statistics(&batch.proba),
-            score: batch.score,
-            generator: batch.generator.to_string(),
-        },
-    )
-}
-
-/// Fault-tolerant variant of [`generate_training_examples_instrumented`]
-/// (see [`generate_batches_resilient`] for the skip-and-record contract).
-#[allow(clippy::too_many_arguments)]
-pub fn generate_training_examples_resilient(
-    model: &dyn BlackBoxModel,
-    test: &DataFrame,
-    generators: &[Box<dyn ErrorGen>],
-    runs_per_generator: usize,
-    clean_copies: usize,
-    metric: Metric,
-    master_seed: u64,
-    parallel: bool,
-    min_survival: f64,
-    telemetry: Option<&Registry>,
-) -> Result<GenerationOutcome<TrainingExample>, CoreError> {
-    generate_batches_resilient(
-        model,
-        test,
-        generators,
-        runs_per_generator,
-        clean_copies,
-        metric,
-        master_seed,
-        parallel,
-        min_survival,
-        telemetry,
-        |batch| TrainingExample {
-            features: prediction_statistics(&batch.proba),
-            score: batch.score,
-            generator: batch.generator.to_string(),
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TrainingExample;
     use lvp_corruptions::standard_tabular_suite;
     use lvp_dataframe::toy_frame;
     use lvp_models::train_logistic_regression;
+
+    /// The generation loop with the paper's percentile features, at the
+    /// given seed, fan-out, survival floor and telemetry.
+    fn examples(
+        model: &dyn BlackBoxModel,
+        df: &DataFrame,
+        (runs, clean, metric): (usize, usize, Metric),
+        (seed, parallel, min_survival): (u64, bool, f64),
+        telemetry: Option<&Registry>,
+    ) -> Result<GenerationOutcome<TrainingExample>, CoreError> {
+        let gens = standard_tabular_suite(df.schema());
+        generate_batches_resilient(
+            model,
+            df,
+            &gens,
+            runs,
+            clean,
+            metric,
+            seed,
+            parallel,
+            min_survival,
+            telemetry,
+            TrainingExample::from_batch,
+        )
+    }
 
     #[test]
     fn run_seeds_are_distinct_across_tasks() {
@@ -545,28 +408,23 @@ mod tests {
         let registry = Registry::new();
         model.attach_telemetry(&registry);
         let gens = standard_tabular_suite(df.schema());
-        let plain = generate_training_examples_seeded(
+        let plain = examples(
             model.as_ref(),
             &df,
-            &gens,
-            3,
-            2,
-            Metric::Accuracy,
-            5,
-            true,
+            (3, 2, Metric::Accuracy),
+            (5, true, 1.0),
+            None,
         )
+        .map(|outcome| outcome.results)
         .unwrap();
-        let instrumented = generate_training_examples_instrumented(
+        let instrumented = examples(
             model.as_ref(),
             &df,
-            &gens,
-            3,
-            2,
-            Metric::Accuracy,
-            5,
-            true,
+            (3, 2, Metric::Accuracy),
+            (5, true, 1.0),
             Some(&registry),
         )
+        .map(|outcome| outcome.results)
         .unwrap();
         assert_eq!(plain, instrumented, "telemetry must not perturb batches");
         let total = (gens.len() * 3 + 2) as u64;
@@ -597,27 +455,23 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let model = train_logistic_regression(&df, &mut rng).unwrap();
         let gens = standard_tabular_suite(df.schema());
-        let sequential = generate_training_examples_seeded(
+        let sequential = examples(
             model.as_ref(),
             &df,
-            &gens,
-            4,
-            3,
-            Metric::Accuracy,
-            99,
-            false,
+            (4, 3, Metric::Accuracy),
+            (99, false, 1.0),
+            None,
         )
+        .map(|outcome| outcome.results)
         .unwrap();
-        let parallel = generate_training_examples_seeded(
+        let parallel = examples(
             model.as_ref(),
             &df,
-            &gens,
-            4,
-            3,
-            Metric::Accuracy,
-            99,
-            true,
+            (4, 3, Metric::Accuracy),
+            (99, true, 1.0),
+            None,
         )
+        .map(|outcome| outcome.results)
         .unwrap();
         assert_eq!(sequential, parallel);
         assert_eq!(sequential.len(), gens.len() * 4 + 3);
@@ -630,16 +484,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let model = train_logistic_regression(&toy_frame(40), &mut rng).unwrap();
         let gens = standard_tabular_suite(df.schema());
-        let ex = generate_training_examples_seeded(
+        let ex = examples(
             model.as_ref(),
             &df,
-            &gens,
-            3,
-            2,
-            Metric::Accuracy,
-            5,
-            true,
+            (3, 2, Metric::Accuracy),
+            (5, true, 1.0),
+            None,
         )
+        .map(|outcome| outcome.results)
         .unwrap();
         assert_eq!(ex.len(), gens.len() * 3 + 2);
     }
@@ -683,16 +535,11 @@ mod tests {
         };
         let gens = standard_tabular_suite(df.schema());
         let registry = Registry::new();
-        let outcome = generate_training_examples_resilient(
+        let outcome = examples(
             &model,
             &df,
-            &gens,
-            4,
-            3,
-            Metric::Accuracy,
-            17,
-            true,
-            0.5,
+            (4, 3, Metric::Accuracy),
+            (17, true, 0.5),
             Some(&registry),
         )
         .unwrap();
@@ -716,16 +563,11 @@ mod tests {
 
         // Skip decisions are content-keyed → parallel ≡ sequential, both
         // for the surviving examples and for the skip record.
-        let sequential = generate_training_examples_resilient(
+        let sequential = examples(
             &model,
             &df,
-            &gens,
-            4,
-            3,
-            Metric::Accuracy,
-            17,
-            false,
-            0.5,
+            (4, 3, Metric::Accuracy),
+            (17, false, 0.5),
             None,
         )
         .unwrap();
@@ -741,29 +583,17 @@ mod tests {
             inner: train_logistic_regression(&df, &mut rng).unwrap(),
             poisoned_rows: 1, // every batch fails
         };
-        let gens = standard_tabular_suite(df.schema());
-        let err = generate_training_examples_resilient(
-            &model,
-            &df,
-            &gens,
-            2,
-            1,
-            Metric::Accuracy,
-            3,
-            false,
-            0.5,
-            None,
-        )
-        .unwrap_err();
+        let err =
+            examples(&model, &df, (2, 1, Metric::Accuracy), (3, false, 0.5), None).unwrap_err();
         assert!(err.message.contains("minimum survival"), "{err}");
         // The source chain carries the typed serving failure.
         let cause = err.model_error().expect("source preserved");
         assert!(cause.is_retryable());
 
         // The strict wrapper (min_survival = 1.0) also fails closed.
-        let err =
-            generate_training_examples_seeded(&model, &df, &gens, 2, 1, Metric::Accuracy, 3, false)
-                .unwrap_err();
+        let err = examples(&model, &df, (2, 1, Metric::Accuracy), (3, false, 1.0), None)
+            .map(|outcome| outcome.results)
+            .unwrap_err();
         assert!(err.model_error().is_some());
     }
 
@@ -782,10 +612,8 @@ mod tests {
             }
         }
         let df = toy_frame(20);
-        let gens = standard_tabular_suite(df.schema());
         let err =
-            generate_training_examples_seeded(&ThreeClass, &df, &gens, 2, 1, Metric::Auc, 0, false)
-                .unwrap_err();
+            examples(&ThreeClass, &df, (2, 1, Metric::Auc), (0, false, 1.0), None).unwrap_err();
         assert!(err.message.contains("2 probability columns"), "{err}");
     }
 }

@@ -243,6 +243,21 @@ impl FeatureSource<'_> {
             FeatureSource::Sketched(sketch) => sketch.prediction_statistics(),
         }
     }
+
+    /// Rejects a source whose class count differs from the `expected` one
+    /// the `fitted` estimator ("predictor", "validator") was trained for.
+    pub(crate) fn check_classes(&self, expected: usize, fitted: &str) -> Result<(), CoreError> {
+        let (describe, n) = match self {
+            FeatureSource::Exact(proba) => ("output matrix has", proba.cols()),
+            FeatureSource::Sketched(sketch) => ("batch sketch tracks", sketch.n_classes()),
+        };
+        if n == expected {
+            return Ok(());
+        }
+        Err(CoreError::new(format!(
+            "{describe} {n} class columns but the {fitted} was fitted for {expected} classes"
+        )))
+    }
 }
 
 /// Reference output distributions the KS features compare a batch against.

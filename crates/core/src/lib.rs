@@ -29,10 +29,8 @@ mod validator;
 
 pub use baselines::{Baseline, BbseDetector, BbseHardDetector, RelationalShiftDetector};
 pub use engine::{
-    derive_run_seed, generate_batches_instrumented, generate_batches_resilient,
-    generate_batches_seeded, generate_training_examples_instrumented,
-    generate_training_examples_resilient, generate_training_examples_seeded, subsample_lower_bound,
-    GeneratedBatch, GenerationOutcome, SkippedBatch,
+    derive_run_seed, generate_batches_resilient, subsample_lower_bound, GeneratedBatch,
+    GenerationOutcome, SkippedBatch,
 };
 pub use features::{feature_dimensionality, prediction_statistics, BatchSketch, FeatureSource};
 pub use interval::{conformal_halfwidth, ScoreInterval, DEFAULT_INTERVAL_ALPHA};
@@ -44,9 +42,7 @@ pub use persistence::{
     unwrap_envelope, verdicts_identical, wrap_envelope, MetricTag, MonitorArtifact,
     PredictorArtifact, ServingArtifact, ValidatorArtifact, ARTIFACT_VERSION, ENVELOPE_MAGIC,
 };
-pub use predictor::{
-    generate_training_examples, PerformancePredictor, PredictorConfig, TrainingExample,
-};
+pub use predictor::{PerformancePredictor, PredictorConfig, TrainingExample};
 pub use validator::{PerformanceValidator, ValidationOutcome, ValidatorConfig};
 
 use lvp_dataframe::DataFrame;

@@ -18,7 +18,7 @@
 //! that is bit-identical to what a single stream over all rows would have
 //! produced.
 
-use crate::features::BatchSketch;
+use crate::features::{BatchSketch, FeatureSource};
 use crate::interval::ScoreInterval;
 use crate::{CoreError, PerformancePredictor};
 use lvp_dataframe::DataFrame;
@@ -167,6 +167,20 @@ pub struct ShardWindow {
     pub sketch: BatchSketch,
     /// Why the shard's window was degraded, if it was.
     pub degraded: Option<String>,
+}
+
+/// What one batch contributed to the monitor, before the alarm policy
+/// decides what its report carries.
+enum Evidence {
+    /// An interval scored by the monitor's own predictor, with the batch's
+    /// per-class drift tests.
+    Scored(ScoreInterval, Vec<ClassDrift>),
+    /// An externally computed bare estimate.
+    Estimate(f64),
+    /// An externally computed, validated interval (all-NaN: degraded).
+    Interval(ScoreInterval),
+    /// A batch lost before it could be scored, and why.
+    Degraded(String),
 }
 
 /// Tracks estimated scores across a stream of serving batches and raises
@@ -340,47 +354,28 @@ impl BatchMonitor {
     /// schema mismatch) stay hard errors: retrying or skipping cannot make
     /// an incompatible frame scoreable.
     pub fn observe(&mut self, batch: &DataFrame) -> Result<BatchReport, CoreError> {
-        let scored = match self.policy.alarm_mode() {
-            AlarmMode::Threshold => self
-                .predictor
-                .predict_with_outputs(batch)
-                .map(|(estimate, proba)| (estimate, None, proba)),
-            AlarmMode::Interval => self
-                .predictor
-                .predict_interval_with_outputs(batch)
-                .map(|(interval, proba)| (interval.point, Some(interval), proba)),
-        };
-        let (estimate, interval, proba) = match scored {
-            Ok(triple) => triple,
-            Err(err) => {
-                return match err.model_error() {
-                    Some(cause) => Ok(self.record_degraded(format!(
-                        "serving failure on batch {}: {}",
-                        self.batches_seen, cause.message
-                    ))),
-                    None => Err(err),
-                };
-            }
-        };
-        let per_class_ks = self.drift_against_reference(&proba);
-        Ok(self.record(estimate, interval, per_class_ks))
+        match self.predictor.model_outputs(batch) {
+            Ok(proba) => self.observe_outputs(&proba),
+            Err(err) => match err.model_error() {
+                Some(cause) => Ok(self.record(Evidence::Degraded(format!(
+                    "serving failure on batch {}: {}",
+                    self.batches_seen, cause.message
+                )))),
+                None => Err(err),
+            },
+        }
     }
 
     /// Scores a batch of already-computed model outputs (e.g. when the
     /// model serves in a different process and only its probability matrix
-    /// reaches the monitor) and updates the alarm state, routing through
-    /// the point or interval path per the policy's [`AlarmMode`]. Runs the
+    /// reaches the monitor) and updates the alarm state. Runs the
     /// per-class drift tests when reference outputs are retained.
     pub fn observe_outputs(&mut self, proba: &DenseMatrix) -> Result<BatchReport, CoreError> {
-        let (estimate, interval) = match self.policy.alarm_mode() {
-            AlarmMode::Threshold => (self.predictor.predict_from_outputs(proba)?, None),
-            AlarmMode::Interval => {
-                let interval = self.predictor.predict_interval_from_outputs(proba)?;
-                (interval.point, Some(interval))
-            }
-        };
+        let interval = self
+            .predictor
+            .predict_source(&FeatureSource::Exact(proba))?;
         let per_class_ks = self.drift_against_reference(proba);
-        Ok(self.record(estimate, interval, per_class_ks))
+        Ok(self.record(Evidence::Scored(interval, per_class_ks)))
     }
 
     fn drift_against_reference(&self, proba: &DenseMatrix) -> Vec<ClassDrift> {
@@ -406,7 +401,7 @@ impl BatchMonitor {
     /// shows up in the history and the degraded-batch counter instead of
     /// being silently dropped.
     pub fn observe_degraded(&mut self, reason: impl Into<String>) -> BatchReport {
-        self.record_degraded(reason.into())
+        self.record(Evidence::Degraded(reason.into()))
     }
 
     /// Updates the monitor from an externally computed estimate (e.g. when
@@ -424,7 +419,7 @@ impl BatchMonitor {
     /// threshold cutoff for these batches; callers with interval-producing
     /// remote predictors should use [`Self::observe_interval`] instead.
     pub fn observe_estimate(&mut self, estimate: f64) -> BatchReport {
-        self.record(estimate, None, Vec::new())
+        self.record(Evidence::Estimate(estimate))
     }
 
     /// Updates the monitor from an externally computed [`ScoreInterval`]
@@ -438,15 +433,7 @@ impl BatchMonitor {
     /// state like any internally scored batch.
     pub fn observe_interval(&mut self, interval: ScoreInterval) -> Result<BatchReport, CoreError> {
         interval.validate()?;
-        if interval.is_degraded() {
-            return Ok(self.record_inner(
-                f64::NAN,
-                Some(interval),
-                Vec::new(),
-                Some("degraded interval quarantined".to_string()),
-            ));
-        }
-        Ok(self.record(interval.point, Some(interval), Vec::new()))
+        Ok(self.record(Evidence::Interval(interval)))
     }
 
     /// Folds one chunk of serving rows into the open streaming window
@@ -546,7 +533,7 @@ impl BatchMonitor {
             .take()
             .ok_or_else(|| CoreError::new("no open streaming window to finish"))?;
         if let Some(reason) = self.window_degraded.take() {
-            return Ok(self.record_degraded(reason));
+            return Ok(self.record(Evidence::Degraded(reason)));
         }
         self.report_sketch(&window)
     }
@@ -608,7 +595,9 @@ impl BatchMonitor {
             .enumerate()
             .find_map(|(idx, shard)| shard.degraded.as_ref().map(|reason| (idx, reason)));
         if let Some((idx, reason)) = poisoned {
-            return Ok(self.record_degraded(format!("shard {idx} window degraded: {reason}")));
+            return Ok(self.record(Evidence::Degraded(format!(
+                "shard {idx} window degraded: {reason}"
+            ))));
         }
         let mut merged = shards[0].sketch.clone();
         for shard in &shards[1..] {
@@ -628,13 +617,9 @@ impl BatchMonitor {
                 "cannot score a sketch with zero observed rows",
             ));
         }
-        let (estimate, interval) = match self.policy.alarm_mode() {
-            AlarmMode::Threshold => (self.predictor.predict_from_sketch(sketch)?, None),
-            AlarmMode::Interval => {
-                let interval = self.predictor.predict_interval_from_sketch(sketch)?;
-                (interval.point, Some(interval))
-            }
-        };
+        let interval = self
+            .predictor
+            .predict_source(&FeatureSource::Sketched(sketch))?;
         let per_class_ks = match &self.reference_ecdf {
             Some(reference) => sketch
                 .ecdfs()
@@ -654,7 +639,7 @@ impl BatchMonitor {
                 .collect::<Result<Vec<_>, CoreError>>()?,
             None => Vec::new(),
         };
-        Ok(self.record(estimate, interval, per_class_ks))
+        Ok(self.record(Evidence::Scored(interval, per_class_ks)))
     }
 
     /// The currently open streaming window, if any.
@@ -672,32 +657,32 @@ impl BatchMonitor {
         self.reference_ecdf.as_deref()
     }
 
-    fn record(
-        &mut self,
-        estimate: f64,
-        interval: Option<ScoreInterval>,
-        per_class_ks: Vec<ClassDrift>,
-    ) -> BatchReport {
-        self.record_inner(estimate, interval, per_class_ks, None)
-    }
-
-    /// Records a batch whose scoring failed terminally: the estimate is
-    /// withheld (NaN) and the report is marked degraded with `reason`.
-    /// Under the interval policy the report carries an all-NaN interval —
-    /// bounds withheld like the estimate.
-    fn record_degraded(&mut self, reason: String) -> BatchReport {
-        let interval = matches!(self.policy.alarm_mode(), AlarmMode::Interval)
-            .then(|| ScoreInterval::degraded(self.predictor.interval_alpha()));
-        self.record_inner(f64::NAN, interval, Vec::new(), Some(reason))
-    }
-
-    fn record_inner(
-        &mut self,
-        estimate: f64,
-        interval: Option<ScoreInterval>,
-        per_class_ks: Vec<ClassDrift>,
-        degrade_reason: Option<String>,
-    ) -> BatchReport {
+    /// Folds one batch's evidence into the alarm state and history. The
+    /// only reader of the policy's [`AlarmMode`]: it decides which interval
+    /// the report carries and which violation rule applies.
+    fn record(&mut self, evidence: Evidence) -> BatchReport {
+        let interval_mode = matches!(self.policy.alarm_mode(), AlarmMode::Interval);
+        let (estimate, interval, per_class_ks, degrade_reason) = match evidence {
+            // Threshold-mode reports keep `interval: None` for scored
+            // batches: the interval is computed, but not reported.
+            Evidence::Scored(iv, ks) => (iv.point, interval_mode.then_some(iv), ks, None),
+            Evidence::Estimate(estimate) => (estimate, None, Vec::new(), None),
+            Evidence::Interval(iv) => (
+                iv.point,
+                Some(iv),
+                Vec::new(),
+                iv.is_degraded()
+                    .then(|| "degraded interval quarantined".to_string()),
+            ),
+            // Degraded interval-mode batches carry an all-NaN interval —
+            // bounds withheld like the estimate.
+            Evidence::Degraded(reason) => (
+                f64::NAN,
+                interval_mode.then(|| ScoreInterval::degraded(self.predictor.interval_alpha())),
+                Vec::new(),
+                Some(reason),
+            ),
+        };
         let alpha = self.policy.ewma_alpha;
         // A batch is degraded when scoring failed (explicit reason) or the
         // estimate carries no information (non-finite). Either way it is
@@ -708,7 +693,6 @@ impl BatchMonitor {
         // Under the interval policy the EWMA tracks the interval midpoint
         // (the center of the system's stated uncertainty); the raw point
         // estimate drives it otherwise.
-        let interval_mode = matches!(self.policy.alarm_mode(), AlarmMode::Interval);
         let signal = match &interval {
             Some(iv) if finite && interval_mode => iv.midpoint(),
             _ => estimate,
@@ -1310,7 +1294,8 @@ mod tests {
         let proba = m.predictor().model_outputs(&serving).unwrap();
         let direct = m
             .predictor()
-            .predict_from_sketch(&BatchSketch::from_outputs(&proba));
+            .predict_source(&FeatureSource::Sketched(&BatchSketch::from_outputs(&proba)))
+            .map(|interval| interval.point);
         assert_eq!(streamed.estimate.to_bits(), direct.unwrap().to_bits());
         // A healthy full serving frame stays alarm-free.
         assert!(!streamed.alarm, "{streamed:?}");
@@ -1344,7 +1329,8 @@ mod tests {
         assert!(!streamed.degraded && streamed.estimate.is_finite());
         let direct = m
             .predictor()
-            .predict_from_sketch(&BatchSketch::from_outputs(&proba))
+            .predict_source(&FeatureSource::Sketched(&BatchSketch::from_outputs(&proba)))
+            .map(|interval| interval.point)
             .unwrap();
         assert_eq!(streamed.estimate.to_bits(), direct.to_bits());
         // The frame-level chunk path keeps its typed caller error.
@@ -1403,7 +1389,8 @@ mod tests {
         assert!(!r.degraded && r.estimate.is_finite());
         let direct = m
             .predictor()
-            .predict_from_sketch(&BatchSketch::from_outputs(&proba))
+            .predict_source(&FeatureSource::Sketched(&BatchSketch::from_outputs(&proba)))
+            .map(|interval| interval.point)
             .unwrap();
         assert_eq!(r.estimate.to_bits(), direct.to_bits());
     }
@@ -1814,7 +1801,7 @@ mod tests {
         let proba = m.predictor().model_outputs(&serving).unwrap();
         let direct = m
             .predictor()
-            .predict_interval_from_sketch(&BatchSketch::from_outputs(&proba))
+            .predict_source(&FeatureSource::Sketched(&BatchSketch::from_outputs(&proba)))
             .unwrap();
         assert_eq!(iv, direct);
         // Shard merges route through the same interval path.

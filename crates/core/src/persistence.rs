@@ -23,7 +23,7 @@
 //!
 //! [`Schema::fingerprint`]: lvp_dataframe::Schema::fingerprint
 
-use crate::features::BatchSketch;
+use crate::features::{BatchSketch, FeatureSource};
 use crate::{BatchMonitor, CoreError, CoreErrorKind, Metric, MonitorPolicy, PerformancePredictor};
 use crate::{PerformanceValidator, ValidationOutcome};
 use lvp_linalg::DenseMatrix;
@@ -595,8 +595,8 @@ pub fn verdicts_identical(
     b: &PerformanceValidator,
     proba: &DenseMatrix,
 ) -> Result<bool, CoreError> {
-    let va: ValidationOutcome = a.validate_outputs(proba)?;
-    let vb: ValidationOutcome = b.validate_outputs(proba)?;
+    let va: ValidationOutcome = a.validate_source(&FeatureSource::Exact(proba))?;
+    let vb: ValidationOutcome = b.validate_source(&FeatureSource::Exact(proba))?;
     Ok(va.within_threshold == vb.within_threshold
         && va.confidence.to_bits() == vb.confidence.to_bits())
 }
@@ -869,8 +869,12 @@ mod tests {
         let proba = model.predict_proba(&serving);
         assert!(verdicts_identical(&validator, &restored, &proba).unwrap());
         let sketch = crate::BatchSketch::from_outputs(&proba);
-        let a = validator.validate_sketch(&sketch).unwrap();
-        let b = restored.validate_sketch(&sketch).unwrap();
+        let a = validator
+            .validate_source(&FeatureSource::Sketched(&sketch))
+            .unwrap();
+        let b = restored
+            .validate_source(&FeatureSource::Sketched(&sketch))
+            .unwrap();
         assert_eq!(a.within_threshold, b.within_threshold);
         assert_eq!(a.confidence.to_bits(), b.confidence.to_bits());
     }

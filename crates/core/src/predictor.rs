@@ -1,7 +1,7 @@
 //! The learned performance predictor (Algorithms 1 and 2).
 
-use crate::engine::{generate_training_examples_resilient, generate_training_examples_seeded};
-use crate::features::prediction_statistics;
+use crate::engine::{generate_batches_resilient, GeneratedBatch};
+use crate::features::{prediction_statistics, FeatureSource};
 use crate::interval::{conformal_halfwidth, ScoreInterval, DEFAULT_INTERVAL_ALPHA};
 use crate::{CoreError, Metric};
 use lvp_corruptions::ErrorGen;
@@ -128,47 +128,41 @@ pub struct PerformancePredictor {
 /// predictor falls back to bare ensemble quantiles instead.
 const MIN_CALIBRATION: usize = 8;
 
-/// Checks a serving frame's schema against the fit-time fingerprint.
-pub(crate) fn check_schema_fingerprint(
-    expected: Option<u64>,
-    serving: &DataFrame,
-) -> Result<(), CoreError> {
-    let actual = serving.schema().fingerprint();
-    match expected {
-        Some(expected) if expected != actual => Err(CoreError::new(format!(
-            "serving frame schema fingerprint {actual:#x} does not match \
-             the fit-time schema fingerprint {expected:#x}"
-        ))),
-        _ => Ok(()),
+impl TrainingExample {
+    /// Featurizes one Algorithm 1 batch into a training example — the
+    /// `featurize` closure [`generate_batches_resilient`] takes when the
+    /// caller wants the paper's percentile features.
+    pub fn from_batch(batch: GeneratedBatch<'_>) -> Self {
+        Self {
+            features: prediction_statistics(&batch.proba),
+            score: batch.score,
+            generator: batch.generator.to_string(),
+        }
     }
 }
 
-/// Runs the data-generation loop of Algorithm 1 (lines 3–12): applies each
-/// generator `runs` times and records `(ζ_corrupt, ℓ_corrupt)` pairs.
-///
-/// Convenience wrapper over
-/// [`generate_training_examples_seeded`](crate::generate_training_examples_seeded):
-/// the master seed is drawn from `rng` and the runs are fanned out across
-/// threads (deterministically — see [`crate::engine`]).
-pub fn generate_training_examples(
+/// The black box's outputs on a serving frame, behind the checks every
+/// frame-level entry point runs: the frame must be non-empty and match
+/// the fit-time schema fingerprint. Scoring goes through the fallible
+/// `try_predict_proba`, so a remote model's terminal failure becomes a
+/// [`CoreError`] whose source chain carries the typed `ModelError`
+/// instead of a panic.
+pub(crate) fn checked_outputs(
     model: &dyn BlackBoxModel,
-    test: &DataFrame,
-    generators: &[Box<dyn ErrorGen>],
-    runs_per_generator: usize,
-    clean_copies: usize,
-    metric: Metric,
-    rng: &mut StdRng,
-) -> Result<Vec<TrainingExample>, CoreError> {
-    generate_training_examples_seeded(
-        model,
-        test,
-        generators,
-        runs_per_generator,
-        clean_copies,
-        metric,
-        rng.gen(),
-        true,
-    )
+    schema_fingerprint: Option<u64>,
+    frame: &DataFrame,
+) -> Result<DenseMatrix, CoreError> {
+    if frame.n_rows() == 0 {
+        return Err(CoreError::new("serving batch is empty"));
+    }
+    let actual = frame.schema().fingerprint();
+    if let Some(expected) = schema_fingerprint.filter(|&expected| expected != actual) {
+        return Err(CoreError::new(format!(
+            "serving frame schema fingerprint {actual:#x} does not match \
+             the fit-time schema fingerprint {expected:#x}"
+        )));
+    }
+    Ok(model.try_predict_proba(frame)?)
 }
 
 impl PerformancePredictor {
@@ -186,8 +180,7 @@ impl PerformancePredictor {
 
     /// [`Self::fit`] with optional telemetry: the Algorithm 1 generation
     /// loop records its per-phase timings and batch counters into
-    /// `registry` (see
-    /// [`generate_batches_instrumented`](crate::generate_batches_instrumented)).
+    /// `registry` (see [`generate_batches_resilient`]).
     /// The fitted predictor is bit-identical with and without telemetry.
     pub fn fit_instrumented(
         model: Arc<dyn BlackBoxModel>,
@@ -209,7 +202,7 @@ impl PerformancePredictor {
         let test_proba = model.try_predict_proba(test)?;
         let test_score = config.metric.score(&test_proba, test.labels())?;
 
-        let examples = generate_training_examples_resilient(
+        let examples = generate_batches_resilient(
             model.as_ref(),
             test,
             generators,
@@ -220,6 +213,7 @@ impl PerformancePredictor {
             config.parallel,
             config.min_batch_survival,
             telemetry,
+            TrainingExample::from_batch,
         )?
         .results;
         let mut predictor = Self::fit_from_examples(model, examples, test_score, config, rng)?;
@@ -321,72 +315,43 @@ impl PerformancePredictor {
     }
 
     /// Algorithm 2: estimates the model's score on an unseen, unlabeled
-    /// serving batch.
+    /// serving batch — the `point` of [`Self::predict_interval`].
     pub fn predict(&self, serving: &DataFrame) -> Result<f64, CoreError> {
-        self.predict_with_outputs(serving)
-            .map(|(estimate, _)| estimate)
+        Ok(self.predict_interval(serving)?.point)
     }
 
-    /// [`Self::predict`], also returning the black box model's raw output
-    /// matrix for the batch. Consumers that need the outputs anyway (e.g.
-    /// a monitor running per-class drift tests against reference outputs)
-    /// avoid a second `predict_proba` pass.
-    pub fn predict_with_outputs(
-        &self,
-        serving: &DataFrame,
-    ) -> Result<(f64, DenseMatrix), CoreError> {
+    /// Algorithm 2 with uncertainty: estimates the model's score on an
+    /// unseen serving batch as a calibrated [`ScoreInterval`] (see
+    /// [`Self::predict_source`]).
+    pub fn predict_interval(&self, serving: &DataFrame) -> Result<ScoreInterval, CoreError> {
         let proba = self.model_outputs(serving)?;
-        let estimate = self.predict_from_outputs(&proba)?;
-        Ok((estimate, proba))
+        self.predict_source(&FeatureSource::Exact(&proba))
     }
 
     /// The black box model's raw outputs on a non-empty, schema-checked
     /// frame (no score estimation).
     pub fn model_outputs(&self, frame: &DataFrame) -> Result<DenseMatrix, CoreError> {
-        if frame.n_rows() == 0 {
-            return Err(CoreError::new("serving batch is empty"));
-        }
-        check_schema_fingerprint(self.schema_fingerprint, frame)?;
-        // Fallible path: a remote model's terminal serving failure becomes
-        // a CoreError whose source chain carries the typed ModelError, so
-        // the monitor can degrade the batch instead of aborting the run.
-        Ok(self.model.try_predict_proba(frame)?)
+        checked_outputs(self.model.as_ref(), self.schema_fingerprint, frame)
     }
 
-    /// Estimates the score directly from a batch of model outputs.
+    /// Estimates the score of one batch of model outputs — a materialized
+    /// matrix or streamed sketch state (within the sketches' proven error
+    /// bound of the exact path) — as a calibrated [`ScoreInterval`]. Every
+    /// input form scores through here; the source must pass
+    /// [`Self::check_source`].
     ///
-    /// The output matrix must have exactly as many class columns as the
-    /// model the predictor was fitted against — a mismatched width would
-    /// misalign every percentile block the meta-regressor consumes, so it
-    /// is rejected (in release builds too, not just under debug assertions).
-    pub fn predict_from_outputs(&self, proba: &DenseMatrix) -> Result<f64, CoreError> {
-        let features = self.features_from_outputs(proba)?;
-        let x = DenseMatrix::from_rows(&[features]).expect("single feature row");
-        Ok(self.regressor.predict(&x)[0].clamp(0.0, 1.0))
-    }
-
-    /// Estimates the score from streamed sketch state — the fixed-memory
-    /// counterpart of [`Self::predict_from_outputs`] for batches built
-    /// incrementally via [`crate::BatchSketch::observe_chunk`] (or merged
-    /// from shards). Each percentile feature is within the sketches'
-    /// proven value-error bound of the exact path.
-    pub fn predict_from_sketch(&self, sketch: &crate::BatchSketch) -> Result<f64, CoreError> {
-        let features = self.features_from_sketch(sketch)?;
-        let x = DenseMatrix::from_rows(&[features]).expect("single feature row");
-        Ok(self.regressor.predict(&x)[0].clamp(0.0, 1.0))
-    }
-
-    /// Checked featurization of a raw output matrix.
-    fn features_from_outputs(&self, proba: &DenseMatrix) -> Result<Vec<f64>, CoreError> {
-        if proba.cols() != self.n_classes {
-            return Err(CoreError::new(format!(
-                "output matrix has {} class columns but the predictor was \
-                 fitted for {} classes",
-                proba.cols(),
-                self.n_classes
-            )));
-        }
-        let features = prediction_statistics(proba);
+    /// The point is the per-tree mean (summed in tree order — bit-identical
+    /// to the forest's ensemble prediction), the raw bounds are the
+    /// `alpha/2` and `1 - alpha/2` ensemble quantiles, and the conformal
+    /// half-width widens them symmetrically. Both the quantile edges and
+    /// the residual order statistic budget `alpha/2` miscoverage *per
+    /// side* (a Bonferroni split of the two-sided `alpha`), so the widened
+    /// interval stays valid even though the half-width is applied to each
+    /// edge separately. Bounds are clamped into `[0, 1]` and then snapped
+    /// outward so the invariant `lo ≤ point ≤ hi` always holds.
+    pub fn predict_source(&self, source: &FeatureSource<'_>) -> Result<ScoreInterval, CoreError> {
+        self.check_source(source)?;
+        let features = source.percentile_features();
         if features.len() != self.n_feature_dims {
             return Err(CoreError::new(format!(
                 "featurization produced {} dims but the meta-regressor \
@@ -395,84 +360,7 @@ impl PerformancePredictor {
                 self.n_feature_dims
             )));
         }
-        Ok(features)
-    }
-
-    /// Checked featurization of streamed sketch state.
-    fn features_from_sketch(&self, sketch: &crate::BatchSketch) -> Result<Vec<f64>, CoreError> {
-        if sketch.n_classes() != self.n_classes {
-            return Err(CoreError::new(format!(
-                "batch sketch tracks {} class columns but the predictor was \
-                 fitted for {} classes",
-                sketch.n_classes(),
-                self.n_classes
-            )));
-        }
-        let features = sketch.prediction_statistics();
-        if features.len() != self.n_feature_dims {
-            return Err(CoreError::new(format!(
-                "sketch featurization produced {} dims but the meta-regressor \
-                 expects {}",
-                features.len(),
-                self.n_feature_dims
-            )));
-        }
-        Ok(features)
-    }
-
-    /// Algorithm 2 with uncertainty: estimates the model's score on an
-    /// unseen serving batch as a calibrated [`ScoreInterval`] — ensemble
-    /// quantiles of the forest's per-tree predictions, widened by the
-    /// split-conformal half-width calibrated at fit time. The interval's
-    /// `point` is bit-identical to what [`Self::predict`] returns.
-    pub fn predict_interval(&self, serving: &DataFrame) -> Result<ScoreInterval, CoreError> {
-        self.predict_interval_with_outputs(serving)
-            .map(|(interval, _)| interval)
-    }
-
-    /// [`Self::predict_interval`], also returning the model's raw output
-    /// matrix (the interval counterpart of [`Self::predict_with_outputs`]).
-    pub fn predict_interval_with_outputs(
-        &self,
-        serving: &DataFrame,
-    ) -> Result<(ScoreInterval, DenseMatrix), CoreError> {
-        let proba = self.model_outputs(serving)?;
-        let interval = self.predict_interval_from_outputs(&proba)?;
-        Ok((interval, proba))
-    }
-
-    /// Interval estimate directly from a batch of model outputs (the
-    /// interval counterpart of [`Self::predict_from_outputs`]).
-    pub fn predict_interval_from_outputs(
-        &self,
-        proba: &DenseMatrix,
-    ) -> Result<ScoreInterval, CoreError> {
-        let features = self.features_from_outputs(proba)?;
-        Ok(self.interval_from_feature_row(&features))
-    }
-
-    /// Interval estimate from streamed sketch state (the interval
-    /// counterpart of [`Self::predict_from_sketch`]).
-    pub fn predict_interval_from_sketch(
-        &self,
-        sketch: &crate::BatchSketch,
-    ) -> Result<ScoreInterval, CoreError> {
-        let features = self.features_from_sketch(sketch)?;
-        Ok(self.interval_from_feature_row(&features))
-    }
-
-    /// Interval construction from one featurized batch: the point is the
-    /// per-tree mean (summed in tree order — bit-identical to the point
-    /// APIs), the raw bounds are the `alpha/2` and `1 - alpha/2` ensemble
-    /// quantiles, and the conformal half-width widens them symmetrically.
-    /// Both the quantile edges and the residual order statistic budget
-    /// `alpha/2` miscoverage *per side* (a Bonferroni split of the
-    /// two-sided `alpha`), so the widened interval stays valid even though
-    /// the half-width is applied to each edge separately. Bounds are
-    /// clamped into `[0, 1]` and then snapped outward so the invariant
-    /// `lo ≤ point ≤ hi` always holds.
-    fn interval_from_feature_row(&self, features: &[f64]) -> ScoreInterval {
-        let per_tree = self.regressor.predict_per_tree_row(features);
+        let per_tree = self.regressor.predict_per_tree_row(&features);
         let point = (per_tree.iter().sum::<f64>() / per_tree.len() as f64).clamp(0.0, 1.0);
         let mut sorted = per_tree;
         sorted.sort_by(f64::total_cmp);
@@ -483,12 +371,20 @@ impl PerformancePredictor {
             .calibration
             .as_deref()
             .map_or(0.0, |residuals| conformal_halfwidth(residuals, 0.5 * alpha));
-        ScoreInterval {
+        Ok(ScoreInterval {
             point,
             lo: (q_lo - halfwidth).clamp(0.0, 1.0).min(point),
             hi: (q_hi + halfwidth).clamp(0.0, 1.0).max(point),
             alpha,
-        }
+        })
+    }
+
+    /// The class-count check of [`Self::predict_source`]: a mismatched
+    /// width would misalign every percentile block the meta-regressor
+    /// consumes, so it is rejected. Exposed so callers can reject a batch
+    /// before committing to it.
+    pub fn check_source(&self, source: &FeatureSource<'_>) -> Result<(), CoreError> {
+        source.check_classes(self.n_classes, "predictor")
     }
 
     /// The model's score on the held-out test data (the reference point for
@@ -500,21 +396,6 @@ impl PerformancePredictor {
     /// The scoring function the predictor estimates.
     pub fn metric(&self) -> Metric {
         self.metric
-    }
-
-    /// Convenience: raises an alarm when the estimated serving score drops
-    /// below `(1.0 - threshold) * test_score` — `threshold` is a
-    /// *relative* drop fraction of the test score, not an absolute score
-    /// difference (a doc/code mismatch in earlier releases).
-    #[deprecated(
-        note = "a hand-tuned relative threshold must be widened to absorb the \
-                predictor's own calibration noise; use predict_interval (or \
-                the monitor's interval alarm policy) and check whether \
-                test_score sits inside the serving interval instead"
-    )]
-    pub fn alarm(&self, serving: &DataFrame, threshold: f64) -> Result<bool, CoreError> {
-        let estimate = self.predict(serving)?;
-        Ok(estimate < (1.0 - threshold) * self.test_score)
     }
 
     /// Miscoverage rate of the predictor's score intervals.
@@ -623,27 +504,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn alarm_fires_only_under_corruption() {
-        // Regression test on the deprecated legacy semantics: `threshold`
-        // is a *relative* drop fraction of the test score.
-        let (predictor, serving) = fitted_predictor();
-        assert!(!predictor.alarm(&serving, 0.10).unwrap());
-        let mut corrupted = serving.clone();
-        for row in 0..corrupted.n_rows() {
-            corrupted.column_mut(1).set_null(row);
-        }
-        assert!(predictor.alarm(&corrupted, 0.10).unwrap());
-        // The legacy cutoff is relative: estimate < (1 - t) · test_score.
-        let estimate = predictor.predict(&corrupted).unwrap();
-        let relative_cutoff = (1.0 - 0.10) * predictor.test_score();
-        assert_eq!(
-            predictor.alarm(&corrupted, 0.10).unwrap(),
-            estimate < relative_cutoff
-        );
-    }
-
-    #[test]
     fn interval_brackets_the_point_estimate_and_covers_clean_batches() {
         let (predictor, serving) = fitted_predictor();
         let interval = predictor.predict_interval(&serving).unwrap();
@@ -693,18 +553,20 @@ mod tests {
     #[test]
     fn interval_paths_agree_on_outputs_and_sketches() {
         let (predictor, serving) = fitted_predictor();
-        let (interval, proba) = predictor.predict_interval_with_outputs(&serving).unwrap();
-        let from_outputs = predictor.predict_interval_from_outputs(&proba).unwrap();
+        let interval = predictor.predict_interval(&serving).unwrap();
+        let proba = predictor.model_outputs(&serving).unwrap();
+        let from_outputs = predictor
+            .predict_source(&FeatureSource::Exact(&proba))
+            .unwrap();
         assert_eq!(interval, from_outputs);
         // The sketch path answers within the sketch error bound, with the
         // same invariants.
         let sketch = crate::BatchSketch::from_outputs(&proba);
-        let from_sketch = predictor.predict_interval_from_sketch(&sketch).unwrap();
+        let from_sketch = predictor
+            .predict_source(&FeatureSource::Sketched(&sketch))
+            .unwrap();
         from_sketch.validate().unwrap();
         assert!((from_sketch.point - interval.point).abs() < 0.05);
-        // Wrong-width outputs are rejected like on the point path.
-        let wide = DenseMatrix::from_vec(4, 3, vec![1.0 / 3.0; 12]).unwrap();
-        assert!(predictor.predict_interval_from_outputs(&wide).is_err());
     }
 
     #[test]
@@ -787,9 +649,25 @@ mod tests {
         // Three class columns against a two-class predictor: previously a
         // debug_assert, now a real error in every build profile.
         let wide = DenseMatrix::from_vec(4, 3, vec![1.0 / 3.0; 12]).unwrap();
-        assert!(predictor.predict_from_outputs(&wide).is_err());
+        let err = predictor
+            .predict_source(&FeatureSource::Exact(&wide))
+            .unwrap_err();
+        assert!(
+            err.message.contains("output matrix has 3 class columns"),
+            "{err}"
+        );
         let narrow = DenseMatrix::from_vec(4, 1, vec![1.0; 4]).unwrap();
-        assert!(predictor.predict_from_outputs(&narrow).is_err());
+        assert!(predictor
+            .predict_source(&FeatureSource::Exact(&narrow))
+            .is_err());
+        let sketch = crate::BatchSketch::new(3);
+        let err = predictor
+            .predict_source(&FeatureSource::Sketched(&sketch))
+            .unwrap_err();
+        assert!(
+            err.message.contains("batch sketch tracks 3 class columns"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -826,16 +704,21 @@ mod tests {
         let model = train_logistic_regression(&df, &mut rng).unwrap();
         let gens: Vec<Box<dyn ErrorGen>> =
             vec![Box::new(MissingValues::all_categorical(df.schema()))];
-        let ex = generate_training_examples(
+        let ex = generate_batches_resilient(
             model.as_ref(),
             &df,
             &gens,
             5,
             2,
             Metric::Accuracy,
-            &mut rng,
+            rng.gen(),
+            true,
+            1.0,
+            None,
+            TrainingExample::from_batch,
         )
-        .unwrap();
+        .unwrap()
+        .results;
         assert_eq!(ex.len(), 7);
         assert_eq!(ex[0].generator, "missing_values");
         assert_eq!(ex[6].generator, "clean");

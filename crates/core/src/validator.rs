@@ -10,8 +10,9 @@
 //! exactly this construction, reusing the hypothesis-test signal of
 //! Lipton et al.).
 
-use crate::engine::generate_batches_seeded;
-use crate::features::{featurize_source, BatchSketch, FeatureSource, KsReference};
+use crate::engine::generate_batches_resilient;
+use crate::features::{featurize_source, FeatureSource, KsReference};
+use crate::predictor::checked_outputs;
 use crate::{CoreError, Metric};
 use lvp_corruptions::ErrorGen;
 use lvp_dataframe::DataFrame;
@@ -164,7 +165,7 @@ impl PerformanceValidator {
         }
         // Retain the test-time outputs: the KS features compare serving
         // batches against them (the "major difference" §3 points out).
-        let test_outputs = model.predict_proba(test);
+        let test_outputs = model.try_predict_proba(test)?;
         let test_score = config.metric.score(&test_outputs, test.labels())?;
         let test_columns: Vec<Vec<f64>> = (0..test_outputs.cols())
             .map(|c| test_outputs.column(c))
@@ -173,7 +174,7 @@ impl PerformanceValidator {
 
         // Algorithm 1's generation loop with binary labels, fanned out by
         // the deterministic batch engine.
-        let generated: Vec<(Vec<f64>, u32)> = generate_batches_seeded(
+        let generated: Vec<(Vec<f64>, u32)> = generate_batches_resilient(
             model.as_ref(),
             test,
             generators,
@@ -182,6 +183,8 @@ impl PerformanceValidator {
             config.metric,
             rng.gen(),
             config.parallel,
+            1.0,
+            None,
             |batch| {
                 let f = featurize_outputs(&batch.proba, ks_columns)
                     .expect("fit-time outputs match the fitted model's class count");
@@ -190,7 +193,8 @@ impl PerformanceValidator {
                     u32::from(batch.score >= (1.0 - config.threshold) * test_score),
                 )
             },
-        )?;
+        )?
+        .results;
         let (mut features, mut labels): (Vec<Vec<f64>>, Vec<u32>) = generated.into_iter().unzip();
 
         if labels.iter().all(|&l| l == 0) || labels.iter().all(|&l| l == 1) {
@@ -230,76 +234,40 @@ impl PerformanceValidator {
         })
     }
 
-    /// Featurizes one batch of model outputs: percentile statistics plus
-    /// (optionally) per-class KS statistic and p-value against the retained
-    /// test-time outputs. Errors when the output matrix's class count
-    /// disagrees with the retained test columns.
-    pub fn featurize(&self, proba: &DenseMatrix) -> Result<Vec<f64>, CoreError> {
-        featurize_outputs(
-            proba,
-            self.use_ks_features.then_some(self.test_columns.as_slice()),
-        )
-    }
-
-    /// Featurizes streamed sketch state: percentile statistics queried
-    /// from the quantile sketches plus (optionally) per-class KS features
-    /// computed on compressed ECDFs against the retained test-output
-    /// sketches. Same feature layout as [`Self::featurize`], each
-    /// dimension within the sketches' proven error bound of the exact
-    /// path.
-    pub fn featurize_sketch(&self, sketch: &BatchSketch) -> Result<Vec<f64>, CoreError> {
-        let reference = if self.use_ks_features {
-            KsReference::Sketched(&self.test_ecdf)
-        } else {
-            KsReference::None
+    /// Featurizes one batch of model outputs from either source:
+    /// percentile statistics plus (optionally) per-class KS statistic and
+    /// p-value against the retained test-time outputs — the materialized
+    /// columns for an exact source, their ECDF sketches for a sketched one
+    /// (each dimension within the sketches' proven error bound of the exact
+    /// path). Errors when the source's class count disagrees with the
+    /// model's.
+    pub fn featurize(&self, source: &FeatureSource<'_>) -> Result<Vec<f64>, CoreError> {
+        source.check_classes(self.model.n_classes(), "validator")?;
+        let reference = match source {
+            _ if !self.use_ks_features => KsReference::None,
+            FeatureSource::Exact(_) => KsReference::Exact(&self.test_columns),
+            FeatureSource::Sketched(_) => KsReference::Sketched(&self.test_ecdf),
         };
-        featurize_source(&FeatureSource::Sketched(sketch), &reference)
-    }
-
-    /// Decides from streamed sketch state directly — the fixed-memory
-    /// counterpart of [`Self::validate_outputs`] for batches too large (or
-    /// too distributed) to materialize.
-    pub fn validate_sketch(&self, sketch: &BatchSketch) -> Result<ValidationOutcome, CoreError> {
-        if sketch.n_classes() != self.model.n_classes() {
-            return Err(CoreError::new(format!(
-                "batch sketch tracks {} class columns but the validator was \
-                 fitted for {} classes",
-                sketch.n_classes(),
-                self.model.n_classes()
-            )));
-        }
-        let features = self.featurize_sketch(sketch)?;
-        self.classify(features)
+        featurize_source(source, &reference)
     }
 
     /// Decides whether the model's predictions on the serving batch can be
-    /// trusted.
+    /// trusted. A terminal model failure (e.g. a remote endpoint out of
+    /// retries) is an error whose [`CoreError::model_error`] carries the
+    /// typed cause.
     pub fn validate(&self, serving: &DataFrame) -> Result<ValidationOutcome, CoreError> {
-        if serving.n_rows() == 0 {
-            return Err(CoreError::new("serving batch is empty"));
-        }
-        crate::predictor::check_schema_fingerprint(self.schema_fingerprint, serving)?;
-        let proba = self.model.predict_proba(serving);
-        self.validate_outputs(&proba)
+        let proba = checked_outputs(self.model.as_ref(), self.schema_fingerprint, serving)?;
+        self.validate_source(&FeatureSource::Exact(&proba))
     }
 
-    /// Decides from a batch of model outputs directly.
-    pub fn validate_outputs(&self, proba: &DenseMatrix) -> Result<ValidationOutcome, CoreError> {
-        if proba.cols() != self.model.n_classes() {
-            return Err(CoreError::new(format!(
-                "output matrix has {} class columns but the validator was \
-                 fitted for {} classes",
-                proba.cols(),
-                self.model.n_classes()
-            )));
-        }
-        let features = self.featurize(proba)?;
-        self.classify(features)
-    }
-
-    /// Runs the fitted GBDT over one feature row (shared tail of the exact
-    /// and sketched validation paths).
-    fn classify(&self, features: Vec<f64>) -> Result<ValidationOutcome, CoreError> {
+    /// Decides from a batch of model outputs directly — materialized, or
+    /// streamed sketch state for batches too large (or too distributed) to
+    /// materialize.
+    pub fn validate_source(
+        &self,
+        source: &FeatureSource<'_>,
+    ) -> Result<ValidationOutcome, CoreError> {
+        let features = self.featurize(source)?;
         let x = CsrMatrix::from_dense(
             &DenseMatrix::from_rows(&[features]).expect("single feature row"),
         );
@@ -388,6 +356,7 @@ impl PerformanceValidator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BatchSketch;
     use lvp_corruptions::standard_tabular_suite;
     use lvp_dataframe::toy_frame;
     use lvp_models::train_logistic_regression;
@@ -448,7 +417,7 @@ mod tests {
     fn ks_features_extend_dimensionality() {
         let (validator, serving) = fitted_validator(0.05);
         let proba = validator.model.predict_proba(&serving);
-        let f = validator.featurize(&proba).unwrap();
+        let f = validator.featurize(&FeatureSource::Exact(&proba)).unwrap();
         // 42 percentile dims + 2 KS dims per class.
         assert_eq!(f.len(), 42 + 4);
     }
@@ -457,12 +426,13 @@ mod tests {
     fn mismatched_class_count_is_rejected_not_truncated() {
         let (validator, _) = fitted_validator(0.05);
         // Three class columns against a validator fitted on two.
-        let wide = DenseMatrix::from_vec(5, 3, vec![1.0 / 3.0; 15]).unwrap();
-        assert!(validator.featurize(&wide).is_err());
-        assert!(validator.validate_outputs(&wide).is_err());
-        let narrow = DenseMatrix::from_vec(5, 1, vec![1.0; 5]).unwrap();
-        assert!(validator.featurize(&narrow).is_err());
-        assert!(validator.validate_outputs(&narrow).is_err());
+        for cols in [3, 1] {
+            let proba = DenseMatrix::from_vec(5, cols, vec![1.0 / cols as f64; 5 * cols]).unwrap();
+            let source = FeatureSource::Exact(&proba);
+            assert!(validator.featurize(&source).is_err());
+            let err = validator.validate_source(&source).unwrap_err();
+            assert!(err.message.contains("validator was fitted for 2"), "{err}");
+        }
     }
 
     #[test]
@@ -490,9 +460,13 @@ mod tests {
     fn sketched_validation_agrees_with_exact_on_clean_data() {
         let (validator, serving) = fitted_validator(0.10);
         let proba = validator.model.predict_proba(&serving);
-        let exact = validator.validate_outputs(&proba).unwrap();
+        let exact = validator
+            .validate_source(&FeatureSource::Exact(&proba))
+            .unwrap();
         let sketch = BatchSketch::from_outputs(&proba);
-        let sketched = validator.validate_sketch(&sketch).unwrap();
+        let sketched = validator
+            .validate_source(&FeatureSource::Sketched(&sketch))
+            .unwrap();
         assert_eq!(exact.within_threshold, sketched.within_threshold);
     }
 
@@ -500,9 +474,11 @@ mod tests {
     fn sketched_features_share_layout_and_stay_near_exact() {
         let (validator, serving) = fitted_validator(0.05);
         let proba = validator.model.predict_proba(&serving);
-        let exact = validator.featurize(&proba).unwrap();
+        let exact = validator.featurize(&FeatureSource::Exact(&proba)).unwrap();
         let sketch = BatchSketch::from_outputs(&proba);
-        let sketched = validator.featurize_sketch(&sketch).unwrap();
+        let sketched = validator
+            .featurize(&FeatureSource::Sketched(&sketch))
+            .unwrap();
         assert_eq!(exact.len(), sketched.len());
         // Percentile block: bounded by the quantile sketches' proven
         // value-error bound. KS block: p-values are smooth in D, so just
@@ -521,7 +497,53 @@ mod tests {
     fn sketched_validation_rejects_mismatched_class_count() {
         let (validator, _) = fitted_validator(0.05);
         let sketch = BatchSketch::new(3);
-        assert!(validator.validate_sketch(&sketch).is_err());
+        let err = validator
+            .validate_source(&FeatureSource::Sketched(&sketch))
+            .unwrap_err();
+        assert!(err.message.contains("batch sketch tracks 3"), "{err}");
+    }
+
+    /// A remote endpoint that is down for good: every call fails
+    /// terminally, and the panicking `predict_proba` must never be reached.
+    struct Unreachable;
+
+    impl BlackBoxModel for Unreachable {
+        fn predict_proba(&self, _data: &DataFrame) -> DenseMatrix {
+            panic!("validator took the panicking scoring path")
+        }
+        fn try_predict_proba(
+            &self,
+            _data: &DataFrame,
+        ) -> Result<DenseMatrix, lvp_models::ModelError> {
+            Err(lvp_models::ModelError::transient(
+                "endpoint down: retry budget exhausted",
+            ))
+        }
+        fn n_classes(&self) -> usize {
+            2
+        }
+        fn name(&self) -> &str {
+            "unreachable"
+        }
+    }
+
+    #[test]
+    fn terminal_model_failures_are_typed_errors_not_panics() {
+        let (validator, serving) = fitted_validator(0.05);
+        let down: Arc<dyn BlackBoxModel> = Arc::new(Unreachable);
+        let restored =
+            PerformanceValidator::from_artifact(validator.to_artifact(), Arc::clone(&down))
+                .unwrap();
+        let err = restored.validate(&serving).unwrap_err();
+        assert!(err.model_error().is_some(), "{err}");
+
+        let gens = standard_tabular_suite(serving.schema());
+        let mut rng = StdRng::seed_from_u64(13);
+        let config = ValidatorConfig::fast(0.05);
+        match PerformanceValidator::fit(down, &serving, &gens, &config, &mut rng) {
+            Err(err) => assert!(err.model_error().is_some(), "{err}"),
+            Ok(_) => panic!("fit against an unreachable model succeeded"),
+        }
     }
 
     #[test]

@@ -27,7 +27,8 @@
 use crate::journal::{scan_journal, FsyncPolicy, Journal, JournalFaultPlan, JournalOp};
 use crate::protocol::{DeploymentEntry, MonitorKey, RegistrySnapshot, Request, Response};
 use lvp_core::{
-    feature_dimensionality, load_json, save_json, BatchMonitor, ServingArtifact, ARTIFACT_VERSION,
+    feature_dimensionality, load_json, save_json, BatchMonitor, BatchReport, FeatureSource,
+    ServingArtifact, ARTIFACT_VERSION,
 };
 use lvp_linalg::DenseMatrix;
 use lvp_models::{mix64, BlackBoxModel, BreakerConfig, CircuitState, ModelError, VirtualClock};
@@ -175,9 +176,10 @@ pub struct RecoveryReport {
     /// standalone export). Nothing is guessed: the records are skipped
     /// and counted, never misapplied.
     pub records_future: usize,
-    /// Replayed records whose application errored — by construction the
-    /// same error the live daemon answered, so these are reproduced
-    /// no-ops, not divergence.
+    /// Replayed records whose application errored and applied nothing.
+    /// Live requests are validated before they are journaled, so only
+    /// journals written by releases that journaled first hold such
+    /// records.
     pub replay_op_errors: usize,
     /// Bytes of damaged tail truncated off the journal.
     pub truncated_tail_bytes: u64,
@@ -248,18 +250,49 @@ impl GateState {
     }
 }
 
-struct Deployment {
-    monitor: BatchMonitor,
-}
-
 #[derive(Default)]
 struct Inner {
-    deployments: BTreeMap<MonitorKey, Deployment>,
+    deployments: BTreeMap<MonitorKey, BatchMonitor>,
     tenants: BTreeMap<String, TenantGate>,
     /// The write-ahead journal, when durability is configured. Living
     /// under the state mutex guarantees append order == application
     /// order, which is what makes replay bit-identical.
     journal: Option<Journal>,
+}
+
+/// What the validate step built for the apply step, so nothing is parsed
+/// or constructed twice.
+enum Prepared {
+    /// The op carries everything the apply step needs.
+    Nothing,
+    /// The parsed output matrix of a row-carrying op.
+    Rows(DenseMatrix),
+    /// The monitor a register installs.
+    Monitor(Box<BatchMonitor>),
+}
+
+/// What applying one op produced: the parts of the response it determines.
+struct Applied {
+    /// The batch report the op recorded, if it recorded one.
+    report: Option<BatchReport>,
+    /// The target monitor's absolute batch count after the op.
+    batches_seen: usize,
+}
+
+/// Why [`Daemon::apply_op`] applied nothing.
+enum Rejected {
+    /// The op failed validation.
+    Invalid(String),
+    /// The write-ahead journal append failed.
+    Journal(String),
+}
+
+impl From<Rejected> for Response {
+    fn from(rejected: Rejected) -> Self {
+        match rejected {
+            Rejected::Invalid(message) | Rejected::Journal(message) => Response::error(message),
+        }
+    }
 }
 
 /// Daemon-level request counters (all deterministic in the request
@@ -285,8 +318,8 @@ struct ServerMetrics {
     journal_compactions: Counter,
     /// `journal.records_replayed` — records applied during recovery.
     journal_replayed: Counter,
-    /// `journal.replay_op_errors` — replayed records that reproduced the
-    /// live request's error (no-ops, counted for visibility).
+    /// `journal.replay_op_errors` — replayed records that applied nothing
+    /// (only journals written before validate-before-append hold them).
     journal_replay_errors: Counter,
     /// `journal.stale_records_skipped` — pre-compaction records skipped
     /// during recovery.
@@ -365,21 +398,29 @@ impl Daemon {
     /// `journal_epoch` in the file is ignored; use [`Self::recover`] for
     /// the full snapshot + journal-replay startup.
     pub fn with_state_file(config: DaemonConfig, path: impl AsRef<Path>) -> Result<Self, String> {
-        let snapshot: RegistrySnapshot = load_json(path.as_ref()).map_err(|e| e.to_string())?;
+        let snapshot = load_json(path.as_ref()).map_err(|e| e.to_string())?;
+        let daemon = Self::new(config);
+        daemon.install_snapshot(snapshot)?;
+        Ok(daemon)
+    }
+
+    /// Installs every deployment of a registry snapshot into this daemon
+    /// after checking its version — the one loader behind
+    /// [`Self::with_state_file`] and [`Self::recover`]. Returns the number
+    /// of deployments installed.
+    fn install_snapshot(&self, snapshot: RegistrySnapshot) -> Result<usize, String> {
         if snapshot.version == 0 || snapshot.version > ARTIFACT_VERSION {
             return Err(format!(
                 "unsupported registry snapshot version {} (supported: 1..={ARTIFACT_VERSION})",
                 snapshot.version
             ));
         }
-        let daemon = Self::new(config);
-        {
-            let mut inner = daemon.lock_inner();
-            for entry in snapshot.deployments {
-                daemon.install(&mut inner, entry.key, entry.artifact)?;
-            }
+        let mut inner = self.lock_inner();
+        for entry in snapshot.deployments {
+            let monitor = Self::build_monitor(&entry.key, entry.artifact)?;
+            self.install(&mut inner, entry.key, monitor);
         }
-        Ok(daemon)
+        Ok(inner.deployments.len())
     }
 
     /// Crash-recovering startup: loads the last registry snapshot (if the
@@ -405,19 +446,9 @@ impl Daemon {
         if let Some(path) = durability.snapshot_path.as_deref().filter(|p| p.exists()) {
             let snapshot: RegistrySnapshot =
                 load_json(path).map_err(|e| format!("recover registry snapshot: {e}"))?;
-            if snapshot.version == 0 || snapshot.version > ARTIFACT_VERSION {
-                return Err(format!(
-                    "unsupported registry snapshot version {} (supported: 1..={ARTIFACT_VERSION})",
-                    snapshot.version
-                ));
-            }
             epoch = snapshot.journal_epoch.unwrap_or(0);
-            let mut inner = daemon.lock_inner();
-            for entry in snapshot.deployments {
-                daemon.install(&mut inner, entry.key, entry.artifact)?;
-            }
+            report.snapshot_deployments = daemon.install_snapshot(snapshot)?;
             report.snapshot_loaded = true;
-            report.snapshot_deployments = inner.deployments.len();
         }
 
         if let Some(jpath) = durability.journal_path.as_deref() {
@@ -435,11 +466,9 @@ impl Daemon {
                             std::cmp::Ordering::Greater => report.records_future += 1,
                             std::cmp::Ordering::Equal => {
                                 report.records_replayed += 1;
+                                // No journal is attached yet, so the
+                                // append inside apply_op is a no-op.
                                 if daemon.apply_op(inner, record.op).is_err() {
-                                    // The live daemon answered this exact
-                                    // request with an error and applied
-                                    // nothing; the replay just reproduced
-                                    // that no-op.
                                     report.replay_op_errors += 1;
                                 }
                             }
@@ -464,28 +493,14 @@ impl Daemon {
             daemon.lock_inner().journal = Some(journal);
         }
 
-        daemon
-            .metrics
-            .journal_replayed
-            .add(report.records_replayed as u64);
-        daemon
-            .metrics
-            .journal_replay_errors
-            .add(report.replay_op_errors as u64);
-        daemon
-            .metrics
-            .journal_stale_skipped
-            .add(report.records_stale as u64);
-        daemon
-            .metrics
-            .journal_future_skipped
-            .add(report.records_future as u64);
+        let m = &daemon.metrics;
+        m.journal_replayed.add(report.records_replayed as u64);
+        m.journal_replay_errors.add(report.replay_op_errors as u64);
+        m.journal_stale_skipped.add(report.records_stale as u64);
+        m.journal_future_skipped.add(report.records_future as u64);
         if report.tail_defect.is_some() {
-            daemon.metrics.journal_tail_defects.inc();
-            daemon
-                .metrics
-                .journal_tail_truncated
-                .add(report.truncated_tail_bytes);
+            m.journal_tail_defects.inc();
+            m.journal_tail_truncated.add(report.truncated_tail_bytes);
         }
         Ok((daemon, report))
     }
@@ -615,30 +630,33 @@ impl Daemon {
     }
 
     fn dispatch(&self, request: Request) -> Response {
-        match request.verb.as_str() {
-            "register" => self.register(request),
-            "observe" => self.observe(request),
-            "finish" => self.finish(request),
-            "history" => self.history(request),
-            "metrics" => self.metrics(),
-            "list" => self.list(),
-            "save" => self.save(request),
+        let keyed_verb: fn(&Self, MonitorKey, Request) -> Response = match request.verb.as_str() {
+            "register" => Self::register,
+            "observe" => Self::observe,
+            "finish" => Self::finish,
+            "history" => Self::history,
+            "metrics" => return self.metrics(),
+            "list" => return self.list(),
+            "save" => return self.save(request),
             "shutdown" => {
                 self.request_shutdown();
                 let mut r = Response::ok();
                 r.message = Some("shutting down".to_string());
-                r
+                return r;
             }
-            other => Response::error(format!("unknown verb '{other}'")),
+            other => return Response::error(format!("unknown verb '{other}'")),
+        };
+        match request.key() {
+            Some(key) => keyed_verb(self, key, request),
+            None => Response::error("tenant, model and version are all required for this verb"),
         }
     }
 
-    /// Appends `op` to the write-ahead journal (a no-op without one).
-    /// Called *before* the mutation it describes; on failure the caller
-    /// returns the error response and applies nothing, preserving the
-    /// invariant that replaying the journal reproduces exactly the
-    /// mutations the daemon acknowledged.
-    fn journal_append(&self, inner: &mut Inner, op: &JournalOp) -> Result<(), Box<Response>> {
+    /// Appends `op` to the write-ahead journal (a no-op without one). On
+    /// failure nothing is applied, preserving the invariant that replaying
+    /// the journal reproduces exactly the mutations the daemon
+    /// acknowledged.
+    fn journal_append(&self, inner: &mut Inner, op: &JournalOp) -> Result<(), String> {
         let Some(journal) = inner.journal.as_mut() else {
             return Ok(());
         };
@@ -652,107 +670,113 @@ impl Daemon {
             }
             Err(e) => {
                 self.metrics.journal_append_failures.inc();
-                Err(Box::new(Response::error(format!(
+                Err(format!(
                     "write-ahead journal append failed; request not applied: {e}"
-                ))))
+                ))
             }
         }
     }
 
-    fn deployment_mut<'a>(
-        inner: &'a mut Inner,
-        key: &MonitorKey,
-    ) -> Result<&'a mut Deployment, String> {
-        inner
+    /// The validate step: checks `op` against the registry without
+    /// mutating anything, so a request that would apply nothing is never
+    /// journaled. Returns what it parsed or built on the way.
+    fn validate_op(inner: &Inner, op: &JournalOp) -> Result<Prepared, String> {
+        if let JournalOp::Register { key, artifact } = op {
+            return Self::build_monitor(key, artifact.clone())
+                .map(|monitor| Prepared::Monitor(Box::new(monitor)));
+        }
+        let key = op.key();
+        let monitor = inner
             .deployments
-            .get_mut(key)
-            .ok_or_else(|| format!("unknown deployment {key}"))
-    }
-
-    /// Applies one journaled operation during recovery — the replay twin
-    /// of the live mutation paths, minus admission control (the ops were
-    /// already admitted when journaled; shed decisions were journaled as
-    /// their effects). Errors here reproduce errors the live daemon
-    /// already answered, so they are counted and skipped, never fatal.
-    fn apply_op(&self, inner: &mut Inner, op: JournalOp) -> Result<(), String> {
+            .get(key)
+            .ok_or_else(|| format!("unknown deployment {key}"))?;
+        let parse = |rows: &[Vec<f64>], form: &str| {
+            DenseMatrix::from_rows(rows).map_err(|e| format!("bad {form}: {e}"))
+        };
         match op {
-            JournalOp::Register { key, artifact } => self.install(inner, key, artifact).map(|_| ()),
-            JournalOp::ObserveOutputs { key, rows } => {
-                let dep = Self::deployment_mut(inner, &key)?;
-                let proba =
-                    DenseMatrix::from_rows(&rows).map_err(|e| format!("bad outputs: {e}"))?;
-                dep.monitor
-                    .observe_outputs(&proba)
-                    .map(|_| ())
-                    .map_err(|e| e.to_string())
+            JournalOp::ObserveOutputs { rows, .. } => {
+                let proba = parse(rows, "outputs")?;
+                monitor
+                    .predictor()
+                    .check_source(&FeatureSource::Exact(&proba))
+                    .map_err(|e| e.to_string())?;
+                Ok(Prepared::Rows(proba))
             }
-            JournalOp::ObserveChunk { key, rows } => {
-                let dep = Self::deployment_mut(inner, &key)?;
-                let proba = DenseMatrix::from_rows(&rows).map_err(|e| format!("bad chunk: {e}"))?;
-                if proba.rows() > 0 && proba.cols() != dep.monitor.predictor().n_classes() {
+            JournalOp::ObserveChunk { rows, .. } => {
+                let proba = parse(rows, "chunk")?;
+                let n_classes = monitor.predictor().n_classes();
+                if proba.rows() > 0 && proba.cols() != n_classes {
                     return Err(format!(
-                        "chunk has {} columns but {key} serves {} classes",
-                        proba.cols(),
-                        dep.monitor.predictor().n_classes()
+                        "chunk has {} columns but {key} serves {n_classes} classes",
+                        proba.cols()
                     ));
                 }
-                dep.monitor
-                    .observe_output_chunk(&proba)
-                    .map_err(|e| e.to_string())
+                Ok(Prepared::Rows(proba))
             }
-            JournalOp::ObserveEstimate { key, estimate } => {
-                let dep = Self::deployment_mut(inner, &key)?;
-                dep.monitor.observe_estimate(estimate);
-                Ok(())
+            JournalOp::ObserveInterval { interval, .. } => {
+                interval.validate().map_err(|e| e.to_string())?;
+                Ok(Prepared::Nothing)
             }
-            JournalOp::ObserveInterval { key, interval } => {
-                let dep = Self::deployment_mut(inner, &key)?;
-                dep.monitor
-                    .observe_interval(interval)
-                    .map(|_| ())
-                    .map_err(|e| e.to_string())
+            JournalOp::Finish { .. } if monitor.window().is_none() => {
+                Err("core error: no open streaming window to finish".to_string())
             }
-            JournalOp::Finish { key } => {
-                let dep = Self::deployment_mut(inner, &key)?;
-                dep.monitor
-                    .finish_window()
-                    .map(|_| ())
-                    .map_err(|e| e.to_string())
-            }
-            JournalOp::AbandonWindow { key, reason } => {
-                let dep = Self::deployment_mut(inner, &key)?;
-                dep.monitor.abandon_window(reason);
-                Ok(())
-            }
-            JournalOp::ObserveDegraded { key, reason } => {
-                let dep = Self::deployment_mut(inner, &key)?;
-                dep.monitor.observe_degraded(reason);
-                Ok(())
-            }
+            _ => Ok(Prepared::Nothing),
         }
     }
 
-    fn require_key(request: &Request) -> Result<MonitorKey, Box<Response>> {
-        match (&request.tenant, &request.model, &request.version) {
-            (Some(tenant), Some(model), Some(version)) => Ok(MonitorKey {
-                tenant: tenant.clone(),
-                model: model.clone(),
-                version: version.clone(),
-            }),
-            _ => Err(Box::new(Response::error(
-                "tenant, model and version are all required for this verb",
-            ))),
+    /// The one mutation path, shared by every live verb and by recovery:
+    /// validate `op`, append it to the write-ahead journal, apply it.
+    /// Recovery replays before the journal is attached, so there the
+    /// append is a no-op and replay runs exactly the code the live request
+    /// ran — replay ≡ live by construction. Admission happened before the
+    /// op was built (a shed is journaled as its effect), so none runs here.
+    fn apply_op(&self, inner: &mut Inner, op: JournalOp) -> Result<Applied, Rejected> {
+        let prepared = Self::validate_op(inner, &op).map_err(Rejected::Invalid)?;
+        self.journal_append(inner, &op).map_err(Rejected::Journal)?;
+        let mut proba = match prepared {
+            Prepared::Monitor(monitor) => {
+                let batches_seen = monitor.batches_seen();
+                self.install(inner, op.key().clone(), *monitor);
+                return Ok(Applied {
+                    report: None,
+                    batches_seen,
+                });
+            }
+            Prepared::Rows(proba) => Some(proba),
+            Prepared::Nothing => None,
+        };
+        let monitor = inner
+            .deployments
+            .get_mut(op.key())
+            .expect("validated above");
+        let mut proba = || proba.take().expect("validated rows are parsed");
+        let report = match op {
+            JournalOp::ObserveOutputs { .. } => monitor.observe_outputs(&proba()).map(Some),
+            JournalOp::ObserveChunk { .. } => monitor.observe_output_chunk(&proba()).map(|()| None),
+            JournalOp::ObserveEstimate { estimate, .. } => {
+                Ok(Some(monitor.observe_estimate(estimate)))
+            }
+            JournalOp::ObserveInterval { interval, .. } => {
+                monitor.observe_interval(interval).map(Some)
+            }
+            JournalOp::Finish { .. } => monitor.finish_window().map(Some),
+            JournalOp::AbandonWindow { reason, .. } => {
+                monitor.abandon_window(reason);
+                Ok(None)
+            }
+            JournalOp::ObserveDegraded { reason, .. } => Ok(Some(monitor.observe_degraded(reason))),
+            JournalOp::Register { .. } => unreachable!("installed above"),
         }
+        .map_err(|e| Rejected::Invalid(e.to_string()))?;
+        Ok(Applied {
+            report,
+            batches_seen: monitor.batches_seen(),
+        })
     }
 
-    /// Installs (or replaces) a deployment, attaching per-tenant telemetry
-    /// and the configured history bound.
-    fn install(
-        &self,
-        inner: &mut Inner,
-        key: MonitorKey,
-        artifact: ServingArtifact,
-    ) -> Result<usize, String> {
+    /// Restores the monitor a deployment's artifact describes, against a
+    /// detached model handle of the artifact's class count.
+    fn build_monitor(key: &MonitorKey, artifact: ServingArtifact) -> Result<BatchMonitor, String> {
         let n_classes = artifact
             .predictor
             .n_classes
@@ -764,45 +788,40 @@ impl Daemon {
             n_classes,
             label: key.to_string(),
         });
-        let mut monitor = artifact
+        artifact
             .into_monitor(model)
-            .map_err(|e| format!("register {key}: {e}"))?;
-        monitor.set_history_limit(self.config.history_limit);
-        monitor.attach_telemetry_prefixed(&self.registry, &key.metric_prefix());
-        let batches_seen = monitor.batches_seen();
-        inner.tenants.entry(key.tenant.clone()).or_default();
-        inner.deployments.insert(key, Deployment { monitor });
-        self.metrics.registrations.inc();
-        Ok(batches_seen)
+            .map_err(|e| format!("register {key}: {e}"))
     }
 
-    fn register(&self, request: Request) -> Response {
-        let key = match Self::require_key(&request) {
-            Ok(key) => key,
-            Err(resp) => return *resp,
-        };
+    /// Installs (or replaces) a deployment, attaching per-tenant telemetry
+    /// and the configured history bound.
+    fn install(&self, inner: &mut Inner, key: MonitorKey, mut monitor: BatchMonitor) {
+        monitor.set_history_limit(self.config.history_limit);
+        monitor.attach_telemetry_prefixed(&self.registry, &key.metric_prefix());
+        inner.tenants.entry(key.tenant.clone()).or_default();
+        inner.deployments.insert(key, monitor);
+        self.metrics.registrations.inc();
+    }
+
+    fn register(&self, key: MonitorKey, request: Request) -> Response {
         let Some(artifact) = request.artifact else {
             return Response::error("register requires an artifact");
         };
         let mut inner = self.lock_inner();
-        let inner = &mut *inner;
-        if let Err(resp) = self.journal_append(
-            inner,
-            &JournalOp::Register {
+        match self.apply_op(
+            &mut inner,
+            JournalOp::Register {
                 key: key.clone(),
-                artifact: artifact.clone(),
+                artifact,
             },
         ) {
-            return *resp;
-        }
-        match self.install(inner, key.clone(), artifact) {
-            Ok(batches_seen) => {
+            Ok(applied) => {
                 let mut r = Response::ok();
                 r.message = Some(format!("registered {key}"));
-                r.batches_seen = Some(batches_seen);
+                r.batches_seen = Some(applied.batches_seen);
                 r
             }
-            Err(message) => Response::error(message),
+            Err(rejected) => rejected.into(),
         }
     }
 
@@ -814,7 +833,7 @@ impl Daemon {
             .deployments
             .iter()
             .filter(|(key, _)| key.tenant == tenant)
-            .filter_map(|(_, dep)| dep.monitor.window())
+            .filter_map(|(_, monitor)| monitor.window())
             .map(|window| window.chunks())
             .sum()
     }
@@ -840,13 +859,18 @@ impl Daemon {
         ((raw as f64) * (0.5 + frac)) as u64
     }
 
-    fn publish_gate(&self, tenant: &str, gate: &TenantGate, pending: u64) {
+    /// Publishes the tenant's breaker-state and queue-depth gauges,
+    /// returning the depth (its in-flight chunks).
+    fn publish_gate(&self, inner: &mut Inner, tenant: &str) -> u64 {
+        let pending = Self::tenant_pending(inner, tenant);
+        let state = inner.tenants.entry(tenant.to_string()).or_default().state;
         self.registry
             .gauge(&format!("tenant.{tenant}.server.breaker_state"))
-            .set(gate.state.gauge_value());
+            .set(state.gauge_value());
         self.registry
             .gauge(&format!("tenant.{tenant}.server.queue_depth"))
             .set(pending as f64);
+        pending
     }
 
     fn note_shed(&self, tenant: &str) {
@@ -856,125 +880,35 @@ impl Daemon {
             .inc();
     }
 
-    fn observe(&self, request: Request) -> Response {
-        let key = match Self::require_key(&request) {
-            Ok(key) => key,
-            Err(resp) => return *resp,
-        };
+    /// `observe`: lower → admit → validate → append → apply, the last three
+    /// in [`Self::apply_op`]. Errors take precedence in that order: unknown
+    /// deployment, then not exactly one observe form, then a shed, then an
+    /// invalid payload.
+    fn observe(&self, key: MonitorKey, request: Request) -> Response {
         let now = self.clock.now_nanos();
         let mut inner = self.lock_inner();
         let inner = &mut *inner;
         if !inner.deployments.contains_key(&key) {
             return Response::error(format!("unknown deployment {key}"));
         }
-        let mode_count = usize::from(request.outputs.is_some())
-            + usize::from(request.chunk.is_some())
-            + usize::from(request.estimate.is_some())
-            + usize::from(request.interval.is_some());
-        if mode_count != 1 {
+        let Some(op) = Self::lower_observe(key.clone(), request) else {
             return Response::error(
                 "observe requires exactly one of outputs, chunk, estimate or interval",
             );
-        }
-
-        // Breaker check first: an open breaker sheds every observe form.
-        let gate = inner.tenants.entry(key.tenant.clone()).or_default();
-        if gate.state == GateState::Open {
-            let elapsed = now.saturating_sub(gate.opened_at_nanos);
-            if elapsed < self.config.breaker.cooldown_nanos {
-                let retry = self.config.breaker.cooldown_nanos - elapsed;
-                gate.sheds += 1;
-                let reason = format!(
-                    "tenant '{}' circuit open: observe shed, retry in {retry} virtual ns",
-                    key.tenant
-                );
-                let gate_snapshot = gate.clone();
-                // Shed effects mutate monitor state, so they are WAL'd
-                // like any other mutation — as their *effect*, with the
-                // literal reason, so replay needs no gate state.
-                let shed_op = if request.chunk.is_some() {
-                    JournalOp::AbandonWindow {
-                        key: key.clone(),
-                        reason: reason.clone(),
-                    }
-                } else {
-                    JournalOp::ObserveDegraded {
-                        key: key.clone(),
-                        reason: reason.clone(),
-                    }
-                };
-                if let Err(resp) = self.journal_append(inner, &shed_op) {
-                    return *resp;
-                }
-                let dep = inner.deployments.get_mut(&key).expect("checked above");
-                let mut resp = Response::shed(retry, reason.clone());
-                if request.chunk.is_some() {
-                    // Degrade, never drop: the window the chunk belonged to
-                    // must not finish as if it saw every chunk.
-                    dep.monitor.abandon_window(reason);
-                } else {
-                    resp.report = Some(dep.monitor.observe_degraded(reason));
-                }
-                self.note_shed(&key.tenant);
-                let pending = Self::tenant_pending(inner, &key.tenant);
-                self.publish_gate(&key.tenant, &gate_snapshot, pending);
-                resp.pending_chunks = Some(pending);
-                return resp;
-            }
-            gate.state = GateState::HalfOpen;
-            gate.half_open_successes = 0;
-        }
-
-        let response = if let Some(rows) = &request.outputs {
-            self.observe_outputs(inner, &key, rows)
-        } else if let Some(rows) = &request.chunk {
-            self.observe_chunk(inner, &key, rows, now)
-        } else if let Some(interval) = request.interval {
-            // External intervals are validated by the monitor before they
-            // touch any alarm state; a malformed interval is a hard error
-            // that consumes no batch index (and its journaled record
-            // replays into the same no-op).
-            self.journal_append(
-                inner,
-                &JournalOp::ObserveInterval {
-                    key: key.clone(),
-                    interval,
-                },
-            )
-            .and_then(|()| {
-                let dep = inner.deployments.get_mut(&key).expect("checked above");
-                match dep.monitor.observe_interval(interval) {
-                    Ok(report) => {
-                        let mut r = Response::ok();
-                        r.batches_seen = Some(dep.monitor.batches_seen());
-                        r.report = Some(report);
-                        Ok(r)
-                    }
-                    Err(e) => Err(Box::new(Response::error(e.to_string()))),
-                }
-            })
-        } else {
-            let estimate = request.estimate.expect("mode checked above");
-            self.journal_append(
-                inner,
-                &JournalOp::ObserveEstimate {
-                    key: key.clone(),
-                    estimate,
-                },
-            )
-            .map(|()| {
-                let dep = inner.deployments.get_mut(&key).expect("checked above");
-                let report = dep.monitor.observe_estimate(estimate);
-                let mut r = Response::ok();
-                r.batches_seen = Some(dep.monitor.batches_seen());
-                r.report = Some(report);
-                r
-            })
         };
-        match response {
-            Ok(mut resp) => {
+        let (op, shed) = self.admit(inner, op, now);
+        let applied = match self.apply_op(inner, op) {
+            Ok(applied) => applied,
+            Err(rejected) => return rejected.into(),
+        };
+        let mut resp = match shed {
+            Some(shed) => {
+                self.note_shed(&key.tenant);
+                shed
+            }
+            None => {
                 // An accepted observe is a success signal for the breaker.
-                let gate = inner.tenants.entry(key.tenant.clone()).or_default();
+                let gate = inner.tenants.get_mut(&key.tenant).expect("admitted");
                 match gate.state {
                     GateState::Closed => gate.consecutive_overflows = 0,
                     GateState::HalfOpen => {
@@ -986,180 +920,133 @@ impl Daemon {
                     }
                     GateState::Open => {}
                 }
-                let gate_snapshot = gate.clone();
-                let pending = Self::tenant_pending(inner, &key.tenant);
-                self.publish_gate(&key.tenant, &gate_snapshot, pending);
-                resp.pending_chunks = Some(pending);
-                resp
+                let mut r = Response::ok();
+                r.batches_seen = Some(applied.batches_seen);
+                r
             }
-            Err(resp) => *resp,
-        }
+        };
+        resp.report = applied.report;
+        resp.pending_chunks = Some(self.publish_gate(inner, &key.tenant));
+        resp
     }
 
-    fn observe_outputs(
-        &self,
-        inner: &mut Inner,
-        key: &MonitorKey,
-        rows: &[Vec<f64>],
-    ) -> Result<Response, Box<Response>> {
-        // Shape validation happens before the WAL append so pure parse
-        // errors (which mutate nothing) are not journaled at all.
-        let proba = DenseMatrix::from_rows(rows)
-            .map_err(|e| Box::new(Response::error(format!("bad outputs: {e}"))))?;
-        self.journal_append(
-            inner,
-            &JournalOp::ObserveOutputs {
-                key: key.clone(),
-                rows: rows.to_vec(),
+    /// The lower step: moves the request's one observe form (rows are
+    /// moved, not cloned) into the op that journals and applies it.
+    /// `None` unless exactly one form is present.
+    fn lower_observe(key: MonitorKey, request: Request) -> Option<JournalOp> {
+        Some(
+            match (
+                request.outputs,
+                request.chunk,
+                request.estimate,
+                request.interval,
+            ) {
+                (Some(rows), None, None, None) => JournalOp::ObserveOutputs { key, rows },
+                (None, Some(rows), None, None) => JournalOp::ObserveChunk { key, rows },
+                (None, None, Some(estimate), None) => JournalOp::ObserveEstimate { key, estimate },
+                (None, None, None, Some(interval)) => JournalOp::ObserveInterval { key, interval },
+                _ => return None,
             },
-        )?;
-        let dep = inner.deployments.get_mut(key).expect("checked above");
-        let report = dep
-            .monitor
-            .observe_outputs(&proba)
-            .map_err(|e| Box::new(Response::error(e.to_string())))?;
-        let mut r = Response::ok();
-        r.batches_seen = Some(dep.monitor.batches_seen());
-        r.report = Some(report);
-        Ok(r)
+        )
     }
 
-    fn observe_chunk(
-        &self,
-        inner: &mut Inner,
-        key: &MonitorKey,
-        rows: &[Vec<f64>],
-        now: u64,
-    ) -> Result<Response, Box<Response>> {
+    /// The admit step: passes `op` through, or replaces it with its shed
+    /// effect and returns the shed response. An open breaker sheds every
+    /// observe form; a chunk beyond the tenant's in-flight budget is shed
+    /// and counts toward tripping the breaker. Degrade, never drop: a shed
+    /// chunk poisons its window and any other shed observe is recorded as
+    /// a degraded batch. The effect is journaled with its literal reason,
+    /// so replay needs no gate state.
+    fn admit(&self, inner: &mut Inner, op: JournalOp, now: u64) -> (JournalOp, Option<Response>) {
+        let key = op.key().clone();
+        let chunk = matches!(op, JournalOp::ObserveChunk { .. });
+        let gate = inner.tenants.entry(key.tenant.clone()).or_default();
+        if gate.state == GateState::Open {
+            let elapsed = now.saturating_sub(gate.opened_at_nanos);
+            if elapsed < self.config.breaker.cooldown_nanos {
+                let retry = self.config.breaker.cooldown_nanos - elapsed;
+                gate.sheds += 1;
+                let reason = format!(
+                    "tenant '{}' circuit open: observe shed, retry in {retry} virtual ns",
+                    key.tenant
+                );
+                let shed = Response::shed(retry, reason.clone());
+                let op = if chunk {
+                    JournalOp::AbandonWindow { key, reason }
+                } else {
+                    JournalOp::ObserveDegraded { key, reason }
+                };
+                return (op, Some(shed));
+            }
+            gate.state = GateState::HalfOpen;
+            gate.half_open_successes = 0;
+        }
+        if !chunk {
+            return (op, None);
+        }
         let pending = Self::tenant_pending(inner, &key.tenant);
-        if pending >= self.config.queue_capacity {
-            let gate = inner.tenants.entry(key.tenant.clone()).or_default();
-            gate.sheds += 1;
-            match gate.state {
-                GateState::Closed => {
-                    gate.consecutive_overflows += 1;
-                    if gate.consecutive_overflows >= self.config.breaker.failure_threshold {
-                        gate.state = GateState::Open;
-                        gate.opened_at_nanos = now;
-                    }
-                }
-                GateState::HalfOpen => {
-                    // A failed probe re-opens immediately.
+        if pending < self.config.queue_capacity {
+            return (op, None);
+        }
+        let gate = inner.tenants.get_mut(&key.tenant).expect("created above");
+        gate.sheds += 1;
+        match gate.state {
+            GateState::Closed => {
+                gate.consecutive_overflows += 1;
+                if gate.consecutive_overflows >= self.config.breaker.failure_threshold {
                     gate.state = GateState::Open;
                     gate.opened_at_nanos = now;
                 }
-                GateState::Open => {}
             }
-            let retry = self.retry_after(&key.tenant, gate.consecutive_overflows, gate.sheds);
-            let gate_snapshot = gate.clone();
-            let reason = format!(
-                "tenant '{}' over its in-flight chunk budget ({pending}/{}): chunk shed",
-                key.tenant, self.config.queue_capacity
-            );
-            // The shed is journaled as its *effect* (window abandonment),
-            // so replay reproduces the degradation without reconstructing
-            // ephemeral gate state.
-            self.journal_append(
-                inner,
-                &JournalOp::AbandonWindow {
-                    key: key.clone(),
-                    reason: reason.clone(),
-                },
-            )?;
-            let dep = inner.deployments.get_mut(key).expect("checked above");
-            // Degrade, never drop: the shed chunk's window finishes
-            // degraded instead of pretending it saw every chunk.
-            dep.monitor.abandon_window(reason.clone());
-            self.note_shed(&key.tenant);
-            let pending = Self::tenant_pending(inner, &key.tenant);
-            self.publish_gate(&key.tenant, &gate_snapshot, pending);
-            let mut resp = Response::shed(retry, reason);
-            resp.pending_chunks = Some(pending);
-            return Err(Box::new(resp));
+            GateState::HalfOpen => {
+                // A failed probe re-opens immediately.
+                gate.state = GateState::Open;
+                gate.opened_at_nanos = now;
+            }
+            GateState::Open => {}
         }
-        // Validate shape and class count before the WAL append so pure
-        // parse errors (which mutate nothing) are not journaled at all.
-        let proba = DenseMatrix::from_rows(rows)
-            .map_err(|e| Box::new(Response::error(format!("bad chunk: {e}"))))?;
-        let n_classes = inner
-            .deployments
-            .get(key)
-            .expect("checked above")
-            .monitor
-            .predictor()
-            .n_classes();
-        if proba.rows() > 0 && proba.cols() != n_classes {
-            return Err(Box::new(Response::error(format!(
-                "chunk has {} columns but {key} serves {n_classes} classes",
-                proba.cols(),
-            ))));
-        }
-        self.journal_append(
-            inner,
-            &JournalOp::ObserveChunk {
-                key: key.clone(),
-                rows: rows.to_vec(),
-            },
-        )?;
-        let dep = inner.deployments.get_mut(key).expect("checked above");
-        dep.monitor
-            .observe_output_chunk(&proba)
-            .map_err(|e| Box::new(Response::error(e.to_string())))?;
-        let mut r = Response::ok();
-        r.batches_seen = Some(dep.monitor.batches_seen());
-        Ok(r)
+        let retry = self.retry_after(&key.tenant, gate.consecutive_overflows, gate.sheds);
+        let reason = format!(
+            "tenant '{}' over its in-flight chunk budget ({pending}/{}): chunk shed",
+            key.tenant, self.config.queue_capacity
+        );
+        let shed = Response::shed(retry, reason.clone());
+        (JournalOp::AbandonWindow { key, reason }, Some(shed))
     }
 
-    fn finish(&self, request: Request) -> Response {
-        let key = match Self::require_key(&request) {
-            Ok(key) => key,
-            Err(resp) => return *resp,
-        };
+    fn finish(&self, key: MonitorKey, _: Request) -> Response {
         let mut inner = self.lock_inner();
         let inner = &mut *inner;
         if !inner.deployments.contains_key(&key) {
             return Response::error(format!("unknown deployment {key}"));
         }
-        // Journaled even when no window is open: the live error below is a
-        // no-op on monitor state, and replaying it reproduces the same
-        // no-op error, keeping replay bit-identical without peeking into
-        // window state here.
-        if let Err(resp) = self.journal_append(inner, &JournalOp::Finish { key: key.clone() }) {
-            return *resp;
-        }
-        let dep = inner.deployments.get_mut(&key).expect("checked above");
-        let result = dep.monitor.finish_window();
-        let batches_seen = dep.monitor.batches_seen();
-        let gate_snapshot = inner.tenants.entry(key.tenant.clone()).or_default().clone();
-        let pending = Self::tenant_pending(inner, &key.tenant);
-        self.publish_gate(&key.tenant, &gate_snapshot, pending);
-        match result {
-            Ok(report) => {
-                let mut r = Response::ok();
-                r.report = Some(report);
-                r.batches_seen = Some(batches_seen);
-                r.pending_chunks = Some(pending);
-                r
+        let applied = match self.apply_op(inner, JournalOp::Finish { key: key.clone() }) {
+            Ok(applied) => applied,
+            Err(Rejected::Invalid(message)) => {
+                // A finish with no open window still refreshes the gauges.
+                self.publish_gate(inner, &key.tenant);
+                return Response::error(message);
             }
-            Err(e) => Response::error(e.to_string()),
-        }
+            Err(rejected) => return rejected.into(),
+        };
+        let mut r = Response::ok();
+        r.report = applied.report;
+        r.batches_seen = Some(applied.batches_seen);
+        r.pending_chunks = Some(self.publish_gate(inner, &key.tenant));
+        r
     }
 
-    fn history(&self, request: Request) -> Response {
-        let key = match Self::require_key(&request) {
-            Ok(key) => key,
-            Err(resp) => return *resp,
-        };
+    fn history(&self, key: MonitorKey, request: Request) -> Response {
         let inner = self.lock_inner();
-        let Some(dep) = inner.deployments.get(&key) else {
+        let Some(monitor) = inner.deployments.get(&key) else {
             return Response::error(format!("unknown deployment {key}"));
         };
-        let reports = dep.monitor.history();
+        let reports = monitor.history();
         let offset = request.offset.unwrap_or(0);
         let limit = request.limit.unwrap_or(reports.len());
         let mut r = Response::ok();
         r.history = Some(reports.iter().skip(offset).take(limit).cloned().collect());
-        r.batches_seen = Some(dep.monitor.batches_seen());
+        r.batches_seen = Some(monitor.batches_seen());
         r
     }
 
@@ -1192,9 +1079,9 @@ impl Daemon {
             deployments: inner
                 .deployments
                 .iter()
-                .map(|(key, dep)| DeploymentEntry {
+                .map(|(key, monitor)| DeploymentEntry {
                     key: key.clone(),
-                    artifact: ServingArtifact::from_monitor(&dep.monitor),
+                    artifact: ServingArtifact::from_monitor(monitor),
                 })
                 .collect(),
         }
@@ -1209,7 +1096,7 @@ impl Daemon {
     /// journal that recovery recognizes as stale and skips — the crash
     /// window double-applies nothing. A save to any *other* path is a
     /// plain export (`journal_epoch: None`) that restores standalone via
-    /// [`DaemonConfig::with_state_file`] without consuming this daemon's
+    /// [`Daemon::with_state_file`] without consuming this daemon's
     /// journal.
     pub fn save_to(&self, path: &Path) -> Result<String, String> {
         let mut inner = self.lock_inner();

@@ -125,6 +125,22 @@ pub enum JournalOp {
     },
 }
 
+impl JournalOp {
+    /// The deployment the operation targets.
+    pub(crate) fn key(&self) -> &MonitorKey {
+        match self {
+            JournalOp::Register { key, .. }
+            | JournalOp::ObserveOutputs { key, .. }
+            | JournalOp::ObserveChunk { key, .. }
+            | JournalOp::ObserveEstimate { key, .. }
+            | JournalOp::ObserveInterval { key, .. }
+            | JournalOp::Finish { key }
+            | JournalOp::AbandonWindow { key, .. }
+            | JournalOp::ObserveDegraded { key, .. } => key,
+        }
+    }
+}
+
 /// One journal record: a compaction epoch plus the operation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct JournalRecord {
@@ -642,7 +658,7 @@ mod tests {
 
     #[test]
     fn records_round_trip_through_the_frame() {
-        let ops = vec![
+        let ops = [
             estimate_op(0.5),
             JournalOp::Finish { key: key() },
             JournalOp::AbandonWindow {

@@ -37,7 +37,9 @@ impl Server {
                 if accept_daemon.is_shutdown() {
                     break;
                 }
-                let Ok(stream) = stream else { continue };
+                let Ok(stream) = stream.and_then(with_nodelay) else {
+                    continue;
+                };
                 // Reap finished connection handlers so the list stays
                 // proportional to *live* connections instead of growing
                 // by one handle per connection ever accepted. Joining a
@@ -89,6 +91,14 @@ impl Server {
         let _ = TcpStream::connect(self.local_addr);
         self.join();
     }
+}
+
+/// Turns Nagle's algorithm off on a connected stream. Both directions
+/// carry one small line per message that the peer then waits on, so
+/// coalescing writes only adds a delayed-ACK stall per pipelined batch.
+fn with_nodelay(stream: TcpStream) -> io::Result<TcpStream> {
+    stream.set_nodelay(true)?;
+    Ok(stream)
 }
 
 /// Outcome of one bounded line read from a connection.
@@ -197,7 +207,7 @@ pub struct Client {
 impl Client {
     /// Connects to a running daemon.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
-        let writer = TcpStream::connect(addr)?;
+        let writer = with_nodelay(TcpStream::connect(addr)?)?;
         let reader = BufReader::new(writer.try_clone()?);
         Ok(Self { writer, reader })
     }
@@ -231,6 +241,16 @@ mod tests {
     // path even for short test inputs.
     fn chunked(bytes: &[u8]) -> BufReader<Cursor<Vec<u8>>> {
         BufReader::with_capacity(4, Cursor::new(bytes.to_vec()))
+    }
+
+    #[test]
+    fn both_ends_of_a_connection_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = with_nodelay(TcpStream::connect(listener.local_addr().unwrap()).unwrap());
+        let (accepted, _) = listener.accept().unwrap();
+        assert!(!accepted.nodelay().unwrap(), "sockets start with Nagle on");
+        assert!(client.unwrap().nodelay().unwrap());
+        assert!(with_nodelay(accepted).unwrap().nodelay().unwrap());
     }
 
     #[test]

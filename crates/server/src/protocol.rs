@@ -116,6 +116,16 @@ impl Request {
         req.version = Some(key.version.clone());
         req
     }
+
+    /// The deployment the request targets, when tenant, model and version
+    /// are all set.
+    pub(crate) fn key(&self) -> Option<MonitorKey> {
+        Some(MonitorKey {
+            tenant: self.tenant.clone()?,
+            model: self.model.clone()?,
+            version: self.version.clone()?,
+        })
+    }
 }
 
 /// One protocol response. `status` is `"ok"`, `"shed"` (admission control

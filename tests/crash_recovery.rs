@@ -2,11 +2,13 @@
 //! at *any* journal record boundary recovers bit-identical registry
 //! state; torn, truncated, or bit-flipped journal tails are classified
 //! and truncated to the last durable record (never a panic); live torn
-//! appends reject the request without applying it; and pre-envelope
-//! registry snapshots still load.
+//! appends reject the request without applying it; pre-envelope
+//! registry snapshots still load; and after every request of a random
+//! stream, replaying the journal reproduces the live registry.
 
 use lvp_core::{
-    to_json, BatchMonitor, MonitorPolicy, PerformancePredictor, PredictorConfig, ServingArtifact,
+    to_json, BatchMonitor, MonitorPolicy, PerformancePredictor, PredictorConfig, ScoreInterval,
+    ServingArtifact,
 };
 use lvp_corruptions::standard_tabular_suite;
 use lvp_dataframe::toy_frame;
@@ -14,10 +16,11 @@ use lvp_models::{train_logistic_regression, BlackBoxModel, BreakerConfig};
 use lvp_server::{
     Daemon, DaemonConfig, DurabilityConfig, JournalFaultPlan, MonitorKey, Request, Response,
 };
+use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 fn serving_artifact() -> ServingArtifact {
     let df = toy_frame(220);
@@ -230,6 +233,9 @@ fn crashing_at_every_record_boundary_recovers_bit_identical_state() {
             report.tail_defect.is_none(),
             "clean boundary misread as damage at step {step}: {report:?}"
         );
+        // Requests that apply nothing (the invalid interval) are refused
+        // before the journal append, so replay never reproduces an error.
+        assert_eq!(report.replay_op_errors, 0, "step {step}: {report:?}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -370,7 +376,7 @@ fn torn_and_bit_flipped_tails_truncate_to_the_last_durable_record() {
     // The recovered prefix matches some earlier boundary exactly.
     let prefix_state = to_json(&recovered.snapshot()).unwrap();
     assert!(
-        trace.state_json.iter().any(|s| *s == prefix_state),
+        trace.state_json.contains(&prefix_state),
         "bit-flip recovery must land on a boundary state"
     );
     let _ = std::fs::remove_dir_all(&dir);
@@ -486,4 +492,115 @@ fn legacy_bare_json_snapshots_still_load_and_resave_enveloped() {
     assert!(lvp_core::is_enveloped(&bytes));
     assert!(Daemon::with_state_file(config(), &legacy_path).is_ok());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The next requests of the differential stream: every observe form with
+/// valid, malformed, wrong-width and invalid payloads, chunk bursts past
+/// the budget of 2 (enough to trip the breaker), finishes with and without
+/// an open window, valid and broken re-registrations, and unknown keys.
+fn random_requests(rng: &mut StdRng, artifact: &ServingArtifact) -> Vec<Request> {
+    let target = if rng.gen_bool(0.05) {
+        key("ghost")
+    } else {
+        key(["acme", "bravo"][rng.gen_range(0..2)])
+    };
+    let shift = rng.gen_range(0.0..0.3);
+    let rows = rng.gen_range(1..16);
+    let mut req = Request::targeted("observe", &target);
+    match rng.gen_range(0..12) {
+        0 => {
+            // Every other re-registration carries an artifact that does
+            // not restore.
+            let mut artifact = artifact.clone();
+            if rows % 2 == 0 {
+                artifact.predictor.n_classes = Some(0);
+            }
+            req = Request::targeted("register", &target);
+            req.artifact = Some(artifact);
+        }
+        1 | 2 => {
+            req.chunk = Some(chunk_rows(rows, shift));
+            return vec![req; rng.gen_range(1..5)];
+        }
+        3 => req.outputs = Some(chunk_rows(rows, shift)),
+        4 => {
+            // Ragged rows: a shape error.
+            let mut ragged = chunk_rows(rows, shift);
+            ragged[0].push(0.0);
+            req.outputs = Some(ragged);
+        }
+        5 => req.chunk = Some(vec![vec![0.2, 0.3, 0.5]; rows]),
+        6 => req.outputs = Some(vec![vec![0.2, 0.3, 0.5]; rows]),
+        7 => req.estimate = Some(shift + 0.5),
+        8 => {
+            // Every other interval is inverted, hence invalid.
+            let (lo, hi) = if rows % 2 == 0 {
+                (0.6, 0.4)
+            } else {
+                (0.4, 0.6)
+            };
+            req.interval = Some(ScoreInterval {
+                point: 0.5,
+                lo: lo + shift,
+                hi: hi + shift,
+                alpha: 0.1,
+            });
+        }
+        9 => {
+            req.estimate = Some(0.5);
+            req.chunk = Some(chunk_rows(rows, shift));
+        }
+        _ => req = Request::targeted("finish", &target),
+    }
+    vec![req]
+}
+
+fn shared_artifact() -> &'static ServingArtifact {
+    static ARTIFACT: OnceLock<ServingArtifact> = OnceLock::new();
+    ARTIFACT.get_or_init(serving_artifact)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn live_registry_equals_the_replay_of_its_journal_after_every_request(seed in 0u64..u64::MAX) {
+        let dir = std::env::temp_dir().join(format!("lvpd-diff-{}-{seed}", std::process::id()));
+        let live = DurabilityConfig::in_dir(dir.join("live"));
+        std::fs::create_dir_all(dir.join("live")).unwrap();
+        let journal_path = live.journal_path.clone().unwrap();
+        let (daemon, _) = Daemon::recover(config(), live).unwrap();
+        let artifact = shared_artifact();
+        let mut stream: Vec<Request> = ["acme", "bravo"]
+            .iter()
+            .map(|tenant| {
+                let mut req = Request::targeted("register", &key(tenant));
+                req.artifact = Some(artifact.clone());
+                req
+            })
+            .collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        while stream.len() < 48 {
+            stream.extend(random_requests(&mut rng, artifact));
+        }
+        let mut statuses = std::collections::BTreeSet::new();
+        for (step, request) in stream.into_iter().enumerate() {
+            statuses.insert(daemon.handle_request(request).status);
+            let disk = DiskState {
+                journal: std::fs::read(&journal_path).unwrap(),
+                snapshot: None,
+            };
+            let (replayed, report) =
+                Daemon::recover(config(), plant(&disk, &dir.join("replay"))).unwrap();
+            prop_assert_eq!(report.replay_op_errors, 0, "step {}: {:?}", step, report);
+            prop_assert_eq!(
+                to_json(&replayed.snapshot()).unwrap(),
+                to_json(&daemon.snapshot()).unwrap(),
+                "replay diverged from the live registry at step {}",
+                step
+            );
+        }
+        prop_assert!(statuses.contains("error") && statuses.contains("shed"), "{:?}", statuses);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

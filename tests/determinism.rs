@@ -2,8 +2,7 @@
 //! seed — a requirement for debuggable experiments.
 
 use lvp_core::{
-    generate_training_examples_seeded, Metric, PerformancePredictor, PredictorConfig,
-    TrainingExample,
+    generate_batches_resilient, Metric, PerformancePredictor, PredictorConfig, TrainingExample,
 };
 use lvp_corruptions::standard_tabular_suite;
 use lvp_models::{train_model_quick, BlackBoxModel, ModelKind};
@@ -78,7 +77,7 @@ fn generate(
     parallel: bool,
 ) -> Vec<TrainingExample> {
     let gens = standard_tabular_suite(test.schema());
-    generate_training_examples_seeded(
+    generate_batches_resilient(
         model,
         test,
         &gens,
@@ -87,8 +86,12 @@ fn generate(
         Metric::Accuracy,
         master_seed,
         parallel,
+        1.0,
+        None,
+        TrainingExample::from_batch,
     )
     .expect("accuracy metric fits any class count")
+    .results
 }
 
 #[test]

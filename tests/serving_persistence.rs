@@ -4,8 +4,8 @@
 
 use lvp::prelude::*;
 use lvp_core::{
-    from_json, to_json, BatchMonitor, MonitorArtifact, MonitorPolicy, PredictorArtifact,
-    ValidatorArtifact, ARTIFACT_VERSION,
+    from_json, to_json, BatchMonitor, FeatureSource, MonitorArtifact, MonitorPolicy,
+    PredictorArtifact, ValidatorArtifact, ARTIFACT_VERSION,
 };
 use lvp_corruptions::standard_tabular_suite;
 use lvp_dataframe::{toy_frame, CellValue, ColumnType, DataFrame, DataFrameBuilder, Field};
@@ -189,8 +189,9 @@ fn serving_entry_points_reject_wrong_class_count() {
     // three-class matrix. Must be Err (never a panic, never a silently
     // truncated featurization) in debug and release builds alike.
     let wide = DenseMatrix::from_vec(6, 3, vec![1.0 / 3.0; 18]).unwrap();
-    assert!(predictor.predict_from_outputs(&wide).is_err());
-    assert!(validator.validate_outputs(&wide).is_err());
+    let wide = FeatureSource::Exact(&wide);
+    assert!(predictor.predict_source(&wide).is_err());
+    assert!(validator.validate_source(&wide).is_err());
     assert!(validator.featurize(&wide).is_err());
 }
 

@@ -2,8 +2,8 @@
 //! accounting, and JSON round trips — through the real serving stack.
 
 use lvp_core::{
-    generate_training_examples_instrumented, BatchMonitor, Metric, MonitorPolicy,
-    PerformancePredictor, PredictorConfig,
+    generate_batches_resilient, BatchMonitor, Metric, MonitorPolicy, PerformancePredictor,
+    PredictorConfig, TrainingExample,
 };
 use lvp_corruptions::standard_tabular_suite;
 use lvp_models::{train_model_quick, BlackBoxModel, ModelKind};
@@ -123,7 +123,7 @@ fn generation_output_is_identical_with_and_without_telemetry() {
     let gens = standard_tabular_suite(test.schema());
     let registry = Registry::new();
     let run = |telemetry: Option<&Registry>| {
-        generate_training_examples_instrumented(
+        generate_batches_resilient(
             model.as_ref(),
             &test,
             &gens,
@@ -132,9 +132,12 @@ fn generation_output_is_identical_with_and_without_telemetry() {
             Metric::Accuracy,
             17,
             true,
+            1.0,
             telemetry,
+            TrainingExample::from_batch,
         )
         .unwrap()
+        .results
     };
     assert_eq!(run(None), run(Some(&registry)));
 }
