@@ -38,9 +38,9 @@ pub use monitor::{
     AlarmMode, BatchMonitor, BatchReport, BatchTelemetry, ClassDrift, MonitorPolicy, ShardWindow,
 };
 pub use persistence::{
-    atomic_write_durable, checksum64, from_json, is_enveloped, load_json, save_json, to_json,
-    unwrap_envelope, verdicts_identical, wrap_envelope, MetricTag, MonitorArtifact,
-    PredictorArtifact, ServingArtifact, ValidatorArtifact, ARTIFACT_VERSION, ENVELOPE_MAGIC,
+    atomic_write_durable, check_version, checksum64, from_json, is_enveloped, load_json, save_json,
+    to_json, unwrap_envelope, wrap_envelope, MetricTag, MonitorArtifact, PredictorArtifact,
+    ServingArtifact, ValidatorArtifact, ARTIFACT_VERSION, ENVELOPE_MAGIC,
 };
 pub use predictor::{PerformancePredictor, PredictorConfig, TrainingExample};
 pub use validator::{PerformanceValidator, ValidationOutcome, ValidatorConfig};

@@ -23,10 +23,10 @@
 //!
 //! [`Schema::fingerprint`]: lvp_dataframe::Schema::fingerprint
 
-use crate::features::{BatchSketch, FeatureSource};
+use crate::features::BatchSketch;
+use crate::validator::sketch_test_columns;
+use crate::PerformanceValidator;
 use crate::{BatchMonitor, CoreError, CoreErrorKind, Metric, MonitorPolicy, PerformancePredictor};
-use crate::{PerformanceValidator, ValidationOutcome};
-use lvp_linalg::DenseMatrix;
 use lvp_models::forest::RandomForestRegressor;
 use lvp_models::gbdt::GbdtClassifier;
 use lvp_models::BlackBoxModel;
@@ -264,13 +264,15 @@ pub fn load_json<T: Deserialize>(path: impl AsRef<Path>) -> Result<T, CoreError>
     from_json(json)
 }
 
-fn check_version(kind: &str, version: u32) -> Result<(), CoreError> {
-    // All prior versions are still loadable: fields they predate
-    // deserialize as `None` and the loaders reconstruct or skip the
-    // corresponding state (see [`ARTIFACT_VERSION`]).
+/// Checks a stored format `version` of the named `kind` ("predictor
+/// artifact", "registry snapshot", ...) against the versions this build
+/// reads. All prior versions are still loadable: fields they predate
+/// deserialize as `None` and the loaders reconstruct or skip the
+/// corresponding state (see [`ARTIFACT_VERSION`]).
+pub fn check_version(kind: &str, version: u32) -> Result<(), CoreError> {
     if version == 0 || version > ARTIFACT_VERSION {
         return Err(CoreError::new(format!(
-            "unsupported {kind} artifact version {version} (supported: 1..={ARTIFACT_VERSION})"
+            "unsupported {kind} version {version} (supported: 1..={ARTIFACT_VERSION})"
         )));
     }
     Ok(())
@@ -373,7 +375,7 @@ impl PerformancePredictor {
         artifact: PredictorArtifact,
         model: Arc<dyn BlackBoxModel>,
     ) -> Result<Self, CoreError> {
-        check_version("predictor", artifact.version)?;
+        check_version("predictor artifact", artifact.version)?;
         check_model_classes("predictor", artifact.n_classes, model.as_ref())?;
         let expected = crate::feature_dimensionality(model.n_classes());
         if artifact.n_feature_dims != expected {
@@ -457,7 +459,7 @@ impl PerformanceValidator {
         artifact: ValidatorArtifact,
         model: Arc<dyn BlackBoxModel>,
     ) -> Result<Self, CoreError> {
-        check_version("validator", artifact.version)?;
+        check_version("validator artifact", artifact.version)?;
         check_model_classes(
             "validator",
             Some(artifact.test_columns.len()),
@@ -468,11 +470,16 @@ impl PerformanceValidator {
                 "validator artifact threshold must lie in [0, 1)",
             ));
         }
+        // Pre-v3 artifacts carry no sketches: rebuild them from the
+        // retained columns, a pure function of them.
+        let test_ecdf = artifact
+            .test_ecdf
+            .unwrap_or_else(|| sketch_test_columns(&artifact.test_columns));
         Ok(Self::from_parts(
             model,
             artifact.classifier,
             artifact.test_columns,
-            artifact.test_ecdf,
+            test_ecdf,
             artifact.test_score,
             artifact.threshold,
             artifact.metric.into(),
@@ -540,7 +547,7 @@ impl BatchMonitor {
         artifact: MonitorArtifact,
         predictor: PerformancePredictor,
     ) -> Result<Self, CoreError> {
-        check_version("monitor", artifact.version)?;
+        check_version("monitor artifact", artifact.version)?;
         Self::from_parts(
             predictor,
             artifact.policy,
@@ -579,6 +586,15 @@ impl ServingArtifact {
         }
     }
 
+    /// Class count of the model the predictor was fitted against.
+    /// Version-1 artifacts did not record it; there it is implied by the
+    /// feature dimensionality.
+    pub fn n_classes(&self) -> usize {
+        self.predictor
+            .n_classes
+            .unwrap_or(self.predictor.n_feature_dims / crate::feature_dimensionality(1))
+    }
+
     /// Restores the bundled monitor, reattaching the black box model the
     /// predictor scores with. State carries over bit-identically, open
     /// streaming window included.
@@ -588,28 +604,29 @@ impl ServingArtifact {
     }
 }
 
-/// One-call check that a restored validator agrees with the original on a
-/// batch of outputs (deployment smoke-test helper).
-pub fn verdicts_identical(
-    a: &PerformanceValidator,
-    b: &PerformanceValidator,
-    proba: &DenseMatrix,
-) -> Result<bool, CoreError> {
-    let va: ValidationOutcome = a.validate_source(&FeatureSource::Exact(proba))?;
-    let vb: ValidationOutcome = b.validate_source(&FeatureSource::Exact(proba))?;
-    Ok(va.within_threshold == vb.within_threshold
-        && va.confidence.to_bits() == vb.confidence.to_bits())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{PredictorConfig, ValidatorConfig};
+    use crate::{FeatureSource, PredictorConfig, ValidatorConfig};
     use lvp_corruptions::standard_tabular_suite;
     use lvp_dataframe::toy_frame;
+    use lvp_linalg::DenseMatrix;
     use lvp_models::train_logistic_regression;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Whether a restored validator agrees with the original on a batch of
+    /// outputs, bit for bit.
+    fn verdicts_identical(
+        a: &PerformanceValidator,
+        b: &PerformanceValidator,
+        proba: &DenseMatrix,
+    ) -> Result<bool, CoreError> {
+        let va = a.validate_source(&FeatureSource::Exact(proba))?;
+        let vb = b.validate_source(&FeatureSource::Exact(proba))?;
+        Ok(va.within_threshold == vb.within_threshold
+            && va.confidence.to_bits() == vb.confidence.to_bits())
+    }
 
     fn fitted() -> (
         Arc<dyn BlackBoxModel>,

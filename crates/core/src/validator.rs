@@ -321,24 +321,18 @@ impl PerformanceValidator {
     }
 
     /// Reassembles a validator from its parts (persistence support).
-    ///
-    /// `test_ecdf` is `None` for artifacts written before the sketch era;
-    /// the sketches are then recomputed from the retained columns — a pure
-    /// function of them, so the rebuilt state is identical to what a fresh
-    /// fit would have persisted.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         model: Arc<dyn BlackBoxModel>,
         classifier: GbdtClassifier,
         test_columns: Vec<Vec<f64>>,
-        test_ecdf: Option<Vec<EcdfSketch>>,
+        test_ecdf: Vec<EcdfSketch>,
         test_score: f64,
         threshold: f64,
         metric: Metric,
         use_ks_features: bool,
         schema_fingerprint: Option<u64>,
     ) -> Self {
-        let test_ecdf = test_ecdf.unwrap_or_else(|| sketch_test_columns(&test_columns));
         Self {
             model,
             classifier,

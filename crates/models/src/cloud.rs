@@ -22,7 +22,9 @@
 //! at any thread count (see [`crate::resilience`] for the client half).
 
 use crate::automl::auto_sklearn_like;
-use crate::resilience::{frame_content_key, validate_probability_matrix, VirtualClock};
+use crate::resilience::{
+    frame_content_key, mix64, unit_draw, validate_probability_matrix, VirtualClock,
+};
 use crate::{BlackBoxModel, ModelError};
 use lvp_dataframe::DataFrame;
 use lvp_linalg::DenseMatrix;
@@ -136,24 +138,9 @@ impl FaultPlan {
         }
     }
 
-    /// Splitmix64-style finalizer shared with the engine's seed derivation.
-    fn mix(mut z: u64) -> u64 {
-        for _ in 0..2 {
-            z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^= z >> 31;
-        }
-        z
-    }
-
-    fn unit(h: u64) -> f64 {
-        (h >> 11) as f64 / (1u64 << 53) as f64
-    }
-
     /// Whether `key` fails on every attempt under this plan.
     pub fn is_poisoned(&self, key: u64) -> bool {
-        Self::unit(Self::mix(
+        unit_draw(mix64(
             self.seed ^ key.wrapping_mul(0xD6E8_FEB8_6659_FD93) ^ 0x7015_0ED5_A17E_D0A7,
         )) < self.poisoned
     }
@@ -174,7 +161,7 @@ impl FaultPlan {
         if attempt >= self.max_faults_per_key {
             return None;
         }
-        let draw = Self::unit(Self::mix(
+        let draw = unit_draw(mix64(
             self.seed
                 ^ key.wrapping_mul(0xA24B_AED4_963E_E407)
                 ^ u64::from(attempt).wrapping_mul(0x9FB2_1C65_1E98_DF25),
@@ -390,9 +377,8 @@ impl CloudModelService {
                 proba.select_rows(&(0..keep).collect::<Vec<_>>())
             }
             FaultKind::Corrupted => {
-                let h = FaultPlan::mix(
-                    plan_seed ^ key ^ u64::from(attempt).wrapping_mul(0xC0FF_EE00_DEAD_BEEF),
-                );
+                let h =
+                    mix64(plan_seed ^ key ^ u64::from(attempt).wrapping_mul(0xC0FF_EE00_DEAD_BEEF));
                 let mut bad = proba;
                 if bad.rows() == 0 {
                     return bad;

@@ -48,8 +48,8 @@ mod opt;
 mod pipeline;
 
 pub use resilience::{
-    mix64, validate_probability_matrix, BreakerConfig, CircuitState, ResilienceConfig,
-    ResilientModel, VirtualClock,
+    mix64, unit_draw, validate_probability_matrix, BreakerConfig, CircuitBreaker, CircuitState,
+    ResilienceConfig, ResilientModel, VirtualClock,
 };
 
 pub use pipeline::{

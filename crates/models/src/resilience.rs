@@ -61,11 +61,10 @@ impl VirtualClock {
     }
 }
 
-/// Mixes inputs through two rounds of the splitmix64 finalizer; the same
-/// construction the generation engine uses for per-run seeds. Public so
-/// other admission-control layers (e.g. the `lvpd` daemon's per-tenant
-/// shedding) can derive deterministic retry-after jitter the same way the
-/// retry backoff here does.
+/// Mixes inputs through two rounds of the splitmix64 finalizer: the one
+/// seeded mixer behind the generation engine's per-run seeds, the fault
+/// plans' decisions, the retry backoff jitter here and the `lvpd` daemon's
+/// retry-after jitter.
 pub fn mix64(mut z: u64) -> u64 {
     for _ in 0..2 {
         z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -74,6 +73,12 @@ pub fn mix64(mut z: u64) -> u64 {
         z ^= z >> 31;
     }
     z
+}
+
+/// A uniform draw in `[0, 1)` from a [`mix64`] output: its top 53 bits
+/// as an `f64` mantissa.
+pub fn unit_draw(h: u64) -> f64 {
+    (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// Content key of a batch request: an FNV-1a hash over the frame's schema
@@ -197,7 +202,7 @@ pub fn validate_probability_matrix(
     Ok(())
 }
 
-/// Circuit breaker configuration of a [`ResilientModel`].
+/// Circuit breaker configuration of a [`CircuitBreaker`].
 ///
 /// The breaker watches *call-level* outcomes (a call that exhausts its
 /// retry budget counts as one failure; a successful call resets the run),
@@ -260,10 +265,11 @@ impl Default for ResilienceConfig {
     }
 }
 
-/// Circuit breaker state of a [`ResilientModel`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// State of a [`CircuitBreaker`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum CircuitState {
     /// Calls flow through; consecutive terminal failures are counted.
+    #[default]
     Closed,
     /// Calls are rejected without touching the endpoint until the cooldown
     /// elapses on the virtual clock.
@@ -274,7 +280,9 @@ pub enum CircuitState {
 }
 
 impl CircuitState {
-    fn gauge_value(self) -> f64 {
+    /// Numeric encoding for breaker-state gauges: 0 closed, 1 open,
+    /// 2 half-open.
+    pub fn gauge_value(self) -> f64 {
         match self {
             CircuitState::Closed => 0.0,
             CircuitState::Open => 1.0,
@@ -283,11 +291,78 @@ impl CircuitState {
     }
 }
 
-struct BreakerState {
+/// The closed → open → half-open state machine behind both the
+/// [`ResilientModel`] client and the `lvpd` daemon's per-tenant admission
+/// gates. A plain value on a caller-supplied virtual clock: the caller
+/// decides what counts as a success or a failure and owns any locking.
+#[derive(Debug, Clone, Default)]
+pub struct CircuitBreaker {
     state: CircuitState,
     consecutive_failures: u32,
-    opened_at_nanos: u64,
     half_open_successes: u32,
+    opened_at_nanos: u64,
+}
+
+impl CircuitBreaker {
+    /// Admission check at virtual time `now`. An open breaker whose
+    /// cooldown has elapsed turns half-open and admits; one still cooling
+    /// down refuses with the remaining cooldown in nanoseconds.
+    pub fn admit(&mut self, now: u64, config: &BreakerConfig) -> Result<(), u64> {
+        if self.state == CircuitState::Open {
+            let elapsed = now.saturating_sub(self.opened_at_nanos);
+            if elapsed < config.cooldown_nanos {
+                return Err(config.cooldown_nanos - elapsed);
+            }
+            self.state = CircuitState::HalfOpen;
+            self.half_open_successes = 0;
+        }
+        Ok(())
+    }
+
+    /// A success: ends the failure run while closed; while half-open,
+    /// counts a probe and closes (ending the run) after enough of them.
+    pub fn record_success(&mut self, config: &BreakerConfig) {
+        match self.state {
+            CircuitState::Closed => self.consecutive_failures = 0,
+            CircuitState::HalfOpen => {
+                self.half_open_successes += 1;
+                if self.half_open_successes >= config.half_open_successes {
+                    self.state = CircuitState::Closed;
+                    self.consecutive_failures = 0;
+                }
+            }
+            CircuitState::Open => {}
+        }
+    }
+
+    /// A failure at virtual time `now`: extends the run while closed and
+    /// trips open at the threshold; a failed half-open probe re-opens
+    /// immediately.
+    pub fn record_failure(&mut self, now: u64, config: &BreakerConfig) {
+        let trip = match self.state {
+            CircuitState::Closed => {
+                self.consecutive_failures += 1;
+                self.consecutive_failures >= config.failure_threshold
+            }
+            CircuitState::HalfOpen => true,
+            CircuitState::Open => false,
+        };
+        if trip {
+            self.state = CircuitState::Open;
+            self.opened_at_nanos = now;
+        }
+    }
+
+    /// The current state.
+    pub fn state(&self) -> CircuitState {
+        self.state
+    }
+
+    /// Failures since the run last ended. Kept through open and half-open,
+    /// so it still counts the run that tripped the breaker.
+    pub fn consecutive_failures(&self) -> u32 {
+        self.consecutive_failures
+    }
 }
 
 /// Pre-resolved telemetry handles. Retry/attempt counters derive from the
@@ -354,7 +429,7 @@ pub struct ResilientModel {
     inner: Arc<dyn BlackBoxModel>,
     config: ResilienceConfig,
     clock: VirtualClock,
-    breaker: Mutex<BreakerState>,
+    breaker: Mutex<CircuitBreaker>,
     name: String,
     metrics: Option<ResilienceMetrics>,
 }
@@ -377,12 +452,7 @@ impl ResilientModel {
             inner,
             config,
             clock,
-            breaker: Mutex::new(BreakerState {
-                state: CircuitState::Closed,
-                consecutive_failures: 0,
-                opened_at_nanos: 0,
-                half_open_successes: 0,
-            }),
+            breaker: Mutex::default(),
             name,
             metrics: None,
         }
@@ -404,7 +474,7 @@ impl ResilientModel {
     pub fn circuit_state(&self) -> CircuitState {
         self.breaker
             .lock()
-            .map(|b| b.state)
+            .map(|b| b.state())
             .unwrap_or(CircuitState::Open)
     }
 
@@ -427,73 +497,47 @@ impl ResilientModel {
                 ^ key
                 ^ u64::from(attempt).wrapping_mul(0x9FB2_1C65_1E98_DF25),
         );
-        let unit = (h >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
-        (raw * (0.5 + unit)) as u64
+        (raw * (0.5 + unit_draw(h))) as u64
     }
 
-    /// Breaker admission check; transitions open → half-open after the
-    /// cooldown. Returns an error when calls must be shed.
+    /// Runs one breaker step under its lock, publishing the volatile
+    /// transition metrics when the state changed. `None` when a panicked
+    /// thread poisoned the lock.
+    fn breaker_step<T>(&self, step: impl FnOnce(&mut CircuitBreaker) -> T) -> Option<T> {
+        let mut b = self.breaker.lock().ok()?;
+        let before = b.state();
+        let out = step(&mut b);
+        if let Some(m) = self.metrics.as_ref().filter(|_| b.state() != before) {
+            m.breaker_state.set(b.state().gauge_value());
+            m.breaker_transitions.inc();
+        }
+        Some(out)
+    }
+
+    /// Breaker admission check. Returns an error when calls must be shed.
     fn admit(&self) -> Result<(), ModelError> {
-        let mut b = self
-            .breaker
-            .lock()
-            .map_err(|_| ModelError::new("circuit breaker state poisoned by a panicked thread"))?;
-        if b.state == CircuitState::Open {
-            if self.clock.now_nanos() >= b.opened_at_nanos + self.config.breaker.cooldown_nanos {
-                b.state = CircuitState::HalfOpen;
-                b.half_open_successes = 0;
-                self.record_breaker(&b);
-            } else {
-                if let Some(m) = &self.metrics {
-                    m.breaker_rejections.inc();
-                }
-                return Err(ModelError::transient(
-                    "circuit breaker open: calls are being shed until the cooldown elapses",
-                ));
+        let admitted = self
+            .breaker_step(|b| b.admit(self.clock.now_nanos(), &self.config.breaker))
+            .ok_or_else(|| {
+                ModelError::new("circuit breaker state poisoned by a panicked thread")
+            })?;
+        if admitted.is_err() {
+            if let Some(m) = &self.metrics {
+                m.breaker_rejections.inc();
             }
+            return Err(ModelError::transient(
+                "circuit breaker open: calls are being shed until the cooldown elapses",
+            ));
         }
         Ok(())
     }
 
-    fn record_breaker(&self, b: &BreakerState) {
-        if let Some(m) = &self.metrics {
-            m.breaker_state.set(b.state.gauge_value());
-            m.breaker_transitions.inc();
-        }
-    }
-
     fn on_call_success(&self) {
-        if let Ok(mut b) = self.breaker.lock() {
-            b.consecutive_failures = 0;
-            if b.state == CircuitState::HalfOpen {
-                b.half_open_successes += 1;
-                if b.half_open_successes >= self.config.breaker.half_open_successes {
-                    b.state = CircuitState::Closed;
-                    self.record_breaker(&b);
-                }
-            }
-        }
+        self.breaker_step(|b| b.record_success(&self.config.breaker));
     }
 
     fn on_call_failure(&self) {
-        if let Ok(mut b) = self.breaker.lock() {
-            match b.state {
-                CircuitState::HalfOpen => {
-                    b.state = CircuitState::Open;
-                    b.opened_at_nanos = self.clock.now_nanos();
-                    self.record_breaker(&b);
-                }
-                CircuitState::Closed => {
-                    b.consecutive_failures += 1;
-                    if b.consecutive_failures >= self.config.breaker.failure_threshold {
-                        b.state = CircuitState::Open;
-                        b.opened_at_nanos = self.clock.now_nanos();
-                        self.record_breaker(&b);
-                    }
-                }
-                CircuitState::Open => {}
-            }
-        }
+        self.breaker_step(|b| b.record_failure(self.clock.now_nanos(), &self.config.breaker));
     }
 
     /// One chunk with retries. `deadline` is the absolute virtual-clock
@@ -900,6 +944,31 @@ mod tests {
         model.clock().advance(500);
         assert!(model.try_predict_proba(&df).is_err());
         assert_eq!(model.circuit_state(), CircuitState::Open, "probe failed");
+    }
+
+    #[test]
+    fn an_unbounded_cooldown_keeps_shedding() {
+        let model = resilient(
+            Scripted::broken(),
+            ResilienceConfig {
+                max_attempts: 1,
+                breaker: BreakerConfig {
+                    failure_threshold: 1,
+                    cooldown_nanos: u64::MAX,
+                    half_open_successes: 1,
+                },
+                ..ResilienceConfig::default()
+            },
+        );
+        let df = toy_frame(3);
+        model.clock().advance(1_000);
+        assert!(model.try_predict_proba(&df).is_err());
+        assert_eq!(model.circuit_state(), CircuitState::Open);
+        // The trip time plus the cooldown overflows u64: the breaker must
+        // keep shedding rather than wrap around into half-open.
+        let err = model.try_predict_proba(&df).unwrap_err();
+        assert!(err.message.contains("circuit breaker open"), "{err}");
+        assert_eq!(model.circuit_state(), CircuitState::Open);
     }
 
     #[test]

@@ -16,22 +16,25 @@
 //! overflows, jittered like the [`lvp_models::ResilientModel`] backoff),
 //! and the target window is poisoned so its eventual `finish` reports a
 //! degraded batch — shed load degrades monitor state, it never silently
-//! disappears from it. Sustained overflow trips a per-tenant circuit
-//! breaker (same [`BreakerConfig`]/[`CircuitState`] vocabulary as the
-//! resilience layer): while open, every observe from the tenant is shed
-//! immediately with the remaining cooldown as the retry-after, and each
-//! shed full batch is recorded as a degraded report. Cooldowns run on a
+//! disappears from it. Sustained overflow trips a per-tenant
+//! [`CircuitBreaker`] — the one the resilience layer's client runs, with
+//! overflows as its failures: while open, every observe from the tenant is
+//! shed immediately with the remaining cooldown as the retry-after, and
+//! each shed full batch is recorded as a degraded report. Cooldowns run on a
 //! [`VirtualClock`] advanced a fixed tick per request, so breaker behavior
 //! is a pure function of the request sequence.
 
 use crate::journal::{scan_journal, FsyncPolicy, Journal, JournalFaultPlan, JournalOp};
 use crate::protocol::{DeploymentEntry, MonitorKey, RegistrySnapshot, Request, Response};
 use lvp_core::{
-    feature_dimensionality, load_json, save_json, BatchMonitor, BatchReport, FeatureSource,
-    ServingArtifact, ARTIFACT_VERSION,
+    check_version, load_json, save_json, BatchMonitor, BatchReport, FeatureSource, ServingArtifact,
+    ARTIFACT_VERSION,
 };
 use lvp_linalg::DenseMatrix;
-use lvp_models::{mix64, BlackBoxModel, BreakerConfig, CircuitState, ModelError, VirtualClock};
+use lvp_models::{
+    mix64, unit_draw, BlackBoxModel, BreakerConfig, CircuitBreaker, CircuitState, ModelError,
+    VirtualClock,
+};
 use lvp_telemetry::{Counter, Histogram, Registry};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -210,44 +213,15 @@ impl RecoveryReport {
     }
 }
 
-/// Per-tenant admission gate: circuit breaker plus overflow bookkeeping.
-/// The in-flight chunk count is *not* stored here — it is derived from the
+/// Per-tenant admission gate: the shared [`CircuitBreaker`], whose
+/// failures are chunk overflows, plus the tenant's shed count. The
+/// in-flight chunk count is *not* stored here — it is derived from the
 /// open windows of the tenant's monitors, so it survives a registry
 /// save/restore cycle with no extra state.
 #[derive(Debug, Clone, Default)]
 struct TenantGate {
-    state: GateState,
-    consecutive_overflows: u32,
-    half_open_successes: u32,
-    opened_at_nanos: u64,
+    breaker: CircuitBreaker,
     sheds: u64,
-}
-
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-enum GateState {
-    #[default]
-    Closed,
-    Open,
-    HalfOpen,
-}
-
-impl GateState {
-    fn circuit(self) -> CircuitState {
-        match self {
-            GateState::Closed => CircuitState::Closed,
-            GateState::Open => CircuitState::Open,
-            GateState::HalfOpen => CircuitState::HalfOpen,
-        }
-    }
-
-    /// Numeric encoding for the per-tenant breaker gauge.
-    fn gauge_value(self) -> f64 {
-        match self {
-            GateState::Closed => 0.0,
-            GateState::Open => 1.0,
-            GateState::HalfOpen => 2.0,
-        }
-    }
 }
 
 #[derive(Default)]
@@ -409,12 +383,7 @@ impl Daemon {
     /// [`Self::with_state_file`] and [`Self::recover`]. Returns the number
     /// of deployments installed.
     fn install_snapshot(&self, snapshot: RegistrySnapshot) -> Result<usize, String> {
-        if snapshot.version == 0 || snapshot.version > ARTIFACT_VERSION {
-            return Err(format!(
-                "unsupported registry snapshot version {} (supported: 1..={ARTIFACT_VERSION})",
-                snapshot.version
-            ));
-        }
+        check_version("registry snapshot", snapshot.version).map_err(|e| e.message)?;
         let mut inner = self.lock_inner();
         for entry in snapshot.deployments {
             let monitor = Self::build_monitor(&entry.key, entry.artifact)?;
@@ -539,7 +508,7 @@ impl Daemon {
         self.lock_inner()
             .tenants
             .get(tenant)
-            .map(|gate| gate.state.circuit())
+            .map(|gate| gate.breaker.state())
             .unwrap_or(CircuitState::Closed)
     }
 
@@ -777,10 +746,7 @@ impl Daemon {
     /// Restores the monitor a deployment's artifact describes, against a
     /// detached model handle of the artifact's class count.
     fn build_monitor(key: &MonitorKey, artifact: ServingArtifact) -> Result<BatchMonitor, String> {
-        let n_classes = artifact
-            .predictor
-            .n_classes
-            .unwrap_or(artifact.predictor.n_feature_dims / feature_dimensionality(1));
+        let n_classes = artifact.n_classes();
         if n_classes == 0 {
             return Err(format!("register {key}: artifact declares zero classes"));
         }
@@ -855,18 +821,17 @@ impl Daemon {
                 .wrapping_add(tenant_hash(tenant))
                 .wrapping_add(sheds),
         );
-        let frac = (mixed >> 11) as f64 / (1u64 << 53) as f64;
-        ((raw as f64) * (0.5 + frac)) as u64
+        ((raw as f64) * (0.5 + unit_draw(mixed))) as u64
     }
 
     /// Publishes the tenant's breaker-state and queue-depth gauges,
     /// returning the depth (its in-flight chunks).
     fn publish_gate(&self, inner: &mut Inner, tenant: &str) -> u64 {
         let pending = Self::tenant_pending(inner, tenant);
-        let state = inner.tenants.entry(tenant.to_string()).or_default().state;
+        let gate = inner.tenants.entry(tenant.to_string()).or_default();
         self.registry
             .gauge(&format!("tenant.{tenant}.server.breaker_state"))
-            .set(state.gauge_value());
+            .set(gate.breaker.state().gauge_value());
         self.registry
             .gauge(&format!("tenant.{tenant}.server.queue_depth"))
             .set(pending as f64);
@@ -909,17 +874,7 @@ impl Daemon {
             None => {
                 // An accepted observe is a success signal for the breaker.
                 let gate = inner.tenants.get_mut(&key.tenant).expect("admitted");
-                match gate.state {
-                    GateState::Closed => gate.consecutive_overflows = 0,
-                    GateState::HalfOpen => {
-                        gate.half_open_successes += 1;
-                        if gate.half_open_successes >= self.config.breaker.half_open_successes {
-                            gate.state = GateState::Closed;
-                            gate.consecutive_overflows = 0;
-                        }
-                    }
-                    GateState::Open => {}
-                }
+                gate.breaker.record_success(&self.config.breaker);
                 let mut r = Response::ok();
                 r.batches_seen = Some(applied.batches_seen);
                 r
@@ -961,25 +916,19 @@ impl Daemon {
         let key = op.key().clone();
         let chunk = matches!(op, JournalOp::ObserveChunk { .. });
         let gate = inner.tenants.entry(key.tenant.clone()).or_default();
-        if gate.state == GateState::Open {
-            let elapsed = now.saturating_sub(gate.opened_at_nanos);
-            if elapsed < self.config.breaker.cooldown_nanos {
-                let retry = self.config.breaker.cooldown_nanos - elapsed;
-                gate.sheds += 1;
-                let reason = format!(
-                    "tenant '{}' circuit open: observe shed, retry in {retry} virtual ns",
-                    key.tenant
-                );
-                let shed = Response::shed(retry, reason.clone());
-                let op = if chunk {
-                    JournalOp::AbandonWindow { key, reason }
-                } else {
-                    JournalOp::ObserveDegraded { key, reason }
-                };
-                return (op, Some(shed));
-            }
-            gate.state = GateState::HalfOpen;
-            gate.half_open_successes = 0;
+        if let Err(retry) = gate.breaker.admit(now, &self.config.breaker) {
+            gate.sheds += 1;
+            let reason = format!(
+                "tenant '{}' circuit open: observe shed, retry in {retry} virtual ns",
+                key.tenant
+            );
+            let shed = Response::shed(retry, reason.clone());
+            let op = if chunk {
+                JournalOp::AbandonWindow { key, reason }
+            } else {
+                JournalOp::ObserveDegraded { key, reason }
+            };
+            return (op, Some(shed));
         }
         if !chunk {
             return (op, None);
@@ -990,22 +939,8 @@ impl Daemon {
         }
         let gate = inner.tenants.get_mut(&key.tenant).expect("created above");
         gate.sheds += 1;
-        match gate.state {
-            GateState::Closed => {
-                gate.consecutive_overflows += 1;
-                if gate.consecutive_overflows >= self.config.breaker.failure_threshold {
-                    gate.state = GateState::Open;
-                    gate.opened_at_nanos = now;
-                }
-            }
-            GateState::HalfOpen => {
-                // A failed probe re-opens immediately.
-                gate.state = GateState::Open;
-                gate.opened_at_nanos = now;
-            }
-            GateState::Open => {}
-        }
-        let retry = self.retry_after(&key.tenant, gate.consecutive_overflows, gate.sheds);
+        gate.breaker.record_failure(now, &self.config.breaker);
+        let retry = self.retry_after(&key.tenant, gate.breaker.consecutive_failures(), gate.sheds);
         let reason = format!(
             "tenant '{}' over its in-flight chunk budget ({pending}/{}): chunk shed",
             key.tenant, self.config.queue_capacity
@@ -1309,6 +1244,106 @@ mod tests {
             assert_eq!(daemon.tenant_circuit("noisy"), expected);
         }
         assert!(chunk(&daemon).is_ok());
+    }
+
+    /// Golden admission sequence: every response of a scripted stream that
+    /// walks the tenant breaker through each transition — overflows until
+    /// it trips, sheds during the cooldown, a half-open probe success, a
+    /// probe failure that re-opens, then closing — pinned field by field.
+    #[test]
+    fn admission_walks_every_breaker_transition_golden() {
+        let daemon = Daemon::new(DaemonConfig {
+            queue_capacity: 1,
+            breaker: BreakerConfig {
+                failure_threshold: 2,
+                cooldown_nanos: 3_000_000, // three request ticks
+                half_open_successes: 2,
+            },
+            ..DaemonConfig::default()
+        });
+        let k = key("golden");
+        register(&daemon, &k, artifact());
+        let script = [
+            "chunk", "chunk", "chunk", "chunk", "estimate", "finish", "chunk", "chunk", "estimate",
+            "finish", "estimate", "estimate", "chunk", "chunk", "finish",
+        ];
+        let observed: Vec<String> = script
+            .iter()
+            .map(|&step| {
+                let mut req =
+                    Request::targeted(if step == "finish" { step } else { "observe" }, &k);
+                match step {
+                    "chunk" => req.chunk = Some(chunk_rows(4)),
+                    "estimate" => req.estimate = Some(0.8),
+                    _ => {}
+                }
+                let r = daemon.handle_request(req);
+                format!(
+                    "{step} {} {:?} {:?} {:?} {:?}",
+                    r.status,
+                    r.retry_after_nanos,
+                    r.message,
+                    r.pending_chunks,
+                    daemon.tenant_circuit("golden"),
+                )
+            })
+            .collect();
+        let expected = [
+            r#"chunk ok None None Some(1) Closed"#,
+            r#"chunk shed Some(13235667) Some("tenant 'golden' over its in-flight chunk budget (1/1): chunk shed") Some(1) Closed"#,
+            r#"chunk shed Some(15361655) Some("tenant 'golden' over its in-flight chunk budget (1/1): chunk shed") Some(1) Open"#,
+            r#"chunk shed Some(2000000) Some("tenant 'golden' circuit open: observe shed, retry in 2000000 virtual ns") Some(1) Open"#,
+            r#"estimate shed Some(1000000) Some("tenant 'golden' circuit open: observe shed, retry in 1000000 virtual ns") Some(1) Open"#,
+            r#"finish ok None None Some(0) Open"#,
+            r#"chunk ok None None Some(1) HalfOpen"#,
+            r#"chunk shed Some(24756005) Some("tenant 'golden' over its in-flight chunk budget (1/1): chunk shed") Some(1) Open"#,
+            r#"estimate shed Some(2000000) Some("tenant 'golden' circuit open: observe shed, retry in 2000000 virtual ns") Some(1) Open"#,
+            r#"finish ok None None Some(0) Open"#,
+            r#"estimate ok None None Some(0) HalfOpen"#,
+            r#"estimate ok None None Some(0) Closed"#,
+            r#"chunk ok None None Some(1) Closed"#,
+            r#"chunk shed Some(11735855) Some("tenant 'golden' over its in-flight chunk budget (1/1): chunk shed") Some(1) Closed"#,
+            r#"finish ok None None Some(0) Closed"#,
+        ];
+        assert_eq!(observed, expected);
+    }
+
+    #[test]
+    fn v1_artifacts_register_and_unknown_snapshot_versions_are_rejected() {
+        // A version-1 predictor recorded no class count: the daemon takes
+        // it from the feature dimensionality.
+        let mut legacy = artifact();
+        legacy.predictor.version = 1;
+        legacy.predictor.n_classes = None;
+        legacy.predictor.schema_fingerprint = None;
+        let daemon = Daemon::new(DaemonConfig::default());
+        let k = key("legacy");
+        register(&daemon, &k, legacy);
+        let mut req = Request::targeted("observe", &k);
+        req.chunk = Some(chunk_rows(4));
+        assert!(daemon.handle_request(req).is_ok());
+
+        let dir = std::env::temp_dir().join(format!("lvpd-version-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("registry.json");
+        for version in [0, ARTIFACT_VERSION + 1] {
+            let snapshot = RegistrySnapshot {
+                version,
+                ..daemon.snapshot()
+            };
+            save_json(&snapshot, &path).unwrap();
+            let err = Daemon::with_state_file(DaemonConfig::default(), &path)
+                .err()
+                .expect("unsupported snapshot version must be rejected");
+            assert_eq!(
+                err,
+                format!(
+                    "unsupported registry snapshot version {version} \
+                     (supported: 1..={ARTIFACT_VERSION})"
+                )
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
