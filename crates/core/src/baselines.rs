@@ -14,9 +14,10 @@
 //! Following Rabanser et al., each test compares against α = 0.05 (with
 //! Bonferroni correction across the multiple tests of REL and BBSE).
 
+use crate::features::{FeatureSource, OutputReference};
 use lvp_dataframe::{ColumnType, DataFrame};
 use lvp_models::BlackBoxModel;
-use lvp_stats::{bonferroni_alpha, chi2_test_counts, ks_two_sample};
+use lvp_stats::{bonferroni_alpha, chi2_test_counts, ks_two_sample, TestOutcome};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -141,17 +142,23 @@ impl Baseline for RelationalShiftDetector {
 /// black box model.
 pub struct BbseDetector {
     model: Arc<dyn BlackBoxModel>,
-    test_outputs: lvp_linalg::DenseMatrix,
+    reference: OutputReference,
 }
 
 impl BbseDetector {
     /// Records the model's outputs on the held-out test data.
     pub fn new(model: Arc<dyn BlackBoxModel>, test: &DataFrame) -> Self {
-        let test_outputs = model.predict_proba(test);
-        Self {
-            model,
-            test_outputs,
-        }
+        let reference = OutputReference::from_outputs(&model.predict_proba(test));
+        Self { model, reference }
+    }
+
+    /// The per-class KS outcomes of the serving batch's outputs against
+    /// the retained test-time outputs.
+    pub(crate) fn per_class_ks(&self, serving: &DataFrame) -> Vec<TestOutcome> {
+        let proba = self.model.predict_proba(serving);
+        self.reference
+            .ks(&FeatureSource::Exact(&proba))
+            .expect("the model's outputs match its retained class count")
     }
 }
 
@@ -161,13 +168,9 @@ impl Baseline for BbseDetector {
     }
 
     fn detects_shift(&self, serving: &DataFrame) -> bool {
-        let proba = self.model.predict_proba(serving);
-        let alpha = bonferroni_alpha(ALPHA, proba.cols());
-        (0..proba.cols()).any(|class| {
-            let a = self.test_outputs.column(class);
-            let b = proba.column(class);
-            ks_two_sample(&a, &b).rejects_at(alpha)
-        })
+        let outcomes = self.per_class_ks(serving);
+        let alpha = bonferroni_alpha(ALPHA, outcomes.len());
+        outcomes.iter().any(|outcome| outcome.rejects_at(alpha))
     }
 }
 

@@ -20,7 +20,7 @@
 use crate::CoreError;
 use lvp_linalg::DenseMatrix;
 use lvp_stats::{
-    ks_two_sample, EcdfSketch, PercentileScratch, QuantileSketch, DEFAULT_SKETCH_BINS,
+    ks_two_sample, EcdfSketch, PercentileScratch, QuantileSketch, TestOutcome, DEFAULT_SKETCH_BINS,
     VIGINTILE_COUNT, VIGINTILE_GRID,
 };
 use serde::{Deserialize, Serialize};
@@ -78,18 +78,13 @@ impl BatchSketch {
     /// An empty sketch for `n_classes` probability columns, over the unit
     /// range with [`DEFAULT_SKETCH_BINS`] bins per class.
     pub fn new(n_classes: usize) -> Self {
-        Self::with_bins(n_classes, DEFAULT_SKETCH_BINS)
-    }
-
-    /// An empty sketch with an explicit per-class bin count (featurization
-    /// error scales as `1 / bins`; memory as `O(bins)`).
-    pub fn with_bins(n_classes: usize, bins: usize) -> Self {
+        let (lo, hi, bins) = UNIT_GRID;
         Self {
             quantiles: (0..n_classes)
-                .map(|_| QuantileSketch::new(0.0, 1.0, bins))
+                .map(|_| QuantileSketch::new(lo, hi, bins))
                 .collect(),
             ecdfs: (0..n_classes)
-                .map(|_| EcdfSketch::new(0.0, 1.0, bins))
+                .map(|_| EcdfSketch::new(lo, hi, bins))
                 .collect(),
             rows: 0,
             chunks: 0,
@@ -98,7 +93,7 @@ impl BatchSketch {
     }
 
     /// Builds the sketch of a fully materialized output matrix in one
-    /// call (used to sketch retained reference outputs).
+    /// call.
     pub fn from_outputs(proba: &DenseMatrix) -> Self {
         let mut s = Self::new(proba.cols());
         s.observe_chunk(proba)
@@ -165,6 +160,23 @@ impl BatchSketch {
         features
     }
 
+    /// Rejects loaded sketch state that does not track `n_classes`
+    /// classes with consistent sketches on the unit grid.
+    pub(crate) fn check_shape(&self, n_classes: usize) -> Result<(), CoreError> {
+        check_unit_grid(
+            "quantile",
+            n_classes,
+            self.quantiles
+                .iter()
+                .map(|q| (q.check_consistent(), q.grid())),
+        )?;
+        check_unit_grid(
+            "window ECDF",
+            n_classes,
+            self.ecdfs.iter().map(|e| (e.check_consistent(), e.grid())),
+        )
+    }
+
     /// Per-class compressed ECDFs (KS / drift feature support).
     pub fn ecdfs(&self) -> &[EcdfSketch] {
         &self.ecdfs
@@ -217,9 +229,9 @@ impl BatchSketch {
 
 /// One serving batch's output distribution, backed by either source.
 ///
-/// The featurization spine (`featurize_source`) is written against this
-/// enum, so the predictor, validator, and monitor run identically off a
-/// materialized matrix (exact oracle) or streaming sketch state.
+/// The predictor, validator, and monitor are written against this enum, so
+/// they run identically off a materialized matrix (exact oracle) or
+/// streaming sketch state.
 pub enum FeatureSource<'a> {
     /// Fully materialized model outputs — the exact path.
     Exact(&'a DenseMatrix),
@@ -260,83 +272,120 @@ impl FeatureSource<'_> {
     }
 }
 
-/// Reference output distributions the KS features compare a batch against.
-pub(crate) enum KsReference<'a> {
-    /// KS features disabled.
-    None,
-    /// Retained per-class test-time output columns — the exact path.
-    Exact(&'a [Vec<f64>]),
-    /// Compressed per-class ECDFs of the test-time outputs.
-    Sketched(&'a [EcdfSketch]),
-}
+/// The grid every sketch runs on: the unit probability range with
+/// [`DEFAULT_SKETCH_BINS`] bins. Sketches are only comparable and mergeable
+/// on one grid, so loaded sketch state must sit on it.
+const UNIT_GRID: (f64, f64, usize) = (0.0, 1.0, DEFAULT_SKETCH_BINS);
 
-impl KsReference<'_> {
-    fn n_classes(&self) -> Option<usize> {
-        match self {
-            KsReference::None => None,
-            KsReference::Exact(cols) => Some(cols.len()),
-            KsReference::Sketched(ecdfs) => Some(ecdfs.len()),
-        }
-    }
-}
-
-/// Featurizes one batch of model outputs from either source: percentile
-/// statistics plus, when a reference is given, per-class KS statistic and
-/// p-value against the retained test-time output distributions.
-///
-/// The exact/exact combination reproduces the original
-/// `ks_two_sample`-on-columns path bit-for-bit; sketched combinations run
-/// the KS test on compressed ECDFs (an exact-source batch is sketched on
-/// the fly when the reference is sketched, so both sides quantize
-/// identically). A class-count mismatch between source and reference is
-/// rejected outright — truncating or padding the KS loop would shift every
-/// downstream feature index and the meta-model would silently consume
-/// garbage.
-pub(crate) fn featurize_source(
-    source: &FeatureSource<'_>,
-    reference: &KsReference<'_>,
-) -> Result<Vec<f64>, CoreError> {
-    let mut f = source.percentile_features();
-    let Some(ref_classes) = reference.n_classes() else {
-        return Ok(f);
-    };
-    if ref_classes != source.n_classes() {
+/// Rejects `what` unless it holds one sketch per class, each consistent
+/// and on the [`UNIT_GRID`]. `sketches` yields each sketch's
+/// `check_consistent` outcome and grid.
+fn check_unit_grid(
+    what: &str,
+    n_classes: usize,
+    sketches: impl ExactSizeIterator<Item = (Result<(), String>, (f64, f64, usize))>,
+) -> Result<(), CoreError> {
+    if sketches.len() != n_classes {
         return Err(CoreError::new(format!(
-            "output batch has {} class columns but the validator retained \
-             test outputs for {ref_classes} classes",
-            source.n_classes()
+            "{what} holds {} sketches but the model has {n_classes} classes",
+            sketches.len()
         )));
     }
-    for class in 0..ref_classes {
-        let outcome = match (source, reference) {
-            (FeatureSource::Exact(proba), KsReference::Exact(cols)) => {
-                ks_two_sample(&proba.column(class), &cols[class])
-            }
-            (FeatureSource::Sketched(sketch), KsReference::Sketched(ecdfs)) => sketch.ecdfs()
-                [class]
-                .ks_test(&ecdfs[class])
-                .map_err(|e| CoreError::with_source("ks over sketched reference", e))?,
-            (FeatureSource::Exact(proba), KsReference::Sketched(ecdfs)) => {
-                let (lo, hi, bins) = ecdfs[class].grid();
-                let mut serving = EcdfSketch::new(lo, hi, bins);
-                serving.extend(proba.column_iter(class));
-                serving
-                    .ks_test(&ecdfs[class])
-                    .map_err(|e| CoreError::with_source("ks over sketched reference", e))?
-            }
-            (FeatureSource::Sketched(sketch), KsReference::Exact(cols)) => {
-                let (lo, hi, bins) = sketch.ecdfs()[class].grid();
-                let reference = EcdfSketch::from_values(&cols[class], lo, hi, bins);
-                sketch.ecdfs()[class]
-                    .ks_test(&reference)
-                    .map_err(|e| CoreError::with_source("ks over sketched batch", e))?
-            }
-            (_, KsReference::None) => unreachable!("handled above"),
-        };
-        f.push(outcome.statistic);
-        f.push(outcome.p_value);
+    for (consistent, grid) in sketches {
+        consistent.map_err(|e| CoreError::new(format!("{what} sketch is inconsistent: {e}")))?;
+        if grid != UNIT_GRID {
+            return Err(CoreError::new(format!(
+                "{what} sketch grid {grid:?} is not the unit grid {UNIT_GRID:?}"
+            )));
+        }
     }
-    Ok(f)
+    Ok(())
+}
+
+/// The black box's per-class outputs on the reference (held-out test)
+/// data: what every output KS test — the validator's KS features, the
+/// monitor's drift telemetry, BBSE — compares a serving batch against.
+///
+/// It always holds the per-class ECDF sketches on the [`UNIT_GRID`], and
+/// the exact columns when they are materialized (they are not after a
+/// monitor restore: monitor artifacts persist only the sketches).
+pub(crate) struct OutputReference {
+    columns: Option<Vec<Vec<f64>>>,
+    ecdfs: Vec<EcdfSketch>,
+}
+
+impl OutputReference {
+    /// Retains materialized per-class output columns and sketches them.
+    pub(crate) fn from_columns(columns: Vec<Vec<f64>>) -> Self {
+        let (lo, hi, bins) = UNIT_GRID;
+        let ecdfs = columns
+            .iter()
+            .map(|col| EcdfSketch::from_values(col, lo, hi, bins))
+            .collect();
+        Self {
+            columns: Some(columns),
+            ecdfs,
+        }
+    }
+
+    /// Retains a materialized output matrix, column by column.
+    pub(crate) fn from_outputs(proba: &DenseMatrix) -> Self {
+        Self::from_columns((0..proba.cols()).map(|c| proba.column(c)).collect())
+    }
+
+    /// Loaded reference state: `ecdfs` must hold one unit-grid sketch per
+    /// class of an `n_classes` model (the caller checks `columns`, when
+    /// present, against the model).
+    pub(crate) fn new(
+        columns: Option<Vec<Vec<f64>>>,
+        ecdfs: Vec<EcdfSketch>,
+        n_classes: usize,
+    ) -> Result<Self, CoreError> {
+        check_unit_grid(
+            "reference ECDF",
+            n_classes,
+            ecdfs.iter().map(|e| (e.check_consistent(), e.grid())),
+        )?;
+        Ok(Self { columns, ecdfs })
+    }
+
+    /// The exact per-class columns, when materialized.
+    pub(crate) fn columns(&self) -> Option<&[Vec<f64>]> {
+        self.columns.as_deref()
+    }
+
+    /// The per-class ECDF sketches.
+    pub(crate) fn ecdfs(&self) -> &[EcdfSketch] {
+        &self.ecdfs
+    }
+
+    /// Per-class two-sample KS outcomes of `source` against the reference.
+    /// An exact source is tested against the columns, a sketched one
+    /// sketch-to-sketch; an exact source against a sketch-only reference
+    /// yields no outcomes (no drift evidence). A class-count mismatch is
+    /// rejected: truncating the per-class list would shift every
+    /// downstream feature index.
+    pub(crate) fn ks(&self, source: &FeatureSource<'_>) -> Result<Vec<TestOutcome>, CoreError> {
+        source.check_classes(self.ecdfs.len(), "output reference")?;
+        match (source, &self.columns) {
+            (FeatureSource::Exact(proba), Some(columns)) => Ok(columns
+                .iter()
+                .enumerate()
+                .map(|(class, col)| ks_two_sample(&proba.column(class), col))
+                .collect()),
+            (FeatureSource::Exact(_), None) => Ok(Vec::new()),
+            (FeatureSource::Sketched(sketch), _) => sketch
+                .ecdfs()
+                .iter()
+                .zip(&self.ecdfs)
+                .map(|(serving, reference)| {
+                    serving
+                        .ks_test(reference)
+                        .map_err(|e| CoreError::with_source("sketched KS test", e))
+                })
+                .collect(),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -92,12 +92,7 @@ impl ScoreInterval {
     /// `lo ≤ point ≤ hi`, or all three are NaN (a degraded interval);
     /// `alpha` must be finite and in `(0, 1)` either way.
     pub fn validate(&self) -> Result<(), CoreError> {
-        if !(self.alpha.is_finite() && 0.0 < self.alpha && self.alpha < 1.0) {
-            return Err(CoreError::new(format!(
-                "interval alpha must lie in (0, 1), got {}",
-                self.alpha
-            )));
-        }
+        check_interval_alpha(self.alpha)?;
         if self.is_degraded() {
             return Ok(());
         }
@@ -117,6 +112,18 @@ impl ScoreInterval {
         }
         Ok(())
     }
+}
+
+/// Rejects a miscoverage rate `alpha` outside `(0, 1)` (non-finite
+/// included) — the one check behind fitting, artifact loading and
+/// externally supplied intervals.
+pub(crate) fn check_interval_alpha(alpha: f64) -> Result<(), CoreError> {
+    if alpha.is_finite() && 0.0 < alpha && alpha < 1.0 {
+        return Ok(());
+    }
+    Err(CoreError::new(format!(
+        "interval_alpha must lie in (0, 1), got {alpha}"
+    )))
 }
 
 /// The split-conformal half-width at miscoverage `alpha` from a sorted

@@ -18,12 +18,11 @@
 //! that is bit-identical to what a single stream over all rows would have
 //! produced.
 
-use crate::features::{BatchSketch, FeatureSource};
+use crate::features::{BatchSketch, FeatureSource, OutputReference};
 use crate::interval::ScoreInterval;
 use crate::{CoreError, PerformancePredictor};
 use lvp_dataframe::DataFrame;
 use lvp_linalg::DenseMatrix;
-use lvp_stats::{ks_two_sample, EcdfSketch};
 use lvp_telemetry::{Counter, Gauge, Histogram, Registry};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -186,34 +185,32 @@ enum Evidence {
 /// Tracks estimated scores across a stream of serving batches and raises
 /// debounced alarms on sustained drops.
 pub struct BatchMonitor {
-    predictor: PerformancePredictor,
-    policy: MonitorPolicy,
+    pub(crate) predictor: PerformancePredictor,
+    pub(crate) policy: MonitorPolicy,
     history: Vec<BatchReport>,
     /// Oldest reports are dropped once `history` exceeds this bound;
     /// `None` keeps everything (library default — long-running daemons set
     /// a bound so an unbounded report stream cannot exhaust memory).
     history_limit: Option<usize>,
-    smoothed: Option<f64>,
-    violation_streak: usize,
+    pub(crate) smoothed: Option<f64>,
+    pub(crate) violation_streak: usize,
     /// Total batches observed, including ones observed before a restart
     /// (restored from a [`MonitorArtifact`](crate::MonitorArtifact));
     /// `history` only holds this process's reports.
-    batches_seen: usize,
+    pub(crate) batches_seen: usize,
     /// Model outputs on the reference (held-out test) frame, retained for
     /// per-class drift tests. `None` until
-    /// [`Self::retain_reference_outputs`] is called (and after a restore —
-    /// artifacts do not persist output matrices).
-    reference_outputs: Option<DenseMatrix>,
-    /// Compressed ECDFs of the reference outputs — the sketched-path drift
-    /// reference. Unlike the raw matrix these *do* survive a restore (they
-    /// travel in the [`MonitorArtifact`](crate::MonitorArtifact)).
-    reference_ecdf: Option<Vec<EcdfSketch>>,
+    /// [`Self::retain_reference_outputs`] is called. A restore carries the
+    /// ECDF sketches over (they travel in the
+    /// [`MonitorArtifact`](crate::MonitorArtifact)) but not the exact
+    /// columns, so only sketched batches are drift-tested after one.
+    pub(crate) reference: Option<OutputReference>,
     /// The currently open streaming window, `None` between windows.
-    window: Option<BatchSketch>,
+    pub(crate) window: Option<BatchSketch>,
     /// Set when a chunk of the open window failed to score terminally; the
     /// window then finishes as a degraded report instead of an estimate
     /// computed from a sketch with silently missing rows.
-    window_degraded: Option<String>,
+    pub(crate) window_degraded: Option<String>,
     metrics: Option<MonitorMetrics>,
 }
 
@@ -272,8 +269,7 @@ impl BatchMonitor {
             smoothed: None,
             violation_streak: 0,
             batches_seen: 0,
-            reference_outputs: None,
-            reference_ecdf: None,
+            reference: None,
             window: None,
             window_degraded: None,
             metrics: None,
@@ -338,8 +334,7 @@ impl BatchMonitor {
     /// results to [`BatchReport::telemetry`].
     pub fn retain_reference_outputs(&mut self, reference: &DataFrame) -> Result<(), CoreError> {
         let outputs = self.predictor.model_outputs(reference)?;
-        self.reference_ecdf = Some(BatchSketch::from_outputs(&outputs).ecdfs().to_vec());
-        self.reference_outputs = Some(outputs);
+        self.reference = Some(OutputReference::from_outputs(&outputs));
         Ok(())
     }
 
@@ -371,27 +366,7 @@ impl BatchMonitor {
     /// reaches the monitor) and updates the alarm state. Runs the
     /// per-class drift tests when reference outputs are retained.
     pub fn observe_outputs(&mut self, proba: &DenseMatrix) -> Result<BatchReport, CoreError> {
-        let interval = self
-            .predictor
-            .predict_source(&FeatureSource::Exact(proba))?;
-        let per_class_ks = self.drift_against_reference(proba);
-        Ok(self.record(Evidence::Scored(interval, per_class_ks)))
-    }
-
-    fn drift_against_reference(&self, proba: &DenseMatrix) -> Vec<ClassDrift> {
-        match &self.reference_outputs {
-            Some(reference) => (0..proba.cols().min(reference.cols()))
-                .map(|class| {
-                    let outcome = ks_two_sample(&proba.column(class), &reference.column(class));
-                    ClassDrift {
-                        class,
-                        statistic: outcome.statistic,
-                        p_value: outcome.p_value,
-                    }
-                })
-                .collect(),
-            None => Vec::new(),
-        }
+        self.report_source(&FeatureSource::Exact(proba))
     }
 
     /// Records a batch that was lost before it could be scored — shed by
@@ -535,7 +510,7 @@ impl BatchMonitor {
         if let Some(reason) = self.window_degraded.take() {
             return Ok(self.record(Evidence::Degraded(reason)));
         }
-        self.report_sketch(&window)
+        self.report_source(&FeatureSource::Sketched(&window))
     }
 
     /// Folds the window sketches of N independent shards into one
@@ -560,7 +535,7 @@ impl BatchMonitor {
         if let Some(m) = &self.metrics {
             m.sketch_merges.add(shards.len() as u64);
         }
-        self.report_sketch(&merged)
+        self.report_source(&FeatureSource::Sketched(&merged))
     }
 
     /// Exports (and closes) the open streaming window as a [`ShardWindow`]
@@ -603,13 +578,14 @@ impl BatchMonitor {
         for shard in &shards[1..] {
             merged.merge(&shard.sketch)?;
         }
-        self.report_sketch(&merged)
+        self.report_source(&FeatureSource::Sketched(&merged))
     }
 
-    /// Shared tail of the streaming paths: estimate from sketch state,
-    /// sketched per-class drift tests, alarm-state update.
-    fn report_sketch(&mut self, sketch: &BatchSketch) -> Result<BatchReport, CoreError> {
-        if sketch.rows() == 0 {
+    /// Shared tail of every scoring path: interval estimate, per-class
+    /// drift tests against the reference (when retained), alarm-state
+    /// update.
+    fn report_source(&mut self, source: &FeatureSource<'_>) -> Result<BatchReport, CoreError> {
+        if matches!(source, FeatureSource::Sketched(sketch) if sketch.rows() == 0) {
             // Zero observed rows means every feature is the sketch's
             // empty-state neutral value; scoring it would fabricate a
             // batch out of nothing.
@@ -617,28 +593,20 @@ impl BatchMonitor {
                 "cannot score a sketch with zero observed rows",
             ));
         }
-        let interval = self
-            .predictor
-            .predict_source(&FeatureSource::Sketched(sketch))?;
-        let per_class_ks = match &self.reference_ecdf {
-            Some(reference) => sketch
-                .ecdfs()
-                .iter()
-                .zip(reference)
-                .enumerate()
-                .map(|(class, (serving, reference))| {
-                    let outcome = serving
-                        .ks_test(reference)
-                        .map_err(|e| CoreError::with_source("sketched drift test", e))?;
-                    Ok(ClassDrift {
-                        class,
-                        statistic: outcome.statistic,
-                        p_value: outcome.p_value,
-                    })
-                })
-                .collect::<Result<Vec<_>, CoreError>>()?,
+        let interval = self.predictor.predict_source(source)?;
+        let outcomes = match &self.reference {
+            Some(reference) => reference.ks(source)?,
             None => Vec::new(),
         };
+        let per_class_ks = outcomes
+            .into_iter()
+            .enumerate()
+            .map(|(class, outcome)| ClassDrift {
+                class,
+                statistic: outcome.statistic,
+                p_value: outcome.p_value,
+            })
+            .collect();
         Ok(self.record(Evidence::Scored(interval, per_class_ks)))
     }
 
@@ -650,11 +618,6 @@ impl BatchMonitor {
     /// Why the open window is poisoned, if it is.
     pub fn window_degraded(&self) -> Option<&str> {
         self.window_degraded.as_deref()
-    }
-
-    /// The compressed reference ECDFs, when retained.
-    pub fn reference_ecdf(&self) -> Option<&[EcdfSketch]> {
-        self.reference_ecdf.as_deref()
     }
 
     /// Folds one batch's evidence into the alarm state and history. The
@@ -822,31 +785,6 @@ impl BatchMonitor {
         self.batches_seen = 0;
         self.window = None;
         self.window_degraded = None;
-    }
-
-    /// Reassembles a monitor from persisted state (persistence support).
-    /// The open streaming window (if any) carries over bit-identically, so
-    /// a window that started before a crash finishes with the exact report
-    /// an uninterrupted monitor would have produced.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        predictor: PerformancePredictor,
-        policy: MonitorPolicy,
-        smoothed: Option<f64>,
-        violation_streak: usize,
-        batches_seen: usize,
-        window: Option<BatchSketch>,
-        window_degraded: Option<String>,
-        reference_ecdf: Option<Vec<EcdfSketch>>,
-    ) -> Result<Self, CoreError> {
-        let mut monitor = Self::new(predictor, policy)?;
-        monitor.smoothed = smoothed;
-        monitor.violation_streak = violation_streak;
-        monitor.batches_seen = batches_seen;
-        monitor.window = window;
-        monitor.window_degraded = window_degraded;
-        monitor.reference_ecdf = reference_ecdf;
-        Ok(monitor)
     }
 }
 

@@ -23,8 +23,8 @@
 //!
 //! [`Schema::fingerprint`]: lvp_dataframe::Schema::fingerprint
 
-use crate::features::BatchSketch;
-use crate::validator::sketch_test_columns;
+use crate::features::{BatchSketch, OutputReference};
+use crate::interval::check_interval_alpha;
 use crate::PerformanceValidator;
 use crate::{BatchMonitor, CoreError, CoreErrorKind, Metric, MonitorPolicy, PerformancePredictor};
 use lvp_models::forest::RandomForestRegressor;
@@ -357,14 +357,14 @@ impl PerformancePredictor {
     pub fn to_artifact(&self) -> PredictorArtifact {
         PredictorArtifact {
             version: ARTIFACT_VERSION,
-            regressor: self.regressor_clone(),
-            metric: self.metric().into(),
-            test_score: self.test_score(),
-            n_feature_dims: self.feature_dims(),
-            n_classes: Some(self.n_classes()),
-            schema_fingerprint: self.schema_fingerprint(),
-            interval_alpha: Some(self.interval_alpha()),
-            calibration_residuals: self.calibration_residuals().map(<[f64]>::to_vec),
+            regressor: self.regressor.clone(),
+            metric: self.metric.into(),
+            test_score: self.test_score,
+            n_feature_dims: self.n_feature_dims,
+            n_classes: Some(self.n_classes),
+            schema_fingerprint: self.schema_fingerprint,
+            interval_alpha: Some(self.interval_alpha),
+            calibration_residuals: self.calibration.clone(),
         }
     }
 
@@ -384,6 +384,11 @@ impl PerformancePredictor {
                 artifact.n_feature_dims, expected
             )));
         }
+        // Pre-v4 artifacts carry no alpha: they load with the default.
+        let interval_alpha = artifact
+            .interval_alpha
+            .unwrap_or(crate::DEFAULT_INTERVAL_ALPHA);
+        check_interval_alpha(interval_alpha)?;
         // Re-sort defensively (idempotent for artifacts we wrote): the
         // conformal order statistic indexes into a sorted slice, and a
         // hand-edited artifact must not silently mis-calibrate.
@@ -391,18 +396,17 @@ impl PerformancePredictor {
             residuals.sort_by(f64::total_cmp);
             residuals
         });
-        Ok(Self::from_parts(
+        Ok(Self {
+            n_classes: model.n_classes(),
             model,
-            artifact.regressor,
-            artifact.metric.into(),
-            artifact.test_score,
-            artifact.n_feature_dims,
-            artifact.schema_fingerprint,
-            artifact
-                .interval_alpha
-                .unwrap_or(crate::DEFAULT_INTERVAL_ALPHA),
+            regressor: artifact.regressor,
+            metric: artifact.metric.into(),
+            test_score: artifact.test_score,
+            n_feature_dims: artifact.n_feature_dims,
+            schema_fingerprint: artifact.schema_fingerprint,
+            interval_alpha,
             calibration,
-        ))
+        })
     }
 }
 
@@ -441,14 +445,14 @@ impl PerformanceValidator {
     pub fn to_artifact(&self) -> ValidatorArtifact {
         ValidatorArtifact {
             version: ARTIFACT_VERSION,
-            classifier: self.classifier_clone(),
-            test_columns: self.test_columns().to_vec(),
-            test_score: self.test_score(),
-            threshold: self.threshold(),
-            metric: self.metric().into(),
-            use_ks_features: self.use_ks_features(),
-            schema_fingerprint: self.schema_fingerprint(),
-            test_ecdf: Some(self.test_ecdf().to_vec()),
+            classifier: self.classifier.clone(),
+            test_columns: self.reference.columns().unwrap_or_default().to_vec(),
+            test_score: self.test_score,
+            threshold: self.threshold,
+            metric: self.metric.into(),
+            use_ks_features: self.use_ks_features,
+            schema_fingerprint: self.schema_fingerprint,
+            test_ecdf: Some(self.reference.ecdfs().to_vec()),
         }
     }
 
@@ -470,22 +474,24 @@ impl PerformanceValidator {
                 "validator artifact threshold must lie in [0, 1)",
             ));
         }
-        // Pre-v3 artifacts carry no sketches: rebuild them from the
-        // retained columns, a pure function of them.
-        let test_ecdf = artifact
-            .test_ecdf
-            .unwrap_or_else(|| sketch_test_columns(&artifact.test_columns));
-        Ok(Self::from_parts(
+        let reference = match artifact.test_ecdf {
+            Some(ecdfs) => {
+                OutputReference::new(Some(artifact.test_columns), ecdfs, model.n_classes())?
+            }
+            // Pre-v3 artifacts carry no sketches: rebuild them from the
+            // retained columns, a pure function of them.
+            None => OutputReference::from_columns(artifact.test_columns),
+        };
+        Ok(Self {
             model,
-            artifact.classifier,
-            artifact.test_columns,
-            test_ecdf,
-            artifact.test_score,
-            artifact.threshold,
-            artifact.metric.into(),
-            artifact.use_ks_features,
-            artifact.schema_fingerprint,
-        ))
+            classifier: artifact.classifier,
+            reference,
+            test_score: artifact.test_score,
+            threshold: artifact.threshold,
+            metric: artifact.metric.into(),
+            use_ks_features: artifact.use_ks_features,
+            schema_fingerprint: artifact.schema_fingerprint,
+        })
     }
 }
 
@@ -526,13 +532,13 @@ impl BatchMonitor {
     pub fn to_artifact(&self) -> MonitorArtifact {
         MonitorArtifact {
             version: ARTIFACT_VERSION,
-            policy: self.policy(),
-            smoothed: self.smoothed(),
-            violation_streak: self.violation_streak(),
-            batches_seen: self.batches_seen(),
-            window: self.window().cloned(),
-            window_degraded: self.window_degraded().map(str::to_string),
-            reference_ecdf: self.reference_ecdf().map(<[EcdfSketch]>::to_vec),
+            policy: self.policy,
+            smoothed: self.smoothed,
+            violation_streak: self.violation_streak,
+            batches_seen: self.batches_seen,
+            window: self.window.clone(),
+            window_degraded: self.window_degraded.clone(),
+            reference_ecdf: self.reference.as_ref().map(|r| r.ecdfs().to_vec()),
         }
     }
 
@@ -548,16 +554,22 @@ impl BatchMonitor {
         predictor: PerformancePredictor,
     ) -> Result<Self, CoreError> {
         check_version("monitor artifact", artifact.version)?;
-        Self::from_parts(
-            predictor,
-            artifact.policy,
-            artifact.smoothed,
-            artifact.violation_streak,
-            artifact.batches_seen,
-            artifact.window,
-            artifact.window_degraded,
-            artifact.reference_ecdf,
-        )
+        let n_classes = predictor.n_classes();
+        if let Some(window) = &artifact.window {
+            window.check_shape(n_classes)?;
+        }
+        let reference = artifact
+            .reference_ecdf
+            .map(|ecdfs| OutputReference::new(None, ecdfs, n_classes))
+            .transpose()?;
+        let mut monitor = Self::new(predictor, artifact.policy)?;
+        monitor.smoothed = artifact.smoothed;
+        monitor.violation_streak = artifact.violation_streak;
+        monitor.batches_seen = artifact.batches_seen;
+        monitor.window = artifact.window;
+        monitor.window_degraded = artifact.window_degraded;
+        monitor.reference = reference;
+        Ok(monitor)
     }
 }
 
@@ -785,6 +797,27 @@ mod tests {
     }
 
     #[test]
+    fn validator_artifact_rejects_test_ecdfs_off_the_class_count_or_grid() {
+        let (model, test, _) = fitted();
+        let mut rng = StdRng::seed_from_u64(43);
+        let gens = standard_tabular_suite(test.schema());
+        let config = ValidatorConfig::fast(0.05);
+        let validator =
+            PerformanceValidator::fit(Arc::clone(&model), &test, &gens, &config, &mut rng).unwrap();
+        for ecdfs in [
+            vec![EcdfSketch::unit(); 3],
+            vec![EcdfSketch::new(0.0, 1.0, 16); 2],
+        ] {
+            let mut artifact = validator.to_artifact();
+            artifact.test_ecdf = Some(ecdfs);
+            let err = PerformanceValidator::from_artifact(artifact, Arc::clone(&model))
+                .err()
+                .expect("a reference the validator cannot test against loaded");
+            assert!(err.message.contains("reference ECDF"), "{err}");
+        }
+    }
+
+    #[test]
     fn artifact_rejects_unknown_version() {
         let (model, test, _) = fitted();
         let mut rng = StdRng::seed_from_u64(43);
@@ -882,7 +915,7 @@ mod tests {
 
         // The missing sketches were rebuilt from the retained columns —
         // identical to the freshly fitted state.
-        assert_eq!(restored.test_ecdf(), validator.test_ecdf());
+        assert_eq!(restored.reference.ecdfs(), validator.reference.ecdfs());
         let proba = model.predict_proba(&serving);
         assert!(verdicts_identical(&validator, &restored, &proba).unwrap());
         let sketch = crate::BatchSketch::from_outputs(&proba);
@@ -1324,6 +1357,122 @@ mod tests {
         atomic_write_durable(&path, b"second generation").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"second generation");
         std::fs::remove_file(&path).ok();
+    }
+
+    /// `checksum64` of the little-endian bytes of a float sequence.
+    fn float_digest(values: impl IntoIterator<Item = f64>) -> u64 {
+        let bytes: Vec<u8> = values.into_iter().flat_map(f64::to_le_bytes).collect();
+        checksum64(&bytes)
+    }
+
+    /// Pins, by digest, every byte the output KS tests feed: the validator
+    /// artifact and its exact and sketched features, an interval-policy
+    /// deployment with retained reference outputs and an open window, the
+    /// reports (per-class drift included) of an exact batch and a finished
+    /// window, and BBSE's per-class p-values and verdict on a shifted batch.
+    #[test]
+    fn ks_reference_bytes_are_pinned_golden() {
+        let (model, test, serving) = fitted();
+        let proba = model.predict_proba(&serving);
+        let sketch = crate::BatchSketch::from_outputs(&proba);
+        let mut digests = Vec::new();
+
+        let mut rng = StdRng::seed_from_u64(61);
+        let gens = standard_tabular_suite(test.schema());
+        let config = ValidatorConfig::fast(0.08);
+        let validator =
+            PerformanceValidator::fit(Arc::clone(&model), &test, &gens, &config, &mut rng).unwrap();
+        let json = to_json(&validator.to_artifact()).unwrap();
+        digests.push(("validator artifact", checksum64(json.as_bytes())));
+        for (label, source) in [
+            ("validator exact features", FeatureSource::Exact(&proba)),
+            (
+                "validator sketched features",
+                FeatureSource::Sketched(&sketch),
+            ),
+        ] {
+            digests.push((label, float_digest(validator.featurize(&source).unwrap())));
+        }
+
+        let predictor = PerformancePredictor::fit(
+            Arc::clone(&model),
+            &test,
+            &gens,
+            &PredictorConfig::fast(),
+            &mut rng,
+        )
+        .unwrap();
+        let policy = MonitorPolicy::default().with_interval_alarm();
+        let mut monitor = BatchMonitor::new(predictor, policy).unwrap();
+        monitor.retain_reference_outputs(&test).unwrap();
+        let report = monitor.observe_outputs(&proba).unwrap();
+        assert_eq!(report.telemetry.per_class_ks.len(), 2);
+        digests.push((
+            "observe_outputs report",
+            checksum64(to_json(&report).unwrap().as_bytes()),
+        ));
+        let rows: Vec<usize> = (0..proba.rows()).collect();
+        for chunk in rows.chunks(17) {
+            monitor
+                .observe_output_chunk(&proba.select_rows(chunk))
+                .unwrap();
+        }
+        let report = monitor.finish_window().unwrap();
+        assert_eq!(report.telemetry.per_class_ks.len(), 2);
+        digests.push((
+            "finish_window report",
+            checksum64(to_json(&report).unwrap().as_bytes()),
+        ));
+        monitor
+            .observe_output_chunk(&proba.select_rows(&rows[..23]))
+            .unwrap();
+        let json = to_json(&ServingArtifact::from_monitor(&monitor)).unwrap();
+        digests.push(("serving artifact", checksum64(json.as_bytes())));
+        // Restored, the reference is sketch-only: an exact batch reports no
+        // drift, the carried-over window is tested sketch to sketch.
+        let bundle: ServingArtifact = from_json(&json).unwrap();
+        let mut restored = bundle.into_monitor(Arc::clone(&model)).unwrap();
+        let report = restored.observe_outputs(&proba).unwrap();
+        assert!(report.telemetry.per_class_ks.is_empty());
+        digests.push((
+            "restored observe_outputs report",
+            checksum64(to_json(&report).unwrap().as_bytes()),
+        ));
+        let report = restored.finish_window().unwrap();
+        assert_eq!(report.telemetry.per_class_ks.len(), 2);
+        digests.push((
+            "restored finish_window report",
+            checksum64(to_json(&report).unwrap().as_bytes()),
+        ));
+
+        let bbse = crate::BbseDetector::new(Arc::clone(&model), &test);
+        let mut shifted = serving.clone();
+        for row in 0..shifted.n_rows() {
+            shifted.column_mut(1).set_null(row);
+        }
+        let outcomes = bbse.per_class_ks(&shifted);
+        digests.push((
+            "bbse p-values",
+            float_digest(outcomes.iter().map(|o| o.p_value)),
+        ));
+        assert!(crate::Baseline::detects_shift(&bbse, &shifted));
+
+        let observed: Vec<String> = digests
+            .iter()
+            .map(|(label, digest)| format!("{label} {digest:016x}"))
+            .collect();
+        let expected = [
+            "validator artifact 024c5638195fbde4",
+            "validator exact features bf38970fb140aee9",
+            "validator sketched features 2fbd59224975cccb",
+            "observe_outputs report 9f9be4988777be14",
+            "finish_window report 0c874878575f8a25",
+            "serving artifact 997a35e8e0607738",
+            "restored observe_outputs report 3bbfdd4f3d5d58c5",
+            "restored finish_window report 75e1a07b6ea2db93",
+            "bbse p-values 040524c1a8f27453",
+        ];
+        assert_eq!(observed, expected);
     }
 
     #[test]

@@ -2,7 +2,9 @@
 
 use crate::engine::{generate_batches_resilient, GeneratedBatch};
 use crate::features::{prediction_statistics, FeatureSource};
-use crate::interval::{conformal_halfwidth, ScoreInterval, DEFAULT_INTERVAL_ALPHA};
+use crate::interval::{
+    check_interval_alpha, conformal_halfwidth, ScoreInterval, DEFAULT_INTERVAL_ALPHA,
+};
 use crate::{CoreError, Metric};
 use lvp_corruptions::ErrorGen;
 use lvp_dataframe::DataFrame;
@@ -103,24 +105,25 @@ pub struct TrainingExample {
 /// Deployed alongside the model, it estimates the model's score on unseen,
 /// unlabeled serving batches from the distribution of the model's outputs.
 pub struct PerformancePredictor {
-    model: Arc<dyn BlackBoxModel>,
-    regressor: RandomForestRegressor,
-    metric: Metric,
-    test_score: f64,
-    n_feature_dims: usize,
+    pub(crate) model: Arc<dyn BlackBoxModel>,
+    pub(crate) regressor: RandomForestRegressor,
+    pub(crate) metric: Metric,
+    pub(crate) test_score: f64,
+    /// Expected featurization dimensionality (n_classes × 21).
+    pub(crate) n_feature_dims: usize,
     /// Class count the meta-regressor was trained against; serving output
     /// matrices with a different width are rejected.
-    n_classes: usize,
+    pub(crate) n_classes: usize,
     /// Fingerprint of the held-out test frame's schema, when fitting went
     /// through a frame (`None` for `fit_from_examples`, which never sees
     /// one). Serving frames are checked against it before featurization.
-    schema_fingerprint: Option<u64>,
+    pub(crate) schema_fingerprint: Option<u64>,
     /// Miscoverage rate of the predictor's score intervals.
-    interval_alpha: f64,
+    pub(crate) interval_alpha: f64,
     /// Sorted held-out absolute residuals of the split-conformal
     /// calibration slice; `None` when calibration was disabled or the
     /// slice was too small (intervals then carry no conformal widening).
-    calibration: Option<Vec<f64>>,
+    pub(crate) calibration: Option<Vec<f64>>,
 }
 
 /// Minimum held-out examples for conformal calibration: below this the
@@ -233,15 +236,7 @@ impl PerformancePredictor {
         if examples.is_empty() {
             return Err(CoreError::new("no training examples generated"));
         }
-        if !(config.interval_alpha.is_finite()
-            && 0.0 < config.interval_alpha
-            && config.interval_alpha < 1.0)
-        {
-            return Err(CoreError::new(format!(
-                "interval_alpha must lie in (0, 1), got {}",
-                config.interval_alpha
-            )));
-        }
+        check_interval_alpha(config.interval_alpha)?;
         let model_classes = model.n_classes();
         let n_feature_dims = examples[0].features.len();
         let rows: Vec<Vec<f64>> = examples.iter().map(|e| e.features.clone()).collect();
@@ -409,11 +404,6 @@ impl PerformancePredictor {
         self.calibration.as_deref()
     }
 
-    /// Expected featurization dimensionality.
-    pub fn feature_dims(&self) -> usize {
-        self.n_feature_dims
-    }
-
     /// Class count the predictor was fitted against.
     pub fn n_classes(&self) -> usize {
         self.n_classes
@@ -422,36 +412,6 @@ impl PerformancePredictor {
     /// Fingerprint of the fit-time test schema, when known.
     pub fn schema_fingerprint(&self) -> Option<u64> {
         self.schema_fingerprint
-    }
-
-    /// Clones the fitted meta-regressor (persistence support).
-    pub(crate) fn regressor_clone(&self) -> RandomForestRegressor {
-        self.regressor.clone()
-    }
-
-    /// Reassembles a predictor from its parts (persistence support).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        model: Arc<dyn BlackBoxModel>,
-        regressor: RandomForestRegressor,
-        metric: Metric,
-        test_score: f64,
-        n_feature_dims: usize,
-        schema_fingerprint: Option<u64>,
-        interval_alpha: f64,
-        calibration: Option<Vec<f64>>,
-    ) -> Self {
-        Self {
-            n_classes: model.n_classes(),
-            model,
-            regressor,
-            metric,
-            test_score,
-            n_feature_dims,
-            schema_fingerprint,
-            interval_alpha,
-            calibration,
-        }
     }
 }
 

@@ -11,7 +11,7 @@
 //! Lipton et al.).
 
 use crate::engine::generate_batches_resilient;
-use crate::features::{featurize_source, FeatureSource, KsReference};
+use crate::features::{FeatureSource, OutputReference};
 use crate::predictor::checked_outputs;
 use crate::{CoreError, Metric};
 use lvp_corruptions::ErrorGen;
@@ -19,41 +19,24 @@ use lvp_dataframe::DataFrame;
 use lvp_linalg::{CsrMatrix, DenseMatrix};
 use lvp_models::gbdt::{GbdtClassifier, GbdtConfig};
 use lvp_models::{BlackBoxModel, Classifier};
-use lvp_stats::{EcdfSketch, DEFAULT_SKETCH_BINS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
-/// Featurizes one batch of materialized model outputs: percentile
-/// statistics plus, when `test_columns` is given, per-class KS statistic
-/// and p-value against the retained test-time outputs (the exact path of
-/// [`featurize_source`]).
-///
-/// Free function (rather than a method) so the fitting loop can featurize
-/// before the validator exists, and so the per-class test columns are
-/// materialized once instead of on every call.
-fn featurize_outputs(
-    proba: &DenseMatrix,
-    test_columns: Option<&[Vec<f64>]>,
+/// Percentile features of one batch plus, when a `reference` is given,
+/// each class's KS statistic and p-value against it. A free function so the
+/// fitting loop can featurize before the validator exists.
+fn featurize_against(
+    source: &FeatureSource<'_>,
+    reference: Option<&OutputReference>,
 ) -> Result<Vec<f64>, CoreError> {
-    let reference = match test_columns {
-        Some(cols) => KsReference::Exact(cols),
-        None => KsReference::None,
-    };
-    featurize_source(&FeatureSource::Exact(proba), &reference)
-}
-
-/// Compresses the retained per-class test-time output columns into unit
-/// range ECDF sketches — the sketched-path counterpart of `test_columns`.
-///
-/// A pure deterministic function of the columns, so it can be recomputed
-/// when loading artifacts that predate the sketch field and yield the
-/// exact same state a fresh fit would have produced.
-pub(crate) fn sketch_test_columns(test_columns: &[Vec<f64>]) -> Vec<EcdfSketch> {
-    test_columns
-        .iter()
-        .map(|col| EcdfSketch::from_values(col, 0.0, 1.0, DEFAULT_SKETCH_BINS))
-        .collect()
+    let mut f = source.percentile_features();
+    if let Some(reference) = reference {
+        for outcome in reference.ks(source)? {
+            f.extend([outcome.statistic, outcome.p_value]);
+        }
+    }
+    Ok(f)
 }
 
 /// Configuration for fitting a [`PerformanceValidator`].
@@ -124,23 +107,19 @@ pub struct ValidationOutcome {
 /// A learned performance validator for a fixed black box model and quality
 /// threshold.
 pub struct PerformanceValidator {
-    model: Arc<dyn BlackBoxModel>,
-    classifier: GbdtClassifier,
-    /// Per-class test-time output columns, materialized once at fit time —
-    /// the exact-path KS features compare every serving batch against
-    /// these.
-    test_columns: Vec<Vec<f64>>,
-    /// Compressed ECDF sketches of the same test-time outputs — the
-    /// sketched-path KS reference, so validating a streamed batch never
-    /// touches the materialized columns.
-    test_ecdf: Vec<EcdfSketch>,
-    test_score: f64,
-    threshold: f64,
-    metric: Metric,
-    use_ks_features: bool,
+    pub(crate) model: Arc<dyn BlackBoxModel>,
+    pub(crate) classifier: GbdtClassifier,
+    /// The model's test-time outputs, retained at fit time: the KS features
+    /// compare every serving batch against them (exact columns for an
+    /// exact batch, their ECDF sketches for a sketched one).
+    pub(crate) reference: OutputReference,
+    pub(crate) test_score: f64,
+    pub(crate) threshold: f64,
+    pub(crate) metric: Metric,
+    pub(crate) use_ks_features: bool,
     /// Fingerprint of the held-out test frame's schema; serving frames are
     /// checked against it before featurization.
-    schema_fingerprint: Option<u64>,
+    pub(crate) schema_fingerprint: Option<u64>,
 }
 
 impl PerformanceValidator {
@@ -167,10 +146,10 @@ impl PerformanceValidator {
         // batches against them (the "major difference" §3 points out).
         let test_outputs = model.try_predict_proba(test)?;
         let test_score = config.metric.score(&test_outputs, test.labels())?;
-        let test_columns: Vec<Vec<f64>> = (0..test_outputs.cols())
-            .map(|c| test_outputs.column(c))
-            .collect();
-        let ks_columns = config.use_ks_features.then_some(test_columns.as_slice());
+        let reference = OutputReference::from_outputs(&test_outputs);
+        let ks_reference = config.use_ks_features.then_some(&reference);
+        let featurize =
+            |proba: &DenseMatrix| featurize_against(&FeatureSource::Exact(proba), ks_reference);
 
         // Algorithm 1's generation loop with binary labels, fanned out by
         // the deterministic batch engine.
@@ -186,7 +165,7 @@ impl PerformanceValidator {
             1.0,
             None,
             |batch| {
-                let f = featurize_outputs(&batch.proba, ks_columns)
+                let f = featurize(&batch.proba)
                     .expect("fit-time outputs match the fitted model's class count");
                 (
                     f,
@@ -201,7 +180,7 @@ impl PerformanceValidator {
             // Degenerate training set: corruption always (or never) broke
             // the threshold. Inject the clean full-batch case to keep two
             // classes, mirroring p_err = 0.
-            features.push(featurize_outputs(&test_outputs, ks_columns)?);
+            features.push(featurize(&test_outputs)?);
             labels.push(1);
             if labels.iter().all(|&l| l == 1) {
                 // Still degenerate — synthesize a catastrophic case from
@@ -209,7 +188,7 @@ impl PerformanceValidator {
                 let m = model.n_classes();
                 let uniform =
                     DenseMatrix::from_vec(4, m, vec![1.0 / m as f64; 4 * m]).expect("sized");
-                features.push(featurize_outputs(&uniform, ks_columns)?);
+                features.push(featurize(&uniform)?);
                 labels.push(0);
             }
         }
@@ -220,12 +199,10 @@ impl PerformanceValidator {
         );
         let mut gbdt_rng = StdRng::seed_from_u64(rng.gen());
         let classifier = GbdtClassifier::fit(&x, &labels, 2, &config.gbdt, &mut gbdt_rng)?;
-        let test_ecdf = sketch_test_columns(&test_columns);
         Ok(Self {
             model,
             classifier,
-            test_columns,
-            test_ecdf,
+            reference,
             test_score,
             threshold: config.threshold,
             metric: config.metric,
@@ -243,12 +220,7 @@ impl PerformanceValidator {
     /// model's.
     pub fn featurize(&self, source: &FeatureSource<'_>) -> Result<Vec<f64>, CoreError> {
         source.check_classes(self.model.n_classes(), "validator")?;
-        let reference = match source {
-            _ if !self.use_ks_features => KsReference::None,
-            FeatureSource::Exact(_) => KsReference::Exact(&self.test_columns),
-            FeatureSource::Sketched(_) => KsReference::Sketched(&self.test_ecdf),
-        };
-        featurize_source(source, &reference)
+        featurize_against(source, self.use_ks_features.then_some(&self.reference))
     }
 
     /// Decides whether the model's predictions on the serving batch can be
@@ -294,56 +266,9 @@ impl PerformanceValidator {
         self.metric
     }
 
-    /// Whether the KS features against retained test outputs are in use.
-    pub fn use_ks_features(&self) -> bool {
-        self.use_ks_features
-    }
-
     /// Fingerprint of the fit-time test schema, when known.
     pub fn schema_fingerprint(&self) -> Option<u64> {
         self.schema_fingerprint
-    }
-
-    /// The retained per-class test-time output columns (persistence
-    /// support; these are part of the fitted state — see §4).
-    pub(crate) fn test_columns(&self) -> &[Vec<f64>] {
-        &self.test_columns
-    }
-
-    /// The compressed ECDF sketches of the test-time outputs.
-    pub fn test_ecdf(&self) -> &[EcdfSketch] {
-        &self.test_ecdf
-    }
-
-    /// Clones the fitted GBDT classifier (persistence support).
-    pub(crate) fn classifier_clone(&self) -> GbdtClassifier {
-        self.classifier.clone()
-    }
-
-    /// Reassembles a validator from its parts (persistence support).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        model: Arc<dyn BlackBoxModel>,
-        classifier: GbdtClassifier,
-        test_columns: Vec<Vec<f64>>,
-        test_ecdf: Vec<EcdfSketch>,
-        test_score: f64,
-        threshold: f64,
-        metric: Metric,
-        use_ks_features: bool,
-        schema_fingerprint: Option<u64>,
-    ) -> Self {
-        Self {
-            model,
-            classifier,
-            test_columns,
-            test_ecdf,
-            test_score,
-            threshold,
-            metric,
-            use_ks_features,
-            schema_fingerprint,
-        }
     }
 }
 
@@ -543,7 +468,13 @@ mod tests {
     #[test]
     fn test_ecdf_is_a_pure_function_of_the_columns() {
         let (validator, _) = fitted_validator(0.05);
-        let rebuilt = sketch_test_columns(validator.test_columns());
-        assert_eq!(validator.test_ecdf(), rebuilt.as_slice());
+        // The reference sketches equal the ones a serving batch of the same
+        // outputs streams into, so sketched KS tests compare like with like.
+        let columns = validator.reference.columns().unwrap();
+        let rows: Vec<Vec<f64>> = (0..columns[0].len())
+            .map(|r| columns.iter().map(|c| c[r]).collect())
+            .collect();
+        let streamed = BatchSketch::from_outputs(&DenseMatrix::from_rows(&rows).unwrap());
+        assert_eq!(validator.reference.ecdfs(), streamed.ecdfs());
     }
 }

@@ -1,6 +1,9 @@
 //! Tokenization and feature hashing for text attributes.
 
-/// 64-bit FNV-1a hash, the bucket function of the hashing vectorizer.
+/// The bucket function of the hashing vectorizer: FNV-1a's structure and
+/// 64-bit offset basis, but with the multiplier `0x1000_0000_01b3`, not
+/// the FNV prime `0x100_0000_01b3`, so it is not FNV-1a. Its values set
+/// every text hash bucket, so the multiplier stays as it is.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x1000_0000_01b3;
@@ -47,6 +50,14 @@ mod tests {
         assert_ne!(fnv1a64(b"abc"), fnv1a64(b"abd"));
         // Known FNV-1a vector: empty string hashes to the offset basis.
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+    }
+
+    #[test]
+    fn bucket_hash_is_pinned_on_one_byte() {
+        // The empty input hashes to the offset basis under any multiplier;
+        // one byte pins the multiplier. True FNV-1a gives
+        // 0xaf63_dc4c_8601_ec8c here.
+        assert_eq!(fnv1a64(b"a"), 0xaf74_d84c_8601_ec8c);
     }
 
     #[test]

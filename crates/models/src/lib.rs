@@ -209,23 +209,6 @@ pub fn model_accuracy(model: &dyn BlackBoxModel, df: &DataFrame) -> f64 {
     lvp_stats::accuracy(&proba.argmax_rows(), &df.labels_usize())
 }
 
-/// ROC AUC of a binary black box model on labeled data.
-///
-/// The model must output exactly two probability columns; anything else is
-/// rejected rather than silently scoring an arbitrary column.
-pub fn model_auc(model: &dyn BlackBoxModel, df: &DataFrame) -> Result<f64, ModelError> {
-    let proba = model.predict_proba(df);
-    if proba.cols() != 2 {
-        return Err(ModelError::new(format!(
-            "AUC requires a binary model with 2 probability columns, got {}",
-            proba.cols()
-        )));
-    }
-    let scores = proba.column(1);
-    let labels: Vec<bool> = df.labels().iter().map(|&l| l == 1).collect();
-    Ok(lvp_stats::auc_binary(&scores, &labels))
-}
-
 /// One-hot encodes integer labels as an `n × m` indicator matrix.
 pub fn one_hot_labels(labels: &[u32], n_classes: usize) -> DenseMatrix {
     let mut y = DenseMatrix::zeros(labels.len(), n_classes);

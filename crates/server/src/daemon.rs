@@ -323,7 +323,10 @@ pub struct Daemon {
     shutdown: AtomicBool,
 }
 
-/// FNV-1a over a tenant name, for per-tenant jitter derivation.
+/// A hash of a tenant name, for per-tenant jitter derivation: FNV-1a's
+/// structure and offset basis with the multiplier `0x1_0000_01b3` rather
+/// than the FNV prime, so not FNV-1a. It sets every retry-after jitter, so
+/// the multiplier stays as it is.
 fn tenant_hash(tenant: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in tenant.as_bytes() {
@@ -1091,7 +1094,7 @@ impl Daemon {
 mod tests {
     use super::*;
     use crate::protocol::Request;
-    use lvp_core::{MonitorPolicy, PerformancePredictor, PredictorConfig};
+    use lvp_core::{BatchSketch, MonitorPolicy, PerformancePredictor, PredictorConfig};
     use lvp_corruptions::standard_tabular_suite;
     use lvp_dataframe::toy_frame;
     use lvp_models::train_logistic_regression;
@@ -1309,6 +1312,12 @@ mod tests {
     }
 
     #[test]
+    fn tenant_hash_is_pinned_on_one_byte() {
+        // True FNV-1a gives 0xaf63_dc4c_8601_ec8c here.
+        assert_eq!(tenant_hash("a"), 0x1162_bb90_8601_ec8c);
+    }
+
+    #[test]
     fn v1_artifacts_register_and_unknown_snapshot_versions_are_rejected() {
         // A version-1 predictor recorded no class count: the daemon takes
         // it from the feature dimensionality.
@@ -1344,6 +1353,112 @@ mod tests {
             );
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Sends each `register` line to a durable daemon and expects an error
+    /// response naming `needle`. A rejected register must reach neither the
+    /// registry nor the journal, so a recovery afterwards replays nothing
+    /// and reports no op errors.
+    fn assert_registers_rejected(name: &str, lines: &[String], needle: &str) {
+        let dir = std::env::temp_dir().join(format!("lvpd-reject-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let durability = DurabilityConfig::in_dir(&dir);
+        let (daemon, _) = Daemon::recover(DaemonConfig::default(), durability.clone()).unwrap();
+        for line in lines {
+            let resp: Response = serde_json::from_str(&daemon.handle_line(line)).unwrap();
+            assert_eq!(resp.status, "error", "accepted: {:?}", resp.message);
+            let message = resp.message.unwrap();
+            assert!(message.contains(needle), "{message}");
+        }
+        assert!(daemon.snapshot().deployments.is_empty());
+        drop(daemon);
+        let (recovered, report) = Daemon::recover(DaemonConfig::default(), durability).unwrap();
+        assert_eq!(report.journal_bytes, 0, "{}", report.summary());
+        assert_eq!(report.replay_op_errors, 0, "{}", report.summary());
+        assert!(recovered.snapshot().deployments.is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A `register` request line for `artifact`.
+    fn register_line(name: &str, artifact: ServingArtifact) -> String {
+        let mut req = Request::targeted("register", &key(name));
+        req.artifact = Some(artifact);
+        serde_json::to_string(&req).unwrap()
+    }
+
+    /// JSON of `n` empty ECDF sketches on a 16-bin grid, off the unit grid
+    /// every monitor sketches on.
+    fn coarse_ecdfs_json(n: usize) -> String {
+        let one = format!(
+            r#"{{"lo":0.0,"hi":1.0,"counts":{:?},"n":0,"dropped":0}}"#,
+            [0u64; 16]
+        );
+        format!("[{}]", vec![one; n].join(","))
+    }
+
+    #[test]
+    fn register_rejects_an_interval_alpha_outside_the_unit_interval() {
+        let mut lines: Vec<String> = [1.5, -0.5, 0.0, 1.0]
+            .into_iter()
+            .map(|alpha| {
+                let mut a = artifact();
+                a.predictor.interval_alpha = Some(alpha);
+                register_line("alpha", a)
+            })
+            .collect();
+        // The vendored parser reads an overflowing literal as infinity.
+        let line = register_line("alpha", artifact());
+        let needle = r#""interval_alpha":0.1,"#;
+        assert!(line.contains(needle), "{line}");
+        lines.push(line.replace(needle, r#""interval_alpha":1e999,"#));
+        assert_registers_rejected("alpha", &lines, "interval_alpha must lie in (0, 1)");
+    }
+
+    #[test]
+    fn register_rejects_reference_ecdfs_off_the_class_count_or_grid() {
+        let unit = serde_json::to_string(BatchSketch::new(3).ecdfs()).unwrap();
+        let unit2 = serde_json::to_string(BatchSketch::new(2).ecdfs()).unwrap();
+        // An ECDF whose total is not its counts' sum: CDF values above 1.
+        let miscounted = unit2.replacen(r#""n":0,"#, r#""n":5,"#, 1);
+        assert_ne!(miscounted, unit2);
+        let lines: Vec<String> = [coarse_ecdfs_json(2), unit, miscounted]
+            .iter()
+            .map(|ecdfs| {
+                let mut a = artifact();
+                a.monitor.reference_ecdf = Some(serde_json::from_str(ecdfs).unwrap());
+                register_line("reference", a)
+            })
+            .collect();
+        assert_registers_rejected("reference", &lines, "reference ECDF");
+    }
+
+    #[test]
+    fn register_rejects_an_open_window_off_the_class_count_or_grid() {
+        let json = serde_json::to_string(&BatchSketch::new(2)).unwrap();
+        let (head, tail) = json.split_once(r#""ecdfs":"#).unwrap();
+        let rest = &tail[tail.find(r#","rows""#).unwrap()..];
+        let coarse: BatchSketch =
+            serde_json::from_str(&format!(r#"{head}"ecdfs":{}{rest}"#, coarse_ecdfs_json(2)))
+                .unwrap();
+        // A quantile sketch with one bin minimum short: the next chunk would
+        // panic inserting into the last bin. An ECDF whose total is not its
+        // counts' sum.
+        let tampered = |from: &str, to: &str| -> BatchSketch {
+            assert!(json.contains(from), "{from}");
+            serde_json::from_str(&json.replacen(from, to, 1)).unwrap()
+        };
+        let short = tampered(r#""bin_min":[null,"#, r#""bin_min":["#);
+        let miscounted = tampered(r#""n":0,"dropped":0}"#, r#""n":5,"dropped":0}"#);
+        let lines: Vec<String> = [BatchSketch::new(3), coarse, short, miscounted]
+            .into_iter()
+            .map(|window| {
+                let mut a = artifact();
+                a.monitor.window = Some(window);
+                register_line("window", a)
+            })
+            .collect();
+        assert_registers_rejected("window", &lines, "sketch");
     }
 
     #[test]

@@ -85,6 +85,23 @@ fn check_same_grid(
     Ok(())
 }
 
+/// Rejects a grid `insert` cannot bin into and a total `n` that is not the
+/// sum of the bin `counts` — state no sequence of inserts and merges
+/// reaches, which only deserialization can produce.
+fn check_grid_and_total(lo: f64, hi: f64, counts: &[u64], n: u64) -> Result<(), String> {
+    if !(lo.is_finite() && hi.is_finite() && lo < hi) || counts.is_empty() {
+        return Err(format!(
+            "grid [{lo}, {hi}] × {} bins is empty",
+            counts.len()
+        ));
+    }
+    let sum = counts.iter().try_fold(0u64, |acc, &c| acc.checked_add(c));
+    if sum != Some(n) {
+        return Err(format!("total {n} is not the sum of its bin counts"));
+    }
+    Ok(())
+}
+
 /// Bin index of `v` on the grid `[lo, hi]` with `bins` bins; out-of-range
 /// values clamp into the end bins (callers count clamps separately).
 fn bin_of(v: f64, lo: f64, hi: f64, bins: usize) -> usize {
@@ -341,6 +358,33 @@ impl QuantileSketch {
         (self.lo, self.hi, self.counts.len())
     }
 
+    /// Checks that the state (typically deserialized) is one `insert` and
+    /// `merge` can reach: a non-empty grid, minima and maxima for every
+    /// bin, finite ordered extrema exactly on the non-empty bins (`NaN` on
+    /// the empty ones), and a total equal to the bin counts' sum.
+    pub fn check_consistent(&self) -> Result<(), String> {
+        check_grid_and_total(self.lo, self.hi, &self.counts, self.n)?;
+        let bins = self.counts.len();
+        if self.bin_min.len() != bins || self.bin_max.len() != bins {
+            return Err(format!(
+                "{bins} bins but {} minima and {} maxima",
+                self.bin_min.len(),
+                self.bin_max.len()
+            ));
+        }
+        let extrema = self.bin_min.iter().zip(&self.bin_max);
+        for (b, (&c, (&lo, &hi))) in self.counts.iter().zip(extrema).enumerate() {
+            let ok = match c {
+                0 => lo.is_nan() && hi.is_nan(),
+                _ => lo.is_finite() && hi.is_finite() && lo <= hi,
+            };
+            if !ok {
+                return Err(format!("bin {b} holds {c} values but extrema [{lo}, {hi}]"));
+            }
+        }
+        Ok(())
+    }
+
     /// Approximate in-memory footprint in bytes — fixed by the bin count,
     /// independent of how many values streamed through.
     pub fn approx_bytes(&self) -> usize {
@@ -525,6 +569,13 @@ impl EcdfSketch {
         (self.lo, self.hi, self.counts.len())
     }
 
+    /// Checks that the state (typically deserialized) is one `insert` and
+    /// `merge` can reach: a non-empty grid and a total equal to the bin
+    /// counts' sum (otherwise CDF values exceed 1 and p-values are wrong).
+    pub fn check_consistent(&self) -> Result<(), String> {
+        check_grid_and_total(self.lo, self.hi, &self.counts, self.n)
+    }
+
     /// Approximate in-memory footprint in bytes — fixed by the bin count.
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.counts.len() * 8
@@ -703,6 +754,42 @@ mod tests {
         let json = serde_json::to_string(&e).unwrap();
         let back: EcdfSketch = serde_json::from_str(&json).unwrap();
         assert_eq!(back, e);
+    }
+
+    #[test]
+    fn reachable_states_are_consistent_and_tampered_ones_are_not() {
+        let mut q = QuantileSketch::unit();
+        let mut e = EcdfSketch::unit();
+        assert_eq!(q.check_consistent(), Ok(()));
+        assert_eq!(e.check_consistent(), Ok(()));
+        q.extend([0.25, 0.5, f64::NAN, 1.5]);
+        e.extend([0.25, 0.5, f64::NAN, 1.5]);
+        q.merge(&QuantileSketch::unit()).unwrap();
+        e.merge(&e.clone()).unwrap();
+        assert_eq!(q.check_consistent(), Ok(()));
+        assert_eq!(e.check_consistent(), Ok(()));
+
+        let tampered = |json: &str, from: &str, to: &str| {
+            assert!(json.contains(from), "{from} not in {json}");
+            json.replacen(from, to, 1)
+        };
+        let qj = serde_json::to_string(&q).unwrap();
+        for (from, to) in [
+            (r#""bin_min":[null,"#, r#""bin_min":["#),
+            (r#""bin_max":[null,"#, r#""bin_max":[null,null,"#),
+            (r#""bin_min":[null,"#, r#""bin_min":[0.5,"#),
+            (r#""counts":[0,"#, r#""counts":[1,"#),
+            (r#""n":3,"#, r#""n":4,"#),
+            (r#""counts":[0,"#, r#""counts":["#),
+        ] {
+            let bad: QuantileSketch = serde_json::from_str(&tampered(&qj, from, to)).unwrap();
+            assert!(bad.check_consistent().is_err(), "{from} -> {to}");
+        }
+        let ej = serde_json::to_string(&e).unwrap();
+        for (from, to) in [(r#""n":6,"#, r#""n":7,"#), (r#""hi":1,"#, r#""hi":0,"#)] {
+            let bad: EcdfSketch = serde_json::from_str(&tampered(&ej, from, to)).unwrap();
+            assert!(bad.check_consistent().is_err(), "{from} -> {to}");
+        }
     }
 
     #[test]

@@ -1,0 +1,21 @@
+#!/usr/bin/env bash
+# Prints the non-test source lines of each crate: for every `.rs` file under
+# `crates/<name>/src`, the lines before its first `#[cfg(test)]` (all of
+# its lines when it has none), summed per crate, plus the core+server total
+# that the ROADMAP's line budget tracks. Report-only: always exits 0.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+core_server=0
+for dir in crates/*/; do
+    crate=$(basename "$dir")
+    lines=0
+    while IFS= read -r file; do
+        n=$(awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$file")
+        lines=$((lines + n))
+    done < <(find "crates/$crate/src" -name '*.rs' | sort)
+    printf '%-12s %6d\n' "$crate" "$lines"
+    case "$crate" in
+        core | server) core_server=$((core_server + lines)) ;;
+    esac
+done
+printf '%-12s %6d\n' "core+server" "$core_server"
