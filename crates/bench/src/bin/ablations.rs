@@ -11,7 +11,10 @@
 //!
 //! `cargo run --release -p lvp-bench --bin ablations [-- --scale small]`
 
-use lvp_bench::{prepare_split, train_for, write_results, ExperimentEnv, ResultRow, Summary};
+use lvp_bench::{
+    estimate_and_accuracy, prepare_split, train_for, write_results, ExperimentEnv, ResultRow,
+    Summary,
+};
 use lvp_core::{
     generate_batches_resilient, prediction_statistics, Metric, PerformancePredictor,
     PerformanceValidator, PredictorConfig, TrainingExample, ValidatorConfig,
@@ -296,8 +299,8 @@ fn main() {
                 .serving
                 .sample_n(env.scale.serving_batch_rows(), &mut rng);
             let corrupted = mixture.corrupt(&batch, &mut rng);
-            let est = predictor.predict(&corrupted).expect("non-empty");
-            abs_errors.push((est - model_accuracy(data.model.as_ref(), &corrupted)).abs());
+            let (est, truth) = estimate_and_accuracy(&predictor, &corrupted);
+            abs_errors.push((est.point - truth).abs());
         }
         let s = Summary::of(&abs_errors);
         println!("runs={runs:<4} MAE {:.4} (median {:.4})", s.mean, s.median);
@@ -349,8 +352,8 @@ fn main() {
             } else {
                 mixture.corrupt(&batch, &mut rng)
             };
-            let interval = predictor.predict_interval(&batch).expect("non-empty");
-            covered += usize::from(interval.contains(model_accuracy(data.model.as_ref(), &batch)));
+            let (interval, truth) = estimate_and_accuracy(&predictor, &batch);
+            covered += usize::from(interval.contains(truth));
             widths.push(interval.width());
         }
         let coverage = covered as f64 / batches as f64;

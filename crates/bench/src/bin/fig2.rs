@@ -9,7 +9,10 @@
 //!
 //! `cargo run --release -p lvp-bench --bin fig2 [-- --scale small]`
 
-use lvp_bench::{prepare_split, train_for, write_results, ExperimentEnv, ResultRow, Summary};
+use lvp_bench::{
+    estimate_and_accuracy, prepare_split, train_for, write_results, ExperimentEnv, ResultRow,
+    Summary,
+};
 use lvp_core::PerformancePredictor;
 use lvp_corruptions::{
     AdversarialLeetspeak, ErrorGen, ImageNoise, ImageRotation, MissingValues, Outliers, Scaling,
@@ -78,9 +81,8 @@ fn main() {
                         .sample_n(env.scale.serving_batch_rows(), &mut rng);
                     let corrupted =
                         error.corrupt_with_model(&batch, Some(model.as_ref()), &mut rng);
-                    let est = predictor.predict(&corrupted).expect("non-empty batch");
-                    let truth = model_accuracy(model.as_ref(), &corrupted);
-                    abs_errors.push((est - truth).abs());
+                    let (est, truth) = estimate_and_accuracy(&predictor, &corrupted);
+                    abs_errors.push((est.point - truth).abs());
                 }
                 let summary = Summary::of(&abs_errors);
                 println!(

@@ -11,14 +11,17 @@
 //!
 //! `cargo run --release -p lvp-bench --bin fig3 [-- --scale small]`
 
-use lvp_bench::{prepare_split, train_for, write_results, ExperimentEnv, ResultRow, Summary};
+use lvp_bench::{
+    estimate_and_accuracy, prepare_split, train_for, write_results, ExperimentEnv, ResultRow,
+    Summary,
+};
 use lvp_core::{PerformancePredictor, PredictorConfig};
 use lvp_corruptions::{
     CleanCopy, EntropyMissingValues, ErrorGen, MissingValues, Mixture, Outliers, Scaling,
     SwappedColumns,
 };
 use lvp_datasets::DatasetKind;
-use lvp_models::{model_accuracy, BlackBoxModel, ModelKind};
+use lvp_models::{BlackBoxModel, ModelKind};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::sync::Arc;
@@ -116,9 +119,8 @@ fn main() {
                         .sample_n(env.scale.serving_batch_rows(), &mut rng);
                     let corrupted =
                         serve_mix.corrupt_with_model(&batch, Some(model.as_ref()), &mut rng);
-                    let est = predictor.predict(&corrupted).expect("non-empty batch");
-                    let truth = model_accuracy(model.as_ref(), &corrupted);
-                    abs_errors.push((est - truth).abs());
+                    let (est, truth) = estimate_and_accuracy(&predictor, &corrupted);
+                    abs_errors.push((est.point - truth).abs());
                 }
                 if model_kind == ModelKind::Lr {
                     linear_by_fraction[fi].extend_from_slice(&abs_errors);

@@ -8,11 +8,13 @@
 //!
 //! `cargo run --release -p lvp-bench --bin fig4 [-- --scale small]`
 
-use lvp_bench::{train_for, write_results, ExperimentEnv, ResultRow, Summary};
+use lvp_bench::{
+    estimate_and_accuracy, train_for, write_results, ExperimentEnv, ResultRow, Summary,
+};
 use lvp_core::PerformancePredictor;
 use lvp_corruptions::{ErrorGen, MissingValues, Outliers};
 use lvp_datasets::DatasetKind;
-use lvp_models::{model_accuracy, ModelKind};
+use lvp_models::ModelKind;
 use std::sync::Arc;
 
 const TEST_SIZES: [usize; 8] = [10, 50, 100, 250, 500, 750, 1000, 1500];
@@ -90,9 +92,8 @@ fn main() {
                 for _ in 0..scale.serving_batches() {
                     let batch = split.serving.sample_n(scale.serving_batch_rows(), &mut rng);
                     let corrupted = serve_gen.corrupt(&batch, &mut rng);
-                    let est = predictor.predict(&corrupted).expect("non-empty batch");
-                    let truth = model_accuracy(model.as_ref(), &corrupted);
-                    abs_errors.push((est - truth).abs());
+                    let (est, truth) = estimate_and_accuracy(&predictor, &corrupted);
+                    abs_errors.push((est.point - truth).abs());
                 }
                 let summary = Summary::of(&abs_errors);
                 let condition = format!("{} in {}", error_name, dataset.name());

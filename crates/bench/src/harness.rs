@@ -1,6 +1,8 @@
 //! Experiment environment: scales, splits and model training.
 
-use lvp_core::{PredictorConfig, ValidatorConfig};
+use lvp_core::{
+    FeatureSource, Metric, PerformancePredictor, PredictorConfig, ScoreInterval, ValidatorConfig,
+};
 use lvp_dataframe::DataFrame;
 use lvp_datasets::DatasetKind;
 use lvp_models::forest::ForestConfig;
@@ -188,6 +190,23 @@ pub fn train_for(
     }
     .expect("model training on generated data succeeds");
     Arc::from(boxed)
+}
+
+/// Scores one labeled serving batch through the black box once, and returns
+/// the predictor's estimate together with the model's true accuracy on the
+/// batch, both computed from the same outputs.
+pub fn estimate_and_accuracy(
+    predictor: &PerformancePredictor,
+    batch: &DataFrame,
+) -> (ScoreInterval, f64) {
+    let proba = predictor.model_outputs(batch).expect("non-empty batch");
+    let estimate = predictor
+        .predict_source(&FeatureSource::Exact(&proba))
+        .expect("outputs of the predictor's own model");
+    let truth = Metric::Accuracy
+        .score(&proba, batch.labels())
+        .expect("accuracy scores any class count");
+    (estimate, truth)
 }
 
 /// Bundles the common per-experiment state.

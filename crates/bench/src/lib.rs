@@ -18,7 +18,9 @@ pub mod harness;
 pub mod summary;
 pub mod validation;
 
-pub use harness::{prepare_split, train_for, ExperimentEnv, Scale, SplitSpec};
+pub use harness::{
+    estimate_and_accuracy, prepare_split, train_for, ExperimentEnv, Scale, SplitSpec,
+};
 pub use summary::{write_results, Summary};
 
 use serde::Serialize;

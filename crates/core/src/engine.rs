@@ -150,12 +150,6 @@ impl EngineMetrics {
 /// output shape (e.g. [`Metric::Auc`] with a non-binary model), before any
 /// batch is generated.
 ///
-/// Models that cache featurization internally (e.g. `PipelineModel`'s
-/// identity-keyed encoding cache) stay deterministic here: cached column
-/// blocks are bit-identical to freshly encoded ones, so `predict_proba` —
-/// and therefore every generated batch — is the same on any thread
-/// schedule, cache state notwithstanding.
-///
 /// A task whose scoring fails terminally (the serving model's
 /// [`BlackBoxModel::try_predict_proba`] returns an error even after its own
 /// retries) is *skipped and recorded* instead of panicking, and the loop
@@ -170,12 +164,10 @@ impl EngineMetrics {
 ///
 /// When `telemetry` is `Some`, the engine records per-phase wall-clock
 /// histograms (`engine.generate_phase`, `engine.score_phase`,
-/// `engine.featurize_phase`), batch/seed counters, and — after the loop —
-/// flushes the model's buffered metrics via
-/// [`BlackBoxModel::publish_telemetry`]. Counter and histogram-count totals
-/// are identical at any thread count (atomic adds commute); histogram
-/// *buckets* hold wall-clock data and are excluded from deterministic
-/// snapshot views. Telemetry never touches an RNG, so the generated batches
+/// `engine.featurize_phase`) and batch/seed counters. Counter and
+/// histogram-count totals are identical at any thread count (atomic adds
+/// commute); histogram *buckets* hold wall-clock data and are excluded
+/// from deterministic snapshot views. Telemetry never touches an RNG, so the generated batches
 /// are bit-identical with and without it.
 #[allow(clippy::too_many_arguments)]
 pub fn generate_batches_resilient<T, F>(
@@ -274,11 +266,6 @@ where
     } else {
         tasks.into_iter().map(run_one).collect()
     };
-    if telemetry.is_some() {
-        // Flush model-internal totals (e.g. encoding-cache counters) that
-        // the hot path only buffers locally.
-        model.publish_telemetry();
-    }
     let total = collected.len();
     let mut results = Vec::with_capacity(total);
     let mut skipped = Vec::new();
@@ -445,8 +432,6 @@ mod tests {
             assert_eq!(h.count, total, "{phase}");
             assert_eq!(h.bucket_total(), h.count, "{phase}");
         }
-        // The engine flushed the model's cache counters at the end.
-        assert!(snap.counters.contains_key("model.cache.hits"));
         assert!(
             snap.counters["model.predict.calls"] >= 2 * total,
             "both runs went through the instrumented model"

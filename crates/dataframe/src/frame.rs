@@ -25,23 +25,6 @@ pub struct DataFrame {
     label_names: Vec<String>,
 }
 
-/// Stable identity handle for a column's physical storage, derived from the
-/// address of its `Arc`-backed payload.
-///
-/// Two frames report the same `ColumnId` for a column position exactly when
-/// they share that column's storage (same `Arc` allocation). Copy-on-write
-/// makes the handle mutation-safe *for pinned columns*: as long as some
-/// other owner holds the `Arc` (e.g. an encoding cache pinning the payload
-/// it encoded), any write through [`DataFrame::column_mut`] observes a
-/// shared refcount, materializes a fresh allocation and therefore yields a
-/// fresh `ColumnId` — and the pinned allocation cannot be freed and reused
-/// for a different column while the pin lives. An id compared *without*
-/// holding the corresponding `Arc` (see [`DataFrame::column_shared`]) is
-/// meaningless: the allocation may have been dropped and its address
-/// recycled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ColumnId(usize);
-
 impl DataFrame {
     /// Builds a frame, validating that all columns and the label vector have
     /// equal lengths, columns match the schema types, and labels index into
@@ -127,21 +110,6 @@ impl DataFrame {
     /// (copy-on-write bookkeeping; used by tests and memory accounting).
     pub fn shares_column_storage(&self, other: &DataFrame, i: usize) -> bool {
         Arc::ptr_eq(&self.columns[i], &other.columns[i])
-    }
-
-    /// Identity handle of column `i`'s physical storage. See [`ColumnId`]
-    /// for the validity rules — callers that key long-lived state on the id
-    /// must also pin the payload via [`DataFrame::column_shared`].
-    pub fn column_id(&self, i: usize) -> ColumnId {
-        ColumnId(Arc::as_ptr(&self.columns[i]) as usize)
-    }
-
-    /// A shared handle to column `i`'s payload. Holding it pins the
-    /// allocation, which keeps the matching [`ColumnId`] valid: the frame's
-    /// copy-on-write writes will copy instead of mutating in place, and the
-    /// address cannot be recycled.
-    pub fn column_shared(&self, i: usize) -> Arc<Column> {
-        Arc::clone(&self.columns[i])
     }
 
     /// A clone that shares no column storage with `self` — every column is
@@ -540,38 +508,6 @@ mod tests {
         for col in 0..df.n_cols() {
             assert!(!df.shares_column_storage(&deep, col));
         }
-    }
-
-    #[test]
-    fn column_id_tracks_storage_identity() {
-        let df = toy_frame(8);
-        let copy = df.clone();
-        assert_eq!(df.column_id(0), copy.column_id(0));
-        assert_ne!(df.column_id(0), df.column_id(1));
-        // deep_clone has distinct storage and therefore distinct ids.
-        let deep = df.deep_clone();
-        assert_ne!(df.column_id(0), deep.column_id(0));
-    }
-
-    #[test]
-    fn pinned_column_id_is_invalidated_by_any_write() {
-        let df = toy_frame(8);
-        let mut solo = df.deep_clone();
-        drop(df);
-        // `solo` uniquely owns its columns, so an unpinned write may mutate
-        // in place and keep the id — which is why ids are only meaningful
-        // while the payload is pinned.
-        let pin = solo.column_shared(0);
-        let before = solo.column_id(0);
-        solo.column_mut(0).set_null(0);
-        assert_ne!(
-            solo.column_id(0),
-            before,
-            "write to a pinned column must materialize fresh storage"
-        );
-        // The pin still sees the pre-write payload.
-        assert_eq!(pin.null_count(), 0);
-        assert_eq!(solo.column(0).null_count(), 1);
     }
 
     #[test]

@@ -22,7 +22,7 @@ mod schema;
 
 pub use column::{CellValue, Column, ImageData};
 pub use csv::{read_csv_file, read_csv_str, write_csv_string, CsvOptions};
-pub use frame::{toy_frame, ColumnId, DataFrame, DataFrameBuilder};
+pub use frame::{toy_frame, DataFrame, DataFrameBuilder};
 pub use schema::{ColumnType, Field, Schema};
 
 /// Errors produced by dataframe construction and access.

@@ -3,8 +3,7 @@
 //! fixed column offset.
 
 use crate::hashing::{fnv1a64, tokenize, word_ngrams};
-use lvp_dataframe::{Column, ImageData};
-use lvp_linalg::ColumnBlock;
+use lvp_dataframe::{Column, ColumnType, ImageData};
 use std::collections::BTreeMap;
 
 /// Standardizes a numeric column to zero mean and unit variance.
@@ -210,6 +209,16 @@ pub(crate) enum ColumnEncoder {
 }
 
 impl ColumnEncoder {
+    /// The column kind this encoder was fitted on.
+    pub(crate) fn ty(&self) -> ColumnType {
+        match self {
+            ColumnEncoder::Numeric(_) => ColumnType::Numeric,
+            ColumnEncoder::Categorical(_) => ColumnType::Categorical,
+            ColumnEncoder::Text(_) => ColumnType::Text,
+            ColumnEncoder::Image(_) => ColumnType::Image,
+        }
+    }
+
     pub(crate) fn width(&self) -> usize {
         match self {
             ColumnEncoder::Numeric(e) => e.width(),
@@ -233,59 +242,10 @@ impl ColumnEncoder {
             }
             (ColumnEncoder::Text(e), Column::Text(v)) => e.encode(v[row].as_deref(), offset, out),
             (ColumnEncoder::Image(e), Column::Image(v)) => e.encode(v[row].as_ref(), offset, out),
-            // Type mismatches cannot occur for frames that share the schema
-            // the pipeline was fitted on; treat defensively as missing.
+            // Type mismatches cannot occur for frames that pass
+            // `FeaturePipeline::check_frame`; treat defensively as missing.
             _ => {}
         }
-    }
-
-    /// Encodes a whole column into a [`ColumnBlock`] with block-local
-    /// indices in `[0, width)`.
-    ///
-    /// Row `r` of the block holds exactly what [`Self::encode_cell`] emits
-    /// for `(column, r)` at offset 0 — the column-major counterpart of the
-    /// row-major path, and what [`crate::EncodingCache`] stores.
-    pub(crate) fn encode_column(&self, column: &Column) -> ColumnBlock {
-        let mut block = ColumnBlock::with_capacity(self.width(), column.len(), column.len());
-        let mut pairs: Vec<(u32, f64)> = Vec::new();
-        let push = |pairs: &mut Vec<(u32, f64)>, block: &mut ColumnBlock| {
-            block
-                .push_row_pairs(pairs)
-                .expect("encoders emit indices within their declared width");
-        };
-        match (self, column) {
-            (ColumnEncoder::Numeric(e), Column::Numeric(v)) => {
-                for &cell in v {
-                    e.encode(cell, 0, &mut pairs);
-                    push(&mut pairs, &mut block);
-                }
-            }
-            (ColumnEncoder::Categorical(e), Column::Categorical(v)) => {
-                for cell in v {
-                    e.encode(cell.as_deref(), 0, &mut pairs);
-                    push(&mut pairs, &mut block);
-                }
-            }
-            (ColumnEncoder::Text(e), Column::Text(v)) => {
-                for cell in v {
-                    e.encode(cell.as_deref(), 0, &mut pairs);
-                    push(&mut pairs, &mut block);
-                }
-            }
-            (ColumnEncoder::Image(e), Column::Image(v)) => {
-                for cell in v {
-                    e.encode(cell.as_ref(), 0, &mut pairs);
-                    push(&mut pairs, &mut block);
-                }
-            }
-            // Mirror `encode_cell`'s defensive missing-value semantics.
-            _ => {
-                for _ in 0..column.len() {
-                    block.push_empty_row();
-                }
-            }
-        }
-        block
     }
 }
 

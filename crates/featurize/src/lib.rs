@@ -17,12 +17,10 @@
 //!
 //! [`DataFrame`]: lvp_dataframe::DataFrame
 
-mod cache;
 mod encoders;
 mod hashing;
 mod pipeline;
 
-pub use cache::{CacheStats, EncodingCache, ShardedEncodingCache, DEFAULT_CACHE_CAPACITY};
 pub use encoders::{HashingTextEncoder, ImageEncoder, NumericScaler, OneHotEncoder};
 pub use hashing::{fnv1a64, tokenize, word_ngrams};
 pub use pipeline::{FeaturePipeline, PipelineConfig};

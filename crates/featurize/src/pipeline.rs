@@ -1,12 +1,10 @@
 //! The fitted feature pipeline: schema-driven concatenation of per-column
 //! encoders.
 
-use crate::cache::EncodingCache;
 use crate::encoders::ColumnEncoder;
 use crate::{HashingTextEncoder, ImageEncoder, NumericScaler, OneHotEncoder};
 use lvp_dataframe::{ColumnType, DataFrame};
-use lvp_linalg::{ColumnBlock, CsrBuilder, CsrMatrix};
-use std::sync::Arc;
+use lvp_linalg::{CsrBuilder, CsrMatrix};
 
 /// Configuration for fitting a [`FeaturePipeline`].
 #[derive(Debug, Clone, PartialEq)]
@@ -85,11 +83,37 @@ impl FeaturePipeline {
         self.offsets[i]
     }
 
+    /// Checks that `df` has the columns this pipeline was fitted on: the
+    /// same number, and the same kind at every position. The error names
+    /// the first column that differs. [`Self::transform`] assumes both — a
+    /// missing column panics on an out-of-bounds index, and a column of
+    /// another kind encodes as all-missing.
+    pub fn check_frame(&self, df: &DataFrame) -> Result<(), String> {
+        let describe = |ty: Option<ColumnType>| {
+            ty.map_or("no column".to_string(), |ty| format!("a {ty:?} column"))
+        };
+        for i in 0..self.encoders.len().max(df.n_cols()) {
+            let fitted = self.encoders.get(i).map(ColumnEncoder::ty);
+            let found = (i < df.n_cols()).then(|| df.column(i).ty());
+            if fitted != found {
+                let name = df.schema().fields().get(i);
+                return Err(format!(
+                    "column {i}{}: the pipeline was fitted on {} but the frame has {}",
+                    name.map_or(String::new(), |field| format!(" ('{}')", field.name)),
+                    describe(fitted),
+                    describe(found)
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Transforms a frame into a CSR feature matrix, one row per tuple.
     ///
-    /// Row-major fallback path: encodes cell by cell into one reused scratch
-    /// buffer and streams rows straight into a [`CsrBuilder`], so the only
-    /// per-call allocations are the output matrix's own arrays.
+    /// Encodes cell by cell into one reused scratch buffer and streams rows
+    /// straight into a [`CsrBuilder`], so the only per-call allocations are
+    /// the output matrix's own arrays. Training and serving both featurize
+    /// here. The frame must pass [`Self::check_frame`].
     pub fn transform(&self, df: &DataFrame) -> CsrMatrix {
         let mut builder = CsrBuilder::with_capacity(self.total_width, df.n_rows(), df.n_rows());
         let mut pairs: Vec<(u32, f64)> = Vec::new();
@@ -102,38 +126,6 @@ impl FeaturePipeline {
                 .expect("encoder offsets stay in bounds");
         }
         builder.finish()
-    }
-
-    /// Column-major transform that reuses cached per-column encodings.
-    ///
-    /// Each column is encoded as a position-independent [`ColumnBlock`] and
-    /// looked up in `cache` by `(column_index, ColumnId)`; columns whose
-    /// storage is shared with an already-encoded frame (copy-on-write copies
-    /// that only touched a few columns) are served from the cache instead of
-    /// being re-encoded. The assembled matrix is bit-identical to
-    /// [`Self::transform`] on the same frame: encoders emit sorted, unique,
-    /// in-range pairs per cell, and per-column feature ranges are disjoint
-    /// and increasing, so per-column concatenation equals the row-major
-    /// merge.
-    ///
-    /// The cache must be used with exactly one fitted pipeline: the
-    /// `column_index` key half identifies the encoder fitted for that
-    /// position.
-    pub fn transform_cached(&self, df: &DataFrame, cache: &mut EncodingCache) -> CsrMatrix {
-        let blocks: Vec<Arc<ColumnBlock>> = (0..df.n_cols())
-            .map(|i| {
-                cache.get_or_encode(i, df.column_id(i), &df.column_shared(i), || {
-                    self.encoders[i].encode_column(df.column(i))
-                })
-            })
-            .collect();
-        let pairs: Vec<(u32, &ColumnBlock)> = blocks
-            .iter()
-            .enumerate()
-            .map(|(i, b)| (self.offsets[i], b.as_ref()))
-            .collect();
-        CsrMatrix::hstack_blocks(df.n_rows(), self.total_width, &pairs)
-            .expect("blocks carry one row per tuple and fitted offsets are disjoint")
     }
 }
 
@@ -180,32 +172,6 @@ mod tests {
         let x = p.transform(&df);
         let (idx, _) = x.row(1);
         assert!(idx.is_empty(), "fully-missing row must encode to zeros");
-    }
-
-    #[test]
-    fn transform_cached_matches_cold_transform() {
-        let train = toy_frame(10);
-        let p = FeaturePipeline::fit(&train, &PipelineConfig::default());
-        let mut cache = EncodingCache::new();
-        // Cold pass on the training frame itself.
-        assert_eq!(p.transform_cached(&train, &mut cache), p.transform(&train));
-        // A CoW copy with one corrupted column: untouched columns hit.
-        let mut copy = train.clone();
-        copy.column_mut(1).set_null(3);
-        assert_eq!(p.transform_cached(&copy, &mut cache), p.transform(&copy));
-        assert_eq!(cache.hits(), 1, "column 0 is shared with the cached frame");
-        assert_eq!(cache.misses(), 3, "2 cold columns + the rewritten column");
-    }
-
-    #[test]
-    fn transform_cached_serves_unchanged_frame_entirely_from_cache() {
-        let train = toy_frame(6);
-        let p = FeaturePipeline::fit(&train, &PipelineConfig::default());
-        let mut cache = EncodingCache::new();
-        let first = p.transform_cached(&train, &mut cache);
-        let second = p.transform_cached(&train.clone(), &mut cache);
-        assert_eq!(first, second);
-        assert_eq!(cache.hits(), train.n_cols() as u64);
     }
 
     #[test]

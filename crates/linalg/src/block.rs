@@ -1,14 +1,5 @@
-//! Per-column sparse blocks for column-major featurization.
-//!
-//! A [`ColumnBlock`] holds the encoded features of *one* dataframe column
-//! for every row, with **block-local** indices in `[0, width)`. Feature
-//! pipelines encode each column into its own block and stitch the final
-//! CSR matrix with [`CsrMatrix::hstack_blocks`], which shifts each block
-//! by its horizontal offset. Because blocks are position-independent and
-//! immutable, they can be cached and shared (`Arc<ColumnBlock>`) across
-//! the many copy-on-write frame copies that Algorithm 1 scores.
-//!
-//! [`CsrMatrix::hstack_blocks`]: crate::CsrMatrix::hstack_blocks
+//! Row-blocking and sparse-row merge helpers shared by the CSR builders
+//! and the blocked inference kernels.
 
 use crate::{shape_err, ShapeError};
 
@@ -26,9 +17,9 @@ pub fn row_blocks(n_rows: usize, block: usize) -> impl Iterator<Item = std::ops:
 /// Sorts `pairs` by index, merges duplicates, drops zeros and appends the
 /// result to `indices`/`values`, validating every index against `bound`.
 ///
-/// This is the single merge routine behind [`SparseVec::from_pairs`],
-/// [`ColumnBlock::push_row_pairs`] and [`CsrBuilder::push_row_pairs`], so
-/// the three construction paths agree bit-for-bit on duplicate handling.
+/// This is the single merge routine behind [`SparseVec::from_pairs`] and
+/// [`CsrBuilder::push_row_pairs`], so both construction paths agree
+/// bit-for-bit on duplicate handling.
 /// `pairs` is cleared on success so callers can reuse it as a scratch
 /// buffer (its capacity — sized by the previous row — is retained).
 ///
@@ -74,177 +65,4 @@ pub(crate) fn merge_pairs_into(
     }
     pairs.clear();
     Ok(())
-}
-
-/// The encoded features of one dataframe column, all rows, in CSR layout
-/// with block-local indices in `[0, width)`.
-///
-/// Built row-by-row via [`ColumnBlock::push_row_pairs`]; assembled into a
-/// full feature matrix with [`CsrMatrix::hstack_blocks`].
-///
-/// [`CsrMatrix::hstack_blocks`]: crate::CsrMatrix::hstack_blocks
-#[derive(Debug, Clone, PartialEq)]
-pub struct ColumnBlock {
-    width: usize,
-    indptr: Vec<usize>,
-    indices: Vec<u32>,
-    values: Vec<f64>,
-}
-
-impl ColumnBlock {
-    /// An empty block (zero rows) of the given local dimensionality.
-    pub fn new(width: usize) -> Self {
-        Self {
-            width,
-            indptr: vec![0],
-            indices: Vec::new(),
-            values: Vec::new(),
-        }
-    }
-
-    /// An empty block with row/nnz capacity reserved up front.
-    pub fn with_capacity(width: usize, rows: usize, nnz: usize) -> Self {
-        let mut indptr = Vec::with_capacity(rows + 1);
-        indptr.push(0);
-        Self {
-            width,
-            indptr,
-            indices: Vec::with_capacity(nnz),
-            values: Vec::with_capacity(nnz),
-        }
-    }
-
-    /// Appends one row from unsorted block-local `(index, value)` pairs.
-    ///
-    /// Same semantics as [`SparseVec::from_pairs`]: duplicates are summed,
-    /// zeros dropped, out-of-bounds indices rejected. `pairs` is cleared on
-    /// success (scratch-buffer reuse).
-    ///
-    /// [`SparseVec::from_pairs`]: crate::SparseVec::from_pairs
-    pub fn push_row_pairs(&mut self, pairs: &mut Vec<(u32, f64)>) -> Result<(), ShapeError> {
-        merge_pairs_into(pairs, self.width, &mut self.indices, &mut self.values)?;
-        self.indptr.push(self.indices.len());
-        Ok(())
-    }
-
-    /// Appends an all-zero row.
-    pub fn push_empty_row(&mut self) {
-        self.indptr.push(self.indices.len());
-    }
-
-    /// Number of rows encoded so far.
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.indptr.len() - 1
-    }
-
-    /// Block-local dimensionality (the encoder's output width).
-    #[inline]
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Total number of stored non-zeros.
-    #[inline]
-    pub fn nnz(&self) -> usize {
-        self.indices.len()
-    }
-
-    /// Sorted block-local indices and values of row `r`.
-    #[inline]
-    pub fn row(&self, r: usize) -> (&[u32], &[f64]) {
-        let lo = self.indptr[r];
-        let hi = self.indptr[r + 1];
-        (&self.indices[lo..hi], &self.values[lo..hi])
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::CsrMatrix;
-
-    #[test]
-    fn block_accumulates_rows() {
-        let mut b = ColumnBlock::new(4);
-        let mut pairs = vec![(2, 1.0), (0, 3.0)];
-        b.push_row_pairs(&mut pairs).unwrap();
-        assert!(pairs.is_empty(), "scratch buffer must be cleared");
-        b.push_empty_row();
-        assert_eq!(b.rows(), 2);
-        assert_eq!(b.nnz(), 2);
-        assert_eq!(b.row(0), (&[0u32, 2][..], &[3.0, 1.0][..]));
-        assert_eq!(b.row(1), (&[][..], &[][..]));
-    }
-
-    #[test]
-    fn block_merges_duplicates_and_drops_zeros() {
-        let mut b = ColumnBlock::new(4);
-        let mut pairs = vec![(1, 1.0), (1, -1.0), (3, 2.0), (3, 3.0)];
-        b.push_row_pairs(&mut pairs).unwrap();
-        assert_eq!(b.row(0), (&[3u32][..], &[5.0][..]));
-    }
-
-    #[test]
-    fn block_rejects_out_of_bounds() {
-        let mut b = ColumnBlock::new(2);
-        let mut pairs = vec![(2, 1.0)];
-        assert!(b.push_row_pairs(&mut pairs).is_err());
-        // A failed push must not leave a partial row behind.
-        assert_eq!(b.rows(), 0);
-        assert_eq!(b.nnz(), 0);
-    }
-
-    #[test]
-    fn hstack_blocks_matches_row_major_assembly() {
-        // Two blocks side by side: widths 2 and 3, offsets 0 and 2.
-        let mut a = ColumnBlock::new(2);
-        let mut b = ColumnBlock::new(3);
-        let mut pairs = vec![(1, 1.0)];
-        a.push_row_pairs(&mut pairs).unwrap();
-        a.push_empty_row();
-        pairs.extend([(0, 2.0), (2, 3.0)]);
-        b.push_row_pairs(&mut pairs).unwrap();
-        pairs.push((1, 4.0));
-        b.push_row_pairs(&mut pairs).unwrap();
-
-        let m = CsrMatrix::hstack_blocks(2, 5, &[(0, &a), (2, &b)]).unwrap();
-        assert_eq!(m.rows(), 2);
-        assert_eq!(m.cols(), 5);
-        let d = m.to_dense();
-        assert_eq!(
-            d.data(),
-            &[0.0, 1.0, 2.0, 0.0, 3.0, 0.0, 0.0, 0.0, 4.0, 0.0]
-        );
-    }
-
-    #[test]
-    fn hstack_blocks_rejects_row_mismatch() {
-        let a = ColumnBlock::new(1);
-        let mut b = ColumnBlock::new(1);
-        b.push_empty_row();
-        assert!(CsrMatrix::hstack_blocks(1, 2, &[(0, &a), (1, &b)]).is_err());
-    }
-
-    #[test]
-    fn hstack_blocks_rejects_overlap_and_overflow() {
-        let mut a = ColumnBlock::new(2);
-        a.push_empty_row();
-        let mut b = ColumnBlock::new(2);
-        b.push_empty_row();
-        // Overlapping: block at offset 1 starts inside block [0, 2).
-        assert!(CsrMatrix::hstack_blocks(1, 4, &[(0, &a), (1, &b)]).is_err());
-        // Out of bounds: offset 3 + width 2 > 4 total columns.
-        assert!(CsrMatrix::hstack_blocks(1, 4, &[(0, &a), (3, &b)]).is_err());
-        // Unsorted offsets are rejected rather than silently reordered.
-        assert!(CsrMatrix::hstack_blocks(1, 4, &[(2, &b), (0, &a)]).is_err());
-    }
-
-    #[test]
-    fn hstack_no_blocks_yields_empty_columns() {
-        let m = CsrMatrix::hstack_blocks(3, 0, &[]).unwrap();
-        assert_eq!(m.rows(), 3);
-        assert_eq!(m.cols(), 0);
-        assert_eq!(m.nnz(), 0);
-    }
 }

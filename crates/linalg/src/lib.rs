@@ -20,7 +20,7 @@ mod dense;
 mod ops;
 mod sparse;
 
-pub use block::{row_blocks, ColumnBlock};
+pub use block::row_blocks;
 pub use dense::DenseMatrix;
 pub use ops::{argmax, log_sum_exp, relu, relu_grad, sigmoid, softmax_in_place, stable_softmax};
 pub use sparse::{CsrBuilder, CsrMatrix, SparseVec};

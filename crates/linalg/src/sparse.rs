@@ -1,6 +1,6 @@
 //! Sparse vectors and CSR matrices for featurized data.
 
-use crate::block::{merge_pairs_into, ColumnBlock};
+use crate::block::merge_pairs_into;
 use crate::{shape_err, DenseMatrix, ShapeError};
 use rayon::prelude::*;
 
@@ -246,72 +246,6 @@ impl CsrMatrix {
             }
         }
         out
-    }
-
-    /// Assembles a CSR matrix from horizontally-offset per-column blocks
-    /// without materializing an intermediate `Vec<SparseVec>`.
-    ///
-    /// `blocks` pairs each [`ColumnBlock`] with the global column offset of
-    /// its feature range and must be sorted by offset; ranges must not
-    /// overlap and must fit inside `cols`. Every block must hold exactly
-    /// `rows` rows (`rows` is explicit so a zero-column frame still yields
-    /// an `n × 0` matrix). Within a block, row indices are already sorted,
-    /// and block ranges are disjoint and increasing, so concatenation
-    /// yields sorted CSR rows — the same layout row-major assembly
-    /// produces.
-    pub fn hstack_blocks(
-        rows: usize,
-        cols: usize,
-        blocks: &[(u32, &ColumnBlock)],
-    ) -> Result<Self, ShapeError> {
-        let mut end: u64 = 0;
-        for &(offset, block) in blocks {
-            if u64::from(offset) < end {
-                return Err(shape_err(format!(
-                    "block at offset {offset} overlaps or precedes the previous \
-                     block ending at {end}"
-                )));
-            }
-            end = u64::from(offset) + block.width() as u64;
-            if end > cols as u64 {
-                return Err(shape_err(format!(
-                    "block [{offset}, {end}) exceeds {cols} total columns"
-                )));
-            }
-            if block.rows() != rows {
-                return Err(shape_err(format!(
-                    "block at offset {offset} has {} rows, expected {rows}",
-                    block.rows()
-                )));
-            }
-        }
-        let nnz: usize = blocks.iter().map(|&(_, b)| b.nnz()).sum();
-        let mut indptr = Vec::with_capacity(rows + 1);
-        indptr.push(0usize);
-        let mut indices = Vec::with_capacity(nnz);
-        let mut values = Vec::with_capacity(nnz);
-        for r in 0..rows {
-            for &(offset, block) in blocks {
-                let (idx, vals) = block.row(r);
-                // Numeric and one-hot blocks emit at most one pair per row;
-                // a direct push skips the extend machinery on the hot path.
-                if let ([i], [v]) = (idx, vals) {
-                    indices.push(i + offset);
-                    values.push(*v);
-                } else {
-                    indices.extend(idx.iter().map(|&i| i + offset));
-                    values.extend_from_slice(vals);
-                }
-            }
-            indptr.push(indices.len());
-        }
-        Ok(Self {
-            rows,
-            cols,
-            indptr,
-            indices,
-            values,
-        })
     }
 
     /// Returns a new matrix containing the selected rows, in order.

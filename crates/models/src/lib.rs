@@ -191,15 +191,11 @@ pub trait BlackBoxModel: Send + Sync {
     fn n_classes(&self) -> usize;
     /// Short display name (e.g. `"lr"`).
     fn name(&self) -> &str;
-    /// Registers this model's serving metrics (call counts, latency, cache
-    /// counters) with `registry`. Models without internal state to report
-    /// keep the default no-op. Call before sharing the model (`Arc::from`);
-    /// recording itself is `&self` and thread-safe.
+    /// Registers this model's serving metrics (call counts, latency) with
+    /// `registry`. Models without internal state to report keep the default
+    /// no-op. Call before sharing the model (`Arc::from`); recording itself
+    /// is `&self` and thread-safe.
     fn attach_telemetry(&mut self, _registry: &lvp_telemetry::Registry) {}
-    /// Flushes any internally buffered metric totals (e.g. encoding-cache
-    /// counters) into the attached registry. No-op by default and without
-    /// an attached registry; safe to call at any frequency.
-    fn publish_telemetry(&self) {}
 }
 
 /// Accuracy of a black box model on labeled data (harness-side helper; the

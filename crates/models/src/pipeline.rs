@@ -7,7 +7,7 @@ use crate::linear::{default_lr_grid, LogisticRegression};
 use crate::mlp::{default_mlp_grid, NeuralNet};
 use crate::{BlackBoxModel, Classifier, ModelError};
 use lvp_dataframe::DataFrame;
-use lvp_featurize::{CacheStats, FeaturePipeline, PipelineConfig, ShardedEncodingCache};
+use lvp_featurize::{FeaturePipeline, PipelineConfig};
 use lvp_linalg::DenseMatrix;
 use lvp_telemetry::{Counter, Histogram, Registry, Span};
 use rand::Rng;
@@ -17,21 +17,12 @@ use rand::Rng;
 /// Neither the fitted feature map nor the classifier is reachable from the
 /// outside — downstream consumers can only call
 /// [`BlackBoxModel::predict_proba`] on raw tuples, matching the paper's
-/// problem statement.
-///
-/// Internally, featurization runs through a sharded, identity-keyed
-/// [`ShardedEncodingCache`]: copy-on-write copies of an already-seen frame
-/// re-encode only the columns they actually rewrote. The cache is invisible
-/// through [`BlackBoxModel`] — cached blocks are bit-identical to freshly
-/// encoded ones, so `predict_proba` returns the same probabilities with or
-/// without it, on any thread schedule.
+/// problem statement. Serving featurizes through
+/// [`FeaturePipeline::transform`], the same path training used.
 pub struct PipelineModel {
     featurizer: FeaturePipeline,
     classifier: Box<dyn Classifier>,
     name: String,
-    /// Interior mutability keeps the `&self` black box contract while each
-    /// worker thread populates its own shard.
-    encoding_cache: ShardedEncodingCache,
     telemetry: Option<PredictTelemetry>,
 }
 
@@ -54,19 +45,8 @@ impl PipelineModel {
             featurizer,
             classifier,
             name: name.into(),
-            encoding_cache: ShardedEncodingCache::with_default_shards(),
             telemetry: None,
         }
-    }
-
-    /// Aggregated hit/miss/eviction counters of the internal encoding cache.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.encoding_cache.stats()
-    }
-
-    /// Drops every cached column block (e.g. between unrelated datasets).
-    pub fn clear_encoding_cache(&self) {
-        self.encoding_cache.clear();
     }
 }
 
@@ -77,10 +57,18 @@ impl BlackBoxModel for PipelineModel {
             t.rows.add(data.n_rows() as u64);
             Span::new(t.latency.clone())
         });
-        let x = self
-            .encoding_cache
-            .with_worker_cache(|cache| self.featurizer.transform_cached(data, cache));
-        self.classifier.predict_proba(&x)
+        self.classifier
+            .predict_proba(&self.featurizer.transform(data))
+    }
+
+    /// Rejects a frame whose columns differ in count or kind from the ones
+    /// the pipeline was fitted on, instead of panicking or encoding a
+    /// mismatched column as missing.
+    fn try_predict_proba(&self, data: &DataFrame) -> Result<DenseMatrix, ModelError> {
+        self.featurizer
+            .check_frame(data)
+            .map_err(ModelError::invalid_input)?;
+        Ok(self.predict_proba(data))
     }
 
     fn n_classes(&self) -> usize {
@@ -91,23 +79,15 @@ impl BlackBoxModel for PipelineModel {
         &self.name
     }
 
-    /// Registers `model.predict.{calls,rows,latency}` plus the encoding
-    /// cache's `model.cache.*` counters. Call/row totals are deterministic
-    /// for a seeded workload; latency buckets are wall-clock and cache
-    /// counters shard-scheduling-dependent, so those stay out of
-    /// deterministic snapshot views.
+    /// Registers `model.predict.{calls,rows,latency}`. Call/row totals are
+    /// deterministic for a seeded workload; latency buckets are wall-clock,
+    /// so they stay out of deterministic snapshot views.
     fn attach_telemetry(&mut self, registry: &Registry) {
         self.telemetry = Some(PredictTelemetry {
             calls: registry.counter("model.predict.calls"),
             rows: registry.counter("model.predict.rows"),
             latency: registry.histogram("model.predict.latency"),
         });
-        self.encoding_cache
-            .attach_telemetry(registry, "model.cache");
-    }
-
-    fn publish_telemetry(&self) {
-        self.encoding_cache.publish_stats();
     }
 }
 
@@ -336,7 +316,7 @@ pub fn train_model_quick(
 mod tests {
     use super::*;
     use crate::model_accuracy;
-    use lvp_dataframe::toy_frame;
+    use lvp_dataframe::{toy_frame, Column, ColumnType, Schema};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -355,42 +335,49 @@ mod tests {
     }
 
     #[test]
-    fn encoding_cache_is_invisible_through_the_black_box() {
-        let df = toy_frame(40);
-        let mut rng = StdRng::seed_from_u64(3);
-        let featurizer = FeaturePipeline::fit(&df, &PipelineConfig::default());
-        let x = featurizer.transform(&df);
-        let (lr, _) = crate::linear::LogisticRegression::fit_cv(
-            &x,
-            df.labels(),
-            df.n_classes(),
-            &crate::linear::default_lr_grid(),
-            CV_FOLDS,
-            &mut rng,
+    fn try_predict_proba_rejects_frames_the_pipeline_was_not_fitted_for() {
+        let df = lvp_datasets::income(80, &mut StdRng::seed_from_u64(5));
+        let model = train_model_quick(ModelKind::Lr, &df, &mut StdRng::seed_from_u64(6)).unwrap();
+        assert_eq!(
+            model.try_predict_proba(&df).unwrap(),
+            model.predict_proba(&df)
+        );
+        let expect_invalid = |frame: &DataFrame, needle: &str| {
+            let err = model.try_predict_proba(frame).unwrap_err();
+            assert_eq!(err.kind, crate::ModelErrorKind::InvalidInput, "{err}");
+            assert!(err.to_string().contains(needle), "{err}");
+        };
+        // One column fewer: the last fitted column is missing.
+        let last = df.n_cols() - 1;
+        let short = DataFrame::new(
+            Schema::new(df.schema().fields()[..last].to_vec()).unwrap(),
+            (0..last).map(|i| df.column(i).clone()).collect(),
+            df.labels().to_vec(),
+            df.label_names().to_vec(),
         )
         .unwrap();
-        let model = PipelineModel::new(featurizer.clone(), Box::new(lr.clone()), "lr");
-        // Cold reference: featurize without any cache, classify directly.
-        let reference = lr.predict_proba(&featurizer.transform(&df));
-        // Two cached calls (second fully hits) must match it bit for bit.
-        assert_eq!(model.predict_proba(&df), reference);
-        assert_eq!(model.predict_proba(&df), reference);
-        let stats = model.cache_stats();
-        assert_eq!(stats.misses, df.n_cols() as u64);
-        assert_eq!(stats.hits, df.n_cols() as u64);
-        // A copy-on-write corruption re-encodes only the touched column.
-        let mut corrupted = df.clone();
-        corrupted.column_mut(0).set_null(5);
-        let expected = lr.predict_proba(&featurizer.transform(&corrupted));
-        assert_eq!(model.predict_proba(&corrupted), expected);
-        let stats = model.cache_stats();
-        assert_eq!(stats.misses, df.n_cols() as u64 + 1);
-        model.clear_encoding_cache();
-        assert_eq!(model.cache_stats().entries, 0);
+        expect_invalid(&short, &format!("column {last}: "));
+        // A numeric column where a categorical one was fitted.
+        let cat = df.schema().categorical_columns()[0];
+        let mut fields = df.schema().fields().to_vec();
+        fields[cat].ty = ColumnType::Numeric;
+        let mut columns: Vec<Column> = (0..df.n_cols()).map(|i| df.column(i).clone()).collect();
+        columns[cat] = Column::Numeric(vec![Some(1.0); df.n_rows()]);
+        let retyped = DataFrame::new(
+            Schema::new(fields).unwrap(),
+            columns,
+            df.labels().to_vec(),
+            df.label_names().to_vec(),
+        )
+        .unwrap();
+        expect_invalid(
+            &retyped,
+            &format!("column {cat} ('{}')", df.schema().field(cat).name),
+        );
     }
 
     #[test]
-    fn attached_telemetry_counts_calls_rows_and_cache_traffic() {
+    fn attached_telemetry_counts_calls_and_rows() {
         let df = toy_frame(40);
         let mut rng = StdRng::seed_from_u64(4);
         let mut model = train_logistic_regression(&df, &mut rng).unwrap();
@@ -405,20 +392,12 @@ mod tests {
         // Instrumentation must not change the outputs.
         assert_eq!(model.predict_proba(&df), reference);
         assert_eq!(model.predict_proba(&df), reference);
-        model.publish_telemetry();
         let snap = registry.snapshot();
         assert_eq!(snap.counters["model.predict.calls"], 2);
         assert_eq!(snap.counters["model.predict.rows"], 80);
         let h = &snap.histograms["model.predict.latency"];
         assert_eq!(h.count, 2);
         assert_eq!(h.bucket_total(), h.count);
-        // The second call hit the cache for every column.
-        assert_eq!(snap.counters["model.cache.hits"], df.n_cols() as u64);
-        assert_eq!(snap.counters["model.cache.misses"], df.n_cols() as u64);
-        // Uninstrumented models stay silent.
-        let quiet = train_logistic_regression(&df, &mut rng).unwrap();
-        quiet.publish_telemetry();
-        quiet.predict_proba(&df);
     }
 
     #[test]

@@ -701,10 +701,6 @@ impl BlackBoxModel for ResilientModel {
             .set(CircuitState::Closed.gauge_value());
         self.metrics = Some(metrics);
     }
-
-    fn publish_telemetry(&self) {
-        self.inner.publish_telemetry();
-    }
 }
 
 #[cfg(test)]

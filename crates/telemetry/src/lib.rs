@@ -22,9 +22,9 @@
 //!
 //! * wall-clock data — histogram bucket counts and `sum_nanos` depend on
 //!   machine speed;
-//! * metrics registered as **volatile** (e.g. encoding-cache hit/miss
-//!   counts, which depend on how rayon schedules work across cache
-//!   shards).
+//! * metrics registered as **volatile** (e.g. circuit-breaker transitions,
+//!   which depend on how concurrent calls interleave, and fsync
+//!   latencies).
 //!
 //! [`TelemetrySnapshot::deterministic`] strips exactly those two kinds
 //! (volatile metrics are dropped; histograms keep their call `count` —

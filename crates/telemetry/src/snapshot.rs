@@ -48,7 +48,7 @@ pub struct TelemetrySnapshot {
     /// Duration histograms by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
     /// Names of counters/gauges/histograms whose values are scheduling-
-    /// or configuration-dependent (e.g. per-shard cache hit counts, fsync
+    /// or configuration-dependent (e.g. circuit-breaker transitions, fsync
     /// latency); sorted. These are excluded from [`Self::deterministic`].
     pub volatile: Vec<String>,
 }

@@ -1,9 +1,8 @@
 //! End-to-end telemetry dump for the serving stack.
 //!
-//! Instruments every layer — the black box model (call counts, latency,
-//! encoding-cache counters), the Algorithm 1 generation engine (per-phase
-//! timings), and the batch monitor (scores, streaks, alarms, per-class
-//! drift) — into one registry, then exports the snapshot as JSON and as a
+//! Instruments every layer — the black box model (call counts, latency),
+//! the Algorithm 1 generation engine (per-phase timings), and the batch
+//! monitor (scores, streaks, alarms, per-class drift) — into one registry, then exports the snapshot as JSON and as a
 //! text table. Asserts that the JSON round-trips exactly, which CI relies
 //! on.
 //!

@@ -157,9 +157,9 @@ fn xgb_predictor_pipeline_is_bit_identical_across_thread_counts() {
 }
 
 /// Attaching telemetry must be a pure observer: the instrumented fit path
-/// (engine phase timers, model call counters, cache publishing) never
-/// touches an RNG, so the fitted predictor's estimates are bit-identical
-/// with and without a registry attached.
+/// (engine phase timers, model call counters) never touches an RNG, so the
+/// fitted predictor's estimates are bit-identical with and without a
+/// registry attached.
 #[test]
 fn telemetry_does_not_perturb_predictor_estimates() {
     let df = lvp::datasets::income(350, &mut StdRng::seed_from_u64(61));
@@ -190,17 +190,12 @@ fn telemetry_does_not_perturb_predictor_estimates() {
     assert_eq!(estimate(false), estimate(true));
 }
 
-/// The trained `PipelineModel` featurizes through a sharded encoding cache
-/// whose per-thread shard assignment is scheduler-dependent. The generation
-/// stream must nonetheless stay bit-identical across sequential/parallel
-/// paths, thread counts, and repeated runs against a warm cache — cached
-/// column blocks are bit-identical to freshly encoded ones.
+/// Repeated generation runs against one model instance — sequential,
+/// parallel, and at 1 and 4 threads — must reproduce the first run bit for
+/// bit: the black box carries no state from one call to the next.
 #[test]
-fn cached_featurization_keeps_generation_deterministic() {
+fn repeated_generation_with_one_model_is_deterministic() {
     let (model, test) = engine_fixture();
-    // Warm the model's cache with an initial pass, then compare everything
-    // against this reference: later runs mix cache hits and misses across
-    // arbitrary shards.
     let reference = generate(model.as_ref(), &test, 91, false);
     assert_eq!(reference, generate(model.as_ref(), &test, 91, true));
     let run_with = |threads: usize| -> Vec<TrainingExample> {
@@ -263,4 +258,47 @@ fn interval_predictions_are_bit_identical_across_thread_counts() {
     assert_eq!(one, four);
     // And a rerun at the same thread count reproduces the same bits.
     assert_eq!(four, run_with(4));
+}
+
+/// Pins the black box's own outputs: `checksum64` digests of the
+/// `predict_proba` bits of an lr and an xgb `PipelineModel`, on a seeded
+/// income frame and on a copy-on-write corrupted copy of it. Any change to
+/// featurization or inference that moves a single probability bit fails
+/// here, independent of the downstream meta-model.
+#[test]
+fn pipeline_outputs_are_pinned_golden() {
+    let df = lvp::datasets::income(300, &mut StdRng::seed_from_u64(71));
+    let mut corrupted = df.clone();
+    let mut rng = StdRng::seed_from_u64(72);
+    for gen in &standard_tabular_suite(df.schema())[..2] {
+        corrupted = gen.corrupt(&corrupted, &mut rng);
+    }
+    assert!(
+        (0..df.n_cols()).any(|i| corrupted.shares_column_storage(&df, i)),
+        "the corrupted copy shares its untouched columns"
+    );
+    let digest = |model: &dyn BlackBoxModel, frame: &lvp_dataframe::DataFrame| -> u64 {
+        let bytes: Vec<u8> = model
+            .predict_proba(frame)
+            .data()
+            .iter()
+            .flat_map(|p| p.to_bits().to_le_bytes())
+            .collect();
+        lvp_core::checksum64(&bytes)
+    };
+    let mut digests = Vec::new();
+    for kind in [ModelKind::Lr, ModelKind::Xgb] {
+        let model = train_model_quick(kind, &df, &mut StdRng::seed_from_u64(73)).unwrap();
+        digests.push(digest(model.as_ref(), &df));
+        digests.push(digest(model.as_ref(), &corrupted));
+    }
+    assert_eq!(
+        digests,
+        [
+            0xdf80_b519_2aff_321a, // lr, clean
+            0x5471_db82_8d7b_34ab, // lr, corrupted
+            0x3260_695a_4974_c8ef, // xgb, clean
+            0x3fb6_8c31_baaf_06a8, // xgb, corrupted
+        ]
+    );
 }

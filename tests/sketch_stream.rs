@@ -1,12 +1,17 @@
 //! Streaming-sketch acceptance tests: a million-row batch flows through
-//! `observe_chunk` in fixed memory, and a 4-shard merged fleet report is
-//! bit-identical to the single-stream report at any thread count.
+//! `observe_chunk` in fixed memory, a 4-shard merged fleet report is
+//! bit-identical to the single-stream report at any thread count, and
+//! sketched features track the exact ones on every corrupted copy.
 
-use lvp_core::{BatchMonitor, BatchSketch, MonitorPolicy, PerformancePredictor, PredictorConfig};
-use lvp_corruptions::standard_tabular_suite;
-use lvp_dataframe::toy_frame;
+use lvp_core::{
+    prediction_statistics, BatchMonitor, BatchSketch, MonitorPolicy, PerformancePredictor,
+    PredictorConfig,
+};
+use lvp_corruptions::{extended_tabular_suite, standard_tabular_suite};
+use lvp_dataframe::{toy_frame, CellValue, ColumnType, DataFrameBuilder, Field, Schema};
 use lvp_linalg::DenseMatrix;
-use lvp_models::BlackBoxModel;
+use lvp_models::{train_logistic_regression, BlackBoxModel};
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
@@ -143,4 +148,64 @@ fn merge_order_of_shards_is_irrelevant_bit_for_bit() {
         forward.telemetry.per_class_ks,
         backward.telemetry.per_class_ks
     );
+}
+
+/// Builds a small mixed numeric/categorical frame from generated cells.
+fn build_frame(nums: &[f64], cats: &[u8]) -> lvp_dataframe::DataFrame {
+    let n = nums.len().min(cats.len());
+    let schema = Schema::new(vec![
+        Field::new("x", ColumnType::Numeric),
+        Field::new("c", ColumnType::Categorical),
+    ])
+    .unwrap();
+    let mut b = DataFrameBuilder::new(schema, vec!["n".into(), "y".into()]);
+    for i in 0..n {
+        b.push_row(
+            vec![
+                CellValue::Num(nums[i]),
+                CellValue::Cat(format!("c{}", cats[i] % 5)),
+            ],
+            (i % 2) as u32,
+        )
+        .unwrap();
+    }
+    b.finish().unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// On every corrupted CoW copy, featurizing the model's outputs
+    /// through the streaming sketch stays within the sketches' proven
+    /// value-error bound of the exact sort-based featurization — so a
+    /// monitor running off sketches sees the same drift signal the
+    /// materialized path would, for any corruption the generators produce.
+    #[test]
+    fn sketched_features_track_exact_features_on_corrupted_copies(
+        nums in prop::collection::vec(-1000f64..1000.0, 8..60),
+        cats in prop::collection::vec(0u8..255, 8..60),
+        seed in 0u64..1000,
+    ) {
+        let df = build_frame(&nums, &cats);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let model = train_logistic_regression(&df, &mut rng).unwrap();
+        let mut gens = standard_tabular_suite(df.schema());
+        gens.extend(extended_tabular_suite(df.schema()));
+        for gen in gens {
+            let corrupted = gen.corrupt(&df.clone(), &mut StdRng::seed_from_u64(seed));
+            let proba = model.predict_proba(&corrupted);
+            let exact = prediction_statistics(&proba);
+            let sketch = BatchSketch::from_outputs(&proba);
+            let sketched = sketch.prediction_statistics();
+            prop_assert_eq!(exact.len(), sketched.len(), "{}", gen.name());
+            let bound = sketch.value_error_bound() + 1e-12;
+            for (i, (e, s)) in exact.iter().zip(&sketched).enumerate() {
+                prop_assert!(
+                    (e - s).abs() <= bound,
+                    "{} dim {}: exact {} sketched {} bound {}",
+                    gen.name(), i, e, s, bound
+                );
+            }
+        }
+    }
 }

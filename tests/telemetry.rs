@@ -107,12 +107,14 @@ fn raw_snapshot_json_round_trips_exactly() {
     let back = TelemetrySnapshot::from_json(&json).unwrap();
     assert_eq!(back, snap);
     assert_eq!(back.to_json().unwrap(), json);
-    // Volatile cache metrics are present raw, absent deterministically.
-    assert!(snap.counters.contains_key("model.cache.hits"));
-    assert!(!snap
-        .deterministic()
-        .counters
-        .contains_key("model.cache.hits"));
+    // Wall-clock histogram buckets are present raw, absent
+    // deterministically; the observation count survives in both.
+    let raw = &snap.histograms["engine.score_phase"];
+    assert_eq!(raw.bucket_total(), raw.count);
+    assert!(raw.count > 0);
+    let det = &snap.deterministic().histograms["engine.score_phase"];
+    assert!(det.buckets.is_empty());
+    assert_eq!(det.count, raw.count);
 }
 
 #[test]
