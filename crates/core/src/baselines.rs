@@ -15,7 +15,7 @@
 //! Bonferroni correction across the multiple tests of REL and BBSE).
 
 use crate::features::{FeatureSource, OutputReference};
-use lvp_dataframe::{ColumnType, DataFrame};
+use lvp_dataframe::{CategoricalColumn, ColumnType, DataFrame};
 use lvp_models::BlackBoxModel;
 use lvp_stats::{bonferroni_alpha, chi2_test_counts, ks_two_sample, TestOutcome};
 use std::collections::BTreeMap;
@@ -47,28 +47,28 @@ impl RelationalShiftDetector {
     }
 
     fn categorical_counts(
-        reference: &[Option<String>],
-        serving: &[Option<String>],
+        reference: &CategoricalColumn,
+        serving: &CategoricalColumn,
     ) -> (Vec<f64>, Vec<f64>) {
         let mut categories: BTreeMap<&str, usize> = BTreeMap::new();
-        for v in reference.iter().chain(serving).flatten() {
+        for v in reference.iter().chain(serving.iter()).flatten() {
             let next = categories.len();
-            categories.entry(v.as_str()).or_insert(next);
+            categories.entry(v).or_insert(next);
         }
         // Missing values form their own category: nulls appearing only in
         // the serving data are exactly the shift REL should notice.
         let null_idx = categories.len();
         let mut counts_a = vec![0.0; categories.len() + 1];
         let mut counts_b = vec![0.0; categories.len() + 1];
-        for v in reference {
+        for v in reference.iter() {
             match v {
-                Some(s) => counts_a[categories[s.as_str()]] += 1.0,
+                Some(s) => counts_a[categories[s]] += 1.0,
                 None => counts_a[null_idx] += 1.0,
             }
         }
-        for v in serving {
+        for v in serving.iter() {
             match v {
-                Some(s) => counts_b[categories[s.as_str()]] += 1.0,
+                Some(s) => counts_b[categories[s]] += 1.0,
                 None => counts_b[null_idx] += 1.0,
             }
         }
@@ -287,8 +287,8 @@ mod tests {
     #[test]
     fn rel_counts_nulls_as_their_own_category() {
         let (ca, cb) = RelationalShiftDetector::categorical_counts(
-            &[Some("a".into()), Some("b".into())],
-            &[None, Some("a".into())],
+            &[Some("a"), Some("b")].into_iter().collect(),
+            &[None, Some("a")].into_iter().collect(),
         );
         assert_eq!(ca, vec![1.0, 1.0, 0.0]);
         assert_eq!(cb, vec![1.0, 0.0, 1.0]);

@@ -100,12 +100,20 @@ impl ErrorGen for CategoryFlip {
         let mut out = df.clone();
         for col in choose_columns(&self.candidate_columns, rng) {
             let p = sample_fraction(rng);
-            // Collect the distinct categories first.
-            let distinct: Vec<String> = {
+            // The codes of the distinct values the cells hold, sorted by
+            // value. Distinct values have distinct codes, so comparing
+            // codes compares values.
+            let distinct: Vec<u32> = {
                 let values = out.column(col).as_categorical().expect("categorical");
-                let mut d: Vec<String> = values.iter().flatten().cloned().collect();
-                d.sort();
-                d.dedup();
+                let dictionary = values.dictionary();
+                let mut present = vec![false; dictionary.len()];
+                for code in values.codes().flatten() {
+                    present[code as usize] = true;
+                }
+                let mut d: Vec<u32> = (0..dictionary.len() as u32)
+                    .filter(|&code| present[code as usize])
+                    .collect();
+                d.sort_by_key(|&code| &dictionary[code as usize]);
                 d
             };
             if distinct.len() < 2 {
@@ -115,14 +123,14 @@ impl ErrorGen for CategoryFlip {
                 .column_mut(col)
                 .as_categorical_mut()
                 .expect("categorical candidate");
-            for v in values.iter_mut() {
+            for row in 0..values.len() {
                 if rng.gen::<f64>() < p {
-                    if let Some(current) = v.clone() {
+                    if let Some(current) = values.code(row) {
                         // Draw a replacement different from the current value.
                         loop {
-                            let candidate = &distinct[rng.gen_range(0..distinct.len())];
-                            if *candidate != current {
-                                *v = Some(candidate.clone());
+                            let candidate = distinct[rng.gen_range(0..distinct.len())];
+                            if candidate != current {
+                                values.set_code(row, Some(candidate));
                                 break;
                             }
                         }
@@ -187,9 +195,10 @@ impl ErrorGen for ConstantFill {
                 .column_mut(col)
                 .as_categorical_mut()
                 .expect("categorical");
-            for v in values.iter_mut() {
+            let unknown = values.intern("unknown");
+            for row in 0..values.len() {
                 if rng.gen::<f64>() < p {
-                    *v = Some("unknown".to_string());
+                    values.set_code(row, Some(unknown));
                 }
             }
         }
@@ -286,11 +295,10 @@ mod tests {
         let orig = df.column(1).as_categorical().unwrap();
         let new = out.column(1).as_categorical().unwrap();
         let mut flipped = 0;
-        for (o, n) in orig.iter().zip(new) {
-            assert!(n.is_some(), "flip never introduces nulls");
-            let n = n.as_ref().unwrap();
+        for (o, n) in orig.iter().zip(new.iter()) {
+            let n = n.expect("flip never introduces nulls");
             assert!(n == "even" || n == "odd", "only valid categories: {n}");
-            if o.as_ref() != Some(n) {
+            if o != Some(n) {
                 flipped += 1;
             }
         }

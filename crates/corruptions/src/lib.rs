@@ -179,8 +179,42 @@ mod tests {
         gens.extend(unknown_tabular_suite(df.schema()));
         gens.extend(extended_tabular_suite(df.schema()));
         gens.push(Box::new(EntropyMissingValues::all_tabular(df.schema())));
+        gens.push(Box::new(EncodingErrors::all_categorical(df.schema())));
         gens.push(Box::new(CleanCopy));
         gens
+    }
+
+    #[test]
+    fn invented_values_extend_only_the_copys_dictionary() {
+        let df = toy_frame(120);
+        let base = df.column(1).as_categorical().unwrap();
+        let mut inventors = Vec::new();
+        for g in all_tabular_generators(&df) {
+            for seed in 0..5u64 {
+                let out = g.corrupt(&df, &mut StdRng::seed_from_u64(seed));
+                let values = out.column(1).as_categorical().unwrap();
+                let invented = values.iter().flatten().any(|v| v != "even" && v != "odd");
+                // Append-only: the copy's codes keep their base values.
+                assert_eq!(&values.dictionary()[..2], base.dictionary(), "{}", g.name());
+                if invented {
+                    assert!(!values.shares_dictionary(base), "{}", g.name());
+                    inventors.push(g.name().to_string());
+                }
+            }
+        }
+        inventors.dedup();
+        assert_eq!(
+            inventors,
+            [
+                "swapped_columns",
+                "typos",
+                "constant_fill",
+                "encoding_errors"
+            ]
+        );
+        // The base frame's cells and dictionary are untouched.
+        assert_eq!(base.dictionary(), ["even", "odd"]);
+        assert_eq!(df, toy_frame(120));
     }
 
     #[test]

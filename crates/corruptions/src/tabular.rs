@@ -339,10 +339,11 @@ impl ErrorGen for Typos {
                 .column_mut(col)
                 .as_categorical_mut()
                 .expect("categorical candidate");
-            for v in values.iter_mut() {
+            for row in 0..values.len() {
                 if rng.gen::<f64>() < p {
-                    if let Some(s) = v.take() {
-                        *v = Some(introduce_typo(&s, rng));
+                    if let Some(s) = values.get(row) {
+                        let typo = introduce_typo(s, rng);
+                        values.set(row, Some(&typo));
                     }
                 }
             }
@@ -494,10 +495,11 @@ impl ErrorGen for EncodingErrors {
                     }
                 }
             } else if let Ok(values) = column.as_categorical_mut() {
-                for v in values.iter_mut() {
+                for row in 0..values.len() {
                     if rng.gen::<f64>() < p {
-                        if let Some(s) = v.take() {
-                            *v = Some(garble_encoding(&s));
+                        if let Some(s) = values.get(row) {
+                            let garbled = garble_encoding(s);
+                            values.set(row, Some(&garbled));
                         }
                     }
                 }

@@ -2,6 +2,8 @@
 
 use crate::{ColumnType, FrameError};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A small grayscale image with pixel intensities in `[0, 1]`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -59,14 +61,170 @@ pub enum CellValue {
     Image(ImageData),
 }
 
+/// The code of a missing cell.
+const MISSING: u32 = u32::MAX;
+
+/// The distinct values a categorical column has held, each under the code
+/// it was first given. Append-only and duplicate-free, so a code names one
+/// value for the dictionary's whole life, and two cells of one column hold
+/// the same value exactly when they hold the same code.
+#[derive(Debug, Clone, Default)]
+struct Dictionary {
+    values: Vec<String>,
+    codes: HashMap<String, u32>,
+}
+
+/// A categorical column: one `u32` code per cell into a dictionary of
+/// values that copies of the column share.
+///
+/// Selecting rows, and the copy-on-write copy of a column, copy the 4-byte
+/// codes and one pointer, never a string. Values enter only through [`Self::intern`]
+/// (directly or through [`Self::set`] and [`Self::push`]), which extends
+/// this column's own copy of the dictionary when the value is new, so a
+/// corrupted copy never changes the dictionary of the frame it came from.
+///
+/// A dictionary may hold values no cell holds: a subsample keeps its
+/// parent's dictionary, and overwritten values stay in it. Equality
+/// therefore compares the cells' values, not codes or dictionaries.
+#[derive(Debug, Clone, Default)]
+pub struct CategoricalColumn {
+    codes: Vec<u32>,
+    dictionary: Arc<Dictionary>,
+}
+
+impl CategoricalColumn {
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.codes.len()
+    }
+
+    /// Whether the column has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.codes.is_empty()
+    }
+
+    /// Value of the cell at `row`; `None` when it is missing.
+    pub fn get(&self, row: usize) -> Option<&str> {
+        self.code(row).map(|c| self.value(c))
+    }
+
+    /// Dictionary code of the cell at `row`; `None` when it is missing.
+    #[inline]
+    pub fn code(&self, row: usize) -> Option<u32> {
+        let code = self.codes[row];
+        (code != MISSING).then_some(code)
+    }
+
+    /// The cells' dictionary codes in row order; `None` for a missing cell.
+    pub fn codes(&self) -> impl Iterator<Item = Option<u32>> + '_ {
+        self.codes.iter().map(|&c| (c != MISSING).then_some(c))
+    }
+
+    /// The cells' values in row order.
+    pub fn iter(&self) -> impl Iterator<Item = Option<&str>> + '_ {
+        self.codes().map(|code| code.map(|c| self.value(c)))
+    }
+
+    fn value(&self, code: u32) -> &str {
+        &self.dictionary.values[code as usize]
+    }
+
+    /// The dictionary: the value of every code, indexed by code. It may
+    /// hold values that no cell holds.
+    pub fn dictionary(&self) -> &[String] {
+        &self.dictionary.values
+    }
+
+    /// Whether `self` and `other` share one physical dictionary
+    /// (copy-on-write bookkeeping; used by tests).
+    pub fn shares_dictionary(&self, other: &CategoricalColumn) -> bool {
+        Arc::ptr_eq(&self.dictionary, &other.dictionary)
+    }
+
+    /// The code of `value`, first adding it to this column's dictionary if
+    /// it is new. Adding copies a dictionary shared with other columns.
+    pub fn intern(&mut self, value: &str) -> u32 {
+        if let Some(&code) = self.dictionary.codes.get(value) {
+            return code;
+        }
+        let dictionary = Arc::make_mut(&mut self.dictionary);
+        let code = u32::try_from(dictionary.values.len())
+            .ok()
+            .filter(|&c| c != MISSING)
+            .expect("a categorical dictionary holds fewer than u32::MAX values");
+        dictionary.values.push(value.to_owned());
+        dictionary.codes.insert(value.to_owned(), code);
+        code
+    }
+
+    /// Stores `value` at `row`, interning it.
+    pub fn set(&mut self, row: usize, value: Option<&str>) {
+        let code = value.map(|v| self.intern(v));
+        self.set_code(row, code);
+    }
+
+    /// Stores the dictionary code `code` at `row`.
+    ///
+    /// # Panics
+    /// If `code` is not in this column's dictionary.
+    pub fn set_code(&mut self, row: usize, code: Option<u32>) {
+        self.codes[row] = match code {
+            Some(c) => {
+                assert!(
+                    (c as usize) < self.dictionary.values.len(),
+                    "code {c} is not in the column's dictionary"
+                );
+                c
+            }
+            None => MISSING,
+        };
+    }
+
+    /// Appends a cell, interning its value.
+    pub fn push(&mut self, value: Option<&str>) {
+        self.codes.push(MISSING);
+        self.set(self.codes.len() - 1, value);
+    }
+
+    fn null_count(&self) -> usize {
+        self.codes.iter().filter(|&&c| c == MISSING).count()
+    }
+
+    fn select(&self, indices: &[usize]) -> CategoricalColumn {
+        CategoricalColumn {
+            codes: indices.iter().map(|&i| self.codes[i]).collect(),
+            dictionary: Arc::clone(&self.dictionary),
+        }
+    }
+}
+
+impl PartialEq for CategoricalColumn {
+    fn eq(&self, other: &Self) -> bool {
+        if self.shares_dictionary(other) {
+            return self.codes == other.codes;
+        }
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl<'a> FromIterator<Option<&'a str>> for CategoricalColumn {
+    fn from_iter<I: IntoIterator<Item = Option<&'a str>>>(values: I) -> Self {
+        let mut column = CategoricalColumn::default();
+        for value in values {
+            column.push(value);
+        }
+        column
+    }
+}
+
 /// Columnar storage for one attribute. Each variant stores one optional
 /// value per row; `None` encodes a missing cell.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Column {
     /// Numeric attribute values.
     Numeric(Vec<Option<f64>>),
-    /// Categorical attribute values.
-    Categorical(Vec<Option<String>>),
+    /// Categorical attribute values, stored as dictionary codes.
+    Categorical(CategoricalColumn),
     /// Text attribute values.
     Text(Vec<Option<String>>),
     /// Image attribute values.
@@ -103,7 +261,7 @@ impl Column {
     pub fn null_count(&self) -> usize {
         match self {
             Column::Numeric(v) => v.iter().filter(|c| c.is_none()).count(),
-            Column::Categorical(v) => v.iter().filter(|c| c.is_none()).count(),
+            Column::Categorical(v) => v.null_count(),
             Column::Text(v) => v.iter().filter(|c| c.is_none()).count(),
             Column::Image(v) => v.iter().filter(|c| c.is_none()).count(),
         }
@@ -113,7 +271,7 @@ impl Column {
     pub fn empty(ty: ColumnType) -> Column {
         match ty {
             ColumnType::Numeric => Column::Numeric(Vec::new()),
-            ColumnType::Categorical => Column::Categorical(Vec::new()),
+            ColumnType::Categorical => Column::Categorical(CategoricalColumn::default()),
             ColumnType::Text => Column::Text(Vec::new()),
             ColumnType::Image => Column::Image(Vec::new()),
         }
@@ -123,7 +281,9 @@ impl Column {
     pub fn cell(&self, row: usize) -> CellValue {
         match self {
             Column::Numeric(v) => v[row].map_or(CellValue::Null, CellValue::Num),
-            Column::Categorical(v) => v[row].clone().map_or(CellValue::Null, CellValue::Cat),
+            Column::Categorical(v) => v
+                .get(row)
+                .map_or(CellValue::Null, |s| CellValue::Cat(s.to_owned())),
             Column::Text(v) => v[row].clone().map_or(CellValue::Null, CellValue::Text),
             Column::Image(v) => v[row].clone().map_or(CellValue::Null, CellValue::Image),
         }
@@ -149,13 +309,11 @@ impl Column {
                     CellValue::Null | CellValue::Image(_) => None,
                 };
             }
-            Column::Categorical(v) => {
-                v[row] = match value {
-                    CellValue::Cat(s) | CellValue::Text(s) => Some(s),
-                    CellValue::Num(x) => Some(format_num(x)),
-                    CellValue::Null | CellValue::Image(_) => None,
-                };
-            }
+            Column::Categorical(v) => match value {
+                CellValue::Cat(s) | CellValue::Text(s) => v.set(row, Some(&s)),
+                CellValue::Num(x) => v.set(row, Some(&format_num(x))),
+                CellValue::Null | CellValue::Image(_) => v.set(row, None),
+            },
             Column::Text(v) => {
                 v[row] = match value {
                     CellValue::Cat(s) | CellValue::Text(s) => Some(s),
@@ -181,9 +339,7 @@ impl Column {
     pub fn select(&self, indices: &[usize]) -> Column {
         match self {
             Column::Numeric(v) => Column::Numeric(indices.iter().map(|&i| v[i]).collect()),
-            Column::Categorical(v) => {
-                Column::Categorical(indices.iter().map(|&i| v[i].clone()).collect())
-            }
+            Column::Categorical(v) => Column::Categorical(v.select(indices)),
             Column::Text(v) => Column::Text(indices.iter().map(|&i| v[i].clone()).collect()),
             Column::Image(v) => Column::Image(indices.iter().map(|&i| v[i].clone()).collect()),
         }
@@ -212,7 +368,7 @@ impl Column {
     }
 
     /// Borrows the categorical values, failing on other column types.
-    pub fn as_categorical(&self) -> Result<&[Option<String>], FrameError> {
+    pub fn as_categorical(&self) -> Result<&CategoricalColumn, FrameError> {
         match self {
             Column::Categorical(v) => Ok(v),
             other => Err(FrameError::TypeMismatch(format!(
@@ -223,7 +379,7 @@ impl Column {
     }
 
     /// Mutably borrows the categorical values, failing on other column types.
-    pub fn as_categorical_mut(&mut self) -> Result<&mut Vec<Option<String>>, FrameError> {
+    pub fn as_categorical_mut(&mut self) -> Result<&mut CategoricalColumn, FrameError> {
         match self {
             Column::Categorical(v) => Ok(v),
             other => Err(FrameError::TypeMismatch(format!(
@@ -311,15 +467,15 @@ mod tests {
     fn null_count_per_variant() {
         let c = Column::Numeric(vec![Some(1.0), None, Some(2.0)]);
         assert_eq!(c.null_count(), 1);
-        let c = Column::Categorical(vec![None, None]);
+        let c = Column::Categorical([None, None].into_iter().collect());
         assert_eq!(c.null_count(), 2);
     }
 
     #[test]
     fn coerce_number_into_categorical_becomes_string() {
-        let mut c = Column::Categorical(vec![Some("a".into())]);
+        let mut c = Column::Categorical([Some("a")].into_iter().collect());
         c.set_cell_coercing(0, CellValue::Num(42.0));
-        assert_eq!(c.as_categorical().unwrap()[0], Some("42".into()));
+        assert_eq!(c.as_categorical().unwrap().get(0), Some("42"));
     }
 
     #[test]

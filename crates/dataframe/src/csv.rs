@@ -253,8 +253,8 @@ mod tests {
         assert_eq!(ages[0], Some(34.0));
         assert_eq!(ages[2], None); // empty cell
         let notes = df.column(2).as_categorical().unwrap();
-        assert_eq!(notes[1].as_deref(), Some("ok, good")); // quoted comma
-        assert_eq!(notes[2], None); // NA
+        assert_eq!(notes.get(1), Some("ok, good")); // quoted comma
+        assert_eq!(notes.get(2), None); // NA
     }
 
     #[test]
@@ -262,7 +262,7 @@ mod tests {
         let csv = "x,y\n\"he said \"\"hi\"\"\",1\n";
         let df = read_csv_str(csv, "y", &CsvOptions::default()).unwrap();
         assert_eq!(
-            df.column(0).as_categorical().unwrap()[0].as_deref(),
+            df.column(0).as_categorical().unwrap().get(0),
             Some("he said \"hi\"")
         );
     }

@@ -440,10 +440,7 @@ mod tests {
                                 // numeric column got "even" -> unparseable -> null
         assert_eq!(df.column(0).as_numeric().unwrap()[0], None);
         // categorical column got 0.0 -> "0"
-        assert_eq!(
-            df.column(1).as_categorical().unwrap()[0],
-            Some("0".to_string())
-        );
+        assert_eq!(df.column(1).as_categorical().unwrap().get(0), Some("0"));
     }
 
     #[test]
@@ -498,6 +495,64 @@ mod tests {
         // The original is untouched by the copy's write.
         assert_eq!(df.column(0).null_count(), 0);
         assert_eq!(copy.column(0).null_count(), 1);
+    }
+
+    #[test]
+    fn row_selection_and_other_column_writes_share_the_dictionary() {
+        let df = toy_frame(16);
+        let dictionary_shared = |other: &DataFrame| {
+            let (a, b) = (df.column(1), other.column(1));
+            a.as_categorical()
+                .unwrap()
+                .shares_dictionary(b.as_categorical().unwrap())
+        };
+        assert!(dictionary_shared(&df.select_rows(&[3, 1, 3])));
+        assert!(dictionary_shared(
+            &df.sample_n(5, &mut StdRng::seed_from_u64(3))
+        ));
+        let mut copy = df.clone();
+        copy.column_mut(0).set_null(2);
+        assert!(dictionary_shared(&copy));
+        // Writing an existing value copies codes, not the dictionary.
+        copy.column_mut(1)
+            .set_cell_coercing(0, CellValue::Cat("odd".into()));
+        assert!(!df.shares_column_storage(&copy, 1));
+        assert!(dictionary_shared(&copy));
+        // A new value extends the copy's own dictionary only.
+        copy.column_mut(1)
+            .set_cell_coercing(1, CellValue::Cat("new".into()));
+        assert!(!dictionary_shared(&copy));
+        assert_eq!(df.column(1).as_categorical().unwrap().dictionary().len(), 2);
+        assert_eq!(df, toy_frame(16));
+    }
+
+    #[test]
+    fn equality_compares_values_not_dictionaries() {
+        // Rebuilding the rows in reverse interns "odd" first; reversing
+        // back gives the same cells under a dictionary in the other order.
+        let df = toy_frame(6);
+        let mut b = DataFrameBuilder::new(df.schema().clone(), df.label_names().to_vec());
+        for r in (0..6).rev() {
+            b.push_row(vec![df.cell(r, 0), df.cell(r, 1)], df.labels()[r])
+                .unwrap();
+        }
+        let same = b.finish().unwrap().select_rows(&[5, 4, 3, 2, 1, 0]);
+        let dictionary =
+            |f: &DataFrame| f.column(1).as_categorical().unwrap().dictionary().to_vec();
+        assert_eq!(dictionary(&df), ["even", "odd"]);
+        assert_eq!(dictionary(&same), ["odd", "even"]);
+        assert_eq!(same, df);
+        // A dictionary value that no cell holds does not count either.
+        let mut extended = df.clone();
+        extended
+            .column_mut(1)
+            .as_categorical_mut()
+            .unwrap()
+            .intern("unused");
+        assert_eq!(extended, df);
+        let mut changed = df.clone();
+        changed.column_mut(1).set_null(0);
+        assert_ne!(changed, df);
     }
 
     #[test]

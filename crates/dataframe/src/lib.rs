@@ -7,6 +7,7 @@
 //!
 //! * [`ColumnType::Numeric`] — `f64` with missing values,
 //! * [`ColumnType::Categorical`] — string categories with missing values,
+//!   stored as dictionary codes ([`CategoricalColumn`]),
 //! * [`ColumnType::Text`] — free text (tweets),
 //! * [`ColumnType::Image`] — small grayscale images (digits / fashion).
 //!
@@ -20,7 +21,7 @@ pub mod csv;
 mod frame;
 mod schema;
 
-pub use column::{CellValue, Column, ImageData};
+pub use column::{CategoricalColumn, CellValue, Column, ImageData};
 pub use csv::{read_csv_file, read_csv_str, write_csv_string, CsvOptions};
 pub use frame::{toy_frame, DataFrame, DataFrameBuilder};
 pub use schema::{ColumnType, Field, Schema};

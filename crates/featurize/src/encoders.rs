@@ -3,7 +3,7 @@
 //! fixed column offset.
 
 use crate::hashing::{fnv1a64, tokenize, word_ngrams};
-use lvp_dataframe::{Column, ColumnType, ImageData};
+use lvp_dataframe::{CategoricalColumn, Column, ColumnType, ImageData};
 use std::collections::BTreeMap;
 
 /// Standardizes a numeric column to zero mean and unit variance.
@@ -73,12 +73,18 @@ pub struct OneHotEncoder {
 }
 
 impl OneHotEncoder {
-    /// Collects the category dictionary from a training column.
-    pub fn fit(values: &[Option<String>]) -> Self {
+    /// Collects the category dictionary from a training column. Indices
+    /// follow the order in which values first appear in the *cells*, so a
+    /// column's dictionary order and any values it holds that no cell holds
+    /// do not affect the fit.
+    pub fn fit(values: &CategoricalColumn) -> Self {
         let mut categories = BTreeMap::new();
-        for v in values.iter().flatten() {
-            let next = categories.len() as u32;
-            categories.entry(v.clone()).or_insert(next);
+        let mut seen = vec![false; values.dictionary().len()];
+        for code in values.codes().flatten() {
+            if !std::mem::replace(&mut seen[code as usize], true) {
+                let next = categories.len() as u32;
+                categories.insert(values.dictionary()[code as usize].clone(), next);
+            }
         }
         Self { categories }
     }
@@ -88,18 +94,15 @@ impl OneHotEncoder {
         self.categories.len()
     }
 
-    /// Whether `value` was observed during fitting.
-    pub fn knows(&self, value: &str) -> bool {
-        self.categories.contains_key(value)
-    }
-
-    /// Encodes one cell into `(offset + category_index, 1.0)`.
-    pub fn encode(&self, value: Option<&str>, offset: u32, out: &mut Vec<(u32, f64)>) {
-        if let Some(v) = value {
-            if let Some(&idx) = self.categories.get(v) {
-                out.push((offset + idx, 1.0));
-            }
-        }
+    /// The one-hot index of every code of `values`' dictionary: `None` for
+    /// a value not observed during fitting. Encoding a cell is then one
+    /// lookup by its code.
+    pub(crate) fn index_by_code(&self, values: &CategoricalColumn) -> Vec<Option<u32>> {
+        values
+            .dictionary()
+            .iter()
+            .map(|v| self.categories.get(v.as_str()).copied())
+            .collect()
     }
 }
 
@@ -228,23 +231,47 @@ impl ColumnEncoder {
         }
     }
 
-    pub(crate) fn encode_cell(
-        &self,
-        column: &Column,
-        row: usize,
-        offset: u32,
-        out: &mut Vec<(u32, f64)>,
-    ) {
+    /// Binds the encoder to the frame column it will encode, doing the
+    /// per-column work once: a categorical column's dictionary is
+    /// translated to one-hot indices here. A column of another kind than
+    /// the encoder's cannot occur for frames that pass
+    /// `FeaturePipeline::check_frame`; it encodes as all-missing.
+    pub(crate) fn bind<'a>(&'a self, column: &'a Column) -> BoundEncoder<'a> {
         match (self, column) {
-            (ColumnEncoder::Numeric(e), Column::Numeric(v)) => e.encode(v[row], offset, out),
+            (ColumnEncoder::Numeric(e), Column::Numeric(v)) => BoundEncoder::Numeric(e, v),
             (ColumnEncoder::Categorical(e), Column::Categorical(v)) => {
-                e.encode(v[row].as_deref(), offset, out)
+                BoundEncoder::Categorical(v, e.index_by_code(v))
             }
-            (ColumnEncoder::Text(e), Column::Text(v)) => e.encode(v[row].as_deref(), offset, out),
-            (ColumnEncoder::Image(e), Column::Image(v)) => e.encode(v[row].as_ref(), offset, out),
-            // Type mismatches cannot occur for frames that pass
-            // `FeaturePipeline::check_frame`; treat defensively as missing.
-            _ => {}
+            (ColumnEncoder::Text(e), Column::Text(v)) => BoundEncoder::Text(e, v),
+            (ColumnEncoder::Image(e), Column::Image(v)) => BoundEncoder::Image(e, v),
+            _ => BoundEncoder::Missing,
+        }
+    }
+}
+
+/// A fitted encoder bound to one frame column.
+pub(crate) enum BoundEncoder<'a> {
+    Numeric(&'a NumericScaler, &'a [Option<f64>]),
+    /// The column and the one-hot index of each of its codes.
+    Categorical(&'a CategoricalColumn, Vec<Option<u32>>),
+    Text(&'a HashingTextEncoder, &'a [Option<String>]),
+    Image(&'a ImageEncoder, &'a [Option<ImageData>]),
+    Missing,
+}
+
+impl BoundEncoder<'_> {
+    /// Encodes the cell at `row` into `(offset + index, value)` pairs.
+    pub(crate) fn encode(&self, row: usize, offset: u32, out: &mut Vec<(u32, f64)>) {
+        match self {
+            BoundEncoder::Numeric(e, v) => e.encode(v[row], offset, out),
+            BoundEncoder::Categorical(v, index_by_code) => {
+                if let Some(idx) = v.code(row).and_then(|code| index_by_code[code as usize]) {
+                    out.push((offset + idx, 1.0));
+                }
+            }
+            BoundEncoder::Text(e, v) => e.encode(v[row].as_deref(), offset, out),
+            BoundEncoder::Image(e, v) => e.encode(v[row].as_ref(), offset, out),
+            BoundEncoder::Missing => {}
         }
     }
 }
@@ -295,33 +322,70 @@ mod tests {
         assert_eq!(s.std(), 1.0);
     }
 
+    fn categorical(values: &[Option<&str>]) -> CategoricalColumn {
+        values.iter().copied().collect()
+    }
+
+    fn one_hot(e: &OneHotEncoder, column: &Column) -> Vec<Vec<(u32, f64)>> {
+        let bound = ColumnEncoder::Categorical(e.clone());
+        let bound = bound.bind(column);
+        (0..column.len())
+            .map(|row| {
+                let mut out = vec![];
+                bound.encode(row, 10, &mut out);
+                out
+            })
+            .collect()
+    }
+
     #[test]
     fn one_hot_encodes_known_categories() {
-        let e = OneHotEncoder::fit(&[Some("a".into()), Some("b".into()), Some("a".into())]);
+        let e = OneHotEncoder::fit(&categorical(&[Some("a"), Some("b"), Some("a")]));
         assert_eq!(e.width(), 2);
-        let mut out = vec![];
-        e.encode(Some("b"), 10, &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].1, 1.0);
+        let serving = Column::Categorical(categorical(&[Some("b"), Some("a")]));
+        assert_eq!(
+            one_hot(&e, &serving),
+            vec![vec![(11, 1.0)], vec![(10, 1.0)]]
+        );
     }
 
     #[test]
     fn one_hot_unseen_category_is_zero_vector() {
-        let e = OneHotEncoder::fit(&[Some("a".into())]);
-        let mut out = vec![];
-        e.encode(Some("zzz"), 0, &mut out);
-        assert!(out.is_empty());
-        e.encode(None, 0, &mut out);
-        assert!(out.is_empty());
-        assert!(!e.knows("zzz"));
-        assert!(e.knows("a"));
+        let e = OneHotEncoder::fit(&categorical(&[Some("a")]));
+        let serving = categorical(&[Some("zzz"), None, Some("a")]);
+        assert_eq!(e.index_by_code(&serving), vec![None, Some(0)]);
+        let rows = one_hot(&e, &Column::Categorical(serving));
+        assert_eq!(rows, vec![vec![], vec![], vec![(10, 1.0)]]);
     }
 
     #[test]
     fn one_hot_category_ids_are_deterministic() {
-        let e1 = OneHotEncoder::fit(&[Some("x".into()), Some("y".into())]);
-        let e2 = OneHotEncoder::fit(&[Some("x".into()), Some("y".into())]);
+        let e1 = OneHotEncoder::fit(&categorical(&[Some("x"), Some("y")]));
+        let e2 = OneHotEncoder::fit(&categorical(&[Some("x"), Some("y")]));
         assert_eq!(e1, e2);
+    }
+
+    #[test]
+    fn one_hot_fit_counts_only_values_present_in_cells() {
+        // A subsample keeps its parent's dictionary, including values none
+        // of its rows hold; those must not widen the encoder.
+        let parent = categorical(&[Some("a"), Some("b"), Some("c"), None, Some("b")]);
+        let subsample = Column::Categorical(parent).select(&[4, 3, 4]);
+        let values = subsample.as_categorical().unwrap();
+        assert_eq!(values.dictionary().len(), 3);
+        let e = OneHotEncoder::fit(values);
+        assert_eq!(e.width(), 1);
+        assert_eq!(e, OneHotEncoder::fit(&categorical(&[Some("b")])));
+    }
+
+    #[test]
+    fn one_hot_indices_follow_cells_not_dictionary_order() {
+        // Same cells, dictionaries in opposite orders: same fitted encoder.
+        let forward = categorical(&[Some("x"), Some("y")]);
+        let reversed = Column::Categorical(categorical(&[Some("y"), Some("x")])).select(&[1, 0]);
+        let reversed = reversed.as_categorical().unwrap();
+        assert_ne!(forward.dictionary(), reversed.dictionary());
+        assert_eq!(OneHotEncoder::fit(&forward), OneHotEncoder::fit(reversed));
     }
 
     #[test]

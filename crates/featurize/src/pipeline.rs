@@ -110,16 +110,24 @@ impl FeaturePipeline {
 
     /// Transforms a frame into a CSR feature matrix, one row per tuple.
     ///
-    /// Encodes cell by cell into one reused scratch buffer and streams rows
-    /// straight into a [`CsrBuilder`], so the only per-call allocations are
-    /// the output matrix's own arrays. Training and serving both featurize
-    /// here. The frame must pass [`Self::check_frame`].
+    /// Binds every encoder to its column once, which translates each
+    /// categorical dictionary to one-hot indices, then encodes cell by cell
+    /// into one reused scratch buffer and streams rows straight into a
+    /// [`CsrBuilder`]. Beyond the output matrix, a call allocates only the
+    /// bindings and one index per dictionary value. Training and serving
+    /// both featurize here. The frame must pass [`Self::check_frame`].
     pub fn transform(&self, df: &DataFrame) -> CsrMatrix {
         let mut builder = CsrBuilder::with_capacity(self.total_width, df.n_rows(), df.n_rows());
+        let bound: Vec<_> = self
+            .encoders
+            .iter()
+            .enumerate()
+            .map(|(i, enc)| (enc.bind(df.column(i)), self.offsets[i]))
+            .collect();
         let mut pairs: Vec<(u32, f64)> = Vec::new();
         for r in 0..df.n_rows() {
-            for (i, enc) in self.encoders.iter().enumerate() {
-                enc.encode_cell(df.column(i), r, self.offsets[i], &mut pairs);
+            for (enc, offset) in &bound {
+                enc.encode(r, *offset, &mut pairs);
             }
             builder
                 .push_row_pairs(&mut pairs)

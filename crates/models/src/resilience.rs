@@ -107,7 +107,7 @@ pub fn frame_content_key(frame: &DataFrame) -> u64 {
             *hash = hash.wrapping_mul(FNV_PRIME);
         }
     };
-    let eat_opt_str = |hash: &mut u64, v: Option<&String>| match v {
+    let eat_opt_str = |hash: &mut u64, v: Option<&str>| match v {
         None => {
             *hash ^= 0xFF;
             *hash = hash.wrapping_mul(FNV_PRIME);
@@ -128,9 +128,17 @@ pub fn frame_content_key(frame: &DataFrame) -> u64 {
                     eat_opt_f64(&mut hash, v);
                 }
             }
-            Column::Categorical(values) | Column::Text(values) => {
+            // Decoded values, never codes: a frame's key must not depend on
+            // its dictionary, which copies of the same cells may order
+            // differently.
+            Column::Categorical(values) => {
+                for v in values.iter() {
+                    eat_opt_str(&mut hash, v);
+                }
+            }
+            Column::Text(values) => {
                 for v in values {
-                    eat_opt_str(&mut hash, v.as_ref());
+                    eat_opt_str(&mut hash, v.as_deref());
                 }
             }
             Column::Image(values) => {
@@ -706,7 +714,7 @@ impl BlackBoxModel for ResilientModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lvp_dataframe::toy_frame;
+    use lvp_dataframe::{toy_frame, DataFrameBuilder};
     use std::sync::atomic::AtomicUsize;
 
     /// A scripted inner model: fails the first `failures_per_call` attempts
@@ -1033,5 +1041,28 @@ mod tests {
         let mut mutated = a.clone();
         mutated.column_mut(1).set_null(3);
         assert_ne!(frame_content_key(&a), frame_content_key(&mutated));
+    }
+
+    #[test]
+    fn frame_content_key_hashes_category_values_not_codes() {
+        use rand::SeedableRng;
+        // Fault plans key on this hash, so it must not move when the
+        // storage of categorical cells does: the value is the one the key
+        // had while categorical cells were stored as strings.
+        let income = lvp_datasets::income(300, &mut rand::rngs::StdRng::seed_from_u64(11));
+        assert_eq!(frame_content_key(&income), 0x6032_de91_6307_c573);
+        // The same cells under a dictionary in another order: rebuilt in
+        // reverse, then reversed back.
+        let mut b = DataFrameBuilder::new(income.schema().clone(), income.label_names().to_vec());
+        for r in (0..income.n_rows()).rev() {
+            let cells = (0..income.n_cols()).map(|c| income.cell(r, c)).collect();
+            b.push_row(cells, income.labels()[r]).unwrap();
+        }
+        let rows: Vec<usize> = (0..income.n_rows()).rev().collect();
+        let same = b.finish().unwrap().select_rows(&rows);
+        let workclass =
+            |df: &DataFrame| df.column(5).as_categorical().unwrap().dictionary().to_vec();
+        assert_ne!(workclass(&same), workclass(&income));
+        assert_eq!(frame_content_key(&same), frame_content_key(&income));
     }
 }
