@@ -13,6 +13,12 @@
 //!
 //! The clean-copy stream (`p_err = 0`) is addressed as a virtual generator
 //! at index `generators.len()`.
+//!
+//! Row reuse: when the model's rows are independent
+//! ([`BlackBoxModel::rows_are_independent`]), the engine scores the test
+//! data once, and each task sends the black box only the rows its
+//! corruption changed; the outputs of every other row are the reference
+//! outputs gathered by index. Clean copies make no model call at all.
 
 use crate::{CoreError, Metric};
 use lvp_corruptions::ErrorGen;
@@ -54,6 +60,33 @@ pub fn subsample_lower_bound(n_rows: usize) -> usize {
     } else {
         lo
     }
+}
+
+/// Scores `batch`, a copy of `base`, which holds the test rows `rows`.
+///
+/// With `reference` (the model's outputs on the whole test data) and a
+/// copy row-aligned with its base (see [`DataFrame::changed_rows`]), only
+/// the changed rows go to the model, and their outputs are scattered into
+/// the reference outputs of `rows`. Any other copy is scored whole.
+fn score_batch(
+    model: &dyn BlackBoxModel,
+    reference: Option<&DenseMatrix>,
+    rows: &[usize],
+    base: &DataFrame,
+    batch: &DataFrame,
+) -> Result<DenseMatrix, lvp_models::ModelError> {
+    let reusable = reference.and_then(|proba| Some((proba, batch.changed_rows(base)?)));
+    let Some((reference, changed)) = reusable.filter(|(_, c)| c.len() < batch.n_rows()) else {
+        return model.try_predict_proba(batch);
+    };
+    let mut proba = reference.select_rows(rows);
+    if !changed.is_empty() {
+        let fresh = model.try_predict_proba(&batch.select_rows(&changed))?;
+        for (k, &r) in changed.iter().enumerate() {
+            proba.row_mut(r).copy_from_slice(fresh.row(k));
+        }
+    }
+    Ok(proba)
 }
 
 /// One corrupted (or clean) batch produced by the generation loop, handed
@@ -146,9 +179,15 @@ impl EngineMetrics {
 /// sequential and parallel paths: each task seeds its own [`StdRng`] from
 /// [`derive_run_seed`] and the parallel collect preserves task order.
 ///
-/// Fails fast with a [`CoreError`] when `metric` cannot score the model's
-/// output shape (e.g. [`Metric::Auc`] with a non-binary model), before any
-/// batch is generated.
+/// Fails fast with a [`CoreError`] when `test` is empty or `metric` cannot
+/// score the model's output shape (e.g. [`Metric::Auc`] with a non-binary
+/// model), before any batch is generated.
+///
+/// When [`BlackBoxModel::rows_are_independent`] holds, the model scores
+/// `test` once and each task scores only the rows its corruption changed
+/// (module docs); the outputs are bit-identical to scoring every batch
+/// whole. If that reference call fails, every task scores its whole batch,
+/// so which tasks are skipped does not change.
 ///
 /// A task whose scoring fails terminally (the serving model's
 /// [`BlackBoxModel::try_predict_proba`] returns an error even after its own
@@ -192,6 +231,9 @@ where
             "min_survival must lie in [0, 1], got {min_survival}"
         )));
     }
+    if test.n_rows() == 0 {
+        return Err(CoreError::new("held-out test data is empty"));
+    }
     metric.validate_n_classes(model.n_classes())?;
     let clean_stream = generators.len();
     let tasks: Vec<(usize, usize)> = (0..generators.len())
@@ -200,6 +242,11 @@ where
         .collect();
     let metrics = telemetry.map(EngineMetrics::resolve);
     let metrics = metrics.as_ref();
+    let reference = if model.rows_are_independent() {
+        model.try_predict_proba(test).ok()
+    } else {
+        None
+    };
 
     let run_one = |(g, r): (usize, usize)| -> Result<T, SkippedBatch> {
         let mut rng = StdRng::seed_from_u64(derive_run_seed(master_seed, g, r));
@@ -207,25 +254,27 @@ where
             m.seeds.inc();
         }
         let started = Instant::now();
+        // Corrupted copies are random-size subsamples so the learned
+        // regressor sees the batch-size regime it will face at serving time
+        // (percentile features are order statistics and therefore
+        // batch-size sensitive). Clean copies teach the meta-model the
+        // error-free regime; their size varies too.
+        let n = test.n_rows();
+        let lo = if g < clean_stream {
+            subsample_lower_bound(n)
+        } else {
+            (n / 2).max(1)
+        };
+        let rows = test.sample_indices(rng.gen_range(lo..=n), &mut rng);
+        let base = test.select_rows(&rows);
         let (batch_frame, generator_name) = if g < clean_stream {
-            // Corrupt a random-size subsample so the learned regressor sees
-            // the same batch-size regime it will face at serving time
-            // (percentile features are order statistics and therefore
-            // batch-size sensitive).
-            let lo = subsample_lower_bound(test.n_rows());
-            let base = test.sample_n(rng.gen_range(lo..=test.n_rows()), &mut rng);
             let corrupted = generators[g].corrupt_with_model(&base, Some(model), &mut rng);
             (corrupted, generators[g].name())
         } else {
-            // Clean copies teach the meta-model the error-free regime; the
-            // rows are still subsampled so the batch-size distribution
-            // varies.
-            let n = test.n_rows();
-            let take = rng.gen_range((n / 2).max(1)..=n);
-            (test.sample_n(take, &mut rng), "clean")
+            (base.clone(), "clean")
         };
         let generated = Instant::now();
-        let proba = match model.try_predict_proba(&batch_frame) {
+        let proba = match score_batch(model, reference.as_ref(), &rows, &base, &batch_frame) {
             Ok(proba) => proba,
             Err(error) => {
                 if let Some(m) = metrics {
@@ -408,6 +457,7 @@ mod tests {
         )
         .map(|outcome| outcome.results)
         .unwrap();
+        let plain_calls = registry.snapshot().counters["model.predict.calls"];
         let instrumented = examples(
             model.as_ref(),
             &df,
@@ -432,9 +482,11 @@ mod tests {
             assert_eq!(h.count, total, "{phase}");
             assert_eq!(h.bucket_total(), h.count, "{phase}");
         }
-        assert!(
-            snap.counters["model.predict.calls"] >= 2 * total,
-            "both runs went through the instrumented model"
+        assert!(plain_calls > 0);
+        assert_eq!(
+            snap.counters["model.predict.calls"],
+            2 * plain_calls,
+            "both runs made the same calls to the instrumented model"
         );
     }
 
@@ -512,6 +564,9 @@ mod tests {
         fn name(&self) -> &str {
             "size-poisoned"
         }
+        fn rows_are_independent(&self) -> bool {
+            false // failures depend on the batch size
+        }
     }
 
     #[test]
@@ -584,6 +639,34 @@ mod tests {
             .map(|outcome| outcome.results)
             .unwrap_err();
         assert!(err.model_error().is_some());
+    }
+
+    #[test]
+    fn empty_test_data_fails_before_scoring() {
+        struct Unscorable;
+        impl BlackBoxModel for Unscorable {
+            fn predict_proba(&self, data: &DataFrame) -> DenseMatrix {
+                panic!("must fail before scoring {} rows", data.n_rows())
+            }
+            fn n_classes(&self) -> usize {
+                2
+            }
+            fn name(&self) -> &str {
+                "unscorable"
+            }
+        }
+        let empty = toy_frame(0);
+        for parallel in [false, true] {
+            let err = examples(
+                &Unscorable,
+                &empty,
+                (2, 1, Metric::Accuracy),
+                (0, parallel, 0.0),
+                None,
+            )
+            .unwrap_err();
+            assert!(err.message.contains("test data is empty"), "{err}");
+        }
     }
 
     #[test]

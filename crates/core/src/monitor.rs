@@ -1107,6 +1107,9 @@ mod tests {
         fn name(&self) -> &str {
             "fail-on-rows"
         }
+        fn rows_are_independent(&self) -> bool {
+            false // failures depend on the batch size
+        }
     }
 
     #[test]

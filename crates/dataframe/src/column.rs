@@ -196,6 +196,36 @@ impl CategoricalColumn {
             dictionary: Arc::clone(&self.dictionary),
         }
     }
+
+    /// Sets `changed[r]` for every row whose value differs from `base`'s.
+    fn mark_changed_rows(&self, base: &CategoricalColumn, changed: &mut [bool]) {
+        if self.shares_dictionary(base) {
+            mark_unequal(&self.codes, &base.codes, changed, |a, b| a == b);
+            return;
+        }
+        // `base`'s code for each of our codes; `None` when `base`'s
+        // dictionary lacks the value.
+        let to_base: Vec<Option<u32>> = self
+            .dictionary
+            .values
+            .iter()
+            .map(|v| base.dictionary.codes.get(v).copied())
+            .collect();
+        mark_unequal(&self.codes, &base.codes, changed, |&a, &b| {
+            if a == MISSING {
+                b == MISSING
+            } else {
+                to_base[a as usize] == Some(b)
+            }
+        });
+    }
+}
+
+/// Sets `changed[r]` wherever `same(a[r], b[r])` is false.
+fn mark_unequal<T>(a: &[T], b: &[T], changed: &mut [bool], same: impl Fn(&T, &T) -> bool) {
+    for ((flag, x), y) in changed.iter_mut().zip(a).zip(b) {
+        *flag |= !same(x, y);
+    }
 }
 
 impl PartialEq for CategoricalColumn {
@@ -342,6 +372,31 @@ impl Column {
             Column::Categorical(v) => Column::Categorical(v.select(indices)),
             Column::Text(v) => Column::Text(indices.iter().map(|&i| v[i].clone()).collect()),
             Column::Image(v) => Column::Image(indices.iter().map(|&i| v[i].clone()).collect()),
+        }
+    }
+
+    /// Sets `changed[r]` for every row whose value differs from `base`'s,
+    /// and for every row when the two columns differ in type. Numbers and
+    /// pixels compare by bit pattern, categories and text by value.
+    pub(crate) fn mark_changed_rows(&self, base: &Column, changed: &mut [bool]) {
+        let same_bits =
+            |x: &Option<f64>, y: &Option<f64>| x.map(f64::to_bits) == y.map(f64::to_bits);
+        let same_image = |x: &Option<ImageData>, y: &Option<ImageData>| match (x, y) {
+            (Some(x), Some(y)) => {
+                (x.width, x.height) == (y.width, y.height)
+                    && x.pixels
+                        .iter()
+                        .map(|p| p.to_bits())
+                        .eq(y.pixels.iter().map(|p| p.to_bits()))
+            }
+            (x, y) => x.is_none() && y.is_none(),
+        };
+        match (self, base) {
+            (Column::Numeric(a), Column::Numeric(b)) => mark_unequal(a, b, changed, same_bits),
+            (Column::Categorical(a), Column::Categorical(b)) => a.mark_changed_rows(b, changed),
+            (Column::Text(a), Column::Text(b)) => mark_unequal(a, b, changed, |x, y| x == y),
+            (Column::Image(a), Column::Image(b)) => mark_unequal(a, b, changed, same_image),
+            _ => changed.fill(true),
         }
     }
 

@@ -202,10 +202,50 @@ impl DataFrame {
     /// Draws `n` rows uniformly without replacement (all rows if `n` exceeds
     /// the frame size).
     pub fn sample_n(&self, n: usize, rng: &mut impl Rng) -> DataFrame {
+        self.select_rows(&self.sample_indices(n, rng))
+    }
+
+    /// The row indices [`Self::sample_n`] selects, in draw order: `n` rows
+    /// drawn uniformly without replacement (all rows if `n` exceeds the
+    /// frame size). Both consume the same draws from `rng`.
+    pub fn sample_indices(&self, n: usize, rng: &mut impl Rng) -> Vec<usize> {
         let mut idx: Vec<usize> = (0..self.n_rows()).collect();
         idx.shuffle(rng);
         idx.truncate(n.min(self.n_rows()));
-        self.select_rows(&idx)
+        idx
+    }
+
+    /// The rows, in ascending order, at which `self` holds a different
+    /// value than `base` in some column; `None` when `self` is not
+    /// row-aligned with `base` (another row count, schema or labels), so
+    /// that row `r` of one need not be row `r` of the other.
+    ///
+    /// Only the columns whose storage `self` no longer shares with `base`
+    /// are compared: a shared column holds the same cells by construction.
+    /// Categorical cells compare by value, whatever their dictionaries.
+    /// Numeric and pixel values compare by bit pattern, so a difference
+    /// only a bit pattern shows (`0.0` against `-0.0`) counts as a change.
+    pub fn changed_rows(&self, base: &DataFrame) -> Option<Vec<usize>> {
+        if self.n_rows() != base.n_rows()
+            || self.schema != base.schema
+            || self.labels != base.labels
+        {
+            return None;
+        }
+        let mut changed = vec![false; self.n_rows()];
+        for (i, column) in self.columns.iter().enumerate() {
+            if !self.shares_column_storage(base, i) {
+                column.mark_changed_rows(&base.columns[i], &mut changed);
+            }
+        }
+        Some(
+            changed
+                .iter()
+                .enumerate()
+                .filter(|(_, &c)| c)
+                .map(|(r, _)| r)
+                .collect(),
+        )
     }
 
     /// Returns a class-balanced frame by downsampling every class to the
@@ -413,6 +453,95 @@ mod tests {
         let empty = df.sample_n(0, &mut rng);
         assert_eq!(empty.n_rows(), 0);
         assert_eq!(empty.n_cols(), df.n_cols());
+    }
+
+    #[test]
+    fn sample_n_selects_the_sampled_indices_and_draws_alike() {
+        let df = toy_frame(40);
+        for n in [0, 1, 17, 40, 41] {
+            let (mut a, mut b) = (
+                StdRng::seed_from_u64(n as u64),
+                StdRng::seed_from_u64(n as u64),
+            );
+            let sampled = df.sample_n(n, &mut a);
+            let indices = df.sample_indices(n, &mut b);
+            assert_eq!(sampled, df.select_rows(&indices), "n={n}");
+            assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "n={n}: rng states diverged");
+        }
+    }
+
+    #[test]
+    fn changed_rows_finds_value_changes_in_unshared_columns() {
+        let df = toy_frame(8);
+        assert_eq!(df.clone().changed_rows(&df), Some(vec![]));
+        let mut copy = df.clone();
+        copy.column_mut(0).set_null(5);
+        copy.column_mut(1)
+            .set_cell_coercing(2, CellValue::Cat("new".into()));
+        // Rewriting a cell with its own value changes nothing.
+        copy.column_mut(1)
+            .set_cell_coercing(3, CellValue::Cat("odd".into()));
+        assert_eq!(copy.changed_rows(&df), Some(vec![2, 5]));
+        // A deep copy shares no storage, so every column is compared.
+        assert_eq!(df.deep_clone().changed_rows(&df), Some(vec![]));
+        // Equal values under another dictionary layout are unchanged.
+        let mut b = DataFrameBuilder::new(df.schema().clone(), df.label_names().to_vec());
+        for r in (0..8).rev() {
+            let cat = if r == 4 {
+                CellValue::Cat("new".into())
+            } else {
+                df.cell(r, 1)
+            };
+            b.push_row(vec![df.cell(r, 0), cat], df.labels()[r])
+                .unwrap();
+        }
+        let relaid = b.finish().unwrap().select_rows(&[7, 6, 5, 4, 3, 2, 1, 0]);
+        assert_eq!(relaid.changed_rows(&df), Some(vec![4]));
+    }
+
+    #[test]
+    fn changed_rows_compares_numbers_by_bits() {
+        let schema = Schema::new(vec![Field::new("x", ColumnType::Numeric)]).unwrap();
+        let frame = |values: &[f64]| {
+            let column = Column::Numeric(values.iter().copied().map(Some).collect());
+            DataFrame::new(
+                schema.clone(),
+                vec![column],
+                vec![0; values.len()],
+                vec!["a".into()],
+            )
+            .unwrap()
+        };
+        let base = frame(&[f64::NAN, 0.0, 1.0]);
+        assert_eq!(
+            frame(&[f64::NAN, -0.0, 1.0]).changed_rows(&base),
+            Some(vec![1])
+        );
+    }
+
+    #[test]
+    fn changed_rows_is_none_unless_row_aligned() {
+        let df = toy_frame(6);
+        // Another row count, other labels, another schema.
+        assert_eq!(df.select_rows(&[0, 1, 2]).changed_rows(&df), None);
+        assert_eq!(df.select_rows(&[1, 0, 2, 3, 4, 5]).changed_rows(&df), None);
+        let renamed = DataFrame::new(
+            Schema::new(vec![
+                Field::new("y", ColumnType::Numeric),
+                Field::new("c", ColumnType::Categorical),
+            ])
+            .unwrap(),
+            vec![df.column(0).clone(), df.column(1).clone()],
+            df.labels().to_vec(),
+            df.label_names().to_vec(),
+        )
+        .unwrap();
+        assert_eq!(renamed.changed_rows(&df), None);
+        // Reordering rows of equal labels keeps alignment but changes values.
+        assert_eq!(
+            df.select_rows(&[2, 1, 0, 3, 4, 5]).changed_rows(&df),
+            Some(vec![0, 2])
+        );
     }
 
     #[test]

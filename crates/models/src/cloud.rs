@@ -279,6 +279,13 @@ impl CloudModelService {
         }
     }
 
+    /// Whether a fault plan is installed. Its faults are keyed on each
+    /// request's content, so which request fails depends on which rows it
+    /// carries.
+    fn has_fault_plan(&self) -> bool {
+        self.lock_faults().is_ok_and(|faults| faults.is_some())
+    }
+
     /// Totals of injected faults since the plan was installed.
     pub fn fault_stats(&self) -> FaultStats {
         self.lock_faults()
@@ -492,6 +499,13 @@ impl BlackBoxModel for RemoteModel {
     fn name(&self) -> &str {
         "cloud-automl"
     }
+
+    /// `false` while the service has a fault plan installed: its faults
+    /// are keyed on the batch content, so scoring a subset of a batch
+    /// would move the fault schedule.
+    fn rows_are_independent(&self) -> bool {
+        !self.service.has_fault_plan()
+    }
 }
 
 #[cfg(test)]
@@ -541,6 +555,19 @@ mod tests {
         let h1 = service.train_and_deploy(&df, 3).unwrap();
         let h2 = service.train_and_deploy(&df, 4).unwrap();
         assert_ne!(h1, h2);
+    }
+
+    #[test]
+    fn rows_are_independent_only_without_a_fault_plan() {
+        use crate::{ResilienceConfig, ResilientModel};
+        let (service, handle, _) = faulty_service();
+        let remote: Arc<dyn BlackBoxModel> = Arc::new(service.remote_model(handle).unwrap());
+        let resilient = ResilientModel::new(Arc::clone(&remote), ResilienceConfig::default());
+        assert!(remote.rows_are_independent() && resilient.rows_are_independent());
+        service.install_fault_plan(FaultPlan::new(1));
+        assert!(!remote.rows_are_independent() && !resilient.rows_are_independent());
+        service.clear_fault_plan();
+        assert!(remote.rows_are_independent() && resilient.rows_are_independent());
     }
 
     fn faulty_service() -> (CloudModelService, ModelHandle, DataFrame) {

@@ -191,6 +191,25 @@ pub trait BlackBoxModel: Send + Sync {
     fn n_classes(&self) -> usize;
     /// Short display name (e.g. `"lr"`).
     fn name(&self) -> &str;
+    /// Whether the model scores rows independently: row `r`'s output bits
+    /// depend only on row `r`, and whether a call fails does not depend on
+    /// which rows it carries. A caller may then score only some rows of a
+    /// batch and reuse earlier outputs for the rest, as Algorithm 1 does
+    /// for every row a corruption left unchanged.
+    ///
+    /// The default is `true` because every in-process family (lr, dnn,
+    /// xgb, conv and the AutoML pipelines) featurizes and scores row by
+    /// row; a property test checks lr, dnn, xgb and the cloud service's
+    /// AutoML pipeline over random batches and subsets. A default of `false`
+    /// would silently switch reuse off behind any wrapper that forwards
+    /// only the required methods, such as a benchmark's timing wrapper.
+    /// A wrapper must forward this method. A model whose outputs or
+    /// failures depend on the batch's size or content returns `false`:
+    /// [`cloud::RemoteModel`] does while a content-keyed fault plan is
+    /// installed.
+    fn rows_are_independent(&self) -> bool {
+        true
+    }
     /// Registers this model's serving metrics (call counts, latency) with
     /// `registry`. Models without internal state to report keep the default
     /// no-op. Call before sharing the model (`Arc::from`); recording itself

@@ -702,6 +702,12 @@ impl BlackBoxModel for ResilientModel {
         &self.name
     }
 
+    /// The inner model's answer: retries, chunking and the breaker react
+    /// only to the inner model's failures, so they keep its independence.
+    fn rows_are_independent(&self) -> bool {
+        self.inner.rows_are_independent()
+    }
+
     fn attach_telemetry(&mut self, registry: &Registry) {
         let metrics = ResilienceMetrics::resolve(registry);
         metrics

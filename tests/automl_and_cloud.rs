@@ -87,7 +87,8 @@ fn cloud_service_end_to_end_with_predictor() {
     )
     .unwrap();
     // Fitting the predictor must have hit the remote endpoint many times
-    // (one request per corrupted copy plus the reference scores).
+    // (one request per corrupted copy that changed a row, plus the
+    // reference scores).
     assert!(service.requests_served() > before + 50);
 
     let est = predictor.predict(&serving).unwrap();
