@@ -125,18 +125,6 @@ pub struct GenerationOutcome<T> {
     pub skipped: Vec<SkippedBatch>,
 }
 
-impl<T> GenerationOutcome<T> {
-    /// Fraction of generation tasks that produced a usable batch.
-    pub fn survival_fraction(&self) -> f64 {
-        let total = self.results.len() + self.skipped.len();
-        if total == 0 {
-            1.0
-        } else {
-            self.results.len() as f64 / total as f64
-        }
-    }
-}
-
 /// Pre-resolved registry handles for the generation loop. Resolved once
 /// before the fan-out; each task touches only atomics.
 struct EngineMetrics {
@@ -590,8 +578,10 @@ mod tests {
         let total = gens.len() * 4 + 3;
         assert!(!outcome.skipped.is_empty(), "some batch sizes divide by 5");
         assert_eq!(outcome.results.len() + outcome.skipped.len(), total);
-        assert!(outcome.survival_fraction() < 1.0);
-        assert!(outcome.survival_fraction() >= 0.5);
+        assert!(
+            outcome.results.len() >= outcome.skipped.len(),
+            "most survive"
+        );
         for s in &outcome.skipped {
             assert!(s.error.message.contains("poisoned"), "{:?}", s.error);
         }

@@ -35,7 +35,7 @@ pub use engine::{
 pub use features::{feature_dimensionality, prediction_statistics, BatchSketch, FeatureSource};
 pub use interval::{conformal_halfwidth, ScoreInterval, DEFAULT_INTERVAL_ALPHA};
 pub use monitor::{
-    AlarmMode, BatchMonitor, BatchReport, BatchTelemetry, ClassDrift, MonitorPolicy, ShardWindow,
+    AlarmMode, BatchMonitor, BatchReport, BatchTelemetry, ClassDrift, MonitorPolicy,
 };
 pub use persistence::{
     atomic_write_durable, check_version, checksum64, from_json, is_enveloped, load_json, save_json,
@@ -45,7 +45,6 @@ pub use persistence::{
 pub use predictor::{PerformancePredictor, PredictorConfig, TrainingExample};
 pub use validator::{PerformanceValidator, ValidationOutcome, ValidatorConfig};
 
-use lvp_dataframe::DataFrame;
 use lvp_linalg::DenseMatrix;
 
 /// The scoring function `L` the black box model is known to optimize (§2).
@@ -82,15 +81,6 @@ impl Metric {
                 Ok(lvp_stats::auc_binary(&scores, &truth))
             }
         }
-    }
-
-    /// Scores a model against a labeled frame.
-    pub fn score_model(
-        self,
-        model: &dyn lvp_models::BlackBoxModel,
-        df: &DataFrame,
-    ) -> Result<f64, CoreError> {
-        self.score(&model.predict_proba(df), df.labels())
     }
 
     /// Checks up front that this metric can score a model with `n_classes`

@@ -157,17 +157,6 @@ pub struct BatchReport {
     pub telemetry: BatchTelemetry,
 }
 
-/// One shard's exported streaming window: the accumulated sketch state
-/// plus the shard's degradation marker, so fleet-level merging can honor
-/// a poisoned shard instead of silently scoring its partial sketch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardWindow {
-    /// The shard's accumulated window sketch.
-    pub sketch: BatchSketch,
-    /// Why the shard's window was degraded, if it was.
-    pub degraded: Option<String>,
-}
-
 /// What one batch contributed to the monitor, before the alarm policy
 /// decides what its report carries.
 enum Evidence {
@@ -534,49 +523,6 @@ impl BatchMonitor {
         }
         if let Some(m) = &self.metrics {
             m.sketch_merges.add(shards.len() as u64);
-        }
-        self.report_source(&FeatureSource::Sketched(&merged))
-    }
-
-    /// Exports (and closes) the open streaming window as a [`ShardWindow`]
-    /// for fleet-level aggregation, carrying any degradation marker along
-    /// with the sketch. Returns `None` when no window is open.
-    pub fn take_window_shard(&mut self) -> Option<ShardWindow> {
-        let sketch = self.window.take()?;
-        Some(ShardWindow {
-            sketch,
-            degraded: self.window_degraded.take(),
-        })
-    }
-
-    /// Like [`Self::merge_shard_sketches`], but honors each shard's
-    /// degradation marker: if *any* shard's window was poisoned, the merged
-    /// fleet report is degraded (first poisoned shard's reason recorded)
-    /// instead of an estimate computed from sketches with silently missing
-    /// rows — partial fleet evidence would understate drift exactly when a
-    /// shard is in trouble.
-    pub fn merge_shard_windows(
-        &mut self,
-        shards: &[ShardWindow],
-    ) -> Result<BatchReport, CoreError> {
-        if shards.is_empty() {
-            return Err(CoreError::new("no shard windows to merge"));
-        }
-        if let Some(m) = &self.metrics {
-            m.sketch_merges.add(shards.len() as u64);
-        }
-        let poisoned = shards
-            .iter()
-            .enumerate()
-            .find_map(|(idx, shard)| shard.degraded.as_ref().map(|reason| (idx, reason)));
-        if let Some((idx, reason)) = poisoned {
-            return Ok(self.record(Evidence::Degraded(format!(
-                "shard {idx} window degraded: {reason}"
-            ))));
-        }
-        let mut merged = shards[0].sketch.clone();
-        for shard in &shards[1..] {
-            merged.merge(&shard.sketch)?;
         }
         self.report_source(&FeatureSource::Sketched(&merged))
     }
@@ -1284,8 +1230,6 @@ mod tests {
         let (mut m, _) = monitor(MonitorPolicy::default());
         let err = m.merge_shard_sketches(&[]).unwrap_err();
         assert!(err.message.contains("no shard sketches"), "{err}");
-        let err = m.merge_shard_windows(&[]).unwrap_err();
-        assert!(err.message.contains("no shard windows"), "{err}");
         assert_eq!(m.batches_seen(), 0, "failed merges consume no batch index");
         assert!(m.history().is_empty());
     }
@@ -1299,56 +1243,6 @@ mod tests {
             .unwrap_err();
         assert!(err.message.contains("zero observed rows"), "{err}");
         assert_eq!(m.batches_seen(), 0);
-    }
-
-    #[test]
-    fn degraded_shard_window_poisons_the_merged_report() {
-        let (mut m, serving) = monitor(MonitorPolicy {
-            threshold: LEGACY_THRESHOLD,
-            ..MonitorPolicy::default()
-        });
-        let proba = m.predictor().model_outputs(&serving).unwrap();
-        let healthy = ShardWindow {
-            sketch: BatchSketch::from_outputs(&proba),
-            degraded: None,
-        };
-        let poisoned = ShardWindow {
-            sketch: BatchSketch::from_outputs(&proba.select_rows(&[0, 1, 2])),
-            degraded: Some("endpoint down: retry budget exhausted".to_string()),
-        };
-        let r = m.merge_shard_windows(&[healthy.clone(), poisoned]).unwrap();
-        assert!(r.degraded, "{r:?}");
-        assert!(r.estimate.is_nan(), "estimate withheld");
-        let reason = r.degrade_reason.as_deref().unwrap();
-        assert!(
-            reason.contains("shard 1") && reason.contains("endpoint down"),
-            "{reason}"
-        );
-        // An all-healthy fleet still scores, bit-identical to the single
-        // shard's own sketch.
-        let r = m.merge_shard_windows(&[healthy]).unwrap();
-        assert!(!r.degraded && r.estimate.is_finite());
-        let direct = m
-            .predictor()
-            .predict_source(&FeatureSource::Sketched(&BatchSketch::from_outputs(&proba)))
-            .map(|interval| interval.point)
-            .unwrap();
-        assert_eq!(r.estimate.to_bits(), direct.to_bits());
-    }
-
-    #[test]
-    fn take_window_shard_exports_sketch_and_poison() {
-        let (mut m, serving) = monitor(MonitorPolicy::default());
-        assert!(m.take_window_shard().is_none(), "no window yet");
-        m.observe_chunk(&serving).unwrap();
-        m.abandon_window("upstream queue lost the tail of the window");
-        let shard = m.take_window_shard().unwrap();
-        assert_eq!(shard.sketch.rows(), serving.n_rows() as u64);
-        assert_eq!(
-            shard.degraded.as_deref(),
-            Some("upstream queue lost the tail of the window")
-        );
-        assert!(m.window().is_none() && m.window_degraded().is_none());
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! are inferred (numeric if every non-missing value parses as `f64`,
 //! categorical otherwise; columns can be forced to text). The label column
 //! is named explicitly and its distinct values become the class names.
+//! Serving files are parsed against the training frame instead: its schema
+//! and class names, with the label column optional.
 
 use crate::{CellValue, ColumnType, DataFrame, DataFrameBuilder, Field, FrameError, Schema};
 use std::collections::BTreeMap;
@@ -80,14 +82,33 @@ pub fn read_csv_str(
     label_column: &str,
     options: &CsvOptions,
 ) -> Result<DataFrame, FrameError> {
+    read_frame(content, label_column, options, None).map(|(df, _)| df)
+}
+
+/// Parses serving tuples with `training`'s columns, types and class names.
+/// The label column is optional; the flag says whether `content` has it
+/// (without it every label is 0). A value that does not parse in a numeric
+/// column is a missing cell, a data error like any the predictor catches.
+pub fn read_serving_csv_str(
+    content: &str,
+    label_column: &str,
+    training: &DataFrame,
+) -> Result<(DataFrame, bool), FrameError> {
+    let options = CsvOptions::default();
+    read_frame(content, label_column, &options, Some(training))
+}
+
+fn read_frame(
+    content: &str,
+    label_column: &str,
+    options: &CsvOptions,
+    training: Option<&DataFrame>,
+) -> Result<(DataFrame, bool), FrameError> {
     let records = parse_records(content)?;
     let Some((header, rows)) = records.split_first() else {
         return Err(FrameError::Invalid("empty CSV input".into()));
     };
-    let label_idx = header
-        .iter()
-        .position(|h| h == label_column)
-        .ok_or_else(|| FrameError::UnknownColumn(label_column.to_string()))?;
+    let label_idx = header.iter().position(|h| h == label_column);
     for (i, row) in rows.iter().enumerate() {
         if row.len() != header.len() {
             return Err(FrameError::Invalid(format!(
@@ -97,7 +118,7 @@ pub fn read_csv_str(
                 header.len()
             )));
         }
-        if is_missing(&row[label_idx]) {
+        if label_idx.is_some_and(|l| is_missing(&row[l])) {
             return Err(FrameError::Invalid(format!(
                 "record {} is missing its label",
                 i + 1
@@ -105,64 +126,72 @@ pub fn read_csv_str(
         }
     }
 
-    // Class dictionary from distinct label values, sorted for determinism.
-    let mut label_names: Vec<String> = rows.iter().map(|r| r[label_idx].clone()).collect();
-    label_names.sort();
-    label_names.dedup();
+    let feature_cols: Vec<usize> = (0..header.len())
+        .filter(|&c| Some(c) != label_idx)
+        .collect();
+    let names = feature_cols.iter().map(|&c| &header[c]);
+    let (schema, label_names) = match training {
+        Some(t) if !names.eq(t.schema().fields().iter().map(|f| &f.name)) => {
+            return Err(FrameError::Invalid("columns differ from training".into()))
+        }
+        Some(t) => (t.schema().clone(), t.label_names().to_vec()),
+        None => {
+            let label_idx =
+                label_idx.ok_or_else(|| FrameError::UnknownColumn(label_column.to_string()))?;
+            // Class dictionary from distinct label values, sorted for determinism.
+            let mut label_names: Vec<String> = rows.iter().map(|r| r[label_idx].clone()).collect();
+            label_names.sort();
+            label_names.dedup();
+
+            // Infer per-column types over the feature columns.
+            let mut fields = Vec::with_capacity(feature_cols.len());
+            for &c in &feature_cols {
+                let name = header[c].clone();
+                let ty = if options.text_columns.contains(&name) {
+                    ColumnType::Text
+                } else {
+                    let all_numeric = rows
+                        .iter()
+                        .map(|r| r[c].as_str())
+                        .filter(|v| !is_missing(v))
+                        .all(|v| v.trim().parse::<f64>().is_ok());
+                    let any_present = rows.iter().any(|r| !is_missing(&r[c]));
+                    if all_numeric && any_present {
+                        ColumnType::Numeric
+                    } else {
+                        ColumnType::Categorical
+                    }
+                };
+                fields.push(Field::new(name, ty));
+            }
+            (Schema::new(fields)?, label_names)
+        }
+    };
     let label_ids: BTreeMap<&str, u32> = label_names
         .iter()
         .enumerate()
         .map(|(i, name)| (name.as_str(), i as u32))
         .collect();
-
-    // Infer per-column types over the feature columns.
-    let feature_cols: Vec<usize> = (0..header.len()).filter(|&c| c != label_idx).collect();
-    let mut fields = Vec::with_capacity(feature_cols.len());
-    for &c in &feature_cols {
-        let name = header[c].clone();
-        let ty = if options.text_columns.contains(&name) {
-            ColumnType::Text
-        } else {
-            let all_numeric = rows
-                .iter()
-                .map(|r| r[c].as_str())
-                .filter(|v| !is_missing(v))
-                .all(|v| v.trim().parse::<f64>().is_ok());
-            let any_present = rows.iter().any(|r| !is_missing(&r[c]));
-            if all_numeric && any_present {
-                ColumnType::Numeric
-            } else {
-                ColumnType::Categorical
-            }
-        };
-        fields.push(Field::new(name, ty));
-    }
-    let schema = Schema::new(fields)?;
-    let mut builder = DataFrameBuilder::new(schema.clone(), label_names.clone());
+    let mut builder = DataFrameBuilder::new(schema, label_names.clone());
     for row in rows {
-        let mut cells = Vec::with_capacity(feature_cols.len());
-        for (fi, &c) in feature_cols.iter().enumerate() {
-            let raw = row[c].as_str();
-            let cell = if is_missing(raw) {
-                CellValue::Null
-            } else {
-                match schema.field(fi).ty {
-                    ColumnType::Numeric => CellValue::Num(
-                        raw.trim()
-                            .parse::<f64>()
-                            .expect("validated during inference"),
-                    ),
-                    ColumnType::Categorical => CellValue::Cat(raw.to_string()),
-                    ColumnType::Text => CellValue::Text(raw.to_string()),
-                    ColumnType::Image => CellValue::Null,
-                }
-            };
-            cells.push(cell);
-        }
-        let label = label_ids[row[label_idx].as_str()];
+        // The builder converts each string to its column's type: numbers
+        // parse, and a value that does not becomes a missing cell.
+        let cells = feature_cols
+            .iter()
+            .map(|&c| match row[c].as_str() {
+                raw if is_missing(raw) => CellValue::Null,
+                raw => CellValue::Text(raw.to_string()),
+            })
+            .collect();
+        let label = match label_idx {
+            Some(l) => *label_ids
+                .get(row[l].as_str())
+                .ok_or_else(|| FrameError::UnknownClass(row[l].clone()))?,
+            None => 0,
+        };
         builder.push_row(cells, label)?;
     }
-    builder.finish()
+    Ok((builder.finish()?, label_idx.is_some()))
 }
 
 /// Reads a CSV file from disk.
@@ -315,6 +344,52 @@ mod tests {
             .unwrap();
         let df = b.finish().unwrap();
         assert!(write_csv_string(&df).is_err());
+    }
+
+    #[test]
+    fn serving_files_take_the_training_schema_and_class_names() {
+        let training = read_csv_str(SAMPLE, "approved", &CsvOptions::default()).unwrap();
+        // One class only, and `age` entirely missing.
+        let csv = "age,job,note,approved\n,clerk,x,yes\nNA,chef,y,yes\n";
+        let (df, labeled) = read_serving_csv_str(csv, "approved", &training).unwrap();
+        assert!(labeled);
+        assert_eq!(df.schema(), training.schema());
+        assert_eq!(df.label_names(), training.label_names());
+        assert_eq!(df.labels(), &[1, 1], "yes keeps its training id");
+        assert_eq!(df.column(0).as_numeric().unwrap(), &[None, None]);
+        // Without the label column the same cells parse, unlabeled.
+        let (df, labeled) =
+            read_serving_csv_str("age,job,note\n40,clerk,x\n", "approved", &training).unwrap();
+        assert!(!labeled);
+        assert_eq!(df.column(0).as_numeric().unwrap(), &[Some(40.0)]);
+        let (df, _) =
+            read_serving_csv_str("age,job,note\nold,a,b\n", "approved", &training).unwrap();
+        assert_eq!(
+            df.column(0).as_numeric().unwrap(),
+            &[None],
+            "unparseable: missing"
+        );
+    }
+
+    #[test]
+    fn serving_files_reject_what_training_never_saw() {
+        let training = read_csv_str(SAMPLE, "approved", &CsvOptions::default()).unwrap();
+        let parse = |csv: &str| read_serving_csv_str(csv, "approved", &training).unwrap_err();
+        assert_eq!(
+            parse("age,job,note,approved\n1,a,b,maybe\n"),
+            FrameError::UnknownClass("maybe".into())
+        );
+        for columns in [
+            "age,job,approved",
+            "job,age,note,approved",
+            "age,job,note,x,approved",
+        ] {
+            let csv = format!(
+                "{columns}\n{}yes\n",
+                "1,".repeat(columns.split(',').count() - 1)
+            );
+            assert!(matches!(parse(&csv), FrameError::Invalid(m) if m.contains("columns differ")));
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ mod frame;
 mod schema;
 
 pub use column::{CategoricalColumn, CellValue, Column, ImageData};
-pub use csv::{read_csv_file, read_csv_str, write_csv_string, CsvOptions};
+pub use csv::{read_csv_file, read_csv_str, read_serving_csv_str, write_csv_string, CsvOptions};
 pub use frame::{toy_frame, DataFrame, DataFrameBuilder};
 pub use schema::{ColumnType, Field, Schema};
 
@@ -37,6 +37,8 @@ pub enum FrameError {
     TypeMismatch(String),
     /// Construction input was structurally invalid.
     Invalid(String),
+    /// A label value outside the frame's class names.
+    UnknownClass(String),
 }
 
 impl std::fmt::Display for FrameError {
@@ -46,6 +48,7 @@ impl std::fmt::Display for FrameError {
             FrameError::UnknownColumn(m) => write!(f, "unknown column: {m}"),
             FrameError::TypeMismatch(m) => write!(f, "type mismatch: {m}"),
             FrameError::Invalid(m) => write!(f, "invalid frame: {m}"),
+            FrameError::UnknownClass(m) => write!(f, "unknown class label: {m}"),
         }
     }
 }

@@ -78,11 +78,6 @@ impl FeaturePipeline {
         self.total_width
     }
 
-    /// Feature-space offset of column `i`'s block.
-    pub fn offset_of(&self, i: usize) -> u32 {
-        self.offsets[i]
-    }
-
     /// Checks that `df` has the columns this pipeline was fitted on: the
     /// same number, and the same kind at every position. The error names
     /// the first column that differs. [`Self::transform`] assumes both — a
@@ -148,8 +143,6 @@ mod tests {
         let p = FeaturePipeline::fit(&df, &PipelineConfig::default());
         // 1 numeric dim + 2 one-hot categories ("even"/"odd").
         assert_eq!(p.width(), 3);
-        assert_eq!(p.offset_of(0), 0);
-        assert_eq!(p.offset_of(1), 1);
     }
 
     #[test]

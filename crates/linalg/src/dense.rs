@@ -291,11 +291,6 @@ impl DenseMatrix {
         Ok(())
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
     /// Returns the per-row index of the maximum value (ties broken towards
     /// the lower index), i.e. the predicted class for a probability matrix.
     pub fn argmax_rows(&self) -> Vec<usize> {
@@ -483,11 +478,5 @@ mod tests {
     fn column_extracts_values() {
         let m = DenseMatrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
         assert_eq!(m.column(1), vec![2.0, 4.0]);
-    }
-
-    #[test]
-    fn frobenius_norm_of_unit_rows() {
-        let m = DenseMatrix::from_vec(1, 2, vec![3.0, 4.0]).unwrap();
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-12);
     }
 }

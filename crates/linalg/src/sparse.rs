@@ -73,16 +73,6 @@ impl SparseVec {
         }
     }
 
-    /// Dot product with a dense slice of matching dimensionality.
-    pub fn dot_dense(&self, dense: &[f64]) -> f64 {
-        debug_assert_eq!(dense.len(), self.dim);
-        self.indices
-            .iter()
-            .zip(&self.values)
-            .map(|(&i, &v)| v * dense[i as usize])
-            .sum()
-    }
-
     /// Expands to a dense vector.
     pub fn to_dense(&self) -> Vec<f64> {
         let mut out = vec![0.0; self.dim];
@@ -236,18 +226,6 @@ impl CsrMatrix {
         out
     }
 
-    /// Copies column `c` into a dense vector (O(nnz) scan).
-    pub fn column_dense(&self, c: usize) -> Vec<f64> {
-        let mut out = vec![0.0; self.rows];
-        for (r, slot) in out.iter_mut().enumerate() {
-            let (idx, vals) = self.row(r);
-            if let Ok(pos) = idx.binary_search(&(c as u32)) {
-                *slot = vals[pos];
-            }
-        }
-        out
-    }
-
     /// Returns a new matrix containing the selected rows, in order.
     pub fn select_rows(&self, selection: &[usize]) -> CsrMatrix {
         let mut indptr = Vec::with_capacity(selection.len() + 1);
@@ -358,12 +336,6 @@ mod tests {
     }
 
     #[test]
-    fn dot_dense_matches_dense_dot() {
-        let v = sv(4, &[(0, 1.0), (3, 2.0)]);
-        assert_eq!(v.dot_dense(&[1.0, 10.0, 10.0, 0.5]), 2.0);
-    }
-
-    #[test]
     fn to_dense_round_trip() {
         let v = sv(3, &[(1, 5.0)]);
         assert_eq!(v.to_dense(), vec![0.0, 5.0, 0.0]);
@@ -452,12 +424,5 @@ mod tests {
         assert_eq!(m.rows(), 2);
         assert_eq!(m.row(0), (&[1u32][..], &[1.0][..]));
         assert_eq!(m.row(1), (&[0u32][..], &[2.0][..]));
-    }
-
-    #[test]
-    fn csr_column_dense_extracts() {
-        let rows = vec![sv(2, &[(1, 2.0)]), sv(2, &[(0, 3.0)])];
-        let m = CsrMatrix::from_sparse_rows(&rows).unwrap();
-        assert_eq!(m.column_dense(1), vec![2.0, 0.0]);
     }
 }

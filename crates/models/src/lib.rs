@@ -32,7 +32,6 @@
 //! [`DataFrame`]: lvp_dataframe::DataFrame
 
 pub mod automl;
-pub mod calibration;
 pub mod cloud;
 pub mod convnet;
 pub mod cv;
@@ -40,7 +39,6 @@ pub mod forest;
 pub mod gbdt;
 pub mod linear;
 pub mod mlp;
-pub mod naive_bayes;
 pub mod resilience;
 pub mod tree;
 

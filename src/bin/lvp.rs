@@ -12,13 +12,14 @@
 //! `estimate` trains a black box model plus performance predictor on the
 //! training file and prints the estimated score for the serving file;
 //! `validate` additionally answers whether the score is within the given
-//! relative threshold of the held-out test score. The serving file's label
-//! column is never required — if present it is only used to also print the
-//! true score for comparison.
+//! relative threshold of the held-out test score. The serving file is parsed
+//! against the training file's columns and classes. Its label column is
+//! never required — if present it is only used to also print the true score
+//! for comparison.
 
 use lvp::prelude::*;
 use lvp_core::{PerformancePredictor, PerformanceValidator};
-use lvp_dataframe::{read_csv_file, write_csv_string, CsvOptions};
+use lvp_dataframe::{read_csv_file, read_serving_csv_str, write_csv_string, CsvOptions};
 use lvp_models::{train_model_quick, ModelKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -137,10 +138,10 @@ fn cmd_estimate(args: &Args, validate: bool) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(seed_of(args));
 
     let source = read_csv_file(&train_path, label, &options).map_err(|e| e.to_string())?;
-    let serving = read_csv_file(&serving_path, label, &options).map_err(|e| e.to_string())?;
-    if serving.schema() != source.schema() {
-        return Err("training and serving files must share the same feature columns".into());
-    }
+    let serving = std::fs::read_to_string(&serving_path)
+        .map_err(|e| format!("cannot read {}: {e}", serving_path.display()))?;
+    let (serving, serving_labeled) =
+        read_serving_csv_str(&serving, label, &source).map_err(|e| e.to_string())?;
 
     eprintln!(
         "training {} model on {} rows...",
@@ -195,7 +196,9 @@ fn cmd_estimate(args: &Args, validate: bool) -> Result<(), String> {
     }
     // If the serving file carried labels, print the true score for the
     // user's own comparison (the predictor never used them).
-    let truth = lvp::models::model_accuracy(model.as_ref(), &serving);
-    eprintln!("(serving file has labels; true accuracy for comparison: {truth:.4})");
+    if serving_labeled {
+        let truth = lvp::models::model_accuracy(model.as_ref(), &serving);
+        eprintln!("(serving file has labels; true accuracy for comparison: {truth:.4})");
+    }
     Ok(())
 }

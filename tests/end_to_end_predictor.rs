@@ -85,7 +85,7 @@ fn predictor_supports_auc_metric() {
         PerformancePredictor::fit(Arc::clone(&model), &test, &gens, &config, &mut rng).unwrap();
     let est = predictor.predict(&serving).unwrap();
     let truth = Metric::Auc
-        .score_model(model.as_ref(), &serving)
+        .score(&model.predict_proba(&serving), serving.labels())
         .expect("lr on heart is binary");
     assert!(
         (est - truth).abs() < 0.15,

@@ -1,6 +1,5 @@
 //! Integration tests for the deployment-side extensions: batch monitoring,
-//! predictor persistence, the extended corruption suite, naive Bayes and
-//! probability calibration.
+//! predictor persistence and the extended corruption suite.
 
 use lvp_core::{
     BatchMonitor, MonitorPolicy, PerformancePredictor, PredictorArtifact, PredictorConfig,
@@ -9,12 +8,7 @@ use lvp_corruptions::{
     extended_tabular_suite, standard_tabular_suite, CategoryFlip, DuplicateRows, ErrorGen,
     SelectionBias,
 };
-use lvp_featurize::{FeaturePipeline, PipelineConfig};
-use lvp_models::calibration::PlattCalibrated;
-use lvp_models::naive_bayes::{GaussianNaiveBayes, NaiveBayesConfig};
-use lvp_models::{
-    model_accuracy, train_model_quick, BlackBoxModel, Classifier, ModelKind, PipelineModel,
-};
+use lvp_models::{model_accuracy, train_model_quick, BlackBoxModel, ModelKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -132,50 +126,4 @@ fn predictor_handles_extended_error_suite() {
         let est = predictor.predict(&corrupted).unwrap();
         assert!((0.0..=1.0).contains(&est), "{}: {est}", gen.name());
     }
-}
-
-#[test]
-fn naive_bayes_works_as_a_black_box_pipeline() {
-    let mut rng = StdRng::seed_from_u64(7);
-    let df = lvp::datasets::heart(700, &mut rng);
-    let (train, test) = df.split_frac(0.7, &mut rng);
-    let featurizer = FeaturePipeline::fit(&train, &PipelineConfig::default());
-    let x = featurizer.transform(&train);
-    let nb = GaussianNaiveBayes::fit(&x, train.labels(), 2, &NaiveBayesConfig::default()).unwrap();
-    let model = PipelineModel::new(featurizer, Box::new(nb), "nb");
-    let acc = model_accuracy(&model, &test);
-    assert!(acc > 0.6, "naive Bayes accuracy {acc}");
-
-    // And it plugs into the performance predictor like any other model.
-    let model: Arc<dyn BlackBoxModel> = Arc::new(model);
-    let gens = standard_tabular_suite(test.schema());
-    let predictor = PerformancePredictor::fit(
-        Arc::clone(&model),
-        &test,
-        &gens,
-        &PredictorConfig::fast(),
-        &mut rng,
-    )
-    .unwrap();
-    let est = predictor.predict(&test).unwrap();
-    assert!((est - acc).abs() < 0.2, "estimate {est} vs accuracy {acc}");
-}
-
-#[test]
-fn calibrated_pipeline_remains_a_valid_black_box() {
-    let mut rng = StdRng::seed_from_u64(8);
-    let df = lvp::datasets::bank(600, &mut rng);
-    let (train, calib) = df.split_frac(0.7, &mut rng);
-    let featurizer = FeaturePipeline::fit(&train, &PipelineConfig::default());
-    let x_train = featurizer.transform(&train);
-    let nb =
-        GaussianNaiveBayes::fit(&x_train, train.labels(), 2, &NaiveBayesConfig::default()).unwrap();
-    let x_calib = featurizer.transform(&calib);
-    let calibrated = PlattCalibrated::fit(nb, &x_calib, calib.labels()).unwrap();
-    let proba = calibrated.predict_proba(&x_calib);
-    for row in proba.row_iter() {
-        assert!((row.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-    }
-    let model = PipelineModel::new(featurizer, Box::new(calibrated), "nb+platt");
-    assert!(model_accuracy(&model, &calib) > 0.55);
 }
