@@ -343,7 +343,7 @@ mod tests {
     use crate::TrainingExample;
     use lvp_corruptions::standard_tabular_suite;
     use lvp_dataframe::toy_frame;
-    use lvp_models::train_logistic_regression;
+    use lvp_models::{train_model, ModelKind};
 
     /// The generation loop with the paper's percentile features, at the
     /// given seed, fan-out, survival floor and telemetry.
@@ -432,7 +432,7 @@ mod tests {
     fn instrumented_engine_counts_batches_and_leaves_output_unchanged() {
         let df = toy_frame(100);
         let mut rng = StdRng::seed_from_u64(13);
-        let mut model = train_logistic_regression(&df, &mut rng).unwrap();
+        let mut model = train_model(ModelKind::Lr, &df, &mut rng).unwrap();
         let registry = Registry::new();
         model.attach_telemetry(&registry);
         let gens = standard_tabular_suite(df.schema());
@@ -482,7 +482,7 @@ mod tests {
     fn parallel_output_matches_sequential() {
         let df = toy_frame(120);
         let mut rng = StdRng::seed_from_u64(7);
-        let model = train_logistic_regression(&df, &mut rng).unwrap();
+        let model = train_model(ModelKind::Lr, &df, &mut rng).unwrap();
         let gens = standard_tabular_suite(df.schema());
         let sequential = examples(
             model.as_ref(),
@@ -511,7 +511,7 @@ mod tests {
     fn tiny_frames_generate_without_panicking() {
         let df = toy_frame(3);
         let mut rng = StdRng::seed_from_u64(8);
-        let model = train_logistic_regression(&toy_frame(40), &mut rng).unwrap();
+        let model = train_model(ModelKind::Lr, &toy_frame(40), &mut rng).unwrap();
         let gens = standard_tabular_suite(df.schema());
         let ex = examples(
             model.as_ref(),
@@ -562,7 +562,7 @@ mod tests {
         let df = toy_frame(90);
         let mut rng = StdRng::seed_from_u64(21);
         let model = SizePoisoned {
-            inner: train_logistic_regression(&df, &mut rng).unwrap(),
+            inner: train_model(ModelKind::Lr, &df, &mut rng).unwrap(),
             poisoned_rows: 5,
         };
         let gens = standard_tabular_suite(df.schema());
@@ -614,7 +614,7 @@ mod tests {
         let df = toy_frame(40);
         let mut rng = StdRng::seed_from_u64(22);
         let model = SizePoisoned {
-            inner: train_logistic_regression(&df, &mut rng).unwrap(),
+            inner: train_model(ModelKind::Lr, &df, &mut rng).unwrap(),
             poisoned_rows: 1, // every batch fails
         };
         let err =

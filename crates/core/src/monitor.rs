@@ -740,7 +740,7 @@ mod tests {
     use crate::PredictorConfig;
     use lvp_corruptions::standard_tabular_suite;
     use lvp_dataframe::toy_frame;
-    use lvp_models::{train_logistic_regression, BlackBoxModel};
+    use lvp_models::{train_model, BlackBoxModel, ModelKind};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::Arc;
@@ -760,7 +760,7 @@ mod tests {
         let (train, rest) = df.split_frac(0.4, &mut rng);
         let (test, serving) = rest.split_frac(0.5, &mut rng);
         let model: Arc<dyn BlackBoxModel> =
-            Arc::from(train_logistic_regression(&train, &mut rng).unwrap());
+            Arc::from(train_model(ModelKind::Lr, &train, &mut rng).unwrap());
         let gens = standard_tabular_suite(test.schema());
         let predictor =
             PerformancePredictor::fit(model, &test, &gens, &PredictorConfig::fast(), &mut rng)
@@ -1065,7 +1065,7 @@ mod tests {
         let (train, rest) = df.split_frac(0.4, &mut rng);
         let (test, serving) = rest.split_frac(0.5, &mut rng);
         let model: Arc<dyn BlackBoxModel> = Arc::new(FailOnRows {
-            inner: Arc::from(train_logistic_regression(&train, &mut rng).unwrap()),
+            inner: Arc::from(train_model(ModelKind::Lr, &train, &mut rng).unwrap()),
             // Fit-time batches of the 90-row test frame hold ≥ 30 rows, so
             // only the 13-row serving batches below ever hit the poison.
             poison_rows: 13,
@@ -1328,7 +1328,7 @@ mod tests {
         let (train, rest) = df.split_frac(0.4, &mut rng);
         let (test, serving) = rest.split_frac(0.5, &mut rng);
         let model: Arc<dyn BlackBoxModel> = Arc::new(FailOnRows {
-            inner: Arc::from(train_logistic_regression(&train, &mut rng).unwrap()),
+            inner: Arc::from(train_model(ModelKind::Lr, &train, &mut rng).unwrap()),
             poison_rows: 13,
         });
         let gens = standard_tabular_suite(test.schema());
@@ -1434,7 +1434,7 @@ mod tests {
             let df = toy_frame(120);
             let mut rng = StdRng::seed_from_u64(34);
             let model: Arc<dyn BlackBoxModel> =
-                Arc::from(train_logistic_regression(&df, &mut rng).unwrap());
+                Arc::from(train_model(ModelKind::Lr, &df, &mut rng).unwrap());
             let gens = standard_tabular_suite(df.schema());
             let predictor =
                 PerformancePredictor::fit(model, &df, &gens, &PredictorConfig::fast(), &mut rng)

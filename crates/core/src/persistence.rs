@@ -623,7 +623,7 @@ mod tests {
     use lvp_corruptions::standard_tabular_suite;
     use lvp_dataframe::toy_frame;
     use lvp_linalg::DenseMatrix;
-    use lvp_models::train_logistic_regression;
+    use lvp_models::{train_model, ModelKind};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -650,7 +650,7 @@ mod tests {
         let (train, rest) = df.split_frac(0.4, &mut rng);
         let (test, serving) = rest.split_frac(0.5, &mut rng);
         let model: Arc<dyn BlackBoxModel> =
-            Arc::from(train_logistic_regression(&train, &mut rng).unwrap());
+            Arc::from(train_model(ModelKind::Lr, &train, &mut rng).unwrap());
         (model, test, serving)
     }
 

@@ -420,7 +420,7 @@ mod tests {
     use super::*;
     use lvp_corruptions::{standard_tabular_suite, MissingValues};
     use lvp_dataframe::toy_frame;
-    use lvp_models::train_logistic_regression;
+    use lvp_models::{train_model, ModelKind};
 
     fn fitted_predictor() -> (PerformancePredictor, DataFrame) {
         let df = toy_frame(300);
@@ -428,7 +428,7 @@ mod tests {
         let (train, rest) = df.split_frac(0.4, &mut rng);
         let (test, serving) = rest.split_frac(0.5, &mut rng);
         let model: Arc<dyn BlackBoxModel> =
-            Arc::from(train_logistic_regression(&train, &mut rng).unwrap());
+            Arc::from(train_model(ModelKind::Lr, &train, &mut rng).unwrap());
         let gens = standard_tabular_suite(test.schema());
         let predictor =
             PerformancePredictor::fit(model, &test, &gens, &PredictorConfig::fast(), &mut rng)
@@ -536,7 +536,7 @@ mod tests {
         let (train, rest) = df.split_frac(0.4, &mut rng);
         let (test, serving) = rest.split_frac(0.5, &mut rng);
         let model: Arc<dyn BlackBoxModel> =
-            Arc::from(train_logistic_regression(&train, &mut rng).unwrap());
+            Arc::from(train_model(ModelKind::Lr, &train, &mut rng).unwrap());
         let gens = standard_tabular_suite(test.schema());
         let config = PredictorConfig {
             calibration_stride: 0,
@@ -554,7 +554,7 @@ mod tests {
         let df = toy_frame(80);
         let mut rng = StdRng::seed_from_u64(5);
         let model: Arc<dyn BlackBoxModel> =
-            Arc::from(train_logistic_regression(&df, &mut rng).unwrap());
+            Arc::from(train_model(ModelKind::Lr, &df, &mut rng).unwrap());
         let gens = standard_tabular_suite(df.schema());
         for alpha in [0.0, 1.0, f64::NAN] {
             let config = PredictorConfig {
@@ -576,6 +576,24 @@ mod tests {
     }
 
     #[test]
+    fn empty_forest_grid_is_an_error_not_a_panic() {
+        let df = toy_frame(80);
+        let mut rng = StdRng::seed_from_u64(6);
+        let model: Arc<dyn BlackBoxModel> =
+            Arc::from(train_model(ModelKind::Lr, &df, &mut rng).unwrap());
+        let gens = standard_tabular_suite(df.schema());
+        let config = PredictorConfig {
+            forest_grid: vec![],
+            ..PredictorConfig::fast()
+        };
+        let err = match PerformancePredictor::fit(model, &df, &gens, &config, &mut rng) {
+            Err(err) => err,
+            Ok(_) => panic!("an empty forest grid was accepted"),
+        };
+        assert!(err.message.contains("empty hyperparameter grid"), "{err}");
+    }
+
+    #[test]
     fn predictions_are_clamped_to_unit_interval() {
         let (predictor, serving) = fitted_predictor();
         let est = predictor.predict(&serving).unwrap();
@@ -587,7 +605,7 @@ mod tests {
         let df = toy_frame(50);
         let mut rng = StdRng::seed_from_u64(2);
         let model: Arc<dyn BlackBoxModel> =
-            Arc::from(train_logistic_regression(&df, &mut rng).unwrap());
+            Arc::from(train_model(ModelKind::Lr, &df, &mut rng).unwrap());
         let empty = df.select_rows(&[]);
         let gens = standard_tabular_suite(df.schema());
         assert!(PerformancePredictor::fit(
@@ -661,7 +679,7 @@ mod tests {
     fn training_examples_carry_generator_names() {
         let df = toy_frame(80);
         let mut rng = StdRng::seed_from_u64(3);
-        let model = train_logistic_regression(&df, &mut rng).unwrap();
+        let model = train_model(ModelKind::Lr, &df, &mut rng).unwrap();
         let gens: Vec<Box<dyn ErrorGen>> =
             vec![Box::new(MissingValues::all_categorical(df.schema()))];
         let ex = generate_batches_resilient(

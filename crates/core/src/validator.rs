@@ -278,7 +278,7 @@ mod tests {
     use crate::BatchSketch;
     use lvp_corruptions::standard_tabular_suite;
     use lvp_dataframe::toy_frame;
-    use lvp_models::train_logistic_regression;
+    use lvp_models::{train_model, ModelKind};
 
     fn fitted_validator(threshold: f64) -> (PerformanceValidator, DataFrame) {
         let df = toy_frame(300);
@@ -286,7 +286,7 @@ mod tests {
         let (train, rest) = df.split_frac(0.4, &mut rng);
         let (test, serving) = rest.split_frac(0.5, &mut rng);
         let model: Arc<dyn BlackBoxModel> =
-            Arc::from(train_logistic_regression(&train, &mut rng).unwrap());
+            Arc::from(train_model(ModelKind::Lr, &train, &mut rng).unwrap());
         let gens = standard_tabular_suite(test.schema());
         let validator = PerformanceValidator::fit(
             model,
@@ -359,7 +359,7 @@ mod tests {
         let df = toy_frame(60);
         let mut rng = StdRng::seed_from_u64(12);
         let model: Arc<dyn BlackBoxModel> =
-            Arc::from(train_logistic_regression(&df, &mut rng).unwrap());
+            Arc::from(train_model(ModelKind::Lr, &df, &mut rng).unwrap());
         let gens = standard_tabular_suite(df.schema());
         let bad = ValidatorConfig {
             threshold: 1.5,

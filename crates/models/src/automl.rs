@@ -14,14 +14,16 @@
 //! * [`large_convnet`] — the larger hand-specified convnet of Figure 6.
 
 use crate::convnet::{ConvNet, ConvNetConfig};
+use crate::cv::{accuracy, select_labeled};
 use crate::gbdt::{GbdtClassifier, GbdtConfig};
 use crate::linear::{LogisticRegression, LrConfig, Penalty};
 use crate::mlp::{MlpConfig, NeuralNet};
-use crate::pipeline::PipelineModel;
+use crate::pipeline::{image_side, seal};
 use crate::{BlackBoxModel, Classifier, ModelError};
 use lvp_dataframe::DataFrame;
-use lvp_featurize::{FeaturePipeline, PipelineConfig};
+use lvp_featurize::PipelineConfig;
 use lvp_linalg::CsrMatrix;
+use rand::seq::SliceRandom;
 use rand::Rng;
 
 /// One candidate pipeline genome: a model family configuration plus a
@@ -101,28 +103,36 @@ impl Genome {
     }
 }
 
-fn holdout_accuracy(
-    genome: &Genome,
-    x_train: &CsrMatrix,
-    y_train: &[u32],
-    x_val: &CsrMatrix,
-    y_val: &[usize],
-    n_classes: usize,
-    rng: &mut impl Rng,
-) -> f64 {
-    match genome.fit(x_train, y_train, n_classes, rng) {
-        Ok(model) => lvp_stats::accuracy(&model.predict_proba(x_val).argmax_rows(), y_val),
-        Err(_) => f64::NEG_INFINITY,
-    }
+/// The 80/20 holdout split every search here scores its candidates on,
+/// drawn once per search.
+struct Holdout {
+    train_x: CsrMatrix,
+    train_y: Vec<u32>,
+    val_x: CsrMatrix,
+    val_y: Vec<u32>,
 }
 
-/// Splits featurized data into (train, validation) index sets.
-fn holdout_split(n: usize, rng: &mut impl Rng) -> (Vec<usize>, Vec<usize>) {
-    use rand::seq::SliceRandom;
-    let mut idx: Vec<usize> = (0..n).collect();
-    idx.shuffle(rng);
-    let cut = (n as f64 * 0.8).round() as usize;
-    (idx[..cut].to_vec(), idx[cut..].to_vec())
+impl Holdout {
+    fn draw(x: &CsrMatrix, labels: &[u32], rng: &mut impl Rng) -> Self {
+        let mut idx: Vec<usize> = (0..x.rows()).collect();
+        idx.shuffle(rng);
+        let cut = (x.rows() as f64 * 0.8).round() as usize;
+        let (train_x, train_y) = select_labeled(x, labels, &idx[..cut]);
+        let (val_x, val_y) = select_labeled(x, labels, &idx[cut..]);
+        Self {
+            train_x,
+            train_y,
+            val_x,
+            val_y,
+        }
+    }
+
+    /// Validation accuracy of a fitted candidate; −∞ when the fit failed.
+    fn score(&self, fitted: Result<Box<dyn Classifier>, ModelError>) -> f64 {
+        fitted.map_or(f64::NEG_INFINITY, |model| {
+            accuracy(model.as_ref(), &self.val_x, &self.val_y)
+        })
+    }
 }
 
 /// Successive-halving search over random candidates (auto-sklearn
@@ -133,45 +143,38 @@ pub fn auto_sklearn_like(
     budget: usize,
     rng: &mut impl Rng,
 ) -> Result<Box<dyn BlackBoxModel>, ModelError> {
-    let featurizer = FeaturePipeline::fit(train, &PipelineConfig::default());
-    let x = featurizer.transform(train);
-    let labels = train.labels();
-    let (train_idx, val_idx) = holdout_split(x.rows(), rng);
-    let xt = x.select_rows(&train_idx);
-    let yt: Vec<u32> = train_idx.iter().map(|&i| labels[i]).collect();
-    let xv = x.select_rows(&val_idx);
-    let yv: Vec<usize> = val_idx.iter().map(|&i| labels[i] as usize).collect();
-
-    // Round 1: cheap evaluation on a subsample of the training split.
-    let sub: Vec<usize> = (0..xt.rows()).step_by(2).collect();
-    let xs = xt.select_rows(&sub);
-    let ys: Vec<u32> = sub.iter().map(|&i| yt[i]).collect();
-    let mut candidates: Vec<(Genome, f64)> = (0..budget.max(2))
-        .map(|_| {
-            let g = Genome::random(rng);
-            let score = holdout_accuracy(&g, &xs, &ys, &xv, &yv, train.n_classes(), rng);
-            (g, score)
-        })
-        .collect();
-    candidates.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-    candidates.truncate((candidates.len() / 2).max(1));
-
-    // Round 2: full training split for the survivors.
-    let (best, _) = candidates
-        .into_iter()
-        .map(|(g, _)| {
-            let score = holdout_accuracy(&g, &xt, &yt, &xv, &yv, train.n_classes(), rng);
-            (g, score)
-        })
-        .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-        .expect("at least one survivor");
-
-    let classifier = best.fit(&x, labels, train.n_classes(), rng)?;
-    Ok(Box::new(PipelineModel::new(
-        featurizer,
-        classifier,
+    seal(
+        train,
+        &PipelineConfig::default(),
         "auto-sklearn",
-    )))
+        |x, labels, m| {
+            let holdout = Holdout::draw(x, labels, rng);
+
+            // Round 1: cheap evaluation on a subsample of the training split.
+            let sub: Vec<usize> = (0..holdout.train_x.rows()).step_by(2).collect();
+            let (xs, ys) = select_labeled(&holdout.train_x, &holdout.train_y, &sub);
+            let mut candidates: Vec<(Genome, f64)> = (0..budget.max(2))
+                .map(|_| {
+                    let g = Genome::random(rng);
+                    let score = holdout.score(g.fit(&xs, &ys, m, rng));
+                    (g, score)
+                })
+                .collect();
+            candidates.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+            candidates.truncate((candidates.len() / 2).max(1));
+
+            // Round 2: full training split for the survivors.
+            let (best, _) = candidates
+                .into_iter()
+                .map(|(g, _)| {
+                    let score = holdout.score(g.fit(&holdout.train_x, &holdout.train_y, m, rng));
+                    (g, score)
+                })
+                .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+                .expect("at least one survivor");
+            best.fit(x, labels, m, rng)
+        },
+    )
 }
 
 /// Evolutionary pipeline search (TPOT archetype): a small population evolved
@@ -182,41 +185,35 @@ pub fn tpot_like(
     population: usize,
     rng: &mut impl Rng,
 ) -> Result<Box<dyn BlackBoxModel>, ModelError> {
-    let featurizer = FeaturePipeline::fit(train, &PipelineConfig::default());
-    let x = featurizer.transform(train);
-    let labels = train.labels();
-    let (train_idx, val_idx) = holdout_split(x.rows(), rng);
-    let xt = x.select_rows(&train_idx);
-    let yt: Vec<u32> = train_idx.iter().map(|&i| labels[i]).collect();
-    let xv = x.select_rows(&val_idx);
-    let yv: Vec<usize> = val_idx.iter().map(|&i| labels[i] as usize).collect();
+    seal(train, &PipelineConfig::default(), "tpot", |x, labels, m| {
+        let holdout = Holdout::draw(x, labels, rng);
+        let (xt, yt) = (&holdout.train_x, &holdout.train_y);
 
-    let population = population.max(2);
-    let mut pop: Vec<(Genome, f64)> = (0..population)
-        .map(|_| {
-            let g = Genome::random(rng);
-            let s = holdout_accuracy(&g, &xt, &yt, &xv, &yv, train.n_classes(), rng);
-            (g, s)
-        })
-        .collect();
+        let population = population.max(2);
+        let mut pop: Vec<(Genome, f64)> = (0..population)
+            .map(|_| {
+                let g = Genome::random(rng);
+                let s = holdout.score(g.fit(xt, yt, m, rng));
+                (g, s)
+            })
+            .collect();
 
-    for _gen in 0..generations {
-        pop.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        pop.truncate((population / 2).max(1));
-        let parents: Vec<Genome> = pop.iter().map(|(g, _)| g.clone()).collect();
-        for parent in parents {
-            if pop.len() >= population {
-                break;
+        for _gen in 0..generations {
+            pop.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+            pop.truncate((population / 2).max(1));
+            let parents: Vec<Genome> = pop.iter().map(|(g, _)| g.clone()).collect();
+            for parent in parents {
+                if pop.len() >= population {
+                    break;
+                }
+                let child = parent.mutate(rng);
+                let s = holdout.score(child.fit(xt, yt, m, rng));
+                pop.push((child, s));
             }
-            let child = parent.mutate(rng);
-            let s = holdout_accuracy(&child, &xt, &yt, &xv, &yv, train.n_classes(), rng);
-            pop.push((child, s));
         }
-    }
-    pop.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-    let best = pop.remove(0).0;
-    let classifier = best.fit(&x, labels, train.n_classes(), rng)?;
-    Ok(Box::new(PipelineModel::new(featurizer, classifier, "tpot")))
+        pop.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+        pop.remove(0).0.fit(x, labels, m, rng)
+    })
 }
 
 /// Neural architecture search over convnet widths (auto-keras archetype).
@@ -225,50 +222,31 @@ pub fn auto_keras_like(
     trials: usize,
     rng: &mut impl Rng,
 ) -> Result<Box<dyn BlackBoxModel>, ModelError> {
-    let side = train
-        .schema()
-        .image_columns()
-        .first()
-        .and_then(|&i| {
-            train
-                .column(i)
-                .as_image()
-                .ok()
-                .and_then(|imgs| imgs.iter().flatten().next().map(|img| img.width))
-        })
-        .ok_or_else(|| ModelError::new("auto-keras search requires an image column"))?;
-    let featurizer = FeaturePipeline::fit(train, &PipelineConfig::default());
-    let x = featurizer.transform(train);
-    let labels = train.labels();
-    let (train_idx, val_idx) = holdout_split(x.rows(), rng);
-    let xt = x.select_rows(&train_idx);
-    let yt: Vec<u32> = train_idx.iter().map(|&i| labels[i]).collect();
-    let xv = x.select_rows(&val_idx);
-    let yv: Vec<usize> = val_idx.iter().map(|&i| labels[i] as usize).collect();
-
-    let mut best: Option<(ConvNetConfig, f64)> = None;
-    for _ in 0..trials.max(1) {
-        let cfg = ConvNetConfig {
-            c1: *[3, 4, 6].get(rng.gen_range(0..3)).unwrap(),
-            c2: *[6, 8, 12].get(rng.gen_range(0..3)).unwrap(),
-            dense: *[16, 32].get(rng.gen_range(0..2)).unwrap(),
-            ..ConvNetConfig::small(side)
-        };
-        let score = match ConvNet::fit(&xt, &yt, train.n_classes(), &cfg, rng) {
-            Ok(net) => lvp_stats::accuracy(&net.predict_proba(&xv).argmax_rows(), &yv),
-            Err(_) => f64::NEG_INFINITY,
-        };
-        if best.as_ref().is_none_or(|(_, s)| score > *s) {
-            best = Some((cfg, score));
-        }
-    }
-    let (cfg, _) = best.expect("at least one trial ran");
-    let net = ConvNet::fit(&x, labels, train.n_classes(), &cfg, rng)?;
-    Ok(Box::new(PipelineModel::new(
-        featurizer,
-        Box::new(net),
+    let side = image_side(train, "auto-keras search")?;
+    seal(
+        train,
+        &PipelineConfig::default(),
         "auto-keras",
-    )))
+        |x, labels, m| {
+            let holdout = Holdout::draw(x, labels, rng);
+            let mut best: Option<(ConvNetConfig, f64)> = None;
+            for _ in 0..trials.max(1) {
+                let cfg = ConvNetConfig {
+                    c1: *[3, 4, 6].get(rng.gen_range(0..3)).unwrap(),
+                    c2: *[6, 8, 12].get(rng.gen_range(0..3)).unwrap(),
+                    dense: *[16, 32].get(rng.gen_range(0..2)).unwrap(),
+                    ..ConvNetConfig::small(side)
+                };
+                let fitted = ConvNet::fit(&holdout.train_x, &holdout.train_y, m, &cfg, rng);
+                let score = holdout.score(fitted.map(|net| Box::new(net) as Box<dyn Classifier>));
+                if best.as_ref().is_none_or(|(_, s)| score > *s) {
+                    best = Some((cfg, score));
+                }
+            }
+            let (cfg, _) = best.expect("at least one trial ran");
+            Ok(Box::new(ConvNet::fit(x, labels, m, &cfg, rng)?))
+        },
+    )
 }
 
 /// The hand-specified larger convnet of Figure 6.
@@ -276,32 +254,18 @@ pub fn large_convnet(
     train: &DataFrame,
     rng: &mut impl Rng,
 ) -> Result<Box<dyn BlackBoxModel>, ModelError> {
-    let side = train
-        .schema()
-        .image_columns()
-        .first()
-        .and_then(|&i| {
-            train
-                .column(i)
-                .as_image()
-                .ok()
-                .and_then(|imgs| imgs.iter().flatten().next().map(|img| img.width))
-        })
-        .ok_or_else(|| ModelError::new("large-convnet requires an image column"))?;
-    let featurizer = FeaturePipeline::fit(train, &PipelineConfig::default());
-    let x = featurizer.transform(train);
     let cfg = ConvNetConfig {
         c1: 8,
         c2: 16,
         dense: 48,
-        ..ConvNetConfig::small(side)
+        ..ConvNetConfig::small(image_side(train, "large-convnet")?)
     };
-    let net = ConvNet::fit(&x, train.labels(), train.n_classes(), &cfg, rng)?;
-    Ok(Box::new(PipelineModel::new(
-        featurizer,
-        Box::new(net),
+    seal(
+        train,
+        &PipelineConfig::default(),
         "large-convnet",
-    )))
+        |x, labels, m| Ok(Box::new(ConvNet::fit(x, labels, m, &cfg, rng)?)),
+    )
 }
 
 #[cfg(test)]

@@ -3,10 +3,10 @@
 //! dropout regularization and a softmax output.
 //!
 //! The paper's architecture uses 32 and 64 convolution channels and a dense
-//! width of 128 ([`ConvNetConfig::paper`]). Training that from scratch on a
-//! single CPU core is slow, so experiments default to a proportionally
-//! scaled variant ([`ConvNetConfig::small`]) with the identical topology;
-//! the substitution is recorded in DESIGN.md.
+//! width of 128. Training that from scratch on a single CPU core is slow,
+//! so every convnet black box here uses a proportionally scaled variant
+//! ([`ConvNetConfig::small`]) with the identical topology; the substitution
+//! is recorded in DESIGN.md §2.
 //!
 //! Input is the flattened pixel CSR matrix produced by the image feature
 //! pipeline; the network reshapes rows back to `side × side` internally.
@@ -40,20 +40,6 @@ pub struct ConvNetConfig {
 }
 
 impl ConvNetConfig {
-    /// The architecture exactly as described in the paper (§6 "Models").
-    pub fn paper(side: usize) -> Self {
-        Self {
-            side,
-            c1: 32,
-            c2: 64,
-            dense: 128,
-            dropout: 0.25,
-            learning_rate: 1e-3,
-            epochs: 6,
-            batch_size: 32,
-        }
-    }
-
     /// A proportionally scaled variant for single-core experiment runs.
     pub fn small(side: usize) -> Self {
         Self {

@@ -2,10 +2,105 @@
 //!
 //! The paper trains every model with five-fold cross-validation and a grid
 //! search over its key hyperparameters (§6 "Models", §4 for the random
-//! forest meta-model). These helpers implement that protocol generically.
+//! forest meta-model). [`kfold_select`] implements that protocol once,
+//! generically over the model family, and every `fit_cv` in this crate
+//! calls it.
 
+use crate::{Classifier, ModelError};
+use lvp_linalg::CsrMatrix;
+use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
+
+/// Selects a configuration from `grid` by `k`-fold cross-validation.
+///
+/// Draws the folds from `rng`, then one seed per candidate; candidates take
+/// the seeds from the back. For each candidate, `fit(candidate, train_rows,
+/// fold_rng)` trains on every fold's training rows and `score(model,
+/// validation_rows)` rates the fit on the held-out rows (higher is better).
+/// A candidate scores the mean over its folds, or −∞ as soon as one fit
+/// fails; the winner is chosen by [`grid_search_max`].
+///
+/// With fewer rows than folds some validation folds would be empty, so the
+/// first candidate wins without drawing anything. Either way the caller
+/// refits the returned configuration on all rows with `rng`.
+///
+/// Errors on an empty grid, before drawing anything.
+pub fn kfold_select<C: Clone, M>(
+    n_rows: usize,
+    grid: &[C],
+    k: usize,
+    rng: &mut impl Rng,
+    mut fit: impl FnMut(&C, &[usize], &mut StdRng) -> Result<M, ModelError>,
+    mut score: impl FnMut(&M, &[usize]) -> f64,
+) -> Result<C, ModelError> {
+    let first = grid
+        .first()
+        .ok_or_else(|| ModelError::new("empty hyperparameter grid"))?;
+    if n_rows < k {
+        return Ok(first.clone());
+    }
+    let folds = kfold_indices(n_rows, k, rng);
+    let mut seeds: Vec<u64> = (0..grid.len()).map(|_| rng.gen()).collect();
+    let (best, _) = grid_search_max(grid, |candidate| {
+        let mut local = StdRng::seed_from_u64(seeds.pop().unwrap_or(0));
+        let mut total = 0.0;
+        for (train_rows, val_rows) in &folds {
+            let Ok(model) = fit(candidate, train_rows, &mut local) else {
+                return f64::NEG_INFINITY;
+            };
+            total += score(&model, val_rows);
+        }
+        total / folds.len() as f64
+    });
+    Ok(best)
+}
+
+/// [`kfold_select`] for a classifier family: `fit(x, labels, candidate,
+/// fold_rng)` trains on each fold's rows of `x`, and the fit is scored by
+/// its [`accuracy`] on the held-out rows.
+pub(crate) fn kfold_select_classifier<C: Clone, M: Classifier>(
+    x: &CsrMatrix,
+    labels: &[u32],
+    grid: &[C],
+    k: usize,
+    rng: &mut impl Rng,
+    mut fit: impl FnMut(&CsrMatrix, &[u32], &C, &mut StdRng) -> Result<M, ModelError>,
+) -> Result<C, ModelError> {
+    kfold_select(
+        x.rows(),
+        grid,
+        k,
+        rng,
+        |candidate, rows, local| {
+            let (xt, yt) = select_labeled(x, labels, rows);
+            fit(&xt, &yt, candidate, local)
+        },
+        |model, rows| {
+            let (xv, yv) = select_labeled(x, labels, rows);
+            accuracy(model, &xv, &yv)
+        },
+    )
+}
+
+/// The given rows of `x` together with their labels.
+pub(crate) fn select_labeled(
+    x: &CsrMatrix,
+    labels: &[u32],
+    rows: &[usize],
+) -> (CsrMatrix, Vec<u32>) {
+    (
+        x.select_rows(rows),
+        rows.iter().map(|&i| labels[i]).collect(),
+    )
+}
+
+/// Accuracy of `model`'s most probable class on `x` against `labels`: the
+/// score every classifier selection in this crate maximizes.
+pub(crate) fn accuracy(model: &dyn Classifier, x: &CsrMatrix, labels: &[u32]) -> f64 {
+    let truth: Vec<usize> = labels.iter().map(|&l| l as usize).collect();
+    lvp_stats::accuracy(&model.predict_proba(x).argmax_rows(), &truth)
+}
 
 /// Produces `k` (train, validation) index partitions of `0..n`.
 ///
@@ -84,6 +179,60 @@ mod tests {
             for v in &val {
                 assert!(!train.contains(v));
             }
+        }
+    }
+
+    /// Counts the fits and returns the candidate itself as the "model",
+    /// so the score can rank candidates directly.
+    fn select(n_rows: usize, grid: &[u8], rng: &mut StdRng) -> (Result<u8, ModelError>, usize) {
+        let mut fits = 0;
+        let chosen = kfold_select(
+            n_rows,
+            grid,
+            5,
+            rng,
+            |&c, _, _| {
+                fits += 1;
+                if c == 0 {
+                    Err(ModelError::new("cannot fit"))
+                } else {
+                    Ok(c)
+                }
+            },
+            |&c, _| f64::from(c),
+        );
+        (chosen, fits)
+    }
+
+    #[test]
+    fn kfold_select_cross_validates_every_candidate() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let (chosen, fits) = select(40, &[2, 7, 0, 5], &mut rng);
+        assert_eq!(chosen.unwrap(), 7);
+        // A failed fit scores −∞ at its first fold and skips the rest.
+        assert_eq!(fits, 5 + 5 + 1 + 5);
+    }
+
+    #[test]
+    fn kfold_select_takes_the_first_candidate_below_k_rows_without_drawing() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let (chosen, fits) = select(4, &[2, 7], &mut rng);
+        assert_eq!(chosen.unwrap(), 2);
+        assert_eq!(fits, 0);
+        assert_eq!(rng.gen::<u64>(), StdRng::seed_from_u64(4).gen::<u64>());
+    }
+
+    #[test]
+    fn kfold_select_rejects_an_empty_grid_without_drawing() {
+        for n_rows in [4, 40] {
+            let mut rng = StdRng::seed_from_u64(5);
+            let (chosen, fits) = select(n_rows, &[], &mut rng);
+            assert!(chosen
+                .unwrap_err()
+                .message
+                .contains("empty hyperparameter grid"));
+            assert_eq!(fits, 0);
+            assert_eq!(rng.gen::<u64>(), StdRng::seed_from_u64(5).gen::<u64>());
         }
     }
 

@@ -2,7 +2,7 @@
 //! predictor (§4: `RandomForestRegressor` with five-fold cross-validation
 //! and a grid search over the number of trees, minimizing MAE).
 
-use crate::cv::{grid_search_max, kfold_indices};
+use crate::cv::kfold_select;
 use crate::gbdt::PREDICT_ROW_BLOCK;
 use crate::tree::{RegressionTree, SplitMethod, TrainingColumns, TreeParams};
 use crate::{ModelError, Regressor};
@@ -105,35 +105,21 @@ impl RandomForestRegressor {
         k_folds: usize,
         rng: &mut impl Rng,
     ) -> Result<(Self, ForestConfig), ModelError> {
-        if x.rows() < k_folds {
-            // Too little data to cross-validate; fall back to the first
-            // configuration.
-            let cfg = grid
-                .first()
-                .copied()
-                .ok_or_else(|| ModelError::new("empty forest grid"))?;
-            return Ok((Self::fit(x, targets, &cfg, rng)?, cfg));
-        }
-        let folds = kfold_indices(x.rows(), k_folds, rng);
-        let mut seeds: Vec<u64> = (0..grid.len()).map(|_| rng.gen()).collect();
-        let (best, _) = grid_search_max(grid, |cfg| {
-            let mut local = rand::rngs::StdRng::seed_from_u64(seeds.pop().unwrap_or(0));
-            let mut neg_mae = 0.0;
-            for (train_idx, val_idx) in &folds {
-                let xt = x.select_rows(train_idx);
-                let yt: Vec<f64> = train_idx.iter().map(|&i| targets[i]).collect();
-                let Ok(model) = Self::fit(&xt, &yt, cfg, &mut local) else {
-                    return f64::NEG_INFINITY;
-                };
-                let xv = x.select_rows(val_idx);
-                let yv: Vec<f64> = val_idx.iter().map(|&i| targets[i]).collect();
-                let pred = model.predict(&xv);
-                neg_mae -= lvp_stats::mean_absolute_error(&pred, &yv);
-            }
-            neg_mae / folds.len() as f64
-        });
-        let model = Self::fit(x, targets, &best, rng)?;
-        Ok((model, best))
+        let best = kfold_select(
+            x.rows(),
+            grid,
+            k_folds,
+            rng,
+            |cfg, rows, local| {
+                let yt: Vec<f64> = rows.iter().map(|&i| targets[i]).collect();
+                Self::fit(&x.select_rows(rows), &yt, cfg, local)
+            },
+            |model, rows| {
+                let yv: Vec<f64> = rows.iter().map(|&i| targets[i]).collect();
+                -lvp_stats::mean_absolute_error(&model.predict(&x.select_rows(rows)), &yv)
+            },
+        )?;
+        Ok((Self::fit(x, targets, &best, rng)?, best))
     }
 
     /// Number of trees in the fitted ensemble.

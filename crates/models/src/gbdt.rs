@@ -2,14 +2,13 @@
 //! boosting on the softmax objective, one regression tree per class per
 //! round, XGBoost-style.
 
-use crate::cv::{grid_search_max, kfold_indices};
+use crate::cv::kfold_select_classifier;
 use crate::tree::{RegressionTree, SplitMethod, TrainingColumns, TreeParams};
 use crate::{one_hot_labels, Classifier, ModelError, Regressor};
 use lvp_linalg::row_blocks;
 use lvp_linalg::{stable_softmax, CsrMatrix, DenseMatrix};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use rand::SeedableRng;
 
 /// Training configuration for gradient boosting.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -151,37 +150,10 @@ impl GbdtClassifier {
         k_folds: usize,
         rng: &mut impl Rng,
     ) -> Result<(Self, GbdtConfig), ModelError> {
-        if x.rows() < k_folds {
-            // Too little data to cross-validate: some validation folds
-            // would be empty, making fold accuracy NaN and poisoning the
-            // grid search. Fall back to the first configuration, like
-            // `RandomForestRegressor::fit_cv`.
-            let cfg = grid
-                .first()
-                .copied()
-                .ok_or_else(|| ModelError::new("empty gbdt grid"))?;
-            return Ok((Self::fit(x, labels, n_classes, &cfg, rng)?, cfg));
-        }
-        let folds = kfold_indices(x.rows(), k_folds, rng);
-        let mut seeds: Vec<u64> = (0..grid.len()).map(|_| rng.gen()).collect();
-        let (best, _) = grid_search_max(grid, |cfg| {
-            let mut local = rand::rngs::StdRng::seed_from_u64(seeds.pop().unwrap_or(0));
-            let mut acc = 0.0;
-            for (train_idx, val_idx) in &folds {
-                let xt = x.select_rows(train_idx);
-                let yt: Vec<u32> = train_idx.iter().map(|&i| labels[i]).collect();
-                let Ok(model) = Self::fit(&xt, &yt, n_classes, cfg, &mut local) else {
-                    return f64::NEG_INFINITY;
-                };
-                let xv = x.select_rows(val_idx);
-                let yv: Vec<usize> = val_idx.iter().map(|&i| labels[i] as usize).collect();
-                let pred = model.predict_proba(&xv).argmax_rows();
-                acc += lvp_stats::accuracy(&pred, &yv);
-            }
-            acc / folds.len() as f64
-        });
-        let model = Self::fit(x, labels, n_classes, &best, rng)?;
-        Ok((model, best))
+        let best = kfold_select_classifier(x, labels, grid, k_folds, rng, |xt, yt, cfg, local| {
+            Self::fit(xt, yt, n_classes, cfg, local)
+        })?;
+        Ok((Self::fit(x, labels, n_classes, &best, rng)?, best))
     }
 
     /// Total number of trees across rounds and classes.
@@ -335,6 +307,7 @@ mod tests {
     use super::*;
     use lvp_linalg::SparseVec;
     use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn rings(n: usize, seed: u64) -> (CsrMatrix, Vec<u32>) {
         // Inner disc vs outer ring: nonlinear, tree-friendly.
@@ -425,11 +398,8 @@ mod tests {
         }
     }
 
-    /// Satellite-2 regression test: with fewer rows than folds, `fit_cv`
-    /// must fall back to fitting the first grid entry instead of scoring
-    /// empty validation folds (whose NaN accuracy used to make the first
-    /// config win silently — now it would trip the NaN handling in
-    /// `grid_search_max` instead, and this path avoids it entirely).
+    /// With fewer rows than folds, `fit_cv` fits the first grid entry
+    /// instead of scoring empty validation folds.
     #[test]
     fn tiny_dataset_falls_back_without_cv() {
         let (x, y) = rings(3, 13);

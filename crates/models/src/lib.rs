@@ -50,10 +50,7 @@ pub use resilience::{
     ResilienceConfig, ResilientModel, VirtualClock,
 };
 
-pub use pipeline::{
-    train_convnet, train_gbdt, train_logistic_regression, train_model, train_model_quick,
-    train_neural_net, ModelKind, PipelineModel, CV_FOLDS,
-};
+pub use pipeline::{train_model, train_model_quick, ModelKind, PipelineModel, CV_FOLDS};
 
 use lvp_dataframe::DataFrame;
 use lvp_linalg::{CsrMatrix, DenseMatrix};

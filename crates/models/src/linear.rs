@@ -2,7 +2,7 @@
 //! `lr` model, mirroring scikit-learn's `SGDClassifier` with grid-searched
 //! regularization and learning rate).
 
-use crate::cv::{grid_search_max, kfold_indices};
+use crate::cv::kfold_select_classifier;
 use crate::{one_hot_labels, Classifier, ModelError};
 use lvp_linalg::{stable_softmax, CsrMatrix, DenseMatrix};
 use rand::seq::SliceRandom;
@@ -151,27 +151,10 @@ impl LogisticRegression {
         k_folds: usize,
         rng: &mut impl Rng,
     ) -> Result<(Self, LrConfig), ModelError> {
-        let folds = kfold_indices(x.rows(), k_folds, rng);
-        let mut fold_rngs: Vec<u64> = (0..grid.len()).map(|_| rng.gen()).collect();
-        let (best, _) = grid_search_max(grid, |cfg| {
-            let seed = fold_rngs.pop().unwrap_or(0);
-            let mut local = rand::rngs::StdRng::seed_from_u64(seed);
-            let mut acc = 0.0;
-            for (train_idx, val_idx) in &folds {
-                let xt = x.select_rows(train_idx);
-                let yt: Vec<u32> = train_idx.iter().map(|&i| labels[i]).collect();
-                let Ok(model) = Self::fit(&xt, &yt, n_classes, cfg, &mut local) else {
-                    return f64::NEG_INFINITY;
-                };
-                let xv = x.select_rows(val_idx);
-                let yv: Vec<usize> = val_idx.iter().map(|&i| labels[i] as usize).collect();
-                let pred = model.predict_proba(&xv).argmax_rows();
-                acc += lvp_stats::accuracy(&pred, &yv);
-            }
-            acc / folds.len() as f64
-        });
-        let model = Self::fit(x, labels, n_classes, &best, rng)?;
-        Ok((model, best))
+        let best = kfold_select_classifier(x, labels, grid, k_folds, rng, |xt, yt, cfg, local| {
+            Self::fit(xt, yt, n_classes, cfg, local)
+        })?;
+        Ok((Self::fit(x, labels, n_classes, &best, rng)?, best))
     }
 
     /// The fitted weight matrix (d × m), exposed for tests and diagnostics.
@@ -179,8 +162,6 @@ impl LogisticRegression {
         &self.weights
     }
 }
-
-use rand::SeedableRng;
 
 impl Classifier for LogisticRegression {
     fn predict_proba(&self, x: &CsrMatrix) -> DenseMatrix {
@@ -252,6 +233,23 @@ mod tests {
         let pred = model.predict_proba(&x).argmax_rows();
         let labels: Vec<usize> = y.iter().map(|&l| l as usize).collect();
         assert!(lvp_stats::accuracy(&pred, &labels) > 0.95);
+    }
+
+    /// With fewer rows than folds, `fit_cv` picks the first configuration
+    /// without cross-validating over empty folds, and draws from the RNG
+    /// exactly what a direct `fit` of that configuration draws.
+    #[test]
+    fn fewer_rows_than_folds_fits_the_first_config_directly() {
+        let (x, y) = blobs(3, 9);
+        let mut grid = default_lr_grid();
+        grid.reverse();
+        let mut cv_rng = StdRng::seed_from_u64(10);
+        let (model, cfg) = LogisticRegression::fit_cv(&x, &y, 2, &grid, 5, &mut cv_rng).unwrap();
+        assert_eq!(cfg, grid[0]);
+        let mut direct_rng = StdRng::seed_from_u64(10);
+        let direct = LogisticRegression::fit(&x, &y, 2, &grid[0], &mut direct_rng).unwrap();
+        assert_eq!(model, direct);
+        assert_eq!(cv_rng.gen::<u64>(), direct_rng.gen::<u64>());
     }
 
     #[test]

@@ -2,12 +2,11 @@
 //! layers and a softmax output, trained with Adam, layer sizes grid-searched
 //! with cross-validation.
 
-use crate::cv::{grid_search_max, kfold_indices};
+use crate::cv::kfold_select_classifier;
 use crate::{one_hot_labels, Classifier, ModelError};
 use lvp_linalg::{relu, relu_grad, stable_softmax, CsrMatrix, DenseMatrix};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use rand::SeedableRng;
 use rand_distr::{Distribution, Normal};
 
 /// Training configuration for [`NeuralNet`].
@@ -160,26 +159,10 @@ impl NeuralNet {
         k_folds: usize,
         rng: &mut impl Rng,
     ) -> Result<(Self, MlpConfig), ModelError> {
-        let folds = kfold_indices(x.rows(), k_folds, rng);
-        let mut seeds: Vec<u64> = (0..grid.len()).map(|_| rng.gen()).collect();
-        let (best, _) = grid_search_max(grid, |cfg| {
-            let mut local = rand::rngs::StdRng::seed_from_u64(seeds.pop().unwrap_or(0));
-            let mut acc = 0.0;
-            for (train_idx, val_idx) in &folds {
-                let xt = x.select_rows(train_idx);
-                let yt: Vec<u32> = train_idx.iter().map(|&i| labels[i]).collect();
-                let Ok(model) = Self::fit(&xt, &yt, n_classes, cfg, &mut local) else {
-                    return f64::NEG_INFINITY;
-                };
-                let xv = x.select_rows(val_idx);
-                let yv: Vec<usize> = val_idx.iter().map(|&i| labels[i] as usize).collect();
-                let pred = model.predict_proba(&xv).argmax_rows();
-                acc += lvp_stats::accuracy(&pred, &yv);
-            }
-            acc / folds.len() as f64
-        });
-        let model = Self::fit(x, labels, n_classes, &best, rng)?;
-        Ok((model, best))
+        let best = kfold_select_classifier(x, labels, grid, k_folds, rng, |xt, yt, cfg, local| {
+            Self::fit(xt, yt, n_classes, cfg, local)
+        })?;
+        Ok((Self::fit(x, labels, n_classes, &best, rng)?, best))
     }
 }
 
@@ -239,6 +222,7 @@ mod tests {
     use super::*;
     use lvp_linalg::SparseVec;
     use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     /// XOR-like data: requires a nonlinear decision boundary.
     fn xor_data(n: usize, seed: u64) -> (CsrMatrix, Vec<u32>) {

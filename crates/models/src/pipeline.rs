@@ -2,13 +2,13 @@
 //! exposed only through [`BlackBoxModel`].
 
 use crate::convnet::{ConvNet, ConvNetConfig};
-use crate::gbdt::{default_gbdt_grid, GbdtClassifier};
-use crate::linear::{default_lr_grid, LogisticRegression};
-use crate::mlp::{default_mlp_grid, NeuralNet};
+use crate::gbdt::{default_gbdt_grid, GbdtClassifier, GbdtConfig};
+use crate::linear::{default_lr_grid, LogisticRegression, LrConfig};
+use crate::mlp::{default_mlp_grid, MlpConfig, NeuralNet};
 use crate::{BlackBoxModel, Classifier, ModelError};
 use lvp_dataframe::DataFrame;
 use lvp_featurize::{FeaturePipeline, PipelineConfig};
-use lvp_linalg::DenseMatrix;
+use lvp_linalg::{CsrMatrix, DenseMatrix};
 use lvp_telemetry::{Counter, Histogram, Registry, Span};
 use rand::Rng;
 
@@ -122,123 +122,64 @@ impl ModelKind {
 /// Number of folds used for every cross-validated fit (the paper uses 5).
 pub const CV_FOLDS: usize = 5;
 
-fn image_side(train: &DataFrame) -> usize {
+/// Side length of the images in `train`'s first non-empty image column;
+/// `who` names the caller in the error for a frame without images.
+pub(crate) fn image_side(train: &DataFrame, who: &str) -> Result<usize, ModelError> {
     for i in train.schema().image_columns() {
         if let Ok(images) = train.column(i).as_image() {
             if let Some(img) = images.iter().flatten().next() {
-                return img.width;
+                return Ok(img.width);
             }
         }
     }
-    0
+    Err(ModelError::new(format!("{who} requires an image column")))
 }
 
-/// Trains a cross-validated logistic regression pipeline on the frame.
-pub fn train_logistic_regression(
+/// Builds a black box: fits the feature pipeline on `train`, trains a
+/// classifier on the features with `fit(x, labels, n_classes)`, and seals
+/// both into a [`PipelineModel`] named `name`.
+pub(crate) fn seal(
     train: &DataFrame,
-    rng: &mut impl Rng,
+    pipeline_config: &PipelineConfig,
+    name: &str,
+    fit: impl FnOnce(&CsrMatrix, &[u32], usize) -> Result<Box<dyn Classifier>, ModelError>,
 ) -> Result<Box<dyn BlackBoxModel>, ModelError> {
-    let featurizer = FeaturePipeline::fit(train, &PipelineConfig::default());
+    let featurizer = FeaturePipeline::fit(train, pipeline_config);
     let x = featurizer.transform(train);
-    let (model, _) = LogisticRegression::fit_cv(
-        &x,
-        train.labels(),
-        train.n_classes(),
-        &default_lr_grid(),
-        CV_FOLDS,
-        rng,
-    )?;
-    Ok(Box::new(PipelineModel::new(
-        featurizer,
-        Box::new(model),
-        "lr",
-    )))
+    let classifier = fit(&x, train.labels(), train.n_classes())?;
+    Ok(Box::new(PipelineModel::new(featurizer, classifier, name)))
 }
 
-/// Trains a cross-validated feed-forward network pipeline on the frame.
-pub fn train_neural_net(
-    train: &DataFrame,
-    rng: &mut impl Rng,
-) -> Result<Box<dyn BlackBoxModel>, ModelError> {
-    let featurizer = FeaturePipeline::fit(train, &PipelineConfig::default());
-    let x = featurizer.transform(train);
-    let (model, _) = NeuralNet::fit_cv(
-        &x,
-        train.labels(),
-        train.n_classes(),
-        &default_mlp_grid(),
-        CV_FOLDS,
-        rng,
-    )?;
-    Ok(Box::new(PipelineModel::new(
-        featurizer,
-        Box::new(model),
-        "dnn",
-    )))
-}
-
-/// Trains a cross-validated gradient-boosted tree pipeline on the frame.
-pub fn train_gbdt(
-    train: &DataFrame,
-    rng: &mut impl Rng,
-) -> Result<Box<dyn BlackBoxModel>, ModelError> {
-    let featurizer = FeaturePipeline::fit(train, &PipelineConfig::default());
-    let x = featurizer.transform(train);
-    let (model, _) = GbdtClassifier::fit_cv(
-        &x,
-        train.labels(),
-        train.n_classes(),
-        &default_gbdt_grid(),
-        CV_FOLDS,
-        rng,
-    )?;
-    Ok(Box::new(PipelineModel::new(
-        featurizer,
-        Box::new(model),
-        "xgb",
-    )))
-}
-
-/// Trains a convolutional network pipeline on an image frame.
-///
-/// `paper_scale` selects the paper's 32/64/128 architecture; otherwise the
-/// proportionally scaled single-core variant is used (see DESIGN.md).
-pub fn train_convnet(
-    train: &DataFrame,
-    paper_scale: bool,
-    rng: &mut impl Rng,
-) -> Result<Box<dyn BlackBoxModel>, ModelError> {
-    let side = image_side(train);
-    if side == 0 {
-        return Err(ModelError::new("convnet requires an image column"));
-    }
-    let featurizer = FeaturePipeline::fit(train, &PipelineConfig::default());
-    let x = featurizer.transform(train);
-    let cfg = if paper_scale {
-        ConvNetConfig::paper(side)
-    } else {
-        ConvNetConfig::small(side)
-    };
-    let model = ConvNet::fit(&x, train.labels(), train.n_classes(), &cfg, rng)?;
-    Ok(Box::new(PipelineModel::new(
-        featurizer,
-        Box::new(model),
-        "conv",
-    )))
-}
-
-/// Trains the requested model family with its default CV protocol.
+/// Trains the requested model family with its default CV protocol: a
+/// [`CV_FOLDS`]-fold grid search over the family's default grid (the
+/// convnet trains its one scaled configuration, see DESIGN.md).
 pub fn train_model(
     kind: ModelKind,
     train: &DataFrame,
     rng: &mut impl Rng,
 ) -> Result<Box<dyn BlackBoxModel>, ModelError> {
-    match kind {
-        ModelKind::Lr => train_logistic_regression(train, rng),
-        ModelKind::Dnn => train_neural_net(train, rng),
-        ModelKind::Xgb => train_gbdt(train, rng),
-        ModelKind::Conv => train_convnet(train, false, rng),
-    }
+    seal(
+        train,
+        &PipelineConfig::default(),
+        kind.name(),
+        |x, labels, m| {
+            Ok(match kind {
+                ModelKind::Lr => Box::new(
+                    LogisticRegression::fit_cv(x, labels, m, &default_lr_grid(), CV_FOLDS, rng)?.0,
+                ),
+                ModelKind::Dnn => {
+                    Box::new(NeuralNet::fit_cv(x, labels, m, &default_mlp_grid(), CV_FOLDS, rng)?.0)
+                }
+                ModelKind::Xgb => Box::new(
+                    GbdtClassifier::fit_cv(x, labels, m, &default_gbdt_grid(), CV_FOLDS, rng)?.0,
+                ),
+                ModelKind::Conv => {
+                    let cfg = ConvNetConfig::small(image_side(train, "convnet")?);
+                    Box::new(ConvNet::fit(x, labels, m, &cfg, rng)?)
+                }
+            })
+        },
+    )
 }
 
 /// Trains the requested model family with fixed default hyperparameters,
@@ -263,53 +204,32 @@ pub fn train_model_quick(
     } else {
         PipelineConfig::default()
     };
-    let featurizer = FeaturePipeline::fit(train, &pipeline_config);
-    let x = featurizer.transform(train);
-    let (labels, m) = (train.labels(), train.n_classes());
-    let classifier: Box<dyn crate::Classifier> = match kind {
-        ModelKind::Lr => Box::new(LogisticRegression::fit(
-            &x,
-            labels,
-            m,
-            &crate::linear::LrConfig::default(),
-            rng,
-        )?),
-        ModelKind::Dnn => Box::new(NeuralNet::fit(
-            &x,
-            labels,
-            m,
-            &crate::mlp::MlpConfig::default(),
-            rng,
-        )?),
-        ModelKind::Xgb => Box::new(GbdtClassifier::fit(
-            &x,
-            labels,
-            m,
-            &crate::gbdt::GbdtConfig {
-                colsample: if has_text { 0.2 } else { 0.8 },
-                ..crate::gbdt::GbdtConfig::default()
-            },
-            rng,
-        )?),
-        ModelKind::Conv => {
-            let side = image_side(train);
-            if side == 0 {
-                return Err(ModelError::new("convnet requires an image column"));
-            }
-            Box::new(ConvNet::fit(
-                &x,
+    seal(train, &pipeline_config, kind.name(), |x, labels, m| {
+        Ok(match kind {
+            ModelKind::Lr => Box::new(LogisticRegression::fit(
+                x,
                 labels,
                 m,
-                &ConvNetConfig::small(side),
+                &LrConfig::default(),
                 rng,
-            )?)
-        }
-    };
-    Ok(Box::new(PipelineModel::new(
-        featurizer,
-        classifier,
-        kind.name(),
-    )))
+            )?),
+            ModelKind::Dnn => Box::new(NeuralNet::fit(x, labels, m, &MlpConfig::default(), rng)?),
+            ModelKind::Xgb => Box::new(GbdtClassifier::fit(
+                x,
+                labels,
+                m,
+                &GbdtConfig {
+                    colsample: if has_text { 0.2 } else { 0.8 },
+                    ..GbdtConfig::default()
+                },
+                rng,
+            )?),
+            ModelKind::Conv => {
+                let cfg = ConvNetConfig::small(image_side(train, "convnet")?);
+                Box::new(ConvNet::fit(x, labels, m, &cfg, rng)?)
+            }
+        })
+    })
 }
 
 #[cfg(test)]
@@ -324,7 +244,7 @@ mod tests {
     fn pipeline_model_hides_internals_and_predicts() {
         let df = toy_frame(60);
         let mut rng = StdRng::seed_from_u64(1);
-        let model = train_logistic_regression(&df, &mut rng).unwrap();
+        let model = train_model(ModelKind::Lr, &df, &mut rng).unwrap();
         assert_eq!(model.name(), "lr");
         assert_eq!(model.n_classes(), 2);
         let p = model.predict_proba(&df);
@@ -380,12 +300,12 @@ mod tests {
     fn attached_telemetry_counts_calls_and_rows() {
         let df = toy_frame(40);
         let mut rng = StdRng::seed_from_u64(4);
-        let mut model = train_logistic_regression(&df, &mut rng).unwrap();
+        let mut model = train_model(ModelKind::Lr, &df, &mut rng).unwrap();
         let registry = Registry::new();
         model.attach_telemetry(&registry);
         let reference = {
             let mut rng = StdRng::seed_from_u64(4);
-            train_logistic_regression(&df, &mut rng)
+            train_model(ModelKind::Lr, &df, &mut rng)
                 .unwrap()
                 .predict_proba(&df)
         };
@@ -411,6 +331,6 @@ mod tests {
     fn convnet_requires_images() {
         let df = toy_frame(10);
         let mut rng = StdRng::seed_from_u64(2);
-        assert!(train_convnet(&df, false, &mut rng).is_err());
+        assert!(train_model(ModelKind::Conv, &df, &mut rng).is_err());
     }
 }

@@ -80,6 +80,13 @@ impl BlackBoxModel for DetachedModel {
     }
 }
 
+/// Base of the exponential retry-after hint on overflow sheds.
+const BASE_RETRY_NANOS: u64 = 10_000_000;
+/// Cap on the un-jittered exponential retry-after.
+const MAX_RETRY_NANOS: u64 = 1_000_000_000;
+/// Seed of the deterministic retry-after jitter.
+const JITTER_SEED: u64 = 0x1_5EED_D0E5;
+
 /// Admission-control and retention knobs of a [`Daemon`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DaemonConfig {
@@ -92,12 +99,6 @@ pub struct DaemonConfig {
     /// cooldowns are measured in these ticks, so behavior is a pure
     /// function of the request sequence.
     pub clock_tick_nanos: u64,
-    /// Base of the exponential retry-after hint on overflow sheds.
-    pub base_retry_nanos: u64,
-    /// Cap on the un-jittered exponential retry-after.
-    pub max_retry_nanos: u64,
-    /// Seed of the deterministic retry-after jitter.
-    pub jitter_seed: u64,
     /// Report-history bound applied to every registered monitor (`None`
     /// retains everything; daemons should bound it).
     pub history_limit: Option<usize>,
@@ -113,9 +114,6 @@ impl Default for DaemonConfig {
             queue_capacity: 64,
             breaker: BreakerConfig::default(),
             clock_tick_nanos: 1_000_000, // 1 virtual ms per request
-            base_retry_nanos: 10_000_000,
-            max_retry_nanos: 1_000_000_000,
-            jitter_seed: 0x1_5EED_D0E5,
             history_limit: Some(256),
             max_request_bytes: 16 << 20, // 16 MiB
         }
@@ -809,18 +807,15 @@ impl Daemon {
 
     /// Deterministic retry-after for the `n`-th consecutive overflow:
     /// exponential in `n`, capped, with jitter in `[0.5, 1.5)` derived
-    /// from `(jitter_seed, tenant, total sheds)` exactly like the
+    /// from `(JITTER_SEED, tenant, total sheds)` exactly like the
     /// resilience layer's backoff jitter.
-    fn retry_after(&self, tenant: &str, consecutive: u32, sheds: u64) -> u64 {
+    fn retry_after(tenant: &str, consecutive: u32, sheds: u64) -> u64 {
         let exp = consecutive.saturating_sub(1).min(16);
-        let raw = self
-            .config
-            .base_retry_nanos
+        let raw = BASE_RETRY_NANOS
             .saturating_mul(1u64 << exp)
-            .min(self.config.max_retry_nanos);
+            .min(MAX_RETRY_NANOS);
         let mixed = mix64(
-            self.config
-                .jitter_seed
+            JITTER_SEED
                 .wrapping_add(tenant_hash(tenant))
                 .wrapping_add(sheds),
         );
@@ -943,7 +938,7 @@ impl Daemon {
         let gate = inner.tenants.get_mut(&key.tenant).expect("created above");
         gate.sheds += 1;
         gate.breaker.record_failure(now, &self.config.breaker);
-        let retry = self.retry_after(&key.tenant, gate.breaker.consecutive_failures(), gate.sheds);
+        let retry = Self::retry_after(&key.tenant, gate.breaker.consecutive_failures(), gate.sheds);
         let reason = format!(
             "tenant '{}' over its in-flight chunk budget ({pending}/{}): chunk shed",
             key.tenant, self.config.queue_capacity
@@ -1097,7 +1092,7 @@ mod tests {
     use lvp_core::{BatchSketch, MonitorPolicy, PerformancePredictor, PredictorConfig};
     use lvp_corruptions::standard_tabular_suite;
     use lvp_dataframe::toy_frame;
-    use lvp_models::train_logistic_regression;
+    use lvp_models::{train_model, ModelKind};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1107,7 +1102,7 @@ mod tests {
         let (train, rest) = df.split_frac(0.4, &mut rng);
         let (test, _serving) = rest.split_frac(0.5, &mut rng);
         let model: Arc<dyn BlackBoxModel> =
-            Arc::from(train_logistic_regression(&train, &mut rng).unwrap());
+            Arc::from(train_model(ModelKind::Lr, &train, &mut rng).unwrap());
         let gens = standard_tabular_suite(test.schema());
         let predictor = PerformancePredictor::fit(
             Arc::clone(&model),

@@ -26,7 +26,7 @@ fn main() {
     let (source, serving) = df.split_frac(0.5, &mut rng);
     let (train, test) = source.split_frac(0.75, &mut rng);
     let model: Arc<dyn BlackBoxModel> =
-        Arc::from(lvp::models::train_gbdt(&train, &mut rng).unwrap());
+        Arc::from(lvp::models::train_model(ModelKind::Xgb, &train, &mut rng).unwrap());
     let errors = lvp::corruptions::standard_tabular_suite(test.schema());
     let predictor = PerformancePredictor::fit(
         Arc::clone(&model),

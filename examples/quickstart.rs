@@ -20,7 +20,7 @@ fn main() {
 
     // 2. A black box model: we can only call predict_proba on it.
     let model: Arc<dyn BlackBoxModel> =
-        Arc::from(lvp::models::train_logistic_regression(&train, &mut rng).unwrap());
+        Arc::from(lvp::models::train_model(ModelKind::Lr, &train, &mut rng).unwrap());
     let test_accuracy = lvp::models::model_accuracy(model.as_ref(), &test);
     println!("model test accuracy: {test_accuracy:.3}");
 

@@ -24,7 +24,7 @@ fn main() {
     let df = lvp::datasets::income(1_500, &mut rng);
     let (source, serving) = df.split_frac(0.5, &mut rng);
     let (train, test) = source.split_frac(0.75, &mut rng);
-    let mut model = lvp::models::train_logistic_regression(&train, &mut rng).unwrap();
+    let mut model = lvp::models::train_model(ModelKind::Lr, &train, &mut rng).unwrap();
     model.attach_telemetry(&registry);
     let model: Arc<dyn BlackBoxModel> = Arc::from(model);
     let errors = lvp::corruptions::standard_tabular_suite(test.schema());

@@ -33,7 +33,7 @@
 //! let (source, serving) = df.split_frac(0.5, &mut rng);
 //! let (train, test) = source.split_frac(0.8, &mut rng);
 //! let model: std::sync::Arc<dyn BlackBoxModel> =
-//!     std::sync::Arc::from(lvp::models::train_logistic_regression(&train, &mut rng).unwrap());
+//!     std::sync::Arc::from(lvp::models::train_model(ModelKind::Lr, &train, &mut rng).unwrap());
 //!
 //! // 2. Specify the error types we may see in production.
 //! let errors = lvp::corruptions::standard_tabular_suite(test.schema());
@@ -70,6 +70,7 @@ pub mod prelude {
     pub use lvp_dataframe::{ColumnType, DataFrame, Schema};
     pub use lvp_linalg::{CsrMatrix, DenseMatrix};
     pub use lvp_models::{
-        BlackBoxModel, ModelError, ModelErrorKind, ResilienceConfig, ResilientModel, VirtualClock,
+        BlackBoxModel, ModelError, ModelErrorKind, ModelKind, ResilienceConfig, ResilientModel,
+        VirtualClock,
     };
 }

@@ -12,7 +12,7 @@ use lvp_core::{
 };
 use lvp_corruptions::standard_tabular_suite;
 use lvp_dataframe::toy_frame;
-use lvp_models::{train_logistic_regression, BlackBoxModel, BreakerConfig};
+use lvp_models::{train_model, BlackBoxModel, BreakerConfig, ModelKind};
 use lvp_server::{
     Daemon, DaemonConfig, DurabilityConfig, JournalFaultPlan, MonitorKey, Request, Response,
 };
@@ -28,7 +28,7 @@ fn serving_artifact() -> ServingArtifact {
     let (train, rest) = df.split_frac(0.4, &mut rng);
     let (test, _serving) = rest.split_frac(0.5, &mut rng);
     let model: Arc<dyn BlackBoxModel> =
-        Arc::from(train_logistic_regression(&train, &mut rng).unwrap());
+        Arc::from(train_model(ModelKind::Lr, &train, &mut rng).unwrap());
     let gens = standard_tabular_suite(test.schema());
     let predictor = PerformancePredictor::fit(
         Arc::clone(&model),

@@ -302,3 +302,65 @@ fn pipeline_outputs_are_pinned_golden() {
         ]
     );
 }
+
+/// Pins the cross-validated training path, which the quick-mode golden
+/// above never reaches: `checksum64` digests of the `predict_proba` bits of
+/// an lr, a dnn and an xgb pipeline built by `train_model` (5-fold grid
+/// search over each family's default grid), each followed by the next draw
+/// of the training RNG, plus the predictions, chosen tree count and next
+/// draw of a two-config `RandomForestRegressor::fit_cv`. A change to the
+/// fold draw, the per-candidate seeds, the fold scoring or the refit fails
+/// here.
+#[test]
+fn cross_validated_training_is_pinned_golden() {
+    use lvp_models::forest::{ForestConfig, RandomForestRegressor};
+    use lvp_models::{train_model, Regressor};
+    use rand::Rng;
+
+    let floats = |values: &[f64]| -> u64 {
+        let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+        lvp_core::checksum64(&bytes)
+    };
+    let df = lvp::datasets::income(240, &mut StdRng::seed_from_u64(81));
+    let mut pinned = Vec::new();
+    for kind in ModelKind::TABULAR {
+        let mut rng = StdRng::seed_from_u64(82);
+        let model = train_model(kind, &df, &mut rng).unwrap();
+        pinned.push(floats(model.predict_proba(&df).data()));
+        pinned.push(rng.gen::<u64>());
+    }
+
+    let mut rng = StdRng::seed_from_u64(83);
+    let rows: Vec<Vec<f64>> = (0..60)
+        .map(|_| (0..4).map(|_| rng.gen_range(-1.0..1.0)).collect())
+        .collect();
+    let targets: Vec<f64> = rows.iter().map(|r| r[0] * 2.0 + r[1] * r[2]).collect();
+    let x = lvp::linalg::DenseMatrix::from_rows(&rows).unwrap();
+    let grid: Vec<ForestConfig> = [4, 12]
+        .into_iter()
+        .map(|n_trees| ForestConfig {
+            n_trees,
+            max_depth: 4,
+            ..ForestConfig::default()
+        })
+        .collect();
+    let (forest, cfg) = RandomForestRegressor::fit_cv(&x, &targets, &grid, 5, &mut rng).unwrap();
+    pinned.push(floats(&forest.predict(&x)));
+    pinned.push(cfg.n_trees as u64);
+    pinned.push(rng.gen::<u64>());
+
+    assert_eq!(
+        pinned,
+        [
+            0xdc36_62a9_7ca7_65aa, // lr, predictions
+            0xce12_6262_1ee7_481e, // lr, next draw
+            0x8673_e4a8_db70_b8cb, // dnn, predictions
+            0xc338_0b5e_16bf_7717, // dnn, next draw
+            0x86e6_a6b4_7c40_45c7, // xgb, predictions
+            0x23e0_21e2_e166_824e, // xgb, next draw
+            0xa86d_0c12_91c8_951f, // forest, predictions
+            12,                    // forest, chosen tree count
+            0xf1e4_f4a5_923b_7aa5, // forest, next draw
+        ]
+    );
+}

@@ -20,7 +20,7 @@ fn setup(seed: u64) -> (Arc<dyn BlackBoxModel>, DataFrame, DataFrame) {
     let (train, rest) = df.split_frac(0.4, &mut rng);
     let (test, serving) = rest.split_frac(0.5, &mut rng);
     let model: Arc<dyn BlackBoxModel> =
-        Arc::from(lvp::models::train_logistic_regression(&train, &mut rng).unwrap());
+        Arc::from(lvp::models::train_model(ModelKind::Lr, &train, &mut rng).unwrap());
     (model, test, serving)
 }
 

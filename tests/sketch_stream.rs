@@ -10,7 +10,7 @@ use lvp_core::{
 use lvp_corruptions::{extended_tabular_suite, standard_tabular_suite};
 use lvp_dataframe::{toy_frame, CellValue, ColumnType, DataFrameBuilder, Field, Schema};
 use lvp_linalg::DenseMatrix;
-use lvp_models::{train_logistic_regression, BlackBoxModel};
+use lvp_models::{train_model, BlackBoxModel, ModelKind};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -64,7 +64,7 @@ fn fitted_monitor() -> (BatchMonitor, lvp_dataframe::DataFrame) {
     let (train, rest) = df.split_frac(0.4, &mut rng);
     let (test, serving) = rest.split_frac(0.5, &mut rng);
     let model: Arc<dyn BlackBoxModel> =
-        Arc::from(lvp_models::train_logistic_regression(&train, &mut rng).unwrap());
+        Arc::from(lvp_models::train_model(ModelKind::Lr, &train, &mut rng).unwrap());
     let gens = standard_tabular_suite(test.schema());
     let predictor =
         PerformancePredictor::fit(model, &test, &gens, &PredictorConfig::fast(), &mut rng).unwrap();
@@ -188,7 +188,7 @@ proptest! {
     ) {
         let df = build_frame(&nums, &cats);
         let mut rng = StdRng::seed_from_u64(seed);
-        let model = train_logistic_regression(&df, &mut rng).unwrap();
+        let model = train_model(ModelKind::Lr, &df, &mut rng).unwrap();
         let mut gens = standard_tabular_suite(df.schema());
         gens.extend(extended_tabular_suite(df.schema()));
         for gen in gens {
