@@ -39,8 +39,8 @@ pub use monitor::{
 };
 pub use persistence::{
     atomic_write_durable, check_version, checksum64, from_json, is_enveloped, load_json, save_json,
-    to_json, unwrap_envelope, wrap_envelope, MetricTag, MonitorArtifact, PredictorArtifact,
-    ServingArtifact, ValidatorArtifact, ARTIFACT_VERSION, ENVELOPE_MAGIC,
+    to_json, unwrap_envelope, wrap_envelope, MonitorArtifact, PredictorArtifact, ServingArtifact,
+    ValidatorArtifact, ARTIFACT_VERSION, ENVELOPE_MAGIC,
 };
 pub use predictor::{PerformancePredictor, PredictorConfig, TrainingExample};
 pub use validator::{PerformanceValidator, ValidationOutcome, ValidatorConfig};
@@ -48,7 +48,8 @@ pub use validator::{PerformanceValidator, ValidationOutcome, ValidatorConfig};
 use lvp_linalg::DenseMatrix;
 
 /// The scoring function `L` the black box model is known to optimize (§2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Artifacts serialize it as its variant name: `"Accuracy"` or `"Auc"`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub enum Metric {
     /// Classification accuracy.
     #[default]

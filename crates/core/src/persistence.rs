@@ -295,33 +295,6 @@ fn check_model_classes(
     Ok(())
 }
 
-/// Serializable counterpart of [`Metric`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MetricTag {
-    /// Classification accuracy.
-    Accuracy,
-    /// ROC AUC.
-    Auc,
-}
-
-impl From<Metric> for MetricTag {
-    fn from(m: Metric) -> Self {
-        match m {
-            Metric::Accuracy => MetricTag::Accuracy,
-            Metric::Auc => MetricTag::Auc,
-        }
-    }
-}
-
-impl From<MetricTag> for Metric {
-    fn from(t: MetricTag) -> Self {
-        match t {
-            MetricTag::Accuracy => Metric::Accuracy,
-            MetricTag::Auc => Metric::Auc,
-        }
-    }
-}
-
 /// Serializable snapshot of a fitted [`PerformancePredictor`], minus the
 /// black box model it monitors.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -331,7 +304,7 @@ pub struct PredictorArtifact {
     /// The fitted random-forest meta-regressor.
     pub regressor: RandomForestRegressor,
     /// The scoring function the predictor estimates.
-    pub metric: MetricTag,
+    pub metric: Metric,
     /// Reference score on the held-out test data.
     pub test_score: f64,
     /// Expected featurization dimensionality (n_classes × 21).
@@ -358,7 +331,7 @@ impl PerformancePredictor {
         PredictorArtifact {
             version: ARTIFACT_VERSION,
             regressor: self.regressor.clone(),
-            metric: self.metric.into(),
+            metric: self.metric,
             test_score: self.test_score,
             n_feature_dims: self.n_feature_dims,
             n_classes: Some(self.n_classes),
@@ -384,6 +357,7 @@ impl PerformancePredictor {
                 artifact.n_feature_dims, expected
             )));
         }
+        artifact.regressor.check(artifact.n_feature_dims)?;
         // Pre-v4 artifacts carry no alpha: they load with the default.
         let interval_alpha = artifact
             .interval_alpha
@@ -400,7 +374,7 @@ impl PerformancePredictor {
             n_classes: model.n_classes(),
             model,
             regressor: artifact.regressor,
-            metric: artifact.metric.into(),
+            metric: artifact.metric,
             test_score: artifact.test_score,
             n_feature_dims: artifact.n_feature_dims,
             schema_fingerprint: artifact.schema_fingerprint,
@@ -428,7 +402,7 @@ pub struct ValidatorArtifact {
     /// Acceptable relative quality loss `t`.
     pub threshold: f64,
     /// The scoring function the validator decides about.
-    pub metric: MetricTag,
+    pub metric: Metric,
     /// Whether the KS features against `test_columns` are in use.
     pub use_ks_features: bool,
     /// Fingerprint of the fit-time test schema.
@@ -449,7 +423,7 @@ impl PerformanceValidator {
             test_columns: self.reference.columns().unwrap_or_default().to_vec(),
             test_score: self.test_score,
             threshold: self.threshold,
-            metric: self.metric.into(),
+            metric: self.metric,
             use_ks_features: self.use_ks_features,
             schema_fingerprint: self.schema_fingerprint,
             test_ecdf: Some(self.reference.ecdfs().to_vec()),
@@ -474,6 +448,10 @@ impl PerformanceValidator {
                 "validator artifact threshold must lie in [0, 1)",
             ));
         }
+        // Per class: the percentiles, then a KS statistic and p-value.
+        let per_class =
+            crate::feature_dimensionality(1) + 2 * usize::from(artifact.use_ks_features);
+        artifact.classifier.check(per_class * model.n_classes())?;
         let reference = match artifact.test_ecdf {
             Some(ecdfs) => {
                 OutputReference::new(Some(artifact.test_columns), ecdfs, model.n_classes())?
@@ -488,7 +466,7 @@ impl PerformanceValidator {
             reference,
             test_score: artifact.test_score,
             threshold: artifact.threshold,
-            metric: artifact.metric.into(),
+            metric: artifact.metric,
             use_ks_features: artifact.use_ks_features,
             schema_fingerprint: artifact.schema_fingerprint,
         })
@@ -797,6 +775,31 @@ mod tests {
     }
 
     #[test]
+    fn validator_artifact_rejects_trees_inference_cannot_walk() {
+        let (model, test, _) = fitted();
+        let mut rng = StdRng::seed_from_u64(43);
+        let gens = standard_tabular_suite(test.schema());
+        let validator = PerformanceValidator::fit(
+            Arc::clone(&model),
+            &test,
+            &gens,
+            &ValidatorConfig::fast(0.05),
+            &mut rng,
+        )
+        .unwrap();
+        let json = to_json(&validator.to_artifact()).unwrap();
+        let start = json.find("\"nodes\":[").unwrap() + "\"nodes\":".len();
+        let end = start + json[start..].find(']').unwrap() + 1;
+        let looping = r#"[{"Split":{"feature":0,"threshold":0.5,"left":0,"right":0}}]"#;
+        let crafted = format!("{}{looping}{}", &json[..start], &json[end..]);
+        let artifact: ValidatorArtifact = from_json(&crafted).unwrap();
+        let err = PerformanceValidator::from_artifact(artifact, model)
+            .err()
+            .expect("a looping tree loaded");
+        assert!(err.message.contains("tree node 0 has a child"), "{err}");
+    }
+
+    #[test]
     fn validator_artifact_rejects_test_ecdfs_off_the_class_count_or_grid() {
         let (model, test, _) = fitted();
         let mut rng = StdRng::seed_from_u64(43);
@@ -877,7 +880,7 @@ mod tests {
             test_columns: Vec<Vec<f64>>,
             test_score: f64,
             threshold: f64,
-            metric: MetricTag,
+            metric: Metric,
             use_ks_features: bool,
             schema_fingerprint: Option<u64>,
         }
@@ -978,7 +981,7 @@ mod tests {
         struct PredictorArtifactV3 {
             version: u32,
             regressor: RandomForestRegressor,
-            metric: MetricTag,
+            metric: Metric,
             test_score: f64,
             n_feature_dims: usize,
             n_classes: Option<usize>,
@@ -1302,7 +1305,7 @@ mod tests {
 
     #[test]
     fn save_json_writes_envelope_and_load_json_detects_damage() {
-        let artifact = MetricTag::from(Metric::Auc);
+        let artifact = Metric::Auc;
         let dir = std::env::temp_dir().join("lvp_envelope_damage_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("artifact.json");
@@ -1312,13 +1315,13 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         assert!(is_enveloped(&bytes));
         assert!(!dir.join("artifact.json.tmp").exists());
-        let reloaded: MetricTag = load_json(&path).unwrap();
-        assert_eq!(Metric::from(reloaded), Metric::Auc);
+        let reloaded: Metric = load_json(&path).unwrap();
+        assert_eq!(reloaded, Metric::Auc);
 
         // Truncate the file (crash mid-write of a non-atomic writer) →
         // typed Truncated error, not serde garbage.
         std::fs::write(&path, &bytes[..bytes.len() - 2]).unwrap();
-        let err = load_json::<MetricTag>(&path).unwrap_err();
+        let err = load_json::<Metric>(&path).unwrap_err();
         assert_eq!(err.kind(), CoreErrorKind::Truncated, "{err}");
         assert!(err.message.contains("artifact"), "{err}");
 
@@ -1327,7 +1330,7 @@ mod tests {
         let last = rotted.len() - 1;
         rotted[last] ^= 0x04;
         std::fs::write(&path, &rotted).unwrap();
-        let err = load_json::<MetricTag>(&path).unwrap_err();
+        let err = load_json::<Metric>(&path).unwrap_err();
         assert_eq!(err.kind(), CoreErrorKind::ChecksumMismatch, "{err}");
 
         std::fs::remove_dir_all(&dir).ok();
@@ -1338,14 +1341,14 @@ mod tests {
         // Artifacts written before the envelope existed are bare JSON;
         // they must keep loading through the checksummed loader.
         let path = std::env::temp_dir().join("lvp_legacy_bare_artifact.json");
-        std::fs::write(&path, to_json(&MetricTag::from(Metric::Accuracy)).unwrap()).unwrap();
-        let tag: MetricTag = load_json(&path).unwrap();
-        assert_eq!(Metric::from(tag), Metric::Accuracy);
+        std::fs::write(&path, to_json(&Metric::Accuracy).unwrap()).unwrap();
+        let metric: Metric = load_json(&path).unwrap();
+        assert_eq!(metric, Metric::Accuracy);
         // Re-saving upgrades the file to envelope form in place.
-        save_json(&tag, &path).unwrap();
+        save_json(&metric, &path).unwrap();
         assert!(is_enveloped(&std::fs::read(&path).unwrap()));
-        let tag: MetricTag = load_json(&path).unwrap();
-        assert_eq!(Metric::from(tag), Metric::Accuracy);
+        let metric: Metric = load_json(&path).unwrap();
+        assert_eq!(metric, Metric::Accuracy);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1476,11 +1479,12 @@ mod tests {
     }
 
     #[test]
-    fn metric_tag_round_trip() {
-        assert_eq!(Metric::from(MetricTag::from(Metric::Auc)), Metric::Auc);
-        assert_eq!(
-            Metric::from(MetricTag::from(Metric::Accuracy)),
-            Metric::Accuracy
-        );
+    fn metric_serializes_as_its_variant_name() {
+        // Every predictor and validator artifact carries its metric in
+        // these bytes.
+        for (metric, json) in [(Metric::Accuracy, "\"Accuracy\""), (Metric::Auc, "\"Auc\"")] {
+            assert_eq!(to_json(&metric).unwrap(), json);
+            assert_eq!(from_json::<Metric>(json).unwrap(), metric);
+        }
     }
 }

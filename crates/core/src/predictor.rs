@@ -10,7 +10,7 @@ use lvp_corruptions::ErrorGen;
 use lvp_dataframe::DataFrame;
 use lvp_linalg::DenseMatrix;
 use lvp_models::forest::{default_forest_grid, ForestConfig, RandomForestRegressor};
-use lvp_models::{BlackBoxModel, Regressor};
+use lvp_models::{BlackBoxModel, Regressor, CV_FOLDS};
 use lvp_telemetry::Registry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -28,10 +28,9 @@ pub struct PredictorConfig {
     pub clean_copies: usize,
     /// The scoring function of the black box model.
     pub metric: Metric,
-    /// Hyperparameter grid for the random-forest meta-model.
+    /// Hyperparameter grid for the random-forest meta-model, searched with
+    /// [`CV_FOLDS`]-fold cross-validation like the paper's.
     pub forest_grid: Vec<ForestConfig>,
-    /// Cross-validation folds for the meta-model grid search (paper: 5).
-    pub cv_folds: usize,
     /// Fan the generation loop out across threads. The output is
     /// bit-identical to the sequential loop (see [`crate::engine`]), so
     /// this only trades wall-clock time for CPU.
@@ -64,7 +63,6 @@ impl Default for PredictorConfig {
             clean_copies: 10,
             metric: Metric::Accuracy,
             forest_grid: default_forest_grid(),
-            cv_folds: 5,
             parallel: true,
             min_batch_survival: 1.0,
             interval_alpha: DEFAULT_INTERVAL_ALPHA,
@@ -252,7 +250,7 @@ impl PerformancePredictor {
             &x,
             &targets,
             &config.forest_grid,
-            config.cv_folds,
+            CV_FOLDS,
             &mut forest_rng,
         )?;
         let calibration = Self::calibrate_residuals(&x, &targets, config, rng)?;

@@ -309,24 +309,6 @@ impl DenseMatrix {
             data,
         }
     }
-
-    /// Vertically stacks matrices with identical column counts.
-    pub fn vstack(parts: &[&DenseMatrix]) -> Result<DenseMatrix, ShapeError> {
-        if parts.is_empty() {
-            return Ok(DenseMatrix::zeros(0, 0));
-        }
-        let cols = parts[0].cols;
-        let mut data = Vec::new();
-        let mut rows = 0;
-        for p in parts {
-            if p.cols != cols {
-                return Err(shape_err("vstack column mismatch"));
-            }
-            rows += p.rows;
-            data.extend_from_slice(&p.data);
-        }
-        Ok(DenseMatrix { rows, cols, data })
-    }
 }
 
 #[cfg(test)]
@@ -455,15 +437,6 @@ mod tests {
         let m = DenseMatrix::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
         let s = m.select_rows(&[2, 0]);
         assert_eq!(s.data(), &[5.0, 6.0, 1.0, 2.0]);
-    }
-
-    #[test]
-    fn vstack_concatenates_rows() {
-        let a = DenseMatrix::from_vec(1, 2, vec![1.0, 2.0]).unwrap();
-        let b = DenseMatrix::from_vec(2, 2, vec![3.0, 4.0, 5.0, 6.0]).unwrap();
-        let c = DenseMatrix::vstack(&[&a, &b]).unwrap();
-        assert_eq!(c.rows(), 3);
-        assert_eq!(c.row(2), &[5.0, 6.0]);
     }
 
     #[test]

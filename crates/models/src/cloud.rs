@@ -16,8 +16,9 @@
 //! Real cloud endpoints fail: requests time out, quotas reject, responses
 //! arrive truncated or corrupted. [`FaultPlan`] reproduces exactly that —
 //! a deterministic, seed-driven per-request fault schedule installable via
-//! [`CloudModelService::install_fault_plan`]. Fault decisions are a pure
-//! function of `(plan seed, request content key, attempt number)` — no
+//! [`CloudModelService::install_fault_plan`], its simulated latency
+//! advancing a [`VirtualClock`] the client can share. Fault decisions are a
+//! pure function of `(plan seed, request content key, attempt number)` — no
 //! wall clock, no ambient randomness — so chaos runs replay bit-identically
 //! at any thread count (see [`crate::resilience`] for the client half).
 
@@ -111,7 +112,7 @@ pub struct FaultPlan {
     pub slow: f64,
     /// Fraction of request keys that fail on every attempt.
     pub poisoned: f64,
-    /// Virtual latency added to every request (when a clock is attached).
+    /// Virtual latency added to every request.
     pub base_latency_nanos: u64,
     /// Extra virtual latency of a `FaultKind::Slow` response.
     pub slow_latency_nanos: u64,
@@ -191,10 +192,10 @@ impl FaultPlan {
 }
 
 /// Installed fault schedule plus its bookkeeping (per-key attempt counts,
-/// injected totals, optional virtual clock for latency simulation).
+/// injected totals, the virtual clock latency is simulated on).
 struct FaultInjector {
     plan: FaultPlan,
-    clock: Option<VirtualClock>,
+    clock: VirtualClock,
     attempts: HashMap<u64, u32>,
     stats: FaultStats,
 }
@@ -251,17 +252,12 @@ impl CloudModelService {
         })
     }
 
-    /// Installs (or replaces) a fault-injection schedule. Per-key attempt
-    /// counters start fresh.
-    pub fn install_fault_plan(&self, plan: FaultPlan) {
-        self.install_fault_plan_with_clock(plan, None);
-    }
-
-    /// [`Self::install_fault_plan`] with a shared [`VirtualClock`]: the
-    /// service advances it by `base_latency_nanos` per request (plus
-    /// `slow_latency_nanos` on slow responses), simulating latency on the
-    /// same timeline the client's deadlines and backoff run on.
-    pub fn install_fault_plan_with_clock(&self, plan: FaultPlan, clock: Option<VirtualClock>) {
+    /// Installs (or replaces) a fault-injection schedule; per-key attempt
+    /// counters start fresh. The service advances `clock` by
+    /// `base_latency_nanos` per request (plus `slow_latency_nanos` on slow
+    /// responses), simulating latency on the timeline a client sharing the
+    /// clock runs its backoff and breaker cooldowns on.
+    pub fn install_fault_plan(&self, plan: FaultPlan, clock: VirtualClock) {
         if let Ok(mut faults) = self.lock_faults() {
             *faults = Some(FaultInjector {
                 plan,
@@ -327,13 +323,11 @@ impl CloudModelService {
         let attempt = *attempt_slot;
         *attempt_slot += 1;
         let fault = injector.plan.decide(key, attempt);
-        if let Some(clock) = &injector.clock {
-            let mut latency = injector.plan.base_latency_nanos;
-            if fault == Some(FaultKind::Slow) {
-                latency += injector.plan.slow_latency_nanos;
-            }
-            clock.advance(latency);
+        let mut latency = injector.plan.base_latency_nanos;
+        if fault == Some(FaultKind::Slow) {
+            latency += injector.plan.slow_latency_nanos;
         }
+        injector.clock.advance(latency);
         match fault {
             None => {
                 injector.stats.clean += 1;
@@ -562,9 +556,13 @@ mod tests {
         use crate::{ResilienceConfig, ResilientModel};
         let (service, handle, _) = faulty_service();
         let remote: Arc<dyn BlackBoxModel> = Arc::new(service.remote_model(handle).unwrap());
-        let resilient = ResilientModel::new(Arc::clone(&remote), ResilienceConfig::default());
+        let resilient = ResilientModel::new(
+            Arc::clone(&remote),
+            ResilienceConfig::default(),
+            VirtualClock::new(),
+        );
         assert!(remote.rows_are_independent() && resilient.rows_are_independent());
-        service.install_fault_plan(FaultPlan::new(1));
+        service.install_fault_plan(FaultPlan::new(1), VirtualClock::new());
         assert!(!remote.rows_are_independent() && !resilient.rows_are_independent());
         service.clear_fault_plan();
         assert!(remote.rows_are_independent() && resilient.rows_are_independent());
@@ -583,7 +581,7 @@ mod tests {
         let mut plan = FaultPlan::new(99);
         plan.transient = 1.0;
         plan.max_faults_per_key = 3;
-        service.install_fault_plan(plan);
+        service.install_fault_plan(plan, VirtualClock::new());
         for _ in 0..3 {
             let err = service.batch_predict(handle, &df).unwrap_err();
             assert_eq!(err.kind, ModelErrorKind::Transient, "{err}");
@@ -604,7 +602,7 @@ mod tests {
             plan.rate_limited = 0.1;
             plan.corrupted = 0.2;
             plan.truncated = 0.1;
-            service.install_fault_plan(plan);
+            service.install_fault_plan(plan, VirtualClock::new());
             let outcomes: Vec<String> = (0..20)
                 .map(|_| match service.batch_predict(handle, &df) {
                     Ok(p) => format!("ok:{}", p.rows()),
@@ -626,12 +624,12 @@ mod tests {
         let remote = service.remote_model(handle).unwrap();
         let mut plan = FaultPlan::new(7);
         plan.corrupted = 1.0;
-        service.install_fault_plan(plan);
+        service.install_fault_plan(plan, VirtualClock::new());
         let err = remote.try_predict_proba(&df).unwrap_err();
         assert_eq!(err.kind, ModelErrorKind::InvalidResponse, "{err}");
         let mut plan = FaultPlan::new(7);
         plan.truncated = 1.0;
-        service.install_fault_plan(plan);
+        service.install_fault_plan(plan, VirtualClock::new());
         let err = remote.try_predict_proba(&df).unwrap_err();
         assert!(err.message.contains("truncated"), "{err}");
     }
@@ -642,7 +640,7 @@ mod tests {
         let mut plan = FaultPlan::new(11);
         plan.poisoned = 1.0; // every key poisoned
         plan.max_faults_per_key = 0; // irrelevant for poisoned keys
-        service.install_fault_plan(plan);
+        service.install_fault_plan(plan, VirtualClock::new());
         let remote = service.remote_model(handle).unwrap();
         for _ in 0..6 {
             assert!(remote.try_predict_proba(&df).is_err());
@@ -657,7 +655,7 @@ mod tests {
         plan.slow = 1.0;
         plan.base_latency_nanos = 1_000;
         plan.slow_latency_nanos = 9_000;
-        service.install_fault_plan_with_clock(plan, Some(clock.clone()));
+        service.install_fault_plan(plan, clock.clone());
         assert!(service.batch_predict(handle, &df).is_ok());
         assert_eq!(clock.now_nanos(), 10_000);
         assert_eq!(service.fault_stats().slow, 1);
@@ -668,7 +666,7 @@ mod tests {
         let (service, handle, df) = faulty_service();
         let mut plan = FaultPlan::new(13);
         plan.transient = 1.0;
-        service.install_fault_plan(plan);
+        service.install_fault_plan(plan, VirtualClock::new());
         assert!(service.batch_predict(handle, &df).is_err());
         service.clear_fault_plan();
         assert!(service.batch_predict(handle, &df).is_ok());

@@ -127,6 +127,16 @@ impl RandomForestRegressor {
         self.trees.len()
     }
 
+    /// Rejects a forest that could not predict on rows of `n_features`
+    /// features: one with no trees, or with a tree failing
+    /// [`RegressionTree::check`]. Fitted forests pass.
+    pub fn check(&self, n_features: usize) -> Result<(), ModelError> {
+        if self.trees.is_empty() {
+            return Err(ModelError::invalid_input("random forest has no trees"));
+        }
+        self.trees.iter().try_for_each(|t| t.check(n_features))
+    }
+
     /// Per-tree predictions for one dense feature row, in tree order.
     ///
     /// The ensemble's point prediction is the mean of this vector, summed

@@ -160,6 +160,21 @@ impl GbdtClassifier {
     pub fn n_trees(&self) -> usize {
         self.trees.iter().map(Vec::len).sum()
     }
+
+    /// Rejects a classifier that could not predict on rows of
+    /// `n_features` features: a round without one tree per class, or a
+    /// tree failing [`RegressionTree::check`]. Fitted classifiers pass.
+    pub fn check(&self, n_features: usize) -> Result<(), ModelError> {
+        for trees in &self.trees {
+            if trees.len() != self.n_classes {
+                return Err(ModelError::invalid_input(
+                    "boosting round without one tree per class",
+                ));
+            }
+            trees.iter().try_for_each(|t| t.check(n_features))?;
+        }
+        Ok(())
+    }
 }
 
 /// Rows per block for blocked tree traversal: small enough that a block of
@@ -348,6 +363,18 @@ mod tests {
             assert!((row.iter().sum::<f64>() - 1.0).abs() < 1e-9);
             assert!(row.iter().all(|v| v.is_finite()));
         }
+    }
+
+    #[test]
+    fn check_passes_fitted_classifiers_and_rejects_a_short_round() {
+        let (x, y) = rings(100, 3);
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut model = GbdtClassifier::fit(&x, &y, 2, &GbdtConfig::default(), &mut rng).unwrap();
+        assert!(model.check(x.cols()).is_ok());
+        // Prediction would index a class column past the logits.
+        let extra = model.trees[0][0].clone();
+        model.trees[0].push(extra);
+        assert!(model.check(x.cols()).is_err());
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //!   stand-in) that only exposes batched scoring over a handle, with a
 //!   deterministic seed-driven fault-injection plan for chaos testing,
 //! * [`resilience`] — a fault-tolerant [`resilience::ResilientModel`]
-//!   wrapper (retry with seeded-jitter backoff, circuit breaker, request
-//!   chunking, response validation) for flaky remote endpoints.
+//!   wrapper (retry with seeded-jitter backoff, circuit breaker, response
+//!   validation) for flaky remote endpoints.
 //!
 //! [`DataFrame`]: lvp_dataframe::DataFrame
 
@@ -46,8 +46,8 @@ mod opt;
 mod pipeline;
 
 pub use resilience::{
-    mix64, unit_draw, validate_probability_matrix, BreakerConfig, CircuitBreaker, CircuitState,
-    ResilienceConfig, ResilientModel, VirtualClock,
+    backoff_nanos, mix64, unit_draw, validate_probability_matrix, BreakerConfig, CircuitBreaker,
+    CircuitState, ResilienceConfig, ResilientModel, VirtualClock,
 };
 
 pub use pipeline::{train_model, train_model_quick, ModelKind, PipelineModel, CV_FOLDS};

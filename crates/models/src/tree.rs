@@ -26,6 +26,7 @@
 //! threshold` is false for NaN). The histogram path reserves a dedicated
 //! missing bin per feature for the same purpose.
 
+use crate::ModelError;
 use lvp_linalg::{CsrMatrix, DenseMatrix};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -999,6 +1000,34 @@ impl RegressionTree {
     pub fn n_nodes(&self) -> usize {
         self.nodes.len()
     }
+
+    /// Rejects a tree that prediction could not walk over rows of
+    /// `n_features` features: no nodes, a split feature `>= n_features`, or
+    /// a child not strictly after its parent and inside the node list.
+    /// Fitting lays every child out after its parent, so fitted trees pass;
+    /// on a deserialized one a walk could otherwise loop or index past the end.
+    pub fn check(&self, n_features: usize) -> Result<(), ModelError> {
+        let n = self.nodes.len();
+        let bad_child = |(i, node): (usize, &Node)| match *node {
+            Node::Split { left, right, .. } => left.min(right) <= i || left.max(right) >= n,
+            Node::Leaf { .. } => false,
+        };
+        if n == 0 {
+            return Err(ModelError::invalid_input("regression tree has no nodes"));
+        }
+        if let Some(i) = self.nodes.iter().enumerate().position(bad_child) {
+            return Err(ModelError::invalid_input(format!(
+                "tree node {i} has a child outside {}..{n}",
+                i + 1
+            )));
+        }
+        match self.max_feature() {
+            Some(f) if f >= n_features => Err(ModelError::invalid_input(format!(
+                "tree splits on feature {f} of {n_features}"
+            ))),
+            _ => Ok(()),
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -1299,6 +1328,36 @@ mod tests {
             nodes: vec![Node::Leaf { value: 1.0 }],
         };
         assert_eq!(leaf.max_feature(), None);
+    }
+
+    #[test]
+    fn check_accepts_fitted_trees_and_rejects_unwalkable_ones() {
+        let (cols, y) = step_data();
+        let mut rng = StdRng::seed_from_u64(9);
+        for fit in [fit_regression, fit_regression_binned] {
+            let tree = fit(&cols, &y, &TreeParams::default(), &mut rng);
+            assert!(tree.n_nodes() > 1);
+            assert!(tree.check(1).is_ok());
+            // Its split on feature 0 needs at least one feature.
+            assert!(tree.check(0).is_err());
+        }
+        let split = |left, right| RegressionTree {
+            nodes: vec![
+                Node::Split {
+                    feature: 0,
+                    threshold: 0.5,
+                    left,
+                    right,
+                },
+                Node::Leaf { value: 1.0 },
+                Node::Leaf { value: 2.0 },
+            ],
+        };
+        assert!(split(1, 2).check(1).is_ok());
+        for (left, right) in [(0, 2), (1, 0), (1, 3), (usize::MAX, 2)] {
+            assert!(split(left, right).check(1).is_err(), "{left} {right}");
+        }
+        assert!(RegressionTree { nodes: Vec::new() }.check(1).is_err());
     }
 
     proptest! {

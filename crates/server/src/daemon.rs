@@ -12,8 +12,8 @@
 //! tenant therefore gets a bounded in-flight budget — the total number of
 //! chunks sitting in the tenant's unfinished windows. A chunk that would
 //! exceed the budget is *shed*, 429-style: the response carries a
-//! deterministic retry-after hint (exponential in the tenant's consecutive
-//! overflows, jittered like the [`lvp_models::ResilientModel`] backoff),
+//! deterministic retry-after hint ([`lvp_models::backoff_nanos`], the
+//! client's retry rule, at the tenant's consecutive overflows),
 //! and the target window is poisoned so its eventual `finish` reports a
 //! degraded batch — shed load degrades monitor state, it never silently
 //! disappears from it. Sustained overflow trips a per-tenant
@@ -32,7 +32,7 @@ use lvp_core::{
 };
 use lvp_linalg::DenseMatrix;
 use lvp_models::{
-    mix64, unit_draw, BlackBoxModel, BreakerConfig, CircuitBreaker, CircuitState, ModelError,
+    backoff_nanos, mix64, BlackBoxModel, BreakerConfig, CircuitBreaker, CircuitState, ModelError,
     VirtualClock,
 };
 use lvp_telemetry::{Counter, Histogram, Registry};
@@ -80,10 +80,6 @@ impl BlackBoxModel for DetachedModel {
     }
 }
 
-/// Base of the exponential retry-after hint on overflow sheds.
-const BASE_RETRY_NANOS: u64 = 10_000_000;
-/// Cap on the un-jittered exponential retry-after.
-const MAX_RETRY_NANOS: u64 = 1_000_000_000;
 /// Seed of the deterministic retry-after jitter.
 const JITTER_SEED: u64 = 0x1_5EED_D0E5;
 
@@ -805,21 +801,16 @@ impl Daemon {
             .sum()
     }
 
-    /// Deterministic retry-after for the `n`-th consecutive overflow:
-    /// exponential in `n`, capped, with jitter in `[0.5, 1.5)` derived
-    /// from `(JITTER_SEED, tenant, total sheds)` exactly like the
-    /// resilience layer's backoff jitter.
+    /// Deterministic retry-after for the `consecutive`-th consecutive
+    /// overflow: the resilience layer's [`backoff_nanos`], its jitter drawn
+    /// from `(JITTER_SEED, tenant, total sheds)`.
     fn retry_after(tenant: &str, consecutive: u32, sheds: u64) -> u64 {
-        let exp = consecutive.saturating_sub(1).min(16);
-        let raw = BASE_RETRY_NANOS
-            .saturating_mul(1u64 << exp)
-            .min(MAX_RETRY_NANOS);
-        let mixed = mix64(
+        let draw = mix64(
             JITTER_SEED
                 .wrapping_add(tenant_hash(tenant))
                 .wrapping_add(sheds),
         );
-        ((raw as f64) * (0.5 + unit_draw(mixed))) as u64
+        backoff_nanos(consecutive, draw)
     }
 
     /// Publishes the tenant's breaker-state and queue-depth gauges,
@@ -1304,6 +1295,32 @@ mod tests {
             r#"finish ok None None Some(0) Closed"#,
         ];
         assert_eq!(observed, expected);
+    }
+
+    /// The retry-after hint for 1..=12 consecutive overflows, across the
+    /// 1 s cap, pinned value by value.
+    #[test]
+    fn retry_after_schedule_is_pinned_golden() {
+        let schedule: Vec<u64> = (1..=12)
+            .map(|n| Daemon::retry_after("golden", n, u64::from(n)))
+            .collect();
+        assert_eq!(
+            schedule,
+            [
+                13_235_667,
+                15_361_655,
+                39_747_102,
+                80_678_607,
+                198_048_040,
+                204_231_179,
+                751_094_767,
+                959_691_576,
+                1_271_741_637,
+                970_318_431,
+                1_472_541_503,
+                744_487_795,
+            ]
+        );
     }
 
     #[test]

@@ -67,11 +67,11 @@ fn run_pipeline() -> RunSummary {
     let service = CloudModelService::new();
     let handle = service.train_and_deploy(&train, 42).unwrap();
     let clock = VirtualClock::new();
-    service.install_fault_plan_with_clock(fault_plan(), Some(clock.clone()));
+    service.install_fault_plan(fault_plan(), clock.clone());
 
     // --- Resilient client wrapper ----------------------------------------
     let remote = service.remote_model(handle).unwrap();
-    let mut resilient = ResilientModel::with_clock(
+    let mut resilient = ResilientModel::new(
         Arc::new(remote),
         ResilienceConfig {
             max_attempts: 6,
@@ -82,7 +82,6 @@ fn run_pipeline() -> RunSummary {
                 failure_threshold: 1_000,
                 ..BreakerConfig::default()
             },
-            ..ResilienceConfig::default()
         },
         clock.clone(),
     );

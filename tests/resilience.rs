@@ -35,9 +35,9 @@ fn run_chaos_pipeline(parallel: bool) -> (Vec<BatchReport>, FaultStats) {
     let service = CloudModelService::new();
     let handle = service.train_and_deploy(&train, 42).unwrap();
     let clock = VirtualClock::new();
-    service.install_fault_plan_with_clock(chaos_plan(), Some(clock.clone()));
+    service.install_fault_plan(chaos_plan(), clock.clone());
 
-    let resilient = ResilientModel::with_clock(
+    let resilient = ResilientModel::new(
         Arc::new(service.remote_model(handle).unwrap()),
         ResilienceConfig {
             max_attempts: 6,
@@ -45,7 +45,6 @@ fn run_chaos_pipeline(parallel: bool) -> (Vec<BatchReport>, FaultStats) {
                 failure_threshold: 1_000,
                 ..BreakerConfig::default()
             },
-            ..ResilienceConfig::default()
         },
         clock,
     );

@@ -8,7 +8,7 @@ use lvp_core::{
 use lvp_corruptions::standard_tabular_suite;
 use lvp_dataframe::toy_frame;
 use lvp_models::{train_model, BlackBoxModel, BreakerConfig, ModelKind};
-use lvp_server::{Client, Daemon, DaemonConfig, MonitorKey, Request, Server};
+use lvp_server::{Client, Daemon, DaemonConfig, MonitorKey, Request, Response, Server};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -354,4 +354,47 @@ fn interval_policy_deployments_serve_intervals_over_the_wire() {
     let metrics_a = run_interval_session(&artifact);
     let metrics_b = run_interval_session(&artifact);
     assert_eq!(metrics_a, metrics_b);
+}
+
+/// A serialized `register` request for `tenant` whose artifact's first
+/// forest tree has the node list `nodes`.
+fn register_line_with_first_tree(tenant: &str, nodes: &str) -> String {
+    let mut req = Request::targeted("register", &key(tenant));
+    req.artifact = Some(serving_artifact());
+    let json = serde_json::to_string(&req).unwrap();
+    let trees = json.find("\"trees\":[").expect("forest in artifact");
+    let start = trees + json[trees..].find("\"nodes\":[").unwrap() + "\"nodes\":".len();
+    // Node objects hold no brackets, so the first `]` closes the list.
+    let end = start + json[start..].find(']').unwrap() + 1;
+    format!("{}{nodes}{}", &json[..start], &json[end..])
+}
+
+#[test]
+fn register_rejects_forests_that_inference_cannot_walk() {
+    let daemon = Daemon::new(DaemonConfig::default());
+    let register = |tenant: &str, nodes: &str| -> Response {
+        let line = register_line_with_first_tree(tenant, nodes);
+        serde_json::from_str(&daemon.handle_line(&line)).unwrap()
+    };
+    let leaf = r#"{"Leaf":{"value":0.5}}"#;
+    // A sound one-leaf tree registers, so each rejection below is down to
+    // its crafted tree.
+    let resp = register("sound", &format!("[{leaf}]"));
+    assert_eq!(resp.status, "ok", "{:?}", resp.message);
+    let crafted = [
+        // A split whose children point back at itself: inference would loop.
+        r#"[{"Split":{"feature":0,"threshold":0.5,"left":0,"right":0}}]"#.to_string(),
+        // Children past the node list.
+        r#"[{"Split":{"feature":0,"threshold":0.5,"left":1,"right":7}}]"#.to_string(),
+        // A split on feature 42 of the 21·2 = 42 percentile features.
+        format!(
+            r#"[{{"Split":{{"feature":42,"threshold":0.5,"left":1,"right":2}}}},{leaf},{leaf}]"#
+        ),
+        // No nodes at all.
+        "[]".to_string(),
+    ];
+    for (i, nodes) in crafted.iter().enumerate() {
+        let resp = register(&format!("crafted{i}"), nodes);
+        assert_eq!(resp.status, "error", "{nodes} registered");
+    }
 }
