@@ -116,39 +116,37 @@ impl Default for DaemonConfig {
     }
 }
 
-/// Durability wiring of a [`Daemon`]: where its recovery snapshot and
-/// write-ahead journal live, and how eagerly the journal fsyncs. All
-/// fields are optional — an empty config is a purely in-memory daemon.
-#[derive(Debug, Clone, Default)]
+/// Durability wiring of a [`Daemon`]: the state directory that holds its
+/// recovery snapshot (`registry.json`) and write-ahead journal
+/// (`observe.journal`), and how eagerly the journal fsyncs. A daemon
+/// without one ([`Daemon::new`]) is purely in-memory.
+#[derive(Debug, Clone)]
 pub struct DurabilityConfig {
-    /// The recovery snapshot: loaded by [`Daemon::recover`], compacted to
-    /// by `save` requests targeting this path, and written on shutdown.
-    pub snapshot_path: Option<PathBuf>,
-    /// The write-ahead journal: every accepted mutation is appended here
-    /// *before* it is applied.
-    pub journal_path: Option<PathBuf>,
+    /// The state directory, created by [`Daemon::recover`] if absent.
+    pub dir: PathBuf,
     /// The journal's fsync policy.
     pub fsync: FsyncPolicy,
 }
 
 impl DurabilityConfig {
-    /// The conventional layout inside a state directory:
-    /// `<dir>/registry.json` + `<dir>/observe.journal`.
-    pub fn in_dir(dir: impl AsRef<Path>) -> Self {
-        let dir = dir.as_ref();
+    /// The state directory `dir`, fsyncing the journal per `fsync`.
+    pub fn in_dir_with_fsync(dir: impl AsRef<Path>, fsync: FsyncPolicy) -> Self {
         Self {
-            snapshot_path: Some(dir.join("registry.json")),
-            journal_path: Some(dir.join("observe.journal")),
-            fsync: FsyncPolicy::default(),
+            dir: dir.as_ref().to_path_buf(),
+            fsync,
         }
     }
 
-    /// Same layout with an explicit fsync policy.
-    pub fn in_dir_with_fsync(dir: impl AsRef<Path>, fsync: FsyncPolicy) -> Self {
-        Self {
-            fsync,
-            ..Self::in_dir(dir)
-        }
+    /// The recovery snapshot: loaded by [`Daemon::recover`], rewritten by
+    /// every compaction (the `save` verb and shutdown).
+    pub fn snapshot_path(&self) -> PathBuf {
+        self.dir.join("registry.json")
+    }
+
+    /// The write-ahead journal: every accepted mutation is appended here
+    /// *before* it is applied.
+    pub fn journal_path(&self) -> PathBuf {
+        self.dir.join("observe.journal")
     }
 }
 
@@ -169,9 +167,9 @@ pub struct RecoveryReport {
     /// write.
     pub records_stale: usize,
     /// Records skipped as future — a *newer* epoch than the snapshot,
-    /// meaning the snapshot is not this journal's recovery source (e.g. a
-    /// standalone export). Nothing is guessed: the records are skipped
-    /// and counted, never misapplied.
+    /// meaning the snapshot in the directory is older than its journal
+    /// (e.g. an operator copied in an earlier snapshot). Nothing is
+    /// guessed: the records are skipped and counted, never misapplied.
     pub records_future: usize,
     /// Replayed records whose application errored and applied nothing.
     /// Live requests are validated before they are journaled, so only
@@ -222,10 +220,17 @@ struct TenantGate {
 struct Inner {
     deployments: BTreeMap<MonitorKey, BatchMonitor>,
     tenants: BTreeMap<String, TenantGate>,
-    /// The write-ahead journal, when durability is configured. Living
-    /// under the state mutex guarantees append order == application
-    /// order, which is what makes replay bit-identical.
-    journal: Option<Journal>,
+    /// The state directory's files, when durability is configured.
+    durable: Option<Durable>,
+}
+
+struct Durable {
+    /// Where compactions write the registry snapshot.
+    snapshot_path: PathBuf,
+    /// The write-ahead journal. Living under the state mutex guarantees
+    /// append order == application order, which is what makes replay
+    /// bit-identical.
+    journal: Journal,
 }
 
 /// What the validate step built for the apply step, so nothing is parsed
@@ -313,8 +318,12 @@ pub struct Daemon {
     metrics: ServerMetrics,
     clock: VirtualClock,
     config: DaemonConfig,
-    durability: DurabilityConfig,
     shutdown: AtomicBool,
+}
+
+/// Whether a request line has a top-level `path` key.
+fn names_path(line: &str) -> bool {
+    serde_json::from_str::<serde::Value>(line).is_ok_and(|v| v.get("path").is_some())
 }
 
 /// A hash of a tenant name, for per-tenant jitter derivation: FNV-1a's
@@ -357,28 +366,13 @@ impl Daemon {
             metrics,
             clock: VirtualClock::new(),
             config,
-            durability: DurabilityConfig::default(),
             shutdown: AtomicBool::new(false),
         }
     }
 
-    /// A daemon whose registry is restored from a [`RegistrySnapshot`]
-    /// file previously written by the `save` verb. Monitor state — open
-    /// streaming windows included — carries over bit-identically. This is
-    /// the *standalone* restore path: no journal is attached and any
-    /// `journal_epoch` in the file is ignored; use [`Self::recover`] for
-    /// the full snapshot + journal-replay startup.
-    pub fn with_state_file(config: DaemonConfig, path: impl AsRef<Path>) -> Result<Self, String> {
-        let snapshot = load_json(path.as_ref()).map_err(|e| e.to_string())?;
-        let daemon = Self::new(config);
-        daemon.install_snapshot(snapshot)?;
-        Ok(daemon)
-    }
-
     /// Installs every deployment of a registry snapshot into this daemon
-    /// after checking its version — the one loader behind
-    /// [`Self::with_state_file`] and [`Self::recover`]. Returns the number
-    /// of deployments installed.
+    /// after checking its version. Returns the number of deployments
+    /// installed.
     fn install_snapshot(&self, snapshot: RegistrySnapshot) -> Result<usize, String> {
         check_version("registry snapshot", snapshot.version).map_err(|e| e.message)?;
         let mut inner = self.lock_inner();
@@ -389,12 +383,13 @@ impl Daemon {
         Ok(inner.deployments.len())
     }
 
-    /// Crash-recovering startup: loads the last registry snapshot (if the
-    /// configured file exists), replays the write-ahead journal tail over
-    /// it, truncates any damaged tail to the last durable record, and
-    /// leaves the journal open for appending. Monitors are deterministic,
-    /// so the recovered registry is bit-identical to the pre-crash one up
-    /// to the last durable journal record.
+    /// Crash-recovering startup from a state directory (created if
+    /// absent): loads the registry snapshot if one exists, replays the
+    /// write-ahead journal tail over it, truncates any damaged tail to the
+    /// last durable record, and leaves the journal open for appending.
+    /// Monitors are deterministic, so the recovered registry is
+    /// bit-identical to the pre-crash one up to the last durable journal
+    /// record. A directory holding only a snapshot restores it as is.
     ///
     /// Defects are never fatal: a torn or bit-flipped tail is classified
     /// and truncated ([`RecoveryReport::tail_defect`], `journal.tail_*`
@@ -404,60 +399,64 @@ impl Daemon {
         config: DaemonConfig,
         durability: DurabilityConfig,
     ) -> Result<(Self, RecoveryReport), String> {
-        let mut daemon = Self::new(config);
-        daemon.durability = durability.clone();
+        std::fs::create_dir_all(&durability.dir)
+            .map_err(|e| format!("create state directory {}: {e}", durability.dir.display()))?;
+        let daemon = Self::new(config);
+        let snapshot_path = durability.snapshot_path();
+        let jpath = durability.journal_path();
         let mut report = RecoveryReport::default();
         let mut epoch = 0u64;
 
-        if let Some(path) = durability.snapshot_path.as_deref().filter(|p| p.exists()) {
+        if snapshot_path.exists() {
             let snapshot: RegistrySnapshot =
-                load_json(path).map_err(|e| format!("recover registry snapshot: {e}"))?;
+                load_json(&snapshot_path).map_err(|e| format!("recover registry snapshot: {e}"))?;
             epoch = snapshot.journal_epoch.unwrap_or(0);
             report.snapshot_deployments = daemon.install_snapshot(snapshot)?;
             report.snapshot_loaded = true;
         }
 
-        if let Some(jpath) = durability.journal_path.as_deref() {
-            if jpath.exists() {
-                let bytes = std::fs::read(jpath)
-                    .map_err(|e| format!("read journal {}: {e}", jpath.display()))?;
-                report.journal_bytes = bytes.len() as u64;
-                let scan = scan_journal(&bytes);
-                {
-                    let mut inner = daemon.lock_inner();
-                    let inner = &mut *inner;
-                    for record in scan.records {
-                        match record.epoch.cmp(&epoch) {
-                            std::cmp::Ordering::Less => report.records_stale += 1,
-                            std::cmp::Ordering::Greater => report.records_future += 1,
-                            std::cmp::Ordering::Equal => {
-                                report.records_replayed += 1;
-                                // No journal is attached yet, so the
-                                // append inside apply_op is a no-op.
-                                if daemon.apply_op(inner, record.op).is_err() {
-                                    report.replay_op_errors += 1;
-                                }
+        if jpath.exists() {
+            let bytes = std::fs::read(&jpath)
+                .map_err(|e| format!("read journal {}: {e}", jpath.display()))?;
+            report.journal_bytes = bytes.len() as u64;
+            let scan = scan_journal(&bytes);
+            {
+                let mut inner = daemon.lock_inner();
+                let inner = &mut *inner;
+                for record in scan.records {
+                    match record.epoch.cmp(&epoch) {
+                        std::cmp::Ordering::Less => report.records_stale += 1,
+                        std::cmp::Ordering::Greater => report.records_future += 1,
+                        std::cmp::Ordering::Equal => {
+                            report.records_replayed += 1;
+                            // No journal is attached yet, so the append
+                            // inside apply_op is a no-op.
+                            if daemon.apply_op(inner, record.op).is_err() {
+                                report.replay_op_errors += 1;
                             }
                         }
                     }
                 }
-                if let Some(defect) = scan.defect {
-                    report.truncated_tail_bytes = (bytes.len() - scan.valid_len) as u64;
-                    report.tail_defect = Some(defect.to_string());
-                    let file = std::fs::OpenOptions::new()
-                        .write(true)
-                        .open(jpath)
-                        .map_err(|e| format!("open journal for repair: {e}"))?;
-                    file.set_len(scan.valid_len as u64)
-                        .map_err(|e| format!("truncate damaged journal tail: {e}"))?;
-                    file.sync_all()
-                        .map_err(|e| format!("sync repaired journal: {e}"))?;
-                }
             }
-            let journal = Journal::open(jpath, durability.fsync, epoch)
-                .map_err(|e| format!("open journal {}: {e}", jpath.display()))?;
-            daemon.lock_inner().journal = Some(journal);
+            if let Some(defect) = scan.defect {
+                report.truncated_tail_bytes = (bytes.len() - scan.valid_len) as u64;
+                report.tail_defect = Some(defect.to_string());
+                let file = std::fs::OpenOptions::new()
+                    .write(true)
+                    .open(&jpath)
+                    .map_err(|e| format!("open journal for repair: {e}"))?;
+                file.set_len(scan.valid_len as u64)
+                    .map_err(|e| format!("truncate damaged journal tail: {e}"))?;
+                file.sync_all()
+                    .map_err(|e| format!("sync repaired journal: {e}"))?;
+            }
         }
+        let journal = Journal::open(&jpath, durability.fsync, epoch)
+            .map_err(|e| format!("open journal {}: {e}", jpath.display()))?;
+        daemon.lock_inner().durable = Some(Durable {
+            snapshot_path,
+            journal,
+        });
 
         let m = &daemon.metrics;
         m.journal_replayed.add(report.records_replayed as u64);
@@ -483,14 +482,18 @@ impl Daemon {
 
     /// The journal's current compaction epoch (`None` without a journal).
     pub fn journal_epoch(&self) -> Option<u64> {
-        self.lock_inner().journal.as_ref().map(Journal::epoch)
+        self.lock_inner()
+            .durable
+            .as_ref()
+            .map(|durable| durable.journal.epoch())
     }
 
     /// Wraps the live journal sink in a seeded fault injector — test and
     /// chaos-example plumbing; a no-op without a journal.
     pub fn inject_journal_faults(&self, plan: JournalFaultPlan) {
-        if let Some(journal) = self.lock_inner().journal.as_mut() {
-            journal.wrap_sink(|sink| Box::new(crate::journal::FaultFile::new(sink, plan)));
+        if let Some(d) = self.lock_inner().durable.as_mut() {
+            d.journal
+                .wrap_sink(|sink| Box::new(crate::journal::FaultFile::new(sink, plan)));
         }
     }
 
@@ -516,22 +519,22 @@ impl Daemon {
 
     /// Requests shutdown (also reachable through the `shutdown` verb).
     ///
-    /// The first call flushes durable state: with a configured snapshot
-    /// path the registry is saved there (compacting the journal); with
-    /// only a journal configured, the journal is fsynced so every
-    /// acknowledged mutation survives. Failures are reported on stderr —
-    /// shutdown proceeds regardless, and the journal still holds whatever
-    /// was durable before the failure.
+    /// The first call compacts a durable daemon's state: the registry is
+    /// saved to its snapshot and the journal truncated. A failure is
+    /// reported on stderr and the journal is fsynced instead, so records
+    /// acknowledged since the last fsync stay durable; shutdown proceeds
+    /// regardless.
     pub fn request_shutdown(&self) {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        if let Some(path) = self.durability.snapshot_path.clone() {
-            if let Err(e) = self.save_to(&path) {
-                eprintln!("lvpd: shutdown save failed: {e}");
-            }
-        } else if let Some(journal) = self.lock_inner().journal.as_mut() {
-            if let Err(e) = journal.flush() {
+        let mut inner = self.lock_inner();
+        if inner.durable.is_none() {
+            return;
+        }
+        if let Err(e) = self.compact(&mut inner) {
+            eprintln!("lvpd: shutdown compaction failed: {e}");
+            if let Some(Err(e)) = inner.durable.as_mut().map(|d| d.journal.flush()) {
                 eprintln!("lvpd: shutdown journal flush failed: {e}");
             }
         }
@@ -550,13 +553,14 @@ impl Daemon {
     /// validation failures come back as `status: "error"` responses.
     pub fn handle_line(&self, line: &str) -> String {
         let response = match serde_json::from_str::<Request>(line) {
+            // `save` takes no fields. A client still naming an export path
+            // (which `Request` no longer has, so serde ignored it) is told
+            // no file was written there rather than `ok`.
+            Ok(request) if request.verb == "save" && names_path(line) => self.refuse(
+                "save takes no path: it compacts the state directory and exports nothing".into(),
+            ),
             Ok(request) => self.handle_request(request),
-            Err(e) => {
-                self.clock.advance(self.config.clock_tick_nanos);
-                self.metrics.requests.inc();
-                self.metrics.errors.inc();
-                Response::error(format!("malformed request: {e}"))
-            }
+            Err(e) => self.refuse(format!("malformed request: {e}")),
         };
         serde_json::to_string(&response)
             .unwrap_or_else(|e| format!("{{\"status\":\"error\",\"message\":\"encode: {e}\"}}"))
@@ -569,16 +573,22 @@ impl Daemon {
     /// still ticks the clock and the request/error counters like any
     /// other handled request.
     pub fn reject_oversized(&self) -> String {
-        self.clock.advance(self.config.clock_tick_nanos);
-        self.metrics.requests.inc();
-        self.metrics.errors.inc();
         self.metrics.oversized.inc();
-        let response = Response::error(format!(
+        let response = self.refuse(format!(
             "request line exceeds max_request_bytes ({}); raise the cap or split the batch",
             self.config.max_request_bytes
         ));
         serde_json::to_string(&response)
             .unwrap_or_else(|e| format!("{{\"status\":\"error\",\"message\":\"encode: {e}\"}}"))
+    }
+
+    /// An error response for a line refused before dispatch, ticking the
+    /// clock and the request/error counters like any handled request.
+    fn refuse(&self, message: String) -> Response {
+        self.clock.advance(self.config.clock_tick_nanos);
+        self.metrics.requests.inc();
+        self.metrics.errors.inc();
+        Response::error(message)
     }
 
     /// Typed entry point behind [`Self::handle_line`] (useful for
@@ -603,7 +613,7 @@ impl Daemon {
             "history" => Self::history,
             "metrics" => return self.metrics(),
             "list" => return self.list(),
-            "save" => return self.save(request),
+            "save" => return self.save(),
             "shutdown" => {
                 self.request_shutdown();
                 let mut r = Response::ok();
@@ -623,10 +633,10 @@ impl Daemon {
     /// the journal reproduces exactly the mutations the daemon
     /// acknowledged.
     fn journal_append(&self, inner: &mut Inner, op: &JournalOp) -> Result<(), String> {
-        let Some(journal) = inner.journal.as_mut() else {
+        let Some(durable) = inner.durable.as_mut() else {
             return Ok(());
         };
-        match journal.append(op) {
+        match durable.journal.append(op) {
             Ok(sync_nanos) => {
                 self.metrics.journal_appends.inc();
                 if let Some(nanos) = sync_nanos {
@@ -993,15 +1003,17 @@ impl Daemon {
     /// compactions each has been through.
     pub fn snapshot(&self) -> RegistrySnapshot {
         let inner = self.lock_inner();
-        Self::snapshot_locked(&inner, None)
+        Self::snapshot_of(&inner.deployments, None)
     }
 
-    fn snapshot_locked(inner: &Inner, journal_epoch: Option<u64>) -> RegistrySnapshot {
+    fn snapshot_of(
+        deployments: &BTreeMap<MonitorKey, BatchMonitor>,
+        journal_epoch: Option<u64>,
+    ) -> RegistrySnapshot {
         RegistrySnapshot {
             version: ARTIFACT_VERSION,
             journal_epoch,
-            deployments: inner
-                .deployments
+            deployments: deployments
                 .iter()
                 .map(|(key, monitor)| DeploymentEntry {
                     key: key.clone(),
@@ -1011,61 +1023,39 @@ impl Daemon {
         }
     }
 
-    /// Writes the registry to `path` (enveloped, atomic, durable).
-    ///
-    /// A save to the *configured* snapshot path additionally compacts the
-    /// write-ahead journal: the snapshot records `epoch + 1`, and once it
-    /// is durable the journal is truncated and moves to the new epoch. A
-    /// crash between those two steps leaves old-epoch records in the
-    /// journal that recovery recognizes as stale and skips — the crash
-    /// window double-applies nothing. A save to any *other* path is a
-    /// plain export (`journal_epoch: None`) that restores standalone via
-    /// [`Daemon::with_state_file`] without consuming this daemon's
-    /// journal.
-    pub fn save_to(&self, path: &Path) -> Result<String, String> {
-        let mut inner = self.lock_inner();
-        let inner = &mut *inner;
-        let compacting =
-            inner.journal.is_some() && self.durability.snapshot_path.as_deref() == Some(path);
-        let journal_epoch = compacting.then(|| {
-            inner
-                .journal
-                .as_ref()
-                .expect("compacting implies a journal")
-                .next_epoch()
-        });
-        let snapshot = Self::snapshot_locked(inner, journal_epoch);
-        save_json(&snapshot, path).map_err(|e| e.to_string())?;
-        if let Some(epoch) = journal_epoch {
-            let journal = inner
-                .journal
-                .as_mut()
-                .expect("compacting implies a journal");
-            journal.compact_to_epoch(epoch).map_err(|e| {
-                format!(
-                    "snapshot saved to {} but journal compaction failed: {e}",
-                    path.display()
-                )
-            })?;
-            self.metrics.journal_compactions.inc();
-        }
+    /// Compacts a durable daemon's state: writes the registry to the state
+    /// directory's snapshot (enveloped, atomic, durable) recording
+    /// `epoch + 1`, then truncates the journal and moves it to the new
+    /// epoch. A crash between those two steps leaves old-epoch records in
+    /// the journal that recovery recognizes as stale and skips — the crash
+    /// window double-applies nothing.
+    fn compact(&self, inner: &mut Inner) -> Result<String, String> {
+        let Some(durable) = inner.durable.as_mut() else {
+            return Err(
+                "save needs a durable daemon; this one is in-memory (start lvpd with --state-dir)"
+                    .to_string(),
+            );
+        };
+        let (journal, snapshot_path) = (&mut durable.journal, &durable.snapshot_path);
+        let journal_epoch = journal.next_epoch();
+        let snapshot = Self::snapshot_of(&inner.deployments, Some(journal_epoch));
+        save_json(&snapshot, snapshot_path).map_err(|e| e.to_string())?;
+        journal.compact_to_epoch(journal_epoch).map_err(|e| {
+            format!(
+                "snapshot saved to {} but journal compaction failed: {e}",
+                snapshot_path.display()
+            )
+        })?;
+        self.metrics.journal_compactions.inc();
         Ok(format!(
-            "saved {} deployments to {}{}",
+            "saved {} deployments to {} (journal compacted)",
             snapshot.deployments.len(),
-            path.display(),
-            if compacting {
-                " (journal compacted)"
-            } else {
-                ""
-            },
+            snapshot_path.display(),
         ))
     }
 
-    fn save(&self, request: Request) -> Response {
-        let Some(path) = request.path else {
-            return Response::error("save requires a path");
-        };
-        match self.save_to(Path::new(&path)) {
+    fn save(&self) -> Response {
+        match self.compact(&mut self.lock_inner()) {
             Ok(message) => {
                 let mut r = Response::ok();
                 r.message = Some(message);
@@ -1345,15 +1335,15 @@ mod tests {
         assert!(daemon.handle_request(req).is_ok());
 
         let dir = std::env::temp_dir().join(format!("lvpd-version-test-{}", std::process::id()));
+        let durability = durability(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("registry.json");
         for version in [0, ARTIFACT_VERSION + 1] {
             let snapshot = RegistrySnapshot {
                 version,
                 ..daemon.snapshot()
             };
-            save_json(&snapshot, &path).unwrap();
-            let err = Daemon::with_state_file(DaemonConfig::default(), &path)
+            save_json(&snapshot, durability.snapshot_path()).unwrap();
+            let err = Daemon::recover(DaemonConfig::default(), durability.clone())
                 .err()
                 .expect("unsupported snapshot version must be rejected");
             assert_eq!(
@@ -1367,6 +1357,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The state directory `dir` with the default fsync policy.
+    fn durability(dir: &Path) -> DurabilityConfig {
+        DurabilityConfig::in_dir_with_fsync(dir, FsyncPolicy::default())
+    }
+
     /// Sends each `register` line to a durable daemon and expects an error
     /// response naming `needle`. A rejected register must reach neither the
     /// registry nor the journal, so a recovery afterwards replays nothing
@@ -1374,8 +1369,7 @@ mod tests {
     fn assert_registers_rejected(name: &str, lines: &[String], needle: &str) {
         let dir = std::env::temp_dir().join(format!("lvpd-reject-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let durability = DurabilityConfig::in_dir(&dir);
+        let durability = durability(&dir);
         let (daemon, _) = Daemon::recover(DaemonConfig::default(), durability.clone()).unwrap();
         for line in lines {
             let resp: Response = serde_json::from_str(&daemon.handle_line(line)).unwrap();
@@ -1506,11 +1500,8 @@ mod tests {
     #[test]
     fn registry_snapshot_restores_bit_identically() {
         let dir = std::env::temp_dir().join(format!("lvpd-daemon-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let first = dir.join("registry-a.json");
-        let second = dir.join("registry-b.json");
-
-        let daemon = Daemon::new(DaemonConfig::default());
+        let _ = std::fs::remove_dir_all(&dir);
+        let (daemon, _) = Daemon::recover(DaemonConfig::default(), durability(&dir)).unwrap();
         register(&daemon, &key("acme"), artifact());
         register(&daemon, &key("bravo"), artifact());
         let mut req = Request::targeted("observe", &key("acme"));
@@ -1520,18 +1511,18 @@ mod tests {
         let mut req = Request::targeted("observe", &key("bravo"));
         req.chunk = Some(chunk_rows(12));
         assert!(daemon.handle_request(req).is_ok());
+        let resp = daemon.handle_request(Request::new("save"));
+        assert!(resp.message.unwrap().contains("journal compacted"));
+        let live = serde_json::to_string(&daemon.snapshot()).unwrap();
+        drop(daemon);
 
-        let mut req = Request::new("save");
-        req.path = Some(first.to_string_lossy().into_owned());
-        assert!(daemon.handle_request(req).is_ok());
-
-        let restored = Daemon::with_state_file(DaemonConfig::default(), &first).unwrap();
-        let mut req = Request::new("save");
-        req.path = Some(second.to_string_lossy().into_owned());
-        assert!(restored.handle_request(req).is_ok());
+        // The compacted directory holds the snapshot and an empty journal.
+        let (restored, report) =
+            Daemon::recover(DaemonConfig::default(), durability(&dir)).unwrap();
+        assert!(report.snapshot_loaded && report.journal_bytes == 0);
         assert_eq!(
-            std::fs::read(&first).unwrap(),
-            std::fs::read(&second).unwrap(),
+            serde_json::to_string(&restored.snapshot()).unwrap(),
+            live,
             "registry snapshot must round-trip bit-identically"
         );
 
@@ -1539,6 +1530,69 @@ mod tests {
         let resp = restored.handle_request(Request::targeted("finish", &key("bravo")));
         assert!(resp.is_ok(), "finish after restore: {:?}", resp.message);
         assert!(resp.report.unwrap().estimate.is_finite());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_in_memory_daemon_refuses_to_save() {
+        let daemon = Daemon::new(DaemonConfig::default());
+        register(&daemon, &key("acme"), artifact());
+        let resp = daemon.handle_request(Request::new("save"));
+        assert_eq!(resp.status, "error");
+        assert!(resp.message.unwrap().contains("in-memory"));
+        // Shutdown has nothing to compact and writes nothing.
+        daemon.request_shutdown();
+        assert!(daemon.is_shutdown());
+    }
+
+    #[test]
+    fn a_failed_shutdown_compaction_still_fsyncs_the_journal() {
+        struct CountSyncs(
+            Box<dyn crate::journal::JournalSink>,
+            Arc<std::sync::atomic::AtomicU64>,
+        );
+        impl crate::journal::JournalSink for CountSyncs {
+            fn append(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+                self.0.append(bytes)
+            }
+            fn sync(&mut self) -> std::io::Result<()> {
+                self.1.fetch_add(1, Ordering::SeqCst);
+                self.0.sync()
+            }
+            fn truncate(&mut self, len: u64) -> std::io::Result<()> {
+                self.0.truncate(len)
+            }
+        }
+
+        let dir = std::env::temp_dir().join(format!("lvpd-flush-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let never = DurabilityConfig::in_dir_with_fsync(&dir, FsyncPolicy::Never);
+        let (daemon, _) = Daemon::recover(DaemonConfig::default(), never.clone()).unwrap();
+        let syncs = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        if let Some(durable) = daemon.lock_inner().durable.as_mut() {
+            let syncs = Arc::clone(&syncs);
+            durable
+                .journal
+                .wrap_sink(|sink| Box::new(CountSyncs(sink, syncs)));
+        }
+        register(&daemon, &key("acme"), artifact());
+        assert_eq!(syncs.load(Ordering::SeqCst), 0, "fsync=never defers syncs");
+
+        // A directory where the snapshot goes makes the compaction fail.
+        std::fs::create_dir(never.snapshot_path()).unwrap();
+        daemon.request_shutdown();
+        assert_eq!(
+            syncs.load(Ordering::SeqCst),
+            1,
+            "the journal is flushed instead"
+        );
+        drop(daemon);
+
+        // The acknowledged register is still in the journal.
+        std::fs::remove_dir(never.snapshot_path()).unwrap();
+        let (recovered, report) = Daemon::recover(DaemonConfig::default(), never).unwrap();
+        assert_eq!(report.records_replayed, 1, "{}", report.summary());
+        assert_eq!(recovered.snapshot().deployments.len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

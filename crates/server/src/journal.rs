@@ -4,7 +4,7 @@
 //!
 //! ## Why a journal
 //!
-//! Registry snapshots are only as fresh as the last `save`; every
+//! Registry snapshots are only as fresh as the last compaction; every
 //! `observe`/`finish`/`register` accepted since is monitor state that a
 //! daemon crash would silently lose. Monitors are deterministic, so the
 //! journal makes them recoverable: replaying the journal tail over the
@@ -29,7 +29,7 @@
 //!
 //! ## Epochs
 //!
-//! Compaction (an explicit or shutdown `save`) bumps the journal epoch,
+//! Compaction (the `save` verb, or shutdown) bumps the journal epoch,
 //! writes the snapshot recording the new epoch, *then* truncates the
 //! journal. A crash between those steps leaves stale-epoch records in the
 //! journal; replay skips any record whose epoch predates the snapshot's,
@@ -613,13 +613,14 @@ impl Journal {
         ))
     }
 
-    /// Forces an fsync regardless of policy (shutdown flush).
+    /// Forces an fsync regardless of policy (the shutdown fallback when
+    /// compaction fails).
     pub fn flush(&mut self) -> io::Result<()> {
         self.appends_since_sync = 0;
         self.sink.sync()
     }
 
-    /// The epoch a compacting save will record.
+    /// The epoch the next compaction will record.
     pub fn next_epoch(&self) -> u64 {
         self.epoch + 1
     }

@@ -8,8 +8,13 @@
 //! - a **registry** of monitors keyed by `(tenant, model, version)`
 //!   ([`MonitorKey`]), installed from the v4
 //!   [`ServingArtifact`](lvp_core::ServingArtifact) bundles the training
-//!   pipeline persists, and saved back to the same format — open streaming
-//!   windows and all — so a daemon restart loses nothing;
+//!   pipeline persists;
+//! - **durability** out of one state directory ([`DurabilityConfig`]): a
+//!   write-ahead journal of every accepted mutation plus a registry
+//!   snapshot in the same bundle format — open streaming windows and
+//!   all — that the `save` verb and shutdown compact the journal into.
+//!   [`Daemon::recover`] is the one restore path, so a restart or a crash
+//!   loses nothing acknowledged;
 //! - a **wire protocol** of line-delimited JSON verbs (`register`,
 //!   `observe`, `finish`, `history`, `metrics`, `list`, `save`,
 //!   `shutdown`) over a std-only threaded TCP listener ([`Server`]);

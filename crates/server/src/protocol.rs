@@ -51,8 +51,11 @@ impl std::fmt::Display for MonitorKey {
 /// | `history`  | `tenant`,`model`,`version`               | `limit`,`offset` |
 /// | `metrics`  |                                          |          |
 /// | `list`     |                                          |          |
-/// | `save`     | `path`                                   |          |
+/// | `save`     |                                          |          |
 /// | `shutdown` |                                          |          |
+///
+/// A `save` line that still carries the removed export `path` is
+/// answered with an error rather than ignored.
 ///
 /// `outputs` submits a full serving batch of model output rows (scored
 /// immediately), `chunk` folds output rows into the deployment's open
@@ -85,8 +88,6 @@ pub struct Request {
     pub limit: Option<usize>,
     /// `history`: reports to skip from the start of the retained history.
     pub offset: Option<usize>,
-    /// `save`: filesystem path for the registry snapshot.
-    pub path: Option<String>,
 }
 
 impl Request {
@@ -104,7 +105,6 @@ impl Request {
             interval: None,
             limit: None,
             offset: None,
-            path: None,
         }
     }
 
@@ -212,9 +212,9 @@ pub struct RegistrySnapshot {
     /// The write-ahead-journal compaction epoch this snapshot covers:
     /// replay applies only journal records at exactly this epoch,
     /// skipping stale ones left by a crash between snapshot and journal
-    /// truncation. `None` on snapshots from journal-less daemons and on
-    /// plain exports, which restore standalone (absent in pre-journal
-    /// snapshot files, which deserialize as `None`).
+    /// truncation. `None` on [`Daemon::snapshot`](crate::Daemon::snapshot)
+    /// views and in pre-journal snapshot files (the field is absent there
+    /// and deserializes as `None`); recovery reads `None` as epoch 0.
     pub journal_epoch: Option<u64>,
     /// Every deployment, sorted by key.
     pub deployments: Vec<DeploymentEntry>,

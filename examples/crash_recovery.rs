@@ -17,7 +17,7 @@
 
 use lvp::prelude::*;
 use lvp_core::{checksum64, to_json, ServingArtifact};
-use lvp_server::{Daemon, DaemonConfig, DurabilityConfig, MonitorKey, Request};
+use lvp_server::{Daemon, DaemonConfig, DurabilityConfig, FsyncPolicy, MonitorKey, Request};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -53,10 +53,8 @@ fn main() {
     // --- A durable daemon: snapshot + write-ahead journal ---------------
     let dir = std::env::temp_dir().join(format!("lvpd-crash-example-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let durability = DurabilityConfig::in_dir(&dir);
-    let snapshot_path = durability.snapshot_path.clone().unwrap();
-    let journal_path = durability.journal_path.clone().unwrap();
+    let durability = DurabilityConfig::in_dir_with_fsync(&dir, FsyncPolicy::Always);
+    let journal_path = durability.journal_path();
     let config = DaemonConfig {
         queue_capacity: 2,
         ..DaemonConfig::default()
@@ -105,9 +103,7 @@ fn main() {
     println!("overflowed window finished degraded (shed, not dropped)");
 
     // Compact: snapshot the registry and truncate the journal.
-    let mut req = Request::new("save");
-    req.path = Some(snapshot_path.to_string_lossy().into_owned());
-    let resp = daemon.handle_request(req);
+    let resp = daemon.handle_request(Request::new("save"));
     assert!(resp.is_ok(), "save: {:?}", resp.message);
     assert!(resp.message.unwrap().contains("journal compacted"));
     println!("compacting save: snapshot written, journal truncated");
@@ -132,7 +128,7 @@ fn main() {
     println!("simulated crash: process gone, journal torn mid-record");
 
     // --- Recovery --------------------------------------------------------
-    let (recovered, report) = Daemon::recover(config, durability).unwrap();
+    let (recovered, report) = Daemon::recover(config, durability.clone()).unwrap();
     println!("recovery: {}", report.summary());
     assert_eq!(report.tail_defect.as_deref(), Some("torn record payload"));
     // The whole partial record is truncated, not just the seven cut bytes.
@@ -155,11 +151,19 @@ fn main() {
         checksum64(final_state.as_bytes())
     );
 
-    // Shutdown compacts: final snapshot written, journal truncated, and
-    // the snapshot restores standalone.
+    // Shutdown compacts: final snapshot written, journal truncated...
     recovered.request_shutdown();
+    drop(recovered);
     assert_eq!(std::fs::metadata(&journal_path).unwrap().len(), 0);
-    let standalone = Daemon::with_state_file(config, &snapshot_path).unwrap();
+    let (restarted, report) = Daemon::recover(config, durability.clone()).unwrap();
+    assert!(report.snapshot_loaded && report.journal_bytes == 0);
+    assert_eq!(to_json(&restarted.snapshot()).unwrap(), final_state);
+    drop(restarted);
+    // ...and the snapshot restores standalone: a directory holding only
+    // it recovers the pre-crash state.
+    std::fs::remove_file(&journal_path).unwrap();
+    let (standalone, report) = Daemon::recover(config, durability).unwrap();
+    assert!(report.snapshot_loaded && report.journal_bytes == 0);
     assert_eq!(to_json(&standalone.snapshot()).unwrap(), final_state);
     println!("shutdown compacted the journal; snapshot restores standalone");
 

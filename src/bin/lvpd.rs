@@ -5,7 +5,7 @@
 //! `lvp_server::protocol`):
 //!
 //! ```text
-//! lvpd --addr 127.0.0.1:7878 --state registry.json --journal observe.journal
+//! lvpd --addr 127.0.0.1:7878 --state-dir /var/lib/lvpd
 //! ```
 //!
 //! Clients speak one JSON object per line in each direction, e.g.:
@@ -17,41 +17,43 @@
 //!
 //! ## Durability
 //!
-//! With `--state` and `--journal` the daemon runs crash-safe: startup
-//! loads the last snapshot and replays the write-ahead journal tail over
-//! it (truncating any torn or corrupted tail to the last durable record),
-//! every accepted mutation is journaled *before* it is applied, the
-//! `save` verb compacts the journal, and shutdown writes a final
-//! snapshot. `--state` alone restores at startup and saves on shutdown
-//! but cannot survive a crash between saves; `--journal` alone replays
-//! the full journal from an empty registry. The daemon exits cleanly when
-//! any client sends `{"verb":"shutdown"}`.
+//! With `--state-dir` the daemon runs crash-safe out of one directory
+//! (created if absent) holding `registry.json` and `observe.journal`:
+//! startup loads the snapshot and replays the write-ahead journal tail
+//! over it (truncating any torn or corrupted tail to the last durable
+//! record), every accepted mutation is journaled *before* it is applied,
+//! and the `save` verb and shutdown compact the journal into the
+//! snapshot. Without it the daemon is in-memory and `save` is an error.
+//! The daemon exits cleanly when any client sends `{"verb":"shutdown"}`.
+//! Unknown flags, flags without a value, malformed values and `--fsync`
+//! without `--state-dir` exit non-zero with the usage text.
 
 use lvp_server::{Daemon, DaemonConfig, DurabilityConfig, FsyncPolicy, Server};
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 
 const USAGE: &str = "lvpd — multi-tenant monitoring daemon
 
 USAGE:
-    lvpd [--addr HOST:PORT] [--state FILE] [--journal FILE]
-         [--fsync always|never|every:N] [--max-request-bytes N]
-         [--queue-capacity N] [--history-limit N] [--tick NANOS]
+    lvpd [--addr HOST:PORT] [--state-dir DIR] [--fsync always|never|every:N]
+         [--max-request-bytes N] [--queue-capacity N] [--history-limit N]
+         [--tick NANOS]
 
 OPTIONS:
     --addr HOST:PORT        listen address (default 127.0.0.1:7878; port 0
                             picks an ephemeral port, printed on startup)
-    --state FILE            registry snapshot: restored at startup when it
-                            exists, compacted by the `save` verb, written
-                            on shutdown
-    --journal FILE          write-ahead journal: every accepted mutation
-                            is appended here before it is applied, and
-                            replayed over the snapshot at startup
+    --state-dir DIR         durable state directory (created if absent):
+                            registry.json is restored at startup, and
+                            observe.journal records every accepted mutation
+                            before it is applied; the `save` verb and
+                            shutdown compact the journal into the snapshot.
+                            Without it the daemon is in-memory
     --fsync POLICY          journal fsync policy: always (default, every
                             record durable before it is acknowledged),
                             every:N (batch N appends per fsync), never
-                            (leave flushing to the OS)
+                            (leave flushing to the OS); needs --state-dir
     --max-request-bytes N   reject request lines longer than N bytes
                             instead of buffering them (default 16777216)
     --queue-capacity N      per-tenant in-flight chunk budget (default 64)
@@ -60,44 +62,52 @@ OPTIONS:
                             breaker cooldowns (default 1000000)
 ";
 
-fn parse_args(argv: &[String]) -> Result<(String, DurabilityConfig, DaemonConfig), String> {
-    let value_of = |flag: &str| {
-        argv.iter()
-            .position(|a| a == flag)
-            .and_then(|i| argv.get(i + 1))
-            .map(String::as_str)
-    };
+/// Parses `value` of `flag` as a count.
+fn count<T: FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag}: '{value}' is not a count"))
+}
+
+/// The listen address, the durable state directory (if any) and the
+/// daemon configuration. Every flag takes a value; an unknown flag, a
+/// missing value, a malformed one or `--fsync` without `--state-dir` is
+/// an error.
+fn parse_args(argv: &[String]) -> Result<(String, Option<DurabilityConfig>, DaemonConfig), String> {
+    let mut addr = "127.0.0.1:7878".to_string();
+    let mut state_dir = None;
+    let mut fsync = None;
     let mut config = DaemonConfig::default();
-    if let Some(v) = value_of("--queue-capacity") {
-        config.queue_capacity = v
-            .parse()
-            .map_err(|_| format!("--queue-capacity: '{v}' is not a count"))?;
+    let mut args = argv.iter();
+    while let Some(flag) = args.next() {
+        let flag = flag.as_str();
+        let mut value = || {
+            args.next()
+                .map(String::as_str)
+                .filter(|v| !v.starts_with("--"))
+                .ok_or_else(|| format!("{flag} needs a value"))
+        };
+        match flag {
+            "--addr" => addr = value()?.to_string(),
+            "--state-dir" => state_dir = Some(PathBuf::from(value()?)),
+            "--fsync" => {
+                fsync = Some(FsyncPolicy::parse(value()?).map_err(|e| format!("--fsync: {e}"))?)
+            }
+            "--queue-capacity" => config.queue_capacity = count(flag, value()?)?,
+            "--history-limit" => config.history_limit = Some(count(flag, value()?)?),
+            "--tick" => config.clock_tick_nanos = count(flag, value()?)?,
+            "--max-request-bytes" => config.max_request_bytes = count(flag, value()?)?,
+            other => return Err(format!("unknown flag '{other}'")),
+        }
     }
-    if let Some(v) = value_of("--history-limit") {
-        config.history_limit = Some(
-            v.parse()
-                .map_err(|_| format!("--history-limit: '{v}' is not a count"))?,
-        );
-    }
-    if let Some(v) = value_of("--tick") {
-        config.clock_tick_nanos = v
-            .parse()
-            .map_err(|_| format!("--tick: '{v}' is not a nanosecond count"))?;
-    }
-    if let Some(v) = value_of("--max-request-bytes") {
-        config.max_request_bytes = v
-            .parse()
-            .map_err(|_| format!("--max-request-bytes: '{v}' is not a byte count"))?;
-    }
-    let durability = DurabilityConfig {
-        snapshot_path: value_of("--state").map(PathBuf::from),
-        journal_path: value_of("--journal").map(PathBuf::from),
-        fsync: match value_of("--fsync") {
-            Some(v) => FsyncPolicy::parse(v).map_err(|e| format!("--fsync: {e}"))?,
-            None => FsyncPolicy::default(),
-        },
+    let durability = match (state_dir, fsync) {
+        (Some(dir), fsync) => Some(DurabilityConfig::in_dir_with_fsync(
+            dir,
+            fsync.unwrap_or_default(),
+        )),
+        (None, Some(_)) => return Err("--fsync needs --state-dir".to_string()),
+        (None, None) => None,
     };
-    let addr = value_of("--addr").unwrap_or("127.0.0.1:7878").to_string();
     Ok((addr, durability, config))
 }
 
@@ -115,9 +125,8 @@ fn main() -> ExitCode {
         }
     };
 
-    let durable = durability.snapshot_path.is_some() || durability.journal_path.is_some();
-    let daemon = if durable {
-        match Daemon::recover(config, durability) {
+    let daemon = match durability {
+        Some(durability) => match Daemon::recover(config, durability) {
             Ok((daemon, report)) => {
                 eprintln!("lvpd: {}", report.summary());
                 daemon
@@ -126,9 +135,8 @@ fn main() -> ExitCode {
                 eprintln!("lvpd: cannot recover durable state: {message}");
                 return ExitCode::FAILURE;
             }
-        }
-    } else {
-        Daemon::new(config)
+        },
+        None => Daemon::new(config),
     };
 
     let server = match Server::spawn(Arc::new(daemon), addr.as_str()) {

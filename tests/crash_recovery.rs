@@ -3,8 +3,9 @@
 //! state; torn, truncated, or bit-flipped journal tails are classified
 //! and truncated to the last durable record (never a panic); live torn
 //! appends reject the request without applying it; pre-envelope
-//! registry snapshots still load; and after every request of a random
-//! stream, replaying the journal reproduces the live registry.
+//! registry snapshots still load; a `save` naming a path still compacts
+//! in place; and after every request of a random stream, replaying the
+//! journal reproduces the live registry.
 
 use lvp_core::{
     to_json, BatchMonitor, MonitorPolicy, PerformancePredictor, PredictorConfig, ScoreInterval,
@@ -14,7 +15,8 @@ use lvp_corruptions::standard_tabular_suite;
 use lvp_dataframe::toy_frame;
 use lvp_models::{train_model, BlackBoxModel, BreakerConfig, ModelKind};
 use lvp_server::{
-    Daemon, DaemonConfig, DurabilityConfig, JournalFaultPlan, MonitorKey, Request, Response,
+    Daemon, DaemonConfig, DurabilityConfig, FsyncPolicy, JournalFaultPlan, MonitorKey, Request,
+    Response,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -54,6 +56,10 @@ fn config() -> DaemonConfig {
     }
 }
 
+fn durability(dir: &Path) -> DurabilityConfig {
+    DurabilityConfig::in_dir_with_fsync(dir, FsyncPolicy::default())
+}
+
 fn key(tenant: &str) -> MonitorKey {
     MonitorKey {
         tenant: tenant.to_string(),
@@ -75,7 +81,7 @@ fn chunk_rows(n: usize, shift: f64) -> Vec<Vec<f64>> {
 /// streamed chunks with overflow sheds (the per-tenant budget is 2), a
 /// breaker-open phase, finishes, and one mid-stream compacting `save`.
 /// Well over 50 journaled mutations.
-fn workload(artifact: &ServingArtifact, snapshot_path: &Path) -> Vec<Request> {
+fn workload(artifact: &ServingArtifact) -> Vec<Request> {
     let mut requests = Vec::new();
     for tenant in ["acme", "bravo"] {
         let mut req = Request::targeted("register", &key(tenant));
@@ -118,10 +124,8 @@ fn workload(artifact: &ServingArtifact, snapshot_path: &Path) -> Vec<Request> {
         alpha: 0.1,
     });
     requests.push(req);
-    // Mid-stream save to the configured path: compacts the journal.
-    let mut req = Request::new("save");
-    req.path = Some(snapshot_path.to_string_lossy().into_owned());
-    requests.push(req);
+    // Mid-stream save: compacts the journal.
+    requests.push(Request::new("save"));
     // Post-compaction traffic, including a valid external interval and an
     // open window left in flight at the end.
     for i in 0..10 {
@@ -162,10 +166,8 @@ struct Trace {
 /// Runs the workload on a durable daemon in `dir`, capturing the on-disk
 /// bytes and the in-memory registry state after every request.
 fn run_durable(artifact: &ServingArtifact, dir: &Path) -> Trace {
-    std::fs::create_dir_all(dir).unwrap();
-    let durability = DurabilityConfig::in_dir(dir);
-    let snapshot_path = durability.snapshot_path.clone().unwrap();
-    let journal_path = durability.journal_path.clone().unwrap();
+    let durability = durability(dir);
+    let (snapshot_path, journal_path) = (durability.snapshot_path(), durability.journal_path());
     let (daemon, report) = Daemon::recover(config(), durability).unwrap();
     assert!(!report.snapshot_loaded && report.journal_bytes == 0);
 
@@ -174,7 +176,7 @@ fn run_durable(artifact: &ServingArtifact, dir: &Path) -> Trace {
         state_json: Vec::new(),
         responses: Vec::new(),
     };
-    for request in workload(artifact, &snapshot_path) {
+    for request in workload(artifact) {
         let response = daemon.handle_request(request);
         trace.disk.push(DiskState {
             journal: std::fs::read(&journal_path).unwrap(),
@@ -189,13 +191,13 @@ fn run_durable(artifact: &ServingArtifact, dir: &Path) -> Trace {
 /// Lays `disk` down in `dir` as the post-crash filesystem.
 fn plant(disk: &DiskState, dir: &Path) -> DurabilityConfig {
     std::fs::create_dir_all(dir).unwrap();
-    let durability = DurabilityConfig::in_dir(dir);
-    std::fs::write(durability.journal_path.as_ref().unwrap(), &disk.journal).unwrap();
-    let snapshot_path = durability.snapshot_path.as_ref().unwrap();
+    let durability = durability(dir);
+    std::fs::write(durability.journal_path(), &disk.journal).unwrap();
+    let snapshot_path = durability.snapshot_path();
     match &disk.snapshot {
-        Some(bytes) => std::fs::write(snapshot_path, bytes).unwrap(),
+        Some(bytes) => std::fs::write(&snapshot_path, bytes).unwrap(),
         None => {
-            let _ = std::fs::remove_file(snapshot_path);
+            let _ = std::fs::remove_file(&snapshot_path);
         }
     }
     durability
@@ -327,7 +329,7 @@ fn torn_and_bit_flipped_tails_truncate_to_the_last_durable_record() {
             snapshot: last.snapshot.clone(),
         };
         let durability = plant(&torn, &scratch);
-        let journal_path = durability.journal_path.clone().unwrap();
+        let journal_path = durability.journal_path();
         let (recovered, report) = Daemon::recover(config(), durability)
             .unwrap_or_else(|e| panic!("torn tail at {cut} must recover, got: {e}"));
         assert!(
@@ -385,9 +387,9 @@ fn torn_and_bit_flipped_tails_truncate_to_the_last_durable_record() {
 #[test]
 fn live_torn_appends_reject_the_request_without_applying_it() {
     let dir = std::env::temp_dir().join(format!("lvpd-faults-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
     let artifact = serving_artifact();
-    let durability = DurabilityConfig::in_dir(&dir);
+    let durability = durability(&dir);
     let (daemon, _) = Daemon::recover(config(), durability.clone()).unwrap();
 
     // Register cleanly, then inject deterministic torn writes.
@@ -446,10 +448,11 @@ fn live_torn_appends_reject_the_request_without_applying_it() {
 #[test]
 fn legacy_bare_json_snapshots_still_load_and_resave_enveloped() {
     let dir = std::env::temp_dir().join(format!("lvpd-legacy-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let artifact = serving_artifact();
 
-    // A journal-less daemon builds some state.
+    // An in-memory daemon builds some state.
     let daemon = Daemon::new(config());
     let mut req = Request::targeted("register", &key("acme"));
     req.artifact = Some(artifact);
@@ -459,39 +462,99 @@ fn legacy_bare_json_snapshots_still_load_and_resave_enveloped() {
     assert!(daemon.handle_request(req).is_ok());
 
     // Write the registry the way pre-envelope, pre-journal releases did:
-    // bare JSON with no `journal_epoch` field at all.
+    // bare JSON with no `journal_epoch` field at all, alone in the state
+    // directory.
     let mut json = to_json(&daemon.snapshot()).unwrap();
     assert!(json.contains("\"journal_epoch\":null"));
     json = json.replace("\"journal_epoch\":null,", "");
-    let legacy_path = dir.join("legacy-registry.json");
+    let durability = durability(&dir);
+    let legacy_path = durability.snapshot_path();
     std::fs::write(&legacy_path, json.as_bytes()).unwrap();
 
-    // Both restore paths ingest it.
-    let restored = Daemon::with_state_file(config(), &legacy_path).unwrap();
-    assert_eq!(
-        to_json(&restored.snapshot()).unwrap(),
-        to_json(&daemon.snapshot()).unwrap()
-    );
-    let (recovered, report) = Daemon::recover(
-        config(),
-        DurabilityConfig {
-            snapshot_path: Some(legacy_path.clone()),
-            journal_path: None,
-            fsync: Default::default(),
-        },
-    )
-    .unwrap();
+    // Recovery ingests it.
+    let (recovered, report) = Daemon::recover(config(), durability.clone()).unwrap();
     assert!(report.snapshot_loaded);
     assert_eq!(report.snapshot_deployments, 1);
+    assert_eq!(
+        to_json(&recovered.snapshot()).unwrap(),
+        to_json(&daemon.snapshot()).unwrap()
+    );
 
     // Re-saving upgrades the file to the checksummed envelope in place.
-    let mut req = Request::new("save");
-    req.path = Some(legacy_path.to_string_lossy().into_owned());
-    assert!(recovered.handle_request(req).is_ok());
+    assert!(recovered.handle_request(Request::new("save")).is_ok());
+    drop(recovered);
     let bytes = std::fs::read(&legacy_path).unwrap();
     assert!(lvp_core::is_enveloped(&bytes));
-    assert!(Daemon::with_state_file(config(), &legacy_path).is_ok());
+    let (reloaded, _) = Daemon::recover(config(), durability).unwrap();
+    assert_eq!(
+        to_json(&reloaded.snapshot()).unwrap(),
+        to_json(&daemon.snapshot()).unwrap()
+    );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every file under `dir`, relative to it, sorted.
+fn files_under(dir: &Path) -> Vec<String> {
+    let mut files = Vec::new();
+    let mut pending = vec![dir.to_path_buf()];
+    while let Some(next) = pending.pop() {
+        for entry in std::fs::read_dir(&next).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                pending.push(path);
+            } else {
+                let relative = path.strip_prefix(dir).unwrap();
+                files.push(relative.to_string_lossy().into_owned());
+            }
+        }
+    }
+    files.sort();
+    files
+}
+
+#[test]
+fn a_save_naming_a_path_is_refused_and_writes_nowhere() {
+    let root = std::env::temp_dir().join(format!("lvpd-save-path-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let dir = root.join("state");
+    std::fs::create_dir_all(dir.join("sub")).unwrap();
+    let (daemon, _) = Daemon::recover(config(), durability(&dir)).unwrap();
+    let mut req = Request::targeted("register", &key("acme"));
+    req.artifact = Some(serving_artifact());
+    assert!(daemon.handle_request(req).is_ok());
+    let observe = |estimate: f64| {
+        let mut req = Request::targeted("observe", &key("acme"));
+        req.estimate = Some(estimate);
+        assert!(daemon.handle_request(req).is_ok());
+    };
+    observe(0.7);
+    assert!(daemon.handle_request(Request::new("save")).is_ok());
+    observe(0.6);
+
+    // Clients that still send a path: the configured snapshot spelled
+    // another way, and a file outside the state directory. Each save is
+    // refused, so the client knows no export was written.
+    for path in [
+        format!("{}/sub/../registry.json", dir.display()),
+        root.join("export.json").display().to_string(),
+    ] {
+        let line = format!(r#"{{"verb":"save","path":"{path}"}}"#);
+        let resp: Response = serde_json::from_str(&daemon.handle_line(&line)).unwrap();
+        assert_eq!(resp.status, "error");
+        assert!(resp.message.unwrap().contains("takes no path"));
+    }
+    observe(0.5);
+    let live = to_json(&daemon.snapshot()).unwrap();
+    drop(daemon);
+
+    assert_eq!(
+        files_under(&root),
+        ["state/observe.journal", "state/registry.json"]
+    );
+    let (recovered, report) = Daemon::recover(config(), durability(&dir)).unwrap();
+    assert_eq!(report.records_future, 0, "{}", report.summary());
+    assert_eq!(to_json(&recovered.snapshot()).unwrap(), live);
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// The next requests of the differential stream: every observe form with
@@ -566,9 +629,8 @@ proptest! {
     #[test]
     fn live_registry_equals_the_replay_of_its_journal_after_every_request(seed in 0u64..u64::MAX) {
         let dir = std::env::temp_dir().join(format!("lvpd-diff-{}-{seed}", std::process::id()));
-        let live = DurabilityConfig::in_dir(dir.join("live"));
-        std::fs::create_dir_all(dir.join("live")).unwrap();
-        let journal_path = live.journal_path.clone().unwrap();
+        let live = durability(&dir.join("live"));
+        let journal_path = live.journal_path();
         let (daemon, _) = Daemon::recover(config(), live).unwrap();
         let artifact = shared_artifact();
         let mut stream: Vec<Request> = ["acme", "bravo"]

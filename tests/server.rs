@@ -8,7 +8,10 @@ use lvp_core::{
 use lvp_corruptions::standard_tabular_suite;
 use lvp_dataframe::toy_frame;
 use lvp_models::{train_model, BlackBoxModel, BreakerConfig, ModelKind};
-use lvp_server::{Client, Daemon, DaemonConfig, MonitorKey, Request, Response, Server};
+use lvp_server::{
+    Client, Daemon, DaemonConfig, DurabilityConfig, FsyncPolicy, MonitorKey, Request, Response,
+    Server,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -62,12 +65,18 @@ fn key(tenant: &str) -> MonitorKey {
     }
 }
 
-/// Drives one full daemon lifetime over loopback: registers two tenants,
-/// interleaves their traffic (including bravo overrunning its chunk
-/// budget), saves the registry to `state_path`, scrapes metrics, and shuts
-/// the daemon down. Returns the deterministic metrics JSON.
-fn run_session(artifact: &ServingArtifact, state_path: &std::path::Path) -> String {
-    let daemon = Arc::new(Daemon::new(config()));
+fn durability(dir: &std::path::Path) -> DurabilityConfig {
+    DurabilityConfig::in_dir_with_fsync(dir, FsyncPolicy::default())
+}
+
+/// Drives one full daemon lifetime over loopback on a durable daemon in
+/// `state_dir`: registers two tenants, interleaves their traffic (including
+/// bravo overrunning its chunk budget), saves the registry, scrapes
+/// metrics, and shuts the daemon down. Returns the deterministic metrics
+/// JSON and the registry-content JSON at shutdown.
+fn run_session(artifact: &ServingArtifact, state_dir: &std::path::Path) -> (String, String) {
+    let (daemon, _) = Daemon::recover(config(), durability(state_dir)).unwrap();
+    let daemon = Arc::new(daemon);
     let server = Server::spawn(Arc::clone(&daemon), "127.0.0.1:0").unwrap();
     let addr = server.local_addr();
 
@@ -146,9 +155,7 @@ fn run_session(artifact: &ServingArtifact, state_path: &std::path::Path) -> Stri
     req.chunk = Some(chunk_rows(12, 0.0));
     assert!(acme.call(&req).unwrap().is_ok());
 
-    let mut req = Request::new("save");
-    req.path = Some(state_path.to_string_lossy().into_owned());
-    assert!(acme.call(&req).unwrap().is_ok());
+    assert!(acme.call(&Request::new("save")).unwrap().is_ok());
 
     let metrics = bravo
         .call(&Request::new("metrics"))
@@ -163,41 +170,40 @@ fn run_session(artifact: &ServingArtifact, state_path: &std::path::Path) -> Stri
     drop(acme);
     drop(bravo);
     server.join();
-    metrics_json
+    (
+        metrics_json,
+        serde_json::to_string(&daemon.snapshot()).unwrap(),
+    )
 }
 
 #[test]
 fn two_tenants_end_to_end_with_shedding_persistence_and_determinism() {
     let dir = std::env::temp_dir().join(format!("lvpd-e2e-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
     let artifact = serving_artifact();
 
     // Two identical daemon lifetimes: the request sequence fully determines
     // telemetry (virtual clock, no wall time), so the deterministic
     // snapshots must be byte-identical, as must the saved registries.
-    let first_state = dir.join("state-run1.json");
-    let second_state = dir.join("state-run2.json");
-    let metrics_a = run_session(&artifact, &first_state);
-    let metrics_b = run_session(&artifact, &second_state);
+    let (first_state, second_state) = (dir.join("run1"), dir.join("run2"));
+    let (metrics_a, live_a) = run_session(&artifact, &first_state);
+    let (metrics_b, _) = run_session(&artifact, &second_state);
     assert_eq!(metrics_a, metrics_b, "telemetry must be deterministic");
     assert_eq!(
-        std::fs::read(&first_state).unwrap(),
-        std::fs::read(&second_state).unwrap(),
+        std::fs::read(durability(&first_state).snapshot_path()).unwrap(),
+        std::fs::read(durability(&second_state).snapshot_path()).unwrap(),
         "saved registries of identical sessions must be byte-identical"
     );
     assert!(metrics_a.contains("tenant.bravo.server.shed_requests"));
 
-    // Restart from the saved state: re-saving without any traffic must
-    // reproduce the file bit-identically (open windows included) ...
-    let restored = Daemon::with_state_file(config(), &first_state).unwrap();
-    let resave = dir.join("state-resaved.json");
-    let mut req = Request::new("save");
-    req.path = Some(resave.to_string_lossy().into_owned());
-    assert!(restored.handle_request(req).is_ok());
+    // Restart from the saved state: the restored registry reproduces the
+    // live one bit-identically (open windows included) ...
+    let (restored, report) = Daemon::recover(config(), durability(&first_state)).unwrap();
+    assert!(report.snapshot_loaded && report.journal_bytes == 0);
     assert_eq!(
-        std::fs::read(&first_state).unwrap(),
-        std::fs::read(&resave).unwrap(),
-        "restore → save must round-trip bit-identically"
+        serde_json::to_string(&restored.snapshot()).unwrap(),
+        live_a,
+        "restore must round-trip bit-identically"
     );
 
     // ... and acme's in-flight window survives the restart: one more chunk
