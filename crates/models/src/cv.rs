@@ -22,8 +22,10 @@ use rand::{Rng, SeedableRng};
 /// fails; the winner is chosen by [`grid_search_max`].
 ///
 /// With fewer rows than folds some validation folds would be empty, so the
-/// first candidate wins without drawing anything. Either way the caller
-/// refits the returned configuration on all rows with `rng`.
+/// first candidate wins without drawing anything. A one-candidate grid
+/// wins whatever its folds score, so it still draws the folds and its seed
+/// but fits nothing. Either way the caller refits the returned
+/// configuration on all rows with `rng`, from the same stream.
 ///
 /// Errors on an empty grid, before drawing anything.
 pub fn kfold_select<C: Clone, M>(
@@ -42,6 +44,9 @@ pub fn kfold_select<C: Clone, M>(
     }
     let folds = kfold_indices(n_rows, k, rng);
     let mut seeds: Vec<u64> = (0..grid.len()).map(|_| rng.gen()).collect();
+    if grid.len() == 1 {
+        return Ok(first.clone());
+    }
     let (best, _) = grid_search_max(grid, |candidate| {
         let mut local = StdRng::seed_from_u64(seeds.pop().unwrap_or(0));
         let mut total = 0.0;
@@ -220,6 +225,19 @@ mod tests {
         assert_eq!(chosen.unwrap(), 2);
         assert_eq!(fits, 0);
         assert_eq!(rng.gen::<u64>(), StdRng::seed_from_u64(4).gen::<u64>());
+    }
+
+    #[test]
+    fn kfold_select_fits_nothing_for_one_candidate_but_draws_as_if_it_had() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let (chosen, fits) = select(40, &[0], &mut rng);
+        // The lone candidate wins even though every fit of it would fail.
+        assert_eq!(chosen.unwrap(), 0);
+        assert_eq!(fits, 0);
+        let mut expected = StdRng::seed_from_u64(6);
+        kfold_indices(40, 5, &mut expected);
+        let _seed: u64 = expected.gen();
+        assert_eq!(rng.gen::<u64>(), expected.gen::<u64>());
     }
 
     #[test]

@@ -12,20 +12,44 @@
 //!
 //! ## Record framing
 //!
-//! Each record is a binary frame over a JSON payload:
+//! Each record is one frame: a fixed 16-byte header over a payload.
 //!
 //! ```text
-//! [magic "LVJR" (4)] [payload len: u32 LE (4)] [FNV-1a64: u64 LE (8)] [payload]
+//! [magic (4)] [payload len: u32 LE (4)] [FNV-1a64 of payload: u64 LE (8)] [payload]
 //! ```
 //!
-//! The payload is a [`JournalRecord`] — a compaction epoch plus one
-//! [`JournalOp`]. The frame makes every tail defect detectable and
-//! classifiable ([`JournalDefect`]): a torn header or torn payload is a
-//! crash mid-append, a checksum mismatch is bit rot, a bad magic is a
-//! misaligned or foreign write. [`scan_journal`] walks frames until the
-//! first defect and reports the last durable prefix — recovery truncates
-//! to it and replays what survived; it never panics and never feeds serde
-//! a corrupt payload.
+//! Every append writes a **v2** frame (magic `LVJ2`), whose payload is a
+//! small typed binary layout, all integers little-endian:
+//!
+//! ```text
+//! epoch: u64 | op tag: u8 | tenant, model, version: str | body
+//! str  = len: u32, then that many UTF-8 bytes
+//! rows = n_rows: u32, n_cols: u32, then n_rows × n_cols f64 bits (row-major)
+//! ```
+//!
+//! The tag numbers the [`JournalOp`] variants in declaration order, and
+//! the body is `Register`: the artifact's JSON as a str; `ObserveOutputs`
+//! and `ObserveChunk`: rows; `ObserveEstimate`: one f64;
+//! `ObserveInterval`: point, lo, hi, alpha as f64; `Finish`: nothing;
+//! `AbandonWindow` and `ObserveDegraded`: the reason str. Floats travel as
+//! their bit patterns, so replay is bit-exact by construction, and the
+//! frame is encoded from the borrowed op ([`encode_record`]) with no
+//! intermediate copy.
+//!
+//! **v1 still replays.** Journals written before v2 hold frames with magic
+//! `LVJR` over a JSON [`JournalRecord`]; a journal upgraded in place holds
+//! v1 frames followed by v2 frames, and [`scan_journal`] decodes each
+//! frame by its own magic.
+//!
+//! The frame makes every tail defect detectable and classifiable
+//! ([`JournalDefect`]): a torn header or torn payload is a crash
+//! mid-append, a checksum mismatch is bit rot, a bad magic is a
+//! misaligned or foreign write, and a payload that passes its checksum but
+//! does not decode is malformed. The v2 decoder checks every length
+//! against the bytes that remain before it allocates, validates UTF-8,
+//! and rejects an unknown tag or trailing bytes. [`scan_journal`] walks
+//! frames until the first defect and reports the last durable prefix —
+//! recovery truncates to it and replays what survived; it never panics.
 //!
 //! ## Epochs
 //!
@@ -48,12 +72,17 @@
 use crate::protocol::MonitorKey;
 use lvp_core::{checksum64, ScoreInterval, ServingArtifact};
 use lvp_models::mix64;
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 use std::io::{self, Write};
 use std::path::Path;
 
-/// Magic bytes opening every journal record frame.
-pub const RECORD_MAGIC: [u8; 4] = *b"LVJR";
+/// Magic bytes opening every journal record frame the journal writes: a
+/// v2 frame over the binary payload layout (see the module docs).
+pub const RECORD_MAGIC: [u8; 4] = *b"LVJ2";
+
+/// Magic bytes opening a v1 record frame, whose payload is a JSON
+/// [`JournalRecord`]. Nothing writes v1 any more; it still replays.
+const RECORD_MAGIC_V1: [u8; 4] = *b"LVJR";
 
 /// Frame header size: magic + payload length (u32 LE) + checksum (u64 LE).
 pub const RECORD_HEADER_LEN: usize = 16;
@@ -63,7 +92,7 @@ pub const RECORD_HEADER_LEN: usize = 16;
 /// [`JournalOp::ObserveDegraded`], with the literal reason string), so
 /// replay reproduces the monitor state without needing the ephemeral
 /// admission-gate state that produced the decision.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Deserialize)]
 // `Register` carries a whole `ServingArtifact` and dwarfs the other
 // variants, but ops are journaled and replayed by reference/once — boxing
 // the artifact would complicate the (vendored) serde derive for no win.
@@ -142,7 +171,8 @@ impl JournalOp {
 }
 
 /// One journal record: a compaction epoch plus the operation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// `Deserialize` reads v1 payloads.
+#[derive(Debug, Clone, Deserialize)]
 pub struct JournalRecord {
     /// Compaction epoch the record belongs to (see the module docs).
     pub epoch: u64,
@@ -150,23 +180,194 @@ pub struct JournalRecord {
     pub op: JournalOp,
 }
 
-/// Encodes one record into its binary frame.
-pub fn encode_record(record: &JournalRecord) -> Result<Vec<u8>, String> {
-    let payload = serde_json::to_string(record)
-        .map_err(|e| format!("encode journal record: {e}"))?
-        .into_bytes();
-    let len = u32::try_from(payload.len()).map_err(|_| {
-        format!(
-            "journal record payload of {} bytes overflows u32",
-            payload.len()
-        )
-    })?;
-    let mut frame = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
+/// Encodes `op` at `epoch` into its v2 frame, reading the op in place.
+/// Errors on rows that are ragged, or not empty but zero columns wide
+/// (no validated request has either), and on a length that overflows
+/// `u32`.
+pub fn encode_record(epoch: u64, op: &JournalOp) -> Result<Vec<u8>, String> {
+    let key = op.key();
+    let mut frame = Vec::with_capacity(64);
     frame.extend_from_slice(&RECORD_MAGIC);
-    frame.extend_from_slice(&len.to_le_bytes());
-    frame.extend_from_slice(&checksum64(&payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
+    // Length and checksum, filled in once the payload is written.
+    frame.extend_from_slice(&[0; RECORD_HEADER_LEN - 4]);
+    frame.extend_from_slice(&epoch.to_le_bytes());
+    // Tags number the variants in declaration order.
+    frame.push(match op {
+        JournalOp::Register { .. } => 0,
+        JournalOp::ObserveOutputs { .. } => 1,
+        JournalOp::ObserveChunk { .. } => 2,
+        JournalOp::ObserveEstimate { .. } => 3,
+        JournalOp::ObserveInterval { .. } => 4,
+        JournalOp::Finish { .. } => 5,
+        JournalOp::AbandonWindow { .. } => 6,
+        JournalOp::ObserveDegraded { .. } => 7,
+    });
+    for part in [&key.tenant, &key.model, &key.version] {
+        put_str(&mut frame, part)?;
+    }
+    match op {
+        JournalOp::Register { artifact, .. } => {
+            let json = serde_json::to_string(artifact)
+                .map_err(|e| format!("encode journal artifact: {e}"))?;
+            put_str(&mut frame, &json)?;
+        }
+        JournalOp::ObserveOutputs { rows, .. } | JournalOp::ObserveChunk { rows, .. } => {
+            put_rows(&mut frame, rows)?;
+        }
+        JournalOp::ObserveEstimate { estimate, .. } => put_f64(&mut frame, *estimate),
+        JournalOp::ObserveInterval { interval, .. } => {
+            for v in [interval.point, interval.lo, interval.hi, interval.alpha] {
+                put_f64(&mut frame, v);
+            }
+        }
+        JournalOp::Finish { .. } => {}
+        JournalOp::AbandonWindow { reason, .. } | JournalOp::ObserveDegraded { reason, .. } => {
+            put_str(&mut frame, reason)?;
+        }
+    }
+    let payload_len = len_u32(frame.len() - RECORD_HEADER_LEN, "journal record payload")?;
+    let sum = checksum64(&frame[RECORD_HEADER_LEN..]);
+    frame[4..8].copy_from_slice(&payload_len.to_le_bytes());
+    frame[8..RECORD_HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
     Ok(frame)
+}
+
+fn len_u32(len: usize, what: &str) -> Result<u32, String> {
+    u32::try_from(len).map_err(|_| format!("{what} of {len} overflows u32"))
+}
+
+fn put_f64(out: &mut Vec<u8>, v: f64) {
+    out.extend_from_slice(&v.to_bits().to_le_bytes());
+}
+
+fn put_str(out: &mut Vec<u8>, s: &str) -> Result<(), String> {
+    out.extend_from_slice(&len_u32(s.len(), "journal string length")?.to_le_bytes());
+    out.extend_from_slice(s.as_bytes());
+    Ok(())
+}
+
+fn put_rows(out: &mut Vec<u8>, rows: &[Vec<f64>]) -> Result<(), String> {
+    let n_cols = rows.first().map_or(0, Vec::len);
+    if rows.iter().any(|row| row.len() != n_cols) {
+        return Err("journal rows are ragged".to_string());
+    }
+    if n_cols == 0 && !rows.is_empty() {
+        return Err("journal rows have no columns".to_string());
+    }
+    out.extend_from_slice(&len_u32(rows.len(), "journal row count")?.to_le_bytes());
+    out.extend_from_slice(&len_u32(n_cols, "journal column count")?.to_le_bytes());
+    out.reserve(rows.len() * n_cols * 8);
+    for v in rows.iter().flatten() {
+        put_f64(out, *v);
+    }
+    Ok(())
+}
+
+/// A cursor over a v2 payload. Every read checks the bytes that remain
+/// and yields `None` past the end, so no length read from the payload
+/// sizes an allocation unchecked.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let (head, rest) = self.0.split_at_checked(n)?;
+        self.0 = rest;
+        Some(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        self.take(N)?.try_into().ok()
+    }
+
+    /// A `u32` length or count.
+    fn len(&mut self) -> Option<usize> {
+        usize::try_from(u32::from_le_bytes(self.array()?)).ok()
+    }
+
+    fn f64(&mut self) -> Option<f64> {
+        Some(f64::from_bits(u64::from_le_bytes(self.array()?)))
+    }
+
+    fn str(&mut self) -> Option<&'a str> {
+        let len = self.len()?;
+        std::str::from_utf8(self.take(len)?).ok()
+    }
+
+    fn rows(&mut self) -> Option<Vec<Vec<f64>>> {
+        let (n_rows, n_cols) = (self.len()?, self.len()?);
+        if n_rows == 0 {
+            return Some(Vec::new());
+        }
+        if n_cols == 0 {
+            return None;
+        }
+        let bytes = self.take(n_rows.checked_mul(n_cols)?.checked_mul(8)?)?;
+        Some(
+            bytes
+                .chunks_exact(n_cols * 8)
+                .map(|row| {
+                    row.chunks_exact(8)
+                        .map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().expect("8 bytes"))))
+                        .collect()
+                })
+                .collect(),
+        )
+    }
+}
+
+/// Decodes a v2 payload; `None` when it is malformed.
+fn decode_v2(payload: &[u8]) -> Option<JournalRecord> {
+    let mut r = Reader(payload);
+    let epoch = u64::from_le_bytes(r.array()?);
+    let tag = r.array::<1>()?[0];
+    let key = MonitorKey {
+        tenant: r.str()?.to_owned(),
+        model: r.str()?.to_owned(),
+        version: r.str()?.to_owned(),
+    };
+    let op = match tag {
+        0 => JournalOp::Register {
+            key,
+            artifact: serde_json::from_str(r.str()?).ok()?,
+        },
+        1 => JournalOp::ObserveOutputs {
+            key,
+            rows: r.rows()?,
+        },
+        2 => JournalOp::ObserveChunk {
+            key,
+            rows: r.rows()?,
+        },
+        3 => JournalOp::ObserveEstimate {
+            key,
+            estimate: r.f64()?,
+        },
+        4 => JournalOp::ObserveInterval {
+            key,
+            interval: ScoreInterval {
+                point: r.f64()?,
+                lo: r.f64()?,
+                hi: r.f64()?,
+                alpha: r.f64()?,
+            },
+        },
+        5 => JournalOp::Finish { key },
+        6 => JournalOp::AbandonWindow {
+            key,
+            reason: r.str()?.to_owned(),
+        },
+        7 => JournalOp::ObserveDegraded {
+            key,
+            reason: r.str()?.to_owned(),
+        },
+        _ => return None,
+    };
+    r.0.is_empty().then_some(JournalRecord { epoch, op })
+}
+
+/// Decodes a v1 (JSON) payload; `None` when it is malformed.
+fn decode_v1(payload: &[u8]) -> Option<JournalRecord> {
+    serde_json::from_str(std::str::from_utf8(payload).ok()?).ok()
 }
 
 /// Classification of the first defect found while scanning a journal.
@@ -221,7 +422,8 @@ pub struct JournalScan {
 /// Walks a journal byte-by-byte, decoding frames until the bytes run out
 /// or the first defect. Never panics, never returns partially-checked
 /// payloads: a record is only surfaced once its magic, length, checksum
-/// and JSON all verified.
+/// and payload all verified. v1 and v2 frames may interleave; each decodes
+/// by its own magic.
 pub fn scan_journal(bytes: &[u8]) -> JournalScan {
     let mut records = Vec::new();
     let mut offset = 0usize;
@@ -231,15 +433,21 @@ pub fn scan_journal(bytes: &[u8]) -> JournalScan {
         }
         let rest = &bytes[offset..];
         if rest.len() < RECORD_HEADER_LEN {
-            break Some(if rest.starts_with(&RECORD_MAGIC[..rest.len().min(4)]) {
-                JournalDefect::TornHeader
-            } else {
-                JournalDefect::BadMagic
-            });
+            let head = &rest[..rest.len().min(4)];
+            break Some(
+                if RECORD_MAGIC.starts_with(head) || RECORD_MAGIC_V1.starts_with(head) {
+                    JournalDefect::TornHeader
+                } else {
+                    JournalDefect::BadMagic
+                },
+            );
         }
-        if rest[..4] != RECORD_MAGIC {
-            break Some(JournalDefect::BadMagic);
-        }
+        let magic: [u8; 4] = rest[..4].try_into().expect("4 bytes");
+        let decode = match magic {
+            RECORD_MAGIC => decode_v2,
+            RECORD_MAGIC_V1 => decode_v1,
+            _ => break Some(JournalDefect::BadMagic),
+        };
         let len = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes")) as usize;
         let declared_sum = u64::from_le_bytes(rest[8..16].try_into().expect("8 bytes"));
         let Some(payload) = rest.get(RECORD_HEADER_LEN..RECORD_HEADER_LEN + len) else {
@@ -248,10 +456,7 @@ pub fn scan_journal(bytes: &[u8]) -> JournalScan {
         if checksum64(payload) != declared_sum {
             break Some(JournalDefect::ChecksumMismatch);
         }
-        let Ok(text) = std::str::from_utf8(payload) else {
-            break Some(JournalDefect::Malformed);
-        };
-        let Ok(record) = serde_json::from_str::<JournalRecord>(text) else {
+        let Some(record) = decode(payload) else {
             break Some(JournalDefect::Malformed);
         };
         records.push(record);
@@ -580,11 +785,7 @@ impl Journal {
                 "journal is poisoned by an unrepaired append failure",
             ));
         }
-        let record = JournalRecord {
-            epoch: self.epoch,
-            op: op.clone(),
-        };
-        let frame = encode_record(&record).map_err(io::Error::other)?;
+        let frame = encode_record(self.epoch, op).map_err(io::Error::other)?;
         if let Err(e) = self.sink.append(&frame) {
             // An unknown prefix of the frame may have landed; cut back to
             // the last durable frame boundary so the on-disk journal and
@@ -657,95 +858,329 @@ mod tests {
         }
     }
 
-    #[test]
-    fn records_round_trip_through_the_frame() {
-        let ops = [
+    /// One of every op that carries no artifact, with the awkward values
+    /// (NaN, −0, subnormals, empty rows, non-ASCII strings) a bit-exact
+    /// codec must keep.
+    fn sample_ops() -> Vec<JournalOp> {
+        let odd_key = MonitorKey {
+            tenant: "ténant ☃".into(),
+            model: String::new(),
+            version: "v\u{0}2".into(),
+        };
+        vec![
             estimate_op(0.5),
+            estimate_op(f64::NAN),
+            JournalOp::ObserveEstimate {
+                key: odd_key.clone(),
+                estimate: -0.0,
+            },
             JournalOp::Finish { key: key() },
             JournalOp::AbandonWindow {
                 key: key(),
                 reason: "tenant 'acme' over budget".into(),
             },
+            JournalOp::ObserveDegraded {
+                key: odd_key,
+                reason: String::new(),
+            },
             JournalOp::ObserveChunk {
                 key: key(),
                 rows: vec![vec![0.25, 0.75], vec![0.5, 0.5]],
             },
-        ];
-        let mut bytes = Vec::new();
-        for (i, op) in ops.iter().enumerate() {
-            bytes.extend_from_slice(
-                &encode_record(&JournalRecord {
-                    epoch: i as u64,
-                    op: op.clone(),
-                })
-                .unwrap(),
-            );
-        }
+            JournalOp::ObserveChunk {
+                key: key(),
+                rows: Vec::new(),
+            },
+            JournalOp::ObserveOutputs {
+                key: key(),
+                rows: vec![
+                    vec![f64::MIN_POSITIVE / 2.0, 1.0, f64::INFINITY],
+                    vec![0.1 + 0.2, f64::NAN, -1e-300],
+                ],
+            },
+            JournalOp::ObserveInterval {
+                key: key(),
+                interval: ScoreInterval {
+                    point: 0.8,
+                    lo: 0.7,
+                    hi: 0.9,
+                    alpha: 0.1,
+                },
+            },
+            JournalOp::ObserveInterval {
+                key: key(),
+                interval: ScoreInterval::degraded(0.1),
+            },
+        ]
+    }
+
+    /// A frame with `magic` over `payload`, its length and checksum
+    /// computed, so a test reaches the payload decoder.
+    fn frame(magic: [u8; 4], payload: &[u8]) -> Vec<u8> {
+        let mut frame = magic.to_vec();
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&checksum64(payload).to_le_bytes());
+        frame.extend_from_slice(payload);
+        frame
+    }
+
+    #[test]
+    fn records_round_trip_through_the_frame_bit_exactly() {
+        let ops = sample_ops();
+        let frames: Vec<Vec<u8>> = ops
+            .iter()
+            .enumerate()
+            .map(|(i, op)| encode_record(i as u64, op).unwrap())
+            .collect();
+        let bytes = frames.concat();
         let scan = scan_journal(&bytes);
         assert!(scan.defect.is_none());
         assert_eq!(scan.valid_len, bytes.len());
         assert_eq!(scan.records.len(), ops.len());
         for (i, record) in scan.records.iter().enumerate() {
             assert_eq!(record.epoch, i as u64);
-            assert_eq!(
-                serde_json::to_string(&record.op).unwrap(),
-                serde_json::to_string(&ops[i]).unwrap()
-            );
+            // Floats travel as bits, so re-encoding reproduces the frame.
+            assert_eq!(encode_record(record.epoch, &record.op).unwrap(), frames[i]);
+        }
+        let JournalOp::ObserveOutputs { rows, .. } = &scan.records[8].op else {
+            panic!("op order changed");
+        };
+        assert_eq!(rows[1][0].to_bits(), (0.1f64 + 0.2).to_bits());
+        assert!(rows[1][1].is_nan());
+    }
+
+    #[test]
+    fn encode_rejects_ragged_and_zero_width_rows() {
+        for rows in [
+            vec![vec![0.5, 0.5], vec![1.0]],
+            vec![Vec::new(), Vec::new()],
+        ] {
+            let op = JournalOp::ObserveChunk { key: key(), rows };
+            assert!(encode_record(0, &op).is_err());
         }
     }
 
     #[test]
-    fn scan_classifies_every_tail_defect() {
-        let frame = encode_record(&JournalRecord {
-            epoch: 0,
-            op: estimate_op(0.25),
-        })
-        .unwrap();
-        let two = {
-            let mut b = frame.clone();
-            b.extend_from_slice(&frame);
-            b
+    fn v1_frames_still_decode_and_interleave_with_v2() {
+        let v1 = |epoch: u64, estimate: &str| {
+            let json = format!(
+                "{{\"epoch\":{epoch},\"op\":{{\"ObserveEstimate\":{{\"key\":\
+                 {{\"tenant\":\"acme\",\"model\":\"fraud\",\"version\":\"v1\"}},\
+                 \"estimate\":{estimate}}}}}}}"
+            );
+            frame(RECORD_MAGIC_V1, json.as_bytes())
         };
+        let bytes = [
+            v1(3, "0.25"),
+            v1(3, "0.5"),
+            encode_record(3, &estimate_op(0.75)).unwrap(),
+            encode_record(4, &JournalOp::Finish { key: key() }).unwrap(),
+        ]
+        .concat();
+        let scan = scan_journal(&bytes);
+        assert!(scan.defect.is_none(), "{:?}", scan.defect);
+        let ops: Vec<(u64, Option<f64>)> = scan
+            .records
+            .iter()
+            .map(|r| match r.op {
+                JournalOp::ObserveEstimate { estimate, .. } => (r.epoch, Some(estimate)),
+                _ => (r.epoch, None),
+            })
+            .collect();
+        assert_eq!(
+            ops,
+            vec![(3, Some(0.25)), (3, Some(0.5)), (3, Some(0.75)), (4, None)]
+        );
+    }
+
+    #[test]
+    fn scan_classifies_every_tail_defect() {
+        let frame_bytes = encode_record(0, &estimate_op(0.25)).unwrap();
+        let two = [frame_bytes.clone(), frame_bytes.clone()].concat();
+        let len = frame_bytes.len();
 
         // Torn header: second frame cut inside its header.
-        let scan = scan_journal(&two[..frame.len() + 7]);
+        let scan = scan_journal(&two[..len + 7]);
         assert_eq!(scan.defect, Some(JournalDefect::TornHeader));
-        assert_eq!((scan.records.len(), scan.valid_len), (1, frame.len()));
+        assert_eq!((scan.records.len(), scan.valid_len), (1, len));
 
         // Torn payload: second frame cut inside its payload.
-        let scan = scan_journal(&two[..frame.len() + RECORD_HEADER_LEN + 3]);
+        let scan = scan_journal(&two[..len + RECORD_HEADER_LEN + 3]);
         assert_eq!(scan.defect, Some(JournalDefect::TornPayload));
-        assert_eq!((scan.records.len(), scan.valid_len), (1, frame.len()));
+        assert_eq!((scan.records.len(), scan.valid_len), (1, len));
 
         // Bit flip in the second payload: checksum mismatch.
         let mut flipped = two.clone();
-        let idx = frame.len() + RECORD_HEADER_LEN + 5;
-        flipped[idx] ^= 0x20;
+        flipped[len + RECORD_HEADER_LEN + 5] ^= 0x20;
         let scan = scan_journal(&flipped);
         assert_eq!(scan.defect, Some(JournalDefect::ChecksumMismatch));
-        assert_eq!((scan.records.len(), scan.valid_len), (1, frame.len()));
+        assert_eq!((scan.records.len(), scan.valid_len), (1, len));
 
         // Garbage at a record boundary: bad magic.
-        let mut garbage = frame.clone();
+        let mut garbage = frame_bytes.clone();
         garbage.extend_from_slice(b"this is not a journal record at all");
         let scan = scan_journal(&garbage);
         assert_eq!(scan.defect, Some(JournalDefect::BadMagic));
-        assert_eq!((scan.records.len(), scan.valid_len), (1, frame.len()));
+        assert_eq!((scan.records.len(), scan.valid_len), (1, len));
 
-        // Valid frame over a non-record payload: malformed.
-        let payload = b"{\"not\": \"a record\"}";
-        let mut fake = Vec::new();
-        fake.extend_from_slice(&RECORD_MAGIC);
-        fake.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        fake.extend_from_slice(&checksum64(payload).to_le_bytes());
-        fake.extend_from_slice(payload);
-        let scan = scan_journal(&fake);
-        assert_eq!(scan.defect, Some(JournalDefect::Malformed));
-        assert_eq!((scan.records.len(), scan.valid_len), (0, 0));
+        // Valid frames over non-record payloads: malformed, in either
+        // version.
+        for fake in [
+            frame(RECORD_MAGIC_V1, b"{\"not\": \"a record\"}"),
+            frame(RECORD_MAGIC, b"{\"not\": \"a record\"}"),
+        ] {
+            let scan = scan_journal(&fake);
+            assert_eq!(scan.defect, Some(JournalDefect::Malformed));
+            assert_eq!((scan.records.len(), scan.valid_len), (0, 0));
+        }
 
         // Empty journal: clean.
         let scan = scan_journal(&[]);
         assert!(scan.defect.is_none() && scan.records.is_empty());
+    }
+
+    #[test]
+    fn a_torn_tail_that_prefixes_either_magic_is_a_torn_header() {
+        let good = encode_record(0, &estimate_op(0.5)).unwrap();
+        for tail in [
+            &b"L"[..],
+            b"LV",
+            b"LVJ",
+            b"LVJ2",
+            b"LVJR",
+            b"LVJ2\x10\x00\x00",
+            b"LVJR\x10\x00\x00\x00\x01\x02\x03",
+        ] {
+            let scan = scan_journal(&[&good[..], tail].concat());
+            assert_eq!(scan.defect, Some(JournalDefect::TornHeader), "{tail:?}");
+            assert_eq!((scan.records.len(), scan.valid_len), (1, good.len()));
+        }
+        for tail in [&b"X"[..], b"LVX", b"LVJ3", b"LVJ3\x00\x00\x00\x00\x00"] {
+            let scan = scan_journal(&[&good[..], tail].concat());
+            assert_eq!(scan.defect, Some(JournalDefect::BadMagic), "{tail:?}");
+        }
+    }
+
+    /// The payload offset of the first row-count field of a rows op keyed
+    /// by [`key`]: epoch, tag, then the three length-prefixed strings.
+    fn rows_offset() -> usize {
+        let k = key();
+        8 + 1 + 12 + k.tenant.len() + k.model.len() + k.version.len()
+    }
+
+    /// Scans `payload` inside a correctly checksummed v2 frame: whatever
+    /// the bytes, the decoder either yields the one record or reports
+    /// the payload malformed.
+    fn scan_payload(payload: &[u8]) -> Option<JournalDefect> {
+        let scan = scan_journal(&frame(RECORD_MAGIC, payload));
+        match &scan.defect {
+            None => assert_eq!(scan.records.len(), 1),
+            Some(defect) => {
+                assert_eq!(*defect, JournalDefect::Malformed);
+                assert_eq!((scan.records.len(), scan.valid_len), (0, 0));
+            }
+        }
+        scan.defect
+    }
+
+    #[test]
+    fn adversarial_v2_payloads_yield_typed_defects_without_panicking() {
+        let payloads: Vec<Vec<u8>> = sample_ops()
+            .iter()
+            .map(|op| encode_record(7, op).unwrap()[RECORD_HEADER_LEN..].to_vec())
+            .collect();
+        let mut rng = 0x5EED_u64;
+        for payload in &payloads {
+            // Seeded bit flips: a flipped float bit still decodes; anything
+            // else may be malformed, but nothing panics.
+            for _ in 0..64 {
+                rng = mix64(rng);
+                let bit = (rng % (payload.len() as u64 * 8)) as usize;
+                let mut damaged = payload.clone();
+                damaged[bit / 8] ^= 1 << (bit % 8);
+                scan_payload(&damaged);
+            }
+            // Truncation at every offset, re-checksummed: always malformed.
+            for cut in 0..payload.len() {
+                assert_eq!(
+                    scan_payload(&payload[..cut]),
+                    Some(JournalDefect::Malformed),
+                    "cut at {cut}"
+                );
+            }
+            // Truncation of the frame itself at every offset: torn.
+            let whole = frame(RECORD_MAGIC, payload);
+            for cut in 1..whole.len() {
+                let defect = scan_journal(&whole[..cut]).defect;
+                let expected = if cut < RECORD_HEADER_LEN {
+                    JournalDefect::TornHeader
+                } else {
+                    JournalDefect::TornPayload
+                };
+                assert_eq!(defect, Some(expected), "frame cut at {cut}");
+            }
+            // Trailing bytes.
+            let mut trailing = payload.clone();
+            trailing.push(0);
+            assert_eq!(scan_payload(&trailing), Some(JournalDefect::Malformed));
+            // Unknown tags.
+            for tag in [8u8, 0x7F, u8::MAX] {
+                let mut unknown = payload.clone();
+                unknown[8] = tag;
+                assert_eq!(scan_payload(&unknown), Some(JournalDefect::Malformed));
+            }
+            // Every string length of the key set to u32::MAX.
+            let mut at = 9;
+            for part in [key().tenant, key().model, key().version] {
+                let mut huge = payload.clone();
+                let declared = u32::from_le_bytes(huge[at..at + 4].try_into().unwrap());
+                if declared as usize != part.len() {
+                    break; // the odd key; its offsets differ
+                }
+                huge[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+                assert_eq!(scan_payload(&huge), Some(JournalDefect::Malformed));
+                at += 4 + part.len();
+            }
+        }
+
+        // Row and column counts set to u32::MAX, alone and together, and a
+        // non-empty zero-width block.
+        let chunk = &payloads[6];
+        let at = rows_offset();
+        for (n_rows, n_cols) in [
+            (u32::MAX, 2),
+            (2, u32::MAX),
+            (u32::MAX, u32::MAX),
+            (u32::MAX, 0),
+            (3, 0),
+            (3, 2),
+        ] {
+            let mut huge = chunk.clone();
+            huge[at..at + 4].copy_from_slice(&n_rows.to_le_bytes());
+            huge[at + 4..at + 8].copy_from_slice(&n_cols.to_le_bytes());
+            assert_eq!(
+                scan_payload(&huge),
+                Some(JournalDefect::Malformed),
+                "{n_rows} x {n_cols}"
+            );
+        }
+
+        // Invalid UTF-8 in a key string and in a reason.
+        let mut bad = payloads[0].clone();
+        bad[13] = 0xFF;
+        assert_eq!(scan_payload(&bad), Some(JournalDefect::Malformed));
+        let abandon = &payloads[4];
+        let mut bad = abandon.clone();
+        let last = bad.len() - 1;
+        bad[last] = 0xC3;
+        assert_eq!(scan_payload(&bad), Some(JournalDefect::Malformed));
+
+        // A register whose artifact JSON does not parse.
+        let mut register = payloads[3].clone();
+        register[8] = 0;
+        register.extend_from_slice(&2u32.to_le_bytes());
+        register.extend_from_slice(b"{}");
+        assert_eq!(scan_payload(&register), Some(JournalDefect::Malformed));
     }
 
     #[test]
@@ -860,11 +1295,7 @@ mod tests {
         let mut fault = FaultFile::new(sink, plan);
         let mut flipped_any = false;
         for i in 0..8 {
-            let frame = encode_record(&JournalRecord {
-                epoch: 0,
-                op: estimate_op(i as f64),
-            })
-            .unwrap();
+            let frame = encode_record(0, &estimate_op(i as f64)).unwrap();
             fault.append(&frame).unwrap();
         }
         let (_, flips) = fault.injected();
