@@ -7,7 +7,7 @@
 //! types (typos, smearing, flipped signs). Pass `--known` for the §6.2.1
 //! variant where serving uses the same (known) mixture family.
 //!
-//! `cargo run --release -p lvp-bench --bin fig5 [-- --scale small] [--known]`
+//! `cargo run --release -p lvp-bench --bin fig5 [-- [--scale small] [--known]]`
 
 use lvp_bench::validation::{validation_f1, THRESHOLDS};
 use lvp_bench::{prepare_split, train_for, write_results, ExperimentEnv, ResultRow};
@@ -16,8 +16,8 @@ use lvp_datasets::DatasetKind;
 use lvp_models::ModelKind;
 
 fn main() {
-    let known_mode = std::env::args().any(|a| a == "--known");
-    let env = ExperimentEnv::from_args();
+    let (env, switches) = ExperimentEnv::from_args_with(&["--known"]);
+    let known_mode = !switches.is_empty();
     let mut rows = Vec::new();
     let serve_family = if known_mode { "known" } else { "unknown" };
     println!("# serving-error family: {serve_family}");

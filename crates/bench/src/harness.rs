@@ -28,37 +28,52 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parses `--scale <value>` from command-line arguments; defaults to
-    /// [`Scale::Small`]. Also accepts a `--seed <u64>` override, returned
-    /// as the second element.
-    pub fn from_args() -> (Scale, u64) {
-        let args: Vec<String> = std::env::args().collect();
+    /// Parses a figure binary's command line (without the program name):
+    /// `--scale <smoke|small|paper>` (default small), `--seed <u64>`
+    /// (default 42) and any of `switches`, the value-less flags the binary
+    /// accepts. Returns the scale, the seed and the switches given. An
+    /// unknown flag, a missing value or a malformed one is an error that
+    /// names the flag.
+    pub fn parse_args(
+        args: &[String],
+        switches: &[&str],
+    ) -> Result<(Scale, u64, Vec<String>), String> {
         let mut scale = Scale::Small;
-        let mut seed = 42u64;
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--scale" if i + 1 < args.len() => {
-                    scale = match args[i + 1].as_str() {
+        let mut seed = 42;
+        let mut given = Vec::new();
+        let mut args = args.iter();
+        while let Some(flag) = args.next() {
+            let flag = flag.as_str();
+            let mut value = || {
+                args.next()
+                    .map(String::as_str)
+                    .filter(|v| !v.starts_with("--"))
+                    .ok_or_else(|| format!("{flag} needs a value"))
+            };
+            match flag {
+                "--scale" => {
+                    scale = match value()? {
                         "smoke" => Scale::Smoke,
                         "small" => Scale::Small,
                         "paper" => Scale::Paper,
                         other => {
-                            eprintln!("unknown scale '{other}', using small");
-                            Scale::Small
+                            return Err(format!(
+                                "--scale: unknown scale '{other}' (expected smoke|small|paper)"
+                            ))
                         }
-                    };
-                    i += 1;
+                    }
                 }
-                "--seed" if i + 1 < args.len() => {
-                    seed = args[i + 1].parse().unwrap_or(42);
-                    i += 1;
+                "--seed" => {
+                    let v = value()?;
+                    seed = v
+                        .parse()
+                        .map_err(|_| format!("--seed: '{v}' is not an unsigned integer"))?;
                 }
-                _ => {}
+                s if switches.contains(&s) => given.push(s.to_string()),
+                other => return Err(format!("unknown flag '{other}'")),
             }
-            i += 1;
         }
-        (scale, seed)
+        Ok((scale, seed, given))
     }
 
     /// Number of records drawn for a dataset at this scale.
@@ -220,9 +235,25 @@ pub struct ExperimentEnv {
 impl ExperimentEnv {
     /// Reads scale and seed from the command line.
     pub fn from_args() -> Self {
-        let (scale, seed) = Scale::from_args();
+        Self::from_args_with(&[]).0
+    }
+
+    /// [`Self::from_args`] for a binary that also accepts the value-less
+    /// `switches`; returns the ones given. A bad command line (see
+    /// [`Scale::parse_args`]) prints the usage and exits non-zero.
+    pub fn from_args_with(switches: &[&str]) -> (Self, Vec<String>) {
+        let mut argv = std::env::args();
+        let program = argv.next().unwrap_or_default();
+        let argv: Vec<String> = argv.collect();
+        let (scale, seed, given) = Scale::parse_args(&argv, switches).unwrap_or_else(|message| {
+            let extra: String = switches.iter().map(|s| format!(" [{s}]")).collect();
+            eprintln!(
+                "error: {message}\n\nUSAGE: {program} [--scale smoke|small|paper] [--seed <u64>]{extra}"
+            );
+            std::process::exit(1);
+        });
         println!("# scale: {}, seed: {}", scale.name(), seed);
-        Self { scale, seed }
+        (Self { scale, seed }, given)
     }
 
     /// A deterministic RNG derived from the master seed and a label.
@@ -257,6 +288,35 @@ mod tests {
         assert!(split.train.n_rows() > 0);
         assert!(split.test.n_rows() > 0);
         assert!(split.serving.n_rows() > 0);
+    }
+
+    #[test]
+    fn figure_arguments_parse_or_name_the_bad_flag() {
+        let parse = |args: &[&str], switches: &[&str]| {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            Scale::parse_args(&args, switches)
+        };
+        assert_eq!(parse(&[], &[]), Ok((Scale::Small, 42, vec![])));
+        assert_eq!(
+            parse(
+                &["--scale", "smoke", "--seed", "7", "--known"],
+                &["--known"]
+            ),
+            Ok((Scale::Smoke, 7, vec!["--known".to_string()]))
+        );
+        for (args, flag) in [
+            (&["--seed", "x"][..], "--seed"),
+            (&["--seed", "-1"], "--seed"),
+            (&["--seed"], "--seed"),
+            (&["--scale", "huge"], "--scale"),
+            (&["--scale", "--seed", "1"], "--scale"),
+            (&["--known"], "--known"),
+            (&["--threads", "4"], "--threads"),
+            (&["smoke"], "smoke"),
+        ] {
+            let err = parse(args, &[]).unwrap_err();
+            assert!(err.contains(flag), "{args:?}: {err}");
+        }
     }
 
     #[test]

@@ -65,18 +65,13 @@ impl Metric {
     /// degenerate single-column or multiclass matrix is rejected rather
     /// than silently ranking an arbitrary column.
     pub fn score(self, proba: &DenseMatrix, labels: &[u32]) -> Result<f64, CoreError> {
+        self.validate_n_classes(proba.cols())?;
         match self {
             Metric::Accuracy => {
                 let truth: Vec<usize> = labels.iter().map(|&l| l as usize).collect();
                 Ok(lvp_stats::accuracy(&proba.argmax_rows(), &truth))
             }
             Metric::Auc => {
-                if proba.cols() != 2 {
-                    return Err(CoreError::new(format!(
-                        "AUC requires a binary model with 2 probability columns, got {}",
-                        proba.cols()
-                    )));
-                }
                 let scores = proba.column(1);
                 let truth: Vec<bool> = labels.iter().map(|&l| l == 1).collect();
                 Ok(lvp_stats::auc_binary(&scores, &truth))

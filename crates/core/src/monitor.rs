@@ -233,8 +233,9 @@ struct MonitorMetrics {
     sketch_merges: Counter,
     /// `monitor.window_sketch_bytes` — footprint of the open window sketch.
     window_bytes: Gauge,
-    /// `monitor.chunk_latency` — wall-clock time per observed chunk
-    /// (volatile: excluded from deterministic snapshot views).
+    /// `monitor.chunk_latency` — wall-clock time per observed chunk.
+    /// Deterministic snapshot views keep its call count and zero its
+    /// wall-clock fields, as for every non-volatile histogram.
     chunk_latency: Histogram,
 }
 

@@ -20,6 +20,10 @@
 //!   the smaller child's histogram is accumulated from rows; the sibling's
 //!   is derived by subtracting it from the parent's (the subtract trick).
 //!
+//! Both grow the tree with one recursion; they differ only in how a node's
+//! best split is found and in the predicate that partitions its rows (raw
+//! value against the threshold, or bin index against the boundary bin).
+//!
 //! Missing values (NaN) follow one deterministic rule everywhere: they sort
 //! after every finite value during split finding, and they route **right**
 //! both when partitioning training rows and at prediction time (`v <=
@@ -196,6 +200,16 @@ impl BinnedColumns {
     pub fn n_cols(&self) -> usize {
         self.feats.len()
     }
+
+    /// Whether a node of `n_rows` rows splitting over `n_features` sampled
+    /// features should use a flat histogram: once the accumulation work
+    /// over its rows dwarfs the O(`total_bins`) zeroing and subtraction the
+    /// flat path adds per node. `n_features` is constant across a tree's
+    /// nodes, so the rule is monotone down the tree: a child never
+    /// re-enters the flat path after its parent leaves it.
+    fn flat_pays(&self, n_rows: usize, n_features: usize) -> bool {
+        n_rows * n_features >= 2 * self.total_bins
+    }
 }
 
 /// Picks strictly increasing cut thresholds for one sorted (NaN-free)
@@ -287,6 +301,13 @@ impl TrainingColumns {
             Self::Binned(b) => b.n_rows(),
         }
     }
+
+    fn n_cols(&self) -> usize {
+        match self {
+            Self::Exact(c) => c.n_cols(),
+            Self::Binned(b) => b.n_cols(),
+        }
+    }
 }
 
 /// Hyperparameters for a single regression tree.
@@ -347,10 +368,11 @@ struct BinStat {
 /// has at least this many times fewer rows than the feature has bins.
 const SPARSE_NODE_FACTOR: usize = 4;
 
-/// Reusable buffers for [`RegressionTree::find_best_split_binned_direct`],
-/// allocated once per tree instead of once per node.
+/// Buffers the split finders reuse from node to node of one tree.
 #[derive(Default)]
 struct SplitScratch {
+    /// The node's rows in the exact finder's per-feature sort order.
+    order: Vec<usize>,
     /// Dense per-feature histogram, `n_bins` slots.
     dense: Vec<BinStat>,
     /// `(bin, row)` pairs for the sparse tier.
@@ -390,395 +412,131 @@ fn subtract_histogram(parent: &mut [BinStat], child: &[BinStat]) {
     }
 }
 
-/// Winning histogram split: the boundary sits after `bin`, i.e. rows with
-/// `bin_index <= bin` go left.
+/// A node's winning split. Prediction sends `value <= threshold` left.
+/// Training partitions the node's rows by that rule on raw values (exact)
+/// or by `bin index <= bin` (histogram), which the binning invariant makes
+/// agree on finite values.
 #[derive(Debug, Clone)]
-struct BinnedSplit {
+struct Split {
     feature: usize,
-    bin: usize,
     threshold: f64,
+    /// Last bin on the left of a histogram split; unused by exact splits.
+    bin: usize,
     gain: f64,
 }
 
-impl RegressionTree {
-    /// Fits a tree to per-example gradients and hessians over the rows in
-    /// `rows`. The returned tree predicts the Newton step `-G/(H+λ)` in each
-    /// leaf.
-    ///
-    /// Dispatches on the variant of `columns` — build it with the desired
-    /// [`SplitMethod`] via [`TrainingColumns::from_csr`] /
-    /// [`TrainingColumns::from_dense`].
-    pub fn fit(
-        columns: &TrainingColumns,
-        grad: &[f64],
-        hess: &[f64],
-        rows: &[usize],
-        params: &TreeParams,
-        rng: &mut impl Rng,
-    ) -> Self {
-        match columns {
-            TrainingColumns::Exact(c) => Self::fit_exact(c, grad, hess, rows, params, rng),
-            TrainingColumns::Binned(b) => Self::fit_binned(b, grad, hess, rows, params, rng),
-        }
-    }
+/// One node's split search. The finders offer candidate boundaries in
+/// feature order, then in scan order; only a strictly larger Newton gain
+/// replaces the incumbent, so ties go to the earliest boundary.
+struct SplitSearch<'p> {
+    params: &'p TreeParams,
+    n_rows: usize,
+    g_total: f64,
+    h_total: f64,
+    /// The unsplit node's score `G²/(H+λ)`.
+    base_score: f64,
+    best: Option<Split>,
+}
 
-    /// Fits with exact split enumeration over raw column values.
-    pub fn fit_exact(
-        columns: &DenseColumns,
-        grad: &[f64],
-        hess: &[f64],
-        rows: &[usize],
-        params: &TreeParams,
-        rng: &mut impl Rng,
-    ) -> Self {
-        assert_eq!(grad.len(), columns.n_rows());
-        assert_eq!(hess.len(), columns.n_rows());
-        let mut tree = Self { nodes: Vec::new() };
-        let mut rows = rows.to_vec();
-        tree.build(columns, grad, hess, &mut rows, 0, params, rng);
-        tree
-    }
-
-    /// Fits with histogram split finding over pre-binned columns.
-    pub fn fit_binned(
-        binned: &BinnedColumns,
-        grad: &[f64],
-        hess: &[f64],
-        rows: &[usize],
-        params: &TreeParams,
-        rng: &mut impl Rng,
-    ) -> Self {
-        assert_eq!(grad.len(), binned.n_rows());
-        assert_eq!(hess.len(), binned.n_rows());
-        let mut tree = Self { nodes: Vec::new() };
-        let mut rows = rows.to_vec();
-        let mut scratch = SplitScratch::default();
-        tree.build_binned(
-            binned,
-            grad,
-            hess,
-            &mut rows,
-            0,
+impl<'p> SplitSearch<'p> {
+    fn new(params: &'p TreeParams, n_rows: usize, g_total: f64, h_total: f64) -> Self {
+        Self {
             params,
-            rng,
-            None,
-            &mut scratch,
-        );
-        tree
+            n_rows,
+            g_total,
+            h_total,
+            base_score: g_total * g_total / (h_total + params.lambda),
+            best: None,
+        }
     }
 
-    fn leaf_value(grad_sum: f64, hess_sum: f64, lambda: f64) -> f64 {
-        -grad_sum / (hess_sum + lambda)
+    /// Whether `n_left` rows on the left leave both children at least
+    /// `min_samples_leaf` rows.
+    fn sizes_ok(&self, n_left: usize) -> bool {
+        let min = self.params.min_samples_leaf;
+        n_left >= min && self.n_rows - n_left >= min
     }
 
-    /// Recursively grows the tree; returns the created node's index.
-    #[allow(clippy::too_many_arguments)]
-    fn build(
+    /// Offers the boundary whose left side sums to `g_left`, `h_left`.
+    fn offer(&mut self, feature: usize, threshold: f64, bin: usize, g_left: f64, h_left: f64) {
+        let lambda = self.params.lambda;
+        let g_right = self.g_total - g_left;
+        let h_right = self.h_total - h_left;
+        let gain = 0.5
+            * (g_left * g_left / (h_left + lambda) + g_right * g_right / (h_right + lambda)
+                - self.base_score);
+        if gain > self.params.min_gain && self.best.as_ref().is_none_or(|b| gain > b.gain) {
+            self.best = Some(Split {
+                feature,
+                threshold,
+                bin,
+                gain,
+            });
+        }
+    }
+
+    /// Exact scan of feature `f`: `order` holds the node's rows sorted by
+    /// the feature with NaN last, and every boundary between adjacent
+    /// distinct values is a candidate.
+    fn scan_sorted(
         &mut self,
         columns: &DenseColumns,
+        f: usize,
+        order: &[usize],
         grad: &[f64],
         hess: &[f64],
-        rows: &mut [usize],
-        depth: usize,
-        params: &TreeParams,
-        rng: &mut impl Rng,
-    ) -> usize {
-        let g_total: f64 = rows.iter().map(|&r| grad[r]).sum();
-        let h_total: f64 = rows.iter().map(|&r| hess[r]).sum();
-
-        let make_leaf = |nodes: &mut Vec<Node>| {
-            nodes.push(Node::Leaf {
-                value: Self::leaf_value(g_total, h_total, params.lambda),
-            });
-            nodes.len() - 1
-        };
-
-        if depth >= params.max_depth || rows.len() < 2 * params.min_samples_leaf {
-            return make_leaf(&mut self.nodes);
-        }
-
-        let Some(split) = Self::find_best_split(columns, grad, hess, rows, params, rng) else {
-            return make_leaf(&mut self.nodes);
-        };
-
-        // Partition rows in place around the winning split. NaN values
-        // fail `value <= threshold` and therefore go right, matching
-        // their position at the end of the split scan's sort order.
-        let mid = partition_rows(columns, rows, split.feature, split.threshold);
-        if mid == 0 || mid == rows.len() {
-            // Cannot happen for thresholds validated by find_best_split,
-            // but guard against pathological float behaviour.
-            return make_leaf(&mut self.nodes);
-        }
-
-        let node_idx = self.nodes.len();
-        self.nodes.push(Node::Leaf { value: 0.0 }); // placeholder, patched below
-        let (left_rows, right_rows) = rows.split_at_mut(mid);
-        let left = self.build(columns, grad, hess, left_rows, depth + 1, params, rng);
-        let right = self.build(columns, grad, hess, right_rows, depth + 1, params, rng);
-        self.nodes[node_idx] = Node::Split {
-            feature: split.feature,
-            threshold: split.threshold,
-            left,
-            right,
-        };
-        node_idx
-    }
-
-    /// Recursively grows a histogram-trained tree.
-    ///
-    /// `hist` is this node's own flat (all features × all bins) histogram
-    /// when the parent derived one via the subtract trick, or `None` when
-    /// the node should accumulate its own statistics. Nodes large enough to
-    /// amortize the O(`total_bins`) allocation and subtraction use the flat
-    /// histogram; small nodes accumulate only the sampled features into
-    /// `scratch`, skipping the flat path entirely (deep trees — e.g. the
-    /// random forest's depth-12 defaults — spend most nodes down there).
-    #[allow(clippy::too_many_arguments)]
-    fn build_binned(
-        &mut self,
-        binned: &BinnedColumns,
-        grad: &[f64],
-        hess: &[f64],
-        rows: &mut [usize],
-        depth: usize,
-        params: &TreeParams,
-        rng: &mut impl Rng,
-        hist: Option<Vec<BinStat>>,
-        scratch: &mut SplitScratch,
-    ) -> usize {
-        let g_total: f64 = rows.iter().map(|&r| grad[r]).sum();
-        let h_total: f64 = rows.iter().map(|&r| hess[r]).sum();
-
-        let make_leaf = |nodes: &mut Vec<Node>| {
-            nodes.push(Node::Leaf {
-                value: Self::leaf_value(g_total, h_total, params.lambda),
-            });
-            nodes.len() - 1
-        };
-
-        if depth >= params.max_depth || rows.len() < 2 * params.min_samples_leaf {
-            return make_leaf(&mut self.nodes);
-        }
-
-        let features = Self::sample_features(binned.n_cols(), params.colsample, rng);
-        // The flat histogram pays off once the accumulation work over the
-        // node's rows dwarfs the O(total_bins) zeroing + subtraction that
-        // the flat path adds per node. `features.len()` is constant across
-        // nodes (colsample is fixed), so this rule is monotone down the
-        // tree: a child never re-enters the flat path after its parent
-        // leaves it.
-        let flat_pays = |n_rows: usize| n_rows * features.len() >= 2 * binned.total_bins;
-
-        let hist = match hist {
-            Some(h) => Some(h),
-            None if flat_pays(rows.len()) => Some(accumulate_histogram(binned, grad, hess, rows)),
-            None => None,
-        };
-        let split = match &hist {
-            Some(h) => Self::find_best_split_binned(
-                binned,
-                h,
-                &features,
-                rows.len(),
-                g_total,
-                h_total,
-                params,
-            ),
-            None => Self::find_best_split_binned_direct(
-                binned, grad, hess, rows, &features, g_total, h_total, params, scratch,
-            ),
-        };
-        let Some(split) = split else {
-            return make_leaf(&mut self.nodes);
-        };
-
-        let feat = &binned.feats[split.feature];
-        let mid = partition_rows_binned(feat, rows, split.bin);
-        if mid == 0 || mid == rows.len() {
-            // The histogram guarantees both sides are populated; guard
-            // against pathological float behaviour anyway.
-            return make_leaf(&mut self.nodes);
-        }
-
-        let node_idx = self.nodes.len();
-        self.nodes.push(Node::Leaf { value: 0.0 }); // placeholder, patched below
-        let (left_rows, right_rows) = rows.split_at_mut(mid);
-
-        // Subtract trick: accumulate only the smaller child's histogram
-        // from rows; the larger child's follows from the parent's. Worth
-        // the O(total_bins) subtraction only while the larger child will
-        // itself stay on the flat path.
-        let larger = left_rows.len().max(right_rows.len());
-        let (left_hist, right_hist) = match hist {
-            Some(h) if flat_pays(larger) => {
-                let (small_rows, small_is_left) = if left_rows.len() <= right_rows.len() {
-                    (&*left_rows, true)
-                } else {
-                    (&*right_rows, false)
-                };
-                let small_hist = accumulate_histogram(binned, grad, hess, small_rows);
-                let mut large_hist = h;
-                subtract_histogram(&mut large_hist, &small_hist);
-                if small_is_left {
-                    (Some(small_hist), Some(large_hist))
-                } else {
-                    (Some(large_hist), Some(small_hist))
-                }
+    ) {
+        let mut g_left = 0.0;
+        let mut h_left = 0.0;
+        for i in 0..order.len() - 1 {
+            let r = order[i];
+            g_left += grad[r];
+            h_left += hess[r];
+            let v = columns.value(r, f);
+            if v.is_nan() {
+                // NaNs sort last: only missing values remain, and no
+                // boundary can separate missing from missing.
+                break;
             }
-            _ => (None, None),
-        };
-
-        let left = self.build_binned(
-            binned,
-            grad,
-            hess,
-            left_rows,
-            depth + 1,
-            params,
-            rng,
-            left_hist,
-            scratch,
-        );
-        let right = self.build_binned(
-            binned,
-            grad,
-            hess,
-            right_rows,
-            depth + 1,
-            params,
-            rng,
-            right_hist,
-            scratch,
-        );
-        self.nodes[node_idx] = Node::Split {
-            feature: split.feature,
-            threshold: split.threshold,
-            left,
-            right,
-        };
-        node_idx
-    }
-
-    /// Samples the feature subset considered for one split.
-    fn sample_features(n_features: usize, colsample: f64, rng: &mut impl Rng) -> Vec<usize> {
-        let mut features: Vec<usize> = (0..n_features).collect();
-        if colsample < 1.0 {
-            features.shuffle(rng);
-            let keep = ((n_features as f64 * colsample).ceil() as usize).max(1);
-            features.truncate(keep);
-        }
-        features
-    }
-
-    fn find_best_split(
-        columns: &DenseColumns,
-        grad: &[f64],
-        hess: &[f64],
-        rows: &[usize],
-        params: &TreeParams,
-        rng: &mut impl Rng,
-    ) -> Option<SplitCandidate> {
-        let features = Self::sample_features(columns.n_cols(), params.colsample, rng);
-
-        let g_total: f64 = rows.iter().map(|&r| grad[r]).sum();
-        let h_total: f64 = rows.iter().map(|&r| hess[r]).sum();
-        let lambda = params.lambda;
-        let base_score = g_total * g_total / (h_total + lambda);
-
-        let mut best: Option<SplitCandidate> = None;
-        let mut order: Vec<usize> = Vec::with_capacity(rows.len());
-        for &f in &features {
-            order.clear();
-            order.extend_from_slice(rows);
-            // Total order with NaN last: missing values form the final
-            // run, so the prefix-sum scan evaluates exactly the "finite
-            // left, missing right" partitions that `partition_rows` can
-            // realize (NaN fails `v <= threshold` and goes right).
-            order.sort_unstable_by(|&a, &b| {
-                let (va, vb) = (columns.value(a, f), columns.value(b, f));
-                match (va.is_nan(), vb.is_nan()) {
-                    (false, false) => va.partial_cmp(&vb).expect("non-NaN values compare"),
-                    (true, true) => std::cmp::Ordering::Equal,
-                    (true, false) => std::cmp::Ordering::Greater,
-                    (false, true) => std::cmp::Ordering::Less,
-                }
-            });
-            let mut g_left = 0.0;
-            let mut h_left = 0.0;
-            for i in 0..order.len() - 1 {
-                let r = order[i];
-                g_left += grad[r];
-                h_left += hess[r];
-                let v = columns.value(r, f);
-                if v.is_nan() {
-                    // NaNs sort last: only missing values remain, and no
-                    // boundary can separate missing from missing.
-                    break;
-                }
-                let v_next = columns.value(order[i + 1], f);
-                if v == v_next {
-                    continue; // cannot split between equal values
-                }
-                let n_left = i + 1;
-                let n_right = order.len() - n_left;
-                if n_left < params.min_samples_leaf || n_right < params.min_samples_leaf {
+            let v_next = columns.value(order[i + 1], f);
+            if v == v_next {
+                continue; // cannot split between equal values
+            }
+            if !self.sizes_ok(i + 1) {
+                continue;
+            }
+            let threshold = if v_next.is_nan() {
+                // Boundary between the largest finite value and the
+                // missing run: `v` itself routes every finite value
+                // left and every NaN right.
+                v
+            } else {
+                // The midpoint of two adjacent floats can round up to
+                // `v_next`, in which case `value <= threshold` fails to
+                // separate them; require a strictly separating
+                // threshold.
+                let t = 0.5 * (v + v_next);
+                if !t.is_finite() || t < v || t >= v_next {
                     continue;
                 }
-                let threshold = if v_next.is_nan() {
-                    // Boundary between the largest finite value and the
-                    // missing run: `v` itself routes every finite value
-                    // left and every NaN right.
-                    v
-                } else {
-                    // The midpoint of two adjacent floats can round up to
-                    // `v_next`, in which case `value <= threshold` fails to
-                    // separate them; require a strictly separating
-                    // threshold.
-                    let t = 0.5 * (v + v_next);
-                    if !t.is_finite() || t < v || t >= v_next {
-                        continue;
-                    }
-                    t
-                };
-                let g_right = g_total - g_left;
-                let h_right = h_total - h_left;
-                let gain = 0.5
-                    * (g_left * g_left / (h_left + lambda)
-                        + g_right * g_right / (h_right + lambda)
-                        - base_score);
-                if gain > params.min_gain && best.as_ref().is_none_or(|b| gain > b.gain) {
-                    best = Some(SplitCandidate {
-                        feature: f,
-                        threshold,
-                        gain,
-                    });
-                }
-            }
+                t
+            };
+            self.offer(f, threshold, 0, g_left, h_left);
         }
-        best
     }
 
-    /// Scans one feature's bin boundaries, replacing `best` with any
-    /// improving split. `bins` yields `(bin_index, stat)` pairs in
-    /// ascending bin order (empty bins may be present or omitted — both
-    /// describe the same partitions). The prefix over bins replaces the
-    /// exact finder's prefix over sorted rows; the boundary after the last
-    /// finite bin (threshold `f64::MAX`, or the last cut when the upper
-    /// bins are empty) is the "finite left, missing right" split.
-    #[allow(clippy::too_many_arguments)]
-    fn scan_feature_bins(
+    /// Histogram scan of feature `f`'s bin boundaries. `bins` yields
+    /// `(bin_index, stat)` pairs in ascending bin order (empty bins may be
+    /// present or omitted — both describe the same partitions). The
+    /// boundary after the last finite bin (threshold `f64::MAX`, or the
+    /// last cut when the upper bins are empty) is the "finite left,
+    /// missing right" split.
+    fn scan_bins(
+        &mut self,
         feat: &BinnedFeature,
         f: usize,
         bins: impl Iterator<Item = (usize, BinStat)>,
-        n_rows: usize,
-        g_total: f64,
-        h_total: f64,
-        params: &TreeParams,
-        best: &mut Option<BinnedSplit>,
     ) {
-        let lambda = params.lambda;
-        let base_score = g_total * g_total / (h_total + lambda);
         let n_finite_bins = feat.cuts.len() + 1;
         let mut g_left = 0.0;
         let mut h_left = 0.0;
@@ -793,11 +551,10 @@ impl RegressionTree {
             g_left += stat.g;
             h_left += stat.h;
             n_left += stat.n as usize;
-            let n_right = n_rows - n_left;
-            if n_right == 0 {
+            if n_left == self.n_rows {
                 break; // nothing left to send right (not even missing)
             }
-            if n_left < params.min_samples_leaf || n_right < params.min_samples_leaf {
+            if !self.sizes_ok(n_left) {
                 continue;
             }
             let threshold = if bin < feat.cuts.len() {
@@ -807,136 +564,267 @@ impl RegressionTree {
                 // to the right of this boundary.
                 f64::MAX
             };
-            let g_right = g_total - g_left;
-            let h_right = h_total - h_left;
-            let gain = 0.5
-                * (g_left * g_left / (h_left + lambda) + g_right * g_right / (h_right + lambda)
-                    - base_score);
-            if gain > params.min_gain && best.as_ref().is_none_or(|b| gain > b.gain) {
-                *best = Some(BinnedSplit {
-                    feature: f,
-                    bin,
-                    threshold,
-                    gain,
-                });
+            self.offer(f, threshold, bin, g_left, h_left);
+        }
+    }
+}
+
+/// The state of one tree fit: the training data, the node list grown so
+/// far and the buffers its split finders reuse.
+struct Grower<'a, R> {
+    columns: &'a TrainingColumns,
+    grad: &'a [f64],
+    hess: &'a [f64],
+    params: &'a TreeParams,
+    rng: &'a mut R,
+    scratch: SplitScratch,
+    nodes: Vec<Node>,
+}
+
+impl<R: Rng> Grower<'_, R> {
+    fn push(&mut self, node: Node) -> usize {
+        self.nodes.push(node);
+        self.nodes.len() - 1
+    }
+
+    /// Grows the subtree over `rows` (reordered in place) and returns its
+    /// root's index. A split node's index is taken before its children's.
+    ///
+    /// `hist` is the node's flat (all features × all bins) histogram when
+    /// its parent derived one by the subtract trick. Histogram nodes large
+    /// enough to amortize the O(`total_bins`) allocation and subtraction
+    /// use a flat histogram; smaller ones accumulate only the sampled
+    /// features (deep trees — e.g. the random forest's depth-12 defaults —
+    /// spend most nodes down there).
+    fn grow(&mut self, rows: &mut [usize], depth: usize, hist: Option<Vec<BinStat>>) -> usize {
+        let g_total: f64 = rows.iter().map(|&r| self.grad[r]).sum();
+        let h_total: f64 = rows.iter().map(|&r| self.hess[r]).sum();
+        let leaf = Node::Leaf {
+            value: -g_total / (h_total + self.params.lambda),
+        };
+        if depth >= self.params.max_depth || rows.len() < 2 * self.params.min_samples_leaf {
+            return self.push(leaf);
+        }
+
+        let features = sample_features(self.columns.n_cols(), self.params.colsample, self.rng);
+        let hist = match (self.columns, hist) {
+            (TrainingColumns::Binned(binned), None)
+                if binned.flat_pays(rows.len(), features.len()) =>
+            {
+                Some(accumulate_histogram(binned, self.grad, self.hess, rows))
+            }
+            (_, hist) => hist,
+        };
+        let mut search = SplitSearch::new(self.params, rows.len(), g_total, h_total);
+        self.find_split(&mut search, rows, &features, hist.as_deref());
+        let Some(split) = search.best else {
+            return self.push(leaf);
+        };
+
+        // NaN fails `value <= threshold` and sits in the largest bin, so
+        // missing values go right under both predicates.
+        let mid = match self.columns {
+            TrainingColumns::Exact(columns) => {
+                partition(rows, |r| columns.value(r, split.feature) <= split.threshold)
+            }
+            TrainingColumns::Binned(binned) => {
+                let bins = &binned.feats[split.feature].bins;
+                partition(rows, |r| usize::from(bins[r]) <= split.bin)
+            }
+        };
+        if mid == 0 || mid == rows.len() {
+            // Split finding guarantees both sides are populated; guard
+            // against pathological float behaviour anyway.
+            return self.push(leaf);
+        }
+
+        let node = self.push(Node::Leaf { value: 0.0 }); // placeholder, patched below
+        let (left_rows, right_rows) = rows.split_at_mut(mid);
+        let (left_hist, right_hist) = self.child_histograms(hist, left_rows, right_rows, &features);
+        let left = self.grow(left_rows, depth + 1, left_hist);
+        let right = self.grow(right_rows, depth + 1, right_hist);
+        self.nodes[node] = Node::Split {
+            feature: split.feature,
+            threshold: split.threshold,
+            left,
+            right,
+        };
+        node
+    }
+
+    /// Offers every candidate boundary of the sampled `features` to
+    /// `search`. Exact splits sort the node's rows per feature. Histogram
+    /// splits read the flat histogram when there is one, and otherwise
+    /// accumulate each feature on its own: into a dense scratch histogram,
+    /// or — when the node has far fewer rows than the feature has bins —
+    /// by stable-sorting `(bin, row)` pairs and aggregating runs, never
+    /// touching empty bin slots. Rows are visited in the same order on
+    /// every tier, so the per-bin sums, and the chosen split, agree bitwise.
+    fn find_split(
+        &mut self,
+        search: &mut SplitSearch,
+        rows: &[usize],
+        features: &[usize],
+        hist: Option<&[BinStat]>,
+    ) {
+        let (grad, hess, scratch) = (self.grad, self.hess, &mut self.scratch);
+        match self.columns {
+            TrainingColumns::Exact(columns) => {
+                for &f in features {
+                    // Total order with NaN last: missing values form the
+                    // final run, so the scan evaluates exactly the "finite
+                    // left, missing right" partitions the row partition can
+                    // realize.
+                    scratch.order.clear();
+                    scratch.order.extend_from_slice(rows);
+                    scratch.order.sort_unstable_by(|&a, &b| {
+                        let (va, vb) = (columns.value(a, f), columns.value(b, f));
+                        match (va.is_nan(), vb.is_nan()) {
+                            (false, false) => va.partial_cmp(&vb).expect("non-NaN values compare"),
+                            (true, true) => std::cmp::Ordering::Equal,
+                            (true, false) => std::cmp::Ordering::Greater,
+                            (false, true) => std::cmp::Ordering::Less,
+                        }
+                    });
+                    search.scan_sorted(columns, f, &scratch.order, grad, hess);
+                }
+            }
+            TrainingColumns::Binned(binned) => {
+                for &f in features {
+                    let feat = &binned.feats[f];
+                    if let Some(hist) = hist {
+                        let offset = binned.offsets[f];
+                        let slots = &hist[offset..offset + feat.n_bins()];
+                        search.scan_bins(feat, f, slots.iter().copied().enumerate());
+                    } else if rows.len() * SPARSE_NODE_FACTOR < feat.n_bins() {
+                        // A stable sort keeps row order within each bin.
+                        scratch.pairs.clear();
+                        scratch
+                            .pairs
+                            .extend(rows.iter().map(|&r| (feat.bins[r], r)));
+                        scratch.pairs.sort_by_key(|&(bin, _)| bin);
+                        scratch.agg.clear();
+                        for &(bin, r) in &scratch.pairs {
+                            match scratch.agg.last_mut() {
+                                Some((b, stat)) if *b == bin as usize => {
+                                    stat.g += grad[r];
+                                    stat.h += hess[r];
+                                    stat.n += 1;
+                                }
+                                _ => scratch.agg.push((
+                                    bin as usize,
+                                    BinStat {
+                                        g: grad[r],
+                                        h: hess[r],
+                                        n: 1,
+                                    },
+                                )),
+                            }
+                        }
+                        search.scan_bins(feat, f, scratch.agg.iter().copied());
+                    } else {
+                        scratch.dense.clear();
+                        scratch.dense.resize(feat.n_bins(), BinStat::default());
+                        for &r in rows {
+                            let slot = &mut scratch.dense[feat.bins[r] as usize];
+                            slot.g += grad[r];
+                            slot.h += hess[r];
+                            slot.n += 1;
+                        }
+                        search.scan_bins(feat, f, scratch.dense.iter().copied().enumerate());
+                    }
+                }
             }
         }
     }
 
-    /// Finds the best split from a node's flat (all features) histogram.
-    #[allow(clippy::too_many_arguments)]
-    fn find_best_split_binned(
-        binned: &BinnedColumns,
-        hist: &[BinStat],
+    /// The children's flat histograms by the subtract trick: only the
+    /// smaller child's is accumulated from rows, and the larger's is the
+    /// parent's minus it. Worth the O(`total_bins`) subtraction only while
+    /// the larger child will itself stay on the flat path.
+    fn child_histograms(
+        &self,
+        hist: Option<Vec<BinStat>>,
+        left: &[usize],
+        right: &[usize],
         features: &[usize],
-        n_rows: usize,
-        g_total: f64,
-        h_total: f64,
-        params: &TreeParams,
-    ) -> Option<BinnedSplit> {
-        let mut best: Option<BinnedSplit> = None;
-        for &f in features {
-            let feat = &binned.feats[f];
-            let offset = binned.offsets[f];
-            let slots = &hist[offset..offset + feat.n_bins()];
-            Self::scan_feature_bins(
-                feat,
-                f,
-                slots.iter().copied().enumerate(),
-                n_rows,
-                g_total,
-                h_total,
-                params,
-                &mut best,
-            );
+    ) -> (Option<Vec<BinStat>>, Option<Vec<BinStat>>) {
+        let (Some(mut large), TrainingColumns::Binned(binned)) = (hist, self.columns) else {
+            return (None, None);
+        };
+        if !binned.flat_pays(left.len().max(right.len()), features.len()) {
+            return (None, None);
         }
-        best
+        let small_is_left = left.len() <= right.len();
+        let small_rows = if small_is_left { left } else { right };
+        let small = accumulate_histogram(binned, self.grad, self.hess, small_rows);
+        subtract_histogram(&mut large, &small);
+        if small_is_left {
+            (Some(small), Some(large))
+        } else {
+            (Some(large), Some(small))
+        }
     }
+}
 
-    /// Finds the best split without a flat histogram: accumulates only the
-    /// sampled features, one at a time. Per-feature sums are bitwise
-    /// identical to the flat accumulation (rows are visited in the same
-    /// order), so the chosen split matches what a freshly accumulated flat
-    /// histogram would yield — only the O(total_bins) allocation and
-    /// subtraction are avoided, which dominate on small nodes.
+/// Samples the feature subset considered for one split.
+fn sample_features(n_features: usize, colsample: f64, rng: &mut impl Rng) -> Vec<usize> {
+    let mut features: Vec<usize> = (0..n_features).collect();
+    if colsample < 1.0 {
+        features.shuffle(rng);
+        let keep = ((n_features as f64 * colsample).ceil() as usize).max(1);
+        features.truncate(keep);
+    }
+    features
+}
+
+/// Partitions `rows` so the rows for which `goes_left` holds come first;
+/// returns the boundary index.
+fn partition(rows: &mut [usize], goes_left: impl Fn(usize) -> bool) -> usize {
+    let mut i = 0usize;
+    let mut j = rows.len();
+    while i < j {
+        if goes_left(rows[i]) {
+            i += 1;
+        } else {
+            j -= 1;
+            rows.swap(i, j);
+        }
+    }
+    i
+}
+
+impl RegressionTree {
+    /// Fits a tree to per-example gradients and hessians over the rows in
+    /// `rows`. The returned tree predicts the Newton step `-G/(H+λ)` in each
+    /// leaf.
     ///
-    /// Two tiers per feature: a dense per-feature scratch histogram, or —
-    /// when the node has far fewer rows than the feature has bins — a
-    /// sparse pass that stable-sorts `(bin, row)` pairs and aggregates
-    /// runs, never touching empty bin slots at all.
-    #[allow(clippy::too_many_arguments)]
-    fn find_best_split_binned_direct(
-        binned: &BinnedColumns,
+    /// The variant of `columns` picks the split method — build it with the
+    /// desired [`SplitMethod`] via [`TrainingColumns::from_csr`] /
+    /// [`TrainingColumns::from_dense`].
+    pub fn fit(
+        columns: &TrainingColumns,
         grad: &[f64],
         hess: &[f64],
         rows: &[usize],
-        features: &[usize],
-        g_total: f64,
-        h_total: f64,
         params: &TreeParams,
-        scratch: &mut SplitScratch,
-    ) -> Option<BinnedSplit> {
-        let mut best: Option<BinnedSplit> = None;
-        for &f in features {
-            let feat = &binned.feats[f];
-            if rows.len() * SPARSE_NODE_FACTOR < feat.n_bins() {
-                // Stable sort keeps row order within each bin, so the
-                // per-bin sums match the dense accumulation bitwise.
-                scratch.pairs.clear();
-                scratch
-                    .pairs
-                    .extend(rows.iter().map(|&r| (feat.bins[r], r)));
-                scratch.pairs.sort_by_key(|&(bin, _)| bin);
-                scratch.agg.clear();
-                for &(bin, r) in &scratch.pairs {
-                    match scratch.agg.last_mut() {
-                        Some((b, stat)) if *b == bin as usize => {
-                            stat.g += grad[r];
-                            stat.h += hess[r];
-                            stat.n += 1;
-                        }
-                        _ => scratch.agg.push((
-                            bin as usize,
-                            BinStat {
-                                g: grad[r],
-                                h: hess[r],
-                                n: 1,
-                            },
-                        )),
-                    }
-                }
-                Self::scan_feature_bins(
-                    feat,
-                    f,
-                    scratch.agg.iter().copied(),
-                    rows.len(),
-                    g_total,
-                    h_total,
-                    params,
-                    &mut best,
-                );
-            } else {
-                scratch.dense.clear();
-                scratch.dense.resize(feat.n_bins(), BinStat::default());
-                for &r in rows {
-                    let slot = &mut scratch.dense[feat.bins[r] as usize];
-                    slot.g += grad[r];
-                    slot.h += hess[r];
-                    slot.n += 1;
-                }
-                Self::scan_feature_bins(
-                    feat,
-                    f,
-                    scratch.dense.iter().copied().enumerate(),
-                    rows.len(),
-                    g_total,
-                    h_total,
-                    params,
-                    &mut best,
-                );
-            }
+        rng: &mut impl Rng,
+    ) -> Self {
+        assert_eq!(grad.len(), columns.n_rows());
+        assert_eq!(hess.len(), columns.n_rows());
+        let mut grower = Grower {
+            columns,
+            grad,
+            hess,
+            params,
+            rng,
+            scratch: SplitScratch::default(),
+            nodes: Vec::new(),
+        };
+        grower.grow(&mut rows.to_vec(), 0, None);
+        Self {
+            nodes: grower.nodes,
         }
-        best
     }
 
     /// Predicts the tree output for one CSR row.
@@ -1030,52 +918,6 @@ impl RegressionTree {
     }
 }
 
-#[derive(Debug, Clone)]
-struct SplitCandidate {
-    feature: usize,
-    threshold: f64,
-    gain: f64,
-}
-
-/// Partitions `rows` so rows with `value <= threshold` come first; returns
-/// the boundary index. NaN values fail the comparison and go right — the
-/// deterministic missing-value rule shared with prediction.
-fn partition_rows(
-    columns: &DenseColumns,
-    rows: &mut [usize],
-    feature: usize,
-    threshold: f64,
-) -> usize {
-    let mut i = 0usize;
-    let mut j = rows.len();
-    while i < j {
-        if columns.value(rows[i], feature) <= threshold {
-            i += 1;
-        } else {
-            j -= 1;
-            rows.swap(i, j);
-        }
-    }
-    i
-}
-
-/// Partitions `rows` so rows whose bin index is `<= bin` come first;
-/// returns the boundary index. The missing bin is the largest index, so
-/// missing values always go right.
-fn partition_rows_binned(feat: &BinnedFeature, rows: &mut [usize], bin: usize) -> usize {
-    let mut i = 0usize;
-    let mut j = rows.len();
-    while i < j {
-        if (feat.bins[rows[i]] as usize) <= bin {
-            i += 1;
-        } else {
-            j -= 1;
-            rows.swap(i, j);
-        }
-    }
-    i
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1083,31 +925,40 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// Fits a plain regression tree to targets by the grad=-y, hess=1 trick.
+    /// Fits a plain regression tree to targets by the grad=-y, hess=1
+    /// trick with `method`'s split finder.
+    fn fit_with(
+        method: SplitMethod,
+        columns: &DenseColumns,
+        y: &[f64],
+        params: &TreeParams,
+        rng: &mut StdRng,
+    ) -> RegressionTree {
+        let columns = TrainingColumns::from_dense_columns(columns.clone(), method);
+        let grad: Vec<f64> = y.iter().map(|v| -v).collect();
+        let hess = vec![1.0; y.len()];
+        let rows: Vec<usize> = (0..y.len()).collect();
+        RegressionTree::fit(&columns, &grad, &hess, &rows, params, rng)
+    }
+
+    /// [`fit_with`] exact splits.
     fn fit_regression(
         columns: &DenseColumns,
         y: &[f64],
         params: &TreeParams,
         rng: &mut StdRng,
     ) -> RegressionTree {
-        let grad: Vec<f64> = y.iter().map(|v| -v).collect();
-        let hess = vec![1.0; y.len()];
-        let rows: Vec<usize> = (0..y.len()).collect();
-        RegressionTree::fit_exact(columns, &grad, &hess, &rows, params, rng)
+        fit_with(SplitMethod::Exact, columns, y, params, rng)
     }
 
-    /// Same as [`fit_regression`] but through the histogram path.
+    /// [`fit_with`] histogram splits.
     fn fit_regression_binned(
         columns: &DenseColumns,
         y: &[f64],
         params: &TreeParams,
         rng: &mut StdRng,
     ) -> RegressionTree {
-        let binned = BinnedColumns::from_columns(columns, MAX_HISTOGRAM_BINS);
-        let grad: Vec<f64> = y.iter().map(|v| -v).collect();
-        let hess = vec![1.0; y.len()];
-        let rows: Vec<usize> = (0..y.len()).collect();
-        RegressionTree::fit_binned(&binned, &grad, &hess, &rows, params, rng)
+        fit_with(SplitMethod::Histogram, columns, y, params, rng)
     }
 
     fn step_data() -> (DenseColumns, Vec<f64>) {
@@ -1363,9 +1214,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// Satellite-1 pin: on data with missing values, the winning
-        /// exact split's advertised gain must match the gain recomputed
-        /// from the partition `partition_rows` actually realizes. Before
+        /// On data with missing values, the winning exact split's
+        /// advertised gain must match the gain recomputed from the
+        /// partition `partition` actually realizes. Before
         /// the NaN-last sort rule, NaNs landed at arbitrary positions in
         /// the scan order and the two could disagree.
         #[test]
@@ -1391,12 +1242,22 @@ mod tests {
                 min_gain: 1e-12,
                 ..TreeParams::default()
             };
-            let mut rng = StdRng::seed_from_u64(0);
-            if let Some(split) =
-                RegressionTree::find_best_split(&cols, &grad, &hess, &rows, &params, &mut rng)
-            {
+            let columns = TrainingColumns::Exact(cols.clone());
+            let mut grower = Grower {
+                columns: &columns,
+                grad: &grad,
+                hess: &hess,
+                params: &params,
+                rng: &mut StdRng::seed_from_u64(0),
+                scratch: SplitScratch::default(),
+                nodes: Vec::new(),
+            };
+            let (gt, ht) = (grad.iter().sum(), hess.iter().sum());
+            let mut search = SplitSearch::new(&params, n, gt, ht);
+            grower.find_split(&mut search, &rows, &[0], None);
+            if let Some(split) = search.best {
                 let mut part = rows.clone();
-                let mid = partition_rows(&cols, &mut part, split.feature, split.threshold);
+                let mid = partition(&mut part, |r| cols.value(r, 0) <= split.threshold);
                 prop_assert!(mid > 0 && mid < n, "split must separate rows");
                 let sum = |idx: &[usize]| -> (f64, f64) {
                     idx.iter().fold((0.0, 0.0), |(g, h), &r| (g + grad[r], h + hess[r]))

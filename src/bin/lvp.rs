@@ -27,15 +27,33 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-struct Args(Vec<String>);
+/// The `--flag value` pairs after the command.
+struct Args(Vec<(String, String)>);
 
 impl Args {
+    /// Pairs every flag with its value. A flag not in `known` (a stray
+    /// argument included) or a flag without a value is an error naming it.
+    fn parse(argv: &[String], known: &[&str]) -> Result<Self, String> {
+        let mut pairs = Vec::new();
+        let mut args = argv.iter();
+        while let Some(flag) = args.next() {
+            if !known.contains(&flag.as_str()) {
+                return Err(format!("unknown flag '{flag}'\n{USAGE}"));
+            }
+            let value = args
+                .next()
+                .filter(|v| !v.starts_with("--"))
+                .ok_or_else(|| format!("{flag} needs a value"))?;
+            pairs.push((flag.clone(), value.clone()));
+        }
+        Ok(Self(pairs))
+    }
+
     fn value_of(&self, flag: &str) -> Option<&str> {
         self.0
             .iter()
-            .position(|a| a == flag)
-            .and_then(|i| self.0.get(i + 1))
-            .map(String::as_str)
+            .find(|(f, _)| f == flag)
+            .map(|(_, v)| v.as_str())
     }
 
     fn required(&self, flag: &str) -> Result<&str, String> {
@@ -44,17 +62,28 @@ impl Args {
     }
 }
 
+const DATAGEN_FLAGS: &[&str] = &["--dataset", "--n", "--out", "--seed"];
+/// `validate` takes these and `--threshold`.
+const ESTIMATE_FLAGS: &[&str] = &[
+    "--train",
+    "--serving",
+    "--label",
+    "--model",
+    "--text-columns",
+    "--seed",
+];
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = argv.first().cloned() else {
+    let Some((command, rest)) = argv.split_first() else {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let args = Args(argv);
     let result = match command.as_str() {
-        "datagen" => cmd_datagen(&args),
-        "estimate" => cmd_estimate(&args, false),
-        "validate" => cmd_estimate(&args, true),
+        "datagen" => Args::parse(rest, DATAGEN_FLAGS).and_then(|args| cmd_datagen(&args)),
+        "estimate" => Args::parse(rest, ESTIMATE_FLAGS).and_then(|args| cmd_estimate(&args, false)),
+        "validate" => Args::parse(rest, &[ESTIMATE_FLAGS, &["--threshold"]].concat())
+            .and_then(|args| cmd_estimate(&args, true)),
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
             Ok(())
@@ -80,10 +109,11 @@ USAGE:
   lvp validate --train <file.csv> --serving <file.csv> --label <column>
                --threshold <0..1> [--model <lr|dnn|xgb>] [--text-columns a,b] [--seed <u64>]";
 
-fn seed_of(args: &Args) -> u64 {
-    args.value_of("--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
+fn seed_of(args: &Args) -> Result<u64, String> {
+    args.value_of("--seed").map_or(Ok(42), |s| {
+        s.parse()
+            .map_err(|_| format!("--seed must be an unsigned integer, got '{s}'"))
+    })
 }
 
 fn cmd_datagen(args: &Args) -> Result<(), String> {
@@ -93,7 +123,7 @@ fn cmd_datagen(args: &Args) -> Result<(), String> {
         .parse()
         .map_err(|_| "--n must be a positive integer".to_string())?;
     let out = PathBuf::from(args.required("--out")?);
-    let mut rng = StdRng::seed_from_u64(seed_of(args));
+    let mut rng = StdRng::seed_from_u64(seed_of(args)?);
     let df = match dataset {
         "income" => lvp::datasets::income(n, &mut rng),
         "heart" => lvp::datasets::heart(n, &mut rng),
@@ -135,7 +165,17 @@ fn cmd_estimate(args: &Args, validate: bool) -> Result<(), String> {
     let label = args.required("--label")?;
     let options = csv_options(args);
     let kind = model_kind(args)?;
-    let mut rng = StdRng::seed_from_u64(seed_of(args));
+    let mut rng = StdRng::seed_from_u64(seed_of(args)?);
+    // Checked before any training, so a bad value fails at once.
+    let threshold = if validate {
+        let t = args.required("--threshold")?.parse::<f64>().ok();
+        Some(
+            t.filter(|t| (0.0..1.0).contains(t))
+                .ok_or("--threshold must be a number in [0, 1)")?,
+        )
+    } else {
+        None
+    };
 
     let source = read_csv_file(&train_path, label, &options).map_err(|e| e.to_string())?;
     let serving = std::fs::read_to_string(&serving_path)
@@ -155,11 +195,7 @@ fn cmd_estimate(args: &Args, validate: bool) -> Result<(), String> {
     eprintln!("held-out test accuracy: {test_acc:.4}");
 
     let gens = lvp::corruptions::standard_tabular_suite(test.schema());
-    if validate {
-        let threshold: f64 = args
-            .required("--threshold")?
-            .parse()
-            .map_err(|_| "--threshold must be a number in (0, 1)".to_string())?;
+    if let Some(threshold) = threshold {
         eprintln!("fitting performance validator (t = {threshold})...");
         let validator = PerformanceValidator::fit(
             Arc::clone(&model),

@@ -181,3 +181,52 @@ fn one_class_slices_report_the_accuracy_of_the_whole_file() {
         "{stderr}"
     );
 }
+
+#[test]
+fn bad_flags_exit_non_zero_and_name_the_flag() {
+    let dir = TempDir::new("flags");
+    let datagen = [
+        "datagen",
+        "--dataset",
+        "heart",
+        "--n",
+        "50",
+        "--out",
+        "x.csv",
+    ];
+    let estimate = [
+        "estimate",
+        "--train",
+        "t.csv",
+        "--serving",
+        "s.csv",
+        "--label",
+        "y",
+    ];
+    let validate = [
+        "validate",
+        "--train",
+        "t.csv",
+        "--serving",
+        "s.csv",
+        "--label",
+        "y",
+    ];
+    let cases: [(&[&str], &[&str], &str); 8] = [
+        (&datagen, &["--seed", "abc"], "--seed"),
+        (&datagen, &["--seed"], "--seed"),
+        (&datagen, &["--rows", "9"], "--rows"),
+        (&estimate, &["--modle", "lr"], "--modle"),
+        (&estimate, &["--threshold", "0.05"], "--threshold"),
+        (&validate, &["--threshold", "1"], "[0, 1)"),
+        (&validate, &["--threshold", "x"], "[0, 1)"),
+        (&validate, &["--threshold", "0.05", "extra"], "'extra'"),
+    ];
+    for (command, extra, named) in cases {
+        let args: Vec<&str> = command.iter().chain(extra).copied().collect();
+        let (ok, _, stderr) = lvp(&dir.0, &args);
+        assert!(!ok, "{args:?} must fail");
+        assert!(stderr.contains(named), "{args:?}: {stderr}");
+    }
+    assert!(!dir.0.join("x.csv").exists(), "no run with a bad flag");
+}

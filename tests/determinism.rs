@@ -310,11 +310,16 @@ fn pipeline_outputs_are_pinned_golden() {
 /// of the training RNG, plus the predictions, chosen tree count and next
 /// draw of a two-config `RandomForestRegressor::fit_cv`. A change to the
 /// fold draw, the per-candidate seeds, the fold scoring or the refit fails
-/// here.
+/// here. Every fit above uses histogram splits, so a forest, a GBDT
+/// classifier and a GBDT regressor trained with `SplitMethod::Exact` on a
+/// copy of the forest's data with missing values are pinned too: the exact
+/// oracle's trees must not move either.
 #[test]
 fn cross_validated_training_is_pinned_golden() {
     use lvp_models::forest::{ForestConfig, RandomForestRegressor};
-    use lvp_models::{train_model, Regressor};
+    use lvp_models::gbdt::{GbdtClassifier, GbdtConfig, GbdtRegressor};
+    use lvp_models::tree::SplitMethod;
+    use lvp_models::{train_model, Classifier, Regressor};
     use rand::Rng;
 
     let floats = |values: &[f64]| -> u64 {
@@ -349,6 +354,38 @@ fn cross_validated_training_is_pinned_golden() {
     pinned.push(cfg.n_trees as u64);
     pinned.push(rng.gen::<u64>());
 
+    // Every 11th value missing: the exact finder's NaN-last scan and the
+    // partition's NaN-goes-right rule both take part.
+    let nan_rows: Vec<Vec<f64>> = rows
+        .iter()
+        .enumerate()
+        .map(|(i, r)| {
+            let masked = |(j, &v): (usize, &f64)| if (4 * i + j) % 11 == 0 { f64::NAN } else { v };
+            r.iter().enumerate().map(masked).collect()
+        })
+        .collect();
+    let x_nan = lvp::linalg::DenseMatrix::from_rows(&nan_rows).unwrap();
+    let exact_forest = ForestConfig {
+        n_trees: 6,
+        max_depth: 5,
+        split_method: SplitMethod::Exact,
+        ..ForestConfig::default()
+    };
+    let forest = RandomForestRegressor::fit(&x_nan, &targets, &exact_forest, &mut rng).unwrap();
+    pinned.push(floats(&forest.predict(&x_nan)));
+    let exact_gbdt = GbdtConfig {
+        n_rounds: 8,
+        split_method: SplitMethod::Exact,
+        ..GbdtConfig::default()
+    };
+    let labels: Vec<u32> = targets.iter().map(|&t| u32::from(t > 0.0)).collect();
+    let csr = lvp::linalg::CsrMatrix::from_dense(&x_nan);
+    let gbdt = GbdtClassifier::fit(&csr, &labels, 2, &exact_gbdt, &mut rng).unwrap();
+    pinned.push(floats(gbdt.predict_proba(&csr).data()));
+    let gbdt = GbdtRegressor::fit(&x_nan, &targets, &exact_gbdt, &mut rng).unwrap();
+    pinned.push(floats(&gbdt.predict(&x_nan)));
+    pinned.push(rng.gen::<u64>());
+
     assert_eq!(
         pinned,
         [
@@ -361,6 +398,10 @@ fn cross_validated_training_is_pinned_golden() {
             0xa86d_0c12_91c8_951f, // forest, predictions
             12,                    // forest, chosen tree count
             0xf1e4_f4a5_923b_7aa5, // forest, next draw
+            0x0992_4861_b37e_fe1b, // exact forest, predictions
+            0xbe67_3487_efb0_415a, // exact gbdt classifier, predictions
+            0x5218_4c13_62aa_e7c2, // exact gbdt regressor, predictions
+            0xfec5_39a6_d1bb_8d8c, // exact fits, next draw
         ]
     );
 }
