@@ -107,9 +107,15 @@ pub struct ClassDrift {
 pub struct BatchTelemetry {
     /// Consecutive-smoothed-violation streak *after* this batch.
     pub violation_streak: usize,
-    /// Per-class output drift against the retained reference outputs;
-    /// empty unless [`BatchMonitor::retain_reference_outputs`] was called
-    /// and the batch went through [`BatchMonitor::observe`].
+    /// Per-class KS drift of the batch's outputs against the monitor's
+    /// reference outputs. Filled for every batch the monitor scores itself
+    /// ([`BatchMonitor::observe`], [`BatchMonitor::observe_outputs`],
+    /// [`BatchMonitor::finish_window`] and
+    /// [`BatchMonitor::merge_shard_sketches`]) once it holds a reference:
+    /// from [`BatchMonitor::retain_reference_outputs`], or from a restored
+    /// artifact, which carries the reference ECDFs but not the exact
+    /// columns, so only sketched batches are tested after a restore.
+    /// Empty otherwise, and on estimate, interval and degraded reports.
     pub per_class_ks: Vec<ClassDrift>,
 }
 

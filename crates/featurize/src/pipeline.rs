@@ -183,8 +183,9 @@ mod tests {
         // Column 0 of row 5 holds (5 - mean)/std == 0 → stored as implicit zero.
         let (idx, _) = x.row(5);
         assert!(!idx.contains(&0));
-        // Row 0 holds a negative standardized value.
-        let dense = x.to_dense();
-        assert!(dense.get(0, 0) < 0.0);
+        // Row 0 holds a negative standardized value in column 0.
+        let (idx, vals) = x.row(0);
+        assert_eq!(idx.first(), Some(&0));
+        assert!(vals[0] < 0.0);
     }
 }

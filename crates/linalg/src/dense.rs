@@ -153,11 +153,11 @@ impl DenseMatrix {
 
     /// Dense matrix multiplication `self * other`, parallelized over rows.
     ///
-    /// Two kernels, dispatched on output width (see
-    /// [`PACKED_MATMUL_MAX_COLS`]): a *streaming* kernel that makes one
-    /// pass over `k` per row, vectorizing across output columns and
-    /// skipping zero entries of `self` (ReLU activations make `self`
-    /// sparse in practice), and — for narrow outputs, where that inner
+    /// Two kernels, dispatched on output width (the private
+    /// `PACKED_MATMUL_MAX_COLS` sets the cutover): a *streaming* kernel
+    /// that makes one pass over `k` per row, vectorizing across output
+    /// columns and skipping zero entries of `self` (ReLU activations make
+    /// `self` sparse in practice), and — for narrow outputs, where that inner
     /// loop cannot vectorize — a *packed* kernel that transposes `other`
     /// once and accumulates four branch-free dot products over contiguous
     /// panels per pass. Every output cell is the `k`-ascending sum over

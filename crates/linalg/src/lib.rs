@@ -22,8 +22,8 @@ mod sparse;
 
 pub use block::row_blocks;
 pub use dense::DenseMatrix;
-pub use ops::{argmax, log_sum_exp, relu, relu_grad, sigmoid, softmax_in_place, stable_softmax};
-pub use sparse::{CsrBuilder, CsrMatrix, SparseVec};
+pub use ops::{relu, relu_grad, softmax_in_place, stable_softmax};
+pub use sparse::{CsrBuilder, CsrMatrix};
 
 /// Error type for shape mismatches in linear-algebra operations.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -2,18 +2,6 @@
 
 use crate::DenseMatrix;
 
-/// Numerically stable logistic sigmoid.
-#[inline]
-pub fn sigmoid(x: f64) -> f64 {
-    if x >= 0.0 {
-        let e = (-x).exp();
-        1.0 / (1.0 + e)
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
-    }
-}
-
 /// Rectified linear unit.
 #[inline]
 pub fn relu(x: f64) -> f64 {
@@ -34,18 +22,9 @@ pub fn relu_grad(x: f64) -> f64 {
     }
 }
 
-/// `log(sum(exp(xs)))` computed without overflow.
-pub fn log_sum_exp(xs: &[f64]) -> f64 {
-    let m = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    if m.is_infinite() {
-        return m;
-    }
-    m + xs.iter().map(|&x| (x - m).exp()).sum::<f64>().ln()
-}
-
 /// Index of the maximum element; ties resolve to the lowest index.
 /// Returns 0 for empty input.
-pub fn argmax(xs: &[f64]) -> usize {
+pub(crate) fn argmax(xs: &[f64]) -> usize {
     let mut best = 0;
     let mut best_v = f64::NEG_INFINITY;
     for (i, &v) in xs.iter().enumerate() {
@@ -96,38 +75,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sigmoid_symmetry_and_bounds() {
-        assert!((sigmoid(0.0) - 0.5).abs() < 1e-12);
-        assert!((sigmoid(5.0) + sigmoid(-5.0) - 1.0).abs() < 1e-12);
-        assert!(sigmoid(1000.0) <= 1.0);
-        assert!(sigmoid(-1000.0) >= 0.0);
-    }
-
-    #[test]
-    fn sigmoid_handles_extreme_inputs_without_nan() {
-        assert!(!sigmoid(f64::MAX).is_nan());
-        assert!(!sigmoid(f64::MIN).is_nan());
-    }
-
-    #[test]
     fn relu_and_grad() {
         assert_eq!(relu(-1.0), 0.0);
         assert_eq!(relu(2.5), 2.5);
         assert_eq!(relu_grad(-1.0), 0.0);
         assert_eq!(relu_grad(2.5), 1.0);
-    }
-
-    #[test]
-    fn log_sum_exp_matches_naive_for_small_values() {
-        let xs: [f64; 3] = [0.1, 0.5, -0.3];
-        let naive = xs.iter().map(|x| x.exp()).sum::<f64>().ln();
-        assert!((log_sum_exp(&xs) - naive).abs() < 1e-12);
-    }
-
-    #[test]
-    fn log_sum_exp_stable_for_large_values() {
-        let v = log_sum_exp(&[1000.0, 1000.0]);
-        assert!((v - (1000.0 + 2f64.ln())).abs() < 1e-9);
     }
 
     #[test]

@@ -1,93 +1,14 @@
-//! Sparse vectors and CSR matrices for featurized data.
+//! CSR matrices for featurized data.
 
-use crate::block::merge_pairs_into;
 use crate::{shape_err, DenseMatrix, ShapeError};
 use rayon::prelude::*;
 
-/// A sparse vector with sorted, unique indices.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SparseVec {
-    dim: usize,
-    indices: Vec<u32>,
-    values: Vec<f64>,
-}
-
-impl SparseVec {
-    /// Creates an empty sparse vector of the given dimensionality.
-    pub fn new(dim: usize) -> Self {
-        Self {
-            dim,
-            indices: Vec::new(),
-            values: Vec::new(),
-        }
-    }
-
-    /// Builds a sparse vector from unsorted (index, value) pairs.
-    ///
-    /// Duplicate indices are summed (as in feature hashing, where distinct
-    /// n-grams may collide into the same bucket). Zero values are dropped.
-    pub fn from_pairs(dim: usize, mut pairs: Vec<(u32, f64)>) -> Result<Self, ShapeError> {
-        let mut indices: Vec<u32> = Vec::with_capacity(pairs.len());
-        let mut values: Vec<f64> = Vec::with_capacity(pairs.len());
-        merge_pairs_into(&mut pairs, dim, &mut indices, &mut values)?;
-        Ok(Self {
-            dim,
-            indices,
-            values,
-        })
-    }
-
-    /// Dimensionality of the vector.
-    #[inline]
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Number of stored non-zero entries.
-    #[inline]
-    pub fn nnz(&self) -> usize {
-        self.indices.len()
-    }
-
-    /// Sorted indices of the non-zero entries.
-    #[inline]
-    pub fn indices(&self) -> &[u32] {
-        &self.indices
-    }
-
-    /// Values of the non-zero entries, parallel to [`Self::indices`].
-    #[inline]
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// Appends an entry whose index must be strictly greater than the last.
-    ///
-    /// Used by encoders that emit features in increasing index order.
-    pub fn push(&mut self, index: u32, value: f64) {
-        debug_assert!((index as usize) < self.dim);
-        debug_assert!(self.indices.last().is_none_or(|&last| last < index));
-        if value != 0.0 {
-            self.indices.push(index);
-            self.values.push(value);
-        }
-    }
-
-    /// Expands to a dense vector.
-    pub fn to_dense(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.dim];
-        for (&i, &v) in self.indices.iter().zip(&self.values) {
-            out[i as usize] = v;
-        }
-        out
-    }
-}
-
 /// Compressed sparse row matrix.
 ///
-/// Feature pipelines produce one [`SparseVec`] per tuple; stacking them yields
-/// a `CsrMatrix` that classifiers consume. Row offsets (`indptr`) follow the
-/// usual CSR convention: row `r` occupies `indices[indptr[r]..indptr[r+1]]`.
+/// Feature pipelines append one row per tuple to a [`CsrBuilder`], whose
+/// `finish` yields the `CsrMatrix` that classifiers consume. Row offsets
+/// (`indptr`) follow the usual CSR convention: row `r` occupies
+/// `indices[indptr[r]..indptr[r+1]]`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     rows: usize,
@@ -98,36 +19,6 @@ pub struct CsrMatrix {
 }
 
 impl CsrMatrix {
-    /// Builds a CSR matrix by stacking sparse rows of equal dimensionality.
-    pub fn from_sparse_rows(rows: &[SparseVec]) -> Result<Self, ShapeError> {
-        let cols = rows.first().map_or(0, SparseVec::dim);
-        let mut indptr = Vec::with_capacity(rows.len() + 1);
-        indptr.push(0usize);
-        let nnz: usize = rows.iter().map(SparseVec::nnz).sum();
-        let mut indices = Vec::with_capacity(nnz);
-        let mut values = Vec::with_capacity(nnz);
-        for (r, row) in rows.iter().enumerate() {
-            if row.dim() != cols {
-                return Err(shape_err(format!(
-                    "row {} has dim {}, expected {}",
-                    r,
-                    row.dim(),
-                    cols
-                )));
-            }
-            indices.extend_from_slice(row.indices());
-            values.extend_from_slice(row.values());
-            indptr.push(indices.len());
-        }
-        Ok(Self {
-            rows: rows.len(),
-            cols,
-            indptr,
-            indices,
-            values,
-        })
-    }
-
     /// Builds a CSR matrix from a dense row-major matrix, dropping zeros.
     pub fn from_dense(dense: &DenseMatrix) -> Self {
         let mut indptr = Vec::with_capacity(dense.rows() + 1);
@@ -214,18 +105,6 @@ impl CsrMatrix {
         Ok(out)
     }
 
-    /// Expands to a dense matrix.
-    pub fn to_dense(&self) -> DenseMatrix {
-        let mut out = DenseMatrix::zeros(self.rows, self.cols);
-        for r in 0..self.rows {
-            let (idx, vals) = self.row(r);
-            for (&c, &v) in idx.iter().zip(vals) {
-                out.set(r, c as usize, v);
-            }
-        }
-        out
-    }
-
     /// Returns a new matrix containing the selected rows, in order.
     pub fn select_rows(&self, selection: &[usize]) -> CsrMatrix {
         let mut indptr = Vec::with_capacity(selection.len() + 1);
@@ -248,14 +127,13 @@ impl CsrMatrix {
     }
 }
 
-/// Incremental row-major CSR constructor.
+/// Incremental row-major CSR constructor, the one way to build a
+/// [`CsrMatrix`] from `(column, value)` pairs.
 ///
-/// The allocation-free counterpart of collecting `SparseVec`s and calling
-/// [`CsrMatrix::from_sparse_rows`]: rows are appended straight into the
-/// final index/value arrays from a caller-owned scratch pair buffer, so a
-/// transform loop performs no per-row allocations (the scratch buffer's
-/// capacity — pre-sized by the previous row's nnz — is retained across
-/// rows).
+/// Rows are appended straight into the final index/value arrays from a
+/// caller-owned scratch pair buffer, so a transform loop performs no
+/// per-row allocations (the scratch buffer's capacity — pre-sized by the
+/// previous row's nnz — is retained across rows).
 #[derive(Debug, Clone)]
 pub struct CsrBuilder {
     cols: usize,
@@ -282,13 +160,47 @@ impl CsrBuilder {
         }
     }
 
-    /// Appends one row from unsorted `(column, value)` pairs, with the
-    /// merge semantics of [`SparseVec::from_pairs`] (duplicates summed,
-    /// zeros dropped, out-of-bounds rejected). `pairs` is cleared on
-    /// success so it can be reused as the next row's scratch buffer.
+    /// Appends one row from unsorted `(column, value)` pairs: pairs are
+    /// sorted by column, duplicates summed (as in feature hashing, where
+    /// distinct n-grams may collide into the same bucket) and zeros
+    /// dropped. An out-of-bounds column rejects the row and leaves the
+    /// builder as it was. `pairs` is cleared on success so it can be
+    /// reused as the next row's scratch buffer.
     pub fn push_row_pairs(&mut self, pairs: &mut Vec<(u32, f64)>) -> Result<(), ShapeError> {
-        merge_pairs_into(pairs, self.cols, &mut self.indices, &mut self.values)?;
-        self.indptr.push(self.indices.len());
+        let (indices, values) = (&mut self.indices, &mut self.values);
+        pairs.sort_unstable_by_key(|&(i, _)| i);
+        let start = indices.len();
+        for &(i, v) in pairs.iter() {
+            if i as usize >= self.cols {
+                indices.truncate(start);
+                values.truncate(start);
+                return Err(shape_err(format!(
+                    "index {i} out of bounds for dim {}",
+                    self.cols
+                )));
+            }
+            if indices.len() > start && indices.last() == Some(&i) {
+                *values.last_mut().expect("values parallel to indices") += v;
+                continue;
+            }
+            indices.push(i);
+            values.push(v);
+        }
+        // Collisions may cancel out exactly; compact away resulting zeros.
+        if values[start..].contains(&0.0) {
+            let mut write = start;
+            for read in start..indices.len() {
+                if values[read] != 0.0 {
+                    indices[write] = indices[read];
+                    values[write] = values[read];
+                    write += 1;
+                }
+            }
+            indices.truncate(write);
+            values.truncate(write);
+        }
+        pairs.clear();
+        self.indptr.push(indices.len());
         Ok(())
     }
 
@@ -313,108 +225,54 @@ impl CsrBuilder {
 mod tests {
     use super::*;
 
-    fn sv(dim: usize, pairs: &[(u32, f64)]) -> SparseVec {
-        SparseVec::from_pairs(dim, pairs.to_vec()).unwrap()
+    /// Builds a `cols`-column matrix, one row per pair list.
+    fn csr(cols: usize, rows: &[&[(u32, f64)]]) -> CsrMatrix {
+        let mut b = CsrBuilder::new(cols);
+        for pairs in rows {
+            b.push_row_pairs(&mut pairs.to_vec()).unwrap();
+        }
+        b.finish()
     }
 
     #[test]
-    fn from_pairs_sorts_and_merges_duplicates() {
-        let v = sv(10, &[(5, 1.0), (2, 2.0), (5, 3.0)]);
-        assert_eq!(v.indices(), &[2, 5]);
-        assert_eq!(v.values(), &[2.0, 4.0]);
+    fn push_row_pairs_sorts_and_merges_duplicates() {
+        let m = csr(10, &[&[(5, 1.0), (2, 2.0), (5, 3.0)]]);
+        assert_eq!(m.row(0), (&[2u32, 5][..], &[2.0, 4.0][..]));
     }
 
     #[test]
-    fn from_pairs_drops_cancelled_entries() {
-        let v = sv(4, &[(1, 1.0), (1, -1.0), (2, 2.0)]);
-        assert_eq!(v.indices(), &[2]);
+    fn push_row_pairs_drops_cancelled_entries() {
+        let m = csr(4, &[&[(1, 1.0), (1, -1.0), (2, 2.0)]]);
+        assert_eq!(m.row(0), (&[2u32][..], &[2.0][..]));
+        assert_eq!(m.nnz(), 1);
     }
 
     #[test]
-    fn from_pairs_rejects_out_of_bounds() {
-        assert!(SparseVec::from_pairs(3, vec![(3, 1.0)]).is_err());
-    }
-
-    #[test]
-    fn to_dense_round_trip() {
-        let v = sv(3, &[(1, 5.0)]);
-        assert_eq!(v.to_dense(), vec![0.0, 5.0, 0.0]);
-    }
-
-    #[test]
-    fn csr_from_rows_and_back() {
-        let rows = vec![sv(3, &[(0, 1.0)]), sv(3, &[(1, 2.0), (2, 3.0)])];
-        let m = CsrMatrix::from_sparse_rows(&rows).unwrap();
-        assert_eq!(m.rows(), 2);
-        assert_eq!(m.cols(), 3);
-        assert_eq!(m.nnz(), 3);
-        let d = m.to_dense();
-        assert_eq!(d.data(), &[1.0, 0.0, 0.0, 0.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn csr_rejects_mismatched_row_dims() {
-        let rows = vec![sv(3, &[]), sv(4, &[])];
-        assert!(CsrMatrix::from_sparse_rows(&rows).is_err());
-    }
-
-    #[test]
-    fn csr_matmul_dense_matches_dense_matmul() {
-        let rows = vec![sv(3, &[(0, 1.0), (2, 2.0)]), sv(3, &[(1, 3.0)])];
-        let m = CsrMatrix::from_sparse_rows(&rows).unwrap();
-        let w = DenseMatrix::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
-        let got = m.matmul_dense(&w).unwrap();
-        let expected = m.to_dense().matmul(&w).unwrap();
-        assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn csr_matmul_rejects_bad_shapes() {
-        let m = CsrMatrix::from_sparse_rows(&[sv(3, &[])]).unwrap();
-        assert!(m.matmul_dense(&DenseMatrix::zeros(4, 2)).is_err());
-    }
-
-    #[test]
-    fn csr_from_dense_drops_zeros() {
-        let d = DenseMatrix::from_vec(2, 2, vec![0.0, 1.0, 2.0, 0.0]).unwrap();
-        let m = CsrMatrix::from_dense(&d);
-        assert_eq!(m.nnz(), 2);
-        assert_eq!(m.to_dense(), d);
-    }
-
-    #[test]
-    fn csr_select_rows_reorders() {
-        let rows = vec![sv(2, &[(0, 1.0)]), sv(2, &[(1, 2.0)])];
-        let m = CsrMatrix::from_sparse_rows(&rows).unwrap();
-        let s = m.select_rows(&[1, 0, 1]);
-        assert_eq!(s.rows(), 3);
-        assert_eq!(s.row(0).0, &[1]);
-        assert_eq!(s.row(1).0, &[0]);
-    }
-
-    #[test]
-    fn csr_builder_matches_from_sparse_rows() {
-        let row_pairs: [&[(u32, f64)]; 3] = [&[(2, 1.0), (0, 2.0)], &[], &[(1, 3.0), (1, 4.0)]];
-        let rows: Vec<SparseVec> = row_pairs.iter().map(|p| sv(3, p)).collect();
-        let expected = CsrMatrix::from_sparse_rows(&rows).unwrap();
+    fn builder_stacks_rows_including_empty_ones() {
         let mut b = CsrBuilder::with_capacity(3, 3, 4);
         let mut scratch = Vec::new();
+        let row_pairs: [&[(u32, f64)]; 3] = [&[(2, 1.0), (0, 2.0)], &[], &[(1, 3.0), (1, 4.0)]];
         for p in row_pairs {
             scratch.extend_from_slice(p);
             b.push_row_pairs(&mut scratch).unwrap();
             assert!(scratch.is_empty());
         }
         assert_eq!(b.rows(), 3);
-        assert_eq!(b.finish(), expected);
+        let m = b.finish();
+        assert_eq!((m.rows(), m.cols(), m.nnz()), (3, 3, 3));
+        assert_eq!(m.row(0), (&[0u32, 2][..], &[2.0, 1.0][..]));
+        assert_eq!(m.row(1), (&[][..], &[][..]));
+        assert_eq!(m.row(2), (&[1u32][..], &[7.0][..]));
     }
 
     #[test]
-    fn csr_builder_rejects_out_of_bounds_without_corrupting_state() {
+    fn builder_rejects_out_of_bounds_without_corrupting_state() {
         let mut b = CsrBuilder::new(2);
         let mut scratch = vec![(1, 1.0)];
         b.push_row_pairs(&mut scratch).unwrap();
         scratch.extend([(0, 1.0), (5, 1.0)]);
         assert!(b.push_row_pairs(&mut scratch).is_err());
+        assert_eq!(b.rows(), 1);
         let m = {
             scratch.clear();
             scratch.push((0, 2.0));
@@ -422,7 +280,39 @@ mod tests {
             b.finish()
         };
         assert_eq!(m.rows(), 2);
+        assert_eq!(m.nnz(), 2);
         assert_eq!(m.row(0), (&[1u32][..], &[1.0][..]));
         assert_eq!(m.row(1), (&[0u32][..], &[2.0][..]));
+    }
+
+    #[test]
+    fn csr_matmul_dense_matches_dense_matmul() {
+        let m = csr(3, &[&[(0, 1.0), (2, 2.0)], &[(1, 3.0)]]);
+        let dense = DenseMatrix::from_vec(2, 3, vec![1.0, 0.0, 2.0, 0.0, 3.0, 0.0]).unwrap();
+        let w = DenseMatrix::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
+        let got = m.matmul_dense(&w).unwrap();
+        assert_eq!(got, dense.matmul(&w).unwrap());
+    }
+
+    #[test]
+    fn csr_matmul_rejects_bad_shapes() {
+        let m = csr(3, &[&[]]);
+        assert!(m.matmul_dense(&DenseMatrix::zeros(4, 2)).is_err());
+    }
+
+    #[test]
+    fn csr_from_dense_drops_zeros() {
+        let d = DenseMatrix::from_vec(2, 2, vec![0.0, 1.0, 2.0, 0.0]).unwrap();
+        let m = CsrMatrix::from_dense(&d);
+        assert_eq!(m, csr(2, &[&[(1, 1.0)], &[(0, 2.0)]]));
+    }
+
+    #[test]
+    fn csr_select_rows_reorders() {
+        let m = csr(2, &[&[(0, 1.0)], &[(1, 2.0)]]);
+        let s = m.select_rows(&[1, 0, 1]);
+        assert_eq!(s.rows(), 3);
+        assert_eq!(s.row(0).0, &[1]);
+        assert_eq!(s.row(1).0, &[0]);
     }
 }

@@ -563,14 +563,14 @@ impl Classifier for ConvNet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lvp_linalg::SparseVec;
+    use lvp_linalg::CsrBuilder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     /// Tiny image task: bright top half vs bright bottom half, 8×8.
     fn halves(n: usize, side: usize, seed: u64) -> (CsrMatrix, Vec<u32>) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut rows = Vec::new();
+        let mut rows = CsrBuilder::new(side * side);
         let mut labels = Vec::new();
         for i in 0..n {
             let y = (i % 2) as u32;
@@ -589,10 +589,10 @@ mod tests {
                     }
                 }
             }
-            rows.push(SparseVec::from_pairs(side * side, pairs).unwrap());
+            rows.push_row_pairs(&mut pairs).unwrap();
             labels.push(y);
         }
-        (CsrMatrix::from_sparse_rows(&rows).unwrap(), labels)
+        (rows.finish(), labels)
     }
 
     #[test]

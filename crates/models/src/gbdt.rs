@@ -320,14 +320,14 @@ impl Regressor for GbdtRegressor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lvp_linalg::SparseVec;
+    use lvp_linalg::CsrBuilder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn rings(n: usize, seed: u64) -> (CsrMatrix, Vec<u32>) {
         // Inner disc vs outer ring: nonlinear, tree-friendly.
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut rows = Vec::new();
+        let mut rows = CsrBuilder::new(2);
         let mut labels = Vec::new();
         for _ in 0..n {
             let a: f64 = rng.gen_range(0.0..std::f64::consts::TAU);
@@ -337,10 +337,11 @@ mod tests {
             } else {
                 rng.gen_range(0.8..1.2)
             };
-            rows.push(SparseVec::from_pairs(2, vec![(0, r * a.cos()), (1, r * a.sin())]).unwrap());
+            rows.push_row_pairs(&mut vec![(0, r * a.cos()), (1, r * a.sin())])
+                .unwrap();
             labels.push(y);
         }
-        (CsrMatrix::from_sparse_rows(&rows).unwrap(), labels)
+        (rows.finish(), labels)
     }
 
     #[test]

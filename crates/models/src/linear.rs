@@ -182,24 +182,24 @@ impl Classifier for LogisticRegression {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lvp_linalg::SparseVec;
+    use lvp_linalg::CsrBuilder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     /// Linearly separable blobs in 2D.
     fn blobs(n: usize, seed: u64) -> (CsrMatrix, Vec<u32>) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut rows = Vec::new();
+        let mut rows = CsrBuilder::new(2);
         let mut labels = Vec::new();
         for i in 0..n {
             let y = (i % 2) as u32;
             let cx = if y == 0 { -1.0 } else { 1.0 };
             let x0 = cx + rng.gen_range(-0.5..0.5);
             let x1 = cx + rng.gen_range(-0.5..0.5);
-            rows.push(SparseVec::from_pairs(2, vec![(0, x0), (1, x1)]).unwrap());
+            rows.push_row_pairs(&mut vec![(0, x0), (1, x1)]).unwrap();
             labels.push(y);
         }
-        (CsrMatrix::from_sparse_rows(&rows).unwrap(), labels)
+        (rows.finish(), labels)
     }
 
     #[test]
@@ -258,25 +258,20 @@ mod tests {
         // kill the noise dimension (this is the L1-regularization scale
         // invariance the paper's problem statement points at).
         let mut rng = StdRng::seed_from_u64(8);
-        let mut rows = Vec::new();
+        let mut rows = CsrBuilder::new(3);
         let mut labels = Vec::new();
         for i in 0..300 {
             let y = (i % 2) as u32;
             let cx = if y == 0 { -1.0 } else { 1.0 };
-            rows.push(
-                SparseVec::from_pairs(
-                    3,
-                    vec![
-                        (0, cx + rng.gen_range(-0.3..0.3)),
-                        (1, cx + rng.gen_range(-0.3..0.3)),
-                        (2, rng.gen_range(-1.0..1.0)),
-                    ],
-                )
-                .unwrap(),
-            );
+            rows.push_row_pairs(&mut vec![
+                (0, cx + rng.gen_range(-0.3..0.3)),
+                (1, cx + rng.gen_range(-0.3..0.3)),
+                (2, rng.gen_range(-1.0..1.0)),
+            ])
+            .unwrap();
             labels.push(y);
         }
-        let x = CsrMatrix::from_sparse_rows(&rows).unwrap();
+        let x = rows.finish();
         let strong_l1 = LrConfig {
             penalty: Penalty::L1(0.02),
             ..LrConfig::default()
@@ -294,7 +289,7 @@ mod tests {
 
     #[test]
     fn rejects_empty_and_mismatched_input() {
-        let x = CsrMatrix::from_sparse_rows(&[]).unwrap();
+        let x = CsrBuilder::new(0).finish();
         let mut rng = StdRng::seed_from_u64(9);
         assert!(LogisticRegression::fit(&x, &[], 2, &LrConfig::default(), &mut rng).is_err());
         let (x, _) = blobs(10, 1);
@@ -309,11 +304,10 @@ mod tests {
         let (x, y) = blobs(100, 10);
         let mut rng = StdRng::seed_from_u64(11);
         let model = LogisticRegression::fit(&x, &y, 2, &LrConfig::default(), &mut rng).unwrap();
-        let huge =
-            CsrMatrix::from_sparse_rows(&[
-                SparseVec::from_pairs(2, vec![(0, 1e12), (1, -1e12)]).unwrap()
-            ])
+        let mut huge = CsrBuilder::new(2);
+        huge.push_row_pairs(&mut vec![(0, 1e12), (1, -1e12)])
             .unwrap();
+        let huge = huge.finish();
         let p = model.predict_proba(&huge);
         assert!(p.data().iter().all(|v| v.is_finite()));
     }

@@ -220,23 +220,23 @@ impl Classifier for NeuralNet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lvp_linalg::SparseVec;
+    use lvp_linalg::CsrBuilder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     /// XOR-like data: requires a nonlinear decision boundary.
     fn xor_data(n: usize, seed: u64) -> (CsrMatrix, Vec<u32>) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut rows = Vec::new();
+        let mut rows = CsrBuilder::new(2);
         let mut labels = Vec::new();
         for _ in 0..n {
             let x0: f64 = rng.gen_range(-1.0..1.0);
             let x1: f64 = rng.gen_range(-1.0..1.0);
             let y = u32::from((x0 > 0.0) != (x1 > 0.0));
-            rows.push(SparseVec::from_pairs(2, vec![(0, x0), (1, x1)]).unwrap());
+            rows.push_row_pairs(&mut vec![(0, x0), (1, x1)]).unwrap();
             labels.push(y);
         }
-        (CsrMatrix::from_sparse_rows(&rows).unwrap(), labels)
+        (rows.finish(), labels)
     }
 
     #[test]
@@ -266,7 +266,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_input() {
-        let x = CsrMatrix::from_sparse_rows(&[]).unwrap();
+        let x = CsrBuilder::new(0).finish();
         let mut rng = StdRng::seed_from_u64(5);
         assert!(NeuralNet::fit(&x, &[], 2, &MlpConfig::default(), &mut rng).is_err());
     }

@@ -28,7 +28,8 @@
 //! after every finite value during split finding, and they route **right**
 //! both when partitioning training rows and at prediction time (`v <=
 //! threshold` is false for NaN). The histogram path reserves a dedicated
-//! missing bin per feature for the same purpose.
+//! missing bin per feature for the same purpose, and bins `+inf` there too:
+//! its stored thresholds are finite, so prediction routes `+inf` right.
 
 use crate::ModelError;
 use lvp_linalg::{CsrMatrix, DenseMatrix};
@@ -116,11 +117,12 @@ impl DenseColumns {
 ///
 /// > `v <= cuts[b]`  ⇔  `bin(v) <= b`  for every finite `v`.
 ///
-/// NaN rows land in the dedicated missing bin `cuts.len() + 1`, which is
-/// never on the left of any boundary — missing values always route right.
+/// NaN and `+inf` rows land in the dedicated missing bin `cuts.len() + 1`,
+/// which is never on the left of any boundary. Every threshold a binned
+/// split stores is finite, so prediction routes both right as well.
 #[derive(Debug, Clone)]
 struct BinnedFeature {
-    /// Per-row bin index (missing values map to `cuts.len() + 1`).
+    /// Per-row bin index (NaN and `+inf` map to `cuts.len() + 1`).
     bins: Vec<u8>,
     /// Strictly increasing finite cut thresholds.
     cuts: Vec<f64>,
@@ -161,14 +163,14 @@ impl BinnedColumns {
         let mut sorted: Vec<f64> = Vec::with_capacity(columns.n_rows());
         for col in &columns.cols {
             sorted.clear();
-            sorted.extend(col.iter().copied().filter(|v| !v.is_nan()));
+            sorted.extend(col.iter().copied().filter(|&v| v < f64::INFINITY));
             sorted.sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaNs filtered out"));
             let cuts = quantile_cuts(&sorted, max_cuts);
             let missing = (cuts.len() + 1) as u8;
             let bins = col
                 .iter()
                 .map(|&v| {
-                    if v.is_nan() {
+                    if v.is_nan() || v == f64::INFINITY {
                         missing
                     } else {
                         cuts.partition_point(|&c| c < v) as u8
@@ -212,8 +214,8 @@ impl BinnedColumns {
     }
 }
 
-/// Picks strictly increasing cut thresholds for one sorted (NaN-free)
-/// column. When the column has at most `max_cuts` distinct-value
+/// Picks strictly increasing cut thresholds for one sorted column free of
+/// NaN and `+inf`. When the column has at most `max_cuts` distinct-value
 /// boundaries, every boundary midpoint becomes a cut (histogram splits
 /// then coincide with exact splits); otherwise cuts sit at evenly spaced
 /// quantile positions.
@@ -1166,6 +1168,50 @@ mod tests {
             let tree = fit(&cols, &y, &params, &mut rng);
             assert!((tree.predict_dense_row(&[f64::NAN]) - 5.0).abs() < 1e-9);
             assert!(tree.predict_dense_row(&[2.5]).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn positive_infinity_is_served_the_leaf_it_was_trained_in() {
+        // A histogram tree bins `+inf` with the missing values, so the
+        // "finite left, missing right" split, stored as `f64::MAX`, sends
+        // `+inf` right both in training and at prediction.
+        let inf = f64::INFINITY;
+        let col = vec![1.0, 2.0, 3.0, inf, inf, f64::NAN, f64::NAN, f64::NAN];
+        let y = vec![0.0, 0.0, 0.0, 0.0, 0.0, 5.0, 5.0, 5.0];
+        let cols = DenseColumns {
+            n_rows: col.len(),
+            cols: vec![col.clone()],
+        };
+        let params = TreeParams {
+            max_depth: 1,
+            lambda: 0.0,
+            min_samples_leaf: 1,
+            ..TreeParams::default()
+        };
+        let mut rng = StdRng::seed_from_u64(8);
+        let tree = fit_regression_binned(&cols, &y, &params, &mut rng);
+        // The right leaf was fitted on {+inf, +inf, NaN, NaN, NaN}.
+        assert_eq!(tree.predict_dense_row(&[inf]), 3.0);
+        assert_eq!(tree.predict_dense_row(&[f64::NAN]), 3.0);
+        assert_eq!(tree.predict_dense_row(&[3.0]), 0.0);
+        // With λ = 0 a leaf's value is the mean target of the rows it was
+        // trained on, so serving those rows reproduces every leaf's mean
+        // only if prediction routes each row where training did.
+        for fit in [fit_regression, fit_regression_binned] {
+            let tree = fit(&cols, &y, &params, &mut rng);
+            let preds: Vec<f64> = col.iter().map(|&v| tree.predict_dense_row(&[v])).collect();
+            for &p in &preds {
+                let served: Vec<f64> = (0..y.len())
+                    .filter(|&r| preds[r] == p)
+                    .map(|r| y[r])
+                    .collect();
+                let mean = served.iter().sum::<f64>() / served.len() as f64;
+                assert!(
+                    (mean - p).abs() < 1e-12,
+                    "leaf {p} serves rows of mean {mean}"
+                );
+            }
         }
     }
 

@@ -22,8 +22,7 @@ pub use metrics::{
     BinaryConfusion,
 };
 pub use percentile::{
-    percentile_sorted, percentiles, vigintile_grid, PercentileScratch, VIGINTILE_COUNT,
-    VIGINTILE_GRID,
+    percentile_sorted, percentiles, PercentileScratch, VIGINTILE_COUNT, VIGINTILE_GRID,
 };
 pub use sketch::{EcdfSketch, QuantileSketch, SketchMergeError, DEFAULT_SKETCH_BINS};
-pub use tests::{bonferroni_alpha, chi2_gof_test, chi2_test_counts, ks_two_sample, TestOutcome};
+pub use tests::{bonferroni_alpha, chi2_test_counts, ks_two_sample, TestOutcome};

@@ -2,7 +2,7 @@
 //!
 //! The paper featurizes a batch of black box predictions by the class-wise
 //! percentiles of the predicted probabilities, collected at
-//! 0, 5, 10, …, 100 (§4). [`vigintile_grid`] produces exactly that grid.
+//! 0, 5, 10, …, 100 (§4). [`VIGINTILE_GRID`] is exactly that grid.
 
 /// Number of percentile positions in the paper's 0,5,…,100 grid.
 pub const VIGINTILE_COUNT: usize = 21;
@@ -92,19 +92,13 @@ impl PercentileScratch {
     }
 }
 
-/// The paper's percentile grid: 0, 5, 10, …, 100 (a `Vec` view of the
-/// shared [`VIGINTILE_GRID`] constant).
-pub fn vigintile_grid() -> Vec<f64> {
-    VIGINTILE_GRID.to_vec()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn grid_has_21_points_ending_at_100() {
-        let g = vigintile_grid();
+        let g = VIGINTILE_GRID;
         assert_eq!(g.len(), VIGINTILE_COUNT);
         assert_eq!(g[0], 0.0);
         assert_eq!(*g.last().unwrap(), 100.0);
@@ -118,7 +112,6 @@ mod tests {
         for (i, &q) in VIGINTILE_GRID.iter().enumerate() {
             assert_eq!(q, i as f64 * 5.0);
         }
-        assert_eq!(vigintile_grid(), VIGINTILE_GRID.to_vec());
     }
 
     #[test]
@@ -190,7 +183,7 @@ mod tests {
     #[test]
     fn percentiles_are_monotone_in_q() {
         let v: Vec<f64> = (0..100).map(|i| (i * 7 % 31) as f64).collect();
-        let qs = vigintile_grid();
+        let qs = VIGINTILE_GRID;
         let out = percentiles(&v, &qs);
         for w in out.windows(2) {
             assert!(w[0] <= w[1] + 1e-12);

@@ -45,7 +45,7 @@
 //! samples, which differs from the exact-sample KS distance by at most the
 //! largest per-bin mass fraction of either sample.
 
-use crate::special::kolmogorov_sf;
+use crate::tests::ks_p_value;
 use crate::TestOutcome;
 use serde::{Deserialize, Serialize};
 
@@ -518,13 +518,9 @@ impl EcdfSketch {
                 p_value: 1.0,
             });
         }
-        let (n, m) = (self.n as f64, other.n as f64);
-        let ne = n * m / (n + m);
-        let sqrt_ne = ne.sqrt();
-        let lambda = (sqrt_ne + 0.12 + 0.11 / sqrt_ne) * d;
         Ok(TestOutcome {
             statistic: d,
-            p_value: kolmogorov_sf(lambda),
+            p_value: ks_p_value(self.n as f64, other.n as f64, d),
         })
     }
 
@@ -585,12 +581,12 @@ impl EcdfSketch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ks_two_sample, percentiles, vigintile_grid};
+    use crate::{ks_two_sample, percentiles, VIGINTILE_GRID};
 
     fn exact_vs_sketch(values: &[f64]) -> f64 {
         let mut s = QuantileSketch::unit();
         s.extend(values.iter().copied());
-        let qs = vigintile_grid();
+        let qs = VIGINTILE_GRID;
         let exact = percentiles(values, &qs);
         let mut sketched = Vec::new();
         s.extend_percentiles(&qs, &mut sketched);

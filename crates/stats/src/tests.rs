@@ -66,13 +66,20 @@ pub fn ks_two_sample(sample_a: &[f64], sample_b: &[f64]) -> TestOutcome {
         d = d.max((fa - fb).abs());
     }
 
-    let ne = (n as f64 * m as f64) / (n as f64 + m as f64);
-    let sqrt_ne = ne.sqrt();
-    let lambda = (sqrt_ne + 0.12 + 0.11 / sqrt_ne) * d;
     TestOutcome {
         statistic: d,
-        p_value: kolmogorov_sf(lambda),
+        p_value: ks_p_value(n as f64, m as f64, d),
     }
+}
+
+/// Asymptotic p-value of a two-sample KS distance `d` between samples of
+/// sizes `n` and `m`, with the small-sample correction
+/// `λ = (√n_e + 0.12 + 0.11/√n_e) · d` where `n_e = n·m/(n+m)`. Shared by
+/// [`ks_two_sample`] and [`crate::EcdfSketch::ks_test`].
+pub(crate) fn ks_p_value(n: f64, m: f64, d: f64) -> f64 {
+    let ne = n * m / (n + m);
+    let sqrt_ne = ne.sqrt();
+    kolmogorov_sf((sqrt_ne + 0.12 + 0.11 / sqrt_ne) * d)
 }
 
 /// Pearson χ² two-sample test on category counts.
@@ -118,51 +125,6 @@ pub fn chi2_test_counts(counts_a: &[f64], counts_b: &[f64]) -> TestOutcome {
     TestOutcome {
         statistic: stat,
         p_value: chi2_sf(stat, df),
-    }
-}
-
-/// χ² goodness-of-fit of observed counts against expected counts.
-///
-/// Used by BBSEh to compare predicted-class histograms; `expected` is scaled
-/// to the total of `observed`.
-pub fn chi2_gof_test(observed: &[f64], expected: &[f64]) -> TestOutcome {
-    assert_eq!(observed.len(), expected.len());
-    let total_obs: f64 = observed.iter().sum();
-    let total_exp: f64 = expected.iter().sum();
-    if total_obs == 0.0 || total_exp == 0.0 {
-        return TestOutcome {
-            statistic: 0.0,
-            p_value: 1.0,
-        };
-    }
-    let scale = total_obs / total_exp;
-    let mut stat = 0.0;
-    let mut used = 0usize;
-    for (&o, &e) in observed.iter().zip(expected) {
-        let mut e = e * scale;
-        if e <= 0.0 {
-            if o <= 0.0 {
-                continue;
-            }
-            // Category never seen in the reference: the textbook expected
-            // count is 0 and the χ² contribution diverges. Substitute a
-            // half-count pseudo-expectation (Haldane–Anscombe correction)
-            // so the term stays a genuine (o−e)²/e contribution and the
-            // statistic remains χ²-distributed to first order.
-            e = 0.5 * scale;
-        }
-        stat += (o - e).powi(2) / e;
-        used += 1;
-    }
-    if used < 2 {
-        return TestOutcome {
-            statistic: 0.0,
-            p_value: 1.0,
-        };
-    }
-    TestOutcome {
-        statistic: stat,
-        p_value: chi2_sf(stat, (used - 1) as f64),
     }
 }
 
@@ -311,51 +273,6 @@ mod tests {
         let b = [10.0, 0.0, 10.0];
         let out = chi2_test_counts(&a, &b);
         assert_eq!(out.statistic, 0.0);
-    }
-
-    #[test]
-    fn chi2_gof_matches_counts_not_rejected() {
-        let out = chi2_gof_test(&[52.0, 48.0], &[50.0, 50.0]);
-        assert!(out.p_value > 0.5);
-    }
-
-    #[test]
-    fn chi2_gof_detects_label_shift() {
-        let out = chi2_gof_test(&[95.0, 5.0], &[50.0, 50.0]);
-        assert!(out.p_value < 1e-6);
-    }
-
-    #[test]
-    fn chi2_gof_handles_unseen_category() {
-        let out = chi2_gof_test(&[50.0, 50.0, 10.0], &[50.0, 50.0, 0.0]);
-        assert!(out.statistic > 0.0);
-        assert!(out.p_value < 0.05);
-    }
-
-    #[test]
-    fn chi2_gof_unseen_category_uses_pseudo_count_not_o_squared() {
-        let observed = [50.0, 50.0, 10.0];
-        let expected = [50.0, 50.0, 0.0];
-        let out = chi2_gof_test(&observed, &expected);
-        // scale = 110/100; seen categories contribute (50-55)^2/55 each,
-        // the unseen one contributes (10-0.55)^2/0.55 — not 10^2 = 100.
-        let scale = 1.1;
-        let e_pseudo = 0.5 * scale;
-        let want = 2.0 * (50.0f64 - 55.0).powi(2) / 55.0 + (10.0f64 - e_pseudo).powi(2) / e_pseudo;
-        assert!(
-            (out.statistic - want).abs() < 1e-9,
-            "statistic {} vs {want}",
-            out.statistic
-        );
-    }
-
-    #[test]
-    fn chi2_gof_unseen_and_unobserved_category_is_ignored() {
-        // Third category absent from both: must not affect the statistic.
-        let with = chi2_gof_test(&[52.0, 48.0, 0.0], &[50.0, 50.0, 0.0]);
-        let without = chi2_gof_test(&[52.0, 48.0], &[50.0, 50.0]);
-        assert_eq!(with.statistic, without.statistic);
-        assert_eq!(with.p_value, without.p_value);
     }
 
     #[test]

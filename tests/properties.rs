@@ -8,7 +8,7 @@ use lvp_dataframe::{
 };
 use lvp_featurize::{FeaturePipeline, PipelineConfig};
 use lvp_linalg::{stable_softmax, DenseMatrix};
-use lvp_stats::{ks_two_sample, percentiles, vigintile_grid, EcdfSketch, QuantileSketch};
+use lvp_stats::{ks_two_sample, percentiles, EcdfSketch, QuantileSketch, VIGINTILE_GRID};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -44,7 +44,7 @@ proptest! {
 
     #[test]
     fn percentiles_are_bounded_and_monotone(values in prop::collection::vec(-1e6f64..1e6, 1..200)) {
-        let qs = vigintile_grid();
+        let qs = VIGINTILE_GRID;
         let out = percentiles(&values, &qs);
         let (min, max) = values.iter().fold((f64::MAX, f64::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
         for w in out.windows(2) {
@@ -302,7 +302,7 @@ proptest! {
         }
         let mut sketch = QuantileSketch::unit();
         sketch.extend(values.iter().copied());
-        let qs = vigintile_grid();
+        let qs = VIGINTILE_GRID;
         let exact = percentiles(&values, &qs);
         let mut approx = Vec::new();
         sketch.extend_percentiles(&qs, &mut approx);

@@ -9,7 +9,7 @@
 
 use lvp_core::{PerformancePredictor, PerformanceValidator, PredictorConfig, ValidatorConfig};
 use lvp_corruptions::{standard_tabular_suite, ErrorGen, Mixture};
-use lvp_linalg::{CsrMatrix, SparseVec};
+use lvp_linalg::{CsrBuilder, CsrMatrix};
 use lvp_models::forest::{ForestConfig, RandomForestRegressor};
 use lvp_models::gbdt::{GbdtClassifier, GbdtConfig};
 use lvp_models::tree::SplitMethod;
@@ -139,7 +139,7 @@ fn predictor_estimates_agree_across_split_methods() {
 
 fn rings(n: usize, seed: u64) -> (CsrMatrix, Vec<u32>) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut rows = Vec::new();
+    let mut rows = CsrBuilder::new(2);
     let mut labels = Vec::new();
     for _ in 0..n {
         let a: f64 = rng.gen_range(0.0..std::f64::consts::TAU);
@@ -149,10 +149,11 @@ fn rings(n: usize, seed: u64) -> (CsrMatrix, Vec<u32>) {
         } else {
             rng.gen_range(0.8..1.2)
         };
-        rows.push(SparseVec::from_pairs(2, vec![(0, r * a.cos()), (1, r * a.sin())]).unwrap());
+        rows.push_row_pairs(&mut vec![(0, r * a.cos()), (1, r * a.sin())])
+            .unwrap();
         labels.push(y);
     }
-    (CsrMatrix::from_sparse_rows(&rows).unwrap(), labels)
+    (rows.finish(), labels)
 }
 
 fn pool(threads: usize) -> rayon::ThreadPool {
