@@ -12,8 +12,8 @@
 //! `cargo run --release -p lvp-bench --bin ablations [-- --scale small]`
 
 use lvp_bench::{
-    estimate_and_accuracy, prepare_split, train_for, write_results, ExperimentEnv, ResultRow,
-    Summary,
+    estimate_and_accuracy, prepare_split, serving_errors, train_for, write_results, ExperimentEnv,
+    ResultRow, Summary,
 };
 use lvp_core::{
     generate_batches_resilient, prediction_statistics, Metric, PerformancePredictor,
@@ -293,15 +293,14 @@ fn main() {
         )
         .expect("predictor fit");
         let mixture = Mixture::from_boxes(standard_tabular_suite(data.serving.schema()));
-        let mut abs_errors = Vec::new();
-        for _ in 0..env.scale.serving_batches() {
-            let batch = data
-                .serving
-                .sample_n(env.scale.serving_batch_rows(), &mut rng);
-            let corrupted = mixture.corrupt(&batch, &mut rng);
-            let (est, truth) = estimate_and_accuracy(&predictor, &corrupted);
-            abs_errors.push((est.point - truth).abs());
-        }
+        let abs_errors = serving_errors(
+            &predictor,
+            &data.serving,
+            &mixture,
+            None,
+            env.scale,
+            &mut rng,
+        );
         let s = Summary::of(&abs_errors);
         println!("runs={runs:<4} MAE {:.4} (median {:.4})", s.mean, s.median);
         rows.push(

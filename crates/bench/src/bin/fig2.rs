@@ -10,8 +10,7 @@
 //! `cargo run --release -p lvp-bench --bin fig2 [-- --scale small]`
 
 use lvp_bench::{
-    estimate_and_accuracy, prepare_split, train_for, write_results, ExperimentEnv, ResultRow,
-    Summary,
+    prepare_split, serving_errors, train_for, write_results, ExperimentEnv, ResultRow, Summary,
 };
 use lvp_core::PerformancePredictor;
 use lvp_corruptions::{
@@ -74,16 +73,14 @@ fn main() {
                 )
                 .expect("predictor fit succeeds");
 
-                let mut abs_errors = Vec::new();
-                for _ in 0..env.scale.serving_batches() {
-                    let batch = split
-                        .serving
-                        .sample_n(env.scale.serving_batch_rows(), &mut rng);
-                    let corrupted =
-                        error.corrupt_with_model(&batch, Some(model.as_ref()), &mut rng);
-                    let (est, truth) = estimate_and_accuracy(&predictor, &corrupted);
-                    abs_errors.push((est.point - truth).abs());
-                }
+                let abs_errors = serving_errors(
+                    &predictor,
+                    &split.serving,
+                    error.as_ref(),
+                    Some(model.as_ref()),
+                    env.scale,
+                    &mut rng,
+                );
                 let summary = Summary::of(&abs_errors);
                 println!(
                     "{:<10} {:<6} {:<24} {:>8.4} {:>8.4} {:>8.4} {:>8.4}",

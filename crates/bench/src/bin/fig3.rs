@@ -12,8 +12,7 @@
 //! `cargo run --release -p lvp-bench --bin fig3 [-- --scale small]`
 
 use lvp_bench::{
-    estimate_and_accuracy, prepare_split, train_for, write_results, ExperimentEnv, ResultRow,
-    Summary,
+    prepare_split, serving_errors, train_for, write_results, ExperimentEnv, ResultRow, Summary,
 };
 use lvp_core::{PerformancePredictor, PredictorConfig};
 use lvp_corruptions::{
@@ -112,16 +111,14 @@ fn main() {
 
                 // Serving: the full mixture, always applied.
                 let serve_mix = Mixture::from_boxes(full_suite(split.serving.schema()));
-                let mut abs_errors = Vec::new();
-                for _ in 0..env.scale.serving_batches() {
-                    let batch = split
-                        .serving
-                        .sample_n(env.scale.serving_batch_rows(), &mut rng);
-                    let corrupted =
-                        serve_mix.corrupt_with_model(&batch, Some(model.as_ref()), &mut rng);
-                    let (est, truth) = estimate_and_accuracy(&predictor, &corrupted);
-                    abs_errors.push((est.point - truth).abs());
-                }
+                let abs_errors = serving_errors(
+                    &predictor,
+                    &split.serving,
+                    &serve_mix,
+                    Some(model.as_ref()),
+                    env.scale,
+                    &mut rng,
+                );
                 if model_kind == ModelKind::Lr {
                     linear_by_fraction[fi].extend_from_slice(&abs_errors);
                 } else {

@@ -8,9 +8,7 @@
 //!
 //! `cargo run --release -p lvp-bench --bin fig4 [-- --scale small]`
 
-use lvp_bench::{
-    estimate_and_accuracy, train_for, write_results, ExperimentEnv, ResultRow, Summary,
-};
+use lvp_bench::{serving_errors, train_for, write_results, ExperimentEnv, ResultRow, Summary};
 use lvp_core::PerformancePredictor;
 use lvp_corruptions::{ErrorGen, MissingValues, Outliers};
 use lvp_datasets::DatasetKind;
@@ -88,13 +86,14 @@ fn main() {
                     }
                     _ => Box::new(Outliers::all_numeric(split.serving.schema())),
                 };
-                let mut abs_errors = Vec::new();
-                for _ in 0..scale.serving_batches() {
-                    let batch = split.serving.sample_n(scale.serving_batch_rows(), &mut rng);
-                    let corrupted = serve_gen.corrupt(&batch, &mut rng);
-                    let (est, truth) = estimate_and_accuracy(&predictor, &corrupted);
-                    abs_errors.push((est.point - truth).abs());
-                }
+                let abs_errors = serving_errors(
+                    &predictor,
+                    &split.serving,
+                    serve_gen.as_ref(),
+                    None,
+                    scale,
+                    &mut rng,
+                );
                 let summary = Summary::of(&abs_errors);
                 let condition = format!("{} in {}", error_name, dataset.name());
                 println!(

@@ -3,6 +3,7 @@
 use lvp_core::{
     FeatureSource, Metric, PerformancePredictor, PredictorConfig, ScoreInterval, ValidatorConfig,
 };
+use lvp_corruptions::ErrorGen;
 use lvp_dataframe::DataFrame;
 use lvp_datasets::DatasetKind;
 use lvp_models::forest::ForestConfig;
@@ -222,6 +223,27 @@ pub fn estimate_and_accuracy(
         .score(&proba, batch.labels())
         .expect("accuracy scores any class count");
     (estimate, truth)
+}
+
+/// The predictor's absolute error `|estimate − true accuracy|` on each of
+/// `scale`'s serving batches: every batch is drawn from `serving`, then
+/// corrupted by `error`, which sees the deployed `model` when one is given.
+pub fn serving_errors(
+    predictor: &PerformancePredictor,
+    serving: &DataFrame,
+    error: &dyn ErrorGen,
+    model: Option<&dyn BlackBoxModel>,
+    scale: Scale,
+    rng: &mut StdRng,
+) -> Vec<f64> {
+    (0..scale.serving_batches())
+        .map(|_| {
+            let batch = serving.sample_n(scale.serving_batch_rows(), rng);
+            let corrupted = error.corrupt_with_model(&batch, model, rng);
+            let (estimate, truth) = estimate_and_accuracy(predictor, &corrupted);
+            (estimate.point - truth).abs()
+        })
+        .collect()
 }
 
 /// Bundles the common per-experiment state.

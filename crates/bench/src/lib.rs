@@ -19,7 +19,8 @@ pub mod summary;
 pub mod validation;
 
 pub use harness::{
-    estimate_and_accuracy, prepare_split, train_for, ExperimentEnv, Scale, SplitSpec,
+    estimate_and_accuracy, prepare_split, serving_errors, train_for, ExperimentEnv, Scale,
+    SplitSpec,
 };
 pub use summary::{write_results, Summary};
 

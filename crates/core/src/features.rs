@@ -8,9 +8,10 @@
 //!   per class column ([`prediction_statistics`], the original Algorithm
 //!   1/2 path, kept as the calibrated oracle);
 //! * a **sketched** source — a [`BatchSketch`] built incrementally from
-//!   row chunks in `O(bins)` memory, whose per-class quantile and ECDF
-//!   sketches are exactly mergeable across chunks, time windows, and
-//!   shards (see [`lvp_stats::sketch`] for the error contract).
+//!   row chunks in `O(bins)` memory, whose per-class quantile sketches are
+//!   exactly mergeable across chunks, time windows, and shards, and whose
+//!   ECDFs are views of their counts (see [`lvp_stats::sketch`] for the
+//!   error contract).
 //!
 //! Both query the same shared percentile grid
 //! ([`lvp_stats::VIGINTILE_GRID`]), so the two feature layouts cannot
@@ -50,7 +51,8 @@ pub fn prediction_statistics(proba: &DenseMatrix) -> Vec<f64> {
 }
 
 /// Streaming sketch state for one serving batch (or time window): one
-/// quantile sketch and one ECDF sketch per class column.
+/// quantile sketch per class column. Percentile features query the
+/// sketches; KS tests read their counts through [`BatchSketch::ecdfs`].
 ///
 /// Built incrementally from row chunks via [`BatchSketch::observe_chunk`]
 /// in fixed `O(bins)` memory per class — a million-row batch streams
@@ -61,11 +63,10 @@ pub fn prediction_statistics(proba: &DenseMatrix) -> Vec<f64> {
 /// would have produced, regardless of chunk boundaries, merge order, or
 /// thread schedule.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(into = "WindowWire", try_from = "WindowWire")]
 pub struct BatchSketch {
-    /// Per-class quantile sketches (percentile features).
+    /// Per-class quantile sketches.
     quantiles: Vec<QuantileSketch>,
-    /// Per-class compressed ECDFs (KS / drift features).
-    ecdfs: Vec<EcdfSketch>,
     /// Rows observed so far.
     rows: u64,
     /// Chunks folded in via [`Self::observe_chunk`].
@@ -82,9 +83,6 @@ impl BatchSketch {
         Self {
             quantiles: (0..n_classes)
                 .map(|_| QuantileSketch::new(lo, hi, bins))
-                .collect(),
-            ecdfs: (0..n_classes)
-                .map(|_| EcdfSketch::new(lo, hi, bins))
                 .collect(),
             rows: 0,
             chunks: 0,
@@ -111,13 +109,8 @@ impl BatchSketch {
                 self.quantiles.len()
             )));
         }
-        for class in 0..proba.cols() {
-            let q = &mut self.quantiles[class];
-            let e = &mut self.ecdfs[class];
-            for v in proba.column_iter(class) {
-                q.insert(v);
-                e.insert(v);
-            }
+        for (class, q) in self.quantiles.iter_mut().enumerate() {
+            q.extend(proba.column_iter(class));
         }
         self.rows += proba.rows() as u64;
         self.chunks += 1;
@@ -138,10 +131,6 @@ impl BatchSketch {
         for (q, oq) in self.quantiles.iter_mut().zip(&other.quantiles) {
             q.merge(oq)
                 .map_err(|e| CoreError::with_source("merging quantile sketches", e))?;
-        }
-        for (e, oe) in self.ecdfs.iter_mut().zip(&other.ecdfs) {
-            e.merge(oe)
-                .map_err(|err| CoreError::with_source("merging ecdf sketches", err))?;
         }
         self.rows += other.rows;
         self.chunks += other.chunks;
@@ -169,17 +158,13 @@ impl BatchSketch {
             self.quantiles
                 .iter()
                 .map(|q| (q.check_consistent(), q.grid())),
-        )?;
-        check_unit_grid(
-            "window ECDF",
-            n_classes,
-            self.ecdfs.iter().map(|e| (e.check_consistent(), e.grid())),
         )
     }
 
-    /// Per-class compressed ECDFs (KS / drift feature support).
-    pub fn ecdfs(&self) -> &[EcdfSketch] {
-        &self.ecdfs
+    /// Per-class ECDFs: the counts view of each quantile sketch (KS / drift
+    /// feature support).
+    pub fn ecdfs(&self) -> Vec<EcdfSketch> {
+        self.quantiles.iter().map(EcdfSketch::from).collect()
     }
 
     /// Number of probability columns tracked.
@@ -219,11 +204,52 @@ impl BatchSketch {
                 .iter()
                 .map(QuantileSketch::approx_bytes)
                 .sum::<usize>()
-            + self
-                .ecdfs
-                .iter()
-                .map(EcdfSketch::approx_bytes)
-                .sum::<usize>()
+    }
+}
+
+/// The v4 wire form of a [`BatchSketch`]: its fields plus `ecdfs`, the
+/// counts view of each quantile sketch, written for readers that keep an
+/// ECDF sketch per class beside the quantile sketch. A window whose
+/// `ecdfs` are not that view is rejected on read.
+#[derive(Serialize, Deserialize)]
+struct WindowWire {
+    quantiles: Vec<QuantileSketch>,
+    ecdfs: Vec<EcdfSketch>,
+    rows: u64,
+    chunks: u64,
+    merges: u64,
+}
+
+impl From<BatchSketch> for WindowWire {
+    fn from(window: BatchSketch) -> Self {
+        Self {
+            ecdfs: window.ecdfs(),
+            quantiles: window.quantiles,
+            rows: window.rows,
+            chunks: window.chunks,
+            merges: window.merges,
+        }
+    }
+}
+
+impl TryFrom<WindowWire> for BatchSketch {
+    type Error = CoreError;
+
+    fn try_from(wire: WindowWire) -> Result<Self, CoreError> {
+        let window = Self {
+            quantiles: wire.quantiles,
+            rows: wire.rows,
+            chunks: wire.chunks,
+            merges: wire.merges,
+        };
+        let views = window.ecdfs();
+        let classes = views.len().max(wire.ecdfs.len());
+        match (0..classes).find(|&c| wire.ecdfs.get(c) != views.get(c)) {
+            Some(class) => Err(CoreError::new(format!(
+                "window ECDF sketch of class {class} is not the counts of its quantile sketch"
+            ))),
+            None => Ok(window),
+        }
     }
 }
 
@@ -308,7 +334,9 @@ fn check_unit_grid(
 ///
 /// It always holds the per-class ECDF sketches on the [`UNIT_GRID`], and
 /// the exact columns when they are materialized (they are not after a
-/// monitor restore: monitor artifacts persist only the sketches).
+/// monitor restore: monitor artifacts persist only the sketches). A
+/// reference built from columns takes each ECDF as the counts view of the
+/// column's quantile sketch, the same inserts a serving window makes.
 pub(crate) struct OutputReference {
     columns: Option<Vec<Vec<f64>>>,
     ecdfs: Vec<EcdfSketch>,
@@ -320,7 +348,11 @@ impl OutputReference {
         let (lo, hi, bins) = UNIT_GRID;
         let ecdfs = columns
             .iter()
-            .map(|col| EcdfSketch::from_values(col, lo, hi, bins))
+            .map(|col| {
+                let mut q = QuantileSketch::new(lo, hi, bins);
+                q.extend(col.iter().copied());
+                EcdfSketch::from(&q)
+            })
             .collect();
         Self {
             columns: Some(columns),
@@ -333,20 +365,18 @@ impl OutputReference {
         Self::from_columns((0..proba.cols()).map(|c| proba.column(c)).collect())
     }
 
-    /// Loaded reference state: `ecdfs` must hold one unit-grid sketch per
-    /// class of an `n_classes` model (the caller checks `columns`, when
-    /// present, against the model).
-    pub(crate) fn new(
-        columns: Option<Vec<Vec<f64>>>,
-        ecdfs: Vec<EcdfSketch>,
-        n_classes: usize,
-    ) -> Result<Self, CoreError> {
+    /// A loaded sketch-only reference (a restored monitor's): `ecdfs` must
+    /// hold one unit-grid sketch per class of an `n_classes` model.
+    pub(crate) fn new(ecdfs: Vec<EcdfSketch>, n_classes: usize) -> Result<Self, CoreError> {
         check_unit_grid(
             "reference ECDF",
             n_classes,
             ecdfs.iter().map(|e| (e.check_consistent(), e.grid())),
         )?;
-        Ok(Self { columns, ecdfs })
+        Ok(Self {
+            columns: None,
+            ecdfs,
+        })
     }
 
     /// The exact per-class columns, when materialized.
@@ -542,6 +572,42 @@ mod tests {
         for (a, b) in fe.iter().zip(&fs) {
             assert!((a - b).abs() <= bound);
         }
+    }
+
+    #[test]
+    fn window_json_carries_the_ecdf_view_and_rejects_any_other() {
+        let window = BatchSketch::from_outputs(&spread_outputs(300));
+        let json = serde_json::to_string(&window).unwrap();
+        let keys: Vec<usize> = ["quantiles", "ecdfs", "rows", "chunks", "merges"]
+            .iter()
+            .map(|k| json.find(&format!(r#""{k}":"#)).unwrap())
+            .collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");
+        let ecdfs_field = |ecdfs: &str| format!(r#""ecdfs":{ecdfs},"#);
+        let ecdfs = serde_json::to_string(&window.ecdfs()).unwrap();
+        assert!(json.contains(&ecdfs_field(&ecdfs)));
+        let back: BatchSketch = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, window);
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+
+        // Class 1's ECDF swapped for one of 300 other outputs: a consistent
+        // sketch on the unit grid, but not the view of its quantile sketch.
+        let tied = DenseMatrix::from_rows(&vec![vec![0.5, 0.5]; 300]).unwrap();
+        let mut views = window.ecdfs();
+        views[1] = BatchSketch::from_outputs(&tied).ecdfs()[1].clone();
+        let swapped = serde_json::to_string(&views).unwrap();
+        let tampered = json.replacen(&ecdfs_field(&ecdfs), &ecdfs_field(&swapped), 1);
+        let err = serde_json::from_str::<BatchSketch>(&tampered).unwrap_err();
+        assert!(
+            err.to_string().contains("window ECDF sketch of class 1"),
+            "{err}"
+        );
+        let dropped = json.replacen(&ecdfs_field(&ecdfs), &ecdfs_field("[]"), 1);
+        let err = serde_json::from_str::<BatchSketch>(&dropped).unwrap_err();
+        assert!(
+            err.to_string().contains("window ECDF sketch of class 0"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -408,9 +408,10 @@ pub struct ValidatorArtifact {
     /// Fingerprint of the fit-time test schema.
     pub schema_fingerprint: Option<u64>,
     /// Compressed ECDF sketches of the test-time outputs (the sketched-path
-    /// KS reference). `None` in pre-version-3 artifacts; rebuilt from
-    /// `test_columns` at load time (a pure function of them), so restored
-    /// validators behave identically either way.
+    /// KS reference). `None` in pre-version-3 artifacts. Loading always
+    /// rebuilds them from `test_columns` (a pure function of them) and
+    /// rejects an artifact whose sketches differ; they are written for
+    /// version-4 readers.
     pub test_ecdf: Option<Vec<EcdfSketch>>,
 }
 
@@ -452,14 +453,15 @@ impl PerformanceValidator {
         let per_class =
             crate::feature_dimensionality(1) + 2 * usize::from(artifact.use_ks_features);
         artifact.classifier.check(per_class * model.n_classes())?;
-        let reference = match artifact.test_ecdf {
-            Some(ecdfs) => {
-                OutputReference::new(Some(artifact.test_columns), ecdfs, model.n_classes())?
-            }
-            // Pre-v3 artifacts carry no sketches: rebuild them from the
-            // retained columns, a pure function of them.
-            None => OutputReference::from_columns(artifact.test_columns),
-        };
+        let reference = OutputReference::from_columns(artifact.test_columns);
+        if artifact
+            .test_ecdf
+            .is_some_and(|ecdfs| ecdfs != reference.ecdfs())
+        {
+            return Err(CoreError::new(
+                "validator artifact's reference ECDF sketches differ from the sketches of its test columns",
+            ));
+        }
         Ok(Self {
             model,
             classifier: artifact.classifier,
@@ -538,7 +540,7 @@ impl BatchMonitor {
         }
         let reference = artifact
             .reference_ecdf
-            .map(|ecdfs| OutputReference::new(None, ecdfs, n_classes))
+            .map(|ecdfs| OutputReference::new(ecdfs, n_classes))
             .transpose()?;
         let mut monitor = Self::new(predictor, artifact.policy)?;
         monitor.smoothed = artifact.smoothed;
@@ -602,6 +604,7 @@ mod tests {
     use lvp_dataframe::toy_frame;
     use lvp_linalg::DenseMatrix;
     use lvp_models::{train_model, ModelKind};
+    use lvp_stats::QuantileSketch;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -808,8 +811,8 @@ mod tests {
         let validator =
             PerformanceValidator::fit(Arc::clone(&model), &test, &gens, &config, &mut rng).unwrap();
         for ecdfs in [
-            vec![EcdfSketch::unit(); 3],
-            vec![EcdfSketch::new(0.0, 1.0, 16); 2],
+            vec![EcdfSketch::from(&QuantileSketch::unit()); 3],
+            vec![EcdfSketch::from(&QuantileSketch::new(0.0, 1.0, 16)); 2],
         ] {
             let mut artifact = validator.to_artifact();
             artifact.test_ecdf = Some(ecdfs);
@@ -818,6 +821,26 @@ mod tests {
                 .expect("a reference the validator cannot test against loaded");
             assert!(err.message.contains("reference ECDF"), "{err}");
         }
+    }
+
+    #[test]
+    fn validator_artifact_rejects_test_ecdfs_of_other_outputs() {
+        let (model, test, serving) = fitted();
+        let mut rng = StdRng::seed_from_u64(43);
+        let gens = standard_tabular_suite(test.schema());
+        let config = ValidatorConfig::fast(0.05);
+        let validator =
+            PerformanceValidator::fit(Arc::clone(&model), &test, &gens, &config, &mut rng).unwrap();
+        // The serving outputs' sketches: one per class, on the unit grid and
+        // self-consistent, but not the sketches of `test_columns`.
+        let other = crate::BatchSketch::from_outputs(&model.predict_proba(&serving)).ecdfs();
+        let mut artifact = validator.to_artifact();
+        assert_ne!(artifact.test_ecdf.as_ref(), Some(&other));
+        artifact.test_ecdf = Some(other);
+        let err = PerformanceValidator::from_artifact(artifact, Arc::clone(&model))
+            .err()
+            .expect("a reference that disagrees with the test columns loaded");
+        assert!(err.message.contains("reference ECDF"), "{err}");
     }
 
     #[test]

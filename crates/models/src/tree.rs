@@ -28,8 +28,9 @@
 //! after every finite value during split finding, and they route **right**
 //! both when partitioning training rows and at prediction time (`v <=
 //! threshold` is false for NaN). The histogram path reserves a dedicated
-//! missing bin per feature for the same purpose, and bins `+inf` there too:
-//! its stored thresholds are finite, so prediction routes `+inf` right.
+//! missing bin per feature for the same purpose and bins `+inf` there too;
+//! the exact path ends its scan at `+inf` as it does at NaN. Every stored
+//! threshold is finite, so prediction routes `+inf` right.
 
 use crate::ModelError;
 use lvp_linalg::{CsrMatrix, DenseMatrix};
@@ -479,7 +480,9 @@ impl<'p> SplitSearch<'p> {
 
     /// Exact scan of feature `f`: `order` holds the node's rows sorted by
     /// the feature with NaN last, and every boundary between adjacent
-    /// distinct values is a candidate.
+    /// distinct values below `+inf` is a candidate. `+inf` and NaN both
+    /// route right at every stored (finite) threshold, as in the
+    /// histogram path.
     fn scan_sorted(
         &mut self,
         columns: &DenseColumns,
@@ -495,9 +498,9 @@ impl<'p> SplitSearch<'p> {
             g_left += grad[r];
             h_left += hess[r];
             let v = columns.value(r, f);
-            if v.is_nan() {
-                // NaNs sort last: only missing values remain, and no
-                // boundary can separate missing from missing.
+            if v.is_nan() || v == f64::INFINITY {
+                // `+inf` and NaN sort last and both route right: no
+                // boundary remains that a finite threshold can draw.
                 break;
             }
             let v_next = columns.value(order[i + 1], f);
@@ -507,10 +510,11 @@ impl<'p> SplitSearch<'p> {
             if !self.sizes_ok(i + 1) {
                 continue;
             }
-            let threshold = if v_next.is_nan() {
+            let threshold = if v_next.is_nan() || v_next == f64::INFINITY {
                 // Boundary between the largest finite value and the
-                // missing run: `v` itself routes every finite value
-                // left and every NaN right.
+                // `+inf`/missing run: `v` itself routes every finite
+                // value left and the rest right (a `v` of `-inf` is no
+                // storable threshold; the check below skips it).
                 v
             } else {
                 // The midpoint of two adjacent floats can round up to
@@ -518,11 +522,14 @@ impl<'p> SplitSearch<'p> {
                 // separate them; require a strictly separating
                 // threshold.
                 let t = 0.5 * (v + v_next);
-                if !t.is_finite() || t < v || t >= v_next {
+                if t < v || t >= v_next {
                     continue;
                 }
                 t
             };
+            if !threshold.is_finite() {
+                continue;
+            }
             self.offer(f, threshold, 0, g_left, h_left);
         }
     }
@@ -892,8 +899,9 @@ impl RegressionTree {
     }
 
     /// Rejects a tree that prediction could not walk over rows of
-    /// `n_features` features: no nodes, a split feature `>= n_features`, or
-    /// a child not strictly after its parent and inside the node list.
+    /// `n_features` features: no nodes, a split feature `>= n_features`, a
+    /// child not strictly after its parent and inside the node list, or a
+    /// threshold that is not finite (JSON reads a stored `±inf` as NaN).
     /// Fitting lays every child out after its parent, so fitted trees pass;
     /// on a deserialized one a walk could otherwise loop or index past the end.
     pub fn check(&self, n_features: usize) -> Result<(), ModelError> {
@@ -909,6 +917,15 @@ impl RegressionTree {
             return Err(ModelError::invalid_input(format!(
                 "tree node {i} has a child outside {}..{n}",
                 i + 1
+            )));
+        }
+        let bad_threshold = |node: &Node| match *node {
+            Node::Split { threshold, .. } => !threshold.is_finite(),
+            Node::Leaf { .. } => false,
+        };
+        if let Some(i) = self.nodes.iter().position(bad_threshold) {
+            return Err(ModelError::invalid_input(format!(
+                "tree node {i} splits at a non-finite threshold"
             )));
         }
         match self.max_feature() {
@@ -1213,6 +1230,48 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn exact_splits_next_to_infinity_store_finite_thresholds() {
+        // A split between `+inf` and the NaN run would store the threshold
+        // `+inf`, which JSON writes as `null` and reads back as NaN: the
+        // reloaded split would send every row right.
+        let inf = f64::INFINITY;
+        let col = vec![1.0, 2.0, 3.0, inf, inf, f64::NAN, f64::NAN, f64::NAN];
+        let y = vec![0.0, 0.0, 0.0, 0.0, 0.0, 5.0, 5.0, 5.0];
+        let cols = DenseColumns {
+            n_rows: col.len(),
+            cols: vec![col],
+        };
+        let params = TreeParams {
+            max_depth: 1,
+            lambda: 0.0,
+            min_samples_leaf: 1,
+            ..TreeParams::default()
+        };
+        let mut rng = StdRng::seed_from_u64(8);
+        let exact = fit_regression(&cols, &y, &params, &mut rng);
+        let binned = fit_regression_binned(&cols, &y, &params, &mut rng);
+        let json = serde_json::to_string(&exact).unwrap();
+        assert!(!json.contains("null"), "{json}");
+        let reloaded: RegressionTree = serde_json::from_str(&json).unwrap();
+        assert!(reloaded.check(1).is_ok());
+        for v in [2.0, inf, f64::NAN] {
+            let p = exact.predict_dense_row(&[v]);
+            assert_eq!(p, reloaded.predict_dense_row(&[v]), "{v}");
+            assert_eq!(p, binned.predict_dense_row(&[v]), "{v}");
+        }
+        assert_eq!(exact.predict_dense_row(&[2.0]), 0.0);
+        assert_eq!(exact.predict_dense_row(&[inf]), 3.0);
+
+        // A stored threshold that is not finite fails the load check.
+        let at = json.find(r#""threshold":"#).unwrap() + r#""threshold":"#.len();
+        let end = at + json[at..].find(',').unwrap();
+        let nulled = format!("{}null{}", &json[..at], &json[end..]);
+        let tree: RegressionTree = serde_json::from_str(&nulled).unwrap();
+        let err = tree.check(1).unwrap_err();
+        assert!(err.to_string().contains("non-finite threshold"), "{err}");
     }
 
     #[test]

@@ -1423,8 +1423,8 @@ mod tests {
 
     #[test]
     fn register_rejects_reference_ecdfs_off_the_class_count_or_grid() {
-        let unit = serde_json::to_string(BatchSketch::new(3).ecdfs()).unwrap();
-        let unit2 = serde_json::to_string(BatchSketch::new(2).ecdfs()).unwrap();
+        let unit = serde_json::to_string(&BatchSketch::new(3).ecdfs()).unwrap();
+        let unit2 = serde_json::to_string(&BatchSketch::new(2).ecdfs()).unwrap();
         // An ECDF whose total is not its counts' sum: CDF values above 1.
         let miscounted = unit2.replacen(r#""n":0,"#, r#""n":5,"#, 1);
         assert_ne!(miscounted, unit2);
@@ -1441,29 +1441,35 @@ mod tests {
 
     #[test]
     fn register_rejects_an_open_window_off_the_class_count_or_grid() {
+        let line = |window: BatchSketch| {
+            let mut a = artifact();
+            a.monitor.window = Some(window);
+            register_line("window", a)
+        };
         let json = serde_json::to_string(&BatchSketch::new(2)).unwrap();
+        let tampered = |from: &str, to: &str| {
+            assert!(json.contains(from), "{from}");
+            json.replacen(from, to, 1)
+        };
+        // A quantile sketch with one bin minimum short: the next chunk would
+        // panic inserting into the last bin.
+        let short: BatchSketch =
+            serde_json::from_str(&tampered(r#""bin_min":[null,"#, r#""bin_min":["#)).unwrap();
+        // Window ECDFs off the unit grid, and one whose total is not its
+        // counts' sum: neither is the view of the window's quantile
+        // sketches, so no `BatchSketch` holds them; send them as raw lines.
         let (head, tail) = json.split_once(r#""ecdfs":"#).unwrap();
         let rest = &tail[tail.find(r#","rows""#).unwrap()..];
-        let coarse: BatchSketch =
-            serde_json::from_str(&format!(r#"{head}"ecdfs":{}{rest}"#, coarse_ecdfs_json(2)))
-                .unwrap();
-        // A quantile sketch with one bin minimum short: the next chunk would
-        // panic inserting into the last bin. An ECDF whose total is not its
-        // counts' sum.
-        let tampered = |from: &str, to: &str| -> BatchSketch {
-            assert!(json.contains(from), "{from}");
-            serde_json::from_str(&json.replacen(from, to, 1)).unwrap()
-        };
-        let short = tampered(r#""bin_min":[null,"#, r#""bin_min":["#);
+        let coarse = format!(r#"{head}"ecdfs":{}{rest}"#, coarse_ecdfs_json(2));
         let miscounted = tampered(r#""n":0,"dropped":0}"#, r#""n":5,"dropped":0}"#);
-        let lines: Vec<String> = [BatchSketch::new(3), coarse, short, miscounted]
-            .into_iter()
-            .map(|window| {
-                let mut a = artifact();
-                a.monitor.window = Some(window);
-                register_line("window", a)
-            })
-            .collect();
+        let clean = line(BatchSketch::new(2));
+        assert!(clean.contains(&json));
+        let lines = [
+            line(BatchSketch::new(3)),
+            clean.replacen(&json, &coarse, 1),
+            line(short),
+            clean.replacen(&json, &miscounted, 1),
+        ];
         assert_registers_rejected("window", &lines, "sketch");
     }
 

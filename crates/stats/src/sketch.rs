@@ -10,9 +10,14 @@
 //!   (model outputs live in `[0, 1]`), refined with exact per-bin min/max,
 //!   answering percentile queries with a **proven value-error bound**
 //!   ε = (hi − lo) / bins (see below);
-//! * [`EcdfSketch`] — a compressed empirical CDF (bin counts only),
-//!   answering KS-distance queries with **exact rank information at bin
-//!   edges** (rank error 0 at edges, ≤ one bin's mass inside a bin).
+//! * [`EcdfSketch`] — the counts view of a quantile sketch (its bin counts
+//!   without the extrema), answering KS-distance queries with **exact rank
+//!   information at bin edges** (rank error 0 at edges, ≤ one bin's mass
+//!   inside a bin).
+//!
+//! Only the quantile sketch takes in values, so a streaming window keeps
+//! one sketch per output column and bins each value once; its ECDF is
+//! built from those counts when a KS test needs it.
 //!
 //! # Why not GK / KLL?
 //!
@@ -21,10 +26,10 @@
 //! compaction schedule depends on how the merge tree was parenthesized, so
 //! a fleet-level merge of N shard sketches would not be bit-identical to
 //! the single-stream sketch — which is exactly the contract the monitor's
-//! sharded path promises (DESIGN.md §5h). Both sketches here are instead
-//! **commutative monoids**: their state is bin counts (`u64` addition) and
-//! per-bin min/max (order-insensitive), so `merge` is exactly associative
-//! *and* commutative — any merge order, any thread schedule, any
+//! sharded path promises (DESIGN.md §5h). The quantile sketch here is
+//! instead a **commutative monoid**: its state is bin counts (`u64`
+//! addition) and per-bin min/max (order-insensitive), so `merge` is exactly
+//! associative *and* commutative — any merge order, any thread schedule, any
 //! shard/chunk grouping produces bit-identical state. Model outputs are
 //! probabilities, so the fixed `[0, 1]` range loses nothing.
 //!
@@ -230,11 +235,7 @@ impl QuantileSketch {
     /// counts add, extrema combine, so any merge tree over the same
     /// sketches yields bit-identical state.
     pub fn merge(&mut self, other: &Self) -> Result<(), SketchMergeError> {
-        check_same_grid(
-            "quantile sketch",
-            (self.lo, self.hi, self.counts.len()),
-            (other.lo, other.hi, other.counts.len()),
-        )?;
+        check_same_grid("quantile sketch", self.grid(), other.grid())?;
         for b in 0..self.counts.len() {
             self.counts[b] += other.counts[b];
             if self.bin_min[b].is_nan() || other.bin_min[b] < self.bin_min[b] {
@@ -392,12 +393,13 @@ impl QuantileSketch {
     }
 }
 
-/// A compressed empirical CDF: bin counts over a fixed grid.
+/// The counts view of a [`QuantileSketch`]: its grid, bin counts, total
+/// and dropped count, without the per-bin extrema.
 ///
-/// Holds strictly less state than a [`QuantileSketch`] (no per-bin
-/// extrema) — enough for KS-distance queries, which only need ranks at bin
-/// edges, where the sketch is exact. `merge` is plain `u64` vector
-/// addition: exactly associative and commutative.
+/// That is all a KS-distance query needs: ranks at bin edges, where the
+/// counts are exact. The only way to build one is from a quantile sketch
+/// ([`From<&QuantileSketch>`]), so the view and its sketch cannot
+/// disagree; v3/v4 artifacts persist reference ECDFs in this shape.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EcdfSketch {
     /// Lower edge of the value grid.
@@ -412,88 +414,34 @@ pub struct EcdfSketch {
     dropped: u64,
 }
 
-impl EcdfSketch {
-    /// An empty sketch over `[lo, hi]` with `bins` bins.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the range is not finite and increasing or `bins == 0`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(
-            lo.is_finite() && hi.is_finite() && lo < hi,
-            "sketch range must be finite and increasing"
-        );
-        assert!(bins > 0, "sketch needs at least one bin");
+impl From<&QuantileSketch> for EcdfSketch {
+    fn from(q: &QuantileSketch) -> Self {
         Self {
-            lo,
-            hi,
-            counts: vec![0; bins],
-            n: 0,
-            dropped: 0,
+            lo: q.lo,
+            hi: q.hi,
+            counts: q.counts.clone(),
+            n: q.n,
+            dropped: q.dropped,
         }
     }
+}
 
-    /// An empty sketch over the probability range `[0, 1]` with
-    /// [`DEFAULT_SKETCH_BINS`] bins.
-    pub fn unit() -> Self {
-        Self::new(0.0, 1.0, DEFAULT_SKETCH_BINS)
-    }
-
-    /// Inserts one value; non-finite values are dropped, out-of-range
-    /// finite values clamp into the end bins.
-    pub fn insert(&mut self, v: f64) {
-        if !v.is_finite() {
-            self.dropped += 1;
-            return;
-        }
-        let b = bin_of(v, self.lo, self.hi, self.counts.len());
-        self.counts[b] += 1;
-        self.n += 1;
-    }
-
-    /// Inserts every value of an iterator.
-    pub fn extend(&mut self, values: impl IntoIterator<Item = f64>) {
-        for v in values {
-            self.insert(v);
-        }
-    }
-
-    /// From a slice in one call (convenience for retained test columns).
-    pub fn from_values(values: &[f64], lo: f64, hi: f64, bins: usize) -> Self {
-        let mut s = Self::new(lo, hi, bins);
-        s.extend(values.iter().copied());
-        s
-    }
-
-    /// Folds `other` into `self`: plain count addition, exactly
-    /// associative and commutative.
-    pub fn merge(&mut self, other: &Self) -> Result<(), SketchMergeError> {
-        check_same_grid(
-            "ecdf sketch",
-            (self.lo, self.hi, self.counts.len()),
-            (other.lo, other.hi, other.counts.len()),
-        )?;
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.n += other.n;
-        self.dropped += other.dropped;
-        Ok(())
-    }
-
-    /// The KS distance `D = sup |F_a − F_b|` between the quantized
-    /// empirical CDFs of the two sketches, evaluated at bin edges (where
-    /// both CDFs are exact for the quantized samples). Either sketch being
-    /// empty yields `0.0` (no evidence), matching
+impl EcdfSketch {
+    /// Two-sample KS test between the sketched distributions. The
+    /// statistic `D = sup |F_a − F_b|` is taken over the quantized
+    /// empirical CDFs at bin edges (where both are exact for the quantized
+    /// samples); the p-value uses the same asymptotic formula and
+    /// small-sample correction as [`crate::ks_two_sample`] with the
+    /// sketches' finite counts as sample sizes. Either sketch being empty
+    /// yields `D = 0, p = 1` (no evidence), matching
     /// [`crate::ks_two_sample`]'s convention.
-    pub fn ks_distance(&self, other: &Self) -> Result<f64, SketchMergeError> {
-        check_same_grid(
-            "ecdf sketch",
-            (self.lo, self.hi, self.counts.len()),
-            (other.lo, other.hi, other.counts.len()),
-        )?;
+    pub fn ks_test(&self, other: &Self) -> Result<TestOutcome, SketchMergeError> {
+        check_same_grid("ecdf sketch", self.grid(), other.grid())?;
         if self.n == 0 || other.n == 0 {
-            return Ok(0.0);
+            return Ok(TestOutcome {
+                statistic: 0.0,
+                p_value: 1.0,
+            });
         }
         let (mut ca, mut cb, mut d) = (0u64, 0u64, 0.0f64);
         for (&a, &b) in self.counts.iter().zip(&other.counts) {
@@ -503,61 +451,10 @@ impl EcdfSketch {
             let fb = cb as f64 / other.n as f64;
             d = d.max((fa - fb).abs());
         }
-        Ok(d)
-    }
-
-    /// Two-sample KS test between the sketched distributions, using the
-    /// same asymptotic p-value and small-sample correction as
-    /// [`crate::ks_two_sample`] with the sketches' finite counts as sample
-    /// sizes. Either sketch being empty yields `D = 0, p = 1`.
-    pub fn ks_test(&self, other: &Self) -> Result<TestOutcome, SketchMergeError> {
-        let d = self.ks_distance(other)?;
-        if self.n == 0 || other.n == 0 {
-            return Ok(TestOutcome {
-                statistic: 0.0,
-                p_value: 1.0,
-            });
-        }
         Ok(TestOutcome {
             statistic: d,
             p_value: ks_p_value(self.n as f64, other.n as f64, d),
         })
-    }
-
-    /// The exact fraction of inserted finite values falling in bins
-    /// `0..=b` — the quantized CDF at the upper edge of bin `b`.
-    pub fn cdf_at_bin(&self, b: usize) -> f64 {
-        if self.n == 0 {
-            return 0.0;
-        }
-        let cum: u64 = self.counts[..=b.min(self.counts.len() - 1)].iter().sum();
-        cum as f64 / self.n as f64
-    }
-
-    /// The largest single-bin mass fraction — the rank-error bound for CDF
-    /// queries *inside* a bin (at bin edges the rank is exact), and the
-    /// per-sample term of the KS-distance error bound versus exact
-    /// samples.
-    pub fn max_bin_mass(&self) -> f64 {
-        if self.n == 0 {
-            return 0.0;
-        }
-        self.counts.iter().copied().max().unwrap_or(0) as f64 / self.n as f64
-    }
-
-    /// Total finite values inserted.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Non-finite values dropped on insert.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Number of grid bins.
-    pub fn bins(&self) -> usize {
-        self.counts.len()
     }
 
     /// The grid as `(lo, hi, bins)`.
@@ -565,16 +462,11 @@ impl EcdfSketch {
         (self.lo, self.hi, self.counts.len())
     }
 
-    /// Checks that the state (typically deserialized) is one `insert` and
-    /// `merge` can reach: a non-empty grid and a total equal to the bin
+    /// Checks that the state (typically deserialized) is one a quantile
+    /// sketch can have: a non-empty grid and a total equal to the bin
     /// counts' sum (otherwise CDF values exceed 1 and p-values are wrong).
     pub fn check_consistent(&self) -> Result<(), String> {
         check_grid_and_total(self.lo, self.hi, &self.counts, self.n)
-    }
-
-    /// Approximate in-memory footprint in bytes — fixed by the bin count.
-    pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.counts.len() * 8
     }
 }
 
@@ -682,10 +574,23 @@ mod tests {
         let mut a = QuantileSketch::new(0.0, 1.0, 64);
         let b = QuantileSketch::new(0.0, 1.0, 128);
         assert!(a.merge(&b).is_err());
-        let mut c = EcdfSketch::new(0.0, 1.0, 64);
-        let d = EcdfSketch::new(0.0, 2.0, 64);
-        assert!(c.merge(&d).is_err());
-        assert!(c.ks_distance(&d).is_err());
+        let c = EcdfSketch::from(&QuantileSketch::new(0.0, 1.0, 64));
+        let d = EcdfSketch::from(&QuantileSketch::new(0.0, 2.0, 64));
+        assert!(c.ks_test(&d).is_err());
+    }
+
+    /// An ECDF view of `values` on a `[0, 1]` grid with `bins` bins.
+    fn ecdf_of(values: &[f64], bins: usize) -> EcdfSketch {
+        let mut q = QuantileSketch::new(0.0, 1.0, bins);
+        q.extend(values.iter().copied());
+        EcdfSketch::from(&q)
+    }
+
+    /// The largest single-bin mass fraction: the rank error of a CDF query
+    /// inside a bin, and one sample's term of the KS-distance error bound
+    /// versus exact samples.
+    fn max_bin_mass(e: &EcdfSketch) -> f64 {
+        e.counts.iter().copied().max().unwrap_or(0) as f64 / e.n as f64
     }
 
     #[test]
@@ -695,10 +600,10 @@ mod tests {
             .map(|i| (((i * 17) % 700) as f64 / 700.0) * 0.5)
             .collect();
         let exact = ks_two_sample(&a, &b);
-        let sa = EcdfSketch::from_values(&a, 0.0, 1.0, DEFAULT_SKETCH_BINS);
-        let sb = EcdfSketch::from_values(&b, 0.0, 1.0, DEFAULT_SKETCH_BINS);
+        let sa = ecdf_of(&a, DEFAULT_SKETCH_BINS);
+        let sb = ecdf_of(&b, DEFAULT_SKETCH_BINS);
         let sketched = sa.ks_test(&sb).unwrap();
-        let bound = sa.max_bin_mass() + sb.max_bin_mass();
+        let bound = max_bin_mass(&sa) + max_bin_mass(&sb);
         assert!(
             (exact.statistic - sketched.statistic).abs() <= bound + 1e-12,
             "exact D={} sketched D={} bound={bound}",
@@ -710,8 +615,8 @@ mod tests {
 
     #[test]
     fn ecdf_empty_sketch_yields_no_evidence() {
-        let empty = EcdfSketch::unit();
-        let full = EcdfSketch::from_values(&[0.2, 0.8], 0.0, 1.0, DEFAULT_SKETCH_BINS);
+        let empty = EcdfSketch::from(&QuantileSketch::unit());
+        let full = ecdf_of(&[0.2, 0.8], DEFAULT_SKETCH_BINS);
         let out = empty.ks_test(&full).unwrap();
         assert_eq!(out.statistic, 0.0);
         assert_eq!(out.p_value, 1.0);
@@ -720,14 +625,14 @@ mod tests {
     #[test]
     fn ecdf_cdf_is_exact_at_bin_edges() {
         let values = [0.1, 0.2, 0.3, 0.9];
-        let s = EcdfSketch::from_values(&values, 0.0, 1.0, 10);
+        let s = ecdf_of(&values, 10);
         // Floor-binning: 0.1 → bin 1, 0.2 → bin 2, 0.3 → bin 2 (float
         // division lands a hair under 3), 0.9 → bin 9. The cumulative
         // fractions at bin edges are exact for the quantized sample.
-        assert!((s.cdf_at_bin(1) - 0.25).abs() < 1e-12);
-        assert!((s.cdf_at_bin(2) - 0.75).abs() < 1e-12);
-        assert!((s.cdf_at_bin(9) - 1.0).abs() < 1e-12);
-        assert_eq!(s.max_bin_mass(), 0.5, "bin 2 holds two of four values");
+        assert_eq!(s.counts, [0, 1, 2, 0, 0, 0, 0, 0, 0, 1]);
+        let cdf = |b: usize| s.counts[..=b].iter().sum::<u64>() as f64 / s.n as f64;
+        assert_eq!((cdf(1), cdf(2), cdf(9)), (0.25, 0.75, 1.0));
+        assert_eq!(max_bin_mass(&s), 0.5, "bin 2 holds two of four values");
     }
 
     #[test]
@@ -745,8 +650,7 @@ mod tests {
             assert_eq!(back.query(q_pct).to_bits(), q.query(q_pct).to_bits());
         }
 
-        let mut e = EcdfSketch::unit();
-        e.extend([0.25, 0.5, f64::NAN]);
+        let e = EcdfSketch::from(&q);
         let json = serde_json::to_string(&e).unwrap();
         let back: EcdfSketch = serde_json::from_str(&json).unwrap();
         assert_eq!(back, e);
@@ -755,13 +659,11 @@ mod tests {
     #[test]
     fn reachable_states_are_consistent_and_tampered_ones_are_not() {
         let mut q = QuantileSketch::unit();
-        let mut e = EcdfSketch::unit();
         assert_eq!(q.check_consistent(), Ok(()));
-        assert_eq!(e.check_consistent(), Ok(()));
+        assert_eq!(EcdfSketch::from(&q).check_consistent(), Ok(()));
         q.extend([0.25, 0.5, f64::NAN, 1.5]);
-        e.extend([0.25, 0.5, f64::NAN, 1.5]);
         q.merge(&QuantileSketch::unit()).unwrap();
-        e.merge(&e.clone()).unwrap();
+        let e = EcdfSketch::from(&q);
         assert_eq!(q.check_consistent(), Ok(()));
         assert_eq!(e.check_consistent(), Ok(()));
 
@@ -782,7 +684,7 @@ mod tests {
             assert!(bad.check_consistent().is_err(), "{from} -> {to}");
         }
         let ej = serde_json::to_string(&e).unwrap();
-        for (from, to) in [(r#""n":6,"#, r#""n":7,"#), (r#""hi":1,"#, r#""hi":0,"#)] {
+        for (from, to) in [(r#""n":3,"#, r#""n":4,"#), (r#""hi":1,"#, r#""hi":0,"#)] {
             let bad: EcdfSketch = serde_json::from_str(&tampered(&ej, from, to)).unwrap();
             assert!(bad.check_consistent().is_err(), "{from} -> {to}");
         }

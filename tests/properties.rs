@@ -8,7 +8,7 @@ use lvp_dataframe::{
 };
 use lvp_featurize::{FeaturePipeline, PipelineConfig};
 use lvp_linalg::{stable_softmax, DenseMatrix};
-use lvp_stats::{ks_two_sample, percentiles, EcdfSketch, QuantileSketch, VIGINTILE_GRID};
+use lvp_stats::{ks_two_sample, percentiles, QuantileSketch, VIGINTILE_GRID};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -250,29 +250,6 @@ proptest! {
         let mut concat = a.clone();
         concat.extend_from_slice(&b);
         prop_assert_eq!(&ab, &sketch(&concat), "merge ≡ stream");
-    }
-
-    #[test]
-    fn ecdf_sketch_merge_is_associative_and_commutative(
-        a in prop::collection::vec(0.0f64..1.0, 0..80),
-        b in prop::collection::vec(0.0f64..1.0, 0..80),
-        c in prop::collection::vec(0.0f64..1.0, 0..80),
-    ) {
-        let sketch = |v: &[f64]| EcdfSketch::from_values(v, 0.0, 1.0, 64);
-        let (sa, sb, sc) = (sketch(&a), sketch(&b), sketch(&c));
-        let mut left = sa.clone();
-        left.merge(&sb).unwrap();
-        left.merge(&sc).unwrap();
-        let mut bc = sb.clone();
-        bc.merge(&sc).unwrap();
-        let mut right = sa.clone();
-        right.merge(&bc).unwrap();
-        prop_assert_eq!(&left, &right, "associativity");
-        let mut ab = sa.clone();
-        ab.merge(&sb).unwrap();
-        let mut ba = sb.clone();
-        ba.merge(&sa).unwrap();
-        prop_assert_eq!(&ab, &ba, "commutativity");
     }
 
     /// Percentiles queried from the sketch stay within the proven
