@@ -29,7 +29,11 @@ pub struct PredictorConfig {
     /// The scoring function of the black box model.
     pub metric: Metric,
     /// Hyperparameter grid for the random-forest meta-model, searched with
-    /// [`CV_FOLDS`]-fold cross-validation like the paper's.
+    /// [`CV_FOLDS`]-fold cross-validation like the paper's. Configurations
+    /// that differ only in `n_trees` share one forest per fold of the
+    /// largest count and are scored on its leading trees (see
+    /// [`RandomForestRegressor::fit_cv`]), so a grid over tree counts costs
+    /// about what its largest member costs alone.
     pub forest_grid: Vec<ForestConfig>,
     /// Fan the generation loop out across threads. The output is
     /// bit-identical to the sequential loop (see [`crate::engine`]), so

@@ -14,12 +14,18 @@ use rand::{Rng, SeedableRng};
 
 /// Selects a configuration from `grid` by `k`-fold cross-validation.
 ///
-/// Draws the folds from `rng`, then one seed per candidate; candidates take
-/// the seeds from the back. For each candidate, `fit(candidate, train_rows,
-/// fold_rng)` trains on every fold's training rows and `score(model,
-/// validation_rows)` rates the fit on the held-out rows (higher is better).
-/// A candidate scores the mean over its folds, or −∞ as soon as one fit
-/// fails; the winner is chosen by [`grid_search_max`].
+/// `hosts[i]` names the candidate whose fit also scores candidate `i`: a
+/// host hosts itself, and every fit of a host is scored once per
+/// candidate it hosts. Draws the folds from `rng`, then one seed per
+/// candidate; candidates take the seeds from the back, and each host fits
+/// from its own seed. For each host, `fit(host, train_rows, fold_rng)`
+/// trains on every fold's training rows and `score(model, candidate,
+/// validation_rows)` rates the fit for each hosted candidate on the
+/// held-out rows (higher is better). A candidate scores the mean over its
+/// folds, or −∞ as soon as one fit of its host fails; the winner is chosen
+/// by [`grid_search_max`]. With every candidate its own host this is plain
+/// grid search, and a host's own score never depends on what else it
+/// hosts.
 ///
 /// With fewer rows than folds some validation folds would be empty, so the
 /// first candidate wins without drawing anything. A one-candidate grid
@@ -27,15 +33,22 @@ use rand::{Rng, SeedableRng};
 /// but fits nothing. Either way the caller refits the returned
 /// configuration on all rows with `rng`, from the same stream.
 ///
-/// Errors on an empty grid, before drawing anything.
+/// Errors on an empty grid, before drawing anything. Panics unless
+/// `hosts` has one entry per candidate and names only candidates that host
+/// themselves.
 pub fn kfold_select<C: Clone, M>(
     n_rows: usize,
     grid: &[C],
+    hosts: &[usize],
     k: usize,
     rng: &mut impl Rng,
     mut fit: impl FnMut(&C, &[usize], &mut StdRng) -> Result<M, ModelError>,
-    mut score: impl FnMut(&M, &[usize]) -> f64,
+    mut score: impl FnMut(&M, &C, &[usize]) -> f64,
 ) -> Result<C, ModelError> {
+    assert!(
+        hosts.len() == grid.len() && hosts.iter().all(|&h| hosts.get(h) == Some(&h)),
+        "every candidate needs a host that hosts itself"
+    );
     let first = grid
         .first()
         .ok_or_else(|| ModelError::new("empty hyperparameter grid"))?;
@@ -43,27 +56,33 @@ pub fn kfold_select<C: Clone, M>(
         return Ok(first.clone());
     }
     let folds = kfold_indices(n_rows, k, rng);
-    let mut seeds: Vec<u64> = (0..grid.len()).map(|_| rng.gen()).collect();
+    let seeds: Vec<u64> = (0..grid.len()).map(|_| rng.gen()).collect();
     if grid.len() == 1 {
         return Ok(first.clone());
     }
-    let (best, _) = grid_search_max(grid, |candidate| {
-        let mut local = StdRng::seed_from_u64(seeds.pop().unwrap_or(0));
-        let mut total = 0.0;
+    let mut totals = vec![0.0; grid.len()];
+    for host in (0..grid.len()).filter(|&h| hosts[h] == h) {
+        let hosted: Vec<usize> = (0..grid.len()).filter(|&i| hosts[i] == host).collect();
+        let mut local = StdRng::seed_from_u64(seeds[grid.len() - 1 - host]);
         for (train_rows, val_rows) in &folds {
-            let Ok(model) = fit(candidate, train_rows, &mut local) else {
-                return f64::NEG_INFINITY;
+            let Ok(model) = fit(&grid[host], train_rows, &mut local) else {
+                hosted.iter().for_each(|&i| totals[i] = f64::NEG_INFINITY);
+                break;
             };
-            total += score(&model, val_rows);
+            for &i in &hosted {
+                totals[i] += score(&model, &grid[i], val_rows);
+            }
         }
-        total / folds.len() as f64
-    });
-    Ok(best)
+    }
+    let candidates: Vec<usize> = (0..grid.len()).collect();
+    let (best, _) = grid_search_max(&candidates, |&i| totals[i] / folds.len() as f64);
+    Ok(grid[best].clone())
 }
 
 /// [`kfold_select`] for a classifier family: `fit(x, labels, candidate,
-/// fold_rng)` trains on each fold's rows of `x`, and the fit is scored by
-/// its [`accuracy`] on the held-out rows.
+/// fold_rng)` trains on each fold's rows of `x` for every candidate alone
+/// (each candidate hosts itself), and the fit is scored by its
+/// [`accuracy`] on the held-out rows.
 pub(crate) fn kfold_select_classifier<C: Clone, M: Classifier>(
     x: &CsrMatrix,
     labels: &[u32],
@@ -72,16 +91,18 @@ pub(crate) fn kfold_select_classifier<C: Clone, M: Classifier>(
     rng: &mut impl Rng,
     mut fit: impl FnMut(&CsrMatrix, &[u32], &C, &mut StdRng) -> Result<M, ModelError>,
 ) -> Result<C, ModelError> {
+    let own_hosts: Vec<usize> = (0..grid.len()).collect();
     kfold_select(
         x.rows(),
         grid,
+        &own_hosts,
         k,
         rng,
         |candidate, rows, local| {
             let (xt, yt) = select_labeled(x, labels, rows);
             fit(&xt, &yt, candidate, local)
         },
-        |model, rows| {
+        |model, _, rows| {
             let (xv, yv) = select_labeled(x, labels, rows);
             accuracy(model, &xv, &yv)
         },
@@ -191,9 +212,11 @@ mod tests {
     /// so the score can rank candidates directly.
     fn select(n_rows: usize, grid: &[u8], rng: &mut StdRng) -> (Result<u8, ModelError>, usize) {
         let mut fits = 0;
+        let own_hosts: Vec<usize> = (0..grid.len()).collect();
         let chosen = kfold_select(
             n_rows,
             grid,
+            &own_hosts,
             5,
             rng,
             |&c, _, _| {
@@ -204,9 +227,64 @@ mod tests {
                     Ok(c)
                 }
             },
-            |&c, _| f64::from(c),
+            |_, &c, _| f64::from(c),
         );
         (chosen, fits)
+    }
+
+    #[test]
+    fn kfold_select_fits_each_host_once_per_fold_from_its_own_seed() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut fitted = Vec::new();
+        let mut scored = Vec::new();
+        let chosen = kfold_select(
+            40,
+            &[3u8, 9, 5, 8, 0],
+            &[1, 1, 2, 4, 4],
+            5,
+            &mut rng,
+            |&host, _, local| {
+                fitted.push((host, local.gen::<u64>()));
+                if host == 0 {
+                    Err(ModelError::new("cannot fit"))
+                } else {
+                    Ok(host)
+                }
+            },
+            |&host, &c, _| {
+                scored.push((host, c));
+                f64::from(c)
+            },
+        );
+        // The failed host takes its guest 8 down with it.
+        assert_eq!(chosen.unwrap(), 9);
+        let mut expected = StdRng::seed_from_u64(7);
+        kfold_indices(40, 5, &mut expected);
+        let seeds: Vec<u64> = (0..5).map(|_| expected.gen()).collect();
+        let first_draw = |seed| StdRng::seed_from_u64(seed).gen::<u64>();
+        // Candidate i takes seeds[4 - i]; each host fits from its own.
+        assert_eq!(fitted.len(), 5 + 5 + 1);
+        assert_eq!(fitted[0], (9, first_draw(seeds[3])));
+        assert_eq!(fitted[5], (5, first_draw(seeds[2])));
+        assert_eq!(fitted[10], (0, first_draw(seeds[0])));
+        assert_eq!(scored.len(), 2 * 5 + 5);
+        assert_eq!(scored[..3], [(9, 3), (9, 9), (9, 3)]);
+        assert_eq!(rng.gen::<u64>(), expected.gen::<u64>());
+    }
+
+    #[test]
+    #[should_panic(expected = "host that hosts itself")]
+    fn kfold_select_rejects_a_host_that_is_hosted_elsewhere() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let _ = kfold_select(
+            40,
+            &[1u8, 2, 3],
+            &[1, 2, 2],
+            5,
+            &mut rng,
+            |&c, _, _| Ok(c),
+            |_, &c, _| f64::from(c),
+        );
     }
 
     #[test]

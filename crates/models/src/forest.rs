@@ -10,6 +10,8 @@ use lvp_linalg::{row_blocks, DenseMatrix};
 use rand::Rng;
 use rand::SeedableRng;
 use rayon::prelude::*;
+use std::cell::OnceCell;
+use std::cmp::Reverse;
 
 /// Configuration for [`RandomForestRegressor`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -95,9 +97,17 @@ impl RandomForestRegressor {
         Ok(Self { trees })
     }
 
-    /// Fits with k-fold CV over the tree-count grid, selecting the
-    /// configuration with lowest validation MAE (the paper's objective),
-    /// then refits on all data.
+    /// Fits with k-fold CV over `grid`, selecting the configuration with
+    /// lowest validation MAE (the paper's objective), then refits on all
+    /// data.
+    ///
+    /// Configurations that differ only in `n_trees` share one forest per
+    /// fold, grown to the largest of their tree counts from the seed of
+    /// the configuration that has it (see [`kfold_select`]). Each is scored
+    /// on that forest's first `n_trees` trees, whose mean is bit-identical
+    /// to `predict` on a forest of just those trees, so the largest one
+    /// scores what fitting it alone would. A grid whose configurations
+    /// differ in any other field fits one forest per configuration.
     pub fn fit_cv(
         x: &DenseMatrix,
         targets: &[f64],
@@ -108,16 +118,11 @@ impl RandomForestRegressor {
         let best = kfold_select(
             x.rows(),
             grid,
+            &tree_count_hosts(grid),
             k_folds,
             rng,
-            |cfg, rows, local| {
-                let yt: Vec<f64> = rows.iter().map(|&i| targets[i]).collect();
-                Self::fit(&x.select_rows(rows), &yt, cfg, local)
-            },
-            |model, rows| {
-                let yv: Vec<f64> = rows.iter().map(|&i| targets[i]).collect();
-                -lvp_stats::mean_absolute_error(&model.predict(&x.select_rows(rows)), &yv)
-            },
+            |cfg, rows, local| FoldForest::fit(x, targets, cfg, rows, local),
+            |fold, cfg, rows| fold.score(x, targets, cfg.n_trees, rows),
         )?;
         Ok((Self::fit(x, targets, &best, rng)?, best))
     }
@@ -165,6 +170,64 @@ impl RandomForestRegressor {
         }
         out
     }
+}
+
+/// For each configuration of `grid`, the one whose fold forests also
+/// score it: of the configurations equal to it but for `n_trees`, the
+/// first with the most trees.
+fn tree_count_hosts(grid: &[ForestConfig]) -> Vec<usize> {
+    let shape = |c: &ForestConfig| ForestConfig { n_trees: 0, ..*c };
+    (0..grid.len())
+        .map(|i| {
+            (0..grid.len())
+                .filter(|&j| j == i || shape(&grid[j]) == shape(&grid[i]))
+                .max_by_key(|&j| (grid[j].n_trees, Reverse(j)))
+                .unwrap_or(i)
+        })
+        .collect()
+}
+
+/// One cross-validation fold's forest and, once the first configuration
+/// is scored, its per-tree predictions of the fold's validation rows.
+struct FoldForest {
+    forest: RandomForestRegressor,
+    validation: OnceCell<DenseMatrix>,
+}
+
+impl FoldForest {
+    /// Fits `cfg` on the given training rows.
+    fn fit(
+        x: &DenseMatrix,
+        targets: &[f64],
+        cfg: &ForestConfig,
+        rows: &[usize],
+        rng: &mut impl Rng,
+    ) -> Result<Self, ModelError> {
+        let yt: Vec<f64> = rows.iter().map(|&i| targets[i]).collect();
+        Ok(Self {
+            forest: RandomForestRegressor::fit(&x.select_rows(rows), &yt, cfg, rng)?,
+            validation: OnceCell::new(),
+        })
+    }
+
+    /// Negated MAE of the forest's first `n_trees` trees on the validation
+    /// `rows`, which are the same rows for every call on one fold.
+    fn score(&self, x: &DenseMatrix, targets: &[f64], n_trees: usize, rows: &[usize]) -> f64 {
+        let per_tree = self
+            .validation
+            .get_or_init(|| self.forest.predict_per_tree(&x.select_rows(rows)));
+        let yv: Vec<f64> = rows.iter().map(|&i| targets[i]).collect();
+        -lvp_stats::mean_absolute_error(&prefix_means(per_tree, n_trees), &yv)
+    }
+}
+
+/// Mean of each row's first `n_trees` per-tree predictions, summed in tree
+/// order from zero like [`Regressor::predict`], so it is bit-identical to
+/// `predict` on a forest of just those trees.
+fn prefix_means(per_tree: &DenseMatrix, n_trees: usize) -> Vec<f64> {
+    (0..per_tree.rows())
+        .map(|r| per_tree.row(r)[..n_trees].iter().fold(0.0, |s, v| s + v) / n_trees as f64)
+        .collect()
 }
 
 impl Regressor for RandomForestRegressor {
@@ -246,6 +309,119 @@ mod tests {
         let grid = default_forest_grid();
         let (_, cfg) = RandomForestRegressor::fit_cv(&x, &y, &grid, 3, &mut rng).unwrap();
         assert!(grid.contains(&cfg));
+    }
+
+    /// `fit_cv`'s own search, recording every (configuration, fold score).
+    fn cv_scores(
+        x: &DenseMatrix,
+        y: &[f64],
+        grid: &[ForestConfig],
+        rng: &mut StdRng,
+    ) -> Vec<(usize, f64)> {
+        let mut scores = Vec::new();
+        kfold_select(
+            x.rows(),
+            grid,
+            &tree_count_hosts(grid),
+            5,
+            rng,
+            |cfg, rows, local| FoldForest::fit(x, y, cfg, rows, local),
+            |fold, cfg, rows| {
+                let s = fold.score(x, y, cfg.n_trees, rows);
+                scores.push((cfg.n_trees, s));
+                s
+            },
+        )
+        .unwrap();
+        scores
+    }
+
+    #[test]
+    fn nested_grid_scores_its_largest_forest_as_if_fitted_alone() {
+        let (x, y) = friedman_like(90, 15);
+        let grid = default_forest_grid();
+        assert_eq!(tree_count_hosts(&grid), [2, 2, 2]);
+        let mixed: Vec<ForestConfig> = [(25, 12), (100, 6), (50, 12), (100, 12), (100, 12)]
+            .into_iter()
+            .map(|(n_trees, max_depth)| ForestConfig {
+                n_trees,
+                max_depth,
+                ..ForestConfig::default()
+            })
+            .collect();
+        assert_eq!(tree_count_hosts(&mixed), [3, 1, 3, 3, 3]);
+        let scores = cv_scores(&x, &y, &grid, &mut StdRng::seed_from_u64(16));
+        assert_eq!(scores.len(), 5 * 3, "one forest per fold scores all three");
+        let nested: f64 = scores
+            .iter()
+            .filter(|(n, _)| *n == 100)
+            .map(|(_, s)| s)
+            .sum();
+
+        // The 100-tree candidate alone, drawing as `kfold_select` does: the
+        // folds, then one seed per candidate taken from the back.
+        let mut rng = StdRng::seed_from_u64(16);
+        let folds = crate::cv::kfold_indices(90, 5, &mut rng);
+        let seeds: Vec<u64> = (0..3).map(|_| rng.gen()).collect();
+        let mut local = StdRng::seed_from_u64(seeds[0]);
+        let mut alone = 0.0;
+        for (train, val) in &folds {
+            let yt: Vec<f64> = train.iter().map(|&i| y[i]).collect();
+            let yv: Vec<f64> = val.iter().map(|&i| y[i]).collect();
+            let model =
+                RandomForestRegressor::fit(&x.select_rows(train), &yt, &grid[2], &mut local)
+                    .unwrap();
+            alone += -lvp_stats::mean_absolute_error(&model.predict(&x.select_rows(val)), &yv);
+        }
+        assert_eq!((nested / 5.0).to_bits(), (alone / 5.0).to_bits());
+    }
+
+    #[test]
+    fn prefix_means_predict_like_a_forest_of_those_trees() {
+        let (x, y) = friedman_like(80, 17);
+        let cfg = |n_trees| ForestConfig {
+            n_trees,
+            ..ForestConfig::default()
+        };
+        let big =
+            RandomForestRegressor::fit(&x, &y, &cfg(30), &mut StdRng::seed_from_u64(18)).unwrap();
+        let per_tree = big.predict_per_tree(&x);
+        for n in [1, 7, 30] {
+            let prefix = RandomForestRegressor {
+                trees: big.trees[..n].to_vec(),
+            };
+            let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            assert_eq!(bits(prefix_means(&per_tree, n)), bits(prefix.predict(&x)));
+        }
+        // The prefix is the forest its seed grows at that size.
+        let small =
+            RandomForestRegressor::fit(&x, &y, &cfg(7), &mut StdRng::seed_from_u64(18)).unwrap();
+        assert_eq!(small.trees[..], big.trees[..7]);
+    }
+
+    /// Configurations that differ in `max_depth` each fit their own
+    /// forests, so the search is the plain grid search it was before
+    /// tree counts were nested: the choice and the next draw are pinned
+    /// from that implementation.
+    #[test]
+    fn grid_over_depths_selects_as_before_nesting() {
+        let (x, y) = friedman_like(120, 21);
+        let mut noise = StdRng::seed_from_u64(24);
+        let y: Vec<f64> = y.iter().map(|v| v + noise.gen_range(-2.0..2.0)).collect();
+        let grid: Vec<ForestConfig> = [(12, 1), (8, 3), (6, 6)]
+            .into_iter()
+            .map(|(n_trees, max_depth)| ForestConfig {
+                n_trees,
+                max_depth,
+                ..ForestConfig::default()
+            })
+            .collect();
+        assert_eq!(tree_count_hosts(&grid), [0, 1, 2]);
+        let mut rng = StdRng::seed_from_u64(22);
+        let (model, cfg) = RandomForestRegressor::fit_cv(&x, &y, &grid, 5, &mut rng).unwrap();
+        assert_eq!(cfg, grid[1]);
+        assert_eq!(model.n_trees(), 8);
+        assert_eq!(rng.gen::<u64>(), 0xfcf1_8f4f_ab16_c68e);
     }
 
     #[test]

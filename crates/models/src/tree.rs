@@ -510,11 +510,19 @@ impl<'p> SplitSearch<'p> {
             if !self.sizes_ok(i + 1) {
                 continue;
             }
-            let threshold = if v_next.is_nan() || v_next == f64::INFINITY {
+            let threshold = if v == f64::NEG_INFINITY {
+                // The midpoint with `-inf` is `-inf`, no storable
+                // threshold; as in the histogram cuts, `f64::MIN` splits
+                // the `-inf` run from the rest unless `v_next` is
+                // `f64::MIN` itself.
+                if v_next <= f64::MIN {
+                    continue;
+                }
+                f64::MIN
+            } else if v_next.is_nan() || v_next == f64::INFINITY {
                 // Boundary between the largest finite value and the
                 // `+inf`/missing run: `v` itself routes every finite
-                // value left and the rest right (a `v` of `-inf` is no
-                // storable threshold; the check below skips it).
+                // value left and the rest right.
                 v
             } else {
                 // The midpoint of two adjacent floats can round up to
@@ -527,9 +535,6 @@ impl<'p> SplitSearch<'p> {
                 }
                 t
             };
-            if !threshold.is_finite() {
-                continue;
-            }
             self.offer(f, threshold, 0, g_left, h_left);
         }
     }

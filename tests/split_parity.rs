@@ -10,9 +10,9 @@
 use lvp_core::{PerformancePredictor, PerformanceValidator, PredictorConfig, ValidatorConfig};
 use lvp_corruptions::{standard_tabular_suite, ErrorGen, Mixture};
 use lvp_linalg::{CsrBuilder, CsrMatrix};
-use lvp_models::forest::{ForestConfig, RandomForestRegressor};
+use lvp_models::forest::{default_forest_grid, ForestConfig, RandomForestRegressor};
 use lvp_models::gbdt::{GbdtClassifier, GbdtConfig};
-use lvp_models::tree::SplitMethod;
+use lvp_models::tree::{RegressionTree, SplitMethod, TrainingColumns, TreeParams};
 use lvp_models::{
     model_accuracy, train_model_quick, BlackBoxModel, Classifier, ModelKind, Regressor,
 };
@@ -137,6 +137,43 @@ fn predictor_estimates_agree_across_split_methods() {
     );
 }
 
+/// An exact split after a run of `-inf` takes the threshold the histogram
+/// cuts take there, `f64::MIN`: a `-inf` midpoint is no storable
+/// threshold. So both methods route every value alike.
+#[test]
+fn exact_and_histogram_trees_split_after_a_negative_infinity_run_alike() {
+    let ninf = f64::NEG_INFINITY;
+    let x =
+        lvp_linalg::DenseMatrix::from_rows(&[ninf, ninf, 1.0, 2.0, 3.0].map(|v| vec![v])).unwrap();
+    let y = [5.0, 5.0, 0.0, 0.0, 0.0];
+    let grad: Vec<f64> = y.iter().map(|v| -v).collect();
+    let params = TreeParams {
+        max_depth: 1,
+        min_samples_leaf: 1,
+        lambda: 0.0,
+        ..TreeParams::default()
+    };
+    let [exact, binned] = METHODS.map(|method| {
+        let columns = TrainingColumns::from_dense(&x, method);
+        let rows: Vec<usize> = (0..y.len()).collect();
+        let hess = [1.0; 5];
+        RegressionTree::fit(
+            &columns,
+            &grad,
+            &hess,
+            &rows,
+            &params,
+            &mut StdRng::seed_from_u64(81),
+        )
+    });
+    for v in [ninf, f64::MIN, -1.0, 1.0, 3.0, f64::INFINITY, f64::NAN] {
+        let p = exact.predict_dense_row(&[v]);
+        assert_eq!(p.to_bits(), binned.predict_dense_row(&[v]).to_bits(), "{v}");
+    }
+    assert_eq!(exact.predict_dense_row(&[ninf]), 5.0);
+    assert_eq!(exact.predict_dense_row(&[1.0]), 0.0);
+}
+
 fn rings(n: usize, seed: u64) -> (CsrMatrix, Vec<u32>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut rows = CsrBuilder::new(2);
@@ -189,9 +226,10 @@ fn gbdt_training_and_blocked_inference_are_thread_count_invariant() {
     }
 }
 
-/// The forest's parallel tree fitting and blocked `predict` /
-/// `predict_per_tree` must be bit-identical across thread counts for both
-/// split methods.
+/// The forest's parallel tree fitting, blocked `predict` /
+/// `predict_per_tree` and cross-validated grid search over the paper's
+/// tree counts must be bit-identical across thread counts for both split
+/// methods.
 #[test]
 fn forest_training_and_blocked_inference_are_thread_count_invariant() {
     let mut rng = StdRng::seed_from_u64(71);
@@ -200,8 +238,9 @@ fn forest_training_and_blocked_inference_are_thread_count_invariant() {
         .collect();
     let x = lvp_linalg::DenseMatrix::from_rows(&rows).unwrap();
     let y: Vec<f64> = rows.iter().map(|r| r[0] * r[1] + r[2].sin()).collect();
+    let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|v| v.to_bits()).collect() };
     for method in METHODS {
-        let run = |threads: usize| -> (Vec<u64>, Vec<u64>) {
+        let run = |threads: usize| -> [Vec<u64>; 3] {
             pool(threads).install(|| {
                 let cfg = ForestConfig {
                     n_trees: 20,
@@ -211,14 +250,23 @@ fn forest_training_and_blocked_inference_are_thread_count_invariant() {
                 let model =
                     RandomForestRegressor::fit(&x, &y, &cfg, &mut StdRng::seed_from_u64(72))
                         .unwrap();
-                let point = model.predict(&x).iter().map(|v| v.to_bits()).collect();
-                let per_tree = model
-                    .predict_per_tree(&x)
-                    .data()
-                    .iter()
-                    .map(|v| v.to_bits())
+                let grid: Vec<ForestConfig> = default_forest_grid()
+                    .into_iter()
+                    .map(|c| ForestConfig {
+                        split_method: method,
+                        ..c
+                    })
                     .collect();
-                (point, per_tree)
+                let (cv_model, cv_cfg) =
+                    RandomForestRegressor::fit_cv(&x, &y, &grid, 5, &mut StdRng::seed_from_u64(73))
+                        .unwrap();
+                let mut cv = bits(&cv_model.predict(&x));
+                cv.push(cv_cfg.n_trees as u64);
+                [
+                    bits(&model.predict(&x)),
+                    bits(model.predict_per_tree(&x).data()),
+                    cv,
+                ]
             })
         };
         assert_eq!(run(1), run(4), "{method:?}");
