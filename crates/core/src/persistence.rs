@@ -27,6 +27,7 @@ use crate::features::{BatchSketch, OutputReference};
 use crate::interval::check_interval_alpha;
 use crate::PerformanceValidator;
 use crate::{BatchMonitor, CoreError, CoreErrorKind, Metric, MonitorPolicy, PerformancePredictor};
+use lvp_dataframe::Fnv1a;
 use lvp_models::forest::RandomForestRegressor;
 use lvp_models::gbdt::GbdtClassifier;
 use lvp_models::BlackBoxModel;
@@ -71,12 +72,9 @@ const ENVELOPE_VERSION: u32 = 1;
 /// catches the failure modes a serving host actually has (truncation,
 /// torn writes, bit rot), at a cost of one pass over the payload.
 pub fn checksum64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    let mut h = Fnv1a::new(0);
+    h.write(bytes);
+    h.finish()
 }
 
 /// Wraps a serialized payload in the checksummed, length-framed artifact

@@ -8,7 +8,7 @@
 //! on the deployed model's behaviour, which is why it needs
 //! [`ErrorGen::corrupt_with_model`].
 
-use crate::{sample_fraction, ErrorGen};
+use crate::{sample_fraction, ErrorGen, Hits};
 use lvp_dataframe::{DataFrame, Schema};
 use lvp_models::BlackBoxModel;
 use rand::rngs::StdRng;
@@ -48,12 +48,10 @@ impl ErrorGen for EntropyMissingValues {
             return out;
         }
         let col = self.candidate_columns[rng.gen_range(0..self.candidate_columns.len())];
-        let p = sample_fraction(rng);
-        for row in 0..out.n_rows() {
-            if rng.gen::<f64>() < p {
-                out.column_mut(col).set_null(row);
-            }
-        }
+        let hits = Hits(sample_fraction(rng));
+        hits.each(out.n_rows(), rng, |row, _| {
+            out.column_mut(col).set_null(row)
+        });
         out
     }
 

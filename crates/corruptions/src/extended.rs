@@ -15,7 +15,7 @@
 //! * [`DuplicateRows`] — a fraction of rows is duplicated (at-least-once
 //!   delivery in the ingestion pipeline).
 
-use crate::{choose_columns, sample_fraction, ErrorGen};
+use crate::{sample_fraction, CellWise, ErrorGen, Hits};
 use lvp_dataframe::{DataFrame, Schema};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -74,71 +74,58 @@ impl ErrorGen for SelectionBias {
 /// Replaces categorical values with *other* categories observed in the
 /// same column.
 #[derive(Debug, Clone)]
-pub struct CategoryFlip {
-    candidate_columns: Vec<usize>,
-}
+pub struct CategoryFlip(Vec<usize>);
 
 impl CategoryFlip {
     /// Targets all categorical columns of the schema.
     pub fn all_categorical(schema: &Schema) -> Self {
-        Self {
-            candidate_columns: schema.categorical_columns(),
-        }
+        Self(schema.categorical_columns())
     }
 }
 
-impl ErrorGen for CategoryFlip {
-    fn touched_columns(&self, _df: &DataFrame) -> Vec<usize> {
-        self.candidate_columns.clone()
+impl CellWise for CategoryFlip {
+    const NAME: &'static str = "category_flip";
+
+    fn candidates(&self) -> &[usize] {
+        &self.0
     }
 
-    fn name(&self) -> &str {
-        "category_flip"
-    }
-
-    fn corrupt(&self, df: &DataFrame, rng: &mut StdRng) -> DataFrame {
-        let mut out = df.clone();
-        for col in choose_columns(&self.candidate_columns, rng) {
-            let p = sample_fraction(rng);
-            // The codes of the distinct values the cells hold, sorted by
-            // value. Distinct values have distinct codes, so comparing
-            // codes compares values.
-            let distinct: Vec<u32> = {
-                let values = out.column(col).as_categorical().expect("categorical");
-                let dictionary = values.dictionary();
-                let mut present = vec![false; dictionary.len()];
-                for code in values.codes().flatten() {
-                    present[code as usize] = true;
-                }
-                let mut d: Vec<u32> = (0..dictionary.len() as u32)
-                    .filter(|&code| present[code as usize])
-                    .collect();
-                d.sort_by_key(|&code| &dictionary[code as usize]);
-                d
-            };
-            if distinct.len() < 2 {
-                continue;
+    fn corrupt_column(&self, out: &mut DataFrame, col: usize, hits: Hits, rng: &mut StdRng) {
+        // The codes of the distinct values the cells hold, sorted by
+        // value. Distinct values have distinct codes, so comparing
+        // codes compares values.
+        let distinct: Vec<u32> = {
+            let values = out.column(col).as_categorical().expect("categorical");
+            let dictionary = values.dictionary();
+            let mut present = vec![false; dictionary.len()];
+            for code in values.codes().flatten() {
+                present[code as usize] = true;
             }
-            let values = out
-                .column_mut(col)
-                .as_categorical_mut()
-                .expect("categorical candidate");
-            for row in 0..values.len() {
-                if rng.gen::<f64>() < p {
-                    if let Some(current) = values.code(row) {
-                        // Draw a replacement different from the current value.
-                        loop {
-                            let candidate = distinct[rng.gen_range(0..distinct.len())];
-                            if candidate != current {
-                                values.set_code(row, Some(candidate));
-                                break;
-                            }
-                        }
+            let mut d: Vec<u32> = (0..dictionary.len() as u32)
+                .filter(|&code| present[code as usize])
+                .collect();
+            d.sort_by_key(|&code| &dictionary[code as usize]);
+            d
+        };
+        if distinct.len() < 2 {
+            return;
+        }
+        let values = out
+            .column_mut(col)
+            .as_categorical_mut()
+            .expect("categorical candidate");
+        hits.each(values.len(), rng, |row, rng| {
+            if let Some(current) = values.code(row) {
+                // Draw a replacement different from the current value.
+                loop {
+                    let candidate = distinct[rng.gen_range(0..distinct.len())];
+                    if candidate != current {
+                        values.set_code(row, Some(candidate));
+                        break;
                     }
                 }
             }
-        }
-        out
+        });
     }
 }
 
@@ -180,15 +167,12 @@ impl ErrorGen for ConstantFill {
         let mut out = df.clone();
         let numeric_first = !self.numeric_columns.is_empty()
             && (self.categorical_columns.is_empty() || rng.gen_bool(0.5));
-        let p = sample_fraction(rng);
+        let hits = Hits(sample_fraction(rng));
         if numeric_first {
             let col = self.numeric_columns[rng.gen_range(0..self.numeric_columns.len())];
             let values = out.column_mut(col).as_numeric_mut().expect("numeric");
-            for v in values.iter_mut() {
-                if rng.gen::<f64>() < p {
-                    *v = Some(0.0); // the classic uninitialized default
-                }
-            }
+            // Zero: the classic uninitialized default.
+            hits.each(values.len(), rng, |row, _| values[row] = Some(0.0));
         } else if !self.categorical_columns.is_empty() {
             let col = self.categorical_columns[rng.gen_range(0..self.categorical_columns.len())];
             let values = out
@@ -196,11 +180,9 @@ impl ErrorGen for ConstantFill {
                 .as_categorical_mut()
                 .expect("categorical");
             let unknown = values.intern("unknown");
-            for row in 0..values.len() {
-                if rng.gen::<f64>() < p {
-                    values.set_code(row, Some(unknown));
-                }
-            }
+            hits.each(values.len(), rng, |row, _| {
+                values.set_code(row, Some(unknown));
+            });
         }
         out
     }
@@ -224,13 +206,9 @@ impl ErrorGen for DuplicateRows {
         if df.n_rows() == 0 {
             return df.clone();
         }
-        let p = sample_fraction(rng);
+        let hits = Hits(sample_fraction(rng));
         let mut indices: Vec<usize> = (0..df.n_rows()).collect();
-        for row in 0..df.n_rows() {
-            if rng.gen::<f64>() < p {
-                indices.push(row);
-            }
-        }
+        hits.each(df.n_rows(), rng, |row, _| indices.push(row));
         indices.shuffle(rng);
         df.select_rows(&indices)
     }

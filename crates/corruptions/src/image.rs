@@ -1,6 +1,6 @@
 //! Error generators for image attributes: additive noise and rotation.
 
-use crate::{choose_columns, sample_fraction, ErrorGen};
+use crate::{CellWise, Hits};
 use lvp_dataframe::{DataFrame, ImageData, Schema};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -9,64 +9,47 @@ use rand_distr::{Distribution, Normal};
 /// Adds zero-mean Gaussian noise to a proportion of the input images, with
 /// a randomly chosen noise standard deviation (§6 "Image noise").
 #[derive(Debug, Clone)]
-pub struct ImageNoise {
-    candidate_columns: Vec<usize>,
-}
+pub struct ImageNoise(Vec<usize>);
 
 impl ImageNoise {
     /// Targets all image columns of the schema.
     pub fn all_images(schema: &Schema) -> Self {
-        Self {
-            candidate_columns: schema.image_columns(),
-        }
+        Self(schema.image_columns())
     }
 }
 
-impl ErrorGen for ImageNoise {
-    fn touched_columns(&self, _df: &DataFrame) -> Vec<usize> {
-        self.candidate_columns.clone()
+impl CellWise for ImageNoise {
+    const NAME: &'static str = "image_noise";
+
+    fn candidates(&self) -> &[usize] {
+        &self.0
     }
 
-    fn name(&self) -> &str {
-        "image_noise"
-    }
-
-    fn corrupt(&self, df: &DataFrame, rng: &mut StdRng) -> DataFrame {
-        let mut out = df.clone();
-        for col in choose_columns(&self.candidate_columns, rng) {
-            let p = sample_fraction(rng);
-            // The paper samples the noise variance from [-0.5, 0.5]; a
-            // variance cannot be negative, so we read this as |v| ≤ 0.5.
-            let std = rng.gen_range(0.01..0.5f64).sqrt();
-            let noise = Normal::new(0.0, std).expect("finite parameters");
-            let images = out.column_mut(col).as_image_mut().expect("image candidate");
-            for img in images.iter_mut() {
-                if rng.gen::<f64>() < p {
-                    if let Some(img) = img {
-                        for px in &mut img.pixels {
-                            *px = (*px + noise.sample(rng)).clamp(0.0, 1.0);
-                        }
-                    }
+    fn corrupt_column(&self, out: &mut DataFrame, col: usize, hits: Hits, rng: &mut StdRng) {
+        // The paper samples the noise variance from [-0.5, 0.5]; a
+        // variance cannot be negative, so we read this as |v| ≤ 0.5.
+        let std = rng.gen_range(0.01..0.5f64).sqrt();
+        let noise = Normal::new(0.0, std).expect("finite parameters");
+        let images = out.column_mut(col).as_image_mut().expect("image candidate");
+        hits.each(images.len(), rng, |row, rng| {
+            if let Some(img) = &mut images[row] {
+                for px in &mut img.pixels {
+                    *px = (*px + noise.sample(rng)).clamp(0.0, 1.0);
                 }
             }
-        }
-        out
+        });
     }
 }
 
 /// Rotates a proportion of the input images by randomly chosen angles
 /// (§6 "Image rotation").
 #[derive(Debug, Clone)]
-pub struct ImageRotation {
-    candidate_columns: Vec<usize>,
-}
+pub struct ImageRotation(Vec<usize>);
 
 impl ImageRotation {
     /// Targets all image columns of the schema.
     pub fn all_images(schema: &Schema) -> Self {
-        Self {
-            candidate_columns: schema.image_columns(),
-        }
+        Self(schema.image_columns())
     }
 }
 
@@ -95,36 +78,28 @@ pub fn rotate_image(img: &ImageData, angle: f64) -> ImageData {
     out
 }
 
-impl ErrorGen for ImageRotation {
-    fn touched_columns(&self, _df: &DataFrame) -> Vec<usize> {
-        self.candidate_columns.clone()
+impl CellWise for ImageRotation {
+    const NAME: &'static str = "image_rotation";
+
+    fn candidates(&self) -> &[usize] {
+        &self.0
     }
 
-    fn name(&self) -> &str {
-        "image_rotation"
-    }
-
-    fn corrupt(&self, df: &DataFrame, rng: &mut StdRng) -> DataFrame {
-        let mut out = df.clone();
-        for col in choose_columns(&self.candidate_columns, rng) {
-            let p = sample_fraction(rng);
-            let images = out.column_mut(col).as_image_mut().expect("image candidate");
-            for img in images.iter_mut() {
-                if rng.gen::<f64>() < p {
-                    if let Some(inner) = img {
-                        let angle = rng.gen_range(-std::f64::consts::PI..std::f64::consts::PI);
-                        *inner = rotate_image(inner, angle);
-                    }
-                }
+    fn corrupt_column(&self, out: &mut DataFrame, col: usize, hits: Hits, rng: &mut StdRng) {
+        let images = out.column_mut(col).as_image_mut().expect("image candidate");
+        hits.each(images.len(), rng, |row, rng| {
+            if let Some(img) = &mut images[row] {
+                let angle = rng.gen_range(-std::f64::consts::PI..std::f64::consts::PI);
+                *img = rotate_image(img, angle);
             }
-        }
-        out
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ErrorGen;
     use lvp_dataframe::{CellValue, ColumnType, DataFrameBuilder, Field, Schema};
     use rand::SeedableRng;
 

@@ -13,6 +13,12 @@
 //! represented by sometimes-small sampled fractions, and harness code can
 //! additionally mix in uncorrupted copies.
 //!
+//! The generators that corrupt cells in place share one implementation of
+//! that protocol, the crate-private `CellWise` trait: it chooses 1 to n
+//! candidate columns and, per column, the fraction of rows and one coin per
+//! row; a generator supplies only its name, its candidate columns and what
+//! it does to a chosen column and to each row that is hit.
+//!
 //! The generators whose mechanism needs the model itself (the paper's
 //! model-entropy-based missing values) receive it through
 //! [`ErrorGen::corrupt_with_model`].
@@ -38,6 +44,7 @@ pub use text::AdversarialLeetspeak;
 use lvp_dataframe::{DataFrame, Schema};
 use lvp_models::BlackBoxModel;
 use rand::rngs::StdRng;
+use rand::Rng;
 
 /// A programmatic error generator.
 ///
@@ -117,10 +124,72 @@ pub fn text_suite(schema: &Schema) -> Vec<Box<dyn ErrorGen>> {
     ]
 }
 
+/// §6's cell-wise corruption protocol, which every generator that corrupts
+/// cells in place follows and which makes it an [`ErrorGen`].
+///
+/// Per call the draws come in one fixed order: the chosen columns
+/// ([`choose_columns`]); then, per chosen column, its fraction of rows
+/// ([`sample_fraction`]), the column's own magnitude, if the generator has
+/// one, and one [`Hits`] coin per row in row order.
+pub(crate) trait CellWise: Send + Sync {
+    /// The generator's [`ErrorGen::name`].
+    const NAME: &'static str;
+
+    /// The columns a call may choose, which are its
+    /// [`ErrorGen::touched_columns`].
+    fn candidates(&self) -> &[usize];
+
+    /// Corrupts the chosen column `col` of the copy `out`: draws the
+    /// column's magnitude, then corrupts the rows `hits` picks. It gets the
+    /// copy and not the column, so that it may materialize the column on
+    /// its first hit only.
+    fn corrupt_column(&self, out: &mut DataFrame, col: usize, hits: Hits, rng: &mut StdRng);
+}
+
+impl<T: CellWise> ErrorGen for T {
+    fn name(&self) -> &str {
+        T::NAME
+    }
+
+    fn touched_columns(&self, _df: &DataFrame) -> Vec<usize> {
+        self.candidates().to_vec()
+    }
+
+    fn corrupt(&self, df: &DataFrame, rng: &mut StdRng) -> DataFrame {
+        let mut out = df.clone();
+        for col in choose_columns(self.candidates(), rng) {
+            let hits = Hits(sample_fraction(rng));
+            self.corrupt_column(&mut out, col, hits, rng);
+        }
+        out
+    }
+}
+
+/// The per-row coin of the protocol: each row is hit with probability `.0`.
+#[derive(Clone, Copy)]
+pub(crate) struct Hits(pub(crate) f64);
+
+impl Hits {
+    /// Tosses one coin per row in `0..n_rows`, in row order, and calls `hit`
+    /// for each row that is hit. The coin is tossed for a row whose cell is
+    /// missing too, so the draws never depend on where the holes are.
+    pub(crate) fn each(
+        self,
+        n_rows: usize,
+        rng: &mut StdRng,
+        mut hit: impl FnMut(usize, &mut StdRng),
+    ) {
+        for row in 0..n_rows {
+            if rng.gen::<f64>() < self.0 {
+                hit(row, rng);
+            }
+        }
+    }
+}
+
 /// Picks the fraction of rows to corrupt — uniform over (0, 1), matching
 /// the paper's randomly sampled corruption probabilities.
 pub(crate) fn sample_fraction(rng: &mut StdRng) -> f64 {
-    use rand::Rng;
     rng.gen_range(0.02..1.0)
 }
 
@@ -128,7 +197,6 @@ pub(crate) fn sample_fraction(rng: &mut StdRng) -> f64 {
 /// corrupts "1 to n" randomly chosen columns).
 pub(crate) fn choose_columns(candidates: &[usize], rng: &mut StdRng) -> Vec<usize> {
     use rand::seq::SliceRandom;
-    use rand::Rng;
     if candidates.is_empty() {
         return Vec::new();
     }

@@ -5,30 +5,25 @@ use lvp_dataframe::DataFrame;
 use lvp_models::BlackBoxModel;
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::sync::Arc;
+
+/// The probability with which a [`Mixture`] includes each member.
+const INCLUDE_PROB: f64 = 0.5;
 
 /// Applies a randomly chosen subset of its member generators in sequence
 /// (§6.2: "randomly chosen mixtures of four different error types ... with
 /// different probabilities").
 ///
-/// Each member is included independently with probability `include_prob`;
-/// if the sampled subset is empty, one random member is applied so the
-/// mixture always corrupts something.
+/// Each member is included independently with probability 0.5; if the
+/// sampled subset is empty, one random member is applied so the mixture
+/// always corrupts something.
 pub struct Mixture {
-    members: Vec<Arc<dyn ErrorGen>>,
-    include_prob: f64,
+    members: Vec<Box<dyn ErrorGen>>,
     name: String,
 }
 
 impl Mixture {
-    /// Builds a mixture over the given members with the default inclusion
-    /// probability of 0.5.
-    pub fn new(members: Vec<Arc<dyn ErrorGen>>) -> Self {
-        Self::with_include_prob(members, 0.5)
-    }
-
-    /// Builds a mixture with an explicit per-member inclusion probability.
-    pub fn with_include_prob(members: Vec<Arc<dyn ErrorGen>>, include_prob: f64) -> Self {
+    /// Builds a mixture over the given members.
+    pub fn from_boxes(members: Vec<Box<dyn ErrorGen>>) -> Self {
         assert!(!members.is_empty(), "mixture needs at least one member");
         let name = format!(
             "mixture({})",
@@ -38,16 +33,7 @@ impl Mixture {
                 .collect::<Vec<_>>()
                 .join("+")
         );
-        Self {
-            members,
-            include_prob,
-            name,
-        }
-    }
-
-    /// Convenience: wraps boxed generators into a mixture.
-    pub fn from_boxes(members: Vec<Box<dyn ErrorGen>>) -> Self {
-        Self::new(members.into_iter().map(Arc::from).collect())
+        Self { members, name }
     }
 }
 
@@ -78,10 +64,10 @@ impl ErrorGen for Mixture {
         model: Option<&dyn BlackBoxModel>,
         rng: &mut StdRng,
     ) -> DataFrame {
-        let mut selected: Vec<&Arc<dyn ErrorGen>> = self
+        let mut selected: Vec<&Box<dyn ErrorGen>> = self
             .members
             .iter()
-            .filter(|_| rng.gen::<f64>() < self.include_prob)
+            .filter(|_| rng.gen::<f64>() < INCLUDE_PROB)
             .collect();
         if selected.is_empty() {
             let i = rng.gen_range(0..self.members.len());
@@ -124,30 +110,30 @@ mod tests {
 
     #[test]
     fn mixture_applies_at_least_one_member() {
-        let df = toy_frame(100);
-        let mix = Mixture::with_include_prob(
-            vec![
-                Arc::new(MissingValues::all_categorical(df.schema())),
-                Arc::new(Outliers::all_numeric(df.schema())),
-            ],
-            0.0, // never include by chance → must force one member
-        );
-        let mut rng = StdRng::seed_from_u64(1);
-        let out = mix.corrupt(&df, &mut rng);
-        assert!(out != df, "mixture must corrupt something");
+        // A one-member mixture draws an empty subset on about half the
+        // seeds; it corrupts on every one only through the fallback.
+        let df = toy_frame(1000);
+        let mix = Mixture::from_boxes(vec![Box::new(MissingValues::all_categorical(df.schema()))]);
+        for seed in 0..64u64 {
+            let out = mix.corrupt(&df, &mut StdRng::seed_from_u64(seed));
+            assert!(out != df, "seed {seed}: mixture must corrupt something");
+        }
     }
 
     #[test]
     fn mixture_name_lists_members() {
         let df = toy_frame(4);
-        let mix = Mixture::new(vec![Arc::new(MissingValues::all_categorical(df.schema()))]);
-        assert_eq!(mix.name(), "mixture(missing_values)");
+        let mix = Mixture::from_boxes(vec![
+            Box::new(MissingValues::all_categorical(df.schema())),
+            Box::new(Outliers::all_numeric(df.schema())),
+        ]);
+        assert_eq!(mix.name(), "mixture(missing_values+outliers)");
     }
 
     #[test]
     #[should_panic(expected = "at least one member")]
     fn empty_mixture_panics() {
-        let _ = Mixture::new(vec![]);
+        let _ = Mixture::from_boxes(vec![]);
     }
 
     #[test]

@@ -1,54 +1,42 @@
 //! Error generators for tabular (numeric + categorical) attributes.
 
-use crate::{choose_columns, sample_fraction, ErrorGen};
+use crate::{sample_fraction, CellWise, ErrorGen, Hits};
 use lvp_dataframe::{DataFrame, Schema};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand_distr::{Distribution, Normal};
 
+/// The numeric cells of candidate column `col`, materialized.
+fn numeric_mut(out: &mut DataFrame, col: usize) -> &mut Vec<Option<f64>> {
+    out.column_mut(col)
+        .as_numeric_mut()
+        .expect("numeric candidate")
+}
+
 /// Introduces missing values at random into categorical columns
 /// (the paper's first error type; e.g. nulls from broken data integration).
 #[derive(Debug, Clone)]
-pub struct MissingValues {
-    candidate_columns: Vec<usize>,
-}
+pub struct MissingValues(Vec<usize>);
 
 impl MissingValues {
     /// Targets all categorical columns of the schema.
     pub fn all_categorical(schema: &Schema) -> Self {
-        Self {
-            candidate_columns: schema.categorical_columns(),
-        }
-    }
-
-    /// Targets an explicit set of column indices.
-    pub fn for_columns(columns: Vec<usize>) -> Self {
-        Self {
-            candidate_columns: columns,
-        }
+        Self(schema.categorical_columns())
     }
 }
 
-impl ErrorGen for MissingValues {
-    fn touched_columns(&self, _df: &DataFrame) -> Vec<usize> {
-        self.candidate_columns.clone()
+impl CellWise for MissingValues {
+    const NAME: &'static str = "missing_values";
+
+    fn candidates(&self) -> &[usize] {
+        &self.0
     }
 
-    fn name(&self) -> &str {
-        "missing_values"
-    }
-
-    fn corrupt(&self, df: &DataFrame, rng: &mut StdRng) -> DataFrame {
-        let mut out = df.clone();
-        for col in choose_columns(&self.candidate_columns, rng) {
-            let p = sample_fraction(rng);
-            for row in 0..out.n_rows() {
-                if rng.gen::<f64>() < p {
-                    out.column_mut(col).set_null(row);
-                }
-            }
-        }
-        out
+    fn corrupt_column(&self, out: &mut DataFrame, col: usize, hits: Hits, rng: &mut StdRng) {
+        // `column_mut` per hit: a column no row hits keeps sharing storage.
+        hits.each(out.n_rows(), rng, |row, _| {
+            out.column_mut(col).set_null(row)
+        });
     }
 }
 
@@ -56,23 +44,12 @@ impl ErrorGen for MissingValues {
 /// scaled from `[2, 5]` column standard deviations (the paper's outlier
 /// generator).
 #[derive(Debug, Clone)]
-pub struct Outliers {
-    candidate_columns: Vec<usize>,
-}
+pub struct Outliers(Vec<usize>);
 
 impl Outliers {
     /// Targets all numeric columns of the schema.
     pub fn all_numeric(schema: &Schema) -> Self {
-        Self {
-            candidate_columns: schema.numeric_columns(),
-        }
-    }
-
-    /// Targets an explicit set of column indices.
-    pub fn for_columns(columns: Vec<usize>) -> Self {
-        Self {
-            candidate_columns: columns,
-        }
+        Self(schema.numeric_columns())
     }
 }
 
@@ -95,35 +72,23 @@ fn column_std(values: &[Option<f64>]) -> f64 {
     }
 }
 
-impl ErrorGen for Outliers {
-    fn touched_columns(&self, _df: &DataFrame) -> Vec<usize> {
-        self.candidate_columns.clone()
+impl CellWise for Outliers {
+    const NAME: &'static str = "outliers";
+
+    fn candidates(&self) -> &[usize] {
+        &self.0
     }
 
-    fn name(&self) -> &str {
-        "outliers"
-    }
-
-    fn corrupt(&self, df: &DataFrame, rng: &mut StdRng) -> DataFrame {
-        let mut out = df.clone();
-        for col in choose_columns(&self.candidate_columns, rng) {
-            let p = sample_fraction(rng);
-            let scale: f64 = rng.gen_range(2.0..5.0);
-            let std = column_std(out.column(col).as_numeric().expect("numeric candidate"));
-            let noise = Normal::new(0.0, scale * std).expect("finite parameters");
-            let values = out
-                .column_mut(col)
-                .as_numeric_mut()
-                .expect("numeric candidate");
-            for v in values.iter_mut() {
-                if rng.gen::<f64>() < p {
-                    if let Some(x) = v {
-                        *x += noise.sample(rng);
-                    }
-                }
+    fn corrupt_column(&self, out: &mut DataFrame, col: usize, hits: Hits, rng: &mut StdRng) {
+        let scale: f64 = rng.gen_range(2.0..5.0);
+        let std = column_std(out.column(col).as_numeric().expect("numeric candidate"));
+        let noise = Normal::new(0.0, scale * std).expect("finite parameters");
+        let values = numeric_mut(out, col);
+        hits.each(values.len(), rng, |row, rng| {
+            if let Some(x) = &mut values[row] {
+                *x += noise.sample(rng);
             }
-        }
-        out
+        });
     }
 }
 
@@ -179,12 +144,8 @@ impl ErrorGen for SwappedColumns {
             while b == a {
                 b = all[rng.gen_range(0..all.len())];
             }
-            let p = sample_fraction(rng);
-            for row in 0..out.n_rows() {
-                if rng.gen::<f64>() < p {
-                    out.swap_cells(a, b, row);
-                }
-            }
+            let hits = Hits(sample_fraction(rng));
+            hits.each(out.n_rows(), rng, |row, _| out.swap_cells(a, b, row));
             return out;
         }
         let n_pairs = rng.gen_range(
@@ -196,12 +157,8 @@ impl ErrorGen for SwappedColumns {
         for _ in 0..n_pairs {
             let num = self.numeric_columns[rng.gen_range(0..self.numeric_columns.len())];
             let cat = self.categorical_columns[rng.gen_range(0..self.categorical_columns.len())];
-            let p = sample_fraction(rng);
-            for row in 0..out.n_rows() {
-                if rng.gen::<f64>() < p {
-                    out.swap_cells(num, cat, row);
-                }
-            }
+            let hits = Hits(sample_fraction(rng));
+            hits.each(out.n_rows(), rng, |row, _| out.swap_cells(num, cat, row));
         }
         out
     }
@@ -210,53 +167,35 @@ impl ErrorGen for SwappedColumns {
 /// Scales a subset of numeric values by 10, 100 or 1000 (the paper's
 /// unit-change bug, e.g. seconds accidentally recorded as milliseconds).
 #[derive(Debug, Clone)]
-pub struct Scaling {
-    candidate_columns: Vec<usize>,
-}
+pub struct Scaling(Vec<usize>);
 
 impl Scaling {
     /// Targets all numeric columns of the schema.
     pub fn all_numeric(schema: &Schema) -> Self {
-        Self {
-            candidate_columns: schema.numeric_columns(),
-        }
+        Self(schema.numeric_columns())
     }
 
     /// Targets an explicit set of column indices.
     pub fn for_columns(columns: Vec<usize>) -> Self {
-        Self {
-            candidate_columns: columns,
-        }
+        Self(columns)
     }
 }
 
-impl ErrorGen for Scaling {
-    fn touched_columns(&self, _df: &DataFrame) -> Vec<usize> {
-        self.candidate_columns.clone()
+impl CellWise for Scaling {
+    const NAME: &'static str = "scaling";
+
+    fn candidates(&self) -> &[usize] {
+        &self.0
     }
 
-    fn name(&self) -> &str {
-        "scaling"
-    }
-
-    fn corrupt(&self, df: &DataFrame, rng: &mut StdRng) -> DataFrame {
-        let mut out = df.clone();
-        for col in choose_columns(&self.candidate_columns, rng) {
-            let p = sample_fraction(rng);
-            let factor = [10.0, 100.0, 1000.0][rng.gen_range(0..3)];
-            let values = out
-                .column_mut(col)
-                .as_numeric_mut()
-                .expect("numeric candidate");
-            for v in values.iter_mut() {
-                if rng.gen::<f64>() < p {
-                    if let Some(x) = v {
-                        *x *= factor;
-                    }
-                }
+    fn corrupt_column(&self, out: &mut DataFrame, col: usize, hits: Hits, rng: &mut StdRng) {
+        let factor = [10.0, 100.0, 1000.0][rng.gen_range(0..3)];
+        let values = numeric_mut(out, col);
+        hits.each(values.len(), rng, |row, _| {
+            if let Some(x) = &mut values[row] {
+                *x *= factor;
             }
-        }
-        out
+        });
     }
 }
 
@@ -266,16 +205,12 @@ impl ErrorGen for Scaling {
 /// seen, which encodes to a zero vector — the same mechanism as a missing
 /// value, which is exactly why the predictor generalizes to it.
 #[derive(Debug, Clone)]
-pub struct Typos {
-    candidate_columns: Vec<usize>,
-}
+pub struct Typos(Vec<usize>);
 
 impl Typos {
     /// Targets all categorical columns of the schema.
     pub fn all_categorical(schema: &Schema) -> Self {
-        Self {
-            candidate_columns: schema.categorical_columns(),
-        }
+        Self(schema.categorical_columns())
     }
 }
 
@@ -322,121 +257,80 @@ fn introduce_typo(value: &str, rng: &mut StdRng) -> String {
     out
 }
 
-impl ErrorGen for Typos {
-    fn touched_columns(&self, _df: &DataFrame) -> Vec<usize> {
-        self.candidate_columns.clone()
+impl CellWise for Typos {
+    const NAME: &'static str = "typos";
+
+    fn candidates(&self) -> &[usize] {
+        &self.0
     }
 
-    fn name(&self) -> &str {
-        "typos"
-    }
-
-    fn corrupt(&self, df: &DataFrame, rng: &mut StdRng) -> DataFrame {
-        let mut out = df.clone();
-        for col in choose_columns(&self.candidate_columns, rng) {
-            let p = sample_fraction(rng);
-            let values = out
-                .column_mut(col)
-                .as_categorical_mut()
-                .expect("categorical candidate");
-            for row in 0..values.len() {
-                if rng.gen::<f64>() < p {
-                    if let Some(s) = values.get(row) {
-                        let typo = introduce_typo(s, rng);
-                        values.set(row, Some(&typo));
-                    }
-                }
+    fn corrupt_column(&self, out: &mut DataFrame, col: usize, hits: Hits, rng: &mut StdRng) {
+        let values = out
+            .column_mut(col)
+            .as_categorical_mut()
+            .expect("categorical candidate");
+        hits.each(values.len(), rng, |row, rng| {
+            if let Some(s) = values.get(row) {
+                let typo = introduce_typo(s, rng);
+                values.set(row, Some(&typo));
             }
-        }
-        out
+        });
     }
 }
 
 /// "Smears" numeric values by a random ±10% (§6.2.2 "unknown" error).
 #[derive(Debug, Clone)]
-pub struct Smearing {
-    candidate_columns: Vec<usize>,
-}
+pub struct Smearing(Vec<usize>);
 
 impl Smearing {
     /// Targets all numeric columns of the schema.
     pub fn all_numeric(schema: &Schema) -> Self {
-        Self {
-            candidate_columns: schema.numeric_columns(),
-        }
+        Self(schema.numeric_columns())
     }
 }
 
-impl ErrorGen for Smearing {
-    fn touched_columns(&self, _df: &DataFrame) -> Vec<usize> {
-        self.candidate_columns.clone()
+impl CellWise for Smearing {
+    const NAME: &'static str = "smearing";
+
+    fn candidates(&self) -> &[usize] {
+        &self.0
     }
 
-    fn name(&self) -> &str {
-        "smearing"
-    }
-
-    fn corrupt(&self, df: &DataFrame, rng: &mut StdRng) -> DataFrame {
-        let mut out = df.clone();
-        for col in choose_columns(&self.candidate_columns, rng) {
-            let p = sample_fraction(rng);
-            let values = out
-                .column_mut(col)
-                .as_numeric_mut()
-                .expect("numeric candidate");
-            for v in values.iter_mut() {
-                if rng.gen::<f64>() < p {
-                    if let Some(x) = v {
-                        *x *= 1.0 + rng.gen_range(-0.10..0.10);
-                    }
-                }
+    fn corrupt_column(&self, out: &mut DataFrame, col: usize, hits: Hits, rng: &mut StdRng) {
+        let values = numeric_mut(out, col);
+        hits.each(values.len(), rng, |row, rng| {
+            if let Some(x) = &mut values[row] {
+                *x *= 1.0 + rng.gen_range(-0.10..0.10);
             }
-        }
-        out
+        });
     }
 }
 
 /// Flips the sign of numeric values (§6.2.2 "unknown" error).
 #[derive(Debug, Clone)]
-pub struct FlippedSign {
-    candidate_columns: Vec<usize>,
-}
+pub struct FlippedSign(Vec<usize>);
 
 impl FlippedSign {
     /// Targets all numeric columns of the schema.
     pub fn all_numeric(schema: &Schema) -> Self {
-        Self {
-            candidate_columns: schema.numeric_columns(),
-        }
+        Self(schema.numeric_columns())
     }
 }
 
-impl ErrorGen for FlippedSign {
-    fn touched_columns(&self, _df: &DataFrame) -> Vec<usize> {
-        self.candidate_columns.clone()
+impl CellWise for FlippedSign {
+    const NAME: &'static str = "flipped_sign";
+
+    fn candidates(&self) -> &[usize] {
+        &self.0
     }
 
-    fn name(&self) -> &str {
-        "flipped_sign"
-    }
-
-    fn corrupt(&self, df: &DataFrame, rng: &mut StdRng) -> DataFrame {
-        let mut out = df.clone();
-        for col in choose_columns(&self.candidate_columns, rng) {
-            let p = sample_fraction(rng);
-            let values = out
-                .column_mut(col)
-                .as_numeric_mut()
-                .expect("numeric candidate");
-            for v in values.iter_mut() {
-                if rng.gen::<f64>() < p {
-                    if let Some(x) = v {
-                        *x = -*x;
-                    }
-                }
+    fn corrupt_column(&self, out: &mut DataFrame, col: usize, hits: Hits, rng: &mut StdRng) {
+        let values = numeric_mut(out, col);
+        hits.each(values.len(), rng, |row, _| {
+            if let Some(x) = &mut values[row] {
+                *x = -*x;
             }
-        }
-        out
+        });
     }
 }
 
@@ -444,23 +338,17 @@ impl ErrorGen for FlippedSign {
 /// characters for look-alikes from a different encoding (the paper's §4
 /// example: `E → É`, `ö/ü → œ`).
 #[derive(Debug, Clone)]
-pub struct EncodingErrors {
-    candidate_columns: Vec<usize>,
-}
+pub struct EncodingErrors(Vec<usize>);
 
 impl EncodingErrors {
     /// Targets all text columns of the schema.
     pub fn all_text(schema: &Schema) -> Self {
-        Self {
-            candidate_columns: schema.text_columns(),
-        }
+        Self(schema.text_columns())
     }
 
     /// Targets all categorical columns of the schema.
     pub fn all_categorical(schema: &Schema) -> Self {
-        Self {
-            candidate_columns: schema.categorical_columns(),
-        }
+        Self(schema.categorical_columns())
     }
 }
 
@@ -472,40 +360,29 @@ fn garble_encoding(value: &str) -> String {
         .replace('u', "û")
 }
 
-impl ErrorGen for EncodingErrors {
-    fn touched_columns(&self, _df: &DataFrame) -> Vec<usize> {
-        self.candidate_columns.clone()
+impl CellWise for EncodingErrors {
+    const NAME: &'static str = "encoding_errors";
+
+    fn candidates(&self) -> &[usize] {
+        &self.0
     }
 
-    fn name(&self) -> &str {
-        "encoding_errors"
-    }
-
-    fn corrupt(&self, df: &DataFrame, rng: &mut StdRng) -> DataFrame {
-        let mut out = df.clone();
-        for col in choose_columns(&self.candidate_columns, rng) {
-            let p = sample_fraction(rng);
-            let column = out.column_mut(col);
-            if let Ok(values) = column.as_text_mut() {
-                for v in values.iter_mut() {
-                    if rng.gen::<f64>() < p {
-                        if let Some(s) = v.take() {
-                            *v = Some(garble_encoding(&s));
-                        }
-                    }
+    fn corrupt_column(&self, out: &mut DataFrame, col: usize, hits: Hits, rng: &mut StdRng) {
+        let column = out.column_mut(col);
+        if let Ok(values) = column.as_text_mut() {
+            hits.each(values.len(), rng, |row, _| {
+                if let Some(s) = &mut values[row] {
+                    *s = garble_encoding(s);
                 }
-            } else if let Ok(values) = column.as_categorical_mut() {
-                for row in 0..values.len() {
-                    if rng.gen::<f64>() < p {
-                        if let Some(s) = values.get(row) {
-                            let garbled = garble_encoding(s);
-                            values.set(row, Some(&garbled));
-                        }
-                    }
+            });
+        } else if let Ok(values) = column.as_categorical_mut() {
+            hits.each(values.len(), rng, |row, _| {
+                if let Some(s) = values.get(row) {
+                    let garbled = garble_encoding(s);
+                    values.set(row, Some(&garbled));
                 }
-            }
+            });
         }
-        out
     }
 }
 

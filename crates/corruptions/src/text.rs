@@ -1,24 +1,19 @@
 //! Adversarial text corruption for the tweets dataset.
 
-use crate::{choose_columns, sample_fraction, ErrorGen};
+use crate::{CellWise, Hits};
 use lvp_dataframe::{DataFrame, Schema};
 use rand::rngs::StdRng;
-use rand::Rng;
 
 /// Simulates an adversarial attack where authors re-spell their text in
 /// 'leetspeak' to evade the classifier (the paper's example: "hello world"
 /// → "h3110 w041d").
 #[derive(Debug, Clone)]
-pub struct AdversarialLeetspeak {
-    candidate_columns: Vec<usize>,
-}
+pub struct AdversarialLeetspeak(Vec<usize>);
 
 impl AdversarialLeetspeak {
     /// Targets all text columns of the schema.
     pub fn all_text(schema: &Schema) -> Self {
-        Self {
-            candidate_columns: schema.text_columns(),
-        }
+        Self(schema.text_columns())
     }
 }
 
@@ -38,35 +33,27 @@ pub fn to_leetspeak(text: &str) -> String {
         .collect()
 }
 
-impl ErrorGen for AdversarialLeetspeak {
-    fn touched_columns(&self, _df: &DataFrame) -> Vec<usize> {
-        self.candidate_columns.clone()
+impl CellWise for AdversarialLeetspeak {
+    const NAME: &'static str = "adversarial_leetspeak";
+
+    fn candidates(&self) -> &[usize] {
+        &self.0
     }
 
-    fn name(&self) -> &str {
-        "adversarial_leetspeak"
-    }
-
-    fn corrupt(&self, df: &DataFrame, rng: &mut StdRng) -> DataFrame {
-        let mut out = df.clone();
-        for col in choose_columns(&self.candidate_columns, rng) {
-            let p = sample_fraction(rng);
-            let values = out.column_mut(col).as_text_mut().expect("text candidate");
-            for v in values.iter_mut() {
-                if rng.gen::<f64>() < p {
-                    if let Some(s) = v.take() {
-                        *v = Some(to_leetspeak(&s));
-                    }
-                }
+    fn corrupt_column(&self, out: &mut DataFrame, col: usize, hits: Hits, rng: &mut StdRng) {
+        let values = out.column_mut(col).as_text_mut().expect("text candidate");
+        hits.each(values.len(), rng, |row, _| {
+            if let Some(s) = &mut values[row] {
+                *s = to_leetspeak(s);
             }
-        }
-        out
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ErrorGen;
     use lvp_dataframe::{CellValue, ColumnType, DataFrameBuilder, Field, Schema};
     use rand::SeedableRng;
 

@@ -19,11 +19,13 @@
 mod column;
 pub mod csv;
 mod frame;
+mod hash;
 mod schema;
 
 pub use column::{CategoricalColumn, CellValue, Column, ImageData};
 pub use csv::{read_csv_file, read_csv_str, read_serving_csv_str, write_csv_string, CsvOptions};
 pub use frame::{toy_frame, DataFrame, DataFrameBuilder};
+pub use hash::Fnv1a;
 pub use schema::{ColumnType, Field, Schema};
 
 /// Errors produced by dataframe construction and access.

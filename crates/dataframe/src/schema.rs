@@ -1,5 +1,6 @@
 //! Column types, fields and schemas.
 
+use crate::Fnv1a;
 use serde::{Deserialize, Serialize};
 
 /// The type of a relational attribute.
@@ -119,28 +120,20 @@ impl Schema {
     /// FNV-1a over the field list, truncated to 53 bits so the value
     /// survives a round trip through JSON numbers exactly.
     pub fn fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash = FNV_OFFSET;
-        let mut eat = |byte: u8| {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        };
+        let mut hash = Fnv1a::new(0);
         for field in &self.fields {
-            for &b in field.name.as_bytes() {
-                eat(b);
-            }
+            hash.write(field.name.as_bytes());
             // Separator that cannot occur inside a UTF-8 name, so
             // ("ab", Numeric), ("a", ...) cannot collide by concatenation.
-            eat(0xff);
-            eat(match field.ty {
+            hash.write_u8(0xff);
+            hash.write_u8(match field.ty {
                 ColumnType::Numeric => 0,
                 ColumnType::Categorical => 1,
                 ColumnType::Text => 2,
                 ColumnType::Image => 3,
             });
         }
-        hash & ((1 << 53) - 1)
+        hash.finish() & ((1 << 53) - 1)
     }
 }
 

@@ -2,7 +2,7 @@
 //! emits features for any cell into a caller-provided pair buffer with a
 //! fixed column offset.
 
-use crate::hashing::{fnv1a64, tokenize, word_ngrams};
+use crate::hashing::{bucket_hash, tokenize, word_ngrams};
 use lvp_dataframe::{CategoricalColumn, Column, ColumnType, ImageData};
 use std::collections::BTreeMap;
 
@@ -141,7 +141,7 @@ impl HashingTextEncoder {
         let grams = word_ngrams(&tokens, self.max_ngram);
         let mut counts: BTreeMap<u32, f64> = BTreeMap::new();
         for g in &grams {
-            let bucket = (fnv1a64(g.as_bytes()) % u64::from(self.n_buckets)) as u32;
+            let bucket = (bucket_hash(g.as_bytes()) % u64::from(self.n_buckets)) as u32;
             *counts.entry(bucket).or_insert(0.0) += 1.0;
         }
         let norm = counts.values().map(|v| v * v).sum::<f64>().sqrt();
@@ -181,11 +181,6 @@ impl ImageEncoder {
     /// Number of output dimensions (`width × height` pixels).
     pub fn width(&self) -> usize {
         self.width_px * self.height_px
-    }
-
-    /// Image geometry `(width, height)` fixed at fit time.
-    pub fn geometry(&self) -> (usize, usize) {
-        (self.width_px, self.height_px)
     }
 
     /// Encodes one image cell as its nonzero pixels.

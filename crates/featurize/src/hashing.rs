@@ -4,7 +4,7 @@
 /// 64-bit offset basis, but with the multiplier `0x1000_0000_01b3`, not
 /// the FNV prime `0x100_0000_01b3`, so it is not FNV-1a. Its values set
 /// every text hash bucket, so the multiplier stays as it is.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
+pub fn bucket_hash(bytes: &[u8]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x1000_0000_01b3;
     let mut h = OFFSET;
@@ -45,11 +45,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fnv_distinguishes_inputs_and_is_deterministic() {
-        assert_eq!(fnv1a64(b"abc"), fnv1a64(b"abc"));
-        assert_ne!(fnv1a64(b"abc"), fnv1a64(b"abd"));
-        // Known FNV-1a vector: empty string hashes to the offset basis.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+    fn bucket_hash_distinguishes_inputs_and_is_deterministic() {
+        assert_eq!(bucket_hash(b"abc"), bucket_hash(b"abc"));
+        assert_ne!(bucket_hash(b"abc"), bucket_hash(b"abd"));
+        // The empty input hashes to FNV's offset basis.
+        assert_eq!(bucket_hash(b""), 0xcbf2_9ce4_8422_2325);
     }
 
     #[test]
@@ -57,7 +57,7 @@ mod tests {
         // The empty input hashes to the offset basis under any multiplier;
         // one byte pins the multiplier. True FNV-1a gives
         // 0xaf63_dc4c_8601_ec8c here.
-        assert_eq!(fnv1a64(b"a"), 0xaf74_d84c_8601_ec8c);
+        assert_eq!(bucket_hash(b"a"), 0xaf74_d84c_8601_ec8c);
     }
 
     #[test]

@@ -22,5 +22,5 @@ mod hashing;
 mod pipeline;
 
 pub use encoders::{HashingTextEncoder, ImageEncoder, NumericScaler, OneHotEncoder};
-pub use hashing::{fnv1a64, tokenize, word_ngrams};
+pub use hashing::{bucket_hash, tokenize, word_ngrams};
 pub use pipeline::{FeaturePipeline, PipelineConfig};

@@ -31,7 +31,7 @@
 //! telemetry views.
 
 use crate::{BlackBoxModel, ModelError, ModelErrorKind};
-use lvp_dataframe::{Column, DataFrame};
+use lvp_dataframe::{Column, DataFrame, Fnv1a};
 use lvp_linalg::DenseMatrix;
 use lvp_telemetry::{Counter, Gauge, Histogram, Registry};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -107,37 +107,19 @@ pub fn backoff_nanos(attempt: u32, draw: u64) -> u64 {
 /// counter, so the fault/retry schedule of a logical request does not
 /// depend on how rayon interleaves requests across threads.
 pub fn frame_content_key(frame: &DataFrame) -> u64 {
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325 ^ frame.schema().fingerprint();
-    let mut eat = |word: u64| {
-        for shift in [0u32, 8, 16, 24, 32, 40, 48, 56] {
-            hash ^= (word >> shift) & 0xFF;
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-    };
-    eat(frame.n_rows() as u64);
+    let mut hash = Fnv1a::new(frame.schema().fingerprint());
+    hash.write(&(frame.n_rows() as u64).to_le_bytes());
     for &label in frame.labels() {
-        eat(u64::from(label));
+        hash.write(&u64::from(label).to_le_bytes());
     }
-    let eat_opt_f64 = |hash: &mut u64, v: Option<f64>| {
-        let word = v.map_or(u64::MAX, f64::to_bits);
-        for shift in [0u32, 8, 16, 24, 32, 40, 48, 56] {
-            *hash ^= (word >> shift) & 0xFF;
-            *hash = hash.wrapping_mul(FNV_PRIME);
-        }
+    let eat_opt_f64 = |hash: &mut Fnv1a, v: Option<f64>| {
+        hash.write(&v.map_or(u64::MAX, f64::to_bits).to_le_bytes());
     };
-    let eat_opt_str = |hash: &mut u64, v: Option<&str>| match v {
-        None => {
-            *hash ^= 0xFF;
-            *hash = hash.wrapping_mul(FNV_PRIME);
-        }
+    let eat_opt_str = |hash: &mut Fnv1a, v: Option<&str>| match v {
+        None => hash.write_u8(0xFF),
         Some(s) => {
-            for &b in s.as_bytes() {
-                *hash ^= u64::from(b);
-                *hash = hash.wrapping_mul(FNV_PRIME);
-            }
-            *hash ^= 0xFE;
-            *hash = hash.wrapping_mul(FNV_PRIME);
+            hash.write(s.as_bytes());
+            hash.write_u8(0xFE);
         }
     };
     for col in 0..frame.n_cols() {
@@ -176,7 +158,7 @@ pub fn frame_content_key(frame: &DataFrame) -> u64 {
             }
         }
     }
-    mix64(hash)
+    mix64(hash.finish())
 }
 
 /// Row-sum tolerance of [`validate_probability_matrix`]. Softmax and

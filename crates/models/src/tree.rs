@@ -242,26 +242,33 @@ fn quantile_cuts(sorted: &[f64], max_cuts: usize) -> Vec<f64> {
     cuts
 }
 
-/// Appends a threshold separating `a < b` if a valid one exists and it
-/// keeps `cuts` strictly increasing.
+/// Appends the threshold separating `a < b`, if one exists and it keeps
+/// `cuts` strictly increasing.
 fn push_cut(cuts: &mut Vec<f64>, a: f64, b: f64) {
-    let threshold = {
-        let mid = 0.5 * (a + b);
-        // The midpoint of two adjacent floats can round up to `b` (or
-        // overflow for huge magnitudes); fall back to `a` itself, which
-        // always satisfies `a <= t < b`.
-        if mid.is_finite() && mid >= a && mid < b {
-            mid
-        } else if a.is_finite() {
-            a
-        } else {
-            // a == -inf: any finite threshold below `b` separates them.
-            f64::MIN
-        }
-    };
-    if threshold < b && cuts.last().is_none_or(|&last| threshold > last) {
-        cuts.push(threshold);
+    let threshold = split_threshold(a, b).filter(|&t| cuts.last().is_none_or(|&last| t > last));
+    if let Some(t) = threshold {
+        cuts.push(t);
     }
+}
+
+/// The one threshold rule of both split finders: where the split between
+/// adjacent sorted values `a < b` goes (`value <= t` routes left). `b` may
+/// be `+inf` or NaN, which route right at any finite threshold.
+///
+/// The midpoint when it separates them. It does not when it rounds up to
+/// `b` (two adjacent floats) or overflows; then `a` itself when it is
+/// finite, else (`a` is `-inf`) `f64::MIN`. `None` when no finite
+/// threshold separates them: `a` is `-inf` and `b` is `f64::MIN`.
+fn split_threshold(a: f64, b: f64) -> Option<f64> {
+    let mid = 0.5 * (a + b);
+    let t = if mid.is_finite() && mid >= a && mid < b {
+        mid
+    } else if a.is_finite() {
+        a
+    } else {
+        f64::MIN
+    };
+    (t < b || b.is_nan()).then_some(t)
 }
 
 /// Split-finder input for one training run: either the raw column-major
@@ -510,32 +517,9 @@ impl<'p> SplitSearch<'p> {
             if !self.sizes_ok(i + 1) {
                 continue;
             }
-            let threshold = if v == f64::NEG_INFINITY {
-                // The midpoint with `-inf` is `-inf`, no storable
-                // threshold; as in the histogram cuts, `f64::MIN` splits
-                // the `-inf` run from the rest unless `v_next` is
-                // `f64::MIN` itself.
-                if v_next <= f64::MIN {
-                    continue;
-                }
-                f64::MIN
-            } else if v_next.is_nan() || v_next == f64::INFINITY {
-                // Boundary between the largest finite value and the
-                // `+inf`/missing run: `v` itself routes every finite
-                // value left and the rest right.
-                v
-            } else {
-                // The midpoint of two adjacent floats can round up to
-                // `v_next`, in which case `value <= threshold` fails to
-                // separate them; require a strictly separating
-                // threshold.
-                let t = 0.5 * (v + v_next);
-                if t < v || t >= v_next {
-                    continue;
-                }
-                t
-            };
-            self.offer(f, threshold, 0, g_left, h_left);
+            if let Some(threshold) = split_threshold(v, v_next) {
+                self.offer(f, threshold, 0, g_left, h_left);
+            }
         }
     }
 

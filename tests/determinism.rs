@@ -405,3 +405,99 @@ fn cross_validated_training_is_pinned_golden() {
         ]
     );
 }
+
+/// Pins every error generator's corrupted copies and RNG consumption: for
+/// each generator of the standard, unknown, extended, image and text suites
+/// (plus the model-entropy missing values with and without a model,
+/// categorical encoding errors and a mixture), a `checksum64` over the
+/// `frame_content_key` of the copy and the next `u64` the RNG yields, for a
+/// few seeds, on a small frame and on a copy of it with every fourth cell
+/// missing (the per-row coin is also tossed for missing cells).
+#[test]
+fn every_generator_is_pinned_golden() {
+    use lvp_corruptions::{
+        extended_tabular_suite, image_suite, text_suite, unknown_tabular_suite, EncodingErrors,
+        EntropyMissingValues, ErrorGen, Mixture,
+    };
+    use lvp_dataframe::DataFrame;
+    use lvp_models::resilience::frame_content_key;
+    use rand::Rng;
+
+    let with_holes = |df: &DataFrame| -> DataFrame {
+        let mut holed = df.clone();
+        for col in 0..df.n_cols() {
+            for row in (col % 4..df.n_rows()).step_by(4) {
+                holed.column_mut(col).set_null(row);
+            }
+        }
+        holed
+    };
+    let pin = |gen: &dyn ErrorGen, df: &DataFrame, model: Option<&dyn BlackBoxModel>| -> u64 {
+        let mut bytes = Vec::new();
+        for frame in [df.clone(), with_holes(df)] {
+            for seed in 0..4u64 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let out = gen.corrupt_with_model(&frame, model, &mut rng);
+                bytes.extend(frame_content_key(&out).to_le_bytes());
+                bytes.extend(rng.gen::<u64>().to_le_bytes());
+            }
+        }
+        lvp_core::checksum64(&bytes)
+    };
+
+    let income = lvp::datasets::income(80, &mut StdRng::seed_from_u64(91));
+    let tweets = lvp::datasets::tweets(40, &mut StdRng::seed_from_u64(92));
+    let digits = lvp::datasets::digits(12, &mut StdRng::seed_from_u64(93));
+    let model = train_model_quick(ModelKind::Lr, &income, &mut StdRng::seed_from_u64(94)).unwrap();
+    let schema = income.schema();
+
+    let mut pinned: Vec<(String, u64)> = Vec::new();
+    let mut tabular = standard_tabular_suite(schema);
+    tabular.extend(unknown_tabular_suite(schema));
+    tabular.extend(extended_tabular_suite(schema));
+    tabular.push(Box::new(EncodingErrors::all_categorical(schema)));
+    tabular.push(Box::new(Mixture::from_boxes(standard_tabular_suite(
+        schema,
+    ))));
+    for gen in &tabular {
+        pinned.push((gen.name().to_string(), pin(gen.as_ref(), &income, None)));
+    }
+    let entropy = EntropyMissingValues::all_tabular(schema);
+    pinned.push(("entropy".into(), pin(&entropy, &income, None)));
+    pinned.push((
+        "entropy+model".into(),
+        pin(&entropy, &income, Some(model.as_ref())),
+    ));
+    for gen in text_suite(tweets.schema()) {
+        pinned.push((gen.name().to_string(), pin(gen.as_ref(), &tweets, None)));
+    }
+    for gen in image_suite(digits.schema()) {
+        pinned.push((gen.name().to_string(), pin(gen.as_ref(), &digits, None)));
+    }
+    let expected = [
+        ("missing_values", 0x5b75_cd9c_0b82_852a),
+        ("outliers", 0x9126_80a1_6645_258c),
+        ("swapped_columns", 0xb834_9ec5_9629_6a6f),
+        ("scaling", 0x8a67_1e68_fdec_85f5),
+        ("typos", 0xa12e_ec4a_f083_ad3d),
+        ("smearing", 0x0b16_8fe2_bd62_c8bf),
+        ("flipped_sign", 0xa595_c261_fa20_28d0),
+        ("selection_bias", 0x37a6_c94b_cf36_aeff),
+        ("category_flip", 0xdd0d_5fb5_7c72_bfd8),
+        ("constant_fill", 0x49a9_64c5_5bfc_fc92),
+        ("duplicate_rows", 0xec33_8ce9_3832_1a34),
+        ("encoding_errors", 0xe54f_e067_e36d_283c),
+        (
+            "mixture(missing_values+outliers+swapped_columns+scaling)",
+            0xae2a_f193_658f_334f,
+        ),
+        ("entropy", 0x8845_592a_8583_caee),
+        ("entropy+model", 0x10b6_17ac_d6a7_e858),
+        ("adversarial_leetspeak", 0xaa13_f0f1_ca2c_4cc6),
+        ("encoding_errors", 0x5eb8_7205_f808_6dda),
+        ("image_noise", 0xa128_37c5_b957_0e48),
+        ("image_rotation", 0x42e1_a532_6422_9254),
+    ];
+    let got: Vec<(&str, u64)> = pinned.iter().map(|(n, v)| (n.as_str(), *v)).collect();
+    assert_eq!(got, expected);
+}

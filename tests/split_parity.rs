@@ -137,41 +137,65 @@ fn predictor_estimates_agree_across_split_methods() {
     );
 }
 
-/// An exact split after a run of `-inf` takes the threshold the histogram
-/// cuts take there, `f64::MIN`: a `-inf` midpoint is no storable
-/// threshold. So both methods route every value alike.
+/// Both split finders place a threshold by one rule. After a run of `-inf`
+/// it is `f64::MIN`, since a `-inf` midpoint is no storable threshold.
+/// Between two adjacent floats, whose midpoint rounds up to the larger, it
+/// is the smaller value. So both methods route every value alike.
 #[test]
 fn exact_and_histogram_trees_split_after_a_negative_infinity_run_alike() {
     let ninf = f64::NEG_INFINITY;
-    let x =
-        lvp_linalg::DenseMatrix::from_rows(&[ninf, ninf, 1.0, 2.0, 3.0].map(|v| vec![v])).unwrap();
-    let y = [5.0, 5.0, 0.0, 0.0, 0.0];
-    let grad: Vec<f64> = y.iter().map(|v| -v).collect();
+    let (lo, hi) = (1.0 + f64::EPSILON, 1.0 + 2.0 * f64::EPSILON);
+    let cases: [(Vec<f64>, Vec<f64>, f64, f64); 2] = [
+        (
+            vec![ninf, ninf, 1.0, 2.0, 3.0],
+            vec![5.0, 5.0, 0.0, 0.0, 0.0],
+            ninf,
+            1.0,
+        ),
+        (vec![lo, lo, hi, hi], vec![5.0, 5.0, 0.0, 0.0], lo, hi),
+    ];
     let params = TreeParams {
         max_depth: 1,
         min_samples_leaf: 1,
         lambda: 0.0,
         ..TreeParams::default()
     };
-    let [exact, binned] = METHODS.map(|method| {
-        let columns = TrainingColumns::from_dense(&x, method);
-        let rows: Vec<usize> = (0..y.len()).collect();
-        let hess = [1.0; 5];
-        RegressionTree::fit(
-            &columns,
-            &grad,
-            &hess,
-            &rows,
-            &params,
-            &mut StdRng::seed_from_u64(81),
+    for (column, y, left, right) in cases {
+        let x = lvp_linalg::DenseMatrix::from_rows(
+            &column.iter().map(|&v| vec![v]).collect::<Vec<_>>(),
         )
-    });
-    for v in [ninf, f64::MIN, -1.0, 1.0, 3.0, f64::INFINITY, f64::NAN] {
-        let p = exact.predict_dense_row(&[v]);
-        assert_eq!(p.to_bits(), binned.predict_dense_row(&[v]).to_bits(), "{v}");
+        .unwrap();
+        let grad: Vec<f64> = y.iter().map(|v| -v).collect();
+        let hess = vec![1.0; y.len()];
+        let rows: Vec<usize> = (0..y.len()).collect();
+        let [exact, binned] = METHODS.map(|method| {
+            let columns = TrainingColumns::from_dense(&x, method);
+            RegressionTree::fit(
+                &columns,
+                &grad,
+                &hess,
+                &rows,
+                &params,
+                &mut StdRng::seed_from_u64(81),
+            )
+        });
+        for v in [
+            ninf,
+            f64::MIN,
+            -1.0,
+            1.0,
+            lo,
+            hi,
+            3.0,
+            f64::INFINITY,
+            f64::NAN,
+        ] {
+            let p = exact.predict_dense_row(&[v]);
+            assert_eq!(p.to_bits(), binned.predict_dense_row(&[v]).to_bits(), "{v}");
+        }
+        assert_eq!(exact.predict_dense_row(&[left]), 5.0, "{column:?}");
+        assert_eq!(exact.predict_dense_row(&[right]), 0.0, "{column:?}");
     }
-    assert_eq!(exact.predict_dense_row(&[ninf]), 5.0);
-    assert_eq!(exact.predict_dense_row(&[1.0]), 0.0);
 }
 
 fn rings(n: usize, seed: u64) -> (CsrMatrix, Vec<u32>) {
