@@ -16,9 +16,12 @@
 //! * **Histogram** pre-bins every column once per training run into at most
 //!   [`MAX_HISTOGRAM_BINS`] quantile-spaced bins ([`BinnedColumns`]),
 //!   accumulates per-node (grad, hess, count) histograms in a single pass
-//!   over the node's rows, and scans bin boundaries. After a split, only
-//!   the smaller child's histogram is accumulated from rows; the sibling's
-//!   is derived by subtracting it from the parent's (the subtract trick).
+//!   over the node's rows, and scans bin boundaries. Large nodes fill one
+//!   flat histogram over every feature; after a split, only the smaller
+//!   child's is accumulated from rows and the sibling's is derived by
+//!   subtracting it from the parent's (the subtract trick). Every other
+//!   node fills one sampled feature at a time into a reused, all-zero
+//!   histogram, scans only the bins its rows touched, and resets those.
 //!
 //! Both grow the tree with one recursion; they differ only in how a node's
 //! best split is found and in the predicate that partitions its rows (raw
@@ -374,21 +377,33 @@ struct BinStat {
     n: u32,
 }
 
-/// A node switches to the sparse (sort-based) accumulation tier when it
-/// has at least this many times fewer rows than the feature has bins.
-const SPARSE_NODE_FACTOR: usize = 4;
-
 /// Buffers the split finders reuse from node to node of one tree.
-#[derive(Default)]
 struct SplitScratch {
     /// The node's rows in the exact finder's per-feature sort order.
     order: Vec<usize>,
-    /// Dense per-feature histogram, `n_bins` slots.
-    dense: Vec<BinStat>,
-    /// `(bin, row)` pairs for the sparse tier.
-    pairs: Vec<(u8, usize)>,
-    /// Aggregated non-empty `(bin, stat)` runs for the sparse tier.
-    agg: Vec<(usize, BinStat)>,
+    /// One feature's histogram, indexed by bin; all zero between uses (a
+    /// node resets exactly the bins its rows touched).
+    dense: Box<[BinStat; MAX_HISTOGRAM_BINS]>,
+}
+
+impl Default for SplitScratch {
+    fn default() -> Self {
+        Self {
+            order: Vec::new(),
+            dense: Box::new([BinStat::default(); MAX_HISTOGRAM_BINS]),
+        }
+    }
+}
+
+/// The set bits of a per-bin mask, in ascending order.
+fn set_bins(mask: [u64; MAX_HISTOGRAM_BINS / 64]) -> impl Iterator<Item = usize> {
+    mask.into_iter().enumerate().flat_map(|(i, mut word)| {
+        std::iter::from_fn(move || {
+            let bit = word.trailing_zeros() as usize;
+            word &= word.wrapping_sub(1);
+            (bit < 64).then_some(64 * i + bit)
+        })
+    })
 }
 
 /// Accumulates the flat (all features × all bins) histogram for `rows` in
@@ -592,8 +607,8 @@ impl<R: Rng> Grower<'_, R> {
     /// its parent derived one by the subtract trick. Histogram nodes large
     /// enough to amortize the O(`total_bins`) allocation and subtraction
     /// use a flat histogram; smaller ones accumulate only the sampled
-    /// features (deep trees — e.g. the random forest's depth-12 defaults —
-    /// spend most nodes down there).
+    /// features, touching only the bins their rows hold (deep trees — e.g.
+    /// the random forest's depth-12 defaults — spend most nodes down there).
     fn grow(&mut self, rows: &mut [usize], depth: usize, hist: Option<Vec<BinStat>>) -> usize {
         let g_total: f64 = rows.iter().map(|&r| self.grad[r]).sum();
         let h_total: f64 = rows.iter().map(|&r| self.hess[r]).sum();
@@ -653,11 +668,11 @@ impl<R: Rng> Grower<'_, R> {
     /// Offers every candidate boundary of the sampled `features` to
     /// `search`. Exact splits sort the node's rows per feature. Histogram
     /// splits read the flat histogram when there is one, and otherwise
-    /// accumulate each feature on its own: into a dense scratch histogram,
-    /// or — when the node has far fewer rows than the feature has bins —
-    /// by stable-sorting `(bin, row)` pairs and aggregating runs, never
-    /// touching empty bin slots. Rows are visited in the same order on
-    /// every tier, so the per-bin sums, and the chosen split, agree bitwise.
+    /// accumulate each feature on its own in one pass over the node's rows
+    /// into the zeroed scratch histogram, marking the bins they touch; the
+    /// scan reads only the touched bins, in ascending order, and the same
+    /// bins are reset afterwards. Both paths add each bin's rows in node
+    /// order, so the per-bin sums, and the chosen split, agree bitwise.
     fn find_split(
         &mut self,
         search: &mut SplitSearch,
@@ -694,42 +709,23 @@ impl<R: Rng> Grower<'_, R> {
                         let offset = binned.offsets[f];
                         let slots = &hist[offset..offset + feat.n_bins()];
                         search.scan_bins(feat, f, slots.iter().copied().enumerate());
-                    } else if rows.len() * SPARSE_NODE_FACTOR < feat.n_bins() {
-                        // A stable sort keeps row order within each bin.
-                        scratch.pairs.clear();
-                        scratch
-                            .pairs
-                            .extend(rows.iter().map(|&r| (feat.bins[r], r)));
-                        scratch.pairs.sort_by_key(|&(bin, _)| bin);
-                        scratch.agg.clear();
-                        for &(bin, r) in &scratch.pairs {
-                            match scratch.agg.last_mut() {
-                                Some((b, stat)) if *b == bin as usize => {
-                                    stat.g += grad[r];
-                                    stat.h += hess[r];
-                                    stat.n += 1;
-                                }
-                                _ => scratch.agg.push((
-                                    bin as usize,
-                                    BinStat {
-                                        g: grad[r],
-                                        h: hess[r],
-                                        n: 1,
-                                    },
-                                )),
-                            }
-                        }
-                        search.scan_bins(feat, f, scratch.agg.iter().copied());
                     } else {
-                        scratch.dense.clear();
-                        scratch.dense.resize(feat.n_bins(), BinStat::default());
+                        let dense = &mut scratch.dense;
+                        let mut touched = [0u64; MAX_HISTOGRAM_BINS / 64];
                         for &r in rows {
-                            let slot = &mut scratch.dense[feat.bins[r] as usize];
+                            let bin = usize::from(feat.bins[r]);
+                            let slot = &mut dense[bin];
                             slot.g += grad[r];
                             slot.h += hess[r];
                             slot.n += 1;
+                            touched[bin / 64] |= 1 << (bin % 64);
                         }
-                        search.scan_bins(feat, f, scratch.dense.iter().copied().enumerate());
+                        search.scan_bins(feat, f, set_bins(touched).map(|b| (b, dense[b])));
+                        // Reset every touched bin, also those after the
+                        // scan's early stops (missing bin, all rows left).
+                        for b in set_bins(touched) {
+                            dense[b] = BinStat::default();
+                        }
                     }
                 }
             }
@@ -1303,6 +1299,48 @@ mod tests {
             assert!(split(left, right).check(1).is_err(), "{left} {right}");
         }
         assert!(RegressionTree { nodes: Vec::new() }.check(1).is_err());
+    }
+
+    #[test]
+    fn per_feature_histogram_is_all_zero_after_a_scan_stops_early() {
+        // Feature 0's scan stops at the missing bin (a NaN and a `+inf`
+        // row); feature 1's stops at its last finite bin, which takes
+        // every row. Both bins were filled and neither was scanned.
+        let inf = f64::INFINITY;
+        let cols = DenseColumns {
+            n_rows: 6,
+            cols: vec![
+                vec![1.0, 2.0, 3.0, 4.0, f64::NAN, inf],
+                vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+            ],
+        };
+        let columns = TrainingColumns::from_dense_columns(cols, SplitMethod::Histogram);
+        let grad = [-1.0, -1.0, 0.0, 0.0, 2.0, 2.0];
+        let hess = [1.0; 6];
+        let params = TreeParams {
+            min_samples_leaf: 1,
+            ..TreeParams::default()
+        };
+        let mut grower = Grower {
+            columns: &columns,
+            grad: &grad,
+            hess: &hess,
+            params: &params,
+            rng: &mut StdRng::seed_from_u64(0),
+            scratch: SplitScratch::default(),
+            nodes: Vec::new(),
+        };
+        for f in 0..2 {
+            let mut search = SplitSearch::new(&params, 6, grad.iter().sum(), 6.0);
+            grower.find_split(&mut search, &[0, 1, 2, 3, 4, 5], &[f], None);
+            assert!(search.best.is_some(), "feature {f} splits");
+            let stale = grower
+                .scratch
+                .dense
+                .iter()
+                .position(|s| s.n != 0 || s.g != 0.0 || s.h != 0.0);
+            assert_eq!(stale, None, "feature {f} left a bin filled");
+        }
     }
 
     proptest! {

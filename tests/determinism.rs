@@ -501,3 +501,93 @@ fn every_generator_is_pinned_golden() {
     let got: Vec<(&str, u64)> = pinned.iter().map(|(n, v)| (n.as_str(), *v)).collect();
     assert_eq!(got, expected);
 }
+
+/// Pins histogram-split training at the sizes where the split finder's
+/// accumulation changes shape: a `checksum64` of a depth-12 forest's
+/// per-tree predictions, of the per-tree predictions and chosen tree count
+/// of a `fit_cv` over `default_forest_grid()`, and of a depth-3 GBDT
+/// regressor's predictions, each followed by the next draw of the RNG. The
+/// 800-row data has two columns of more than 254 distinct values (one with
+/// NaN, one with `+inf` and a point mass at zero) and four tie-heavy
+/// columns, so roots and their large children take the flat all-features
+/// histogram, mid-size nodes accumulate one feature at a time, and deep
+/// nodes hold far fewer rows than a 256-bin feature has bins.
+#[test]
+fn histogram_trees_are_pinned_golden() {
+    use lvp_models::forest::{default_forest_grid, ForestConfig, RandomForestRegressor};
+    use lvp_models::gbdt::{GbdtConfig, GbdtRegressor};
+    use lvp_models::Regressor;
+    use rand::Rng;
+
+    let floats = |values: &[f64]| -> u64 {
+        let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+        lvp_core::checksum64(&bytes)
+    };
+    let mut rng = StdRng::seed_from_u64(101);
+    let rows: Vec<Vec<f64>> = (0..800)
+        .map(|i| {
+            let wide = if i % 13 == 0 {
+                f64::NAN
+            } else {
+                rng.gen_range(-3.0..3.0)
+            };
+            let massed = if i % 17 == 0 {
+                f64::INFINITY
+            } else if rng.gen_bool(0.4) {
+                0.0
+            } else {
+                rng.gen_range(-1.0..1.0)
+            };
+            vec![
+                wide,
+                f64::from(rng.gen_range(0u8..6)),
+                massed,
+                f64::from(i / 40),
+                (rng.gen_range(0.0..4.0) * 10.0f64).round() / 10.0,
+                f64::from(rng.gen_range(0u8..12)) - 5.0,
+            ]
+        })
+        .collect();
+    let targets: Vec<f64> = rows
+        .iter()
+        .map(|r| {
+            let wide = if r[0].is_nan() { 2.0 } else { r[0].sin() };
+            let massed = if r[2] == f64::INFINITY { -1.5 } else { r[2] };
+            wide + massed * r[1] + 0.1 * r[3] - 0.3 * r[4] * r[5].signum()
+        })
+        .collect();
+    let x = lvp::linalg::DenseMatrix::from_rows(&rows).unwrap();
+
+    let mut pinned = Vec::new();
+    let deep = ForestConfig {
+        n_trees: 20,
+        ..ForestConfig::default()
+    };
+    assert_eq!(deep.max_depth, 12);
+    let forest = RandomForestRegressor::fit(&x, &targets, &deep, &mut rng).unwrap();
+    pinned.push(floats(forest.predict_per_tree(&x).data()));
+    pinned.push(rng.gen::<u64>());
+
+    let (forest, cfg) =
+        RandomForestRegressor::fit_cv(&x, &targets, &default_forest_grid(), 5, &mut rng).unwrap();
+    pinned.push(floats(forest.predict_per_tree(&x).data()));
+    pinned.push(cfg.n_trees as u64);
+    pinned.push(rng.gen::<u64>());
+
+    let gbdt = GbdtRegressor::fit(&x, &targets, &GbdtConfig::default(), &mut rng).unwrap();
+    pinned.push(floats(&gbdt.predict(&x)));
+    pinned.push(rng.gen::<u64>());
+
+    assert_eq!(
+        pinned,
+        [
+            0x44aa_d90d_bd89_c0ba, // depth-12 forest, per-tree predictions
+            0x2b6a_0b82_de72_21b5, // depth-12 forest, next draw
+            0x5265_567d_721a_82a3, // fit_cv forest, per-tree predictions
+            100,                   // fit_cv forest, chosen tree count
+            0x838f_0df6_5b15_0c55, // fit_cv forest, next draw
+            0x39b1_e458_6434_5290, // gbdt, predictions
+            0xef05_151b_211e_7d43, // gbdt, next draw
+        ]
+    );
+}
