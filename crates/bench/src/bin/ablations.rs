@@ -69,15 +69,16 @@ fn setup(env: &ExperimentEnv) -> EvalData {
     }
 }
 
-/// MAE of a feature-variant predictor over mixture-corrupted batches.
+/// MAE of a feature-variant predictor over mixture-corrupted batches: the
+/// meta-forest trains on Algorithm 1's batches, featurized by `featurize`.
 fn featurization_mae(
     data: &EvalData,
     env: &ExperimentEnv,
-    featurize: &dyn Fn(&DenseMatrix) -> Vec<f64>,
+    featurize: &(dyn Fn(&DenseMatrix) -> Vec<f64> + Sync),
     rng: &mut StdRng,
 ) -> f64 {
     let gens = standard_tabular_suite(data.test.schema());
-    let examples = generate_batches_resilient(
+    let (x_rows, y): (Vec<Vec<f64>>, Vec<f64>) = generate_batches_resilient(
         data.model.as_ref(),
         &data.test,
         &gens,
@@ -88,27 +89,12 @@ fn featurization_mae(
         true,
         1.0,
         None,
-        TrainingExample::from_batch,
+        |b| (featurize(&b.proba), b.score),
     )
     .expect("accuracy metric fits any class count")
-    .results;
-    // Refit the forest on the alternative featurization by recomputing
-    // features from scratch per corrupted copy is not possible post hoc, so
-    // instead we regenerate matched (proba → features, score) pairs here.
-    let mut x_rows = Vec::new();
-    let mut y = Vec::new();
-    for _ in 0..examples.len() {
-        // examples already consumed the RNG; draw fresh corrupted copies
-        let gen = &gens[rng.gen_range(0..gens.len())];
-        let corrupted = gen.corrupt_with_model(&data.test, Some(data.model.as_ref()), rng);
-        let proba = data.model.predict_proba(&corrupted);
-        x_rows.push(featurize(&proba));
-        y.push(
-            Metric::Accuracy
-                .score(&proba, corrupted.labels())
-                .expect("accuracy metric fits any class count"),
-        );
-    }
+    .results
+    .into_iter()
+    .unzip();
     let x = DenseMatrix::from_rows(&x_rows).expect("uniform feature rows");
     let (forest, _) = lvp_models::forest::RandomForestRegressor::fit_cv(
         &x,
@@ -144,7 +130,7 @@ fn main() {
     for (name, f) in [
         (
             "vigintiles (paper)",
-            &prediction_statistics as &dyn Fn(&DenseMatrix) -> Vec<f64>,
+            &prediction_statistics as &(dyn Fn(&DenseMatrix) -> Vec<f64> + Sync),
         ),
         ("deciles", &(|p: &DenseMatrix| decile_features(p)) as _),
         ("histogram", &(|p: &DenseMatrix| histogram_features(p)) as _),

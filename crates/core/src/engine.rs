@@ -22,7 +22,7 @@
 
 use crate::{CoreError, Metric};
 use lvp_corruptions::ErrorGen;
-use lvp_dataframe::DataFrame;
+use lvp_dataframe::{derive_seed, DataFrame};
 use lvp_linalg::DenseMatrix;
 use lvp_models::BlackBoxModel;
 use lvp_telemetry::{Counter, Histogram, Registry};
@@ -30,20 +30,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 use std::time::Instant;
-
-/// Derives the RNG seed for one (generator, run) task.
-///
-/// Mixes the three inputs through [`lvp_models::mix64`] so that
-/// neighbouring task coordinates produce statistically unrelated streams.
-/// The mapping is a pure function — the cornerstone of the engine's
-/// thread-count-independent determinism.
-pub fn derive_run_seed(master_seed: u64, generator_idx: usize, run_idx: usize) -> u64 {
-    lvp_models::mix64(
-        master_seed
-            ^ (generator_idx as u64).wrapping_mul(0xA24B_AED4_963E_E407)
-            ^ (run_idx as u64).wrapping_mul(0x9FB2_1C65_1E98_DF25),
-    )
-}
 
 /// Lower bound for the random subsample size used when corrupting the test
 /// data (Algorithm 1 corrupts random-size subsamples so the regressor sees
@@ -165,7 +151,8 @@ impl EngineMetrics {
 /// Results are ordered generator-major (all runs of generator 0, then all
 /// runs of generator 1, …, then the clean copies), identically for the
 /// sequential and parallel paths: each task seeds its own [`StdRng`] from
-/// [`derive_run_seed`] and the parallel collect preserves task order.
+/// [`derive_seed`]`(master_seed, generator, run)` and the parallel collect
+/// preserves task order.
 ///
 /// Fails fast with a [`CoreError`] when `test` is empty or `metric` cannot
 /// score the model's output shape (e.g. [`Metric::Auc`] with a non-binary
@@ -237,7 +224,7 @@ where
     };
 
     let run_one = |(g, r): (usize, usize)| -> Result<T, SkippedBatch> {
-        let mut rng = StdRng::seed_from_u64(derive_run_seed(master_seed, g, r));
+        let mut rng = StdRng::seed_from_u64(derive_seed(master_seed, g as u64, r as u64));
         if let Some(m) = metrics {
             m.seeds.inc();
         }
@@ -368,30 +355,6 @@ mod tests {
             telemetry,
             TrainingExample::from_batch,
         )
-    }
-
-    #[test]
-    fn run_seeds_are_distinct_across_tasks() {
-        let mut seen = std::collections::HashSet::new();
-        for g in 0..8 {
-            for r in 0..64 {
-                assert!(
-                    seen.insert(derive_run_seed(42, g, r)),
-                    "collision at ({g},{r})"
-                );
-            }
-        }
-        // And the master seed actually matters.
-        assert_ne!(derive_run_seed(1, 0, 0), derive_run_seed(2, 0, 0));
-    }
-
-    /// The run-seed mapping is part of every fitted artifact's identity:
-    /// changing it shifts every Algorithm 1 corruption stream.
-    #[test]
-    fn run_seeds_are_pinned() {
-        assert_eq!(derive_run_seed(0, 0, 0), 0xa706_dd2f_4d19_7e6f);
-        assert_eq!(derive_run_seed(42, 3, 17), 0x2426_460e_c23b_9f3d);
-        assert_eq!(derive_run_seed(u64::MAX, 7, 1 << 40), 0x8ace_7363_7bec_6451);
     }
 
     #[test]

@@ -29,8 +29,8 @@ mod validator;
 
 pub use baselines::{Baseline, BbseDetector, BbseHardDetector, RelationalShiftDetector};
 pub use engine::{
-    derive_run_seed, generate_batches_resilient, subsample_lower_bound, GeneratedBatch,
-    GenerationOutcome, SkippedBatch,
+    generate_batches_resilient, subsample_lower_bound, GeneratedBatch, GenerationOutcome,
+    SkippedBatch,
 };
 pub use features::{feature_dimensionality, prediction_statistics, BatchSketch, FeatureSource};
 pub use interval::{conformal_halfwidth, ScoreInterval, DEFAULT_INTERVAL_ALPHA};

@@ -275,19 +275,14 @@ impl BatchMonitor {
     /// Registers the monitor's gauges and counters with `registry`
     /// (`monitor.raw_score`, `monitor.smoothed_score`,
     /// `monitor.violation_streak`, `monitor.alarm_batches`,
-    /// `monitor.batches_observed`, plus the interval-policy pair
-    /// `monitor.interval_width` / `monitor.coverage_violations`). All of
-    /// them track seeded estimates, so they appear in deterministic
-    /// snapshot views.
-    pub fn attach_telemetry(&mut self, registry: &Registry) {
-        self.attach_telemetry_prefixed(registry, "");
-    }
-
-    /// Like [`Self::attach_telemetry`], but every metric name is prefixed
-    /// with `prefix` (e.g. prefix `"tenant.acme.fraud.v3."` yields
-    /// `tenant.acme.fraud.v3.monitor.raw_score`), so one registry can host
+    /// `monitor.batches_observed`, `monitor.degraded_batches`, plus the
+    /// interval-policy pair `monitor.interval_width` /
+    /// `monitor.coverage_violations`), every name prefixed with `prefix`:
+    /// `""` for a lone monitor, or e.g. `"tenant.acme.fraud.v3."` (giving
+    /// `tenant.acme.fraud.v3.monitor.raw_score`) so one registry can host
     /// many monitors — one per deployment — without their gauges
-    /// clobbering each other.
+    /// clobbering each other. All of them track seeded estimates, so they
+    /// appear in deterministic snapshot views.
     pub fn attach_telemetry_prefixed(&mut self, registry: &Registry, prefix: &str) {
         self.metrics = Some(MonitorMetrics {
             raw: registry.gauge(&format!("{prefix}monitor.raw_score")),
@@ -949,7 +944,7 @@ mod tests {
             ..MonitorPolicy::default()
         });
         let registry = Registry::new();
-        m.attach_telemetry(&registry);
+        m.attach_telemetry_prefixed(&registry, "");
         m.observe_estimate(0.9);
         m.observe_estimate(0.0);
         let r = m.observe_estimate(0.0);
@@ -1135,7 +1130,7 @@ mod tests {
             ..MonitorPolicy::default()
         });
         let registry = Registry::new();
-        m.attach_telemetry(&registry);
+        m.attach_telemetry_prefixed(&registry, "");
         m.observe_estimate(0.9);
         let r = m.observe_estimate(f64::NAN);
         assert!(r.degraded);
@@ -1391,7 +1386,7 @@ mod tests {
             ..MonitorPolicy::default()
         });
         let registry = Registry::new();
-        m.attach_telemetry(&registry);
+        m.attach_telemetry_prefixed(&registry, "");
         let rows: Vec<usize> = (0..serving.n_rows()).collect();
         for chunk in rows.chunks(20) {
             m.observe_chunk(&serving.select_rows(chunk)).unwrap();
@@ -1552,7 +1547,7 @@ mod tests {
             .with_interval_alarm(),
         );
         let registry = Registry::new();
-        m.attach_telemetry(&registry);
+        m.attach_telemetry_prefixed(&registry, "");
         let mut rng = StdRng::seed_from_u64(39);
         let clean = m.observe(&serving.sample_n(100, &mut rng)).unwrap();
         let snap = registry.snapshot();

@@ -72,9 +72,7 @@ const ENVELOPE_VERSION: u32 = 1;
 /// catches the failure modes a serving host actually has (truncation,
 /// torn writes, bit rot), at a cost of one pass over the payload.
 pub fn checksum64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a::new(0);
-    h.write(bytes);
-    h.finish()
+    Fnv1a::hash(0, bytes)
 }
 
 /// Wraps a serialized payload in the checksummed, length-framed artifact

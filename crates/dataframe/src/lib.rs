@@ -15,17 +15,22 @@
 //! error generators exploit. Frames also carry the label column (`labels`)
 //! so the experiment harness can compute *true* scores on serving data; the
 //! performance predictor itself never reads it.
+//!
+//! The [`hash`] module holds the workspace's seeded hashing — the FNV-style
+//! [`Fnv`] hasher, the [`mix64`] mixer, [`unit_draw`] and [`derive_seed`] —
+//! through which every pinned hash, stream seed, fault draw and jitter
+//! value derives.
 
 mod column;
 pub mod csv;
 mod frame;
-mod hash;
+pub mod hash;
 mod schema;
 
 pub use column::{CategoricalColumn, CellValue, Column, ImageData};
 pub use csv::{read_csv_file, read_csv_str, read_serving_csv_str, write_csv_string, CsvOptions};
 pub use frame::{toy_frame, DataFrame, DataFrameBuilder};
-pub use hash::Fnv1a;
+pub use hash::{derive_seed, mix64, unit_draw, BucketFnv, Fnv, Fnv1a};
 pub use schema::{ColumnType, Field, Schema};
 
 /// Errors produced by dataframe construction and access.

@@ -1,18 +1,11 @@
 //! Tokenization and feature hashing for text attributes.
 
-/// The bucket function of the hashing vectorizer: FNV-1a's structure and
-/// 64-bit offset basis, but with the multiplier `0x1000_0000_01b3`, not
-/// the FNV prime `0x100_0000_01b3`, so it is not FNV-1a. Its values set
-/// every text hash bucket, so the multiplier stays as it is.
+use lvp_dataframe::BucketFnv;
+
+/// The bucket function of the hashing vectorizer: [`BucketFnv`], whose
+/// multiplier is not the FNV prime. Its values set every text hash bucket.
 pub fn bucket_hash(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x1000_0000_01b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
+    BucketFnv::hash(0, bytes)
 }
 
 /// Splits text into lowercase word tokens on non-alphanumeric boundaries.

@@ -23,11 +23,9 @@
 //! at any thread count (see [`crate::resilience`] for the client half).
 
 use crate::automl::auto_sklearn_like;
-use crate::resilience::{
-    frame_content_key, mix64, unit_draw, validate_probability_matrix, VirtualClock,
-};
+use crate::resilience::{frame_content_key, validate_probability_matrix, VirtualClock};
 use crate::{BlackBoxModel, ModelError};
-use lvp_dataframe::DataFrame;
+use lvp_dataframe::{derive_seed, mix64, unit_draw, DataFrame};
 use lvp_linalg::DenseMatrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -162,11 +160,7 @@ impl FaultPlan {
         if attempt >= self.max_faults_per_key {
             return None;
         }
-        let draw = unit_draw(mix64(
-            self.seed
-                ^ key.wrapping_mul(0xA24B_AED4_963E_E407)
-                ^ u64::from(attempt).wrapping_mul(0x9FB2_1C65_1E98_DF25),
-        ));
+        let draw = unit_draw(derive_seed(self.seed, key, u64::from(attempt)));
         let mut cutoff = self.transient;
         if draw < cutoff {
             return Some(FaultKind::Transient);

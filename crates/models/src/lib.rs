@@ -46,8 +46,8 @@ mod opt;
 mod pipeline;
 
 pub use resilience::{
-    backoff_nanos, mix64, unit_draw, validate_probability_matrix, BreakerConfig, CircuitBreaker,
-    CircuitState, ResilienceConfig, ResilientModel, VirtualClock,
+    backoff_nanos, validate_probability_matrix, BreakerConfig, CircuitBreaker, CircuitState,
+    ResilienceConfig, ResilientModel, VirtualClock,
 };
 
 pub use pipeline::{train_model, train_model_quick, ModelKind, PipelineModel, CV_FOLDS};

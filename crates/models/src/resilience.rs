@@ -31,7 +31,7 @@
 //! telemetry views.
 
 use crate::{BlackBoxModel, ModelError, ModelErrorKind};
-use lvp_dataframe::{Column, DataFrame, Fnv1a};
+use lvp_dataframe::{derive_seed, mix64, unit_draw, Column, DataFrame, Fnv1a};
 use lvp_linalg::DenseMatrix;
 use lvp_telemetry::{Counter, Gauge, Histogram, Registry};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -59,26 +59,6 @@ impl VirtualClock {
     pub fn advance(&self, nanos: u64) {
         self.0.fetch_add(nanos, Ordering::Relaxed);
     }
-}
-
-/// Mixes inputs through two rounds of the splitmix64 finalizer: the one
-/// seeded mixer behind the generation engine's per-run seeds, the fault
-/// plans' decisions, the retry backoff jitter here and the `lvpd` daemon's
-/// retry-after jitter.
-pub fn mix64(mut z: u64) -> u64 {
-    for _ in 0..2 {
-        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-    }
-    z
-}
-
-/// A uniform draw in `[0, 1)` from a [`mix64`] output: its top 53 bits
-/// as an `f64` mantissa.
-pub fn unit_draw(h: u64) -> f64 {
-    (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// Base of the exponential backoff: 10 virtual ms.
@@ -456,12 +436,7 @@ impl ResilientModel {
     /// [`backoff_nanos`] before retry `attempt` of the request with content
     /// key `key`, its jitter drawn from `(JITTER_SEED, key, attempt)`.
     fn backoff(key: u64, attempt: u32) -> u64 {
-        let draw = mix64(
-            JITTER_SEED.wrapping_mul(0xA24B_AED4_963E_E407)
-                ^ key
-                ^ u64::from(attempt).wrapping_mul(0x9FB2_1C65_1E98_DF25),
-        );
-        backoff_nanos(attempt, draw)
+        backoff_nanos(attempt, derive_seed(key, JITTER_SEED, u64::from(attempt)))
     }
 
     /// Runs one breaker step under its lock, publishing the volatile

@@ -30,9 +30,10 @@ use lvp_core::{
     check_version, load_json, save_json, BatchMonitor, BatchReport, FeatureSource, ServingArtifact,
     ARTIFACT_VERSION,
 };
+use lvp_dataframe::{mix64, Fnv};
 use lvp_linalg::DenseMatrix;
 use lvp_models::{
-    backoff_nanos, mix64, BlackBoxModel, BreakerConfig, CircuitBreaker, CircuitState, ModelError,
+    backoff_nanos, BlackBoxModel, BreakerConfig, CircuitBreaker, CircuitState, ModelError,
     VirtualClock,
 };
 use lvp_telemetry::{Counter, Histogram, Registry};
@@ -326,17 +327,11 @@ fn names_path(line: &str) -> bool {
     serde_json::from_str::<serde::Value>(line).is_ok_and(|v| v.get("path").is_some())
 }
 
-/// A hash of a tenant name, for per-tenant jitter derivation: FNV-1a's
-/// structure and offset basis with the multiplier `0x1_0000_01b3` rather
-/// than the FNV prime, so not FNV-1a. It sets every retry-after jitter, so
-/// the multiplier stays as it is.
+/// A tenant name's hash, for per-tenant jitter: [`Fnv`] with the
+/// multiplier `0x1_0000_01b3`, not the FNV prime. It sets every
+/// retry-after jitter, so the multiplier stays as it is.
 fn tenant_hash(tenant: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in tenant.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x1_0000_01b3);
-    }
-    h
+    Fnv::<0x1_0000_01b3>::hash(0, tenant.as_bytes())
 }
 
 impl Daemon {
@@ -1549,6 +1544,54 @@ mod tests {
         // Shutdown has nothing to compact and writes nothing.
         daemon.request_shutdown();
         assert!(daemon.is_shutdown());
+    }
+
+    #[test]
+    fn an_observe_rejected_by_a_failed_fsync_is_not_replayed() {
+        // A sink whose first sync fails.
+        struct FailFirstSync(Box<dyn crate::journal::JournalSink>, bool);
+        impl crate::journal::JournalSink for FailFirstSync {
+            fn append(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+                self.0.append(bytes)
+            }
+            fn sync(&mut self) -> std::io::Result<()> {
+                if std::mem::replace(&mut self.1, true) {
+                    self.0.sync()
+                } else {
+                    Err(std::io::Error::other("injected fsync failure"))
+                }
+            }
+            fn truncate(&mut self, len: u64) -> std::io::Result<()> {
+                self.0.truncate(len)
+            }
+        }
+        let observe = |daemon: &Daemon| {
+            let mut req = Request::targeted("observe", &key("acme"));
+            req.estimate = Some(0.81);
+            daemon.handle_request(req)
+        };
+
+        let dir = std::env::temp_dir().join(format!("lvpd-fsync-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let always = DurabilityConfig::in_dir_with_fsync(&dir, FsyncPolicy::Always);
+        let (daemon, _) = Daemon::recover(DaemonConfig::default(), always.clone()).unwrap();
+        register(&daemon, &key("acme"), artifact());
+        assert_eq!(observe(&daemon).batches_seen, Some(1));
+        if let Some(durable) = daemon.lock_inner().durable.as_mut() {
+            durable
+                .journal
+                .wrap_sink(|sink| Box::new(FailFirstSync(sink, false)));
+        }
+        let resp = observe(&daemon);
+        assert_eq!(resp.status, "error");
+        assert!(resp.message.unwrap().contains("not applied"));
+        // Dropped without a shutdown: recovery replays the journal.
+        drop(daemon);
+
+        let (recovered, report) = Daemon::recover(DaemonConfig::default(), always).unwrap();
+        assert_eq!(report.records_replayed, 2, "{}", report.summary());
+        assert_eq!(observe(&recovered).batches_seen, Some(2));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

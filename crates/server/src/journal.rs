@@ -71,7 +71,7 @@
 
 use crate::protocol::MonitorKey;
 use lvp_core::{checksum64, ScoreInterval, ServingArtifact};
-use lvp_models::mix64;
+use lvp_dataframe::mix64;
 use serde::Deserialize;
 use std::io::{self, Write};
 use std::path::Path;
@@ -776,9 +776,10 @@ impl Journal {
 
     /// Appends one operation at the current epoch, fsyncing per policy.
     /// Returns the fsync duration in nanoseconds when one ran. On error
-    /// nothing was made durable — the caller rejects the request *without
-    /// applying it*, preserving the write-ahead invariant — and the torn
-    /// frame has been truncated away (or the journal poisoned).
+    /// the frame is not in the journal — the caller rejects the request
+    /// *without applying it*, preserving the write-ahead invariant: a
+    /// failed write or a failed fsync truncates the frame away (or, if
+    /// that repair fails, poisons the journal).
     pub fn append(&mut self, op: &JournalOp) -> io::Result<Option<u64>> {
         if self.poisoned {
             return Err(io::Error::other(
@@ -786,32 +787,35 @@ impl Journal {
             ));
         }
         let frame = encode_record(self.epoch, op).map_err(io::Error::other)?;
-        if let Err(e) = self.sink.append(&frame) {
-            // An unknown prefix of the frame may have landed; cut back to
-            // the last durable frame boundary so the on-disk journal and
-            // the in-memory registry stay in lockstep.
+        let due = match self.policy {
+            FsyncPolicy::Always => true,
+            FsyncPolicy::EveryN(n) => self.appends_since_sync + 1 >= n,
+            FsyncPolicy::Never => false,
+        };
+        let sink = &mut self.sink;
+        let written = sink.append(&frame).and_then(|()| {
+            if !due {
+                return Ok(None);
+            }
+            let start = std::time::Instant::now();
+            sink.sync()?;
+            Ok(Some(
+                start.elapsed().as_nanos().try_into().unwrap_or(u64::MAX),
+            ))
+        });
+        if written.is_err() {
+            // A prefix of the frame may have landed, or all of it without
+            // an fsync; cut back to the last frame boundary so the on-disk
+            // journal and the in-memory registry stay in lockstep.
             if self.sink.truncate(self.durable_bytes).is_err() {
                 self.poisoned = true;
             }
-            return Err(e);
+            return written;
         }
         self.durable_bytes += frame.len() as u64;
         self.records_appended += 1;
-        self.appends_since_sync += 1;
-        let due = match self.policy {
-            FsyncPolicy::Always => true,
-            FsyncPolicy::EveryN(n) => self.appends_since_sync >= n,
-            FsyncPolicy::Never => false,
-        };
-        if !due {
-            return Ok(None);
-        }
-        let start = std::time::Instant::now();
-        self.sink.sync()?;
-        self.appends_since_sync = 0;
-        Ok(Some(
-            u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        ))
+        self.appends_since_sync = if due { 0 } else { self.appends_since_sync + 1 };
+        written
     }
 
     /// Forces an fsync regardless of policy (the shutdown fallback when
@@ -1248,6 +1252,50 @@ mod tests {
         assert!(journal.is_poisoned());
         let err = journal.append(&estimate_op(0.5)).unwrap_err();
         assert!(err.to_string().contains("poisoned"), "{err}");
+    }
+
+    #[test]
+    fn a_failed_fsync_truncates_the_rejected_frame() {
+        // A memory sink whose second sync fails.
+        struct FailSecondSync(MemorySink, u32);
+        impl JournalSink for FailSecondSync {
+            fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
+                self.0.append(bytes)
+            }
+            fn sync(&mut self) -> io::Result<()> {
+                self.1 += 1;
+                if self.1 == 2 {
+                    return Err(io::Error::other("injected fsync failure"));
+                }
+                self.0.sync()
+            }
+            fn truncate(&mut self, len: u64) -> io::Result<()> {
+                self.0.truncate(len)
+            }
+        }
+        let sink = MemorySink::new();
+        let handle = sink.clone();
+        let mut journal = Journal::new(Box::new(FailSecondSync(sink, 0)), FsyncPolicy::Always, 0);
+        journal.append(&estimate_op(0.1)).unwrap();
+        assert!(journal.append(&estimate_op(0.2)).is_err());
+        assert!(!journal.is_poisoned());
+        assert_eq!(journal.records_appended(), 1);
+        journal.append(&estimate_op(0.3)).unwrap();
+
+        // The rejected op is not in the journal, so recovery cannot
+        // replay it.
+        let scan = scan_journal(&handle.contents());
+        assert!(scan.defect.is_none());
+        let estimates: Vec<f64> = scan
+            .records
+            .iter()
+            .filter_map(|r| match r.op {
+                JournalOp::ObserveEstimate { estimate, .. } => Some(estimate),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(estimates, vec![0.1, 0.3]);
+        assert_eq!(journal.records_appended(), 2);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! * a lock-cheap [`Registry`] of named metrics — monotonic [`Counter`]s,
 //!   [`Gauge`]s and fixed-bucket duration [`Histogram`]s, all backed by
 //!   `AtomicU64` so the hot paths never block each other;
-//! * a lightweight span API ([`Registry::span`] / the [`span!`] macro):
-//!   a drop guard that records its lifetime into a duration histogram;
+//! * a [`Span`] drop guard that records its lifetime into a duration
+//!   histogram;
 //! * serde snapshot export ([`TelemetrySnapshot`] ↔ JSON) plus a text
 //!   renderer for examples and CI.
 //!
@@ -48,22 +48,3 @@ pub use registry::{
     Counter, Gauge, Histogram, Registry, Span, DURATION_BUCKET_BOUNDS_NANOS, DURATION_BUCKET_COUNT,
 };
 pub use snapshot::{HistogramSnapshot, TelemetrySnapshot};
-
-/// Starts a [`Span`] recording into `registry`'s duration histogram
-/// `name`; the elapsed time is recorded when the guard drops.
-///
-/// ```
-/// use lvp_telemetry::{span, Registry};
-/// let registry = Registry::new();
-/// {
-///     let _guard = span!(registry, "alg1.generate");
-///     // ... timed work ...
-/// }
-/// assert_eq!(registry.snapshot().histograms["alg1.generate"].count, 1);
-/// ```
-#[macro_export]
-macro_rules! span {
-    ($registry:expr, $name:expr) => {
-        $registry.span($name)
-    };
-}

@@ -117,7 +117,6 @@ impl Histogram {
 }
 
 /// A drop guard that records its lifetime into a duration [`Histogram`].
-/// Created by [`Registry::span`] or the [`span!`](crate::span) macro.
 pub struct Span {
     histogram: Histogram,
     start: Instant,
@@ -326,11 +325,6 @@ impl Registry {
         self.histogram_with(name, true)
     }
 
-    /// Starts a [`Span`] recording into the duration histogram `name`.
-    pub fn span(&self, name: &str) -> Span {
-        Span::new(self.histogram(name))
-    }
-
     /// A point-in-time copy of every metric. Atomic loads are relaxed, so
     /// a snapshot taken while writers are active is advisory; snapshots of
     /// a quiescent registry are exact.
@@ -416,11 +410,8 @@ mod tests {
     #[test]
     fn span_records_into_histogram() {
         let r = Registry::new();
-        {
-            let _guard = crate::span!(r, "work");
-        }
-        {
-            let _guard = r.span("work");
+        for _ in 0..2 {
+            let _guard = Span::new(r.histogram("work"));
         }
         assert_eq!(r.histogram("work").count(), 2);
         assert!(r.snapshot().histograms["work"].sum_nanos > 0);

@@ -116,7 +116,7 @@ fn run_pipeline() -> RunSummary {
         },
     )
     .unwrap();
-    monitor.attach_telemetry(&registry);
+    monitor.attach_telemetry_prefixed(&registry, "");
     monitor.retain_reference_outputs(&test).unwrap();
 
     let mut estimates = Vec::new();

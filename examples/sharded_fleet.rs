@@ -55,7 +55,7 @@ fn run_pipeline() -> (Vec<String>, String) {
         },
     )
     .unwrap();
-    monitor.attach_telemetry(&registry);
+    monitor.attach_telemetry_prefixed(&registry, "");
     monitor.retain_reference_outputs(&test).unwrap();
 
     // --- Fleet loop: sketch per shard, merge centrally --------------------

@@ -49,7 +49,7 @@ fn main() {
         },
     )
     .unwrap();
-    monitor.attach_telemetry(&registry);
+    monitor.attach_telemetry_prefixed(&registry, "");
     monitor.retain_reference_outputs(&test).unwrap();
 
     println!("\nobserving 8 serving batches:");

@@ -49,7 +49,7 @@ fn instrumented_run(threads: usize) -> Registry {
         )
         .unwrap();
         monitor.retain_reference_outputs(&test).unwrap();
-        monitor.attach_telemetry(&registry);
+        monitor.attach_telemetry_prefixed(&registry, "");
         let mut rng = StdRng::seed_from_u64(46);
         for _ in 0..4 {
             monitor.observe(&serving.sample_n(60, &mut rng)).unwrap();
