@@ -24,7 +24,7 @@ use lvp_dataframe::DataFrame;
 use lvp_datasets::DatasetKind;
 use lvp_linalg::DenseMatrix;
 use lvp_models::gbdt::{GbdtConfig, GbdtRegressor};
-use lvp_models::{model_accuracy, BlackBoxModel, ModelKind, Regressor};
+use lvp_models::{model_accuracy, BlackBoxModel, ModelKind};
 use lvp_stats::{f1_score, mean_absolute_error, percentiles};
 use rand::rngs::StdRng;
 use rand::Rng;

@@ -10,7 +10,7 @@ use lvp_corruptions::ErrorGen;
 use lvp_dataframe::DataFrame;
 use lvp_linalg::DenseMatrix;
 use lvp_models::forest::{default_forest_grid, ForestConfig, RandomForestRegressor};
-use lvp_models::{BlackBoxModel, Regressor, CV_FOLDS};
+use lvp_models::{BlackBoxModel, CV_FOLDS};
 use lvp_telemetry::Registry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -54,10 +54,6 @@ pub struct ValidatorConfig {
     pub gbdt: GbdtConfig,
     /// Include the KS-test features (disable for the ablation bench).
     pub use_ks_features: bool,
-    /// Fan the generation loop out across threads. The output is
-    /// bit-identical to the sequential loop (see [`crate::engine`]), so
-    /// this only trades wall-clock time for CPU.
-    pub parallel: bool,
 }
 
 impl Default for ValidatorConfig {
@@ -73,7 +69,6 @@ impl Default for ValidatorConfig {
                 ..GbdtConfig::default()
             },
             use_ks_features: true,
-            parallel: true,
         }
     }
 }
@@ -152,7 +147,8 @@ impl PerformanceValidator {
             |proba: &DenseMatrix| featurize_against(&FeatureSource::Exact(proba), ks_reference);
 
         // Algorithm 1's generation loop with binary labels, fanned out by
-        // the deterministic batch engine.
+        // the deterministic batch engine (its output is bit-identical at
+        // any thread count, so the validator always runs it in parallel).
         let generated: Vec<(Vec<f64>, u32)> = generate_batches_resilient(
             model.as_ref(),
             test,
@@ -161,7 +157,7 @@ impl PerformanceValidator {
             config.clean_copies,
             config.metric,
             rng.gen(),
-            config.parallel,
+            true,
             1.0,
             None,
             |batch| {

@@ -15,13 +15,13 @@
 
 use crate::convnet::{ConvNet, ConvNetConfig};
 use crate::cv::{accuracy, select_labeled};
+use crate::featurize::PipelineConfig;
 use crate::gbdt::{GbdtClassifier, GbdtConfig};
 use crate::linear::{LogisticRegression, LrConfig, Penalty};
 use crate::mlp::{MlpConfig, NeuralNet};
 use crate::pipeline::{image_side, seal};
 use crate::{BlackBoxModel, Classifier, ModelError};
 use lvp_dataframe::DataFrame;
-use lvp_featurize::PipelineConfig;
 use lvp_linalg::CsrMatrix;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -29,7 +29,7 @@ use rand::Rng;
 /// One candidate pipeline genome: a model family configuration plus a
 /// featurization variant.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Genome {
+enum Genome {
     /// Logistic regression candidate.
     Lr(LrConfig),
     /// Neural network candidate.

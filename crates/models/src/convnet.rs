@@ -53,20 +53,6 @@ impl ConvNetConfig {
             batch_size: 32,
         }
     }
-
-    /// A minimal variant for unit tests.
-    pub fn tiny(side: usize) -> Self {
-        Self {
-            side,
-            c1: 3,
-            c2: 6,
-            dense: 16,
-            dropout: 0.2,
-            learning_rate: 2e-3,
-            epochs: 4,
-            batch_size: 16,
-        }
-    }
 }
 
 const K: usize = 3; // kernel side
@@ -439,11 +425,6 @@ impl ConvNet {
             None,
         );
     }
-
-    /// The configuration the network was built with.
-    pub fn config(&self) -> &ConvNetConfig {
-        &self.cfg
-    }
 }
 
 /// Same-padding 3×3 convolution: `input` has `c_in` channels of `side²`,
@@ -567,6 +548,20 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// A minimal configuration for the unit tests.
+    fn tiny(side: usize) -> ConvNetConfig {
+        ConvNetConfig {
+            side,
+            c1: 3,
+            c2: 6,
+            dense: 16,
+            dropout: 0.2,
+            learning_rate: 2e-3,
+            epochs: 4,
+            batch_size: 16,
+        }
+    }
+
     /// Tiny image task: bright top half vs bright bottom half, 8×8.
     fn halves(n: usize, side: usize, seed: u64) -> (CsrMatrix, Vec<u32>) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -600,7 +595,7 @@ mod tests {
         let side = 8;
         let (x, y) = halves(80, side, 1);
         let mut rng = StdRng::seed_from_u64(2);
-        let net = ConvNet::fit(&x, &y, 2, &ConvNetConfig::tiny(side), &mut rng).unwrap();
+        let net = ConvNet::fit(&x, &y, 2, &tiny(side), &mut rng).unwrap();
         let pred = net.predict_proba(&x).argmax_rows();
         let labels: Vec<usize> = y.iter().map(|&l| l as usize).collect();
         let acc = lvp_stats::accuracy(&pred, &labels);
@@ -612,7 +607,7 @@ mod tests {
         let side = 8;
         let (x, y) = halves(20, side, 3);
         let mut rng = StdRng::seed_from_u64(4);
-        let net = ConvNet::fit(&x, &y, 2, &ConvNetConfig::tiny(side), &mut rng).unwrap();
+        let net = ConvNet::fit(&x, &y, 2, &tiny(side), &mut rng).unwrap();
         for row in net.predict_proba(&x).row_iter() {
             assert!((row.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         }
@@ -623,7 +618,7 @@ mod tests {
         let (x, y) = halves(10, 8, 5);
         let mut rng = StdRng::seed_from_u64(6);
         // Config says 10×10 but the data is 8×8.
-        assert!(ConvNet::fit(&x, &y, 2, &ConvNetConfig::tiny(10), &mut rng).is_err());
+        assert!(ConvNet::fit(&x, &y, 2, &tiny(10), &mut rng).is_err());
     }
 
     #[test]

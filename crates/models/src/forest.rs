@@ -5,7 +5,7 @@
 use crate::cv::kfold_select;
 use crate::gbdt::PREDICT_ROW_BLOCK;
 use crate::tree::{RegressionTree, SplitMethod, TrainingColumns, TreeParams};
-use crate::{ModelError, Regressor};
+use crate::ModelError;
 use lvp_linalg::{row_blocks, DenseMatrix};
 use rand::Rng;
 use rand::SeedableRng;
@@ -103,7 +103,7 @@ impl RandomForestRegressor {
     ///
     /// Configurations that differ only in `n_trees` share one forest per
     /// fold, grown to the largest of their tree counts from the seed of
-    /// the configuration that has it (see [`kfold_select`]). Each is scored
+    /// the configuration that has it (see `kfold_select`). Each is scored
     /// on that forest's first `n_trees` trees, whose mean is bit-identical
     /// to `predict` on a forest of just those trees, so the largest one
     /// scores what fitting it alone would. A grid whose configurations
@@ -142,10 +142,28 @@ impl RandomForestRegressor {
         self.trees.iter().try_for_each(|t| t.check(n_features))
     }
 
+    /// Predicted target for each row of `x`.
+    ///
+    /// Blocked traversal (all trees per row block); per row the tree
+    /// outputs still sum in tree order, so the mean is bit-identical to
+    /// row-at-a-time prediction.
+    pub fn predict(&self, x: &DenseMatrix) -> Vec<f64> {
+        let mut sums = vec![0.0; x.rows()];
+        for block in row_blocks(x.rows(), PREDICT_ROW_BLOCK) {
+            for tree in &self.trees {
+                for r in block.clone() {
+                    sums[r] += tree.predict_dense_row(x.row(r));
+                }
+            }
+        }
+        let k = self.trees.len() as f64;
+        sums.into_iter().map(|s| s / k).collect()
+    }
+
     /// Per-tree predictions for one dense feature row, in tree order.
     ///
     /// The ensemble's point prediction is the mean of this vector, summed
-    /// in the same tree order as [`Regressor::predict`], so
+    /// in the same tree order as [`Self::predict`], so
     /// `mean(predict_per_tree_row(row))` is bit-identical to
     /// `predict(row)`. The spread of the vector is the ensemble's own
     /// uncertainty — the raw material for quantile prediction intervals.
@@ -222,30 +240,12 @@ impl FoldForest {
 }
 
 /// Mean of each row's first `n_trees` per-tree predictions, summed in tree
-/// order from zero like [`Regressor::predict`], so it is bit-identical to
-/// `predict` on a forest of just those trees.
+/// order from zero like [`RandomForestRegressor::predict`], so it is
+/// bit-identical to `predict` on a forest of just those trees.
 fn prefix_means(per_tree: &DenseMatrix, n_trees: usize) -> Vec<f64> {
     (0..per_tree.rows())
         .map(|r| per_tree.row(r)[..n_trees].iter().fold(0.0, |s, v| s + v) / n_trees as f64)
         .collect()
-}
-
-impl Regressor for RandomForestRegressor {
-    /// Blocked traversal (all trees per row block); per row the tree
-    /// outputs still sum in tree order, so the mean is bit-identical to
-    /// row-at-a-time prediction.
-    fn predict(&self, x: &DenseMatrix) -> Vec<f64> {
-        let mut sums = vec![0.0; x.rows()];
-        for block in row_blocks(x.rows(), PREDICT_ROW_BLOCK) {
-            for tree in &self.trees {
-                for r in block.clone() {
-                    sums[r] += tree.predict_dense_row(x.row(r));
-                }
-            }
-        }
-        let k = self.trees.len() as f64;
-        sums.into_iter().map(|s| s / k).collect()
-    }
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 
 use crate::cv::kfold_select_classifier;
 use crate::tree::{RegressionTree, SplitMethod, TrainingColumns, TreeParams};
-use crate::{one_hot_labels, Classifier, ModelError, Regressor};
+use crate::{one_hot_labels, Classifier, ModelError};
 use lvp_linalg::row_blocks;
 use lvp_linalg::{stable_softmax, CsrMatrix, DenseMatrix};
 use rand::seq::SliceRandom;
@@ -296,13 +296,13 @@ impl GbdtRegressor {
             base,
         })
     }
-}
 
-impl Regressor for GbdtRegressor {
+    /// Predicted target for each row of `x`.
+    ///
     /// Blocked traversal (all trees per row block); per row the tree
     /// outputs still sum in tree order, so results are bit-identical to
     /// row-at-a-time prediction.
-    fn predict(&self, x: &DenseMatrix) -> Vec<f64> {
+    pub fn predict(&self, x: &DenseMatrix) -> Vec<f64> {
         let mut sums = vec![0.0; x.rows()];
         for block in row_blocks(x.rows(), PREDICT_ROW_BLOCK) {
             for tree in &self.trees {

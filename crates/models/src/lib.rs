@@ -4,23 +4,31 @@
 //! The paper treats the deployed model as a black box: an executable that
 //! maps raw relational tuples to class probabilities through an *unknown*
 //! feature map φ and prediction function f. This crate enforces that
-//! contract in the type system: downstream crates (notably `lvp-core`) only
-//! ever see the [`BlackBoxModel`] trait, which exposes `predict_proba` on a
-//! raw [`DataFrame`] and nothing else.
+//! contract by visibility: the feature map (standardization, one-hot
+//! encoding, hashed n-grams, pixel flattening) and the classifier families
+//! are private modules, and a trained model leaves the crate only as a
+//! [`BlackBoxModel`], which scores a raw [`DataFrame`] and reveals nothing
+//! of φ or f.
 //!
-//! Model families (matching §6 "Models" of the paper):
+//! Black box families (matching §6 "Models" of the paper), trained by
+//! [`train_model`] and [`train_model_quick`]:
 //!
-//! * [`linear::LogisticRegression`] (`lr`) — multinomial logistic regression
-//!   trained with minibatch SGD, grid-searched over regularization and
-//!   learning rate with k-fold cross-validation,
-//! * [`mlp::NeuralNet`] (`dnn`) — two ReLU hidden layers + softmax output,
-//!   trained with Adam, grid-searched over layer sizes,
-//! * [`gbdt::GbdtClassifier`] (`xgb`) — second-order (Newton) gradient
-//!   boosted regression trees on logistic loss,
-//! * [`convnet::ConvNet`] (`conv`) — conv(32)→conv(64)→maxpool→dense(128)
-//!   with ReLU and dropout for the image tasks,
-//! * [`forest::RandomForestRegressor`] — the meta-model of the paper's
-//!   performance predictor,
+//! * `lr` — multinomial logistic regression trained with minibatch SGD,
+//!   grid-searched over regularization and learning rate with k-fold
+//!   cross-validation,
+//! * `dnn` — two ReLU hidden layers + softmax output, trained with Adam,
+//!   grid-searched over layer sizes,
+//! * `xgb` — second-order (Newton) gradient boosted regression trees on
+//!   logistic loss ([`gbdt::GbdtClassifier`]),
+//! * `conv` — conv(32)→conv(64)→maxpool→dense(128) with ReLU and dropout
+//!   for the image tasks.
+//!
+//! Public modules:
+//!
+//! * [`forest`], [`gbdt`], [`tree`] — the meta-models of the paper's
+//!   performance predictor and validator
+//!   ([`forest::RandomForestRegressor`], the GBDT classifier and
+//!   regressor) and the regression trees they grow,
 //! * [`automl`] — three AutoML-style searchers producing opaque pipelines,
 //! * [`cloud`] — a simulated cloud prediction service (Google AutoML Tables
 //!   stand-in) that only exposes batched scoring over a handle, with a
@@ -33,15 +41,16 @@
 
 pub mod automl;
 pub mod cloud;
-pub mod convnet;
-pub mod cv;
 pub mod forest;
 pub mod gbdt;
-pub mod linear;
-pub mod mlp;
 pub mod resilience;
 pub mod tree;
 
+mod convnet;
+mod cv;
+mod featurize;
+mod linear;
+mod mlp;
 mod opt;
 mod pipeline;
 
@@ -50,7 +59,7 @@ pub use resilience::{
     ResilienceConfig, ResilientModel, VirtualClock,
 };
 
-pub use pipeline::{train_model, train_model_quick, ModelKind, PipelineModel, CV_FOLDS};
+pub use pipeline::{train_model, train_model_quick, ModelKind, CV_FOLDS};
 
 use lvp_dataframe::DataFrame;
 use lvp_linalg::{CsrMatrix, DenseMatrix};
@@ -156,12 +165,6 @@ pub trait Classifier: Send + Sync {
     fn predict_proba(&self, x: &CsrMatrix) -> DenseMatrix;
     /// Number of classes `m`.
     fn n_classes(&self) -> usize;
-}
-
-/// A regressor over dense feature vectors.
-pub trait Regressor: Send + Sync {
-    /// Predicted target for each row of `x`.
-    fn predict(&self, x: &DenseMatrix) -> Vec<f64>;
 }
 
 /// The black box contract of the paper (§2): raw tuples in, class

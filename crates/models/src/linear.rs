@@ -156,11 +156,6 @@ impl LogisticRegression {
         })?;
         Ok((Self::fit(x, labels, n_classes, &best, rng)?, best))
     }
-
-    /// The fitted weight matrix (d × m), exposed for tests and diagnostics.
-    pub fn weights(&self) -> &DenseMatrix {
-        &self.weights
-    }
 }
 
 impl Classifier for LogisticRegression {
@@ -279,8 +274,8 @@ mod tests {
         let model = LogisticRegression::fit(&x, &labels, 2, &strong_l1, &mut rng).unwrap();
         // Noise-feature weights (row 2) must be much smaller than the
         // informative ones.
-        let noise_mag: f64 = model.weights().row(2).iter().map(|w| w.abs()).sum();
-        let signal_mag: f64 = model.weights().row(0).iter().map(|w| w.abs()).sum();
+        let noise_mag: f64 = model.weights.row(2).iter().map(|w| w.abs()).sum();
+        let signal_mag: f64 = model.weights.row(0).iter().map(|w| w.abs()).sum();
         assert!(
             noise_mag < 0.3 * signal_mag,
             "noise {noise_mag} vs signal {signal_mag}"

@@ -2,12 +2,12 @@
 //! exposed only through [`BlackBoxModel`].
 
 use crate::convnet::{ConvNet, ConvNetConfig};
+use crate::featurize::{FeaturePipeline, PipelineConfig};
 use crate::gbdt::{default_gbdt_grid, GbdtClassifier, GbdtConfig};
 use crate::linear::{default_lr_grid, LogisticRegression, LrConfig};
 use crate::mlp::{default_mlp_grid, MlpConfig, NeuralNet};
 use crate::{BlackBoxModel, Classifier, ModelError};
 use lvp_dataframe::DataFrame;
-use lvp_featurize::{FeaturePipeline, PipelineConfig};
 use lvp_linalg::{CsrMatrix, DenseMatrix};
 use lvp_telemetry::{Counter, Histogram, Registry, Span};
 use rand::Rng;
@@ -19,7 +19,7 @@ use rand::Rng;
 /// [`BlackBoxModel::predict_proba`] on raw tuples, matching the paper's
 /// problem statement. Serving featurizes through
 /// [`FeaturePipeline::transform`], the same path training used.
-pub struct PipelineModel {
+pub(crate) struct PipelineModel {
     featurizer: FeaturePipeline,
     classifier: Box<dyn Classifier>,
     name: String,
@@ -32,22 +32,6 @@ struct PredictTelemetry {
     calls: Counter,
     rows: Counter,
     latency: Histogram,
-}
-
-impl PipelineModel {
-    /// Bundles a fitted featurizer and classifier under a display name.
-    pub fn new(
-        featurizer: FeaturePipeline,
-        classifier: Box<dyn Classifier>,
-        name: impl Into<String>,
-    ) -> Self {
-        Self {
-            featurizer,
-            classifier,
-            name: name.into(),
-            telemetry: None,
-        }
-    }
 }
 
 impl BlackBoxModel for PipelineModel {
@@ -147,7 +131,12 @@ pub(crate) fn seal(
     let featurizer = FeaturePipeline::fit(train, pipeline_config);
     let x = featurizer.transform(train);
     let classifier = fit(&x, train.labels(), train.n_classes())?;
-    Ok(Box::new(PipelineModel::new(featurizer, classifier, name)))
+    Ok(Box::new(PipelineModel {
+        featurizer,
+        classifier,
+        name: name.to_string(),
+        telemetry: None,
+    }))
 }
 
 /// Trains the requested model family with its default CV protocol: a

@@ -2,10 +2,12 @@
 # Prints the non-test source lines of each crate: for every `.rs` file under
 # `crates/<name>/src`, the lines before its first `#[cfg(test)]` (all of
 # its lines when it has none), summed per crate, plus the core+server total
-# that the ROADMAP's line budget tracks. Report-only: always exits 0.
+# that the ROADMAP's line budget tracks and the total over all crates.
+# Report-only: always exits 0.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 core_server=0
+all=0
 for dir in crates/*/; do
     crate=$(basename "$dir")
     lines=0
@@ -14,8 +16,10 @@ for dir in crates/*/; do
         lines=$((lines + n))
     done < <(find "crates/$crate/src" -name '*.rs' | sort)
     printf '%-12s %6d\n' "$crate" "$lines"
+    all=$((all + lines))
     case "$crate" in
         core | server) core_server=$((core_server + lines)) ;;
     esac
 done
 printf '%-12s %6d\n' "core+server" "$core_server"
+printf '%-12s %6d\n' "all crates" "$all"

@@ -7,12 +7,12 @@
 //! The workspace implements the full system described by the paper:
 //!
 //! * a typed columnar [`dataframe`] with per-cell nullability,
-//! * feature pipelines ([`featurize`]) — standardization, one-hot encoding
-//!   and hashed n-grams — fitted on training data only,
-//! * several classifier families trained from scratch ([`models`]):
-//!   logistic regression, feed-forward networks, gradient-boosted trees,
-//!   convolutional networks, plus AutoML-style searchers and a simulated
-//!   cloud prediction service,
+//! * several classifier families trained from scratch and sealed as black
+//!   boxes ([`models`]): logistic regression, feed-forward networks,
+//!   gradient-boosted trees, convolutional networks, plus AutoML-style
+//!   searchers and a simulated cloud prediction service; each bundles a
+//!   private feature map (standardization, one-hot encoding and hashed
+//!   n-grams, fitted on training data only),
 //! * programmatic error generators ([`corruptions`]) for typical dataset
 //!   shifts (missing values, outliers, swapped columns, scaling, adversarial
 //!   text, image noise/rotation, …),
@@ -47,12 +47,44 @@
 //! let estimate = predictor.predict(&serving).unwrap();
 //! println!("estimated accuracy on serving batch: {estimate:.3}");
 //! ```
+//!
+//! ## The black box is sealed
+//!
+//! As in the paper (§2), a trained model exposes class probabilities and
+//! nothing else: [`models::BlackBoxModel`] is the whole interface. Its
+//! feature map φ and its prediction function f are private to
+//! `lvp-models`, so none of the following compiles.
+//!
+//! The feature map, as a root re-export and as a module of `lvp-models`:
+//!
+//! ```compile_fail,E0432
+//! use lvp::featurize::FeaturePipeline;
+//! ```
+//!
+//! ```compile_fail,E0603
+//! use lvp::models::featurize::FeaturePipeline;
+//! ```
+//!
+//! The classifier families and their cross-validation:
+//!
+//! ```compile_fail,E0603
+//! use lvp::models::linear::LogisticRegression;
+//! ```
+//!
+//! ```compile_fail,E0603
+//! use lvp::models::cv::kfold_select;
+//! ```
+//!
+//! The pipeline that bundles φ and f:
+//!
+//! ```compile_fail,E0432
+//! use lvp::models::PipelineModel;
+//! ```
 
 pub use lvp_core as core;
 pub use lvp_corruptions as corruptions;
 pub use lvp_dataframe as dataframe;
 pub use lvp_datasets as datasets;
-pub use lvp_featurize as featurize;
 pub use lvp_linalg as linalg;
 pub use lvp_models as models;
 pub use lvp_server as server;

@@ -319,7 +319,7 @@ fn cross_validated_training_is_pinned_golden() {
     use lvp_models::forest::{ForestConfig, RandomForestRegressor};
     use lvp_models::gbdt::{GbdtClassifier, GbdtConfig, GbdtRegressor};
     use lvp_models::tree::SplitMethod;
-    use lvp_models::{train_model, Classifier, Regressor};
+    use lvp_models::{train_model, Classifier};
     use rand::Rng;
 
     let floats = |values: &[f64]| -> u64 {
@@ -516,7 +516,6 @@ fn every_generator_is_pinned_golden() {
 fn histogram_trees_are_pinned_golden() {
     use lvp_models::forest::{default_forest_grid, ForestConfig, RandomForestRegressor};
     use lvp_models::gbdt::{GbdtConfig, GbdtRegressor};
-    use lvp_models::Regressor;
     use rand::Rng;
 
     let floats = |values: &[f64]| -> u64 {

@@ -1,12 +1,8 @@
 //! Property-based tests over the workspace's core invariants.
 
 use lvp_core::BatchSketch;
-use lvp_corruptions::{standard_tabular_suite, CategoryFlip, ErrorGen, SwappedColumns, Typos};
-use lvp_dataframe::{
-    read_csv_str, write_csv_string, CellValue, ColumnType, CsvOptions, DataFrameBuilder, Field,
-    Schema,
-};
-use lvp_featurize::{FeaturePipeline, PipelineConfig};
+use lvp_corruptions::standard_tabular_suite;
+use lvp_dataframe::{CellValue, ColumnType, DataFrameBuilder, Field, Schema};
 use lvp_linalg::{stable_softmax, DenseMatrix};
 use lvp_stats::{ks_two_sample, percentiles, QuantileSketch, VIGINTILE_GRID};
 use proptest::prelude::*;
@@ -124,24 +120,6 @@ proptest! {
             prop_assert_eq!(out.n_rows(), df.n_rows());
             prop_assert_eq!(out.schema(), df.schema());
             prop_assert_eq!(out.labels(), df.labels());
-        }
-    }
-
-    #[test]
-    fn featurization_dimensionality_is_stable_under_corruption(
-        nums in prop::collection::vec(-100f64..100.0, 8..40),
-        cats in prop::collection::vec(0u8..255, 8..40),
-        seed in 0u64..1000,
-    ) {
-        let df = build_frame(&nums, &cats);
-        let pipeline = FeaturePipeline::fit(&df, &PipelineConfig::default());
-        let clean = pipeline.transform(&df);
-        let mut rng = StdRng::seed_from_u64(seed);
-        for gen in standard_tabular_suite(df.schema()) {
-            let corrupted = gen.corrupt(&df, &mut rng);
-            let x = pipeline.transform(&corrupted);
-            prop_assert_eq!(x.cols(), clean.cols(), "{}", gen.name());
-            prop_assert_eq!(x.rows(), clean.rows(), "{}", gen.name());
         }
     }
 
@@ -322,74 +300,5 @@ proptest! {
         for (x, y) in a.iter().zip(&b) {
             prop_assert_eq!(x.to_bits(), y.to_bits());
         }
-    }
-
-    #[test]
-    fn corrupted_frames_survive_a_csv_round_trip_by_value(
-        nums in prop::collection::vec(-1000f64..1000.0, 4..40),
-        cats in prop::collection::vec(0u8..255, 4..40),
-        seed in 0u64..1000,
-    ) {
-        let n = nums.len().min(cats.len());
-        let mut b = DataFrameBuilder::new(mixed_schema(), vec!["n".into(), "y".into()]);
-        for i in 0..n {
-            // Multi-letter categories, so a typo never leaves a number.
-            let cat = CellValue::Cat(format!("cat{}", cats[i] % 5));
-            b.push_row(vec![CellValue::Num(nums[i]), cat], (i % 2) as u32).unwrap();
-        }
-        // The reversed rows keep the builder's dictionary, whose order is
-        // not their first-seen order, which the CSV reader's has.
-        let df = b.finish().unwrap().select_rows(&(0..n).rev().collect::<Vec<_>>());
-        let pipeline = FeaturePipeline::fit(&df, &PipelineConfig::default());
-        let gens: Vec<Box<dyn ErrorGen>> = vec![
-            Box::new(Typos::all_categorical(df.schema())),
-            Box::new(CategoryFlip::all_categorical(df.schema())),
-            Box::new(SwappedColumns::all_pairs(df.schema())),
-        ];
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut corrupted = df.clone();
-        for gen in &gens {
-            corrupted = gen.corrupt(&corrupted, &mut rng);
-            let csv = write_csv_string(&corrupted).unwrap();
-            let back = read_csv_str(&csv, "label", &CsvOptions::default()).unwrap();
-            // CSV stores no types: the reader infers a column as numeric
-            // when every value it holds is a number, and as categorical
-            // when it holds none, which a fully swapped pair of columns
-            // does. Values are only comparable under the same schema.
-            if back.schema() != corrupted.schema() {
-                prop_assert_eq!(gen.name(), "swapped_columns");
-                continue;
-            }
-            // The copy's dictionary extends its parent's; the read-back
-            // frame's holds only the values its cells hold, in first-seen
-            // order. Equality and featurization see values alone.
-            prop_assert_eq!(&back, &corrupted, "{}", gen.name());
-            let (a, b) = (pipeline.transform(&back), pipeline.transform(&corrupted));
-            prop_assert_eq!(a.rows(), b.rows());
-            for r in 0..a.rows() {
-                let ((ia, va), (ib, vb)) = (a.row(r), b.row(r));
-                prop_assert_eq!(ia, ib, "{} row {}", gen.name(), r);
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                prop_assert_eq!(bits(va), bits(vb), "{} row {}", gen.name(), r);
-            }
-        }
-    }
-
-    #[test]
-    fn one_hot_unseen_rows_encode_to_zero_block(
-        cats in prop::collection::vec(0u8..5, 8..40),
-    ) {
-        let nums: Vec<f64> = (0..cats.len()).map(|i| i as f64).collect();
-        let df = build_frame(&nums, &cats);
-        let pipeline = FeaturePipeline::fit(&df, &PipelineConfig::default());
-        // A frame with a category never seen during fitting.
-        let schema = df.schema().clone();
-        let mut b = DataFrameBuilder::new(schema, vec!["n".into(), "y".into()]);
-        b.push_row(vec![CellValue::Num(0.0), CellValue::Cat("UNSEEN".into())], 0).unwrap();
-        let unseen = b.finish().unwrap();
-        let x = pipeline.transform(&unseen);
-        // Only the numeric dim may be nonzero.
-        let (idx, _) = x.row(0);
-        prop_assert!(idx.iter().all(|&c| c == 0));
     }
 }

@@ -13,9 +13,7 @@ use lvp_linalg::{CsrBuilder, CsrMatrix};
 use lvp_models::forest::{default_forest_grid, ForestConfig, RandomForestRegressor};
 use lvp_models::gbdt::{GbdtClassifier, GbdtConfig};
 use lvp_models::tree::{RegressionTree, SplitMethod, TrainingColumns, TreeParams};
-use lvp_models::{
-    model_accuracy, train_model_quick, BlackBoxModel, Classifier, ModelKind, Regressor,
-};
+use lvp_models::{model_accuracy, train_model_quick, BlackBoxModel, Classifier, ModelKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
