@@ -7,8 +7,8 @@
 //!
 //! * [`auto_sklearn_like`] — budgeted candidate evaluation with successive
 //!   halving across all tabular families and their hyperparameter grids,
-//! * [`tpot_like`] — a small evolutionary search mutating pipeline genomes
-//!   (model family, hyperparameters, featurization variant),
+//! * [`tpot_like`] — a small evolutionary search mutating genomes (model
+//!   family and hyperparameters; the featurization is not searched),
 //! * [`auto_keras_like`] — architecture search over convolutional network
 //!   widths,
 //! * [`large_convnet`] — the larger hand-specified convnet of Figure 6.
@@ -26,8 +26,8 @@ use lvp_linalg::CsrMatrix;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-/// One candidate pipeline genome: a model family configuration plus a
-/// featurization variant.
+/// One candidate genome: a model family and its hyperparameters (every
+/// candidate is sealed with `PipelineConfig::default()`).
 #[derive(Debug, Clone, PartialEq)]
 enum Genome {
     /// Logistic regression candidate.
