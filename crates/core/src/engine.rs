@@ -497,9 +497,6 @@ mod tests {
     }
 
     impl BlackBoxModel for SizePoisoned {
-        fn predict_proba(&self, data: &DataFrame) -> DenseMatrix {
-            self.try_predict_proba(data).unwrap()
-        }
         fn try_predict_proba(
             &self,
             data: &DataFrame,
@@ -507,7 +504,7 @@ mod tests {
             if data.n_rows().is_multiple_of(self.poisoned_rows) {
                 return Err(lvp_models::ModelError::transient("poisoned batch size"));
             }
-            Ok(self.inner.predict_proba(data))
+            self.inner.try_predict_proba(data)
         }
         fn n_classes(&self) -> usize {
             self.inner.n_classes()
@@ -598,7 +595,10 @@ mod tests {
     fn empty_test_data_fails_before_scoring() {
         struct Unscorable;
         impl BlackBoxModel for Unscorable {
-            fn predict_proba(&self, data: &DataFrame) -> DenseMatrix {
+            fn try_predict_proba(
+                &self,
+                data: &DataFrame,
+            ) -> Result<DenseMatrix, lvp_models::ModelError> {
                 panic!("must fail before scoring {} rows", data.n_rows())
             }
             fn n_classes(&self) -> usize {
@@ -626,7 +626,10 @@ mod tests {
     fn auc_with_non_binary_model_fails_before_generating() {
         struct ThreeClass;
         impl BlackBoxModel for ThreeClass {
-            fn predict_proba(&self, data: &DataFrame) -> DenseMatrix {
+            fn try_predict_proba(
+                &self,
+                data: &DataFrame,
+            ) -> Result<DenseMatrix, lvp_models::ModelError> {
                 panic!("must fail fast, not on batch {}", data.n_rows())
             }
             fn n_classes(&self) -> usize {

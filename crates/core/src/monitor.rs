@@ -340,13 +340,25 @@ impl BatchMonitor {
     /// schema mismatch) stay hard errors: retrying or skipping cannot make
     /// an incompatible frame scoreable.
     pub fn observe(&mut self, batch: &DataFrame) -> Result<BatchReport, CoreError> {
-        match self.predictor.model_outputs(batch) {
+        match self.score_or_degrade(batch)? {
             Ok(proba) => self.observe_outputs(&proba),
+            Err(cause) => Ok(self.record(Evidence::Degraded(format!(
+                "serving failure on batch {}: {cause}",
+                self.batches_seen
+            )))),
+        }
+    }
+
+    /// Scores `data` through the black box: the one degrade rule of
+    /// [`Self::observe`] and [`Self::observe_chunk`]. A terminal serving
+    /// failure (a [`lvp_models::ModelError`] on the error's source chain)
+    /// comes back as `Ok(Err(cause))` for the caller to degrade its batch
+    /// or window; any other error is the caller's and stays a hard error.
+    fn score_or_degrade(&self, data: &DataFrame) -> Result<Result<DenseMatrix, String>, CoreError> {
+        match self.predictor.model_outputs(data) {
+            Ok(proba) => Ok(Ok(proba)),
             Err(err) => match err.model_error() {
-                Some(cause) => Ok(self.record(Evidence::Degraded(format!(
-                    "serving failure on batch {}: {}",
-                    self.batches_seen, cause.message
-                )))),
+                Some(cause) => Ok(Err(cause.message.clone())),
                 None => Err(err),
             },
         }
@@ -413,24 +425,20 @@ impl BatchMonitor {
     /// drift. Caller-side errors (schema mismatch) stay hard errors.
     pub fn observe_chunk(&mut self, chunk: &DataFrame) -> Result<(), CoreError> {
         let started = Instant::now();
-        let proba = match self.predictor.model_outputs(chunk) {
-            Ok(proba) => proba,
-            Err(err) => {
-                return match err.model_error() {
-                    Some(cause) => {
-                        self.poison_window(format!(
-                            "serving failure on chunk of window {}: {}",
-                            self.batches_seen, cause.message
-                        ));
-                        self.note_chunk(0, started);
-                        Ok(())
-                    }
-                    None => Err(err),
-                };
+        let rows = match self.score_or_degrade(chunk)? {
+            Ok(proba) => {
+                self.fold_output_chunk(&proba)?;
+                proba.rows()
+            }
+            Err(cause) => {
+                self.poison_window(format!(
+                    "serving failure on chunk of window {}: {cause}",
+                    self.batches_seen
+                ));
+                0
             }
         };
-        self.fold_output_chunk(&proba)?;
-        self.note_chunk(proba.rows(), started);
+        self.note_chunk(rows, started);
         Ok(())
     }
 
@@ -455,10 +463,16 @@ impl BatchMonitor {
             // (and terrible-looking) batch. No-op instead.
             return Ok(());
         }
-        let window = self
-            .window
-            .get_or_insert_with(|| BatchSketch::new(self.predictor.n_classes()));
-        window.observe_chunk(proba)
+        match &mut self.window {
+            Some(window) => window.observe_chunk(proba),
+            // Open a window only on a chunk the sketch accepts.
+            None => {
+                let mut window = BatchSketch::new(self.predictor.n_classes());
+                window.observe_chunk(proba)?;
+                self.window = Some(window);
+                Ok(())
+            }
+        }
     }
 
     fn note_chunk(&mut self, rows: usize, started: Instant) {
@@ -1035,9 +1049,6 @@ mod tests {
     }
 
     impl BlackBoxModel for FailOnRows {
-        fn predict_proba(&self, data: &lvp_dataframe::DataFrame) -> lvp_linalg::DenseMatrix {
-            self.try_predict_proba(data).unwrap()
-        }
         fn try_predict_proba(
             &self,
             data: &lvp_dataframe::DataFrame,
@@ -1047,7 +1058,7 @@ mod tests {
                     "endpoint down: retry budget exhausted",
                 ));
             }
-            Ok(self.inner.predict_proba(data))
+            self.inner.try_predict_proba(data)
         }
         fn n_classes(&self) -> usize {
             self.inner.n_classes()
@@ -1225,6 +1236,21 @@ mod tests {
         // The frame-level chunk path keeps its typed caller error.
         let err = m.observe_chunk(&serving.select_rows(&[])).unwrap_err();
         assert!(err.message.contains("empty"), "{err}");
+    }
+
+    #[test]
+    fn a_rejected_output_chunk_opens_no_window() {
+        let (mut m, _) = monitor(MonitorPolicy::default());
+        let wrong_width = DenseMatrix::from_rows(&[vec![0.2, 0.3, 0.5]]).unwrap();
+        let err = m.observe_output_chunk(&wrong_width).unwrap_err();
+        assert!(err.message.contains("3 class columns"), "{err}");
+        assert!(
+            m.window().is_none(),
+            "a rejected chunk must not open a window"
+        );
+        assert_eq!(m.to_artifact().window, None, "nor persist an empty one");
+        let err = m.finish_window().unwrap_err();
+        assert!(err.message.contains("no open streaming window"), "{err}");
     }
 
     #[test]

@@ -419,13 +419,10 @@ mod tests {
     }
 
     /// A remote endpoint that is down for good: every call fails
-    /// terminally, and the panicking `predict_proba` must never be reached.
+    /// terminally, so reaching the panicking `predict_proba` fails the test.
     struct Unreachable;
 
     impl BlackBoxModel for Unreachable {
-        fn predict_proba(&self, _data: &DataFrame) -> DenseMatrix {
-            panic!("validator took the panicking scoring path")
-        }
         fn try_predict_proba(
             &self,
             _data: &DataFrame,

@@ -102,7 +102,10 @@ mod tests {
     struct AlternatingConfidence;
 
     impl BlackBoxModel for AlternatingConfidence {
-        fn predict_proba(&self, data: &DataFrame) -> DenseMatrix {
+        fn try_predict_proba(
+            &self,
+            data: &DataFrame,
+        ) -> Result<DenseMatrix, lvp_models::ModelError> {
             let mut m = DenseMatrix::zeros(data.n_rows(), 2);
             for r in 0..data.n_rows() {
                 // toy_frame stores row index in the numeric column.
@@ -111,7 +114,7 @@ mod tests {
                 m.set(r, 0, p);
                 m.set(r, 1, 1.0 - p);
             }
-            m
+            Ok(m)
         }
 
         fn n_classes(&self) -> usize {

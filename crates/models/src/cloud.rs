@@ -396,7 +396,9 @@ impl CloudModelService {
     }
 
     /// Scores a batch of rows against a deployed model, subject to the
-    /// installed [`FaultPlan`] (if any).
+    /// installed [`FaultPlan`] (if any). A frame the model was not fitted
+    /// for is an [`InvalidInput`](crate::ModelErrorKind::InvalidInput)
+    /// error, and the service keeps serving.
     pub fn batch_predict(
         &self,
         handle: ModelHandle,
@@ -412,7 +414,7 @@ impl CloudModelService {
             let model = models
                 .get(&handle)
                 .ok_or_else(|| ModelError::invalid_input("unknown model handle"))?;
-            model.predict_proba(data)
+            model.try_predict_proba(data)?
         };
         match fault {
             None => Ok(proba),
@@ -452,8 +454,8 @@ impl CloudModelService {
     }
 }
 
-/// A client-side view of a cloud-hosted model. Every `predict_proba` call
-/// is a metered request against the service.
+/// A client-side view of a cloud-hosted model. Every scoring call is a
+/// metered request against the service.
 pub struct RemoteModel {
     service: CloudModelService,
     handle: ModelHandle,
@@ -461,15 +463,6 @@ pub struct RemoteModel {
 }
 
 impl BlackBoxModel for RemoteModel {
-    /// Infallible trait entry point; panics when the endpoint fails or
-    /// violates the probability contract. Fault-aware callers use
-    /// [`BlackBoxModel::try_predict_proba`] (or wrap the model in a
-    /// [`ResilientModel`](crate::resilience::ResilientModel)).
-    fn predict_proba(&self, data: &DataFrame) -> DenseMatrix {
-        self.try_predict_proba(data)
-            .unwrap_or_else(|e| panic!("remote prediction failed: {e}"))
-    }
-
     /// Requests predictions and enforces the probability contract at the
     /// trust boundary: a truncated or corrupted response surfaces as a
     /// typed, retryable [`ModelError`] instead of flowing downstream into
@@ -500,7 +493,7 @@ impl BlackBoxModel for RemoteModel {
 mod tests {
     use super::*;
     use crate::ModelErrorKind;
-    use lvp_dataframe::toy_frame;
+    use lvp_dataframe::{toy_frame, Schema};
 
     #[test]
     fn deploy_and_predict_round_trip() {
@@ -534,6 +527,27 @@ mod tests {
         assert_eq!(service.requests_served(), 2);
         assert_eq!(remote.name(), "cloud-automl");
         assert_eq!(remote.n_classes(), 2);
+    }
+
+    #[test]
+    fn a_frame_missing_a_column_is_rejected_and_the_service_keeps_serving() {
+        let service = CloudModelService::new();
+        let df = toy_frame(30);
+        let handle = service.train_and_deploy(&df, 5).unwrap();
+        let remote = service.remote_model(handle).unwrap();
+        // Only the numeric column: the fitted categorical column is missing.
+        let short = DataFrame::new(
+            Schema::new(df.schema().fields()[..1].to_vec()).unwrap(),
+            vec![df.column(0).clone()],
+            df.labels().to_vec(),
+            df.label_names().to_vec(),
+        )
+        .unwrap();
+        let err = remote.try_predict_proba(&short).unwrap_err();
+        assert_eq!(err.kind, ModelErrorKind::InvalidInput, "{err}");
+        assert!(err.message.starts_with("column 1: "), "{err}");
+        assert_eq!(remote.try_predict_proba(&df).unwrap().rows(), 30);
+        assert_eq!(service.requests_served(), 2);
     }
 
     #[test]

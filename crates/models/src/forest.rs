@@ -13,6 +13,11 @@ use rayon::prelude::*;
 use std::cell::OnceCell;
 use std::cmp::Reverse;
 
+/// Minimum examples per leaf of every forest tree.
+const MIN_SAMPLES_LEAF: usize = 2;
+/// Fraction of features considered per split of every forest tree.
+const COLSAMPLE: f64 = 0.4;
+
 /// Configuration for [`RandomForestRegressor`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ForestConfig {
@@ -20,10 +25,6 @@ pub struct ForestConfig {
     pub n_trees: usize,
     /// Maximum depth per tree.
     pub max_depth: usize,
-    /// Minimum examples per leaf.
-    pub min_samples_leaf: usize,
-    /// Fraction of features considered per split.
-    pub colsample: f64,
     /// Split-candidate enumeration strategy (histogram by default; exact
     /// enumeration is kept as the oracle).
     pub split_method: SplitMethod,
@@ -34,8 +35,6 @@ impl Default for ForestConfig {
         Self {
             n_trees: 50,
             max_depth: 12,
-            min_samples_leaf: 2,
-            colsample: 0.4,
             split_method: SplitMethod::default(),
         }
     }
@@ -80,9 +79,9 @@ impl RandomForestRegressor {
         let hess = vec![1.0; n];
         let params = TreeParams {
             max_depth: config.max_depth,
-            min_samples_leaf: config.min_samples_leaf,
+            min_samples_leaf: MIN_SAMPLES_LEAF,
             lambda: 0.0,
-            colsample: config.colsample,
+            colsample: COLSAMPLE,
             min_gain: 1e-12,
         };
         let seeds: Vec<u64> = (0..config.n_trees).map(|_| rng.gen()).collect();

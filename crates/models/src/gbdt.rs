@@ -10,6 +10,11 @@ use lvp_linalg::{stable_softmax, CsrMatrix, DenseMatrix};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
+/// Fraction of rows sampled per boosting round.
+const SUBSAMPLE: f64 = 0.9;
+/// Minimum examples per leaf of every boosted tree.
+const MIN_SAMPLES_LEAF: usize = 2;
+
 /// Training configuration for gradient boosting.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GbdtConfig {
@@ -23,10 +28,6 @@ pub struct GbdtConfig {
     pub lambda: f64,
     /// Fraction of features considered per split.
     pub colsample: f64,
-    /// Fraction of rows sampled per round.
-    pub subsample: f64,
-    /// Minimum examples per leaf.
-    pub min_samples_leaf: usize,
     /// Split-candidate enumeration strategy (histogram by default; exact
     /// enumeration is kept as the oracle).
     pub split_method: SplitMethod,
@@ -40,8 +41,6 @@ impl Default for GbdtConfig {
             learning_rate: 0.3,
             lambda: 1.0,
             colsample: 0.8,
-            subsample: 0.9,
-            min_samples_leaf: 2,
             split_method: SplitMethod::default(),
         }
     }
@@ -66,7 +65,7 @@ impl GbdtConfig {
     fn tree_params(&self) -> TreeParams {
         TreeParams {
             max_depth: self.max_depth,
-            min_samples_leaf: self.min_samples_leaf,
+            min_samples_leaf: MIN_SAMPLES_LEAF,
             lambda: self.lambda,
             colsample: self.colsample,
             min_gain: 1e-9,
@@ -111,7 +110,7 @@ impl GbdtClassifier {
             let p = stable_softmax(&logits);
             // Row subsample for this round.
             all_rows.shuffle(rng);
-            let keep = ((n as f64 * config.subsample).ceil() as usize).clamp(1, n);
+            let keep = ((n as f64 * SUBSAMPLE).ceil() as usize).clamp(1, n);
             let round_rows = &all_rows[..keep];
 
             let mut round_trees = Vec::with_capacity(m);
@@ -283,7 +282,7 @@ impl GbdtRegressor {
         for _ in 0..config.n_rounds {
             let grad: Vec<f64> = pred.iter().zip(targets).map(|(p, t)| p - t).collect();
             all_rows.shuffle(rng);
-            let keep = ((n as f64 * config.subsample).ceil() as usize).clamp(1, n);
+            let keep = ((n as f64 * SUBSAMPLE).ceil() as usize).clamp(1, n);
             let tree = RegressionTree::fit(&columns, &grad, &hess, &all_rows[..keep], &params, rng);
             for (r, p) in pred.iter_mut().enumerate() {
                 *p += config.learning_rate * tree.predict_dense_row(x.row(r));

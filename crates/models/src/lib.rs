@@ -173,17 +173,21 @@ pub trait Classifier: Send + Sync {
 /// Implementations bundle a private feature map and a private prediction
 /// function; neither is reachable through this trait.
 pub trait BlackBoxModel: Send + Sync {
-    /// Class probabilities for a batch of raw tuples (`n × m`).
-    fn predict_proba(&self, data: &DataFrame) -> DenseMatrix;
-    /// Fallible variant of [`Self::predict_proba`] for serving paths that
-    /// must survive remote failures. Local in-process models can never fail
-    /// a prediction, so the default simply wraps [`Self::predict_proba`];
-    /// remote adapters ([`cloud::RemoteModel`],
-    /// [`resilience::ResilientModel`]) override it to surface transport
-    /// errors and contract violations as typed [`ModelError`]s instead of
-    /// panicking.
-    fn try_predict_proba(&self, data: &DataFrame) -> Result<DenseMatrix, ModelError> {
-        Ok(self.predict_proba(data))
+    /// Class probabilities for a batch of raw tuples (`n × m`): the one
+    /// scoring method every model implements. A frame the model cannot
+    /// score (columns it was not fitted for) is an
+    /// [`InvalidInput`](ModelErrorKind::InvalidInput) error; remote adapters
+    /// ([`cloud::RemoteModel`], [`resilience::ResilientModel`]) also
+    /// surface transport errors and contract violations as typed
+    /// [`ModelError`]s.
+    fn try_predict_proba(&self, data: &DataFrame) -> Result<DenseMatrix, ModelError>;
+    /// [`Self::try_predict_proba`] for callers without an error channel:
+    /// panics with the model's name and the typed error when scoring
+    /// fails. Serving paths that must survive failures call
+    /// [`Self::try_predict_proba`] instead.
+    fn predict_proba(&self, data: &DataFrame) -> DenseMatrix {
+        self.try_predict_proba(data)
+            .unwrap_or_else(|e| panic!("black box `{}` failed to score: {e}", self.name()))
     }
     /// Number of classes `m`.
     fn n_classes(&self) -> usize;
@@ -241,5 +245,26 @@ mod tests {
         assert_eq!(y.row(0), &[1.0, 0.0, 0.0]);
         assert_eq!(y.row(1), &[0.0, 0.0, 1.0]);
         assert_eq!(y.row(2), &[0.0, 1.0, 0.0]);
+    }
+
+    /// Implements only the required scoring method, which always fails.
+    struct Refusing;
+
+    impl BlackBoxModel for Refusing {
+        fn try_predict_proba(&self, _data: &DataFrame) -> Result<DenseMatrix, ModelError> {
+            Err(ModelError::transient("quota exhausted"))
+        }
+        fn n_classes(&self) -> usize {
+            2
+        }
+        fn name(&self) -> &str {
+            "refusing"
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "black box `refusing` failed to score: model error: quota exhausted")]
+    fn predict_proba_panics_with_the_model_name_and_the_typed_error() {
+        Refusing.predict_proba(&lvp_dataframe::toy_frame(3));
     }
 }

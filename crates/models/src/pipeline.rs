@@ -15,8 +15,8 @@ use rand::Rng;
 /// A feature pipeline and classifier bundled behind the black box contract.
 ///
 /// Neither the fitted feature map nor the classifier is reachable from the
-/// outside — downstream consumers can only call
-/// [`BlackBoxModel::predict_proba`] on raw tuples, matching the paper's
+/// outside — downstream consumers can only score raw tuples through
+/// [`BlackBoxModel::try_predict_proba`], matching the paper's
 /// problem statement. Serving featurizes through
 /// [`FeaturePipeline::transform`], the same path training used.
 pub(crate) struct PipelineModel {
@@ -26,7 +26,7 @@ pub(crate) struct PipelineModel {
     telemetry: Option<PredictTelemetry>,
 }
 
-/// Pre-resolved registry handles for the `predict_proba` hot path: pure
+/// Pre-resolved registry handles for the scoring hot path: pure
 /// atomics per call, no name lookups.
 struct PredictTelemetry {
     calls: Counter,
@@ -35,16 +35,6 @@ struct PredictTelemetry {
 }
 
 impl BlackBoxModel for PipelineModel {
-    fn predict_proba(&self, data: &DataFrame) -> DenseMatrix {
-        let _span = self.telemetry.as_ref().map(|t| {
-            t.calls.inc();
-            t.rows.add(data.n_rows() as u64);
-            Span::new(t.latency.clone())
-        });
-        self.classifier
-            .predict_proba(&self.featurizer.transform(data))
-    }
-
     /// Rejects a frame whose columns differ in count or kind from the ones
     /// the pipeline was fitted on, instead of panicking or encoding a
     /// mismatched column as missing.
@@ -52,7 +42,14 @@ impl BlackBoxModel for PipelineModel {
         self.featurizer
             .check_frame(data)
             .map_err(ModelError::invalid_input)?;
-        Ok(self.predict_proba(data))
+        let _span = self.telemetry.as_ref().map(|t| {
+            t.calls.inc();
+            t.rows.add(data.n_rows() as u64);
+            Span::new(t.latency.clone())
+        });
+        Ok(self
+            .classifier
+            .predict_proba(&self.featurizer.transform(data)))
     }
 
     fn n_classes(&self) -> usize {
@@ -279,10 +276,17 @@ mod tests {
             df.label_names().to_vec(),
         )
         .unwrap();
-        expect_invalid(
-            &retyped,
-            &format!("column {cat} ('{}')", df.schema().field(cat).name),
-        );
+        let column = format!("column {cat} ('{}')", df.schema().field(cat).name);
+        expect_invalid(&retyped, &column);
+        // `predict_proba` runs the same check: it panics naming the column
+        // rather than scoring the column as all-missing.
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            model.predict_proba(&retyped)
+        }))
+        .unwrap_err();
+        let message = panic.downcast_ref::<String>().expect("formatted panic");
+        assert!(message.starts_with("black box `lr` failed to score: model error: "));
+        assert!(message.contains(&column), "{message}");
     }
 
     #[test]

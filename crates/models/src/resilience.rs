@@ -385,7 +385,7 @@ impl ResilienceMetrics {
 
 /// A fault-tolerant [`BlackBoxModel`] wrapper for flaky remote endpoints.
 ///
-/// Every `predict_proba` call is retried with deterministic seeded-jitter
+/// Every scoring call is retried with deterministic seeded-jitter
 /// exponential backoff under a per-call attempt budget, each response is
 /// checked against the probability contract, and a circuit breaker sheds
 /// load after sustained terminal failures.
@@ -528,15 +528,6 @@ impl ResilientModel {
 }
 
 impl BlackBoxModel for ResilientModel {
-    /// Infallible trait entry point; panics if the call fails terminally
-    /// even after retries. Serving paths that must survive terminal
-    /// failures (the batch monitor, the generation engine) go through
-    /// [`Self::try_predict_proba`] instead.
-    fn predict_proba(&self, data: &DataFrame) -> DenseMatrix {
-        self.try_predict_proba(data)
-            .unwrap_or_else(|e| panic!("resilient call failed terminally: {e}"))
-    }
-
     fn try_predict_proba(&self, data: &DataFrame) -> Result<DenseMatrix, ModelError> {
         if let Some(m) = &self.metrics {
             m.calls.inc();
@@ -629,10 +620,6 @@ mod tests {
     }
 
     impl BlackBoxModel for Scripted {
-        fn predict_proba(&self, data: &DataFrame) -> DenseMatrix {
-            self.try_predict_proba(data).unwrap()
-        }
-
         fn try_predict_proba(&self, data: &DataFrame) -> Result<DenseMatrix, ModelError> {
             let attempt = self.attempts.fetch_add(1, Ordering::SeqCst);
             if self.always_fail || attempt < self.fail_first {

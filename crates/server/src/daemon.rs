@@ -52,16 +52,9 @@ struct DetachedModel {
 }
 
 impl BlackBoxModel for DetachedModel {
-    fn predict_proba(&self, _data: &lvp_dataframe::DataFrame) -> DenseMatrix {
-        // Unreachable through the daemon: every observe path feeds
-        // pre-computed outputs or estimates. Fail loudly if a future code
-        // path tries to score raw frames against a detached handle.
-        panic!(
-            "detached model '{}' cannot predict; submit model outputs instead",
-            self.label
-        )
-    }
-
+    /// Unreachable through the daemon: every observe path feeds
+    /// pre-computed outputs or estimates. Fails loudly if a future code
+    /// path tries to score raw frames against a detached handle.
     fn try_predict_proba(
         &self,
         _data: &lvp_dataframe::DataFrame,

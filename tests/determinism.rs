@@ -369,7 +369,6 @@ fn cross_validated_training_is_pinned_golden() {
         n_trees: 6,
         max_depth: 5,
         split_method: SplitMethod::Exact,
-        ..ForestConfig::default()
     };
     let forest = RandomForestRegressor::fit(&x_nan, &targets, &exact_forest, &mut rng).unwrap();
     pinned.push(floats(&forest.predict(&x_nan)));

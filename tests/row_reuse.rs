@@ -162,10 +162,6 @@ impl Counted {
 }
 
 impl BlackBoxModel for Counted {
-    fn predict_proba(&self, data: &DataFrame) -> DenseMatrix {
-        self.count(data);
-        self.inner.predict_proba(data)
-    }
     fn try_predict_proba(&self, data: &DataFrame) -> Result<DenseMatrix, ModelError> {
         self.count(data);
         self.inner.try_predict_proba(data)
@@ -273,9 +269,6 @@ fn clean_copies_make_no_model_call() {
 fn a_failed_reference_call_skips_the_same_tasks() {
     struct Down;
     impl BlackBoxModel for Down {
-        fn predict_proba(&self, _: &DataFrame) -> DenseMatrix {
-            panic!("callers must use try_predict_proba")
-        }
         fn try_predict_proba(&self, _: &DataFrame) -> Result<DenseMatrix, ModelError> {
             Err(ModelError::transient("endpoint down"))
         }
