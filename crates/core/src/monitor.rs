@@ -791,12 +791,20 @@ mod tests {
             ..MonitorPolicy::default()
         });
         let mut rng = StdRng::seed_from_u64(32);
+        // 60 of the serving frame's 90 rows: five different batches, not
+        // the whole frame five times.
+        let mut estimates = Vec::new();
         for _ in 0..5 {
-            let report = m.observe(&serving.sample_n(100, &mut rng)).unwrap();
+            let report = m.observe(&serving.sample_n(60, &mut rng)).unwrap();
             assert!(!report.alarm, "{report:?}");
+            estimates.push(report.estimate);
         }
         assert!(!m.alarming());
         assert_eq!(m.history().len(), 5);
+        assert!(
+            estimates.iter().any(|&e| e != estimates[0]),
+            "{estimates:?}"
+        );
     }
 
     #[test]

@@ -801,6 +801,40 @@ mod tests {
     }
 
     #[test]
+    fn predictor_artifact_rejects_trees_inference_cannot_walk() {
+        let (model, test, _) = fitted();
+        let mut rng = StdRng::seed_from_u64(43);
+        let gens = standard_tabular_suite(test.schema());
+        let predictor = PerformancePredictor::fit(
+            Arc::clone(&model),
+            &test,
+            &gens,
+            &PredictorConfig::fast(),
+            &mut rng,
+        )
+        .unwrap();
+        let json = to_json(&predictor.to_artifact()).unwrap();
+        let start = json.find("\"nodes\":[").unwrap() + "\"nodes\":".len();
+        let end = start + json[start..].find(']').unwrap() + 1;
+        // A child one past the end of the node list, and one past what a
+        // `u32` node index can hold.
+        for right in ["2", "4294967296"] {
+            let nodes = format!(
+                r#"[{{"Split":{{"feature":0,"threshold":0.5,"left":1,"right":{right}}}}},{{"Leaf":{{"value":0.5}}}}]"#
+            );
+            let crafted = format!("{}{nodes}{}", &json[..start], &json[end..]);
+            let artifact: PredictorArtifact = from_json(&crafted).unwrap();
+            let err = PerformancePredictor::from_artifact(artifact, Arc::clone(&model))
+                .err()
+                .expect("a tree with a child past its node list loaded");
+            assert!(
+                err.message.contains("tree node 0 has a child outside 1..2"),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
     fn validator_artifact_rejects_test_ecdfs_off_the_class_count_or_grid() {
         let (model, test, _) = fitted();
         let mut rng = StdRng::seed_from_u64(43);

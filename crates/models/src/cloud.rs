@@ -396,19 +396,17 @@ impl CloudModelService {
     }
 
     /// Scores a batch of rows against a deployed model, subject to the
-    /// installed [`FaultPlan`] (if any). A frame the model was not fitted
-    /// for is an [`InvalidInput`](crate::ModelErrorKind::InvalidInput)
-    /// error, and the service keeps serving.
+    /// installed [`FaultPlan`] (if any). An unknown handle, or a frame the
+    /// model was not fitted for, is an
+    /// [`InvalidInput`](crate::ModelErrorKind::InvalidInput) error, and the
+    /// service keeps serving. The model scores the frame before the
+    /// request is metered, so a rejected request counts in neither meter
+    /// and uses up no fault-plan attempt.
     pub fn batch_predict(
         &self,
         handle: ModelHandle,
         data: &DataFrame,
     ) -> Result<DenseMatrix, ModelError> {
-        self.inner.requests.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .rows_scored
-            .fetch_add(data.n_rows() as u64, Ordering::Relaxed);
-        let fault = self.injected_fault(data)?;
         let proba = {
             let models = self.lock_models()?;
             let model = models
@@ -416,7 +414,11 @@ impl CloudModelService {
                 .ok_or_else(|| ModelError::invalid_input("unknown model handle"))?;
             model.try_predict_proba(data)?
         };
-        match fault {
+        self.inner.requests.fetch_add(1, Ordering::Relaxed);
+        self.inner
+            .rows_scored
+            .fetch_add(data.n_rows() as u64, Ordering::Relaxed);
+        match self.injected_fault(data)? {
             None => Ok(proba),
             Some((kind, key, attempt, plan_seed)) => {
                 Ok(Self::mutate_response(plan_seed, kind, key, attempt, proba))
@@ -547,7 +549,16 @@ mod tests {
         assert_eq!(err.kind, ModelErrorKind::InvalidInput, "{err}");
         assert!(err.message.starts_with("column 1: "), "{err}");
         assert_eq!(remote.try_predict_proba(&df).unwrap().rows(), 30);
-        assert_eq!(service.requests_served(), 2);
+        // Only the served request is metered.
+        assert_eq!(service.requests_served(), 1);
+        assert_eq!(service.rows_scored(), 30);
+        // Neither a rejected frame nor an unknown handle uses up an attempt
+        // of the fault plan.
+        service.install_fault_plan(FaultPlan::new(7), VirtualClock::new());
+        assert!(remote.try_predict_proba(&short).is_err());
+        assert!(service.batch_predict(ModelHandle(u64::MAX), &df).is_err());
+        assert_eq!(service.fault_stats(), FaultStats::default());
+        assert_eq!(service.requests_served(), 1);
     }
 
     #[test]

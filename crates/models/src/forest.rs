@@ -3,10 +3,11 @@
 //! and a grid search over the number of trees, minimizing MAE).
 
 use crate::cv::kfold_select;
-use crate::gbdt::PREDICT_ROW_BLOCK;
-use crate::tree::{RegressionTree, SplitMethod, TrainingColumns, TreeParams};
+use crate::tree::{
+    walk_row, walk_rows, RegressionTree, Rows, SplitMethod, TrainingColumns, TreeParams,
+};
 use crate::ModelError;
-use lvp_linalg::{row_blocks, DenseMatrix};
+use lvp_linalg::DenseMatrix;
 use rand::Rng;
 use rand::SeedableRng;
 use rayon::prelude::*;
@@ -143,18 +144,12 @@ impl RandomForestRegressor {
 
     /// Predicted target for each row of `x`.
     ///
-    /// Blocked traversal (all trees per row block); per row the tree
-    /// outputs still sum in tree order, so the mean is bit-identical to
-    /// row-at-a-time prediction.
+    /// Walks the trees with the blocked kernel of [`crate::tree`]; per row
+    /// the tree outputs sum in tree order, so the mean is bit-identical to
+    /// the mean of [`Self::predict_per_tree_row`].
     pub fn predict(&self, x: &DenseMatrix) -> Vec<f64> {
         let mut sums = vec![0.0; x.rows()];
-        for block in row_blocks(x.rows(), PREDICT_ROW_BLOCK) {
-            for tree in &self.trees {
-                for r in block.clone() {
-                    sums[r] += tree.predict_dense_row(x.row(r));
-                }
-            }
-        }
+        walk_rows(&self.trees, Rows::Dense(x), |_, r, v| sums[r] += v);
         let k = self.trees.len() as f64;
         sums.into_iter().map(|s| s / k).collect()
     }
@@ -167,24 +162,15 @@ impl RandomForestRegressor {
     /// `predict(row)`. The spread of the vector is the ensemble's own
     /// uncertainty — the raw material for quantile prediction intervals.
     pub fn predict_per_tree_row(&self, row: &[f64]) -> Vec<f64> {
-        self.trees
-            .iter()
-            .map(|t| t.predict_dense_row(row))
-            .collect()
+        walk_row(&self.trees, row)
     }
 
     /// Per-tree predictions for every row of `x` as an
-    /// `n_rows × n_trees` matrix, computed with blocked traversal. Row `r`
+    /// `n_rows × n_trees` matrix, computed with the blocked kernel. Row `r`
     /// equals [`Self::predict_per_tree_row`] on `x.row(r)` bit-for-bit.
     pub fn predict_per_tree(&self, x: &DenseMatrix) -> DenseMatrix {
         let mut out = DenseMatrix::zeros(x.rows(), self.trees.len());
-        for block in row_blocks(x.rows(), PREDICT_ROW_BLOCK) {
-            for (t, tree) in self.trees.iter().enumerate() {
-                for r in block.clone() {
-                    out.set(r, t, tree.predict_dense_row(x.row(r)));
-                }
-            }
-        }
+        walk_rows(&self.trees, Rows::Dense(x), |t, r, v| out.set(r, t, v));
         out
     }
 }

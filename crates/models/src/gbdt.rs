@@ -3,9 +3,8 @@
 //! round, XGBoost-style.
 
 use crate::cv::kfold_select_classifier;
-use crate::tree::{RegressionTree, SplitMethod, TrainingColumns, TreeParams};
+use crate::tree::{walk_rows, RegressionTree, Rows, SplitMethod, TrainingColumns, TreeParams};
 use crate::{one_hot_labels, Classifier, ModelError};
-use lvp_linalg::row_blocks;
 use lvp_linalg::{stable_softmax, CsrMatrix, DenseMatrix};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -123,11 +122,13 @@ impl GbdtClassifier {
                     hess[r] = (pk * (1.0 - pk)).max(1e-12);
                 }
                 let tree = RegressionTree::fit(&columns, &grad, &hess, round_rows, &params, rng);
-                for r in 0..n {
-                    let (idx, vals) = x.row(r);
-                    let delta = tree.predict_row(idx, vals);
-                    logits.set(r, k, logits.get(r, k) + config.learning_rate * delta);
-                }
+                walk_rows(
+                    std::slice::from_ref(&tree),
+                    Rows::Columns(columns.raw()),
+                    |_, r, delta| {
+                        logits.set(r, k, logits.get(r, k) + config.learning_rate * delta);
+                    },
+                );
                 round_trees.push(tree);
             }
             trees.push(round_trees);
@@ -176,71 +177,23 @@ impl GbdtClassifier {
     }
 }
 
-/// Rows per block for blocked tree traversal: small enough that a block of
-/// dense scratch rows stays cache-resident while every tree walks it.
-pub(crate) const PREDICT_ROW_BLOCK: usize = 64;
-
-/// Widest matrix for which blocked inference materializes CSR rows into a
-/// dense scratch block (beyond this the scratch no longer pays for itself).
-const DENSE_SCRATCH_MAX_COLS: usize = 4096;
-
 impl Classifier for GbdtClassifier {
-    /// Blocked traversal: rows are visited in cache-sized blocks and every
-    /// tree walks the whole block before the next block is touched, so
-    /// tree nodes stay hot across rows. For matrices of moderate width the
-    /// block's CSR rows are first materialized into a dense scratch
-    /// buffer, replacing the per-node `binary_search` of
-    /// [`RegressionTree::predict_row`] with direct indexing.
-    ///
-    /// Per (row, class) the logit accumulates in round order — exactly the
-    /// order of row-at-a-time traversal — so results are bit-identical to
-    /// the unblocked implementation.
+    /// Walks every tree over the rows with the blocked, level-synchronous
+    /// kernel of [`crate::tree`], which densifies only the features the
+    /// trees read. Per (row, class) the logit accumulates in round
+    /// order, as a row-at-a-time walk would add it, so the probabilities
+    /// do not depend on the blocking.
     fn predict_proba(&self, x: &CsrMatrix) -> DenseMatrix {
         let mut logits = DenseMatrix::zeros(x.rows(), self.n_classes);
-        let width = x.cols();
-        let max_feature = self
+        let (classes, trees): (Vec<usize>, Vec<&RegressionTree>) = self
             .trees
             .iter()
-            .flatten()
-            .filter_map(RegressionTree::max_feature)
-            .max();
-        // The scratch path indexes rows directly by feature, so every
-        // split feature must fit inside the materialized width.
-        let densify = width <= DENSE_SCRATCH_MAX_COLS && max_feature.is_none_or(|f| f < width);
-        let mut scratch = vec![
-            0.0;
-            if densify {
-                PREDICT_ROW_BLOCK * width
-            } else {
-                0
-            }
-        ];
-        for block in row_blocks(x.rows(), PREDICT_ROW_BLOCK) {
-            if densify {
-                scratch[..block.len() * width].fill(0.0);
-                for r in block.clone() {
-                    let (idx, vals) = x.row(r);
-                    let dst = &mut scratch[(r - block.start) * width..];
-                    for (&c, &v) in idx.iter().zip(vals) {
-                        dst[c as usize] = v;
-                    }
-                }
-            }
-            for round in &self.trees {
-                for (k, tree) in round.iter().enumerate() {
-                    for r in block.clone() {
-                        let delta = if densify {
-                            let at = (r - block.start) * width;
-                            tree.predict_dense_row(&scratch[at..at + width])
-                        } else {
-                            let (idx, vals) = x.row(r);
-                            tree.predict_row(idx, vals)
-                        };
-                        logits.set(r, k, logits.get(r, k) + self.learning_rate * delta);
-                    }
-                }
-            }
-        }
+            .flat_map(|round| round.iter().enumerate())
+            .unzip();
+        walk_rows(&trees, Rows::Csr(x), |t, r, delta| {
+            let k = classes[t];
+            logits.set(r, k, logits.get(r, k) + self.learning_rate * delta);
+        });
         stable_softmax(&logits)
     }
 
@@ -284,9 +237,13 @@ impl GbdtRegressor {
             all_rows.shuffle(rng);
             let keep = ((n as f64 * SUBSAMPLE).ceil() as usize).clamp(1, n);
             let tree = RegressionTree::fit(&columns, &grad, &hess, &all_rows[..keep], &params, rng);
-            for (r, p) in pred.iter_mut().enumerate() {
-                *p += config.learning_rate * tree.predict_dense_row(x.row(r));
-            }
+            walk_rows(
+                std::slice::from_ref(&tree),
+                Rows::Dense(x),
+                |_, r, delta| {
+                    pred[r] += config.learning_rate * delta;
+                },
+            );
             trees.push(tree);
         }
         Ok(Self {
@@ -298,18 +255,12 @@ impl GbdtRegressor {
 
     /// Predicted target for each row of `x`.
     ///
-    /// Blocked traversal (all trees per row block); per row the tree
-    /// outputs still sum in tree order, so results are bit-identical to
-    /// row-at-a-time prediction.
+    /// Walks the trees with the blocked kernel of [`crate::tree`]; per row
+    /// the tree outputs sum in tree order, as a row-at-a-time walk would
+    /// add them.
     pub fn predict(&self, x: &DenseMatrix) -> Vec<f64> {
         let mut sums = vec![0.0; x.rows()];
-        for block in row_blocks(x.rows(), PREDICT_ROW_BLOCK) {
-            for tree in &self.trees {
-                for r in block.clone() {
-                    sums[r] += tree.predict_dense_row(x.row(r));
-                }
-            }
-        }
+        walk_rows(&self.trees, Rows::Dense(x), |_, r, v| sums[r] += v);
         sums.into_iter()
             .map(|s| self.base + self.learning_rate * s)
             .collect()

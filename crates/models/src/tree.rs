@@ -34,11 +34,33 @@
 //! missing bin per feature for the same purpose and bins `+inf` there too;
 //! the exact path ends its scan at `+inf` as it does at NaN. Every stored
 //! threshold is finite, so prediction routes `+inf` right.
+//!
+//! # Inference
+//!
+//! A [`RegressionTree`] is held as flat per-node arrays: a `u32` split
+//! feature, a threshold, two child indices and a leaf value. Both children
+//! of a leaf point at the leaf itself, so one more step from a leaf stays
+//! put. The layout is built once, when a tree is grown or deserialized;
+//! artifacts keep storing the node list (`{"nodes": [{"Leaf": …},
+//! {"Split": …}]}`) through a private serde proxy, byte for byte.
+//!
+//! Every ensemble predicts through one kernel, `walk_rows`. It densifies
+//! a block of 64 rows, reading only the features the ensemble's nodes
+//! name, each into its own scratch slot. Then each tree walks the
+//! whole block level by level: on each pass every row moves down one level
+//! with the branch-free step `n = child[2n + !(v <= t)]`, and after as many
+//! passes as the tree is deep every row sits in its leaf. The rows of a
+//! block are independent, so the CPU overlaps their loads instead of
+//! mispredicting a branch at every node (the level-synchronous traversal of
+//! Asadi, Lin & de Vries, *Runtime Optimizations for Tree-based Machine
+//! Learning Models*, TKDE 2014). `v <= t` is false for NaN, so missing
+//! values go right, as in training.
 
 use crate::ModelError;
-use lvp_linalg::{CsrMatrix, DenseMatrix};
+use lvp_linalg::{row_blocks, CsrMatrix, DenseMatrix};
 use rand::seq::SliceRandom;
 use rand::Rng;
+use std::borrow::Borrow;
 
 /// How split candidates are enumerated during training.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -143,7 +165,6 @@ impl BinnedFeature {
 /// for histogram split finding (see [`SplitMethod::Histogram`]).
 #[derive(Debug, Clone)]
 pub struct BinnedColumns {
-    n_rows: usize,
     feats: Vec<BinnedFeature>,
     /// Start offset of each feature's bin range in a flat histogram.
     offsets: Vec<usize>,
@@ -190,21 +211,10 @@ impl BinnedColumns {
             total_bins += feat.n_bins();
         }
         Self {
-            n_rows: columns.n_rows(),
             feats,
             offsets,
             total_bins,
         }
-    }
-
-    /// Number of rows.
-    pub fn n_rows(&self) -> usize {
-        self.n_rows
-    }
-
-    /// Number of feature columns.
-    pub fn n_cols(&self) -> usize {
-        self.feats.len()
     }
 
     /// Whether a node of `n_rows` rows splitting over `n_features` sampled
@@ -274,15 +284,16 @@ fn split_threshold(a: f64, b: f64) -> Option<f64> {
     (t < b || b.is_nan()).then_some(t)
 }
 
-/// Split-finder input for one training run: either the raw column-major
-/// values (exact enumeration) or the pre-binned view (histogram split
-/// finding). Built once per `fit`, shared by every tree of an ensemble.
+/// Training input for one run: the raw column-major values, and for
+/// histogram split finding their pre-binned view. Built once per `fit`,
+/// shared by every tree of an ensemble; boosting also predicts its
+/// training rows from the raw values after every round.
 #[derive(Debug, Clone)]
-pub enum TrainingColumns {
-    /// Raw values for [`SplitMethod::Exact`].
-    Exact(DenseColumns),
-    /// Quantile-binned indices for [`SplitMethod::Histogram`].
-    Binned(BinnedColumns),
+pub struct TrainingColumns {
+    raw: DenseColumns,
+    /// Quantile-binned indices for [`SplitMethod::Histogram`]; `None` for
+    /// [`SplitMethod::Exact`], which reads `raw`.
+    binned: Option<BinnedColumns>,
 }
 
 impl TrainingColumns {
@@ -298,28 +309,22 @@ impl TrainingColumns {
 
     /// Wraps already-materialized columns, binning them if `method` is
     /// [`SplitMethod::Histogram`].
-    pub fn from_dense_columns(columns: DenseColumns, method: SplitMethod) -> Self {
-        match method {
-            SplitMethod::Exact => Self::Exact(columns),
-            SplitMethod::Histogram => {
-                Self::Binned(BinnedColumns::from_columns(&columns, MAX_HISTOGRAM_BINS))
-            }
-        }
+    pub fn from_dense_columns(raw: DenseColumns, method: SplitMethod) -> Self {
+        let binned = match method {
+            SplitMethod::Exact => None,
+            SplitMethod::Histogram => Some(BinnedColumns::from_columns(&raw, MAX_HISTOGRAM_BINS)),
+        };
+        Self { raw, binned }
     }
 
     /// Number of rows.
     pub fn n_rows(&self) -> usize {
-        match self {
-            Self::Exact(c) => c.n_rows(),
-            Self::Binned(b) => b.n_rows(),
-        }
+        self.raw.n_rows()
     }
 
-    fn n_cols(&self) -> usize {
-        match self {
-            Self::Exact(c) => c.n_cols(),
-            Self::Binned(b) => b.n_cols(),
-        }
+    /// The raw values, column-major.
+    pub(crate) fn raw(&self) -> &DenseColumns {
+        &self.raw
     }
 }
 
@@ -350,6 +355,7 @@ impl Default for TreeParams {
     }
 }
 
+/// One node of a tree's stored form (see [`NodeList`]).
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 enum Node {
     Leaf {
@@ -363,10 +369,113 @@ enum Node {
     },
 }
 
-/// A fitted regression tree.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct RegressionTree {
+/// The stored form of a [`RegressionTree`]: its nodes, each split before
+/// its children. Fitting grows this list and then lays it out flat;
+/// serde reads and writes it, so artifacts do not see the flat layout.
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+struct NodeList {
     nodes: Vec<Node>,
+}
+
+/// The child index a split stores for a child outside the node list or
+/// not after its parent. No node has it, so [`RegressionTree::check`]
+/// rejects the tree.
+const NO_CHILD: u32 = u32::MAX;
+
+/// A fitted regression tree, laid out flat for inference (see the module
+/// doc's "Inference").
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[serde(into = "NodeList", try_from = "NodeList")]
+pub struct RegressionTree {
+    /// Split feature of each node; 0 at leaves.
+    feature: Vec<u32>,
+    /// Split threshold of each node (`v <= threshold` goes left); 0 at
+    /// leaves.
+    threshold: Vec<f64>,
+    /// Children of node `n` at `2n` (left) and `2n + 1` (right). A leaf's
+    /// both point at itself; a split's never do.
+    child: Vec<u32>,
+    /// Value of each leaf; 0 at splits.
+    value: Vec<f64>,
+    /// Steps from the root to its deepest leaf: the passes a walk takes.
+    depth: usize,
+}
+
+impl TryFrom<NodeList> for RegressionTree {
+    type Error = ModelError;
+
+    /// Lays the node list out flat. Never walks the tree, so a cycle
+    /// cannot hang it: a child index outside `n + 1..len` of its parent
+    /// `n` (or beyond `u32`) becomes [`NO_CHILD`], and a feature beyond
+    /// `u32` becomes `u32::MAX`, which [`RegressionTree::check`] rejects.
+    fn try_from(list: NodeList) -> Result<Self, ModelError> {
+        let len = list.nodes.len();
+        if u32::try_from(len).is_err() {
+            return Err(ModelError::invalid_input(format!(
+                "regression tree has {len} nodes, more than u32 indexes"
+            )));
+        }
+        let mut tree = Self {
+            feature: Vec::with_capacity(len),
+            threshold: Vec::with_capacity(len),
+            child: Vec::with_capacity(2 * len),
+            value: Vec::with_capacity(len),
+            depth: 0,
+        };
+        for (n, node) in list.nodes.into_iter().enumerate() {
+            let (feature, threshold, children, value) = match node {
+                Node::Leaf { value } => (0, 0.0, [n as u32; 2], value),
+                Node::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                } => {
+                    let child = |c: usize| if c > n && c < len { c as u32 } else { NO_CHILD };
+                    let feature = u32::try_from(feature).unwrap_or(u32::MAX);
+                    (feature, threshold, [child(left), child(right)], 0.0)
+                }
+            };
+            tree.feature.push(feature);
+            tree.threshold.push(threshold);
+            tree.child.extend(children);
+            tree.value.push(value);
+        }
+        // Children come after their parents, so one backward pass sees
+        // both children's depths before the parent's.
+        let mut depth = vec![0usize; len];
+        for n in (0..len).rev() {
+            if !tree.is_leaf(n) {
+                let below = |c: u32| depth.get(c as usize).map_or(0, |d| d + 1);
+                let deepest = below(tree.child[2 * n]).max(below(tree.child[2 * n + 1]));
+                depth[n] = deepest;
+            }
+        }
+        tree.depth = depth.first().copied().unwrap_or(0);
+        Ok(tree)
+    }
+}
+
+impl From<RegressionTree> for NodeList {
+    fn from(tree: RegressionTree) -> Self {
+        let nodes = (0..tree.n_nodes())
+            .map(|n| {
+                if tree.is_leaf(n) {
+                    Node::Leaf {
+                        value: tree.value[n],
+                    }
+                } else {
+                    Node::Split {
+                        feature: tree.feature[n] as usize,
+                        threshold: tree.threshold[n],
+                        left: tree.child[2 * n] as usize,
+                        right: tree.child[2 * n + 1] as usize,
+                    }
+                }
+            })
+            .collect();
+        Self { nodes }
+    }
 }
 
 /// Per-bin split statistics: gradient sum, hessian sum, row count.
@@ -619,11 +728,9 @@ impl<R: Rng> Grower<'_, R> {
             return self.push(leaf);
         }
 
-        let features = sample_features(self.columns.n_cols(), self.params.colsample, self.rng);
-        let hist = match (self.columns, hist) {
-            (TrainingColumns::Binned(binned), None)
-                if binned.flat_pays(rows.len(), features.len()) =>
-            {
+        let features = sample_features(self.columns.raw.n_cols(), self.params.colsample, self.rng);
+        let hist = match (&self.columns.binned, hist) {
+            (Some(binned), None) if binned.flat_pays(rows.len(), features.len()) => {
                 Some(accumulate_histogram(binned, self.grad, self.hess, rows))
             }
             (_, hist) => hist,
@@ -636,11 +743,12 @@ impl<R: Rng> Grower<'_, R> {
 
         // NaN fails `value <= threshold` and sits in the largest bin, so
         // missing values go right under both predicates.
-        let mid = match self.columns {
-            TrainingColumns::Exact(columns) => {
-                partition(rows, |r| columns.value(r, split.feature) <= split.threshold)
+        let mid = match &self.columns.binned {
+            None => {
+                let raw = &self.columns.raw;
+                partition(rows, |r| raw.value(r, split.feature) <= split.threshold)
             }
-            TrainingColumns::Binned(binned) => {
+            Some(binned) => {
                 let bins = &binned.feats[split.feature].bins;
                 partition(rows, |r| usize::from(bins[r]) <= split.bin)
             }
@@ -681,8 +789,9 @@ impl<R: Rng> Grower<'_, R> {
         hist: Option<&[BinStat]>,
     ) {
         let (grad, hess, scratch) = (self.grad, self.hess, &mut self.scratch);
-        match self.columns {
-            TrainingColumns::Exact(columns) => {
+        match &self.columns.binned {
+            None => {
+                let columns = &self.columns.raw;
                 for &f in features {
                     // Total order with NaN last: missing values form the
                     // final run, so the scan evaluates exactly the "finite
@@ -702,7 +811,7 @@ impl<R: Rng> Grower<'_, R> {
                     search.scan_sorted(columns, f, &scratch.order, grad, hess);
                 }
             }
-            TrainingColumns::Binned(binned) => {
+            Some(binned) => {
                 for &f in features {
                     let feat = &binned.feats[f];
                     if let Some(hist) = hist {
@@ -743,7 +852,7 @@ impl<R: Rng> Grower<'_, R> {
         right: &[usize],
         features: &[usize],
     ) -> (Option<Vec<BinStat>>, Option<Vec<BinStat>>) {
-        let (Some(mut large), TrainingColumns::Binned(binned)) = (hist, self.columns) else {
+        let (Some(mut large), Some(binned)) = (hist, &self.columns.binned) else {
             return (None, None);
         };
         if !binned.flat_pays(left.len().max(right.len()), features.len()) {
@@ -816,71 +925,53 @@ impl RegressionTree {
             nodes: Vec::new(),
         };
         grower.grow(&mut rows.to_vec(), 0, None);
-        Self {
+        Self::try_from(NodeList {
             nodes: grower.nodes,
-        }
+        })
+        .expect("a fitted tree has fewer nodes than u32 indexes")
     }
 
-    /// Predicts the tree output for one CSR row.
-    pub fn predict_row(&self, indices: &[u32], values: &[f64]) -> f64 {
-        let mut node = 0usize;
-        loop {
-            match &self.nodes[node] {
-                Node::Leaf { value } => return *value,
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    let v = match indices.binary_search(&(*feature as u32)) {
-                        Ok(pos) => values[pos],
-                        Err(_) => 0.0,
-                    };
-                    node = if v <= *threshold { *left } else { *right };
-                }
-            }
-        }
+    /// Whether node `n` is a leaf: a split's children never point back
+    /// at it.
+    #[inline]
+    fn is_leaf(&self, n: usize) -> bool {
+        self.child[2 * n] as usize == n
     }
 
-    /// Predicts the tree output for one dense row.
+    /// One branch-free step of a walk: from node `n` to the child that a
+    /// row with value `v` of `n`'s split feature takes (`n` itself at a
+    /// leaf). NaN fails `v <= threshold` and goes right.
+    #[inline(always)]
+    fn step(&self, n: usize, v: f64) -> usize {
+        self.child[2 * n + 1 - usize::from(v <= self.threshold[n])] as usize
+    }
+
+    /// Predicts the tree output for one dense row: the walk `walk_rows`
+    /// takes for each row of a block, as many steps as the tree is deep.
     pub fn predict_dense_row(&self, row: &[f64]) -> f64 {
-        let mut node = 0usize;
-        loop {
-            match &self.nodes[node] {
-                Node::Leaf { value } => return *value,
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    node = if row[*feature] <= *threshold {
-                        *left
-                    } else {
-                        *right
-                    };
-                }
-            }
+        let mut n = 0;
+        for _ in 0..self.depth {
+            n = self.step(n, row[self.feature[n] as usize]);
         }
+        self.value[n]
+    }
+
+    /// The split nodes' features, one per split node.
+    fn split_features(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.n_nodes())
+            .filter(|&n| !self.is_leaf(n))
+            .map(|n| self.feature[n] as usize)
     }
 
     /// Largest feature index referenced by any split node, if the tree
-    /// splits at all. Blocked inference uses this to prove a dense scratch
-    /// row of a given width is wide enough for [`Self::predict_dense_row`].
+    /// splits at all.
     pub fn max_feature(&self) -> Option<usize> {
-        self.nodes
-            .iter()
-            .filter_map(|n| match n {
-                Node::Split { feature, .. } => Some(*feature),
-                Node::Leaf { .. } => None,
-            })
-            .max()
+        self.split_features().max()
     }
 
     /// Number of nodes (diagnostics / tests).
     pub fn n_nodes(&self) -> usize {
-        self.nodes.len()
+        self.feature.len()
     }
 
     /// Rejects a tree that prediction could not walk over rows of
@@ -888,27 +979,22 @@ impl RegressionTree {
     /// child not strictly after its parent and inside the node list, or a
     /// threshold that is not finite (JSON reads a stored `±inf` as NaN).
     /// Fitting lays every child out after its parent, so fitted trees pass;
-    /// on a deserialized one a walk could otherwise loop or index past the end.
+    /// on a deserialized one a walk could otherwise index past the end or
+    /// stop short of a leaf.
     pub fn check(&self, n_features: usize) -> Result<(), ModelError> {
-        let n = self.nodes.len();
-        let bad_child = |(i, node): (usize, &Node)| match *node {
-            Node::Split { left, right, .. } => left.min(right) <= i || left.max(right) >= n,
-            Node::Leaf { .. } => false,
-        };
+        let n = self.n_nodes();
         if n == 0 {
             return Err(ModelError::invalid_input("regression tree has no nodes"));
         }
-        if let Some(i) = self.nodes.iter().enumerate().position(bad_child) {
+        let splits = || (0..n).filter(|&i| !self.is_leaf(i));
+        let bad_child = |&i: &usize| self.child[2 * i..2 * i + 2].contains(&NO_CHILD);
+        if let Some(i) = splits().find(bad_child) {
             return Err(ModelError::invalid_input(format!(
                 "tree node {i} has a child outside {}..{n}",
                 i + 1
             )));
         }
-        let bad_threshold = |node: &Node| match *node {
-            Node::Split { threshold, .. } => !threshold.is_finite(),
-            Node::Leaf { .. } => false,
-        };
-        if let Some(i) = self.nodes.iter().position(bad_threshold) {
+        if let Some(i) = splits().find(|&i| !self.threshold[i].is_finite()) {
             return Err(ModelError::invalid_input(format!(
                 "tree node {i} splits at a non-finite threshold"
             )));
@@ -918,6 +1004,173 @@ impl RegressionTree {
                 "tree splits on feature {f} of {n_features}"
             ))),
             _ => Ok(()),
+        }
+    }
+}
+
+/// Trees [`walk_row`] walks side by side: enough independent load chains
+/// to overlap, few enough that a shallow tree rarely waits many passes on
+/// the group's deepest.
+const TREE_GROUP: usize = 16;
+
+/// The leaf value each of `trees` gives one dense `row`, in tree order:
+/// the level-synchronous walk of [`walk_rows`] turned sideways. Trees go
+/// in groups of [`TREE_GROUP`], and every tree of a group takes one step
+/// per pass, so their load chains overlap as the rows of a block do there.
+pub(crate) fn walk_row(trees: &[RegressionTree], row: &[f64]) -> Vec<f64> {
+    let mut leaves = Vec::with_capacity(trees.len());
+    for group in trees.chunks(TREE_GROUP) {
+        let mut at = [0; TREE_GROUP];
+        let depth = group.iter().map(|t| t.depth).max().unwrap_or(0);
+        for _ in 0..depth {
+            for (n, tree) in at.iter_mut().zip(group) {
+                *n = tree.step(*n, row[tree.feature[*n] as usize]);
+            }
+        }
+        leaves.extend(at.iter().zip(group).map(|(&n, tree)| tree.value[n]));
+    }
+    leaves
+}
+
+/// Rows per block of [`walk_rows`]: small enough that a block's scratch
+/// values stay cache-resident while every tree walks it.
+pub(crate) const ROW_BLOCK: usize = 64;
+
+/// The matrix [`walk_rows`] reads feature values from.
+#[derive(Clone, Copy)]
+pub(crate) enum Rows<'a> {
+    /// Sparse rows; a feature a row does not store reads 0.
+    Csr(&'a CsrMatrix),
+    /// Row-major dense rows.
+    Dense(&'a DenseMatrix),
+    /// Column-major dense rows (a training run's raw values).
+    Columns(&'a DenseColumns),
+}
+
+impl Rows<'_> {
+    fn n_rows(&self) -> usize {
+        match self {
+            Self::Csr(x) => x.rows(),
+            Self::Dense(x) => x.rows(),
+            Self::Columns(x) => x.n_rows(),
+        }
+    }
+
+    fn n_cols(&self) -> usize {
+        match self {
+            Self::Csr(x) => x.cols(),
+            Self::Dense(x) => x.cols(),
+            Self::Columns(x) => x.n_cols(),
+        }
+    }
+
+    /// Writes row `block.start + i`'s value of `features[s]` to
+    /// `scratch[i * w + s]`, `w = features.len() + 2`. `slot_of[f]` is
+    /// feature `f`'s slot; a sparse row's value of a feature no node names
+    /// goes to the spare slot `features.len() + 1`, which no node reads.
+    /// Slot `features.len()` keeps the 0 it holds.
+    fn gather(
+        &self,
+        block: std::ops::Range<usize>,
+        features: &[usize],
+        slot_of: &[u32],
+        scratch: &mut [f64],
+    ) {
+        let w = features.len() + 2;
+        match self {
+            Self::Csr(x) => {
+                scratch.fill(0.0);
+                for (values, r) in scratch.chunks_exact_mut(w).zip(block) {
+                    let (idx, vals) = x.row(r);
+                    for (&c, &v) in idx.iter().zip(vals) {
+                        values[slot_of[c as usize] as usize] = v;
+                    }
+                }
+            }
+            Self::Dense(x) => {
+                for (values, r) in scratch.chunks_exact_mut(w).zip(block) {
+                    let row = x.row(r);
+                    for (value, &f) in values.iter_mut().zip(features) {
+                        *value = row[f];
+                    }
+                }
+            }
+            Self::Columns(x) => {
+                for (s, &f) in features.iter().enumerate() {
+                    for (i, &v) in x.cols[f][block.clone()].iter().enumerate() {
+                        scratch[i * w + s] = v;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The one inference kernel of every tree ensemble: calls
+/// `leaf(t, r, value)` with the leaf value tree `trees[t]` gives row `r`
+/// of `rows`, for every tree and row.
+///
+/// Rows go in blocks of [`ROW_BLOCK`]. Each row of a block is densified
+/// once into a scratch row with one slot per feature the trees' nodes name;
+/// a node naming a feature past the matrix reads 0, as a sparse row reads
+/// a feature it does not store. Then each tree in turn walks the whole
+/// block level by level (see the module doc's "Inference") and reports
+/// its leaves in row order. So for one row the calls come in tree order,
+/// and a caller that adds them up adds in the order of a row-at-a-time
+/// walk, bit for bit.
+pub(crate) fn walk_rows<T: Borrow<RegressionTree>>(
+    trees: &[T],
+    rows: Rows<'_>,
+    mut leaf: impl FnMut(usize, usize, f64),
+) {
+    let trees: Vec<&RegressionTree> = trees.iter().map(Borrow::borrow).collect();
+    // Slots in ascending feature order. Leaves name feature 0, which
+    // costs at most one slot. Slot `m` stays 0; slot `m + 1` is spare.
+    let n_cols = rows.n_cols();
+    let mut named = vec![false; n_cols];
+    for &f in trees.iter().flat_map(|t| &t.feature) {
+        if let Some(named) = named.get_mut(f as usize) {
+            *named = true;
+        }
+    }
+    let features: Vec<usize> = (0..n_cols).filter(|&f| named[f]).collect();
+    let m = features.len();
+    let mut slot_of = vec![m as u32 + 1; n_cols];
+    for (s, &f) in features.iter().enumerate() {
+        slot_of[f] = s as u32;
+    }
+    // Every node's slot, tree after tree.
+    let node_slots: Vec<u32> = trees
+        .iter()
+        .flat_map(|t| &t.feature)
+        .map(|&f| slot_of.get(f as usize).copied().unwrap_or(m as u32))
+        .collect();
+
+    let w = m + 2;
+    let mut scratch = vec![0.0; ROW_BLOCK * w];
+    let mut at = [0; ROW_BLOCK];
+    for block in row_blocks(rows.n_rows(), ROW_BLOCK) {
+        let (start, len) = (block.start, block.len());
+        let values = &mut scratch[..len * w];
+        rows.gather(block, &features, &slot_of, values);
+        let at = &mut at[..len];
+        let mut base = 0;
+        for (t, tree) in trees.iter().enumerate() {
+            // Slices of one length, so indexing one by a node checks all.
+            let k = tree.n_nodes();
+            let slot = &node_slots[base..base + k];
+            base += k;
+            let (threshold, child) = (&tree.threshold[..k], &tree.child[..2 * k]);
+            at.fill(0);
+            for _ in 0..tree.depth {
+                for (i, n) in at.iter_mut().enumerate() {
+                    let v = values[i * w + slot[*n] as usize];
+                    *n = child[2 * *n + 1 - usize::from(v <= threshold[*n])] as usize;
+                }
+            }
+            for (i, &n) in at.iter().enumerate() {
+                leaf(t, start + i, tree.value[n]);
+            }
         }
     }
 }
@@ -1096,21 +1349,76 @@ mod tests {
         assert!((tree.predict_dense_row(&[0.0]) - 1.5).abs() < 1e-12);
     }
 
+    /// A tree built from its stored node list, as deserialization does.
+    fn from_nodes(nodes: Vec<Node>) -> RegressionTree {
+        RegressionTree::try_from(NodeList { nodes }).unwrap()
+    }
+
     #[test]
     fn sparse_and_dense_prediction_agree() {
         let (cols, y) = step_data();
         let mut rng = StdRng::seed_from_u64(6);
         let tree = fit_regression(&cols, &y, &TreeParams::default(), &mut rng);
-        for i in 0..40 {
-            let v = i as f64 / 39.0;
-            let dense = tree.predict_dense_row(&[v]);
-            let sparse = if v == 0.0 {
-                tree.predict_row(&[], &[])
-            } else {
-                tree.predict_row(&[0], &[v])
-            };
-            assert_eq!(dense, sparse);
+        let rows: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64 / 39.0]).collect();
+        let dense = DenseMatrix::from_rows(&rows).unwrap();
+        // Row 0 is all zero, so its CSR row stores nothing.
+        let sparse = CsrMatrix::from_dense(&dense);
+        let mut by_kernel = vec![[f64::NAN; 3]; 40];
+        let sources = [
+            Rows::Dense(&dense),
+            Rows::Csr(&sparse),
+            Rows::Columns(&cols),
+        ];
+        for (s, rows) in sources.into_iter().enumerate() {
+            walk_rows(&[&tree], rows, |_, r, v| by_kernel[r][s] = v);
         }
+        for (r, row) in rows.iter().enumerate() {
+            let walked = tree.predict_dense_row(row).to_bits();
+            assert!(
+                by_kernel[r].iter().all(|v| v.to_bits() == walked),
+                "row {r}"
+            );
+        }
+    }
+
+    #[test]
+    fn stored_form_round_trips_and_sets_the_walk_depth() {
+        let (cols, y) = step_data();
+        let mut rng = StdRng::seed_from_u64(6);
+        let tree = fit_regression(&cols, &y, &TreeParams::default(), &mut rng);
+        let json = serde_json::to_string(&tree).unwrap();
+        assert!(
+            json.starts_with(r#"{"nodes":[{"Split":{"feature":0,"#),
+            "{json}"
+        );
+        let reloaded: RegressionTree = serde_json::from_str(&json).unwrap();
+        assert_eq!(reloaded, tree);
+        assert_eq!(serde_json::to_string(&reloaded).unwrap(), json);
+        // Depth is the longest root-to-leaf path, here through node 2.
+        let lopsided = from_nodes(vec![
+            Node::Split {
+                feature: 0,
+                threshold: 0.5,
+                left: 1,
+                right: 2,
+            },
+            Node::Leaf { value: 1.0 },
+            Node::Split {
+                feature: 0,
+                threshold: 0.7,
+                left: 3,
+                right: 4,
+            },
+            Node::Leaf { value: 2.0 },
+            Node::Leaf { value: 3.0 },
+        ]);
+        assert_eq!(lopsided.depth, 2);
+        let got: Vec<f64> = [0.1, 0.6, 0.9, f64::NAN]
+            .iter()
+            .map(|&v| lopsided.predict_dense_row(&[v]))
+            .collect();
+        assert_eq!(got, [1.0, 2.0, 3.0, 3.0]);
+        assert_eq!(from_nodes(vec![Node::Leaf { value: 4.0 }]).depth, 0);
     }
 
     #[test]
@@ -1265,9 +1573,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let tree = fit_regression(&cols, &y, &TreeParams::default(), &mut rng);
         assert_eq!(tree.max_feature(), Some(0));
-        let leaf = RegressionTree {
-            nodes: vec![Node::Leaf { value: 1.0 }],
-        };
+        let leaf = from_nodes(vec![Node::Leaf { value: 1.0 }]);
         assert_eq!(leaf.max_feature(), None);
     }
 
@@ -1282,8 +1588,8 @@ mod tests {
             // Its split on feature 0 needs at least one feature.
             assert!(tree.check(0).is_err());
         }
-        let split = |left, right| RegressionTree {
-            nodes: vec![
+        let split = |left, right| {
+            from_nodes(vec![
                 Node::Split {
                     feature: 0,
                     threshold: 0.5,
@@ -1292,13 +1598,25 @@ mod tests {
                 },
                 Node::Leaf { value: 1.0 },
                 Node::Leaf { value: 2.0 },
-            ],
+            ])
         };
         assert!(split(1, 2).check(1).is_ok());
-        for (left, right) in [(0, 2), (1, 0), (1, 3), (usize::MAX, 2)] {
-            assert!(split(left, right).check(1).is_err(), "{left} {right}");
+        for (left, right) in [
+            (0, 2),
+            (1, 0),
+            (0, 0),
+            (1, 3),
+            (1 << 32, 2),
+            (usize::MAX, 2),
+        ] {
+            let err = split(left, right).check(1).unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains("tree node 0 has a child outside 1..3"),
+                "{err}"
+            );
         }
-        assert!(RegressionTree { nodes: Vec::new() }.check(1).is_err());
+        assert!(from_nodes(Vec::new()).check(1).is_err());
     }
 
     #[test]
@@ -1374,7 +1692,7 @@ mod tests {
                 min_gain: 1e-12,
                 ..TreeParams::default()
             };
-            let columns = TrainingColumns::Exact(cols.clone());
+            let columns = TrainingColumns::from_dense_columns(cols.clone(), SplitMethod::Exact);
             let mut grower = Grower {
                 columns: &columns,
                 grad: &grad,

@@ -294,3 +294,194 @@ fn forest_training_and_blocked_inference_are_thread_count_invariant() {
         assert_eq!(run(1), run(4), "{method:?}");
     }
 }
+
+/// One node of a tree as artifacts store it, walked node by node: the
+/// reference the flat inference kernel must reproduce bit for bit.
+enum RefNode {
+    Leaf(f64),
+    Split {
+        feature: usize,
+        threshold: f64,
+        left: usize,
+        right: usize,
+    },
+}
+
+/// A reference tree: its stored node list, each split before its children.
+struct RefTree(Vec<RefNode>);
+
+impl RefTree {
+    /// A random tree no deeper than `max_depth` splitting on features
+    /// `0..n_features`, at thresholds drawn from `thresholds`.
+    fn random(rng: &mut StdRng, max_depth: usize, n_features: usize, thresholds: &[f64]) -> Self {
+        fn grow(
+            nodes: &mut Vec<RefNode>,
+            rng: &mut StdRng,
+            depth: usize,
+            n_features: usize,
+            thresholds: &[f64],
+        ) -> usize {
+            let at = nodes.len();
+            nodes.push(RefNode::Leaf(rng.gen_range(-4.0..4.0)));
+            if depth == 0 || rng.gen_bool(0.25) {
+                return at;
+            }
+            let left = grow(nodes, rng, depth - 1, n_features, thresholds);
+            let right = grow(nodes, rng, depth - 1, n_features, thresholds);
+            nodes[at] = RefNode::Split {
+                feature: rng.gen_range(0..n_features),
+                threshold: thresholds[rng.gen_range(0..thresholds.len())],
+                left,
+                right,
+            };
+            at
+        }
+        let mut nodes = Vec::new();
+        grow(&mut nodes, rng, max_depth, n_features, thresholds);
+        Self(nodes)
+    }
+
+    /// The stored form, `{"nodes": [...]}`.
+    fn to_json(&self) -> String {
+        let num = |v: f64| serde_json::to_string(&v).unwrap();
+        let nodes: Vec<String> = self
+            .0
+            .iter()
+            .map(|node| match *node {
+                RefNode::Leaf(value) => format!(r#"{{"Leaf":{{"value":{}}}}}"#, num(value)),
+                RefNode::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                } => format!(
+                    r#"{{"Split":{{"feature":{feature},"threshold":{},"left":{left},"right":{right}}}}}"#,
+                    num(threshold)
+                ),
+            })
+            .collect();
+        format!(r#"{{"nodes":[{}]}}"#, nodes.join(","))
+    }
+
+    /// Node-by-node walk of one dense row.
+    fn walk(&self, row: &[f64]) -> f64 {
+        let mut at = 0;
+        loop {
+            match self.0[at] {
+                RefNode::Leaf(value) => return value,
+                RefNode::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                } => {
+                    at = if row[feature] <= threshold {
+                        left
+                    } else {
+                        right
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The flat, level-synchronous inference kernel against a node-by-node
+/// walk, bit for bit, on random trees loaded through their stored form:
+/// single leaves and depths up to 12, feature values that are NaN, ±inf
+/// or -0.0, sparse rows with implicit zeros, row counts around the
+/// 64-row block, and matrices wider than any split feature.
+#[test]
+fn tree_kernel_matches_a_node_walk_on_random_trees() {
+    const N_FEATURES: usize = 6;
+    const WIDTH: usize = N_FEATURES + 3;
+    let (inf, nan) = (f64::INFINITY, f64::NAN);
+    let thresholds = [-1.5, -0.25, 0.0, -0.0, 0.5, 1.0, 2.75, f64::MIN, f64::MAX];
+    let values = [
+        nan,
+        inf,
+        -inf,
+        -0.0,
+        0.0,
+        0.5,
+        -0.25,
+        1.0,
+        3.0,
+        f64::MIN_POSITIVE,
+    ];
+    let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|v| v.to_bits()).collect() };
+    for seed in 0..24u64 {
+        let mut rng = StdRng::seed_from_u64(900 + seed);
+        let n_rows = [1, 63, 64, 65, 130][seed as usize % 5];
+        let rows: Vec<Vec<f64>> = (0..n_rows)
+            .map(|_| {
+                (0..WIDTH)
+                    .map(|_| match rng.gen_range(0..3) {
+                        0 => values[rng.gen_range(0..values.len())],
+                        1 => 0.0,
+                        _ => rng.gen_range(-3.0..3.0),
+                    })
+                    .collect()
+            })
+            .collect();
+        let dense = lvp_linalg::DenseMatrix::from_rows(&rows).unwrap();
+        // Zeros are stored or left implicit at random.
+        let mut builder = CsrBuilder::new(WIDTH);
+        for row in &rows {
+            let mut pairs: Vec<(u32, f64)> = (0..WIDTH)
+                .filter(|&c| row[c] != 0.0 || rng.gen_bool(0.5))
+                .map(|c| (c as u32, row[c]))
+                .collect();
+            builder.push_row_pairs(&mut pairs).unwrap();
+        }
+        let sparse = builder.finish();
+
+        // Tree `t` is at most `t % 13` deep; the first is a lone leaf.
+        let trees: Vec<RefTree> = (0..26)
+            .map(|t| RefTree::random(&mut rng, t % 13, N_FEATURES, &thresholds))
+            .collect();
+        let stored: Vec<String> = trees.iter().map(RefTree::to_json).collect();
+
+        // Forest: every tree's leaf per row, and their mean.
+        let forest: RandomForestRegressor =
+            serde_json::from_str(&format!(r#"{{"trees":[{}]}}"#, stored.join(","))).unwrap();
+        let per_tree = forest.predict_per_tree(&dense);
+        let means = forest.predict(&dense);
+        for (r, row) in rows.iter().enumerate() {
+            let expected: Vec<f64> = trees.iter().map(|t| t.walk(row)).collect();
+            assert_eq!(
+                bits(per_tree.row(r)),
+                bits(&expected),
+                "seed {seed} row {r}"
+            );
+            assert_eq!(bits(&forest.predict_per_tree_row(row)), bits(&expected));
+            let mean = expected.iter().fold(0.0, |s, v| s + v) / expected.len() as f64;
+            assert_eq!(means[r].to_bits(), mean.to_bits(), "seed {seed} row {r}");
+        }
+
+        // Boosting over sparse rows: 13 rounds of two classes.
+        let rounds: Vec<String> = stored
+            .chunks(2)
+            .map(|pair| format!("[{}]", pair.join(",")))
+            .collect();
+        let learning_rate = 0.3;
+        let boosted: GbdtClassifier = serde_json::from_str(&format!(
+            r#"{{"trees":[{}],"learning_rate":{learning_rate},"n_classes":2}}"#,
+            rounds.join(",")
+        ))
+        .unwrap();
+        let mut logits = lvp_linalg::DenseMatrix::zeros(n_rows, 2);
+        for (r, row) in rows.iter().enumerate() {
+            for pair in trees.chunks(2) {
+                for (k, tree) in pair.iter().enumerate() {
+                    logits.set(r, k, logits.get(r, k) + learning_rate * tree.walk(row));
+                }
+            }
+        }
+        assert_eq!(
+            bits(boosted.predict_proba(&sparse).data()),
+            bits(lvp_linalg::stable_softmax(&logits).data()),
+            "seed {seed}"
+        );
+    }
+}
