@@ -89,8 +89,9 @@ impl ScoreInterval {
 
     /// Validates the interval invariants for externally supplied
     /// intervals: either all of `point`/`lo`/`hi` are finite with
-    /// `lo ≤ point ≤ hi`, or all three are NaN (a degraded interval);
-    /// `alpha` must be finite and in `(0, 1)` either way.
+    /// `0 ≤ lo ≤ point ≤ hi ≤ 1` (every score lies in `[0, 1]`), or all
+    /// three are NaN (a degraded interval); `alpha` must be finite and in
+    /// `(0, 1)` either way.
     pub fn validate(&self) -> Result<(), CoreError> {
         check_interval_alpha(self.alpha)?;
         if self.is_degraded() {
@@ -107,6 +108,12 @@ impl ScoreInterval {
             return Err(CoreError::new(format!(
                 "interval bounds must satisfy lo ≤ point ≤ hi, got \
                  [lo {}, point {}, hi {}]",
+                self.lo, self.point, self.hi
+            )));
+        }
+        if !(0.0 <= self.lo && self.hi <= 1.0) {
+            return Err(CoreError::new(format!(
+                "interval bounds must lie in [0, 1], got [lo {}, point {}, hi {}]",
                 self.lo, self.point, self.hi
             )));
         }
@@ -197,6 +204,12 @@ mod tests {
         assert!(iv.validate().is_err());
         // Infinite bounds are as unusable as NaN ones.
         assert!(interval(f64::NEG_INFINITY, 0.7, 0.9).validate().is_err());
+        // No score lies outside [0, 1]; its edges are scores.
+        assert!(interval(0.0, 0.5, 1.0).validate().is_ok());
+        for (lo, point, hi) in [(-0.1, 0.5, 0.9), (0.6, 0.7, 1.2), (-5.0, 8125.0, 9e9)] {
+            let err = interval(lo, point, hi).validate().unwrap_err();
+            assert!(err.message.contains("in [0, 1]"), "{err}");
+        }
         // Bad alpha fails even on otherwise-valid bounds.
         for alpha in [0.0, 1.0, -0.1, f64::NAN] {
             let iv = ScoreInterval {

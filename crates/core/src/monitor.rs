@@ -405,10 +405,10 @@ impl BatchMonitor {
     /// counterpart of [`Self::observe_estimate`]).
     ///
     /// Being an external entry point, the interval is validated first:
-    /// `lo ≤ point ≤ hi` with all bounds finite — or all NaN, which is
-    /// recorded as a degraded batch — and `alpha` in `(0, 1)`; anything
-    /// else is a typed [`CoreError`]. Valid intervals update the alarm
-    /// state like any internally scored batch.
+    /// `0 ≤ lo ≤ point ≤ hi ≤ 1` — or all bounds NaN, which is recorded
+    /// as a degraded batch — and `alpha` in `(0, 1)`; anything else is a
+    /// typed [`CoreError`]. Valid intervals update the alarm state like
+    /// any internally scored batch.
     pub fn observe_interval(&mut self, interval: ScoreInterval) -> Result<BatchReport, CoreError> {
         interval.validate()?;
         Ok(self.record(Evidence::Interval(interval)))
@@ -1607,11 +1607,12 @@ mod tests {
     fn observe_interval_validates_external_intervals() {
         let (mut m, _) = monitor(MonitorPolicy::default().with_interval_alarm());
         let test_score = m.predictor().test_score();
-        // A healthy external interval around the test score is recorded.
+        // A healthy external interval around the test score is recorded;
+        // like every score, its bounds stay inside [0, 1].
         let good = ScoreInterval {
             point: test_score,
-            lo: test_score - 0.05,
-            hi: test_score + 0.05,
+            lo: (test_score - 0.05).max(0.0),
+            hi: (test_score + 0.05).min(1.0),
             alpha: 0.1,
         };
         let r = m.observe_interval(good).unwrap();
@@ -1626,6 +1627,14 @@ mod tests {
         };
         let err = m.observe_interval(bad).unwrap_err();
         assert!(err.message.contains("lo ≤ point ≤ hi"), "{err}");
+        let beyond = ScoreInterval {
+            point: 1.0,
+            lo: 0.95,
+            hi: 1.05,
+            alpha: 0.1,
+        };
+        let err = m.observe_interval(beyond).unwrap_err();
+        assert!(err.message.contains("in [0, 1]"), "{err}");
         let mixed = ScoreInterval {
             point: f64::NAN,
             lo: 0.5,

@@ -21,7 +21,8 @@
 //!   child's is accumulated from rows and the sibling's is derived by
 //!   subtracting it from the parent's (the subtract trick). Every other
 //!   node fills one sampled feature at a time into a reused, all-zero
-//!   histogram, scans only the bins its rows touched, and resets those.
+//!   histogram and scans only the bins its rows touched, clearing each as
+//!   it reads it.
 //!
 //! Both grow the tree with one recursion; they differ only in how a node's
 //! best split is found and in the predicate that partitions its rows (raw
@@ -490,8 +491,8 @@ struct BinStat {
 struct SplitScratch {
     /// The node's rows in the exact finder's per-feature sort order.
     order: Vec<usize>,
-    /// One feature's histogram, indexed by bin; all zero between uses (a
-    /// node resets exactly the bins its rows touched).
+    /// One feature's histogram, indexed by bin; all zero between uses (the
+    /// scan takes each bin a node's rows touched, which zeroes it).
     dense: Box<[BinStat; MAX_HISTOGRAM_BINS]>,
 }
 
@@ -502,17 +503,6 @@ impl Default for SplitScratch {
             dense: Box::new([BinStat::default(); MAX_HISTOGRAM_BINS]),
         }
     }
-}
-
-/// The set bits of a per-bin mask, in ascending order.
-fn set_bins(mask: [u64; MAX_HISTOGRAM_BINS / 64]) -> impl Iterator<Item = usize> {
-    mask.into_iter().enumerate().flat_map(|(i, mut word)| {
-        std::iter::from_fn(move || {
-            let bit = word.trailing_zeros() as usize;
-            word &= word.wrapping_sub(1);
-            (bit < 64).then_some(64 * i + bit)
-        })
-    })
 }
 
 /// Accumulates the flat (all features × all bins) histogram for `rows` in
@@ -646,48 +636,62 @@ impl<'p> SplitSearch<'p> {
             }
         }
     }
+}
 
-    /// Histogram scan of feature `f`'s bin boundaries. `bins` yields
-    /// `(bin_index, stat)` pairs in ascending bin order (empty bins may be
-    /// present or omitted — both describe the same partitions). The
-    /// boundary after the last finite bin (threshold `f64::MAX`, or the
-    /// last cut when the upper bins are empty) is the "finite left,
-    /// missing right" split.
-    fn scan_bins(
-        &mut self,
-        feat: &BinnedFeature,
-        f: usize,
-        bins: impl Iterator<Item = (usize, BinStat)>,
-    ) {
-        let n_finite_bins = feat.cuts.len() + 1;
-        let mut g_left = 0.0;
-        let mut h_left = 0.0;
-        let mut n_left = 0usize;
-        for (bin, stat) in bins {
-            if bin >= n_finite_bins {
-                break; // the missing bin has no boundary after it
-            }
-            if stat.n == 0 {
-                continue; // empty bin: same partition as the previous boundary
-            }
-            g_left += stat.g;
-            h_left += stat.h;
-            n_left += stat.n as usize;
-            if n_left == self.n_rows {
-                break; // nothing left to send right (not even missing)
-            }
-            if !self.sizes_ok(n_left) {
-                continue;
-            }
-            let threshold = if bin < feat.cuts.len() {
-                feat.cuts[bin]
-            } else {
-                // Everything finite goes left; only missing values sit
-                // to the right of this boundary.
-                f64::MAX
-            };
-            self.offer(f, threshold, bin, g_left, h_left);
+/// A histogram scan of one feature's bin boundaries. Both histogram paths
+/// feed it the feature's bins in ascending order, each with its
+/// accumulated stat (empty bins may be fed or skipped — both describe the
+/// same partitions), and it offers the boundary after each bin to the
+/// node's search. The boundary after the last finite bin (threshold
+/// `f64::MAX`, or the last cut when the upper bins are empty) is the
+/// "finite left, missing right" split.
+struct BinScan<'s, 'p> {
+    search: &'s mut SplitSearch<'p>,
+    f: usize,
+    cuts: &'s [f64],
+    g_left: f64,
+    h_left: f64,
+    n_left: usize,
+}
+
+impl<'s, 'p> BinScan<'s, 'p> {
+    fn new(search: &'s mut SplitSearch<'p>, feat: &'s BinnedFeature, f: usize) -> Self {
+        Self {
+            search,
+            f,
+            cuts: &feat.cuts,
+            g_left: 0.0,
+            h_left: 0.0,
+            n_left: 0,
         }
+    }
+
+    /// Moves bin `bin` to the left side and offers the boundary after it.
+    /// Returns `false` once no later bin can add a boundary: `bin` is the
+    /// missing bin, the last of the feature, or every row is now on the
+    /// left, so every later bin is empty.
+    #[inline]
+    fn feed(&mut self, bin: usize, stat: BinStat) -> bool {
+        if bin > self.cuts.len() {
+            return false; // the missing bin has no boundary after it
+        }
+        if stat.n == 0 {
+            return true; // empty bin: same partition as the previous boundary
+        }
+        self.g_left += stat.g;
+        self.h_left += stat.h;
+        self.n_left += stat.n as usize;
+        if self.n_left == self.search.n_rows {
+            return false; // nothing left to send right (not even missing)
+        }
+        if self.search.sizes_ok(self.n_left) {
+            // Past the last cut everything finite goes left; only missing
+            // values sit to the right of this boundary.
+            let threshold = self.cuts.get(bin).copied().unwrap_or(f64::MAX);
+            self.search
+                .offer(self.f, threshold, bin, self.g_left, self.h_left);
+        }
+        true
     }
 }
 
@@ -775,12 +779,13 @@ impl<R: Rng> Grower<'_, R> {
 
     /// Offers every candidate boundary of the sampled `features` to
     /// `search`. Exact splits sort the node's rows per feature. Histogram
-    /// splits read the flat histogram when there is one, and otherwise
-    /// accumulate each feature on its own in one pass over the node's rows
-    /// into the zeroed scratch histogram, marking the bins they touch; the
-    /// scan reads only the touched bins, in ascending order, and the same
-    /// bins are reset afterwards. Both paths add each bin's rows in node
-    /// order, so the per-bin sums, and the chosen split, agree bitwise.
+    /// splits feed one [`BinScan`] per feature: from the flat histogram when
+    /// there is one, and otherwise by accumulating the feature on its own in
+    /// one pass over the node's rows into the zeroed scratch histogram,
+    /// marking the bins they touch, then walking the mask once in ascending
+    /// order, each touched bin read and cleared in the same step. Both paths
+    /// add each bin's rows in node order, so the per-bin sums, and the
+    /// chosen split, agree bitwise.
     fn find_split(
         &mut self,
         search: &mut SplitSearch,
@@ -814,10 +819,15 @@ impl<R: Rng> Grower<'_, R> {
             Some(binned) => {
                 for &f in features {
                     let feat = &binned.feats[f];
+                    let mut scan = BinScan::new(search, feat, f);
                     if let Some(hist) = hist {
                         let offset = binned.offsets[f];
                         let slots = &hist[offset..offset + feat.n_bins()];
-                        search.scan_bins(feat, f, slots.iter().copied().enumerate());
+                        for (bin, &stat) in slots.iter().enumerate() {
+                            if !scan.feed(bin, stat) {
+                                break;
+                            }
+                        }
                     } else {
                         let dense = &mut scratch.dense;
                         let mut touched = [0u64; MAX_HISTOGRAM_BINS / 64];
@@ -829,11 +839,17 @@ impl<R: Rng> Grower<'_, R> {
                             slot.n += 1;
                             touched[bin / 64] |= 1 << (bin % 64);
                         }
-                        search.scan_bins(feat, f, set_bins(touched).map(|b| (b, dense[b])));
-                        // Reset every touched bin, also those after the
-                        // scan's early stops (missing bin, all rows left).
-                        for b in set_bins(touched) {
-                            dense[b] = BinStat::default();
+                        // Each touched bin is taken, which zeroes it, as
+                        // the scan reads it. No touched bin follows a stop
+                        // (the missing bin is the last bin, and once every
+                        // row is on the left no later bin holds one), so
+                        // this one walk leaves the histogram all zero.
+                        for (word_index, mut word) in touched.into_iter().enumerate() {
+                            while word != 0 {
+                                let bin = 64 * word_index + word.trailing_zeros() as usize;
+                                word &= word - 1;
+                                scan.feed(bin, std::mem::take(&mut dense[bin]));
+                            }
                         }
                     }
                 }
@@ -1624,17 +1640,32 @@ mod tests {
         // Feature 0's scan stops at the missing bin (a NaN and a `+inf`
         // row); feature 1's stops at its last finite bin, which takes
         // every row. Both bins were filled and neither was scanned.
+        // Feature 2 has 72 distinct values and NaN rows, so its scan stops
+        // at a missing bin in the second mask word.
         let inf = f64::INFINITY;
+        let n = 80;
         let cols = DenseColumns {
-            n_rows: 6,
+            n_rows: n,
             cols: vec![
-                vec![1.0, 2.0, 3.0, 4.0, f64::NAN, inf],
-                vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+                (0..n)
+                    .map(|i| match i {
+                        78 => f64::NAN,
+                        79 => inf,
+                        _ => (i % 4 + 1) as f64,
+                    })
+                    .collect(),
+                (0..n).map(|i| (i % 6 + 1) as f64).collect(),
+                (0..n)
+                    .map(|i| if i < 72 { i as f64 } else { f64::NAN })
+                    .collect(),
             ],
         };
         let columns = TrainingColumns::from_dense_columns(cols, SplitMethod::Histogram);
-        let grad = [-1.0, -1.0, 0.0, 0.0, 2.0, 2.0];
-        let hess = [1.0; 6];
+        let feature_2 = &columns.binned.as_ref().unwrap().feats[2];
+        assert_eq!(feature_2.n_bins() - 1, 72, "feature 2's missing bin");
+        let grad: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
+        let hess = vec![1.0; n];
+        let rows: Vec<usize> = (0..n).collect();
         let params = TreeParams {
             min_samples_leaf: 1,
             ..TreeParams::default()
@@ -1648,9 +1679,9 @@ mod tests {
             scratch: SplitScratch::default(),
             nodes: Vec::new(),
         };
-        for f in 0..2 {
-            let mut search = SplitSearch::new(&params, 6, grad.iter().sum(), 6.0);
-            grower.find_split(&mut search, &[0, 1, 2, 3, 4, 5], &[f], None);
+        for f in 0..3 {
+            let mut search = SplitSearch::new(&params, n, grad.iter().sum(), n as f64);
+            grower.find_split(&mut search, &rows, &[f], None);
             assert!(search.best.is_some(), "feature {f} splits");
             let stale = grower
                 .scratch

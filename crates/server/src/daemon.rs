@@ -320,6 +320,16 @@ fn names_path(line: &str) -> bool {
     serde_json::from_str::<serde::Value>(line).is_ok_and(|v| v.get("path").is_some())
 }
 
+/// Rejects `values` (the `what` of an observe) unless every one lies in
+/// `[0, 1]`: no model emits a probability or a score outside it, and NaN
+/// and ±inf are neither.
+fn check_unit_range(what: &str, values: &[f64]) -> Result<(), String> {
+    match values.iter().find(|v| !(0.0..=1.0).contains(*v)) {
+        Some(v) => Err(format!("{what} value {v} lies outside [0, 1]")),
+        None => Ok(()),
+    }
+}
+
 /// A tenant name's hash, for per-tenant jitter: [`Fnv`] with the
 /// multiplier `0x1_0000_01b3`, not the FNV prime. It sets every
 /// retry-after jitter, so the multiplier stays as it is.
@@ -664,6 +674,7 @@ impl Daemon {
                     .predictor()
                     .check_source(&FeatureSource::Exact(&proba))
                     .map_err(|e| e.to_string())?;
+                check_unit_range("outputs", proba.data())?;
                 Ok(Prepared::Rows(proba))
             }
             JournalOp::ObserveChunk { rows, .. } => {
@@ -675,7 +686,14 @@ impl Daemon {
                         proba.cols()
                     ));
                 }
+                check_unit_range("chunk", proba.data())?;
                 Ok(Prepared::Rows(proba))
+            }
+            // A NaN estimate is a degraded batch (`observe_estimate`
+            // quarantines it); any other value must be a score.
+            JournalOp::ObserveEstimate { estimate, .. } if !estimate.is_nan() => {
+                check_unit_range("estimate", &[*estimate])?;
+                Ok(Prepared::Nothing)
             }
             JournalOp::ObserveInterval { interval, .. } => {
                 interval.validate().map_err(|e| e.to_string())?;
@@ -1584,6 +1602,80 @@ mod tests {
         let (recovered, report) = Daemon::recover(DaemonConfig::default(), always).unwrap();
         assert_eq!(report.records_replayed, 2, "{}", report.summary());
         assert_eq!(observe(&recovered).batches_seen, Some(2));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn observes_outside_the_unit_range_are_rejected_before_the_journal() {
+        let dir = std::env::temp_dir().join(format!("lvpd-range-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let never = DurabilityConfig::in_dir_with_fsync(&dir, FsyncPolicy::Never);
+        let (daemon, _) = Daemon::recover(DaemonConfig::default(), never).unwrap();
+        let k = key("acme");
+        register(&daemon, &k, artifact());
+        let appended = || {
+            let inner = daemon.lock_inner();
+            inner.durable.as_ref().unwrap().journal.records_appended()
+        };
+        let line = |form: &str, value: &str| {
+            format!(
+                r#"{{"verb":"observe","tenant":"acme","model":"fraud","version":"v1","{form}":{value}}}"#
+            )
+        };
+        let respond =
+            |line: &str| serde_json::from_str::<Response>(&daemon.handle_line(line)).unwrap();
+        let before = appended();
+        // The first three were accepted before the range check: two
+        // overflow to +inf, and 8125 is no score.
+        for (line, message) in [
+            (
+                line(
+                    "outputs",
+                    "[[0.7000000000000001,0.2e9999999999999999999999993]]",
+                ),
+                "outputs value inf lies outside [0, 1]",
+            ),
+            (
+                line("chunk", "[[0.68333333333333e99999999933,0.3]]"),
+                "chunk value inf lies outside [0, 1]",
+            ),
+            (
+                line("estimate", "8125"),
+                "estimate value 8125 lies outside [0, 1]",
+            ),
+            (line("outputs", "[[1.5,-0.5]]"), "outputs value 1.5"),
+            (
+                line("chunk", "[[0.5,0.5],[-0.25,1.25]]"),
+                "chunk value -0.25",
+            ),
+            (line("estimate", "-1e999"), "estimate value -inf"),
+            (
+                line("interval", r#"{"point":0.9,"lo":0.8,"hi":1.2,"alpha":0.1}"#),
+                "interval bounds must lie in [0, 1]",
+            ),
+        ] {
+            let response = respond(&line);
+            assert_eq!(response.status, "error", "{line}");
+            let got = response.message.unwrap();
+            assert!(got.contains(message), "{line}: {got}");
+        }
+        assert_eq!(appended(), before);
+
+        // Scores at the edges, and a NaN estimate (a degraded batch), are
+        // observed and journaled.
+        for line in [
+            line("outputs", "[[0.0,1.0]]"),
+            line("chunk", "[[1,0]]"),
+            line("estimate", "0"),
+            line("interval", r#"{"point":1,"lo":0,"hi":1,"alpha":0.1}"#),
+        ] {
+            assert!(respond(&line).is_ok(), "{line}");
+        }
+        let mut req = Request::targeted("observe", &k);
+        req.estimate = Some(f64::NAN);
+        let response = daemon.handle_request(req);
+        assert!(response.is_ok() && response.report.unwrap().degraded);
+        assert_eq!(appended(), before + 5);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -62,7 +62,9 @@ impl std::fmt::Display for MonitorKey {
 /// streaming window (closed by `finish`), `estimate` reports an
 /// externally computed score, and `interval` reports an externally
 /// computed [`ScoreInterval`] (validated on entry: bounds must be all
-/// finite with `lo ≤ point ≤ hi`, or all NaN for a degraded batch).
+/// finite with `0 ≤ lo ≤ point ≤ hi ≤ 1`, or all NaN for a degraded
+/// batch). Every `outputs` and `chunk` value must lie in `[0, 1]`, and
+/// an `estimate` in `[0, 1]` or be NaN (a degraded batch).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Request {
     /// Operation selector (see the table above).

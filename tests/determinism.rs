@@ -576,6 +576,53 @@ fn histogram_trees_are_pinned_golden() {
     pinned.push(floats(&gbdt.predict(&x)));
     pinned.push(rng.gen::<u64>());
 
+    // The meta-model's shape: 430 rows of 2 classes × 21 sorted
+    // percentile-like columns, each with more distinct values than a
+    // feature has bins, plus NaN and `+inf` cells. 430 × 42 row-features
+    // stay below twice the ~10,700 histogram slots, so no node takes the
+    // flat histogram: every split search runs the touched-bin path.
+    let mut rng = StdRng::seed_from_u64(427);
+    let rows: Vec<Vec<f64>> = (0..430usize)
+        .map(|i| {
+            let mut row = Vec::with_capacity(42);
+            for _ in 0..2 {
+                let centre = rng.gen_range(0.25..0.75);
+                let spread = rng.gen_range(0.05..0.5);
+                let start = row.len();
+                row.extend((0..21).map(|_| centre + spread * (rng.gen::<f64>() - 0.5)));
+                row[start..].sort_by(f64::total_cmp);
+            }
+            for (c, v) in row.iter_mut().enumerate() {
+                if (i + 3 * c) % 61 == 0 {
+                    *v = f64::NAN;
+                } else if (i + 5 * c) % 73 == 0 {
+                    *v = f64::INFINITY;
+                }
+            }
+            row
+        })
+        .collect();
+    for c in 0..42 {
+        let mut column: Vec<f64> = rows.iter().map(|r| r[c]).collect();
+        column.sort_by(f64::total_cmp);
+        column.dedup_by(|a, b| a.total_cmp(b).is_eq());
+        assert!(column.len() > 254, "column {c}: {} distinct", column.len());
+    }
+    let targets: Vec<f64> = rows
+        .iter()
+        .map(|r| {
+            let finite = |v: f64| if v.is_finite() { v } else { 0.5 };
+            let low: f64 = r[..21].iter().map(|&v| finite(v)).sum::<f64>() / 21.0;
+            low - 0.5 * finite(r[31]) + rng.gen_range(-0.05..0.05)
+        })
+        .collect();
+    let x = lvp::linalg::DenseMatrix::from_rows(&rows).unwrap();
+    let (forest, cfg) =
+        RandomForestRegressor::fit_cv(&x, &targets, &default_forest_grid(), 5, &mut rng).unwrap();
+    pinned.push(floats(forest.predict_per_tree(&x).data()));
+    pinned.push(cfg.n_trees as u64);
+    pinned.push(rng.gen::<u64>());
+
     assert_eq!(
         pinned,
         [
@@ -586,6 +633,9 @@ fn histogram_trees_are_pinned_golden() {
             0x838f_0df6_5b15_0c55, // fit_cv forest, next draw
             0x39b1_e458_6434_5290, // gbdt, predictions
             0xef05_151b_211e_7d43, // gbdt, next draw
+            0x90f4_5ce5_7811_4da5, // touched-bin fit_cv forest, per-tree predictions
+            100,                   // touched-bin fit_cv forest, chosen tree count
+            0x6c4c_7d07_1123_e5d4, // touched-bin fit_cv forest, next draw
         ]
     );
 }

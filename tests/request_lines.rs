@@ -206,6 +206,23 @@ fn state_digest(daemon: &Daemon) -> u64 {
     )
 }
 
+/// Panics unless every score `request` carries is one a model emits: each
+/// output and chunk value in `[0, 1]`, and the estimate and the interval
+/// bounds in `[0, 1]` or NaN (a degraded batch).
+fn assert_scores_in_unit_range(label: &str, request: &Request) {
+    let unit = |v: f64| (0.0..=1.0).contains(&v);
+    let rows = request.outputs.iter().chain(&request.chunk).flatten();
+    assert!(rows.flatten().all(|&v| unit(v)), "{label}: {request:?}");
+    let mut scores: Vec<f64> = request.estimate.into_iter().collect();
+    if let Some(iv) = request.interval {
+        scores.extend([iv.lo, iv.point, iv.hi]);
+    }
+    assert!(
+        scores.iter().all(|&v| v.is_nan() || unit(v)),
+        "{label}: {request:?}"
+    );
+}
+
 #[test]
 fn mutated_request_lines_get_one_response_and_replay_to_the_same_state() {
     let daemon = Daemon::new(config());
@@ -224,6 +241,9 @@ fn mutated_request_lines_get_one_response_and_replay_to_the_same_state() {
             parsed.status
         );
         if parsed.is_ok() {
+            if let Ok(request) = serde_json::from_str::<Request>(&line) {
+                assert_scores_in_unit_range(&label, &request);
+            }
             accepted.push(line);
         }
         *statuses.entry(parsed.status).or_default() += 1;
