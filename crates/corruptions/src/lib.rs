@@ -185,10 +185,18 @@ impl Hits {
             }
         }
     }
+
+    /// The rows [`Self::each`] hits, in row order, drawn as it draws them.
+    pub(crate) fn rows(self, n_rows: usize, rng: &mut StdRng) -> Vec<usize> {
+        let mut rows = Vec::new();
+        self.each(n_rows, rng, |row, _| rows.push(row));
+        rows
+    }
 }
 
-/// Picks the fraction of rows to corrupt — uniform over (0, 1), matching
-/// the paper's randomly sampled corruption probabilities.
+/// Picks the fraction of rows to corrupt — uniform over `[0.02, 1)`, the
+/// paper's randomly sampled corruption probabilities with no fraction
+/// below 0.02.
 pub(crate) fn sample_fraction(rng: &mut StdRng) -> f64 {
     rng.gen_range(0.02..1.0)
 }
@@ -238,7 +246,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         for _ in 0..100 {
             let f = sample_fraction(&mut rng);
-            assert!((0.0..1.0).contains(&f));
+            assert!((0.02..1.0).contains(&f), "{f}");
         }
     }
 

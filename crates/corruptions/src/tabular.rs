@@ -144,8 +144,8 @@ impl ErrorGen for SwappedColumns {
             while b == a {
                 b = all[rng.gen_range(0..all.len())];
             }
-            let hits = Hits(sample_fraction(rng));
-            hits.each(out.n_rows(), rng, |row, _| out.swap_cells(a, b, row));
+            let rows = Hits(sample_fraction(rng)).rows(out.n_rows(), rng);
+            out.swap_cells(a, b, &rows);
             return out;
         }
         let n_pairs = rng.gen_range(
@@ -157,8 +157,8 @@ impl ErrorGen for SwappedColumns {
         for _ in 0..n_pairs {
             let num = self.numeric_columns[rng.gen_range(0..self.numeric_columns.len())];
             let cat = self.categorical_columns[rng.gen_range(0..self.categorical_columns.len())];
-            let hits = Hits(sample_fraction(rng));
-            hits.each(out.n_rows(), rng, |row, _| out.swap_cells(num, cat, row));
+            let rows = Hits(sample_fraction(rng)).rows(out.n_rows(), rng);
+            out.swap_cells(num, cat, &rows);
         }
         out
     }

@@ -491,7 +491,7 @@ impl Column {
 
 /// Renders a number the way a CSV round-trip would: integers without a
 /// decimal point, everything else in shortest form.
-fn format_num(x: f64) -> String {
+pub(crate) fn format_num(x: f64) -> String {
     if x.fract() == 0.0 && x.abs() < 1e15 {
         format!("{}", x as i64)
     } else {

@@ -1,8 +1,10 @@
 //! The [`DataFrame`] type and its builder.
 
+use crate::column::format_num;
 use crate::{CellValue, Column, ColumnType, Field, FrameError, Schema};
 use rand::seq::SliceRandom;
 use rand::Rng;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A batch of labeled relational tuples with copy-on-write columnar storage.
@@ -157,13 +159,64 @@ impl DataFrame {
         self.labels.iter().map(|&l| l as usize).collect()
     }
 
-    /// Swaps the cell values of two columns at `row`, applying the coercion
-    /// rules of [`Column::set_cell_coercing`] in both directions.
-    pub fn swap_cells(&mut self, col_a: usize, col_b: usize, row: usize) {
-        let a = self.columns[col_a].cell(row);
-        let b = self.columns[col_b].cell(row);
-        self.column_mut(col_a).set_cell_coercing(row, b);
-        self.column_mut(col_b).set_cell_coercing(row, a);
+    /// Swaps the cell values of two columns at each of `rows` in turn,
+    /// applying the coercion rules of [`Column::set_cell_coercing`] in both
+    /// directions. Empty `rows` leave both columns' storage shared.
+    ///
+    /// A numeric and a categorical column swap without a per-cell
+    /// [`CellValue`]: each distinct number is formatted and interned once
+    /// (per bit pattern) and each category parsed once (per code), in the
+    /// order of `rows`, so the codes and the dictionary come out as a swap
+    /// cell by cell leaves them. Other pairs of types swap cell by cell.
+    pub fn swap_cells(&mut self, col_a: usize, col_b: usize, rows: &[usize]) {
+        if rows.is_empty() {
+            return;
+        }
+        match (self.columns[col_a].ty(), self.columns[col_b].ty()) {
+            (ColumnType::Numeric, ColumnType::Categorical) => {
+                self.swap_numbers_and_categories(col_a, col_b, rows)
+            }
+            (ColumnType::Categorical, ColumnType::Numeric) => {
+                self.swap_numbers_and_categories(col_b, col_a, rows)
+            }
+            _ => {
+                for &row in rows {
+                    let a = self.columns[col_a].cell(row);
+                    let b = self.columns[col_b].cell(row);
+                    self.column_mut(col_a).set_cell_coercing(row, b);
+                    self.column_mut(col_b).set_cell_coercing(row, a);
+                }
+            }
+        }
+    }
+
+    /// [`Self::swap_cells`] of the numeric column `num` and the categorical
+    /// column `cat`.
+    fn swap_numbers_and_categories(&mut self, num: usize, cat: usize, rows: &[usize]) {
+        let [num, cat] = self
+            .columns
+            .get_disjoint_mut([num, cat])
+            .expect("columns of two types are two columns");
+        let values = Arc::make_mut(num).as_numeric_mut().expect("numeric column");
+        let categories = Arc::make_mut(cat)
+            .as_categorical_mut()
+            .expect("categorical column");
+        let mut parsed: HashMap<u32, Option<f64>> = HashMap::new();
+        let mut interned: HashMap<u64, u32> = HashMap::new();
+        for &row in rows {
+            let number = values[row];
+            values[row] = categories.code(row).and_then(|code| {
+                *parsed
+                    .entry(code)
+                    .or_insert_with(|| categories.dictionary()[code as usize].trim().parse().ok())
+            });
+            let code = number.map(|x| {
+                *interned
+                    .entry(x.to_bits())
+                    .or_insert_with(|| categories.intern(&format_num(x)))
+            });
+            categories.set_code(row, code);
+        }
     }
 
     /// Returns a new frame containing the selected rows, in order. Indices
@@ -363,6 +416,7 @@ pub fn toy_frame(n: usize) -> DataFrame {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CategoricalColumn;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -565,11 +619,147 @@ mod tests {
     #[test]
     fn swap_cells_coerces_both_directions() {
         let mut df = toy_frame(4);
-        df.swap_cells(0, 1, 0); // numeric "0" <-> categorical "even"
-                                // numeric column got "even" -> unparseable -> null
+        // numeric "0" <-> categorical "even"
+        df.swap_cells(0, 1, &[0]);
+        // numeric column got "even" -> unparseable -> null
         assert_eq!(df.column(0).as_numeric().unwrap()[0], None);
         // categorical column got 0.0 -> "0"
         assert_eq!(df.column(1).as_categorical().unwrap().get(0), Some("0"));
+    }
+
+    /// The swap row by row through [`CellValue`]s, as `swap_cells` once
+    /// did it: the reference the bulk swap must match.
+    fn swap_cell_by_cell(df: &mut DataFrame, col_a: usize, col_b: usize, rows: &[usize]) {
+        for &row in rows {
+            let a = df.column(col_a).cell(row);
+            let b = df.column(col_b).cell(row);
+            df.column_mut(col_a).set_cell_coercing(row, b);
+            df.column_mut(col_b).set_cell_coercing(row, a);
+        }
+    }
+
+    /// A seeded frame of numeric (0, 2), categorical (1, 3) and text (4)
+    /// columns whose cells come from pools of awkward values, missing
+    /// cells included.
+    fn awkward_frame(n: usize, seed: u64) -> DataFrame {
+        let numbers = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+            7.0,
+            -3.0,
+            3.5,
+            -2.25,
+            0.1,
+            1e15,
+            1e20,
+        ];
+        let categories = [" 3.5 ", "7", "-0", "inf", "NaN", "1e20", "a", "b b"];
+        let schema = Schema::new(vec![
+            Field::new("n0", ColumnType::Numeric),
+            Field::new("c0", ColumnType::Categorical),
+            Field::new("n1", ColumnType::Numeric),
+            Field::new("c1", ColumnType::Categorical),
+            Field::new("t", ColumnType::Text),
+        ])
+        .unwrap();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut b = DataFrameBuilder::new(schema, vec!["a".into()]);
+        for _ in 0..n {
+            let mut number = || match rng.gen_range(0..numbers.len() + 3) {
+                i if i < numbers.len() => CellValue::Num(numbers[i]),
+                i if i == numbers.len() => CellValue::Null,
+                _ => CellValue::Num((rng.gen_range(-50.0..50.0_f64) * 4.0).round() / 4.0),
+            };
+            let (n0, n1) = (number(), number());
+            let mut category = || match rng.gen_range(0..=categories.len()) {
+                i if i < categories.len() => CellValue::Cat(categories[i].into()),
+                _ => CellValue::Null,
+            };
+            let (c0, c1) = (category(), category());
+            b.push_row(vec![n0, c0, n1, c1, CellValue::Text("t 1".into())], 0)
+                .unwrap();
+        }
+        b.finish().unwrap()
+    }
+
+    /// Asserts that `a` and `b` hold the same cells, numbers by bit
+    /// pattern, and the same codes under the same dictionaries.
+    fn assert_same_cells(a: &DataFrame, b: &DataFrame, context: &str) {
+        for col in 0..a.n_cols() {
+            match (a.column(col), b.column(col)) {
+                (Column::Numeric(x), Column::Numeric(y)) => {
+                    let bits = |v: &[Option<f64>]| -> Vec<Option<u64>> {
+                        v.iter().map(|c| c.map(f64::to_bits)).collect()
+                    };
+                    assert_eq!(bits(x), bits(y), "{context}: column {col}");
+                }
+                (Column::Categorical(x), Column::Categorical(y)) => {
+                    assert_eq!(x.dictionary(), y.dictionary(), "{context}: column {col}");
+                    assert!(x.codes().eq(y.codes()), "{context}: column {col}");
+                }
+                (x, y) => assert_eq!(x, y, "{context}: column {col}"),
+            }
+        }
+    }
+
+    #[test]
+    fn bulk_swap_matches_the_cell_by_cell_swap() {
+        let pairs = [
+            (0, 1),
+            (1, 0),
+            (0, 1),
+            (2, 1),
+            (3, 0),
+            (1, 2),
+            (0, 4),
+            (4, 3),
+        ];
+        for seed in 0..6 {
+            let base = awkward_frame(120, seed);
+            let mut rng = StdRng::seed_from_u64(100 + seed);
+            let (mut bulk, mut reference) = (base.clone(), base.clone());
+            for (step, &(a, b)) in pairs.iter().enumerate() {
+                // No row, every row, a few, half, or rows in random order
+                // with repeats (a repeated row swaps back).
+                let n = base.n_rows();
+                let rows: Vec<usize> = match (step + seed as usize) % 5 {
+                    4 => (0..n).map(|_| rng.gen_range(0..n)).collect(),
+                    kind => {
+                        let fraction = [0.0, 1.0, 0.05, 0.5][kind];
+                        (0..n).filter(|_| rng.gen::<f64>() < fraction).collect()
+                    }
+                };
+                let (before, reference_before) = (bulk.clone(), reference.clone());
+                bulk.swap_cells(a, b, &rows);
+                swap_cell_by_cell(&mut reference, a, b, &rows);
+                let context = format!("seed {seed}, step {step}, swap ({a}, {b})");
+                assert_same_cells(&bulk, &reference, &context);
+                for col in 0..base.n_cols() {
+                    let hit = !rows.is_empty() && (col == a || col == b);
+                    assert_eq!(
+                        bulk.shares_column_storage(&before, col),
+                        !hit,
+                        "{context}: column {col}"
+                    );
+                    if let (Column::Categorical(x), Column::Categorical(y)) =
+                        (bulk.column(col), reference.column(col))
+                    {
+                        let dictionary_kept = |now: &CategoricalColumn, was: &DataFrame| {
+                            now.shares_dictionary(was.column(col).as_categorical().unwrap())
+                        };
+                        assert_eq!(
+                            dictionary_kept(x, &before),
+                            dictionary_kept(y, &reference_before),
+                            "{context}: column {col}"
+                        );
+                    }
+                }
+            }
+            assert_ne!(bulk, base, "seed {seed}: the swaps changed nothing");
+        }
     }
 
     #[test]

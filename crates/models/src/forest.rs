@@ -149,7 +149,11 @@ impl RandomForestRegressor {
     /// the mean of [`Self::predict_per_tree_row`].
     pub fn predict(&self, x: &DenseMatrix) -> Vec<f64> {
         let mut sums = vec![0.0; x.rows()];
-        walk_rows(&self.trees, Rows::Dense(x), |_, r, v| sums[r] += v);
+        walk_rows(&self.trees, Rows::Dense(x), |_, start, leaves| {
+            for (sum, &v) in sums[start..].iter_mut().zip(leaves) {
+                *sum += v;
+            }
+        });
         let k = self.trees.len() as f64;
         sums.into_iter().map(|s| s / k).collect()
     }
@@ -169,8 +173,15 @@ impl RandomForestRegressor {
     /// `n_rows × n_trees` matrix, computed with the blocked kernel. Row `r`
     /// equals [`Self::predict_per_tree_row`] on `x.row(r)` bit-for-bit.
     pub fn predict_per_tree(&self, x: &DenseMatrix) -> DenseMatrix {
-        let mut out = DenseMatrix::zeros(x.rows(), self.trees.len());
-        walk_rows(&self.trees, Rows::Dense(x), |t, r, v| out.set(r, t, v));
+        let k = self.trees.len();
+        let mut out = DenseMatrix::zeros(x.rows(), k);
+        let data = out.data_mut();
+        walk_rows(&self.trees, Rows::Dense(x), |t, start, leaves| {
+            let column = data[start * k + t..].iter_mut().step_by(k);
+            for (cell, &v) in column.zip(leaves) {
+                *cell = v;
+            }
+        });
         out
     }
 }

@@ -122,11 +122,15 @@ impl GbdtClassifier {
                     hess[r] = (pk * (1.0 - pk)).max(1e-12);
                 }
                 let tree = RegressionTree::fit(&columns, &grad, &hess, round_rows, &params, rng);
+                let data = logits.data_mut();
                 walk_rows(
                     std::slice::from_ref(&tree),
                     Rows::Columns(columns.raw()),
-                    |_, r, delta| {
-                        logits.set(r, k, logits.get(r, k) + config.learning_rate * delta);
+                    |_, start, deltas| {
+                        let column = data[start * m + k..].iter_mut().step_by(m);
+                        for (logit, &delta) in column.zip(deltas) {
+                            *logit += config.learning_rate * delta;
+                        }
                     },
                 );
                 round_trees.push(tree);
@@ -184,15 +188,19 @@ impl Classifier for GbdtClassifier {
     /// order, as a row-at-a-time walk would add it, so the probabilities
     /// do not depend on the blocking.
     fn predict_proba(&self, x: &CsrMatrix) -> DenseMatrix {
-        let mut logits = DenseMatrix::zeros(x.rows(), self.n_classes);
+        let m = self.n_classes;
+        let mut logits = DenseMatrix::zeros(x.rows(), m);
         let (classes, trees): (Vec<usize>, Vec<&RegressionTree>) = self
             .trees
             .iter()
             .flat_map(|round| round.iter().enumerate())
             .unzip();
-        walk_rows(&trees, Rows::Csr(x), |t, r, delta| {
-            let k = classes[t];
-            logits.set(r, k, logits.get(r, k) + self.learning_rate * delta);
+        let data = logits.data_mut();
+        walk_rows(&trees, Rows::Csr(x), |t, start, deltas| {
+            let column = data[start * m + classes[t]..].iter_mut().step_by(m);
+            for (logit, &delta) in column.zip(deltas) {
+                *logit += self.learning_rate * delta;
+            }
         });
         stable_softmax(&logits)
     }
@@ -240,8 +248,10 @@ impl GbdtRegressor {
             walk_rows(
                 std::slice::from_ref(&tree),
                 Rows::Dense(x),
-                |_, r, delta| {
-                    pred[r] += config.learning_rate * delta;
+                |_, start, deltas| {
+                    for (p, &delta) in pred[start..].iter_mut().zip(deltas) {
+                        *p += config.learning_rate * delta;
+                    }
                 },
             );
             trees.push(tree);
@@ -260,7 +270,11 @@ impl GbdtRegressor {
     /// add them.
     pub fn predict(&self, x: &DenseMatrix) -> Vec<f64> {
         let mut sums = vec![0.0; x.rows()];
-        walk_rows(&self.trees, Rows::Dense(x), |_, r, v| sums[r] += v);
+        walk_rows(&self.trees, Rows::Dense(x), |_, start, leaves| {
+            for (sum, &v) in sums[start..].iter_mut().zip(leaves) {
+                *sum += v;
+            }
+        });
         sums.into_iter()
             .map(|s| self.base + self.learning_rate * s)
             .collect()

@@ -55,7 +55,10 @@
 //! mispredicting a branch at every node (the level-synchronous traversal of
 //! Asadi, Lin & de Vries, *Runtime Optimizations for Tree-based Machine
 //! Learning Models*, TKDE 2014). `v <= t` is false for NaN, so missing
-//! values go right, as in training.
+//! values go right, as in training. The kernel hands its caller one
+//! tree's leaves for the whole block in one slice, tree after tree, so a
+//! caller accumulates with a plain slice loop and still adds each row's
+//! leaves in tree order.
 
 use crate::ModelError;
 use lvp_linalg::{row_blocks, CsrMatrix, DenseMatrix};
@@ -1123,21 +1126,22 @@ impl Rows<'_> {
 }
 
 /// The one inference kernel of every tree ensemble: calls
-/// `leaf(t, r, value)` with the leaf value tree `trees[t]` gives row `r`
-/// of `rows`, for every tree and row.
+/// `leaf(t, start, values)` with the leaf values tree `trees[t]` gives
+/// rows `start..start + values.len()` of `rows`, block by block, until
+/// every tree has given every row its leaf.
 ///
 /// Rows go in blocks of [`ROW_BLOCK`]. Each row of a block is densified
 /// once into a scratch row with one slot per feature the trees' nodes name;
 /// a node naming a feature past the matrix reads 0, as a sparse row reads
 /// a feature it does not store. Then each tree in turn walks the whole
-/// block level by level (see the module doc's "Inference") and reports
-/// its leaves in row order. So for one row the calls come in tree order,
-/// and a caller that adds them up adds in the order of a row-at-a-time
-/// walk, bit for bit.
+/// block level by level (see the module doc's "Inference") and hands over
+/// the block's leaves in one call. So for one row the leaves come in tree
+/// order, and a caller that adds them up adds in the order of a
+/// row-at-a-time walk, bit for bit.
 pub(crate) fn walk_rows<T: Borrow<RegressionTree>>(
     trees: &[T],
     rows: Rows<'_>,
-    mut leaf: impl FnMut(usize, usize, f64),
+    mut leaf: impl FnMut(usize, usize, &[f64]),
 ) {
     let trees: Vec<&RegressionTree> = trees.iter().map(Borrow::borrow).collect();
     // Slots in ascending feature order. Leaves name feature 0, which
@@ -1165,11 +1169,12 @@ pub(crate) fn walk_rows<T: Borrow<RegressionTree>>(
     let w = m + 2;
     let mut scratch = vec![0.0; ROW_BLOCK * w];
     let mut at = [0; ROW_BLOCK];
+    let mut leaves = [0.0; ROW_BLOCK];
     for block in row_blocks(rows.n_rows(), ROW_BLOCK) {
         let (start, len) = (block.start, block.len());
         let values = &mut scratch[..len * w];
         rows.gather(block, &features, &slot_of, values);
-        let at = &mut at[..len];
+        let (at, leaves) = (&mut at[..len], &mut leaves[..len]);
         let mut base = 0;
         for (t, tree) in trees.iter().enumerate() {
             // Slices of one length, so indexing one by a node checks all.
@@ -1184,9 +1189,10 @@ pub(crate) fn walk_rows<T: Borrow<RegressionTree>>(
                     *n = child[2 * *n + 1 - usize::from(v <= threshold[*n])] as usize;
                 }
             }
-            for (i, &n) in at.iter().enumerate() {
-                leaf(t, start + i, tree.value[n]);
+            for (value, &n) in leaves.iter_mut().zip(at.iter()) {
+                *value = tree.value[n];
             }
+            leaf(t, start, leaves);
         }
     }
 }
@@ -1386,7 +1392,11 @@ mod tests {
             Rows::Columns(&cols),
         ];
         for (s, rows) in sources.into_iter().enumerate() {
-            walk_rows(&[&tree], rows, |_, r, v| by_kernel[r][s] = v);
+            walk_rows(&[&tree], rows, |_, start, leaves| {
+                for (r, &v) in leaves.iter().enumerate() {
+                    by_kernel[start + r][s] = v;
+                }
+            });
         }
         for (r, row) in rows.iter().enumerate() {
             let walked = tree.predict_dense_row(row).to_bits();

@@ -13,7 +13,10 @@
 # Pair i runs both sides on seed i for <seconds> each, from the
 # repository root; the parent runs first on odd pairs and the change on
 # even ones. Runs append to .perfbench/pairs-<workload>-{parent,change}.jsonl,
-# both started afresh. Report-only: exits 0 unless a run fails.
+# both started afresh. After the report it exits 1 if the two sides of
+# some pair printed different output_digests, naming each such seed
+# (every performance change must leave the outputs bit-identical), and
+# non-zero if a run fails; otherwise 0.
 set -euo pipefail
 if [ $# -ne 5 ]; then
     echo "usage: $0 <parent-perfbench> <change-perfbench> <workload> <pairs> <seconds>" >&2
@@ -68,3 +71,18 @@ sed -n '/"end_to_end"/,/]/p' BENCHMARK.json | grep '"name"' | while IFS= read -r
     done
     printf '%-16s %2d of %d (%s is better)\n' "$name" "$won" "$pairs" "$better"
 done
+
+# Each pair's two sides ran one seed, so their digests must agree.
+differs=0
+for ((i = 0; i < pairs; i++)); do
+    a=$(grep -o '"output_digest":"[^"]*"' <<<"${parent_runs[i]}")
+    b=$(grep -o '"output_digest":"[^"]*"' <<<"${change_runs[i]}")
+    if [ "$a" != "$b" ]; then
+        echo "seed $((i + 1)): output_digest differs (parent ${a#*:}, change ${b#*:})" >&2
+        differs=1
+    fi
+done
+if ((differs)); then
+    echo "outputs differ: the change is not bit-identical to the parent" >&2
+    exit 1
+fi
