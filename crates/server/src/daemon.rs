@@ -320,6 +320,15 @@ fn names_path(line: &str) -> bool {
     serde_json::from_str::<serde::Value>(line).is_ok_and(|v| v.get("path").is_some())
 }
 
+/// The response line for `response`, or, when it cannot be written (an
+/// integer beyond 2^53), an error line naming why.
+fn encode(response: &Response) -> String {
+    serde_json::to_string(response).unwrap_or_else(|e| {
+        serde_json::to_string(&Response::error(format!("encode: {e}")))
+            .expect("an error response holds no integer")
+    })
+}
+
 /// Rejects `values` (the `what` of an observe) unless every one lies in
 /// `[0, 1]`: no model emits a probability or a score outside it, and NaN
 /// and ±inf are neither.
@@ -560,8 +569,7 @@ impl Daemon {
             Ok(request) => self.handle_request(request),
             Err(e) => self.refuse(format!("malformed request: {e}")),
         };
-        serde_json::to_string(&response)
-            .unwrap_or_else(|e| format!("{{\"status\":\"error\",\"message\":\"encode: {e}\"}}"))
+        encode(&response)
     }
 
     /// The response line for a request whose raw bytes exceeded
@@ -576,8 +584,7 @@ impl Daemon {
             "request line exceeds max_request_bytes ({}); raise the cap or split the batch",
             self.config.max_request_bytes
         ));
-        serde_json::to_string(&response)
-            .unwrap_or_else(|e| format!("{{\"status\":\"error\",\"message\":\"encode: {e}\"}}"))
+        encode(&response)
     }
 
     /// An error response for a line refused before dispatch, ticking the
@@ -1116,6 +1123,19 @@ mod tests {
         req.artifact = Some(artifact);
         let resp = daemon.handle_request(req);
         assert!(resp.is_ok(), "register failed: {:?}", resp.message);
+    }
+
+    #[test]
+    fn a_response_that_cannot_be_written_becomes_an_error_line() {
+        let mut response = Response::ok();
+        response.pending_chunks = Some(u64::MAX);
+        let err = serde_json::to_string(&response).unwrap_err();
+        assert_eq!(err.classify(), serde_json::Category::IntegerRange);
+        let line = encode(&response);
+        let back: Response = serde_json::from_str(&line).unwrap();
+        assert_eq!(back.status, "error");
+        assert_eq!(back.message, Some(format!("encode: {err}")));
+        assert!(back.pending_chunks.is_none(), "{line}");
     }
 
     fn chunk_rows(n: usize) -> Vec<Vec<f64>> {
